@@ -24,8 +24,12 @@ try:  # pragma: no cover - exercised only where the wheel is installed
     CRC_IMPL = "crc32c"
 
     def crc32c(data, value: int = 0) -> int:
-        """CRC-32C (Castagnoli) of *data*, seeded with *value*."""
-        return _crc32c_hw(bytes(data) if isinstance(data, memoryview) else data, value)
+        """CRC-32C (Castagnoli) of *data*, seeded with *value*. The
+        extension takes any contiguous buffer, so views of object payloads
+        are checksummed in place; only a strided view is copied first."""
+        if isinstance(data, memoryview) and not data.c_contiguous:
+            data = bytes(data)
+        return _crc32c_hw(data, value)
 
 except ImportError:  # the container's default path
     CRC_IMPL = "zlib-crc32"

@@ -114,37 +114,35 @@ class CacheModel:
 
     # -- node-local operations ---------------------------------------------------
 
-    def local_read(self, offset: int, size: int, out: bytearray | memoryview | None = None) -> CacheAccess:
-        """A read issued by this node's own CPU.
-
-        Returns hit/miss accounting; if *out* is provided, the observed bytes
-        (including any stale cached values, Fig 3b) are copied into it.
-        """
+    def local_read(self, offset: int, size: int) -> CacheAccess:
+        """A read issued by this node's own CPU: hit/miss/stale accounting
+        and the residency update. The bytes that read observes come from
+        :meth:`observed_view`, taken *before* this call — the insert below
+        can evict, and eviction drops stale snapshots."""
         if size <= 0:
             raise ValueError("read size must be positive")
         start, stop = self._align(offset, size)
         hit = self._resident.overlap(start, stop)
         miss = (stop - start) - hit
-        stale = 0
-        if out is not None:
-            mv = memoryview(out)
-            if mv.ndim != 1 or mv.itemsize != 1:
-                mv = mv.cast("B")
-            if len(mv) < size:
-                raise ValueError("output buffer too small")
-            mv[:size] = self._mem.view(offset, size)
-            stale = self._overlay_stale(offset, size, mv)
-        else:
-            stale = self._count_stale(offset, size)
+        stale = self._count_stale(offset, size)
         self._insert(start, stop)
         return CacheAccess(hit_bytes=hit, miss_bytes=miss, stale_bytes=stale)
 
-    def observed_view(self, offset: int, size: int) -> bytes:
-        """The bytes this node's CPU observes at ``[offset, offset+size)`` —
-        DRAM contents overlaid with any stale cached snapshots."""
-        buf = bytearray(size)
-        self.local_read(offset, size, out=buf)
-        return bytes(buf)
+    def observed_view(self, offset: int, size: int) -> memoryview:
+        """The bytes this node's CPU observes at ``[offset, offset+size)``,
+        read-only and without touching cache state: a zero-copy window of
+        DRAM, materialised only when a stale cached snapshot (Fig 3b)
+        overlaps the range and has to be overlaid."""
+        dram = self._mem.readonly_view(offset, size)
+        if not self._count_stale(offset, size):
+            return dram
+        buf = bytearray(dram)
+        for s, data in self._stale.items():
+            lo = max(s, offset)
+            hi = min(s + len(data), offset + size)
+            if lo < hi:
+                buf[lo - offset : hi - offset] = data[lo - s : hi - s]
+        return memoryview(buf).toreadonly()
 
     def local_write(self, offset: int, data) -> CacheAccess:
         """A store by this node's own CPU: write-through to DRAM, cache
@@ -245,15 +243,5 @@ class CacheModel:
             lo = max(s, offset)
             hi = min(s + len(data), offset + size)
             if lo < hi:
-                stale += hi - lo
-        return stale
-
-    def _overlay_stale(self, offset: int, size: int, out: memoryview) -> int:
-        stale = 0
-        for s, data in self._stale.items():
-            lo = max(s, offset)
-            hi = min(s + len(data), offset + size)
-            if lo < hi:
-                out[lo - offset : hi - offset] = data[lo - s : hi - s]
                 stale += hi - lo
         return stale

@@ -6,8 +6,14 @@ through the ThymesisFlow link). The distinction is invisible to
 applications, which is the framework's point: "the distributed nature can
 largely remain hidden to Plasma clients" (paper §IV-A2).
 
-Reading a sealed buffer end-to-end (:meth:`PlasmaBuffer.read_all`,
-:meth:`read_into`) is exactly the operation Figure 7 measures.
+Reading a sealed buffer end-to-end (:meth:`PlasmaBuffer.read_view`, and
+:meth:`read_all`/:meth:`read_into` on top of it) is exactly the operation
+Figure 7 measures.
+
+Every source answers the same three read calls: ``view`` (untimed window),
+``timed_view`` (the timed, validated read — returns a read-only window over
+the bytes the reader observes, copying nothing) and ``charge_read`` (timing
+only: no bytes materialise, so there is nothing to validate).
 """
 
 from __future__ import annotations
@@ -46,8 +52,11 @@ class LocalBufferSource:
     def view(self, offset: int, size: int) -> memoryview:
         return self._ep.local_view(self._abs + offset, size)
 
-    def timed_read(self, offset: int, size: int, out=None) -> float:
-        return self._ep.local_read(self._abs + offset, size, out=out)
+    def timed_view(self, offset: int, size: int) -> memoryview:
+        return self._ep.local_read_view(self._abs + offset, size)
+
+    def charge_read(self, offset: int, size: int) -> float:
+        return self._ep.local_read(self._abs + offset, size)
 
     def timed_write(self, offset: int, data) -> float:
         return self._ep.local_write(self._abs + offset, data)
@@ -114,18 +123,18 @@ class RemoteBufferSource:
     def view(self, offset: int, size: int) -> memoryview:
         return self._remote.view(self._off + offset, size)
 
-    def timed_read(self, offset: int, size: int, out=None) -> float:
+    def charge_read(self, offset: int, size: int) -> float:
+        # A validating reader still fetches the header with the stream.
         ig = self._integrity
-        if out is None:
-            # Charge-only mode (no bytes materialise, nothing to validate);
-            # a validating reader still fetches the header with the stream.
-            extra = ig.header_size if ig is not None else 0
-            return self._remote.charge_read(size + extra)
+        extra = ig.header_size if ig is not None else 0
+        return self._remote.charge_read(size + extra)
+
+    def timed_view(self, offset: int, size: int) -> memoryview:
+        ig = self._integrity
         if ig is None:
-            self._remote.read(self._off + offset, size, out=out)
-            return 0.0
+            return self._remote.read_view(self._off + offset, size)
         try:
-            self._validated_read(offset, size, out)
+            return self._validated_view(offset, size)
         except StaleDescriptorError:
             if ig.refresh is None:
                 raise
@@ -134,8 +143,7 @@ class RemoteBufferSource:
                 raise
             self._remote, self._off, self._integrity = refreshed
             # Second failure surfaces to the caller.
-            self._validated_read(offset, size, out)
-        return 0.0
+            return self._validated_view(offset, size)
 
     def _read_header(self) -> ObjectHeader | None:
         ig = self._integrity
@@ -143,7 +151,7 @@ class RemoteBufferSource:
             self._remote.view(self._off - ig.header_size, ig.header_size)
         )
 
-    def _validated_read(self, offset: int, size: int, out) -> None:
+    def _validated_view(self, offset: int, size: int) -> memoryview:
         ig = self._integrity
         oid = ObjectID(ig.object_id)
         header = self._read_header()
@@ -161,14 +169,11 @@ class RemoteBufferSource:
             raise ObjectCorruptedError(
                 f"{oid!r} is quarantined at its home store {self.location}"
             )
-        mv = memoryview(out)
-        if mv.ndim != 1 or mv.itemsize != 1:
-            mv = mv.cast("B")
-        mv[:size] = self._remote.view(self._off + offset, size)
+        view = self._remote.view(self._off + offset, size)
         # One charged stream covers header + payload: the header rides the
         # same DMA burst, so validation costs bytes, not an extra round trip.
         self._remote.charge_read(size + ig.header_size)
-        # Post-copy re-check: a retire that raced the copy bumped the
+        # Post-stream re-check: a retire that raced the stream bumped the
         # generation, which means the bytes just streamed may be torn.
         post = self._read_header()
         if (
@@ -177,17 +182,18 @@ class RemoteBufferSource:
             or not post.sealed
         ):
             raise StaleDescriptorError(
-                f"{oid!r} was retired at {self.location} mid-copy; "
+                f"{oid!r} was retired at {self.location} mid-stream; "
                 f"the streamed bytes cannot be trusted"
             )
         if ig.verify_checksum and offset == 0 and size == header.data_size:
             if ig.checksum_ns_per_byte and ig.clock is not None:
                 ig.clock.advance(ig.checksum_ns_per_byte * size)
-            if crc32c(mv[:size]) != header.payload_crc:
+            if crc32c(view) != header.payload_crc:
                 raise ObjectCorruptedError(
                     f"{oid!r} failed its payload checksum after a fabric "
                     f"read from {self.location}"
                 )
+        return view
 
     def timed_write(self, offset: int, data) -> float:
         self._remote.write(self._off + offset, data)
@@ -274,28 +280,33 @@ class PlasmaBuffer:
 
     # -- reads (the Figure 7 path) --------------------------------------------------
 
-    def _timed_read(self, offset: int, size: int, out) -> None:
-        """A timed read, re-entering the originating request scope so the
-        fabric spans it triggers carry the Get's correlation id."""
+    def _timed(self, read):
+        """Run a source read over the whole payload, re-entering the
+        originating request scope so the fabric spans it triggers carry the
+        Get's correlation id."""
         if self._correlation is None:
-            self._source.timed_read(offset, size, out=out)
-            return
+            return read(0, self._size)
         context, rid = self._correlation
         context.begin(rid)
         try:
-            self._source.timed_read(offset, size, out=out)
+            return read(0, self._size)
         finally:
             context.end()
 
-    def read_all(self) -> bytes:
-        """Sequentially read the whole payload (timed); returns the bytes."""
+    def read_view(self) -> memoryview:
+        """Sequentially read the whole payload (timed) in place: a read-only
+        window over the bytes this reader observes, valid until the handle
+        is released. Nothing is copied unless a Fig 3b stale snapshot has
+        to be overlaid on the home node."""
         self._check_live()
-        out = bytearray(self._size)
-        self._timed_read(0, self._size, out)
-        return bytes(out)
+        return self._timed(self._source.timed_view)
+
+    def read_all(self) -> bytes:
+        """:meth:`read_view`, copied out into owned bytes."""
+        return bytes(self.read_view())
 
     def read_into(self, out) -> None:
-        """Timed sequential read into a caller buffer (no allocation)."""
+        """:meth:`read_view`, copied into a caller buffer (no allocation)."""
         self._check_live()
         mv = memoryview(out)
         if mv.ndim != 1 or mv.itemsize != 1:
@@ -304,13 +315,13 @@ class PlasmaBuffer:
             raise ObjectStoreError(
                 f"output buffer ({len(mv)} B) smaller than object ({self._size} B)"
             )
-        self._timed_read(0, self._size, mv[: self._size])
+        mv[: self._size] = self._timed(self._source.timed_view)
 
     def charge_sequential_read(self) -> None:
         """Account the cost of reading the payload without materialising it
         (used by benchmarks that only need timing)."""
         self._check_live()
-        self._timed_read(0, self._size, None)
+        self._timed(self._source.charge_read)
 
     def view(self) -> memoryview:
         """Untimed zero-copy window (read-only once sealed)."""

@@ -134,27 +134,33 @@ class RemoteRegion:
                 f"{self._ap.size}-byte window onto {self.home_name}"
             )
 
-    def read(self, offset: int, size: int, out=None) -> bytes | None:
-        """Streaming coherent read (Fig 3a). Charges the link; returns the
-        bytes (or fills *out* and returns None)."""
+    def read_view(self, offset: int, size: int) -> memoryview:
+        """Streaming coherent read (Fig 3a). Charges the link; returns a
+        read-only window of the home node's DRAM (no bytes move)."""
         self._check(offset, size)
         src = self._ap.home.serve_remote_read(offset, size)
         self._ap.link.charge_stream_read(size)
         self.counters.inc("read_bytes", size)
-        if out is not None:
-            mv = memoryview(out)
-            if mv.ndim != 1 or mv.itemsize != 1:
-                mv = mv.cast("B")
-            if len(mv) < size:
-                raise ApertureError("output buffer too small for remote read")
-            mv[:size] = src
-            return None
-        return bytes(src)
+        return src
+
+    def read(self, offset: int, size: int, out=None) -> bytes | None:
+        """:meth:`read_view`, copied out: returns the bytes (or fills *out*
+        and returns None)."""
+        src = self.read_view(offset, size)
+        if out is None:
+            return bytes(src)
+        mv = memoryview(out)
+        if mv.ndim != 1 or mv.itemsize != 1:
+            mv = mv.cast("B")
+        if len(mv) < size:
+            raise ApertureError("output buffer too small for remote read")
+        mv[:size] = src
+        return None
 
     def view(self, offset: int, size: int) -> memoryview:
         """Untimed read-only view of remote memory — the zero-copy handle
         the store wires into buffers; consumers charge timing when they
-        actually stream it (see PlasmaBuffer.read_all)."""
+        actually stream it (see PlasmaBuffer.read_view)."""
         self._check(offset, size)
         return self._ap.home.serve_remote_read(offset, size)
 

@@ -95,13 +95,13 @@ class ThymesisEndpoint:
         base = self._config.access_latency_ns + size * self._read_ns_per_byte / speedup
         return base * self._rng.lognormal_jitter(self._config.jitter_sigma)
 
-    def local_read(self, offset: int, size: int, out=None) -> float:
+    def local_read(self, offset: int, size: int) -> float:
         """The node's CPU reads ``[offset, offset+size)``; returns charged ns.
 
-        If *out* is given the observed bytes (stale-aware, Fig 3b) are
-        copied into it; otherwise only timing/cache state is updated.
+        Updates timing, counters and cache state only; :meth:`local_read_view`
+        is the same read with the observed bytes attached.
         """
-        access = self._cache.local_read(offset, size, out=out)
+        access = self._cache.local_read(offset, size)
         cost = self._local_read_cost(size, access.hit_fraction)
         self._clock.advance(cost)
         self.counters.inc("local_read_bytes", size)
@@ -109,6 +109,14 @@ class ThymesisEndpoint:
         if access.stale_bytes:
             self.counters.inc("stale_bytes_observed", access.stale_bytes)
         return cost
+
+    def local_read_view(self, offset: int, size: int) -> memoryview:
+        """A timed :meth:`local_read` returning the bytes it observes as a
+        read-only view (stale-aware, Fig 3b; zero-copy unless a stale
+        snapshot overlaps the range)."""
+        view = self._cache.observed_view(offset, size)
+        self.local_read(offset, size)
+        return view
 
     def local_write(self, offset: int, data) -> float:
         """The node's CPU writes *data* at *offset*; returns charged ns."""

@@ -1,16 +1,17 @@
 """The cache-aware remote buffer source.
 
-Wraps a :class:`~repro.plasma.buffer.RemoteBufferSource`: a materialising
-read first probes the node's :class:`~repro.tier.cache.HotObjectCache` by
-``(object id, generation)``. A hit serves the bytes from local DRAM —
-charged through the agent's local-copy cost model, attributed to the
-``cache`` span component, and counted on the fabric link as avoided read
-bytes. A miss delegates to the wrapped source's *validated* fabric read
-and, when the read materialised the whole payload, offers the bytes to the
-cache keyed by the generation the validation just proved.
+Wraps a :class:`~repro.plasma.buffer.RemoteBufferSource`: a read first
+probes the node's :class:`~repro.tier.cache.HotObjectCache` by
+``(object id, generation)``. A hit serves the cached bytes in place from
+local DRAM — charged through the agent's local-copy cost model, attributed
+to the ``cache`` span component, and counted on the fabric link as avoided
+read bytes. A miss delegates to the wrapped source's *validated* fabric read
+and, when that read covered the whole payload, offers the view it returned
+to the cache keyed by the generation the validation just proved; the cache
+copies it only if it admits it.
 
 Filling only after a validated read is the coherence linchpin: the header
-check before the copy and the generation re-check after it guarantee the
+check before the stream and the generation re-check after it guarantee the
 cached bytes are exactly the payload of that (id, generation) incarnation,
 and generations never repeat — so a cache entry can only ever be *stale*,
 never *wrong*, and staleness is handled by the invalidation channels plus
@@ -21,6 +22,21 @@ from __future__ import annotations
 
 from repro.common.errors import ObjectStoreError
 from repro.plasma.buffer import RemoteBufferSource, RemoteReadIntegrity
+
+
+def _charge_hit(store, agent, link, size: int, header_size: int) -> None:
+    """Charge one cache-served read of *size* bytes: the agent's local-copy
+    cost under the ``cache`` span component, and the fabric stream it
+    replaced (payload plus validation header) credited to *link*."""
+    cost_ns = agent.hit_cost.cost_ns(size)
+    spans = store.spans
+    if spans is not None:
+        with spans.span("cache", "hit", node=store.node, nbytes=size):
+            store.clock.advance(cost_ns)
+    else:
+        store.clock.advance(cost_ns)
+    if link is not None:
+        link.note_read_avoided(size + header_size)
 
 
 class CachedBufferSource:
@@ -60,26 +76,15 @@ class CachedBufferSource:
     def view(self, offset: int, size: int):
         return memoryview(self._payload)[offset : offset + size]
 
-    def timed_read(self, offset: int, size: int, out=None) -> float:
-        cost_ns = self._agent.hit_cost.cost_ns(size)
-        spans = self._store.spans
-        if spans is not None:
-            with spans.span(
-                "cache", "hit", node=self._store.node, nbytes=size
-            ):
-                self._store.clock.advance(cost_ns)
-        else:
-            self._store.clock.advance(cost_ns)
-        if self._link is not None:
-            # The fabric stream this serve replaced would have carried the
-            # payload plus the validation header.
-            self._link.note_read_avoided(size + self._store.header_size)
-        if out is not None:
-            mv = memoryview(out)
-            if mv.ndim != 1 or mv.itemsize != 1:
-                mv = mv.cast("B")
-            mv[:size] = self._payload[offset : offset + size]
+    def charge_read(self, offset: int, size: int) -> float:
+        _charge_hit(
+            self._store, self._agent, self._link, size, self._store.header_size
+        )
         return 0.0
+
+    def timed_view(self, offset: int, size: int) -> memoryview:
+        self.charge_read(offset, size)
+        return self.view(offset, size)
 
     def timed_write(self, offset: int, data) -> float:
         raise ObjectStoreError("cache-served buffers are read-only")
@@ -134,48 +139,48 @@ class TierBufferSource:
         ig = self._inner.integrity
         return ig.header_size if ig is not None else 0
 
-    def timed_read(self, offset: int, size: int, out=None) -> float:
+    def _read_cache(self):
+        """The hot cache, or None when this read is uncacheable: generation
+        0 means "unknown incarnation" (hashmap directory descriptors), and
+        a hit on it could never be proven coherent. Straight to the fabric."""
         cache = self._agent.cache
-        generation = self._generation()
-        if cache is None or not generation:
-            # Generation 0 means "unknown incarnation" (hashmap directory
-            # descriptors): uncacheable, since a hit could never be proven
-            # coherent. Straight to the fabric.
-            return self._inner.timed_read(offset, size, out=out)
-        object_id = self._record.object_id
-        payload = cache.lookup(object_id, generation)
+        return cache if cache is not None and self._generation() else None
+
+    def _hit(self, cache, size: int) -> bytes | None:
+        """The cached payload of the live incarnation with the serve
+        charged, or None on a miss."""
+        payload = cache.lookup(self._record.object_id, self._generation())
         if payload is not None:
-            cost_ns = self._agent.hit_cost.cost_ns(size)
-            spans = self._store.spans
-            if spans is not None:
-                with spans.span(
-                    "cache", "hit", node=self._store.node, nbytes=size
-                ):
-                    self._store.clock.advance(cost_ns)
-            else:
-                self._store.clock.advance(cost_ns)
-            # The fabric stream this hit replaced would have carried the
-            # payload plus the validation header.
-            self._region.aperture.link.note_read_avoided(
-                size + self._header_size()
+            _charge_hit(
+                self._store,
+                self._agent,
+                self._region.aperture.link,
+                size,
+                self._header_size(),
             )
-            if out is not None:
-                mv = memoryview(out)
-                if mv.ndim != 1 or mv.itemsize != 1:
-                    mv = mv.cast("B")
-                mv[:size] = payload[offset : offset + size]
+        return payload
+
+    def charge_read(self, offset: int, size: int) -> float:
+        cache = self._read_cache()
+        if cache is not None and self._hit(cache, size) is not None:
             return 0.0
-        cost = self._inner.timed_read(offset, size, out=out)
-        if out is not None and offset == 0 and size == self._record.data_size:
+        return self._inner.charge_read(offset, size)
+
+    def timed_view(self, offset: int, size: int) -> memoryview:
+        cache = self._read_cache()
+        if cache is None:
+            return self._inner.timed_view(offset, size)
+        payload = self._hit(cache, size)
+        if payload is not None:
+            return memoryview(payload)[offset : offset + size]
+        view = self._inner.timed_view(offset, size)
+        if offset == 0 and size == self._record.data_size:
             generation = self._generation()  # may have refreshed mid-read
             if generation:
-                mv = memoryview(out)
-                if mv.ndim != 1 or mv.itemsize != 1:
-                    mv = mv.cast("B")
                 cache.offer(
-                    object_id,
+                    self._record.object_id,
                     generation,
-                    bytes(mv[:size]),
+                    view,
                     home=self._record.home,
                 )
-        return cost
+        return view

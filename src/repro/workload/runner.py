@@ -28,7 +28,11 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from repro.common.config import ClusterConfig, OverloadConfig, TierConfig
-from repro.common.errors import AdmissionRejectedError, ReproError
+from repro.common.errors import (
+    AdmissionRejectedError,
+    ObjectCorruptedError,
+    ReproError,
+)
 from repro.common.ids import ObjectID
 from repro.common.rng import DeterministicRng
 from repro.common.stats import Distribution
@@ -44,10 +48,28 @@ from repro.workload.scenario import Scenario
 from repro.workload.traffic import WorkloadOp, _weighted_names, generate_stream
 
 
+def _fill_byte(slot: int, version: int) -> int:
+    return (slot * 131 + version * 17) % 251
+
+
 def payload_for(slot: int, version: int, size: int) -> bytes:
     """Deterministic payload for one slot version (contents don't affect
     modelled timing; a recognizable fill makes corruption visible)."""
-    return bytes([(slot * 131 + version * 17) % 251]) * size
+    return bytes([_fill_byte(slot, version)]) * size
+
+
+def _checked_len(data, slot: int, version: int) -> int:
+    """The length of one read's payload after an O(1) spot check (no
+    clock): the first and last byte must carry the slot version's fill, so
+    a read served from the wrong offset fails the op instead of passing on
+    its length."""
+    fill = _fill_byte(slot, version)
+    if data[0] != fill or data[-1] != fill:
+        raise ObjectCorruptedError(
+            f"slot {slot} version {version}: read {data[0]:#04x}..{data[-1]:#04x}, "
+            f"expected fill {fill:#04x}"
+        )
+    return len(data)
 
 
 @dataclass
@@ -341,7 +363,9 @@ class ScenarioRunner:
         if buffers[0] is None:
             return "miss"
         try:
-            data = buffers[0].read_all()
+            nbytes = _checked_len(
+                buffers[0].read_view(), op.slot, state.oid_int
+            )
         finally:
             client.release(oid)
         if self._read_stats is not None:
@@ -359,8 +383,8 @@ class ScenarioRunner:
                 remotes + int(remote),
                 hits + int(hit),
             )
-        self.result.bytes_read += len(data)
-        self._m_bytes.labels(tenant=op.tenant, direction="read").inc(len(data))
+        self.result.bytes_read += nbytes
+        self._m_bytes.labels(tenant=op.tenant, direction="read").inc(nbytes)
         return "ok"
 
     def _do_write(self, op: WorkloadOp) -> str:
@@ -382,23 +406,30 @@ class ScenarioRunner:
     def _do_delete(self, op: WorkloadOp) -> str:
         return "ok" if self._delete_slot(op.slot) else "miss"
 
-    def _do_scan(self, op: WorkloadOp) -> str:
+    def _scan_targets(self, op: WorkloadOp) -> list[tuple[int, int]]:
+        """(slot, object version) of every live slot a scan op covers."""
         n_slots = self.scenario.population.objects
-        oids = []
+        targets = []
         for offset in range(self.scenario.traffic.scan_length):
-            state = self._slots.get((op.slot + offset) % n_slots)
+            slot = (op.slot + offset) % n_slots
+            state = self._slots.get(slot)
             if state is not None:
-                oids.append(ObjectID.from_int(state.oid_int))
-        if not oids:
+                targets.append((slot, state.oid_int))
+        return targets
+
+    def _do_scan(self, op: WorkloadOp) -> str:
+        targets = self._scan_targets(op)
+        if not targets:
             return "empty"
+        oids = [ObjectID.from_int(version) for _, version in targets]
         client = self._client(op.seq)
         buffers = client.get(oids, allow_missing=True)
         read = 0
-        for oid, buffer in zip(oids, buffers):
+        for oid, buffer, (slot, version) in zip(oids, buffers, targets):
             if buffer is None:
                 continue
             try:
-                read += len(buffer.read_all())
+                read += _checked_len(buffer.read_view(), slot, version)
             finally:
                 client.release(oid)
         self.result.bytes_read += read
@@ -444,7 +475,9 @@ class ScenarioRunner:
         if buffers[0] is None:
             return "miss"
         try:
-            data = buffers[0].read_all()
+            nbytes = _checked_len(
+                buffers[0].read_view(), op.slot, state.oid_int
+            )
         finally:
             client.release(oid)
         attr.settle("fabric")
@@ -461,8 +494,8 @@ class ScenarioRunner:
                 remotes + int(remote),
                 hits + int(hit),
             )
-        self.result.bytes_read += len(data)
-        self._m_bytes.labels(tenant=op.tenant, direction="read").inc(len(data))
+        self.result.bytes_read += nbytes
+        self._m_bytes.labels(tenant=op.tenant, direction="read").inc(nbytes)
         return "ok"
 
     def _do_write_task(self, op: WorkloadOp, attr):
@@ -493,21 +526,21 @@ class ScenarioRunner:
         return "ok" if deleted else "miss"
 
     def _do_scan_task(self, op: WorkloadOp, attr):
-        n_slots = self.scenario.population.objects
-        oids = []
-        for offset in range(self.scenario.traffic.scan_length):
-            state = self._slots.get((op.slot + offset) % n_slots)
-            if state is not None:
-                oids.append(ObjectID.from_int(state.oid_int))
-        if not oids:
+        targets = self._scan_targets(op)
+        if not targets:
             return "empty"
+        oids = [ObjectID.from_int(version) for _, version in targets]
         client = self._client(op.seq)
         # The whole scan is one batched multi-get: a single coalesced
         # Lookup per peer instead of scan_length unary calls.
         payloads = yield from client.multi_get_task(
             oids, allow_missing=True, attr=attr
         )
-        read = sum(len(p) for p in payloads if p is not None)
+        read = sum(
+            _checked_len(payload, slot, version)
+            for payload, (slot, version) in zip(payloads, targets)
+            if payload is not None
+        )
         self.result.bytes_read += read
         self._m_bytes.labels(tenant=op.tenant, direction="read").inc(read)
         return "ok"

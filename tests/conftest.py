@@ -64,3 +64,31 @@ def cluster_factory(small_config):
         return Cluster(small_config, n_nodes=2, check_remote_uniqueness=False)
 
     return make
+
+
+def cluster_fingerprint(cluster: Cluster) -> dict:
+    """Every simulated observable a host-only change to the data path must
+    leave alone: the clock, fabric/endpoint/aperture/store counters, tier
+    cache stats and the retained span trees."""
+    names = cluster.node_names()
+    spans = cluster.spans
+    return {
+        "now_ns": cluster.clock.now_ns,
+        "links": [link.counters.snapshot() for link in cluster.fabric.links()],
+        "endpoints": {
+            n: cluster.node(n).endpoint.counters.snapshot() for n in names
+        },
+        "apertures": {
+            (n, peer): cluster.store(n).peer(peer).remote_region.counters.snapshot()
+            for n in names
+            for peer in cluster.store(n).peers()
+        },
+        "stores": cluster.stats(),
+        "tier": cluster.tier_stats(),
+        "spans": None
+        if spans is None
+        else [
+            (t["name"], t["duration_ns"], t["components_ns"], len(t["spans"]))
+            for t in spans.traces()
+        ],
+    }

@@ -60,12 +60,10 @@ class TestCoherencyHazardEndToEnd:
         remote_window = cluster.store("node1").peer("node0").remote_region
         stale = remote_window.write(0, b"PEER-WRITE")
         assert stale == 10
-        out = bytearray(10)
-        home_ep.local_read(abs_base, 10, out=out)
+        out = home_ep.local_read_view(abs_base, 10)
         assert bytes(out) == b"HOME-VALUE"  # the hazard, reproduced
         home_ep.invalidate_exposed(0, 10)
-        out2 = bytearray(10)
-        home_ep.local_read(abs_base, 10, out=out2)
+        out2 = home_ep.local_read_view(abs_base, 10)
         assert bytes(out2) == b"PEER-WRITE"  # the kernel-module fix
 
 

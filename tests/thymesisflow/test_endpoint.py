@@ -31,12 +31,12 @@ class TestTimedLocalAccess:
         warm = ep.local_read(0, 1 * MiB)
         assert warm < cold
 
-    def test_read_with_out_copies_observed_bytes(self):
+    def test_read_view_returns_observed_bytes(self):
         _, ep = make()
         ep.local_write(100, b"payload")
-        out = bytearray(7)
-        ep.local_read(100, 7, out=out)
+        out = ep.local_read_view(100, 7)
         assert bytes(out) == b"payload"
+        assert out.readonly
 
     def test_write_roundtrip(self):
         _, ep = make()
@@ -86,8 +86,7 @@ class TestExposedRegion:
         ep.local_write(0, b"AAAA")
         stale = ep.serve_remote_write(0, b"BBBB")
         assert stale == 4
-        out = bytearray(4)
-        ep.local_read(0, 4, out=out)
+        out = ep.local_read_view(0, 4)
         assert bytes(out) == b"AAAA"  # Fig 3b: home CPU sees old value
         assert ep.counters.get("stale_bytes_created") == 4
 
@@ -97,8 +96,7 @@ class TestExposedRegion:
         ep.local_write(0, b"AAAA")
         ep.serve_remote_write(0, b"BBBB")
         ep.invalidate_exposed(0, 4)
-        out = bytearray(4)
-        ep.local_read(0, 4, out=out)
+        out = ep.local_read_view(0, 4)
         assert bytes(out) == b"BBBB"
 
     def test_serve_remote_write_bounds_checked(self):

@@ -152,8 +152,7 @@ class TestRemoteRegionAccess:
         rr = fabric.map_remote("a", "b")
         stale = rr.write(0, b"NEW!")
         assert stale == 4
-        out = bytearray(4)
-        home.local_read(0, 4, out=out)
+        out = home.local_read_view(0, 4)
         assert bytes(out) == b"OLD!"  # home is stale
         assert rr.read(0, 4) == b"NEW!"  # fabric readers are coherent
 

@@ -116,6 +116,35 @@ class TestAdmission:
         assert not cache.contains(oid(1), 1)
         assert cache.evictions == 1
 
+    def test_admission_copies_the_offered_view(self):
+        """Offers arrive as zero-copy views of home memory; an admitted
+        entry must own its bytes, never alias an extent the home can reuse."""
+        home_extent = bytearray(b"v" * 8)
+        cache = HotObjectCache(8)
+        assert cache.offer(oid(1), 1, memoryview(home_extent), home="n")
+        home_extent[:] = b"!" * 8
+        cached = cache.lookup(oid(1), 1)
+        assert type(cached) is bytes and cached == b"v" * 8
+        assert cache.used_bytes == 8
+
+    @pytest.mark.parametrize("size", [8, 9], ids=["colder", "oversized"])
+    def test_rejected_offer_copies_nothing_and_changes_nothing(self, size):
+        class Uncopyable:
+            def __len__(self):
+                return size
+
+            def __bytes__(self):
+                raise AssertionError("a rejected offer must not be copied")
+
+        cache = HotObjectCache(8)
+        for _ in range(5):
+            cache.record_access(oid(1))
+        cache.offer(oid(1), 1, b"x" * 8, home="n")
+        assert not cache.offer(oid(2), 1, Uncopyable(), home="n")
+        assert (cache.admissions, cache.used_bytes, len(cache)) == (1, 8, 1)
+        assert cache.rejections == 1
+        assert cache.lookup(oid(1), 1) == b"x" * 8
+
 
 class TestInvalidation:
     def test_invalidate_drops_every_generation(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workload import Scenario, run_scenario
+from repro.workload import Scenario, run_scenario, runner
 from repro.workload.report import bench_artifact_name, dumps_bench
 from repro.workload.runner import payload_for
 
@@ -94,3 +94,27 @@ class TestPayloadHelper:
         assert payload_for(3, 5, 8) == payload_for(3, 5, 8)
         assert len(payload_for(0, 1, 100)) == 100
         assert payload_for(1, 1, 4) != payload_for(2, 1, 4)
+
+
+class TestPayloadSpotCheck:
+    """Reads consume zero-copy views and only need their length, so the
+    runner checks the first and last byte: bytes from the wrong place must
+    fail the op, not pass on ``len()``."""
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_wrong_bytes_fail_reads_and_scans(self, monkeypatch, mode):
+        def torn(slot, version, size):
+            return payload_for(slot, version, size)[:-1] + b"\xff"  # never a fill
+
+        monkeypatch.setattr(runner, "payload_for", torn)
+        obj = mini_obj(rpc={"mode": mode})
+        result, payload = run_scenario(Scenario.from_obj(obj))
+        # Every read and scan that found an object failed typed; none
+        # passed on its length.
+        assert payload["outcomes"]["error:ObjectCorruptedError"] > 0
+        assert result.bytes_read == 0
+
+    def test_clean_run_has_no_corruption(self, mini_run):
+        _, payload = mini_run
+        assert not any(k.startswith("error:") for k in payload["outcomes"])
+
