@@ -28,9 +28,10 @@ class ObjectID:
     __slots__ = ("_data",)
 
     def __init__(self, data: bytes):
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise TypeError(f"ObjectID requires bytes, got {type(data).__name__}")
-        data = bytes(data)
+        if type(data) is not bytes:  # ids decoded off the wire already are
+            if not isinstance(data, (bytes, bytearray, memoryview)):
+                raise TypeError(f"ObjectID requires bytes, got {type(data).__name__}")
+            data = bytes(data)
         if len(data) != ID_NBYTES:
             raise ValueError(
                 f"ObjectID requires exactly {ID_NBYTES} bytes, got {len(data)}"

@@ -206,6 +206,9 @@ def _q_label(q: float) -> str:
 
 
 _CHILD_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+#: Resolved ``labels(...)`` calls one family remembers; past it, calls still
+#: work, they just take the checked path again.
+_RESOLVED_LIMIT = 1024
 
 
 class MetricFamily:
@@ -213,10 +216,14 @@ class MetricFamily:
 
     ``labels(**values)`` returns the memoized child for one label-value
     combination; resolving a child once at wiring time makes the hot path
-    a plain method call on the child.
+    a plain method call on the child. Call sites whose label values vary
+    per call (peer + method, tenant + kind) go through ``labels`` every
+    time, so a repeat of the same keyword items is one dict lookup.
     """
 
-    __slots__ = ("name", "kind", "help", "labelnames", "buckets", "_children")
+    __slots__ = (
+        "name", "kind", "help", "labelnames", "buckets", "_children", "_resolved",
+    )
 
     def __init__(
         self,
@@ -236,8 +243,16 @@ class MetricFamily:
         self.labelnames = tuple(_check_name(ln, "label") for ln in labelnames)
         self.buckets = tuple(sorted(float(b) for b in buckets)) if buckets else None
         self._children: dict[tuple[str, ...], object] = {}
+        # keyword items as passed -> child, for all-``str`` label values
+        # (``1``/``True``/``1.0`` hash alike but label differently); bounded.
+        self._resolved: dict[tuple, object] = {}
 
     def labels(self, **values: str):
+        call = tuple(values.items())
+        try:
+            return self._resolved[call]
+        except (KeyError, TypeError):  # first sight, or an unhashable value
+            pass
         if set(values) != set(self.labelnames):
             raise ValueError(
                 f"family {self.name!r} takes labels {self.labelnames}, "
@@ -248,6 +263,10 @@ class MetricFamily:
         if child is None:
             child = _CHILD_TYPES[self.kind]()
             self._children[key] = child
+        if len(self._resolved) < _RESOLVED_LIMIT and all(
+            type(v) is str for v in values.values()
+        ):
+            self._resolved[call] = child
         return child
 
     def series(self) -> list[tuple[dict[str, str], object]]:

@@ -46,7 +46,7 @@ import json
 import os
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SPAN_SCHEMA_VERSION = 1
 
@@ -116,34 +116,64 @@ class SpanConfig:
             raise ValueError("max_traces must be non-negative")
 
 
-@dataclass(frozen=True)
 class SpanRecord:
-    """One finished span of simulated time."""
+    """One finished span of simulated time.
 
-    trace_id: str
-    span_id: str
-    parent_id: str | None
-    category: str
-    name: str
-    node: str
-    start_ns: int
-    duration_ns: int
-    status: str = "ok"
-    args: dict = field(default_factory=dict)
+    A plain ``__slots__`` class, not a dataclass: the sink builds one per
+    closed span (several per op) whether or not sampling keeps the trace.
+    ``args`` is the span's own dict, shared rather than copied.
+    """
+
+    __slots__ = (
+        "trace_id",
+        "span_id",
+        "parent_id",
+        "category",
+        "name",
+        "node",
+        "start_ns",
+        "duration_ns",
+        "status",
+        "args",
+    )
+
+    def __init__(
+        self,
+        trace_id: str,
+        span_id: str,
+        parent_id: str | None,
+        category: str,
+        name: str,
+        node: str,
+        start_ns: int,
+        duration_ns: int,
+        status: str = "ok",
+        args: dict | None = None,
+    ):
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.category = category
+        self.name = name
+        self.node = node
+        self.start_ns = start_ns
+        self.duration_ns = duration_ns
+        self.status = status
+        self.args = {} if args is None else args
 
     def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "category": self.category,
-            "name": self.name,
-            "node": self.node,
-            "start_ns": self.start_ns,
-            "duration_ns": self.duration_ns,
-            "status": self.status,
-            "args": self.args,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SpanRecord:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    __hash__ = None  # value equality over a mutable ``args``
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.to_dict().items())
+        return f"SpanRecord({fields})"
 
 
 class FlightRecorder:
@@ -417,16 +447,16 @@ class SpanSink:
             )
         span.duration_ns = self._clock.now_ns - span.start_ns
         record = SpanRecord(
-            trace_id=span.trace_id,
-            span_id=span.span_id,
-            parent_id=span.parent_id,
-            category=span.category,
-            name=span.name,
-            node=span.node,
-            start_ns=span.start_ns,
-            duration_ns=span.duration_ns,
-            status=span.status,
-            args=dict(span.args),
+            span.trace_id,
+            span.span_id,
+            span.parent_id,
+            span.category,
+            span.name,
+            span.node,
+            span.start_ns,
+            span.duration_ns,
+            span.status,
+            span.args,
         )
         node = record.node or "sim"
         recorder = self._flight.get(node)

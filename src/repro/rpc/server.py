@@ -179,7 +179,7 @@ class RpcServer:
                 service, method, request, correlation_id
             )
         try:
-            wire = encode_message(response) if response is not None else encode_message({})
+            wire = encode_message({} if response is None else response)
         except RpcError as exc:  # handler returned something unserialisable
             return StatusCode.INTERNAL, b"", f"unserialisable response: {exc}"
         return status, wire, detail

@@ -25,6 +25,34 @@ class TestObjectID:
         assert ObjectID(raw).binary() == bytes(raw)
         assert ObjectID(memoryview(raw)).binary() == bytes(raw)
 
+    def test_exact_bytes_are_kept_without_a_copy(self):
+        raw = bytes(range(20))
+        assert ObjectID(raw).binary() is raw
+
+    def test_bytes_subclass_is_normalised_to_bytes(self):
+        class Tagged(bytes):
+            pass
+
+        oid = ObjectID(Tagged(range(20)))
+        assert type(oid.binary()) is bytes
+        assert oid == ObjectID(bytes(range(20)))
+        with pytest.raises(ValueError):
+            ObjectID(Tagged(b"short"))
+
+    def test_value_semantics_do_not_depend_on_the_source_type(self):
+        """An id built from wire ``bytes`` (no copy), a ``bytearray`` or a
+        ``memoryview`` is the same key, hashes alike and orders alike."""
+        raw = bytes(range(20))
+        ids = [ObjectID(raw), ObjectID(bytearray(raw)), ObjectID(memoryview(raw))]
+        assert len(set(ids)) == 1
+        assert all(hash(i) == hash(raw) for i in ids)
+        assert {ids[0]: "v"}[ids[2]] == "v"
+        hi = ObjectID(bytearray(b"\xff" * 20))
+        assert all(i < hi and i <= hi and not hi < i and not hi <= i for i in ids)
+        assert ids[0] <= ids[1] and not ids[0] < ids[1]
+        assert ids[0].__lt__(raw) is NotImplemented
+        assert ids[0].__eq__(raw) is NotImplemented
+
     def test_equality_and_hash(self):
         a = ObjectID(bytes(range(20)))
         b = ObjectID(bytes(range(20)))
