@@ -5,8 +5,8 @@ Two claims keep the metrics plane honest:
 * **Zero simulated-ns overhead.** Instrumentation only reads the clock,
   never advances it and never consumes RNG, so a workload's final
   simulated timestamp — the quantity every figure is computed from — is
-  bit-identical with metrics enabled, disabled, and with a tracer
-  attached.
+  bit-identical with metrics enabled and disabled (the span sink's twin
+  of this check lives in ``test_trace_overhead.py``).
 * **Bounded wall-clock overhead.** With metrics disabled every handle is
   ``None`` and the fast path is a single ``is None`` test, so real run
   time stays within noise of the pre-observability baseline; even fully
@@ -15,7 +15,6 @@ Two claims keep the metrics plane honest:
 
 import time
 
-from repro.common.trace import Tracer
 from repro.common.units import KiB, MiB
 from repro.common.config import ClusterConfig
 from repro.core import Cluster
@@ -24,7 +23,7 @@ N_OBJECTS = 50
 OBJ_BYTES = 10 * KiB
 
 
-def _run_fig67_workload(*, metrics: bool, tracer: bool = False) -> tuple[int, dict]:
+def _run_fig67_workload(*, metrics: bool) -> tuple[int, dict]:
     """The Fig 6/7 shape: put on node0, remote get + sequential read from
     node1. Returns (final simulated ns, cluster stats)."""
     cluster = Cluster(
@@ -33,8 +32,6 @@ def _run_fig67_workload(*, metrics: bool, tracer: bool = False) -> tuple[int, di
         check_remote_uniqueness=False,
         metrics=metrics,
     )
-    if tracer:
-        cluster.attach_tracer(Tracer(cluster.clock))
     producer = cluster.client("node0")
     consumer = cluster.client("node1")
     oids = cluster.new_object_ids(N_OBJECTS)
@@ -53,11 +50,6 @@ class TestSimulatedTimeNeutrality:
         ns_on, stats_on = _run_fig67_workload(metrics=True)
         assert ns_on == ns_off
         assert stats_on == stats_off
-
-    def test_tracer_adds_zero_simulated_ns(self):
-        ns_plain, _ = _run_fig67_workload(metrics=False)
-        ns_traced, _ = _run_fig67_workload(metrics=True, tracer=True)
-        assert ns_traced == ns_plain
 
 
 class TestWallClockOverhead:

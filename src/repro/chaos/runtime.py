@@ -45,12 +45,10 @@ class ChaosRuntime:
         plan: FaultPlan,
         clock: SimClock,
         config: ChaosConfig | None = None,
-        tracer=None,
     ):
         self._plan = plan
         self._clock = clock
         self._config = config or ChaosConfig()
-        self._tracer = tracer
         self._pending: deque[FaultEvent] = deque(plan.events)
         self.applied: list[FaultEvent] = []
         self._servers: dict[str, object] = {}   # node -> RpcServer
@@ -123,10 +121,6 @@ class ChaosRuntime:
         return applied
 
     def _apply(self, event: FaultEvent) -> None:
-        if self._tracer is not None:
-            self._tracer.instant(
-                "chaos", type(event).__name__, track="chaos", detail=event.describe()
-            )
         if isinstance(event, NodeCrash):
             self._crashed.add(event.node)
             server = self._servers.get(event.node)

@@ -76,14 +76,12 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro import Cluster
     from repro.common.units import gib_per_s
+    from repro.obs.spans import SpanConfig
 
-    cluster = Cluster(n_nodes=args.nodes)
-    tracer = None
-    if args.trace:
-        from repro.common.trace import Tracer
-
-        tracer = Tracer(cluster.clock)
-        cluster.attach_tracer(tracer)
+    cluster = Cluster(
+        n_nodes=args.nodes,
+        tracing=SpanConfig(sample_rate=1.0) if args.trace else None,
+    )
     producer = cluster.client("node0")
     remote = cluster.client(f"node{args.nodes - 1}")
     oid = cluster.new_object_id()
@@ -101,11 +99,11 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         f"({gib_per_s(len(payload), elapsed):.2f} GiB/s; paper: ~5.75)"
     )
     remote.release(oid)
-    if tracer is not None:
-        tracer.write_chrome_trace(args.trace)
-        print(f"wrote {len(tracer)} trace spans to {args.trace} "
+    if cluster.spans is not None:
+        cluster.spans.write_chrome_trace(args.trace)
+        n_spans = sum(len(trace["spans"]) for trace in cluster.spans.traces())
+        print(f"wrote {n_spans} trace spans to {args.trace} "
               f"(open in chrome://tracing or Perfetto)")
-        print(tracer.format_summary())
     return 0
 
 

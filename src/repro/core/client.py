@@ -97,36 +97,29 @@ class DisaggregatedClient(PlasmaClient):
         allow_missing: bool,
         rid: str | None,
     ) -> list[PlasmaBuffer]:
-        tracer = self._store.tracer
         spans = self._store.spans
-        if tracer is None and spans is None:
+        if spans is None:
             return self._get_inner(object_ids, allow_missing)
         args = {"n": len(object_ids)}
         if rid is not None:
             args["rid"] = rid
-        if spans is not None:
-            with spans.span("client", "get", node=self._name, **args):
-                return self._get_traced(object_ids, allow_missing, args)
-        return self._get_traced(object_ids, allow_missing, args)
-
-    def _get_traced(
-        self, object_ids: list[ObjectID], allow_missing: bool, args: dict
-    ) -> list[PlasmaBuffer]:
-        tracer = self._store.tracer
-        if tracer is not None:
-            with tracer.span("client", "get", track=self._name, **args):
-                return self._get_inner(object_ids, allow_missing)
-        return self._get_inner(object_ids, allow_missing)
+        with spans.span("client", "get", node=self._name, **args):
+            return self._get_inner(object_ids, allow_missing)
 
     def _get_inner(
         self, object_ids: list[ObjectID], allow_missing: bool
     ) -> list[PlasmaBuffer]:
         self._ipc.charge_request(nobjects=len(object_ids))
-        buffers = self._store.get_buffers(object_ids, allow_missing=allow_missing)
+        return self._hold(
+            self._store.get_buffers(object_ids, allow_missing=allow_missing)
+        )
+
+    def _hold(self, buffers: list[PlasmaBuffer]) -> list[PlasmaBuffer]:
+        """Book the references one Get took (released by the caller)."""
         for buffer in buffers:
             if buffer is not None:
                 self._held.setdefault(buffer.object_id, []).append(buffer)
-        self.counters.inc("gets", len(object_ids))
+        self.counters.inc("gets", len(buffers))
         return buffers
 
     def _release_store_ref(self, object_id: ObjectID) -> None:
@@ -134,17 +127,10 @@ class DisaggregatedClient(PlasmaClient):
 
     # -- batched multi-object API (repro.rpc.aio) ---------------------------------
 
-    def _aio_drive(self, gen, name: str):
-        loop = self.store.aio_loop
-        return loop.run_until_complete(loop.spawn(gen, name=name))
-
-    def _aio_facade(self) -> bool:
-        store = self.store
-        return (
-            store.rpc_async
-            and store.aio_loop is not None
-            and not store.aio_loop.driving
-        )
+    # The client's facades and task forms observe differently (correlation
+    # ids and root spans vs per-task attribution), so they stay two drivers
+    # over shared helpers; which one runs is the store's one decision
+    # (``DisaggregatedStore._aio_facade``).
 
     def multi_get(
         self, object_ids: list[ObjectID], *, allow_missing: bool = True
@@ -160,10 +146,9 @@ class DisaggregatedClient(PlasmaClient):
         """
         if not object_ids:
             return []
-        if self._aio_facade():
-            return self._aio_drive(
-                self.multi_get_task(object_ids, allow_missing=allow_missing),
-                name=f"multi-get:{self._name}",
+        if self._store._aio_facade():  # noqa: SLF001 — co-designed
+            return self._store._run_on_loop(  # noqa: SLF001
+                self.multi_get_task(object_ids, allow_missing=allow_missing)
             )
         buffers = self.get(list(object_ids), allow_missing=allow_missing)
         return self._read_out(object_ids, buffers)
@@ -197,20 +182,9 @@ class DisaggregatedClient(PlasmaClient):
     ):
         """Task form of :meth:`multi_get` (``yield from`` inside a task)."""
         object_ids = list(object_ids)
-        if not object_ids:
-            return []
-        self._ipc.charge_request(nobjects=len(object_ids))
-        if attr is not None:
-            attr.settle("client")
-        buffers = yield from self.store.get_buffers_task(
-            object_ids, allow_missing, attr
-        )
+        buffers = yield from self.get_task(object_ids, allow_missing, attr)
         if attr is not None:
             attr.settle("service")
-        for buffer in buffers:
-            if buffer is not None:
-                self._held.setdefault(buffer.object_id, []).append(buffer)
-        self.counters.inc("gets", len(object_ids))
         out = self._read_out(object_ids, buffers)
         if attr is not None:
             attr.settle("fabric")
@@ -233,11 +207,7 @@ class DisaggregatedClient(PlasmaClient):
         buffers = yield from self.store.get_buffers_task(
             object_ids, allow_missing, attr
         )
-        for buffer in buffers:
-            if buffer is not None:
-                self._held.setdefault(buffer.object_id, []).append(buffer)
-        self.counters.inc("gets", len(object_ids))
-        return buffers
+        return self._hold(buffers)
 
     def multi_put(
         self,
@@ -250,15 +220,11 @@ class DisaggregatedClient(PlasmaClient):
         mode every object's create pipeline runs as a concurrent task (a
         ring-forwarded create overlaps its peers' instead of queueing
         behind them)."""
-        items = list(items)
-        if not items:
-            return []
-        if self._aio_facade():
-            return self._aio_drive(
-                self.multi_put_task(items, metadata, replicas=replicas),
-                name=f"multi-put:{self._name}",
+        if self._store._aio_facade():  # noqa: SLF001 — co-designed
+            return self._store._run_on_loop(  # noqa: SLF001
+                self.multi_put_task(items, metadata, replicas=replicas)
             )
-        return self.put_batch(items, metadata, replicas=replicas)
+        return self.put_batch(list(items), metadata, replicas=replicas)
 
     def multi_put_task(
         self,
@@ -303,6 +269,12 @@ class DisaggregatedClient(PlasmaClient):
                 self.counters.inc("puts_forwarded")
                 return oid
             self.counters.inc("puts_forward_fallback")
+        self._put_reserved(oid, data, metadata, replicas)
+        return oid
+
+    def _put_reserved(self, oid, data, metadata: bytes, replicas: int) -> None:
+        """Local create + write + seal + release + replicate of an object
+        whose id a batched ``reserve_ids`` already checked."""
         mv = memoryview(data)
         if mv.ndim != 1 or mv.itemsize != 1:
             mv = mv.cast("B")
@@ -315,7 +287,6 @@ class DisaggregatedClient(PlasmaClient):
         self.seal(oid)
         self.release(oid)
         self._replicate(oid, replicas)
-        return oid
 
     def put_bytes_task(
         self,
@@ -410,24 +381,12 @@ class DisaggregatedClient(PlasmaClient):
                 with spans.span(
                     "client", "put", node=self._name, rid=rid, replicas=replicas
                 ):
-                    self._put_traced(object_id, data, metadata, replicas, rid)
+                    self._put_routed(object_id, data, metadata, replicas)
             else:
-                self._put_traced(object_id, data, metadata, replicas, rid)
+                self._put_routed(object_id, data, metadata, replicas)
         finally:
             self._correlation.end()
         return object_id
-
-    def _put_traced(
-        self, object_id: ObjectID, data, metadata: bytes, replicas: int, rid: str
-    ) -> None:
-        tracer = self._store.tracer
-        if tracer is not None:
-            with tracer.span(
-                "client", "put", track=self._name, rid=rid, replicas=replicas
-            ):
-                self._put_routed(object_id, data, metadata, replicas)
-        else:
-            self._put_routed(object_id, data, metadata, replicas)
 
     def _put_routed(
         self, object_id: ObjectID, data, metadata: bytes, replicas: int
@@ -475,27 +434,16 @@ class DisaggregatedClient(PlasmaClient):
         self.store.reserve_ids(ids)
         out: list[ObjectID] = []
         for oid, data in items:
-            mv = memoryview(data)
-            if mv.ndim != 1 or mv.itemsize != 1:
-                mv = mv.cast("B")
             home = self.store.placement_home(oid)
             if home is not None:
                 self._ipc.charge_request(nobjects=1, nbytes=len(metadata))
                 if self.store.forward_put(
-                    oid, mv, metadata, home, replicas=replicas
+                    oid, data, metadata, home, replicas=replicas
                 ):
                     self.counters.inc("puts_forwarded")
                     out.append(oid)
                     continue
                 self.counters.inc("puts_forward_fallback")
-            self._ipc.charge_request(nobjects=1, nbytes=len(metadata))
-            entry = self._store.create_object_unchecked(oid, len(mv), metadata)
-            self._store.add_ref(oid)
-            buffer = self._store.local_buffer(entry)
-            self._held.setdefault(oid, []).append(buffer)
-            buffer.write(mv)
-            self.seal(oid)
-            self.release(oid)
-            self._replicate(oid, replicas)
+            self._put_reserved(oid, data, metadata, replicas)
             out.append(oid)
         return out

@@ -82,7 +82,6 @@ class Cluster:
         check_remote_uniqueness: bool = True,
         sharing: str = "rpc",
         directory_buckets: int = 4096,
-        tracer=None,
         tracing: SpanConfig | bool | None = None,
         fault_plan: FaultPlan | None = None,
         metrics: bool = False,
@@ -92,14 +91,11 @@ class Cluster:
     ):
         self._config = config or ClusterConfig()
         self._config.validate()
-        self._tracer = tracer
-        # Correlation ids only exist when someone can observe them (a
-        # tracer, the span sink, or the metrics plane); otherwise every
-        # component keeps its None fast path.
+        # Correlation ids only exist when someone can observe them (the
+        # span sink or the metrics plane); otherwise every component keeps
+        # its None fast path.
         self._correlation = (
-            CorrelationContext()
-            if (tracer is not None or metrics or tracing)
-            else None
+            CorrelationContext() if (metrics or tracing) else None
         )
         if node_names is None:
             if n_nodes < 2:
@@ -128,9 +124,7 @@ class Cluster:
         self._chaos: ChaosRuntime | None = None
         if fault_plan is not None:
             fault_plan.validate(node_names)
-            self._chaos = ChaosRuntime(
-                fault_plan, self._clock, self._config.chaos, tracer=tracer
-            )
+            self._chaos = ChaosRuntime(fault_plan, self._clock, self._config.chaos)
         self._id_gen = UniqueIDGenerator(self._rng.spawn("object-ids"))
         self._fabric = ThymesisFabric(
             self._clock, self._config.fabric, self._config.local_memory, self._rng
@@ -159,6 +153,7 @@ class Cluster:
             )
         self._use_directory = use_directory
         self._use_dmsg = use_dmsg
+        self._check_rpc_mode(self._rpc_mode)
         dir_size = 0
         if use_directory:
             dir_size = -(-directory_bytes(directory_buckets) // _DIRECTORY_ALIGN)
@@ -203,11 +198,8 @@ class Cluster:
         # other node's exposed region).
         self._fabric.connect_full_mesh()
         for link in self._fabric.links():
-            link.tracer = tracer
-            link.spans = self._spans
-            link.correlation = self._correlation
-        if self._chaos is not None:
-            for link in self._fabric.links():
+            self._observe(link)
+            if self._chaos is not None:
                 self._chaos.attach_link(link)
         self._remote_regions = {}
         for reader_name in node_names:
@@ -253,9 +245,7 @@ class Cluster:
             )
         if placement:
             self._membership = Membership(node_names, weights=node_weights)
-            self._engine = MigrationEngine(
-                self._clock, tracer=tracer, spans=self._spans
-            )
+            self._engine = MigrationEngine(self._clock, spans=self._spans)
             pcfg = self._config.placement
             self._rebalancer = Rebalancer(
                 self,
@@ -300,15 +290,7 @@ class Cluster:
         build time and for every elastic :meth:`add_node` join."""
         endpoint = self._fabric.add_node(name, self._exposed_size)
         exposed = endpoint.expose(0, self._exposed_size)
-        store_region = exposed.subregion(self._store_base, self._store_capacity)
-        store = DisaggregatedStore(
-            name,
-            endpoint,
-            store_region,
-            self._config.store,
-            self._clock,
-            **self._store_kwargs,
-        )
+        store = self._new_store(name, endpoint)
         directory = None
         if self._use_directory:
             directory = DisaggregatedHashMap(
@@ -316,10 +298,6 @@ class Cluster:
                 self._directory_buckets,
             )
             store.attach_directory(directory)
-        store.tracer = self._tracer
-        store.spans = self._spans
-        store.correlation = self._correlation
-        store.attach_aio(self._loop, async_mode=self._rpc_mode == "async")
         if self._tiering:
             agent = TierAgent(
                 name,
@@ -330,9 +308,7 @@ class Cluster:
             store.attach_tier(agent)
             self._tier_agents[name] = agent
         server = RpcServer(name)
-        server.tracer = self._tracer
-        server.spans = self._spans
-        server.clock = self._clock
+        self._observe(server)
         # Every server carries an admission model so chaos bursts and
         # runtime rate changes work on any cluster; at the default config
         # (rate 0, no backlog) it is inert and dispatch keeps its fast path.
@@ -352,6 +328,32 @@ class Cluster:
         self._nodes[name] = node
         return node
 
+    def _new_store(self, name: str, endpoint) -> DisaggregatedStore:
+        """A store process over *endpoint*'s exposed region, observed and
+        attached to the event loop — at build, join and restart alike."""
+        store = DisaggregatedStore(
+            name,
+            endpoint,
+            endpoint.exposed.subregion(self._store_base, self._store_capacity),
+            self._config.store,
+            self._clock,
+            **self._store_kwargs,
+        )
+        self._observe(store)
+        store.attach_aio(self._loop, async_mode=self._rpc_mode == "async")
+        return store
+
+    def _observe(self, component) -> None:
+        """Wire one store, RPC server or fabric link to the observability
+        plane: the span sink, plus the shared correlation context (stores,
+        links) or the clock that dispatch spans, handler latency and
+        admission control read (servers)."""
+        component.spans = self._spans
+        if isinstance(component, RpcServer):
+            component.clock = self._clock
+        else:
+            component.correlation = self._correlation
+
     def _link_pair(self, reader_name: str, home_name: str) -> None:
         """Wire the directed (reader -> home) metadata channel and peer
         handle over the already-mapped aperture."""
@@ -366,7 +368,6 @@ class Cluster:
                 self._clock,
                 self._config.rpc,
                 self._rng,
-                tracer=self._tracer,
                 spans=self._spans,
                 breaker=CircuitBreaker(
                     self._clock,
@@ -490,27 +491,28 @@ class Cluster:
             raise ValueError(
                 f"rpc mode must be 'sync' or 'async', got {mode!r}"
             )
+        self._check_rpc_mode(mode)
+        self._rpc_mode = mode
+        for node in self._nodes.values():
+            node.store.set_rpc_async(mode == "async")
+
+    def _check_rpc_mode(self, mode: str) -> None:
+        """Async mode needs task-capable channels — refused at construction
+        and at a runtime flip alike, so no task leaf ever meets a dmsg ring."""
         if mode == "async" and self._use_dmsg:
             raise ObjectStoreError(
                 "async rpc mode requires gRPC-model channels; dmsg rings "
                 "have no event-loop integration (sharing="
                 f"{self._sharing!r})"
             )
-        self._rpc_mode = mode
-        for node in self._nodes.values():
-            node.store.set_rpc_async(mode == "async")
 
     @property
     def sharing(self) -> str:
         return self._sharing
 
     @property
-    def tracer(self):
-        return self._tracer
-
-    @property
     def spans(self) -> SpanSink | None:
-        """The span sink (None unless built with ``tracing=`` or attached)."""
+        """The span sink (None unless built with ``tracing=``)."""
         return self._spans
 
     @property
@@ -522,47 +524,6 @@ class Cluster:
     def correlation(self) -> CorrelationContext | None:
         """The shared correlation context (None unless tracing/metrics)."""
         return self._correlation
-
-    def attach_tracer(self, tracer) -> None:
-        """Wire *tracer* (plus a correlation context) into every layer of
-        an already-built cluster — the CLI's opt-in ``--trace`` path.
-        Attach before creating clients so their operations mint ids."""
-        self._tracer = tracer
-        if self._correlation is None:
-            self._correlation = CorrelationContext()
-        for node in self._nodes.values():
-            node.store.tracer = tracer
-            node.store.correlation = self._correlation
-            node.server.tracer = tracer
-            node.server.clock = self._clock
-            for channel in node.channels.values():
-                channel._tracer = tracer  # noqa: SLF001 — co-designed wiring
-                channel._correlation = self._correlation  # noqa: SLF001
-        for link in self._fabric.links():
-            link.tracer = tracer
-            link.correlation = self._correlation
-
-    def attach_spans(self, sink: SpanSink) -> None:
-        """Wire a span sink (plus a correlation context) into every layer
-        of an already-built cluster — the retrofit twin of
-        :meth:`attach_tracer`. Build the sink over ``cluster.clock``;
-        attach before creating clients so their operations mint ids."""
-        self._spans = sink
-        if self._correlation is None:
-            self._correlation = CorrelationContext()
-        for node in self._nodes.values():
-            node.store.spans = sink
-            node.store.correlation = self._correlation
-            node.server.spans = sink
-            node.server.clock = self._clock
-            for channel in node.channels.values():
-                channel._spans = sink  # noqa: SLF001 — co-designed wiring
-                channel._correlation = self._correlation  # noqa: SLF001
-        for link in self._fabric.links():
-            link.spans = sink
-            link.correlation = self._correlation
-        if self._engine is not None:
-            self._engine.spans = sink
 
     def metrics(self) -> Telemetry:
         """The cluster-wide telemetry view (requires ``metrics=True``)."""
@@ -765,9 +726,7 @@ class Cluster:
         node = self._build_node(name)
         for other in existing:
             link = self._fabric.connect(name, other)
-            link.tracer = self._tracer
-            link.spans = self._spans
-            link.correlation = self._correlation
+            self._observe(link)
             if self._chaos is not None:
                 self._chaos.attach_link(link)
             if "fabric" in self._registries:
@@ -949,22 +908,7 @@ class Cluster:
         Returns the :class:`~repro.plasma.store.RecoveryReport`.
         """
         node = self.node(name)
-        endpoint = node.store.endpoint
-        store_region = endpoint.exposed.subregion(
-            self._store_base, self._store_capacity
-        )
-        store = DisaggregatedStore(
-            name,
-            endpoint,
-            store_region,
-            self._config.store,
-            self._clock,
-            **self._store_kwargs,
-        )
-        store.tracer = self._tracer
-        store.spans = self._spans
-        store.correlation = self._correlation
-        store.attach_aio(self._loop, async_mode=self._rpc_mode == "async")
+        store = self._new_store(name, node.store.endpoint)
         agent = self._tier_agents.get(name)
         if agent is not None:
             # Same agent instance, fresh state: store.recover() resets the

@@ -356,13 +356,25 @@ class DisaggregatedStore(PlasmaStore):
         seal. Returns False when the home's metadata plane is unreachable —
         the caller degrades to a local create and the rebalancer re-homes
         the object later."""
-        if self._aio_facade():
-            return self._drive(
-                self.forward_put_task(
-                    object_id, data, metadata, home, replicas=replicas
-                ),
-                name=f"forward-put:{home}",
-            )
+        return self._drive(
+            self.forward_put_task, object_id, data, metadata, home,
+            replicas=replicas,
+        )
+
+    def forward_put_task(
+        self,
+        object_id: ObjectID,
+        data,
+        metadata: bytes,
+        home: str,
+        *,
+        replicas: int = 1,
+        attr=None,
+        blocking: bool = False,
+    ):
+        """The one body of :meth:`forward_put`; the two hops are blocking
+        unary calls or pipelined unary tasks (see :meth:`_unary_hop`), the
+        payload streams over the fabric between them either way."""
         handle = self.peer(home)
         mv = memoryview(data)
         if mv.ndim != 1 or mv.itemsize != 1:
@@ -373,13 +385,17 @@ class DisaggregatedStore(PlasmaStore):
         # second instead of resetting it.
         budget = DeadlineBudget.for_stub(handle.stub, self.clock)
         try:
-            response = handle.stub.PlacedCreate(
+            response = yield from self._unary_hop(
+                handle.stub,
+                "PlacedCreate",
                 {
                     "object_id": object_id.binary(),
                     "data_size": len(mv),
                     "metadata": bytes(metadata),
                 },
-                **budget.kwargs(),
+                budget,
+                attr,
+                blocking,
             )
         except RpcStatusError as exc:
             if exc.code is StatusCode.ALREADY_EXISTS:
@@ -393,9 +409,13 @@ class DisaggregatedStore(PlasmaStore):
         offset = int(response["offset"])
         handle.remote_region.write(offset, mv)
         try:
-            handle.stub.PlacedSeal(
+            yield from self._unary_hop(
+                handle.stub,
+                "PlacedSeal",
                 {"object_id": object_id.binary(), "replicas": int(replicas)},
-                **budget.kwargs(),
+                budget,
+                attr,
+                blocking,
             )
         except RpcStatusError as exc:
             if self._peer_unavailable(home, exc):
@@ -411,6 +431,18 @@ class DisaggregatedStore(PlasmaStore):
         self.counters.inc("placed_creates_forwarded")
         self.counters.inc("placed_bytes_forwarded", len(mv))
         return True
+
+    def _unary_hop(
+        self, stub, method: str, request: dict, budget, attr, blocking: bool
+    ):
+        """One deadline-budgeted unary call to a peer: the blocking stub
+        call, or the channel's pipelined task form."""
+        if blocking:
+            return getattr(stub, method)(request, **budget.kwargs())
+        response = yield from stub.channel.unary_task(
+            stub.service, method, request, attr=attr, **budget.kwargs()
+        )
+        return response
 
     def placed_create(
         self, object_id: ObjectID, data_size: int, metadata: bytes = b""
@@ -673,52 +705,40 @@ class DisaggregatedStore(PlasmaStore):
         """
         if not object_ids:
             return []
-        if self._aio_facade():
-            start_ns = self.clock.now_ns
-            try:
-                return self._drive(
-                    self.get_buffers_task(object_ids, allow_missing),
-                    name=f"get:{self._name}",
-                )
-            finally:
-                if self._m_get is not None:
-                    self._m_get.observe(self.clock.now_ns - start_ns)
-        if self.tracer is None and self.spans is None and self._m_get is None:
-            return self._get_buffers_inner(object_ids, allow_missing)
+        spans = self.spans
+        if spans is None and self._m_get is None:
+            return self._drive(self.get_buffers_task, object_ids, allow_missing)
         start_ns = self.clock.now_ns
         try:
-            if self.tracer is not None or self.spans is not None:
+            # The sink's single open-root stack cannot follow a task across
+            # suspensions: no store span when the event loop drives.
+            if spans is not None and not self._aio_facade():
                 args = {"n": len(object_ids)}
                 rid = self.correlation.current if self.correlation else None
                 if rid is not None:
                     args["rid"] = rid
-                return self._get_buffers_observed(object_ids, allow_missing, args)
-            return self._get_buffers_inner(object_ids, allow_missing)
+                with spans.span("store", "get_buffers", node=self.node, **args):
+                    return self._drive(
+                        self.get_buffers_task, object_ids, allow_missing
+                    )
+            return self._drive(self.get_buffers_task, object_ids, allow_missing)
         finally:
             if self._m_get is not None:
                 self._m_get.observe(self.clock.now_ns - start_ns)
 
-    def _get_buffers_observed(
-        self, object_ids: list[ObjectID], allow_missing: bool, args: dict
-    ) -> list[PlasmaBuffer]:
-        if self.spans is not None:
-            with self.spans.span("store", "get_buffers", node=self.node, **args):
-                return self._get_buffers_legacy_traced(
-                    object_ids, allow_missing, args
-                )
-        return self._get_buffers_legacy_traced(object_ids, allow_missing, args)
-
-    def _get_buffers_legacy_traced(
-        self, object_ids: list[ObjectID], allow_missing: bool, args: dict
-    ) -> list[PlasmaBuffer]:
-        if self.tracer is not None:
-            with self.tracer.span("store", "get_buffers", track=self.node, **args):
-                return self._get_buffers_inner(object_ids, allow_missing)
-        return self._get_buffers_inner(object_ids, allow_missing)
-
-    def _get_buffers_inner(
-        self, object_ids: list[ObjectID], allow_missing: bool
-    ) -> list[PlasmaBuffer]:
+    def get_buffers_task(
+        self,
+        object_ids: list[ObjectID],
+        allow_missing: bool = False,
+        attr=None,
+        blocking: bool = False,
+    ):
+        """The one body of :meth:`get_buffers`, run by either driver (see
+        :meth:`_drive`). The local table and tier-cache scans are instant;
+        unresolved ids are looked up and pinned through the leaves
+        *blocking* selects for this invocation: the ordered per-peer sweep
+        and sequential AddRef calls, or concurrent (scatter-gather,
+        optionally hedged) batched Lookups and a gathered AddRef pin."""
         buffers: dict[ObjectID, PlasmaBuffer | None] = {}
         missing: list[ObjectID] = []
         with self.table.lock:
@@ -764,7 +784,9 @@ class DisaggregatedStore(PlasmaStore):
             missing = unresolved
         found_remote = 0
         if missing:
-            records = self._resolve_remote(missing, allow_missing)
+            records = yield from self._resolve_remote_task(
+                missing, allow_missing, attr, blocking
+            )
             newly_pinned: dict[str, list[ObjectID]] = {}
             for oid in missing:
                 record = records.get(oid)
@@ -778,7 +800,10 @@ class DisaggregatedStore(PlasmaStore):
                 found_remote += 1
                 if self._tier is not None:
                     self._tier.note_remote_get(oid)
-            self._pin_at_home(newly_pinned)
+            if blocking:
+                self._pin_at_home(newly_pinned)
+            else:
+                yield from self._pin_at_home_task(newly_pinned, attr)
         self.counters.inc(
             "gets_local", len(object_ids) - len(missing) - served_cached
         )
@@ -787,9 +812,16 @@ class DisaggregatedStore(PlasmaStore):
             self.counters.inc("gets_cache_served", served_cached)
         return [buffers[oid] for oid in object_ids]
 
-    def _resolve_remote(
-        self, object_ids: list[ObjectID], allow_missing: bool = False
-    ) -> dict[ObjectID, RemoteObjectRecord]:
+    def _resolve_remote_task(
+        self,
+        object_ids: list[ObjectID],
+        allow_missing: bool = False,
+        attr=None,
+        blocking: bool = False,
+    ):
+        """Ids to remote records: held records, then the lookup cache, then
+        the peers — by directory probe, the blocking ordered sweep
+        (:meth:`_rpc_lookup`) or the scatter-gather task form."""
         resolved: dict[ObjectID, RemoteObjectRecord] = {}
         unresolved: list[ObjectID] = []
         for oid in object_ids:
@@ -807,8 +839,12 @@ class DisaggregatedStore(PlasmaStore):
             unreachable: list[str] = []
             if self._sharing in ("hashmap", "hybrid"):
                 still = self._hashmap_lookup(unresolved, resolved)
-            else:
+            elif blocking:
                 still = self._rpc_lookup(unresolved, resolved, unreachable)
+            else:
+                still = yield from self._rpc_lookup_task(
+                    unresolved, resolved, unreachable, attr
+                )
             if still and not allow_missing:
                 detail = ", ".join(repr(oid) for oid in still[:5])
                 if unreachable:
@@ -929,21 +965,31 @@ class DisaggregatedStore(PlasmaStore):
                     unreachable.append(name)
                 return remaining
             raise
+        claimed = self._claim_found(name, response, resolved)
+        if hedged and claimed:
+            # An answer arrived from a holder reached only because an
+            # earlier hedge fired — the hedge won the race.
+            self.counters.inc("lookup_hedge_wins")
+        return [oid for oid in remaining if oid not in claimed]
+
+    def _claim_found(
+        self,
+        name: str,
+        response: dict,
+        resolved: dict[ObjectID, RemoteObjectRecord],
+    ) -> set[ObjectID]:
+        """Register every descriptor *name* answered a Lookup with (live
+        record, lookup cache, *resolved*); returns the ids it claimed."""
         self.counters.inc("lookup_rpcs")
-        found = response.get("found", [])
         claimed: set[ObjectID] = set()
-        for descriptor in found:
+        for descriptor in response.get("found", []):
             record = RemoteObjectRecord.from_descriptor(name, descriptor)
             self._remote_records[record.object_id] = record
             if self._lookup_cache is not None:
                 self._lookup_cache.put(record)
             resolved[record.object_id] = record
             claimed.add(record.object_id)
-        if hedged and claimed:
-            # An answer arrived from a holder reached only because an
-            # earlier hedge fired — the hedge won the race.
-            self.counters.inc("lookup_hedge_wins")
-        return [oid for oid in remaining if oid not in claimed]
+        return claimed
 
     def _hashmap_lookup(
         self,
@@ -992,14 +1038,11 @@ class DisaggregatedStore(PlasmaStore):
         ``stream_chunk_bytes`` chunks, charging the identical link model
         per slice."""
         if self._rpc_async:
-            channel = self._peer_channel(handle.name)
-            kwargs = (
-                {"chunk_bytes": channel.stream_chunk_bytes}
-                if channel is not None
-                else {}
-            )
             payload = stream_pull(
-                handle.remote_region, offset, data_size, **kwargs
+                handle.remote_region,
+                offset,
+                data_size,
+                chunk_bytes=self._peer_channel(handle.name).stream_chunk_bytes,
             )
         else:
             payload = handle.remote_region.view(offset, data_size)
@@ -1115,12 +1158,21 @@ class DisaggregatedStore(PlasmaStore):
                 self._remote_records[oid].pinned_at_home = True
             self.counters.inc("addref_rpcs")
 
-    # -- async task plane (repro.rpc.aio) --------------------------------------------
+    # -- one body, two drivers (repro.rpc.aio) ----------------------------------------
+    #
+    # get_buffers, forward_put and delete_object each have ONE body, a
+    # generator (their ``*_task`` form). Tasks ``yield from`` it on the event
+    # loop; the synchronous facades hand it to _drive(), which spawns it on
+    # the loop in async mode and otherwise runs it inline with blocking
+    # leaves. What still exists twice are those leaves — the ordered lookup
+    # sweep vs scatter-gather, sequential vs gathered pin/broadcast/drop
+    # fan-out, stub call vs unary task — because the two channels charge
+    # time differently (docs/architecture.md, "Async RPC core").
 
     def attach_aio(self, loop, *, async_mode: bool = False) -> None:
-        """Wire the cluster-wide event loop; *async_mode* arms the task
-        facades (``rpc_mode="async"``). Attaching draws nothing and changes
-        nothing observable in sync mode."""
+        """Wire the cluster-wide event loop; *async_mode* makes the sync
+        facades drive their bodies on it (``rpc_mode="async"``). Attaching
+        draws nothing and changes nothing observable in sync mode."""
         self._aio_loop = loop
         self._rpc_async = bool(async_mode)
 
@@ -1141,143 +1193,45 @@ class DisaggregatedStore(PlasmaStore):
         return self._aio_loop
 
     def _aio_facade(self) -> bool:
-        """True when a synchronous facade should reroute through its task
-        form: async mode is on and we are *not* already inside a task (a
-        nested facade executes its classic inline body instead — blocking
-        semantics are safe there, re-entering the loop driver is not)."""
+        """The one loop-vs-inline decision, made per invocation: True when
+        a synchronous facade should run its body on the event loop — async
+        mode is on and we are *not* already inside a task (a facade called
+        from task code blocks inline instead; re-entering the loop driver
+        from one of its own handlers is not safe)."""
         return (
             self._rpc_async
             and self._aio_loop is not None
             and not self._aio_loop.driving
         )
 
-    def _drive(self, gen, name: str | None = None):
-        """Run a task form to completion from a synchronous facade."""
+    def _run_on_loop(self, gen):
+        """Spawn *gen* on the event loop and drive the loop until it is done."""
         loop = self._aio_loop
-        return loop.run_until_complete(loop.spawn(gen, name=name))
+        return loop.run_until_complete(loop.spawn(gen, name=gen.__name__))
+
+    def _drive(self, task_form, *args, **kwargs):
+        """Run *task_form* to completion for a synchronous facade: on the
+        event loop when :meth:`_aio_facade` says so, else inline — the body
+        is told to use its blocking leaves, so it must finish in one step
+        without ever touching the loop (or its RNG stream)."""
+        if self._aio_facade():
+            return self._run_on_loop(task_form(*args, **kwargs))
+        gen = task_form(*args, blocking=True, **kwargs)
+        try:
+            awaited = gen.send(None)
+        except StopIteration as done:
+            return done.value
+        gen.close()
+        raise RuntimeError(
+            f"{gen.__name__} suspended on {awaited!r} while driven inline; "
+            "a blocking=True body may only use blocking leaves"
+        )
 
     def _peer_channel(self, name: str):
-        """The peer's task-capable channel, or None when its transport has
-        no event-loop integration (dmsg rings)."""
-        channel = getattr(self._peers[name].stub, "channel", None)
-        if channel is not None and hasattr(channel, "unary_task"):
-            return channel
-        return None
-
-    def get_buffers_task(
-        self,
-        object_ids: list[ObjectID],
-        allow_missing: bool = False,
-        attr=None,
-    ):
-        """Task form of :meth:`get_buffers`: the local table and tier-cache
-        scans are instant; unresolved ids go through concurrent (scatter-
-        gather, optionally hedged) batched Lookups and a gathered AddRef
-        pin. Mirrors ``_get_buffers_inner`` outcome-for-outcome."""
-        buffers: dict[ObjectID, PlasmaBuffer | None] = {}
-        missing: list[ObjectID] = []
-        with self.table.lock:
-            for oid in object_ids:
-                entry = self.table.lookup(oid)
-                if entry is not None:
-                    if not entry.is_sealed:
-                        if allow_missing:
-                            buffers[oid] = None
-                            continue
-                        raise ObjectNotFoundError(
-                            f"{oid!r} exists locally but is not sealed"
-                        )
-                    self.table.add_ref(oid)
-                    buffers[oid] = self.local_buffer(entry)
-                    if self._tier is not None:
-                        self._tier.note_local_get(oid)
-                else:
-                    missing.append(oid)
-        served_cached = 0
-        if missing and self._tier is not None and self._notify_deletions:
-            unresolved: list[ObjectID] = []
-            for oid in missing:
-                if oid in self._remote_records:
-                    unresolved.append(oid)
-                    continue
-                hit = self._tier.serve_cached(oid)
-                if hit is None:
-                    unresolved.append(oid)
-                    continue
-                _, payload, home = hit
-                buffers[oid] = self._cache_served_buffer(oid, payload, home)
-                self._tier.note_served(oid)
-                self._tier.note_remote_get(oid)
-                served_cached += 1
-            missing = unresolved
-        found_remote = 0
-        if missing:
-            records = yield from self._resolve_remote_task(
-                missing, allow_missing, attr
-            )
-            newly_pinned: dict[str, list[ObjectID]] = {}
-            for oid in missing:
-                record = records.get(oid)
-                if record is None:
-                    buffers[oid] = None  # allow_missing guaranteed by resolve
-                    continue
-                if record.local_refs == 0 and self._share_usage:
-                    newly_pinned.setdefault(record.home, []).append(oid)
-                record.local_refs += 1
-                buffers[oid] = self._remote_buffer(record)
-                found_remote += 1
-                if self._tier is not None:
-                    self._tier.note_remote_get(oid)
-            yield from self._pin_at_home_task(newly_pinned, attr)
-        self.counters.inc(
-            "gets_local", len(object_ids) - len(missing) - served_cached
-        )
-        self.counters.inc("gets_remote", found_remote)
-        if served_cached:
-            self.counters.inc("gets_cache_served", served_cached)
-        return [buffers[oid] for oid in object_ids]
-
-    def _resolve_remote_task(
-        self,
-        object_ids: list[ObjectID],
-        allow_missing: bool = False,
-        attr=None,
-    ):
-        """Task form of :meth:`_resolve_remote` (same caches, same typed
-        errors); only the per-peer Lookups change shape."""
-        resolved: dict[ObjectID, RemoteObjectRecord] = {}
-        unresolved: list[ObjectID] = []
-        for oid in object_ids:
-            record = self._remote_records.get(oid)
-            if record is None and self._lookup_cache is not None:
-                record = self._lookup_cache.get(oid)
-                if record is not None:
-                    self._remote_records[oid] = record
-                    self.counters.inc("lookup_cache_hits")
-            if record is not None:
-                resolved[oid] = record
-            else:
-                unresolved.append(oid)
-        if unresolved:
-            unreachable: list[str] = []
-            if self._sharing in ("hashmap", "hybrid"):
-                still = self._hashmap_lookup(unresolved, resolved)
-            else:
-                still = yield from self._rpc_lookup_task(
-                    unresolved, resolved, unreachable, attr
-                )
-            if still and not allow_missing:
-                detail = ", ".join(repr(oid) for oid in still[:5])
-                if unreachable:
-                    raise ObjectUnavailableError(
-                        f"{len(still)} object(s) unresolved while peer(s) "
-                        f"{', '.join(unreachable)} are unreachable: {detail}",
-                        unreachable_peers=tuple(unreachable),
-                    )
-                raise ObjectNotFoundError(
-                    f"{len(still)} object(s) not found anywhere: " + detail
-                )
-        return resolved
+        """The peer's task-capable channel. Task leaves only run in async
+        mode, which the cluster refuses to arm over dmsg rings, so this is
+        always an :class:`~repro.rpc.aio.AsyncChannel`."""
+        return self._peers[name].stub.channel
 
     def _rpc_lookup_task(
         self,
@@ -1340,8 +1294,7 @@ class DisaggregatedStore(PlasmaStore):
         staggered backup probe at the next peer. Returns the ids neither
         claimed."""
         loop = self._aio_loop
-        channel = self._peer_channel(name)
-        stagger = channel.hedge_stagger_ns if channel is not None else 0.0
+        stagger = self._peer_channel(name).hedge_stagger_ns
         backup = None
         if stagger > 0:
             peers = self.peers()
@@ -1383,9 +1336,7 @@ class DisaggregatedStore(PlasmaStore):
         yield Sleep(stagger_ns)
         if primary.future.done():
             return list(ids)
-        channel = self._peer_channel(name)
-        if channel is not None:
-            channel.aio_counters["hedges_fired"] += 1
+        self._peer_channel(name).aio_counters["hedges_fired"] += 1
         self.counters.inc("lookup_hedges_fired")
         result = yield from self._lookup_peer_task(
             name, ids, resolved, None, None
@@ -1404,13 +1355,8 @@ class DisaggregatedStore(PlasmaStore):
         channel's coalescing buffer (sharing a wire message with any other
         lookup landing within the batch window); error mapping matches the
         sync path."""
-        channel = self._peer_channel(name)
-        if channel is None:
-            return self._lookup_peer(
-                name, list(remaining), resolved, unreachable, None, None
-            )
         try:
-            response = yield channel.batched_call(
+            response = yield self._peer_channel(name).batched_call(
                 self._peers[name].stub.service,
                 "Lookup",
                 [oid.binary() for oid in remaining],
@@ -1427,40 +1373,25 @@ class DisaggregatedStore(PlasmaStore):
                     unreachable.append(name)
                 return list(remaining)
             raise
-        self.counters.inc("lookup_rpcs")
-        claimed: set[ObjectID] = set()
-        for descriptor in response.get("found", []):
-            record = RemoteObjectRecord.from_descriptor(name, descriptor)
-            self._remote_records[record.object_id] = record
-            if self._lookup_cache is not None:
-                self._lookup_cache.put(record)
-            resolved[record.object_id] = record
-            claimed.add(record.object_id)
+        claimed = self._claim_found(name, response, resolved)
         return [oid for oid in remaining if oid not in claimed]
 
     def _pin_at_home_task(self, by_home: dict[str, list[ObjectID]], attr=None):
         """Gathered, batched AddRef pins (task form of `_pin_at_home`)."""
         if not by_home:
             return
-        loop = self._aio_loop
-        homes, futures = [], []
-        for home in sorted(by_home):
-            channel = self._peer_channel(home)
-            if channel is None:
-                self._pin_at_home({home: by_home[home]})
-                continue
-            homes.append(home)
-            futures.append(
-                channel.batched_call(
+        homes = sorted(by_home)
+        results = yield self._aio_loop.gather(
+            [
+                self._peer_channel(home).batched_call(
                     self._peers[home].stub.service,
                     "AddRef",
                     [oid.binary() for oid in by_home[home]],
                     attr=attr,
                 )
-            )
-        if not futures:
-            return
-        results = yield loop.gather(futures)
+                for home in homes
+            ]
+        )
         for home, result in zip(homes, results):
             if isinstance(result, RpcStatusError):
                 if result.code is StatusCode.NOT_FOUND:
@@ -1472,13 +1403,20 @@ class DisaggregatedStore(PlasmaStore):
                 self._remote_records[oid].pinned_at_home = True
             self.counters.inc("addref_rpcs")
 
-    def delete_object_task(self, object_id: ObjectID, attr=None):
-        """Task form of delete: the local unlink is instant; the
-        NotifyDeleted fan-out and replica drops run concurrently."""
+    def delete_object_task(
+        self, object_id: ObjectID, attr=None, blocking: bool = False
+    ):
+        """The one body of :meth:`delete_object`: the local unlink is
+        instant; the NotifyDeleted fan-out and replica drops run peer by
+        peer (*blocking*) or concurrently."""
         PlasmaStore.delete_object(self, object_id)
         self._retract_from_directory(object_id)
-        yield from self._broadcast_deleted_task(object_id, attr)
-        yield from self._drop_remote_replicas_task(object_id, attr)
+        if blocking:
+            self._broadcast_deleted(object_id)
+            self._drop_remote_replicas(object_id)
+        else:
+            yield from self._broadcast_deleted_task(object_id, attr)
+            yield from self._drop_remote_replicas_task(object_id, attr)
         self._replicas_of.pop(object_id, None)
 
     def _broadcast_deleted_task(self, object_id: ObjectID, attr=None):
@@ -1486,78 +1424,25 @@ class DisaggregatedStore(PlasmaStore):
         `_broadcast_deleted`, same unavailable-peer tolerance)."""
         if not self._notify_deletions:
             return
-        loop = self._aio_loop
         wire_id = object_id.binary()
-        names, futures = [], []
-        for name in self.peers():
-            channel = self._peer_channel(name)
-            if channel is None:
-                try:
-                    self._peers[name].stub.NotifyDeleted(
-                        {"object_ids": [wire_id]}
-                    )
-                except RpcStatusError as exc:
-                    if self._peer_unavailable(name, exc):
-                        continue
-                    raise
-                continue
-            names.append(name)
-            futures.append(
-                channel.batched_call(
+        names = self.peers()
+        results = yield self._aio_loop.gather(
+            [
+                self._peer_channel(name).batched_call(
                     self._peers[name].stub.service,
                     "NotifyDeleted",
                     [wire_id],
                     attr=attr,
                 )
-            )
-        if futures:
-            results = yield loop.gather(futures)
-            for name, result in zip(names, results):
-                if isinstance(result, RpcStatusError):
-                    if self._peer_unavailable(name, result):
-                        continue
-                    raise result
-                if isinstance(result, BaseException):
-                    raise result
+                for name in names
+            ]
+        )
+        self._raise_unless_unavailable(names, results)
         self.counters.inc("delete_notifications")
 
-    def _drop_remote_replicas_task(self, object_id: ObjectID, attr=None):
-        """Concurrent DropReplica to every recorded holder (task form of
-        `_drop_remote_replicas`; DropReplica is not batchable — one pipelined
-        unary per holder)."""
-        holders = self._replicated_to.pop(object_id, ())
-        if not holders:
-            return
-        loop = self._aio_loop
-        payload = {"object_ids": [object_id.binary()]}
-        names, tasks = [], []
-        for name in holders:
-            if name not in self._peers:
-                continue
-            channel = self._peer_channel(name)
-            if channel is None:
-                try:
-                    self._peers[name].stub.DropReplica(payload)
-                except RpcStatusError as exc:
-                    if self._peer_unavailable(name, exc):
-                        continue
-                    raise
-                continue
-            names.append(name)
-            tasks.append(
-                loop.spawn(
-                    channel.unary_task(
-                        self._peers[name].stub.service,
-                        "DropReplica",
-                        payload,
-                        attr=attr,
-                    ),
-                    name=f"drop-replica:{name}",
-                )
-            )
-        if not tasks:
-            return
-        results = yield loop.gather(tasks)
+    def _raise_unless_unavailable(self, names: list[str], results: list) -> None:
+        """Gathered fan-out results, peer by peer: an unreachable peer is
+        tolerated (and counted), any other failure is raised."""
         for name, result in zip(names, results):
             if isinstance(result, RpcStatusError):
                 if self._peer_unavailable(name, result):
@@ -1566,72 +1451,30 @@ class DisaggregatedStore(PlasmaStore):
             if isinstance(result, BaseException):
                 raise result
 
-    def forward_put_task(
-        self,
-        object_id: ObjectID,
-        data,
-        metadata: bytes,
-        home: str,
-        *,
-        replicas: int = 1,
-        attr=None,
-    ):
-        """Task form of :meth:`forward_put`: the PlacedCreate and PlacedSeal
-        hops are pipelined unary tasks sharing one deadline budget; the
-        payload still streams over the fabric between them."""
-        handle = self.peer(home)
-        channel = self._peer_channel(home)
-        if channel is None:
-            return self.forward_put(
-                object_id, data, metadata, home, replicas=replicas
-            )
-        mv = memoryview(data)
-        if mv.ndim != 1 or mv.itemsize != 1:
-            mv = mv.cast("B")
-        budget = DeadlineBudget.for_stub(handle.stub, self.clock)
-        service = handle.stub.service
-        try:
-            response = yield from channel.unary_task(
-                service,
-                "PlacedCreate",
-                {
-                    "object_id": object_id.binary(),
-                    "data_size": len(mv),
-                    "metadata": bytes(metadata),
-                },
-                attr=attr,
-                **budget.kwargs(),
-            )
-        except RpcStatusError as exc:
-            if exc.code is StatusCode.ALREADY_EXISTS:
-                raise ObjectExistsError(
-                    f"{object_id!r} already exists in home store {home}"
-                ) from exc
-            if self._peer_unavailable(home, exc):
-                self.counters.inc("placed_creates_fallback")
-                return False
-            raise
-        offset = int(response["offset"])
-        handle.remote_region.write(offset, mv)
-        try:
-            yield from channel.unary_task(
-                service,
-                "PlacedSeal",
-                {"object_id": object_id.binary(), "replicas": int(replicas)},
-                attr=attr,
-                **budget.kwargs(),
-            )
-        except RpcStatusError as exc:
-            if self._peer_unavailable(home, exc):
-                raise ObjectUnavailableError(
-                    f"home store {home} became unreachable while sealing "
-                    f"{object_id!r}",
-                    unreachable_peers=(home,),
-                ) from exc
-            raise
-        self.counters.inc("placed_creates_forwarded")
-        self.counters.inc("placed_bytes_forwarded", len(mv))
-        return True
+    def _drop_remote_replicas_task(self, object_id: ObjectID, attr=None):
+        """Concurrent DropReplica to every recorded holder (task form of
+        `_drop_remote_replicas`; DropReplica is not batchable — one pipelined
+        unary per holder)."""
+        names = self._pop_replica_holders(object_id)
+        if not names:
+            return
+        loop = self._aio_loop
+        payload = {"object_ids": [object_id.binary()]}
+        results = yield loop.gather(
+            [
+                loop.spawn(
+                    self._peer_channel(name).unary_task(
+                        self._peers[name].stub.service,
+                        "DropReplica",
+                        payload,
+                        attr=attr,
+                    ),
+                    name=f"drop-replica:{name}",
+                )
+                for name in names
+            ]
+        )
+        self._raise_unless_unavailable(names, results)
 
     # -- replication for failover reads (degraded-mode extension) ------------------------------
 
@@ -1749,16 +1592,22 @@ class DisaggregatedStore(PlasmaStore):
         """Is our local *object_id* a copy of some peer's object?"""
         return object_id in self._replicas_of
 
+    def _pop_replica_holders(self, object_id: ObjectID) -> list[str]:
+        """Forget and return the peers recorded as holding copies of our
+        *object_id*. A holder that left the cluster (remove_node disconnects
+        the peer) took its copy with it — nothing to drop there."""
+        return [
+            name
+            for name in self._replicated_to.pop(object_id, ())
+            if name in self._peers
+        ]
+
     def _drop_remote_replicas(self, object_id: ObjectID) -> None:
-        holders = self._replicated_to.pop(object_id, ())
+        holders = self._pop_replica_holders(object_id)
         if not holders:
             return
         payload = {"object_ids": [object_id.binary()]}
         for name in holders:
-            if name not in self._peers:
-                # The holder left the cluster (remove_node disconnects the
-                # peer); its copy is gone with it, nothing to drop.
-                continue
             try:
                 self._peers[name].stub.DropReplica(payload)
             except RpcStatusError as exc:
@@ -1837,17 +1686,7 @@ class DisaggregatedStore(PlasmaStore):
         self.counters.inc("delete_notifications")
 
     def delete_object(self, object_id: ObjectID) -> None:
-        if self._aio_facade():
-            self._drive(
-                self.delete_object_task(object_id),
-                name=f"delete:{self._name}",
-            )
-            return
-        super().delete_object(object_id)
-        self._retract_from_directory(object_id)
-        self._broadcast_deleted(object_id)
-        self._drop_remote_replicas(object_id)
-        self._replicas_of.pop(object_id, None)
+        self._drive(self.delete_object_task, object_id)
 
     def _evict_entry(self, entry: ObjectEntry) -> None:
         super()._evict_entry(entry)

@@ -33,8 +33,6 @@ from repro.obs.spans import (
     BASE_COMPONENTS,
     COMPONENTS,
     FlightRecorder,
-    NULL_SPAN_SINK,
-    NullSpanSink,
     SpanConfig,
     SpanRecord,
     SpanSink,
@@ -52,9 +50,7 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "NullMetricsRegistry",
-    "NullSpanSink",
     "NULL_REGISTRY",
-    "NULL_SPAN_SINK",
     "QUANTILES",
     "SpanConfig",
     "SpanRecord",

@@ -31,7 +31,7 @@ Independently of sampling, every finished span also lands in a per-node
 :class:`FlightRecorder` — a bounded ring of the most recent spans, dumped
 post-mortem when a simtest oracle violation or a chaos determinism diff
 fires, so the shrunk reproducer ships with the events leading up to the
-failure. The same ring backs the legacy ``Tracer(ring=True)`` mode.
+failure.
 
 Like the metrics plane, everything is opt-in: components hold ``None``
 handles when tracing is off (a single ``is None`` test on the hot path),
@@ -179,11 +179,10 @@ class SpanRecord:
 class FlightRecorder:
     """Bounded ring of the most recent recorded events.
 
-    The post-mortem primitive shared by the spans plane (one ring per
-    node) and the legacy ``Tracer(ring=True)`` mode: appends past capacity
-    evict the oldest event and bump ``dropped``, so a dump always holds
-    the events *leading up to* a failure rather than the boot sequence,
-    with truncation visible rather than silent.
+    The post-mortem primitive of the spans plane (one ring per node):
+    appends past capacity evict the oldest event and bump ``dropped``, so a
+    dump always holds the events *leading up to* a failure rather than the
+    boot sequence, with truncation visible rather than silent.
     """
 
     __slots__ = ("_ring", "dropped")
@@ -197,11 +196,6 @@ class FlightRecorder:
     @property
     def capacity(self) -> int:
         return self._ring.maxlen
-
-    @property
-    def ring(self) -> deque:
-        """The backing deque (read path for the legacy Tracer adapter)."""
-        return self._ring
 
     def record(self, event) -> None:
         if len(self._ring) == self._ring.maxlen:
@@ -546,8 +540,8 @@ class SpanSink:
 
     def to_chrome_trace(self) -> dict:
         """Chrome trace-event JSON over the retained traces (complete 'X'
-        events, microsecond timestamps, one pid per node) — the same shape
-        the legacy Tracer exports, loadable in Perfetto."""
+        events, microsecond timestamps, one pid per node), loadable in
+        Perfetto."""
         events = []
         for trace in self._traces:
             for span in trace["spans"]:
@@ -618,44 +612,3 @@ class SpanSink:
         with open(os.fspath(path), "w", encoding="utf-8") as fh:
             fh.write(json.dumps(self.flight_dump(), indent=2, sort_keys=True))
             fh.write("\n")
-
-
-class NullSpanSink:
-    """API-compatible no-op sink: every handle inert, nothing recorded,
-    no clock listener — the explicit spelling of 'tracing off' for call
-    sites that prefer a sink-shaped object over a ``None`` check."""
-
-    enabled = False
-    current_span_id = None
-    roots_total = 0
-    kept_head = 0
-    kept_tail = 0
-    discarded = 0
-    traces_overflowed = 0
-
-    def span(self, category: str, name: str, node: str = "", **args):
-        return _NULL_SPAN
-
-    def component(self, name: str):
-        return _NULL_SPAN
-
-    def traces(self) -> list:
-        return []
-
-    def flight_recorder(self, node: str) -> None:
-        return None
-
-    def sampling_stats(self) -> dict:
-        return {}
-
-    def to_chrome_trace(self) -> dict:
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
-
-    def snapshot(self) -> dict:
-        return {"schema_version": SPAN_SCHEMA_VERSION, "sampling": {}, "traces": []}
-
-    def flight_dump(self) -> dict:
-        return {"schema_version": SPAN_SCHEMA_VERSION, "nodes": {}}
-
-
-NULL_SPAN_SINK = NullSpanSink()

@@ -60,9 +60,8 @@ class MigrationResult:
 class MigrationEngine:
     """Source-driven executor of the prepare/commit protocol."""
 
-    def __init__(self, clock, *, tracer=None, spans=None):
+    def __init__(self, clock, *, spans=None):
         self._clock = clock
-        self._tracer = tracer
         self.spans = spans
         self.counters = CounterGroup()
         self._m_latency = None

@@ -85,11 +85,6 @@ class CoalescingBuffer:
                                   lambda: self._flush_if_current(epoch))
         return future
 
-    def flush_now(self) -> None:
-        """Force-dispatch whatever is buffered (used at loop drain points)."""
-        if self._entries:
-            self._flush()
-
     def _flush_if_current(self, epoch: int) -> None:
         # The armed window timer is stale if a max_batch flush already ran.
         if epoch == self._epoch and self._entries:

@@ -67,10 +67,6 @@ class AsyncChannel(Channel):
         return self._server.host
 
     @property
-    def in_flight(self) -> int:
-        return self._in_flight
-
-    @property
     def hedge_stagger_ns(self) -> float:
         """Stagger before a scatter-gather lookup hedges to the next peer."""
         return self._config.hedge_stagger_ns
@@ -266,8 +262,3 @@ class AsyncChannel(Channel):
             deadline_ns=self._effective_deadline(deadline_ns),
             attr=attr,
         )
-
-    def flush_batches(self) -> None:
-        """Force-dispatch every coalescing buffer (drain-point hook)."""
-        for buffer in self._buffers.values():
-            buffer.flush_now()

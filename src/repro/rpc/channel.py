@@ -66,7 +66,6 @@ class Channel:
         clock: SimClock,
         config: RpcConfig,
         rng: DeterministicRng,
-        tracer=None,
         *,
         spans=None,
         breaker=None,
@@ -78,7 +77,6 @@ class Channel:
         self._clock = clock
         self._config = config
         self._rng = rng.spawn("rpc", local_host, server.host)
-        self._tracer = tracer
         self._spans = spans
         self._breaker = breaker
         self._chaos = chaos
@@ -252,11 +250,11 @@ class Channel:
                     node=f"{self._local_host}->{self._server.host}",
                     **self._span_args(),
                 ):
-                    response = self._unary_call_traced(
+                    response = self._unary_call_inner(
                         service, method, request, deadline
                     )
             else:
-                response = self._unary_call_traced(
+                response = self._unary_call_inner(
                     service, method, request, deadline
                 )
         except RpcStatusError as exc:
@@ -273,25 +271,6 @@ class Channel:
     def _span_args(self) -> dict:
         rid = self._correlation.current if self._correlation is not None else None
         return {} if rid is None else {"rid": rid}
-
-    def _unary_call_traced(
-        self,
-        service: str,
-        method: str,
-        request: dict | None,
-        deadline_ns: float | None,
-    ) -> dict:
-        """The legacy-tracer wrapper layer, kept separate so the span-sink
-        and tracer instrumentation nest without duplicating the call."""
-        if self._tracer is not None:
-            with self._tracer.span(
-                "rpc",
-                f"{service}.{method}",
-                track=f"{self._local_host}->{self._server.host}",
-                **self._span_args(),
-            ):
-                return self._unary_call_inner(service, method, request, deadline_ns)
-        return self._unary_call_inner(service, method, request, deadline_ns)
 
     def _charge_retry(
         self, cost_ns: float, start_ns: int, deadline_ns: float | None

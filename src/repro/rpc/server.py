@@ -42,11 +42,9 @@ class RpcServer:
         self._services: dict[str, dict[str, object]] = {}
         self._shutdown = False
         self.counters = CounterGroup()
-        # Opt-in observability, set by the cluster builder: a tracer and a
-        # span sink plus clock for server-side dispatch spans, and a
-        # pre-bound latency histogram. All default off; dispatch keeps a
-        # fast path.
-        self.tracer = None
+        # Opt-in observability, set by the cluster builder: a span sink
+        # plus clock for server-side dispatch spans, and a pre-bound latency
+        # histogram. All default off; dispatch keeps a fast path.
         self.spans = None
         self.clock = None
         self._latency = None
@@ -172,7 +170,7 @@ class RpcServer:
             request = decode_message(request_wire)
         except RpcError as exc:
             return StatusCode.INVALID_ARGUMENT, b"", str(exc)
-        if self.tracer is None and self.spans is None and self._latency is None:
+        if self.spans is None and self._latency is None:
             status, response, detail = self.dispatch(service, method, request)
         else:
             status, response, detail = self._dispatch_observed(
@@ -205,23 +203,13 @@ class RpcServer:
                     "rpc.server", f"{service}.{method}", node=self._host, **args
                 ) as sp:
                     exemplar = sp.span_id
-                    return self._dispatch_traced(service, method, request, args)
-            return self._dispatch_traced(service, method, request, args)
+                    return self.dispatch(service, method, request)
+            return self.dispatch(service, method, request)
         finally:
             if self._latency is not None and self.clock is not None:
                 self._latency.labels(method=f"{service}.{method}").observe(
                     self.clock.now_ns - start_ns, exemplar=exemplar
                 )
-
-    def _dispatch_traced(
-        self, service: str, method: str, request: dict, args: dict
-    ) -> tuple[StatusCode, dict | None, str]:
-        if self.tracer is not None:
-            with self.tracer.span(
-                "rpc.server", f"{service}.{method}", track=self._host, **args
-            ):
-                return self.dispatch(service, method, request)
-        return self.dispatch(service, method, request)
 
     def dispatch(self, service: str, method: str, request: dict) -> tuple[StatusCode, dict | None, str]:
         """Dispatch a decoded request; maps handler exceptions to statuses."""

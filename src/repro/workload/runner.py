@@ -332,46 +332,63 @@ class ScenarioRunner:
                     return name
         return None
 
-    def _delete_slot(self, slot: int) -> bool:
+    # Each op kind has a blocking body and an event-loop task body (further
+    # down). The two observe differently — root spans here, per-task
+    # attribution there, and a span held across a ``yield`` would corrupt
+    # the sink's single open-root stack — so they stay two drivers; the
+    # halves they have in common are the helpers between them.
+
+    def _pop_slot(self, slot: int):
+        """Empty *slot*; returns ``(state, oid, holder store or None)`` for
+        the caller to delete at the holder, or ``None`` if it was empty."""
         state = self._slots.pop(slot, None)
         if state is None:
-            return False
+            return None
         oid = ObjectID.from_int(state.oid_int)
         holder = self._find_holder(oid)
-        if holder is not None:
-            self.cluster.store(holder).delete_object(oid)
+        store = self.cluster.store(holder) if holder is not None else None
+        return state, oid, store
+
+    def _record_delete(self, state: _Slot) -> None:
         self.admission.record_stored(state.tenant, -state.size)
         self.result.bytes_deleted += state.size
+
+    def _delete_slot(self, slot: int) -> bool:
+        target = self._pop_slot(slot)
+        if target is None:
+            return False
+        state, oid, store = target
+        if store is not None:
+            store.delete_object(oid)
+        self._record_delete(state)
         return True
 
-    def _do_read(self, op: WorkloadOp) -> str:
-        state = self._slots.get(op.slot)
-        if state is None:
-            return "miss"
-        client = self._client(op.seq)
-        oid = ObjectID.from_int(state.oid_int)
-        # Per-slot hit attribution for the BENCH hot-set breakdown: the
-        # issuing node's cache stamps last_served on every serve, so
-        # clearing it before the get tells us whether *this* read hit.
-        cache = None
-        if self._read_stats is not None:
-            agent = client.store.tier_agent
-            cache = agent.cache if agent is not None else None
-            if cache is not None:
-                cache.last_served = None
-        buffers = client.get([oid], allow_missing=True)
-        if buffers[0] is None:
-            return "miss"
+    def _arm_hit_probe(self, client):
+        """Per-slot hit attribution for the BENCH hot-set breakdown: the
+        issuing node's cache stamps last_served on every serve, so clearing
+        it before the get tells us whether *this* read hit. Returns the
+        cache to check afterwards (None when tiering is off)."""
+        if self._read_stats is None:
+            return None
+        agent = client.store.tier_agent
+        cache = agent.cache if agent is not None else None
+        if cache is not None:
+            cache.last_served = None
+        return cache
+
+    def _finish_read(
+        self, op: WorkloadOp, client, oid: ObjectID, version: int, buffer, cache
+    ) -> str:
+        """Spot-checked zero-copy read of a resolved buffer, release, and
+        the read bookkeeping."""
         try:
-            nbytes = _checked_len(
-                buffers[0].read_view(), op.slot, state.oid_int
-            )
+            nbytes = _checked_len(buffer.read_view(), op.slot, version)
         finally:
             client.release(oid)
         if self._read_stats is not None:
             # Only remote reads are cache-eligible: a home-local get never
             # consults the cache and would dilute the hit rate it reports.
-            remote = buffers[0].is_remote
+            remote = buffer.is_remote
             hit = (
                 cache is not None
                 and cache.last_served is not None
@@ -387,20 +404,36 @@ class ScenarioRunner:
         self._m_bytes.labels(tenant=op.tenant, direction="read").inc(nbytes)
         return "ok"
 
-    def _do_write(self, op: WorkloadOp) -> str:
-        self._delete_slot(op.slot)
-        oid = self._fresh_oid()
-        self._client(op.seq).put_bytes(
-            oid,
-            payload_for(op.slot, self._next_oid, op.size_bytes),
-            replicas=self.scenario.cluster.replicas,
-        )
-        self._slots[op.slot] = _Slot(self._next_oid, op.size_bytes, op.tenant)
+    def _do_read(self, op: WorkloadOp) -> str:
+        state = self._slots.get(op.slot)
+        if state is None:
+            return "miss"
+        client = self._client(op.seq)
+        oid = ObjectID.from_int(state.oid_int)
+        cache = self._arm_hit_probe(client)
+        buffer = client.get([oid], allow_missing=True)[0]
+        if buffer is None:
+            return "miss"
+        return self._finish_read(op, client, oid, state.oid_int, buffer, cache)
+
+    def _record_write(self, op: WorkloadOp, oid_int: int) -> None:
+        self._slots[op.slot] = _Slot(oid_int, op.size_bytes, op.tenant)
         self.admission.record_stored(op.tenant, op.size_bytes)
         self.result.bytes_written += op.size_bytes
         self._m_bytes.labels(tenant=op.tenant, direction="write").inc(
             op.size_bytes
         )
+
+    def _do_write(self, op: WorkloadOp) -> str:
+        self._delete_slot(op.slot)
+        oid = self._fresh_oid()
+        oid_int = self._next_oid
+        self._client(op.seq).put_bytes(
+            oid,
+            payload_for(op.slot, oid_int, op.size_bytes),
+            replicas=self.scenario.cluster.replicas,
+        )
+        self._record_write(op, oid_int)
         return "ok"
 
     def _do_delete(self, op: WorkloadOp) -> str:
@@ -446,15 +479,13 @@ class ScenarioRunner:
     # fabric settle points, pipeline/retry/hedge waits hinted by children).
 
     def _delete_slot_task(self, slot: int, attr):
-        state = self._slots.pop(slot, None)
-        if state is None:
+        target = self._pop_slot(slot)
+        if target is None:
             return False
-        oid = ObjectID.from_int(state.oid_int)
-        holder = self._find_holder(oid)
-        if holder is not None:
-            yield from self.cluster.store(holder).delete_object_task(oid, attr)
-        self.admission.record_stored(state.tenant, -state.size)
-        self.result.bytes_deleted += state.size
+        state, oid, store = target
+        if store is not None:
+            yield from store.delete_object_task(oid, attr)
+        self._record_delete(state)
         return True
 
     def _do_read_task(self, op: WorkloadOp, attr):
@@ -463,40 +494,17 @@ class ScenarioRunner:
             return "miss"
         client = self._client(op.seq)
         oid = ObjectID.from_int(state.oid_int)
-        cache = None
-        if self._read_stats is not None:
-            agent = client.store.tier_agent
-            cache = agent.cache if agent is not None else None
-            if cache is not None:
-                cache.last_served = None
+        cache = self._arm_hit_probe(client)
         buffers = yield from client.get_task([oid], allow_missing=True,
                                              attr=attr)
         attr.settle("service")
         if buffers[0] is None:
             return "miss"
-        try:
-            nbytes = _checked_len(
-                buffers[0].read_view(), op.slot, state.oid_int
-            )
-        finally:
-            client.release(oid)
+        outcome = self._finish_read(
+            op, client, oid, state.oid_int, buffers[0], cache
+        )
         attr.settle("fabric")
-        if self._read_stats is not None:
-            remote = buffers[0].is_remote
-            hit = (
-                cache is not None
-                and cache.last_served is not None
-                and cache.last_served[0] == oid
-            )
-            reads, remotes, hits = self._read_stats.get(op.slot, (0, 0, 0))
-            self._read_stats[op.slot] = (
-                reads + 1,
-                remotes + int(remote),
-                hits + int(hit),
-            )
-        self.result.bytes_read += nbytes
-        self._m_bytes.labels(tenant=op.tenant, direction="read").inc(nbytes)
-        return "ok"
+        return outcome
 
     def _do_write_task(self, op: WorkloadOp, attr):
         yield from self._delete_slot_task(op.slot, attr)
@@ -512,12 +520,7 @@ class ScenarioRunner:
             attr=attr,
         )
         attr.settle("service")
-        self._slots[op.slot] = _Slot(oid_int, op.size_bytes, op.tenant)
-        self.admission.record_stored(op.tenant, op.size_bytes)
-        self.result.bytes_written += op.size_bytes
-        self._m_bytes.labels(tenant=op.tenant, direction="write").inc(
-            op.size_bytes
-        )
+        self._record_write(op, oid_int)
         return "ok"
 
     def _do_delete_task(self, op: WorkloadOp, attr):
@@ -546,38 +549,11 @@ class ScenarioRunner:
         return "ok"
 
     def _op_task(self, op: WorkloadOp, issue_ns: int):
-        """One op as an event-loop task — the async twin of
-        ``_execute``/``_execute_inner``, identical bookkeeping."""
-        clock = self.cluster.clock
-        result = self.result
-        self._maybe_burst()
-        if (
-            self._shed_expired_ingress
-            and clock.now_ns - issue_ns >= result.op_deadline_ns
-        ):
-            result.executed_ops += 1
-            result.outcomes["shed:expired"] = (
-                result.outcomes.get("shed:expired", 0) + 1
-            )
-            result.overload_client["ingress_shed"] = (
-                result.overload_client.get("ingress_shed", 0) + 1
-            )
-            self._m_ops.labels(
-                tenant=op.tenant, kind=op.kind, outcome="shed:expired"
-            ).inc()
+        """One op as an event-loop task — ``_execute``/``_execute_inner``
+        with per-task attribution in place of the root span."""
+        if not self._ingress(op, issue_ns):
             return
-        try:
-            self.admission.admit(
-                op.tenant, op.kind, op.size_bytes, clock.now_ns
-            )
-        except AdmissionRejectedError as exc:
-            outcome = f"rejected:{exc.reason}"
-            self._m_ops.labels(
-                tenant=op.tenant, kind=op.kind, outcome=outcome
-            ).inc()
-            result.outcomes[outcome] = result.outcomes.get(outcome, 0) + 1
-            return
-        attr = TaskAttribution(clock, issue_ns)
+        attr = TaskAttribution(self.cluster.clock, issue_ns)
         # Between the op's scheduled arrival and the task actually starting
         # the loop may have been busy with other ops: that is queueing.
         attr.settle("queue")
@@ -586,19 +562,9 @@ class ScenarioRunner:
         except ReproError as exc:
             outcome = f"error:{type(exc).__name__}"
         attr.settle("client")
-        latency = clock.now_ns - issue_ns
-        result.executed_ops += 1
-        if outcome == "ok" and (
-            result.op_deadline_ns <= 0 or latency <= result.op_deadline_ns
-        ):
-            result.in_deadline_ops += 1
-        result.outcomes[outcome] = result.outcomes.get(outcome, 0) + 1
-        result.latency_overall.add(latency)
-        result.latency_by_kind.setdefault(op.kind, Distribution()).add(latency)
-        self._m_ops.labels(tenant=op.tenant, kind=op.kind, outcome=outcome).inc()
-        self._m_latency.labels(tenant=op.tenant, kind=op.kind).observe(latency)
+        latency = self._complete(op, issue_ns, outcome)
         if attr.total_ns() != latency:
-            result.attribution_exact = False
+            self.result.attribution_exact = False
         self._accumulate_attribution(op, latency, attr.components)
         self._maybe_tier_tick()
 
@@ -669,9 +635,10 @@ class ScenarioRunner:
                 if component in bucket or value:
                     bucket[component] = bucket.get(component, 0) + value
 
-    def _execute_inner(self, op: WorkloadOp, issue_ns: int):
-        """Run one op; returns the measured latency (ns), or ``None`` when
-        the op was shed/rejected before reaching the cluster."""
+    def _ingress(self, op: WorkloadOp, issue_ns: int) -> bool:
+        """The ingress every op passes first: due bursts, the expired-
+        ingress shed, tenant admission. False when the op ends here (its
+        outcome is already tallied and no latency is measured)."""
         clock = self.cluster.clock
         result = self.result
         self._maybe_burst()
@@ -695,7 +662,7 @@ class ScenarioRunner:
             self._m_ops.labels(
                 tenant=op.tenant, kind=op.kind, outcome="shed:expired"
             ).inc()
-            return None
+            return False
         try:
             self.admission.admit(
                 op.tenant, op.kind, op.size_bytes, clock.now_ns
@@ -706,12 +673,13 @@ class ScenarioRunner:
                 tenant=op.tenant, kind=op.kind, outcome=outcome
             ).inc()
             result.outcomes[outcome] = result.outcomes.get(outcome, 0) + 1
-            return None
-        try:
-            outcome = getattr(self, f"_do_{op.kind}")(op)
-        except ReproError as exc:
-            outcome = f"error:{type(exc).__name__}"
-        latency = clock.now_ns - issue_ns
+            return False
+        return True
+
+    def _complete(self, op: WorkloadOp, issue_ns: int, outcome: str) -> int:
+        """Tally one executed op's outcome; returns its latency (ns)."""
+        result = self.result
+        latency = self.cluster.clock.now_ns - issue_ns
         result.executed_ops += 1
         if outcome == "ok" and (
             result.op_deadline_ns <= 0 or latency <= result.op_deadline_ns
@@ -723,6 +691,17 @@ class ScenarioRunner:
         self._m_ops.labels(tenant=op.tenant, kind=op.kind, outcome=outcome).inc()
         self._m_latency.labels(tenant=op.tenant, kind=op.kind).observe(latency)
         return latency
+
+    def _execute_inner(self, op: WorkloadOp, issue_ns: int):
+        """Run one op; returns the measured latency (ns), or ``None`` when
+        the op was shed/rejected before reaching the cluster."""
+        if not self._ingress(op, issue_ns):
+            return None
+        try:
+            outcome = getattr(self, f"_do_{op.kind}")(op)
+        except ReproError as exc:
+            outcome = f"error:{type(exc).__name__}"
+        return self._complete(op, issue_ns, outcome)
 
     def _maybe_tier_tick(self) -> None:
         """Run one tier-engine tick every ``tick_every_ops`` driven ops —

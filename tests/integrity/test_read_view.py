@@ -25,14 +25,14 @@ def make_cluster(**store_overrides) -> Cluster:
 
 @pytest.fixture
 def held():
-    """(cluster, oid, node1's handle on an object homed at node0), the
-    handle taken without a home-side pin so the home can retire the extent
-    under it."""
+    """(cluster, oid, node1's handle on an object homed at node0). Usage
+    sharing is off, so the Get takes no home-side pin and the home can
+    retire the extent under the handle."""
     cluster = make_cluster()
     oid = cluster.new_object_id()
     cluster.client("node0").put_bytes(oid, b"A" * 4096)
-    record = cluster.store("node1")._resolve_remote([oid])[oid]  # noqa: SLF001
-    return cluster, oid, cluster.store("node1")._remote_buffer(record)  # noqa: SLF001
+    [buffer] = cluster.store("node1").get_buffers([oid])
+    return cluster, oid, buffer
 
 
 def test_retired_extent_refreshes_then_fails_typed(held):

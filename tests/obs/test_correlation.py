@@ -3,7 +3,6 @@ end-to-end check that a single remote Get carries one request id through
 the client span, the RPC client/server spans, and the deferred fabric
 read."""
 
-from repro.common.trace import Tracer
 from repro.core.cluster import Cluster
 from repro.obs.correlation import CorrelationContext
 
@@ -46,18 +45,19 @@ class TestCorrelationContext:
 
 
 class TestEndToEndCorrelation:
-    def _rids_by_event(self, tracer):
+    def _spans(self, cluster):
+        return [s for trace in cluster.spans.traces() for s in trace["spans"]]
+
+    def _rids_by_event(self, cluster):
         out = {}
-        for ev in tracer.events():
-            rid = ev.args.get("rid")
+        for span in self._spans(cluster):
+            rid = span.args.get("rid")
             if rid is not None:
-                out.setdefault((ev.category, ev.name), set()).add(rid)
+                out.setdefault((span.category, span.name), set()).add(rid)
         return out
 
     def test_remote_get_spans_one_request_id(self):
-        cluster = Cluster(n_nodes=2, check_remote_uniqueness=False)
-        tracer = Tracer(cluster.clock)
-        cluster.attach_tracer(tracer)
+        cluster = Cluster(n_nodes=2, check_remote_uniqueness=False, tracing=True)
         producer = cluster.client("node0")
         consumer = cluster.client("node1")
 
@@ -68,7 +68,7 @@ class TestEndToEndCorrelation:
         buf.read_all()  # deferred fabric transfer happens here
         consumer.release(oid)
 
-        by_event = self._rids_by_event(tracer)
+        by_event = self._rids_by_event(cluster)
         get_rids = by_event[("client", "get")]
         assert len(get_rids) == 1
         (rid,) = get_rids
@@ -79,9 +79,7 @@ class TestEndToEndCorrelation:
         assert rid in by_event[("fabric", "read")]
 
     def test_distinct_operations_get_distinct_ids(self):
-        cluster = Cluster(n_nodes=2, check_remote_uniqueness=False)
-        tracer = Tracer(cluster.clock)
-        cluster.attach_tracer(tracer)
+        cluster = Cluster(n_nodes=2, check_remote_uniqueness=False, tracing=True)
         producer = cluster.client("node0")
         consumer = cluster.client("node1")
 
@@ -94,9 +92,9 @@ class TestEndToEndCorrelation:
             consumer.release(oid)
 
         rids = {
-            ev.args["rid"]
-            for ev in tracer.events()
-            if ev.category == "client" and "rid" in ev.args
+            span.args["rid"]
+            for span in self._spans(cluster)
+            if span.category == "client" and "rid" in span.args
         }
         # 3 puts + 3 gets, each its own operation.
         assert len(rids) == 6

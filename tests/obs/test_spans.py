@@ -15,9 +15,7 @@ from repro.common.rng import DeterministicRng
 from repro.obs.spans import (
     BASE_COMPONENTS,
     COMPONENTS,
-    NULL_SPAN_SINK,
     FlightRecorder,
-    NullSpanSink,
     SpanConfig,
     SpanSink,
 )
@@ -238,19 +236,6 @@ class TestExport:
         assert len(trace["spans"]) == 5
         assert sum(trace["components_ns"].values()) == trace["duration_ns"]
 
-    def test_null_sink_is_inert_and_exportable(self):
-        sink = NullSpanSink()
-        assert sink is not NULL_SPAN_SINK  # separate instances both fine
-        with sink.span("op", "get", node="n") as sp:
-            sp.annotate(ignored=True)
-        with sink.component("retry"):
-            pass
-        assert sink.traces() == []
-        assert sink.to_chrome_trace() == {
-            "traceEvents": [], "displayTimeUnit": "ms",
-        }
-        assert sink.flight_dump()["nodes"] == {}
-
 
 class TestClockNeutrality:
     def test_tracing_never_advances_the_clock(self):
@@ -280,3 +265,37 @@ class TestClockNeutrality:
         buckets = sink.traces()[0]["components_ns"]
         assert buckets["pipeline"] == 7
         assert sum(buckets.values()) == root.duration_ns
+
+
+class TestClusterSpans:
+    """A traced cluster's remote Get, read off the sink."""
+
+    @staticmethod
+    def _remote_get_spans(small_config) -> list:
+        from repro.core import Cluster
+
+        cluster = Cluster(
+            small_config, n_nodes=2, check_remote_uniqueness=False, tracing=True
+        )
+        producer = cluster.client("node0")
+        consumer = cluster.client("node1")
+        oid = cluster.new_object_id()
+        producer.put_bytes(oid, b"traced")
+        consumer.get_one(oid)
+        [get] = [t for t in cluster.spans.traces() if t["name"] == "get"]
+        return get["spans"]
+
+    def test_remote_get_produces_rpc_and_store_spans(self, small_config):
+        spans = self._remote_get_spans(small_config)
+        assert any(
+            s.category == "store" and s.name == "get_buffers" for s in spans
+        )
+        assert any(s.category == "rpc" for s in spans)
+
+    def test_rpc_spans_dominate_remote_get(self, small_config):
+        """The Fig 6 claim, on a timeline: the gRPC span accounts for most
+        of a remote retrieval."""
+        spans = self._remote_get_spans(small_config)
+        store_total = sum(s.duration_ns for s in spans if s.category == "store")
+        rpc_total = sum(s.duration_ns for s in spans if s.category == "rpc")
+        assert rpc_total > 0.8 * store_total  # lookup time ~= RPC time

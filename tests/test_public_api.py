@@ -26,6 +26,31 @@ class TestExports:
         assert issubclass(repro.OutOfMemoryError, repro.ReproError)
 
 
+class TestObsSurface:
+    def test_obs_exports_are_exactly_these(self):
+        """One tracer, no inert stand-ins: call sites branch on ``None``."""
+        import repro.obs
+
+        assert sorted(repro.obs.__all__) == sorted(
+            [
+                "BASE_COMPONENTS", "COMPONENTS", "CorrelationContext",
+                "Counter", "CounterGroup", "FlightRecorder", "Gauge",
+                "Histogram", "MetricFamily", "MetricsRegistry",
+                "NullMetricsRegistry", "NULL_REGISTRY", "QUANTILES",
+                "SpanConfig", "SpanRecord", "SpanSink", "Telemetry",
+                "group_by_label", "render_prometheus",
+            ]
+        )
+
+    def test_cluster_takes_no_tracer(self):
+        import inspect
+
+        params = inspect.signature(repro.Cluster.__init__).parameters
+        assert "tracer" not in params and "tracing" in params
+        for gone in ("tracer", "attach_tracer", "attach_spans"):
+            assert not hasattr(repro.Cluster, gone), gone
+
+
 class TestReadmeQuickstart:
     def test_readme_snippet_verbatim(self):
         """The exact code from README.md §Quickstart must work."""
