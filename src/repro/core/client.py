@@ -246,7 +246,7 @@ class DisaggregatedClient(PlasmaClient):
         tasks = [
             loop.spawn(
                 self._put_one_task(oid, data, metadata, replicas, attr),
-                name=f"put:{i}",
+                name=("put", i),
             )
             for i, (oid, data) in enumerate(items)
         ]

@@ -1265,7 +1265,7 @@ class DisaggregatedStore(PlasmaStore):
                     self._probe_peer_task(
                         home, by_home[home], resolved, unreachable, attr
                     ),
-                    name=f"lookup:{home}",
+                    name=("lookup", home),
                 )
                 for home in sorted(by_home)
             ]
@@ -1303,14 +1303,14 @@ class DisaggregatedStore(PlasmaStore):
                 backup = candidate
         primary = loop.spawn(
             self._lookup_peer_task(name, ids, resolved, unreachable, attr),
-            name=f"probe:{name}",
+            name=("probe", name),
         )
         if backup is None:
             result = yield primary
             return result
         hedge = loop.spawn(
             self._hedge_probe_task(stagger, backup, ids, resolved, primary),
-            name=f"hedge:{backup}",
+            name=("hedge", backup),
         )
         race_start_ns = self.clock.now_ns
         index, outcome = yield loop.race([primary, hedge])
@@ -1469,7 +1469,7 @@ class DisaggregatedStore(PlasmaStore):
                         payload,
                         attr=attr,
                     ),
-                    name=f"drop-replica:{name}",
+                    name=("drop-replica", name),
                 )
                 for name in names
             ]

@@ -46,7 +46,8 @@ class CoalescingBuffer:
     """One per ``(channel, service, method)``; owned by :class:`AsyncChannel`."""
 
     __slots__ = ("_channel", "_loop", "_service", "_method", "_window_ns",
-                 "_max_batch", "_entries", "_pending_ids", "_epoch")
+                 "_max_batch", "_entries", "_pending_ids", "_epoch",
+                 "_task_name")
 
     def __init__(self, channel: "AsyncChannel", service: str, method: str, *,
                  window_ns: float, max_batch: int):
@@ -56,6 +57,7 @@ class CoalescingBuffer:
         self._loop = channel.loop
         self._service = service
         self._method = method
+        self._task_name = f"batch:{method}@{channel.server_host}"
         self._window_ns = max(0.0, float(window_ns))
         self._max_batch = max(1, int(max_batch))
         self._entries: list[_Entry] = []
@@ -125,7 +127,7 @@ class CoalescingBuffer:
         self._channel.aio_counters["batched_ids"] += len(merged)
         self._loop.spawn(
             self._dispatch(live, merged, wire_deadline),
-            name=f"batch:{self._method}@{self._channel.server_host}",
+            name=self._task_name,
         )
 
     def _dispatch(self, live: list[_Entry], merged: list, wire_deadline):

@@ -16,6 +16,13 @@ This loop replaces both with simulation-native rules:
   ``id()``/hash order, no dict iteration order — the heap pop sequence is a
   pure function of the seed, which is what makes run-twice replay
   bit-identical even with hundreds of tasks in flight.
+* **The heap defines the order, not the mechanism.** Every event takes a
+  tie rank and a sequence number, but a task's :class:`Sleep` wake-up that
+  would be the very next event popped — nothing on the heap sorts before it
+  and the active driver would not stop first — runs in the frame that
+  scheduled it instead of round-tripping the heap. Which path an event took
+  is not observable in simulated time (``tests/rpc/_reference_loop.py`` is
+  the heap-only loop the differential suite compares against).
 * **Tasks are generator coroutines.** A task ``yield``s either a
   :class:`Sleep` (suspend for a span of simulated time) or a
   :class:`Future`/:class:`Task` (suspend until it resolves); anything the
@@ -64,14 +71,16 @@ class Future:
     interleaving.
     """
 
-    __slots__ = ("_loop", "_done", "_value", "_exc", "_callbacks")
+    __slots__ = ("_loop", "_done", "_value", "_exc", "_waiters")
 
     def __init__(self, loop: "EventLoop"):
         self._loop = loop
         self._done = False
         self._value = None
         self._exc: BaseException | None = None
-        self._callbacks: list[Callable[["Future"], None]] = []
+        # Who to wake on resolution, in registration order: a done callback,
+        # or the Task suspended on this future.
+        self._waiters: list[Callable[["Future"], None] | Task] = []
 
     def done(self) -> bool:
         return self._done
@@ -96,9 +105,9 @@ class Future:
 
     def add_done_callback(self, fn: Callable[["Future"], None]) -> None:
         if self._done:
-            self._loop._schedule_now(lambda: fn(self))
+            self._loop._push(self._loop._clock.now_ns, fn, self)
         else:
-            self._callbacks.append(fn)
+            self._waiters.append(fn)
 
     def _settle(self, value, exc: BaseException | None) -> None:
         if self._done:
@@ -106,20 +115,38 @@ class Future:
         self._done = True
         self._value = value
         self._exc = exc
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            self._loop._schedule_now(lambda fn=fn: fn(self))
+        waiters, self._waiters = self._waiters, []
+        if waiters:
+            loop = self._loop
+            now = loop._clock.now_ns
+            for waiter in waiters:
+                loop._push(now, waiter, self)
+
+
+#: Never resolves: what a driver that awaits no future waits for.
+_UNRESOLVED = Future(None)
+_NO_LIMIT = float("inf")
 
 
 class Task:
     """A spawned generator coroutine; ``future`` resolves with its return value."""
 
-    __slots__ = ("name", "future", "_gen")
+    __slots__ = ("_label", "future", "_gen")
 
-    def __init__(self, loop: "EventLoop", gen: Generator, name: str):
-        self.name = name
+    def __init__(self, loop: "EventLoop", gen: Generator,
+                 label: str | tuple | int):
+        # The caller's name — a string, or a tuple of parts — or the spawn
+        # index of an unnamed task; formatted only if somebody asks.
+        self._label = label
         self.future = Future(loop)
         self._gen = gen
+
+    @property
+    def name(self) -> str:
+        label = self._label
+        if isinstance(label, tuple):
+            return ":".join(map(str, label))
+        return label if isinstance(label, str) else f"task-{label}"
 
     def __repr__(self) -> str:
         state = "done" if self.future.done() else "running"
@@ -127,17 +154,37 @@ class Task:
 
 
 class EventLoop:
-    """The scheduler: a heap of ``(wake_ns, tie_rank, seq, callback)`` events."""
+    """The scheduler: a heap of ``(wake_ns, tie_rank, seq, target, future)``
+    events. *target* is a :class:`Task` to resume or a plain callback;
+    *future* is the resolved future whose outcome it is handed, if any.
 
-    __slots__ = ("_clock", "_rng", "_heap", "_seq", "_spawned", "_driving")
+    One event at a time runs, under exactly one of the three drivers
+    (:meth:`run_until`, :meth:`run_until_complete`, :meth:`drain`). The
+    driver's stop rule — a wake deadline, an awaited future, an event budget —
+    decides whether the heap's first event may run next, and the same rule
+    lets :meth:`_step` run a sleeping task's wake-up without the heap when
+    that event would have been the next one popped anyway.
+    """
+
+    __slots__ = ("_clock", "_rng", "_heap", "_seq", "_spawned", "_driving",
+                 "_deadline", "_awaited", "_event_cap",
+                 "events_run", "events_inline")
 
     def __init__(self, clock: SimClock, rng: DeterministicRng):
         self._clock = clock
         self._rng = rng.spawn("aio-loop")
-        self._heap: list[tuple[int, int, int, Callable[[], None]]] = []
+        self._heap: list[tuple] = []
         self._seq = 0
         self._spawned = 0
         self._driving = False
+        # The active driver's stop rule (see _drive).
+        self._deadline: float = _NO_LIMIT
+        self._awaited = _UNRESOLVED
+        self._event_cap: float = _NO_LIMIT
+        #: Events run so far, and how many of them were a task's ``Sleep``
+        #: wake-up run in the frame that scheduled it instead of via the heap.
+        self.events_run = 0
+        self.events_inline = 0
 
     @property
     def driving(self) -> bool:
@@ -146,7 +193,7 @@ class EventLoop:
         Synchronous facades check this to decide between *driving* the loop
         (top-level call: spawn the task form and run it to completion) and
         *executing inline* (already inside a task: blocking semantics are
-        safe, re-entering ``run_until_complete`` is not).
+        safe, and driving the loop from one of its own handlers is an error).
         """
         return self._driving
 
@@ -164,30 +211,42 @@ class EventLoop:
 
     # -- scheduling ----------------------------------------------------------
 
-    def call_at(self, wake_ns: float, fn: Callable[[], None]) -> None:
-        """Run *fn* once the clock reaches *wake_ns* (clamped to now)."""
-        wake = max(int(wake_ns), self._clock.now_ns)
-        tie = self._rng.integer(0, 1 << 30)
-        heapq.heappush(self._heap, (wake, tie, self._seq, fn))
+    def _push(self, wake: int, target, future: Future | None) -> None:
+        heapq.heappush(
+            self._heap,
+            (wake, self._rng.integer(0, 1 << 30), self._seq, target, future))
         self._seq += 1
 
+    def call_at(self, wake_ns: float, fn: Callable[[], None]) -> None:
+        """Run *fn* once the clock reaches *wake_ns* (clamped to now)."""
+        self._push(max(int(wake_ns), self._clock.now_ns), fn, None)
+
     def call_later(self, delta_ns: float, fn: Callable[[], None]) -> None:
-        self.call_at(self._clock.now_ns + max(0, int(round(delta_ns))), fn)
+        self._push(self._clock.now_ns + max(0, int(round(delta_ns))), fn, None)
 
-    def _schedule_now(self, fn: Callable[[], None]) -> None:
-        self.call_at(self._clock.now_ns, fn)
+    def spawn(self, gen: Generator, name: str | tuple | None = None) -> Task:
+        """Schedule generator coroutine *gen* to start at the current instant.
 
-    def spawn(self, gen: Generator, name: str | None = None) -> Task:
-        """Schedule generator coroutine *gen* to start at the current instant."""
-        task = Task(self, gen, name or f"task-{self._spawned}")
+        *name* labels the task in errors and ``repr``: a string, or a tuple
+        of parts joined with ``:`` when it is rendered.
+        """
+        task = Task(self, gen, name or self._spawned)
         self._spawned += 1
-        self._schedule_now(lambda: self._step(task, None, None))
+        self._push(self._clock.now_ns, task, None)
         return task
 
     # -- task stepping -------------------------------------------------------
 
-    def _step(self, task: Task, value, exc: BaseException | None) -> None:
+    def _step(self, task: Task, future: Future | None) -> None:
+        """Resume *task* (with *future*'s outcome, if it was waiting on one)
+        and run it until it finishes or suspends on something only a later
+        event can end."""
         gen = task._gen
+        clock = self._clock
+        heap = self._heap
+        value = exc = None
+        if future is not None:
+            value, exc = future._value, future._exc
         while True:
             try:
                 if exc is not None:
@@ -202,8 +261,25 @@ class EventLoop:
                 task.future.set_exception(err)
                 return
             if isinstance(awaited, Sleep):
-                self.call_later(max(0.0, awaited.delta_ns),
-                                lambda: self._step(task, None, None))
+                # The wake-up is an event like any other: it takes its tie
+                # rank and sequence number whether or not it meets the heap.
+                now = clock.now_ns
+                wake = now + int(round(max(0.0, awaited.delta_ns)))
+                tie = self._rng.integer(0, 1 << 30)
+                seq = self._seq
+                self._seq = seq + 1
+                if ((not heap or (wake, tie, seq) < heap[0])
+                        and wake <= self._deadline
+                        and not self._awaited._done
+                        and self.events_run < self._event_cap):
+                    # It would be the next event popped: run it here.
+                    if wake > now:
+                        clock.advance(wake - now)
+                    self.events_run += 1
+                    self.events_inline += 1
+                    value = None
+                    continue
+                heapq.heappush(heap, (wake, tie, seq, task, None))
                 return
             if isinstance(awaited, Task):
                 awaited = awaited.future
@@ -212,8 +288,7 @@ class EventLoop:
                     # Continue inline: a resolved await costs no scheduler hop.
                     value, exc = awaited._value, awaited._exc
                     continue
-                awaited._callbacks.append(
-                    lambda fut, task=task: self._step(task, fut._value, fut._exc))
+                awaited._waiters.append(task)
                 return
             raise EventLoopError(
                 f"task {task.name!r} yielded {awaited!r}; tasks may only yield "
@@ -283,14 +358,40 @@ class EventLoop:
     # -- driving -------------------------------------------------------------
 
     def _run_next(self) -> None:
-        wake, _tie, _seq, fn = heapq.heappop(self._heap)
-        if wake > self._clock.now_ns:
-            self._clock.advance(wake - self._clock.now_ns)
-        prev, self._driving = self._driving, True
+        wake, _tie, _seq, target, future = heapq.heappop(self._heap)
+        now = self._clock.now_ns
+        if wake > now:
+            self._clock.advance(wake - now)
+        self.events_run += 1
+        self._driving = True
         try:
-            fn()
+            if type(target) is Task:
+                self._step(target, future)
+            elif future is None:
+                target()
+            else:
+                target(future)
         finally:
-            self._driving = prev
+            self._driving = False
+
+    def _drive(self, deadline: float = _NO_LIMIT, awaited: Future = _UNRESOLVED,
+               max_events: float = _NO_LIMIT) -> int:
+        """Run events in heap order while the stop rule admits the next one:
+        it wakes by *deadline*, *awaited* is still unresolved, and fewer than
+        ``max_events + 1`` events have run. Returns the number run."""
+        if self._driving:
+            raise EventLoopError(
+                "the event loop is already running an event: task code must "
+                "yield to wait, not drive the loop from inside a handler")
+        start = self.events_run
+        self._deadline = deadline
+        self._awaited = awaited
+        self._event_cap = cap = start + max_events + 1
+        heap = self._heap
+        while (heap and heap[0][0] <= deadline and not awaited._done
+               and self.events_run < cap):
+            self._run_next()
+        return self.events_run - start
 
     def run_until(self, deadline_ns: float) -> None:
         """Run every event due at or before *deadline_ns*, then advance to it.
@@ -300,30 +401,25 @@ class EventLoop:
         their wake is within the deadline.
         """
         deadline = int(deadline_ns)
-        while self._heap and self._heap[0][0] <= deadline:
-            self._run_next()
+        self._drive(deadline=deadline)
         if self._clock.now_ns < deadline:
             self._clock.advance(deadline - self._clock.now_ns)
 
     def run_until_complete(self, awaitable: Future | Task):
         """Drive the loop until *awaitable* resolves; return (or raise) its result."""
         future = awaitable.future if isinstance(awaitable, Task) else awaitable
-        while not future._done:
-            if not self._heap:
-                raise EventLoopError(
-                    "deadlock: awaited future can never resolve (heap is empty)")
-            self._run_next()
+        self._drive(awaited=future)
+        if not future._done:
+            raise EventLoopError(
+                "deadlock: awaited future can never resolve (heap is empty)")
         return future.result()
 
     def drain(self, max_events: int = 5_000_000) -> int:
         """Run until no events remain; returns the number of events run."""
-        ran = 0
-        while self._heap:
-            self._run_next()
-            ran += 1
-            if ran > max_events:
-                raise EventLoopError(
-                    f"drain exceeded {max_events} events; runaway task?")
+        ran = self._drive(max_events=max_events)
+        if ran > max_events:
+            raise EventLoopError(
+                f"drain exceeded {max_events} events; runaway task?")
         return ran
 
 
@@ -371,13 +467,14 @@ class TaskAttribution:
         now = self._clock.now_ns
         lump = max(0, now - self._mark)
         self._mark = now
-        for name in self.HINTS:
-            hinted = self._hints.get(name, 0)
-            take = min(hinted, lump)
-            if take:
-                self.charge(name, take)
-                lump -= take
-        self._hints.clear()
+        hints = self._hints
+        if hints:
+            for name in self.HINTS:
+                take = min(hints.get(name, 0), lump)
+                if take:
+                    self.charge(name, take)
+                    lump -= take
+            hints.clear()
         if lump:
             self.charge(default, lump)
 

@@ -929,7 +929,7 @@ class ScenarioRunner:
             for op in ops:
                 at = t0 + op.at_ns
                 loop.run_until(at)
-                loop.spawn(self._op_task(op, at), name=f"op:{op.seq}")
+                loop.spawn(self._op_task(op, at), name=("op", op.seq))
             loop.drain()
             return
         queue = deque(ops)
@@ -944,7 +944,7 @@ class ScenarioRunner:
                     yield Sleep(ready - clock.now_ns)
 
         for client_id in range(arrival.clients):
-            loop.spawn(puller(), name=f"client:{client_id}")
+            loop.spawn(puller(), name=("client", client_id))
         loop.drain()
 
     def _collect_rpc(self) -> None:

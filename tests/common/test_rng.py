@@ -1,8 +1,11 @@
 """Deterministic RNG discipline."""
 
+import numpy as np
 import pytest
 
 from repro.common.rng import DeterministicRng, derive_seed
+
+from ._reference_rng import DeterministicRng as ReferenceRng
 
 
 class TestDeriveSeed:
@@ -73,3 +76,136 @@ class TestDeterministicRng:
 
     def test_seed_property(self):
         assert DeterministicRng(77).seed == 77
+
+
+# --------------------------------------------------------------------------- differential
+
+#: Every public draw, as (method name, arguments). ``shuffle`` is compared by
+#: what it did to a fresh list.
+INT_RANGES = ((0, 7), (0, 1 << 30), (-5, (1 << 33) + 11), (0, 1 << 32), (3, 4))
+DRAWS = (
+    *(("integer", bounds) for bounds in INT_RANGES),
+    ("uniform", (0.0, 1.0)),
+    ("uniform", (2.5, 7.25)),
+    ("uniform", (-1e3, 1e-3)),
+    ("lognormal_jitter", (0.1,)),
+    ("lognormal_jitter", (0.5,)),
+    ("lognormal_jitter", (0.0,)),
+    ("lognormal_jitter", (-1.0,)),
+    ("bytes", (9,)),
+    ("payload", (5,)),
+    ("normal", (1.0, 2.0)),
+    ("choice", ([1, 2, 3, "x"],)),
+    ("shuffle", ()),
+)
+BLOCKED = tuple(d for d in DRAWS if d[0] in ("integer", "uniform", "lognormal_jitter"))
+SCALAR = tuple(d for d in DRAWS if d not in BLOCKED)
+#: Long enough to cross every block size up to the cap, and the cap twice.
+LONG_RUN = 3500
+
+
+def draw(stream, method, args):
+    if method == "shuffle":
+        seq = list(range(10))
+        stream.shuffle(seq)
+        return seq
+    return getattr(stream, method)(*args)
+
+
+def assert_same(got, want, where):
+    """Equal in value *and* type (an ``np.int64`` is not an ``int``)."""
+    assert type(got) is type(want), (where, got, want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), where
+    else:
+        assert got == want, (where, got, want)
+
+
+class TestDrawForDrawAgainstTheScalarReference:
+    """``DeterministicRng`` hands three kinds out of pre-drawn blocks; the
+    class it replaced (one NumPy scalar call per draw) is the reference, and
+    every stream must read the same under both — a property of NumPy's
+    implementation that the checked-in goldens depend on."""
+
+    @staticmethod
+    def pair(rng, *names):
+        seed = rng.spawn("differential", *names).seed
+        return DeterministicRng(seed), ReferenceRng(seed)
+
+    def replay(self, rng, program, *names):
+        new, ref = self.pair(rng, *names)
+        for i, (method, args) in enumerate(program):
+            assert_same(draw(new, method, args), draw(ref, method, args),
+                        (names, i, method, args))
+        # ... and the generator underneath sits where the reference's does.
+        assert new.bytes(16) == ref.bytes(16)
+
+    @pytest.mark.parametrize("kind", BLOCKED, ids=str)
+    def test_long_single_kind_run_crosses_block_boundaries(self, rng, kind):
+        self.replay(rng, [kind] * LONG_RUN, "long", str(kind))
+
+    def test_kind_switch_on_every_draw(self, rng):
+        program = [DRAWS[i % len(DRAWS)] for i in range(40 * len(DRAWS))]
+        self.replay(rng, program, "switch")
+
+    def test_two_sigmas_and_zero_sigma_share_one_stream(self, rng):
+        # sigma <= 0 returns 1.0 and consumes nothing: the draws around it
+        # only line up with the reference's if that holds.
+        sigmas = (0.1, 0.5, 0.0, 0.1, -1.0, 0.5, 0.5)
+        program = [("lognormal_jitter", (sigmas[i % len(sigmas)],))
+                   for i in range(LONG_RUN)]
+        self.replay(rng, program, "sigmas")
+
+    @pytest.mark.parametrize("other", SCALAR + BLOCKED, ids=str)
+    @pytest.mark.parametrize("kind", (("integer", (0, 1 << 30)),
+                                      ("uniform", (0.0, 1.0)),
+                                      ("lognormal_jitter", (0.1,))), ids=str)
+    def test_other_draws_interleaved_mid_block(self, rng, kind, other):
+        # Runs of every length from 1 to past two block sizes, so *other*
+        # lands on an untouched block, a part-consumed one and an empty one.
+        program = []
+        for run in range(1, 24):
+            program += [kind] * run + [other]
+        self.replay(rng, program, "mid-block", str(kind), str(other))
+
+    def test_random_mix_of_runs(self, rng):
+        driver = ReferenceRng(rng.spawn("mix-driver").seed)
+        for case in range(20):
+            program = []
+            while len(program) < 1500:
+                kind = driver.choice(list(DRAWS))
+                run = 1 if driver.integer(0, 3) == 0 else driver.integer(1, 90)
+                program += [kind] * run
+            self.replay(rng, program, "mix", str(case))
+
+    def test_spawn_mid_block(self, rng):
+        new, ref = self.pair(rng, "spawn")
+        for _ in range(7):  # leaves a block part-consumed
+            assert new.integer(0, 100) == ref.integer(0, 100)
+        child, ref_child = new.spawn("c"), ref.spawn("c")
+        assert child.seed == ref_child.seed
+        for _ in range(50):
+            assert_same(child.uniform(0.0, 1.0), ref_child.uniform(0.0, 1.0), "child")
+            assert_same(new.integer(0, 100), ref.integer(0, 100), "parent")
+
+    @pytest.mark.parametrize("consumed", (0, 1, 2, 7))
+    def test_bad_integer_range_raises_and_consumes_nothing(self, rng, consumed):
+        new, ref = self.pair(rng, "bad-range", str(consumed))
+        for _ in range(consumed):
+            assert new.integer(0, 50) == ref.integer(0, 50)
+        for stream in (new, ref):
+            with pytest.raises(ValueError):
+                stream.integer(9, 9)
+            with pytest.raises(ValueError):
+                stream.integer(10, 3)
+        for _ in range(20):
+            assert_same(new.integer(0, 50), ref.integer(0, 50), "after the error")
+
+    def test_unbounded_uniform_range_raises_and_consumes_nothing(self, rng):
+        new, ref = self.pair(rng, "bad-uniform")
+        assert new.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
+        assert new.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
+        for stream in (new, ref):
+            with pytest.raises(OverflowError):
+                stream.uniform(-1e308, 1e308)
+        assert new.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.common.rng import DeterministicRng
-from repro.rpc.aio import EventLoop, EventLoopError, Future, Sleep
+from repro.rpc.aio import EventLoop, EventLoopError, Future, Sleep, TaskAttribution
 
 
 def make_loop(seed: int = 7) -> EventLoop:
@@ -101,6 +101,56 @@ class TestScheduling:
 
         loop.spawn(bad())
         with pytest.raises(EventLoopError, match="may only yield"):
+            loop.drain()
+
+
+    @pytest.mark.parametrize("drive", [
+        lambda loop: loop.drain(),
+        lambda loop: loop.run_until(5_000),
+        lambda loop: loop.run_until_complete(loop.completed(1)),
+    ], ids=["drain", "run_until", "run_until_complete"])
+    def test_driving_from_inside_a_handler_is_an_error(self, drive):
+        # A driver's stop rule is its own: a second driver nested inside one
+        # of the first one's handlers would run events the first must not.
+        loop = make_loop()
+        log = []
+
+        def reentrant():
+            yield Sleep(10)
+            drive(loop)
+
+        def timer():
+            try:
+                drive(loop)
+            except EventLoopError as exc:
+                log.append(str(exc))
+
+        task = loop.spawn(reentrant())
+        loop.spawn(sleeper(log, "bystander", 1_000, loop))
+        loop.call_later(20, timer)
+        with pytest.raises(EventLoopError, match="already running an event"):
+            loop.run_until_complete(task)
+        assert not loop.driving
+        loop.drain()  # ... and the loop is still usable from the top level
+        assert "already running an event" in log[0]
+        assert log[1:] == [("bystander", 1_000)]
+
+    def test_task_names_are_rendered_on_demand(self):
+        loop = make_loop()
+
+        def idle():
+            yield Sleep(1)
+
+        assert loop.spawn(idle()).name == "task-0"
+        assert loop.spawn(idle(), name="probe").name == "probe"
+        assert loop.spawn(idle(), name=("probe", "node1", 7)).name == "probe:node1:7"
+        assert repr(loop.spawn(idle())) == "Task('task-3', running)"
+
+        def bad():
+            yield 5
+
+        loop.spawn(bad(), name=("op", 9))
+        with pytest.raises(EventLoopError, match="task 'op:9' yielded 5"):
             loop.drain()
 
 
@@ -248,3 +298,27 @@ class TestDeterminism:
             loop.drain()
             first.append([name for name, _ in log])
         assert first[0] == first[1]
+
+
+class TestTaskAttribution:
+    def test_unhinted_lump_goes_to_the_default(self, clock):
+        attr = TaskAttribution(clock, clock.now_ns)
+        clock.advance(700)
+        attr.settle("service")
+        attr.settle("client")  # an empty lump charges nothing
+        clock.advance(300)
+        attr.settle("client")
+        assert attr.components == {"service": 700, "client": 300}
+
+    def test_hints_are_taken_first_in_fixed_order_and_never_overdraw(self, clock):
+        attr = TaskAttribution(clock, clock.now_ns)
+        attr.hint("hedge", 400)
+        attr.hint("pipeline", 250)
+        attr.hint("retry", 0.2)  # rounds to nothing
+        clock.advance(500)
+        attr.settle("service")
+        assert attr.components == {"pipeline": 250, "hedge": 250}
+        clock.advance(100)
+        attr.settle("service")  # hints do not outlive the lump they described
+        assert attr.components == {"pipeline": 250, "hedge": 250, "service": 100}
+        assert attr.total_ns() == clock.now_ns
