@@ -103,7 +103,7 @@ class DisaggregatedClient(PlasmaClient):
         args = {"n": len(object_ids)}
         if rid is not None:
             args["rid"] = rid
-        with spans.span("client", "get", node=self._name, **args):
+        with spans.span("client", "get", self._name, args):
             return self._get_inner(object_ids, allow_missing)
 
     def _get_inner(
@@ -379,7 +379,7 @@ class DisaggregatedClient(PlasmaClient):
             spans = self._store.spans
             if spans is not None:
                 with spans.span(
-                    "client", "put", node=self._name, rid=rid, replicas=replicas
+                    "client", "put", self._name, {"rid": rid, "replicas": replicas}
                 ):
                     self._put_routed(object_id, data, metadata, replicas)
             else:

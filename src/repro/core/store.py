@@ -448,10 +448,20 @@ class DisaggregatedStore(PlasmaStore):
         self, object_id: ObjectID, data_size: int, metadata: bytes = b""
     ) -> int:
         """Home side of a placement-routed create: allocate (unsealed) and
-        return the exposed-region offset the creator streams payload to."""
+        return the exposed-region offset the creator streams payload to.
+
+        Whatever this CPU still caches over the payload range belongs to a
+        previous tenant of the extent and is about to be overwritten from
+        the fabric: it is dropped here (the same ``invalidate_exposed``
+        :meth:`placed_seal` ends with), so the incoming write finds nothing
+        resident and snapshots no old bytes (Fig 3b) that the seal would
+        throw away one RPC later without anybody having observed them."""
         entry = self.create_object_unchecked(object_id, data_size, metadata)
+        offset = entry.payload_offset + self._exposed_offset
+        if data_size:
+            self.endpoint.invalidate_exposed(offset, data_size)
         self.counters.inc("placed_creates_received")
-        return entry.payload_offset + self._exposed_offset
+        return offset
 
     def placed_seal(self, object_id: ObjectID, replicas: int = 1) -> None:
         """Seal a placement-routed object after the creator's fabric write.
@@ -706,25 +716,28 @@ class DisaggregatedStore(PlasmaStore):
         if not object_ids:
             return []
         spans = self.spans
-        if spans is None and self._m_get is None:
-            return self._drive(self.get_buffers_task, object_ids, allow_missing)
-        start_ns = self.clock.now_ns
-        try:
+        if spans is not None and self._aio_facade():
             # The sink's single open-root stack cannot follow a task across
             # suspensions: no store span when the event loop drives.
-            if spans is not None and not self._aio_facade():
+            spans = None
+        m_get = self._m_get
+        if spans is None and m_get is None:
+            return self._drive(self.get_buffers_task, object_ids, allow_missing)
+        start_ns = self.clock.now_ns if m_get is not None else 0
+        try:
+            if spans is not None:
                 args = {"n": len(object_ids)}
                 rid = self.correlation.current if self.correlation else None
                 if rid is not None:
                     args["rid"] = rid
-                with spans.span("store", "get_buffers", node=self.node, **args):
+                with spans.span("store", "get_buffers", self.node, args):
                     return self._drive(
                         self.get_buffers_task, object_ids, allow_missing
                     )
             return self._drive(self.get_buffers_task, object_ids, allow_missing)
         finally:
-            if self._m_get is not None:
-                self._m_get.observe(self.clock.now_ns - start_ns)
+            if m_get is not None:
+                m_get.observe(self.clock.now_ns - start_ns)
 
     def get_buffers_task(
         self,

@@ -127,19 +127,26 @@ class Gauge:
         return self._value
 
 
+def _rendered(pair: tuple) -> tuple[float, str]:
+    """A stored ``(value, exemplar)`` pair with the reference as text."""
+    value, ref = pair
+    return value, str(getattr(ref, "span_id", ref))
+
+
 class Histogram:
     """One histogram child: exact quantiles over raw samples.
 
     Values are simulated nanoseconds on every latency family this repo
     ships; the instrument itself is unit-agnostic.
 
-    ``observe`` optionally takes an *exemplar* — an opaque reference (a
-    span id from ``repro.obs.spans``) tying the observation to a concrete
-    trace. A bounded ring of recent ``(value, exemplar)`` pairs plus the
-    exemplar of the slowest observation are kept, so the Prometheus
-    exposition can annotate each bucket (and ``_max``) with a trace to go
-    look at. With no exemplars recorded, payloads and renders are
-    byte-identical to before.
+    ``observe`` optionally takes an *exemplar* — a reference tying the
+    observation to a concrete trace: a span from ``repro.obs.spans`` (kept
+    as handed over; its ``span_id`` is rendered when the histogram is
+    read) or a ready id string. A bounded ring of recent
+    ``(value, exemplar)`` pairs plus the exemplar of the slowest
+    observation are kept, so the Prometheus exposition can annotate each
+    bucket (and ``_max``) with a trace to go look at. With no exemplars
+    recorded, payloads and renders are byte-identical to before.
     """
 
     __slots__ = ("_dist", "_sum", "_exemplars", "_max_exemplar")
@@ -151,9 +158,9 @@ class Histogram:
         self._dist = Distribution()
         self._sum = 0.0
         self._exemplars: "deque | None" = None
-        self._max_exemplar: tuple[float, str] | None = None
+        self._max_exemplar: tuple | None = None
 
-    def observe(self, value: float, exemplar: str | None = None) -> None:
+    def observe(self, value: float, exemplar=None) -> None:
         self._dist.add(value)
         self._sum += float(value)
         if exemplar:
@@ -161,19 +168,21 @@ class Histogram:
                 from collections import deque
 
                 self._exemplars = deque(maxlen=self.EXEMPLAR_RING)
-            self._exemplars.append((float(value), str(exemplar)))
+            pair = (float(value), exemplar)
+            self._exemplars.append(pair)
             if self._max_exemplar is None or value >= self._max_exemplar[0]:
-                self._max_exemplar = (float(value), str(exemplar))
+                self._max_exemplar = pair
 
     @property
     def exemplars(self) -> list[tuple[float, str]]:
         """Recent (value, exemplar) pairs, oldest first."""
-        return list(self._exemplars) if self._exemplars else []
+        return [_rendered(pair) for pair in self._exemplars or ()]
 
     @property
     def max_exemplar(self) -> tuple[float, str] | None:
         """The exemplar of the slowest observation seen so far."""
-        return self._max_exemplar
+        pair = self._max_exemplar
+        return None if pair is None else _rendered(pair)
 
     @property
     def count(self) -> int:
@@ -492,7 +501,7 @@ class _NullInstrument:
     def set_function(self, fn) -> None:
         pass
 
-    def observe(self, value: float, exemplar: str | None = None) -> None:
+    def observe(self, value: float, exemplar=None) -> None:
         pass
 
 

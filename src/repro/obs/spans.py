@@ -38,15 +38,24 @@ handles when tracing is off (a single ``is None`` test on the hot path),
 the listener is never installed, and simulated time is bit-identical with
 tracing on or off — the sink only reads the clock, never advances it, and
 its sampling stream is an independent child of the RNG tree.
+
+What a span costs on the host: one object. The context manager
+:meth:`SpanSink.span` hands out *is* the record that lands in the op's
+buffer, the flight ring and any kept trace; span, parent and auto trace
+ids stay integers until an export or a reader asks for the string; the
+attribution component is resolved once, at open; and the tail-keep
+threshold is an exact order statistic kept in two heaps. The sink this
+one replaced lives on as ``tests/obs/_reference_spans.py`` and defines
+the behaviour by example (``tests/obs/test_spans_differential.py``).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappush, heappushpop
 
 SPAN_SCHEMA_VERSION = 1
 
@@ -86,6 +95,9 @@ CATEGORY_COMPONENTS = {
     "rpc.server": "service",
 }
 
+#: A root's buckets the moment it opens (copied per root).
+_ZERO_BUCKETS = dict.fromkeys(BASE_COMPONENTS, 0)
+
 
 @dataclass(frozen=True)
 class SpanConfig:
@@ -117,17 +129,33 @@ class SpanConfig:
 
 
 class SpanRecord:
-    """One finished span of simulated time.
+    """One span of simulated time — measured while open, a record after.
 
-    A plain ``__slots__`` class, not a dataclass: the sink builds one per
-    closed span (several per op) whether or not sampling keeps the trace.
-    ``args`` is the span's own dict, shared rather than copied.
+    :meth:`SpanSink.span` hands one out as a context manager and the same
+    object is what the op's buffer, the node's flight ring and a kept
+    trace hold once the ``with`` block closes: there is no second
+    "finished" object. Ids are the sink's sequence numbers, rendered to
+    ``s%08d`` / ``t%06d`` strings by the ``span_id`` / ``parent_id`` /
+    ``trace_id`` properties only when somebody reads them (a root opened
+    with a ``rid`` carries that string as its trace id instead). ``args``
+    is the dict the caller handed over, shared rather than copied.
+
+    Roots (opened with no enclosing span) additionally carry the
+    attribution buckets and the sampling decision; the workload runner
+    reads ``duration_ns`` and ``components`` after the block closes and may
+    fold the op's pre-execution dispatch wait into the queue bucket via
+    :meth:`add_component`.
+
+    The constructor builds a record from explicit values (string ids);
+    equality and :meth:`to_dict` are over the ten record fields only.
     """
 
     __slots__ = (
-        "trace_id",
-        "span_id",
-        "parent_id",
+        "_sink",
+        "_trace",
+        "_span",
+        "_parent",
+        "_component",
         "category",
         "name",
         "node",
@@ -135,6 +163,9 @@ class SpanRecord:
         "duration_ns",
         "status",
         "args",
+        "components",
+        "head_kept",
+        "kept",
     )
 
     def __init__(
@@ -150,9 +181,9 @@ class SpanRecord:
         status: str = "ok",
         args: dict | None = None,
     ):
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
+        self._trace = trace_id
+        self._span = span_id
+        self._parent = parent_id
         self.category = category
         self.name = name
         self.node = node
@@ -160,114 +191,89 @@ class SpanRecord:
         self.duration_ns = duration_ns
         self.status = status
         self.args = {} if args is None else args
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not SpanRecord:
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    __hash__ = None  # value equality over a mutable ``args``
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in self.to_dict().items())
-        return f"SpanRecord({fields})"
-
-
-class FlightRecorder:
-    """Bounded ring of the most recent recorded events.
-
-    The post-mortem primitive of the spans plane (one ring per node):
-    appends past capacity evict the oldest event and bump ``dropped``, so a
-    dump always holds the events *leading up to* a failure rather than the
-    boot sequence, with truncation visible rather than silent.
-    """
-
-    __slots__ = ("_ring", "dropped")
-
-    def __init__(self, capacity: int = 512):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self._ring: deque = deque(maxlen=capacity)
-        self.dropped = 0
-
-    @property
-    def capacity(self) -> int:
-        return self._ring.maxlen
-
-    def record(self, event) -> None:
-        if len(self._ring) == self._ring.maxlen:
-            self.dropped += 1
-        self._ring.append(event)
-
-    def events(self) -> list:
-        return list(self._ring)
-
-    def oldest_start_ns(self) -> int:
-        return self._ring[0].start_ns if self._ring else 0
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def __iter__(self):
-        return iter(self._ring)
-
-
-class _OpenSpan:
-    """A span being measured; context manager handed out by ``span()``.
-
-    Roots (opened with an empty stack) additionally carry the attribution
-    buckets and the sampling decision. The object stays readable after the
-    ``with`` block closes — the workload runner reads ``duration_ns`` and
-    ``components`` and may fold the op's pre-execution dispatch wait into
-    the queue bucket via :meth:`add_component`.
-    """
-
-    __slots__ = (
-        "_sink",
-        "category",
-        "name",
-        "node",
-        "args",
-        "trace_id",
-        "span_id",
-        "parent_id",
-        "start_ns",
-        "duration_ns",
-        "status",
-        "is_root",
-        "components",
-        "head_kept",
-        "kept",
-    )
-
-    def __init__(self, sink, category, name, node, args):
-        self._sink = sink
-        self.category = category
-        self.name = name
-        self.node = node
-        self.args = args
-        self.trace_id = ""
-        self.span_id = ""
-        self.parent_id = None
-        self.start_ns = 0
-        self.duration_ns = 0
-        self.status = "ok"
-        self.is_root = False
-        self.components: dict | None = None
+        self.components = None
         self.head_kept = False
         self.kept = False
 
-    def __enter__(self) -> "_OpenSpan":
-        self._sink._open(self)
+    # -- ids, rendered on read -----------------------------------------------------
+
+    @property
+    def trace_id(self) -> str:
+        trace = self._trace
+        return trace if type(trace) is str else "t%06d" % trace
+
+    @property
+    def span_id(self) -> str:
+        span = self._span
+        return span if type(span) is str else "s%08d" % span
+
+    @property
+    def parent_id(self) -> str | None:
+        parent = self._parent
+        if parent is None or type(parent) is str:
+            return parent
+        return "s%08d" % parent
+
+    @property
+    def is_root(self) -> bool:
+        return self.components is not None
+
+    # -- measuring -----------------------------------------------------------------
+
+    def __enter__(self) -> "SpanRecord":
+        sink = self._sink
+        stack = sink._stack
+        self.start_ns = sink._clock._now_ns
+        self.duration_ns = 0
+        sink._span_seq = self._span = sink._span_seq + 1
+        if stack:
+            parent = stack[-1]
+            self._trace = parent._trace
+            self._parent = parent._span
+            # Own category if it pins a component, else whatever the
+            # enclosing span charges to: fixed here, so the clock listener
+            # never walks the stack.
+            self._component = CATEGORY_COMPONENTS.get(
+                self.category, parent._component
+            )
+        else:
+            args = self.args
+            rid = args["rid"] if "rid" in args else None
+            sink._trace_seq = seq = sink._trace_seq + 1
+            self._trace = str(rid) if rid else seq
+            self._parent = None
+            self._component = CATEGORY_COMPONENTS.get(self.category, "client")
+            self.components = sink._buckets = _ZERO_BUCKETS.copy()
+            self.head_kept = sink._head_all or (
+                sink._head_draw
+                and sink._rng.uniform(0.0, 1.0) < sink._config.sample_rate
+            )
+        stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        sink = self._sink
+        stack = sink._stack
+        if stack[-1] is not self:  # pragma: no cover - nesting bug tripwire
+            raise RuntimeError(
+                f"span nesting violated: closing {self.name!r} "
+                f"but {stack[-1].name!r} is innermost"
+            )
+        del stack[-1]
         if exc_type is not None and self.status == "ok":
             self.status = f"error:{exc_type.__name__}"
-        self._sink._close(self)
+        self.duration_ns = sink._clock._now_ns - self.start_ns
+        try:
+            recorder = sink._flight[self.node or "sim"]
+        except KeyError:  # the node's first span
+            recorder = sink._flight[self.node or "sim"] = FlightRecorder(
+                sink._config.flight_capacity
+            )
+        recorder.recorded += 1
+        recorder._ring.append(self)
+        sink._buffer.append(self)
+        if self.components is not None:
+            sink._close_root(self)
         return False
 
     def annotate(self, **args) -> None:
@@ -283,6 +289,80 @@ class _OpenSpan:
         self.components[component] = (
             self.components.get(component, 0) + int(delta_ns)
         )
+
+    # -- the record ----------------------------------------------------------------
+
+    def to_dict(self) -> dict:
+        return {
+            "trace_id": self.trace_id,
+            "span_id": self.span_id,
+            "parent_id": self.parent_id,
+            "category": self.category,
+            "name": self.name,
+            "node": self.node,
+            "start_ns": self.start_ns,
+            "duration_ns": self.duration_ns,
+            "status": self.status,
+            "args": self.args,
+        }
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SpanRecord:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    __hash__ = None  # value equality over a mutable ``args``
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.to_dict().items())
+        return f"SpanRecord({fields})"
+
+
+_new_span = SpanRecord.__new__
+
+
+class FlightRecorder:
+    """Bounded ring of the most recent recorded events.
+
+    The post-mortem primitive of the spans plane (one ring per node):
+    appends past capacity evict the oldest event and show up in
+    ``dropped``, so a dump always holds the events *leading up to* a
+    failure rather than the boot sequence, with truncation visible rather
+    than silent.
+    """
+
+    __slots__ = ("_ring", "recorded")
+
+    def __init__(self, capacity: int = 512):
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        self._ring: deque = deque(maxlen=capacity)
+        #: Events ever recorded; what the ring no longer holds was dropped.
+        self.recorded = 0
+
+    @property
+    def capacity(self) -> int:
+        return self._ring.maxlen
+
+    @property
+    def dropped(self) -> int:
+        return self.recorded - len(self._ring)
+
+    def record(self, event) -> None:
+        self.recorded += 1
+        self._ring.append(event)
+
+    def events(self) -> list:
+        return list(self._ring)
+
+    def oldest_start_ns(self) -> int:
+        return self._ring[0].start_ns if self._ring else 0
+
+    def __len__(self) -> int:
+        return len(self._ring)
+
+    def __iter__(self):
+        return iter(self._ring)
 
 
 class _NullSpan:
@@ -302,7 +382,7 @@ class _NullSpan:
 
     @property
     def components(self) -> dict:
-        return {c: 0 for c in BASE_COMPONENTS}
+        return _ZERO_BUCKETS.copy()
 
     def __enter__(self) -> "_NullSpan":
         return self
@@ -338,6 +418,25 @@ class _ComponentOverride:
         return False
 
 
+def _trace_view(spans: list) -> dict:
+    """One retained trace as plain data: its root's metadata (the root
+    closed last) over the span list itself."""
+    root = spans[-1]
+    return {
+        "trace_id": root.trace_id,
+        "name": root.name,
+        "category": root.category,
+        "node": root.node,
+        "start_ns": root.start_ns,
+        "duration_ns": root.duration_ns,
+        "status": root.status,
+        # By reference on purpose: the runner folds the op's
+        # pre-execution wait in after close.
+        "components_ns": root.components,
+        "spans": spans,
+    }
+
+
 class SpanSink:
     """The per-cluster span recorder, attribution engine, and exporter.
 
@@ -349,17 +448,30 @@ class SpanSink:
     def __init__(self, clock, rng=None, config: SpanConfig | None = None):
         self._clock = clock
         self._rng = rng
-        self._config = config or SpanConfig()
-        self._config.validate()
+        self._config = config = config or SpanConfig()
+        config.validate()
         #: When False, ``span()``/``component()`` hand out inert objects
         #: and nothing records — the runner parks the sink during preload.
         self.enabled = True
-        self._stack: list[_OpenSpan] = []
+        self._stack: list[SpanRecord] = []
         self._overrides: list[str] = []
+        #: The open root's buckets (None between roots): what the clock
+        #: listener charges.
+        self._buckets: dict | None = None
+        #: Spans closed under the open root so far, close order.
         self._buffer: list[SpanRecord] = []
-        self._traces: list[dict] = []
-        self._durations: list[int] = []
+        #: One span list per retained trace; its root closed last.
+        self._traces: list[list[SpanRecord]] = []
         self._flight: dict[str, FlightRecorder] = {}
+        # The head-sampling decision of a root: always, never, or a draw.
+        self._head_all = config.sample_rate >= 1.0
+        self._head_draw = 0.0 < config.sample_rate < 1.0 and rng is not None
+        # Every root duration seen, split at the tail percentile's order
+        # statistic: a max-heap (negated) of the smallest ``k + 1`` and a
+        # min-heap of the rest, so ``-_tail_low[0]`` is exactly what
+        # ``sorted(durations)[k]`` would be.
+        self._tail_low: list[int] = []
+        self._tail_high: list[int] = []
         self._trace_seq = 0
         self._span_seq = 0
         self.roots_total = 0
@@ -375,12 +487,35 @@ class SpanSink:
 
     # -- recording -----------------------------------------------------------------
 
-    def span(self, category: str, name: str, node: str = "", **args):
+    def span(
+        self,
+        category: str,
+        name: str,
+        node: str = "",
+        args: dict | None = None,
+        **more,
+    ):
         """Context manager measuring the enclosed simulated time as one
-        span; opened with no enclosing span it becomes a trace root."""
+        span; opened with no enclosing span it becomes a trace root. The
+        span's args are the keyword arguments, or *args* itself — a dict
+        the caller built for this span and gives away."""
         if not self.enabled:
             return _NULL_SPAN
-        return _OpenSpan(self, category, name, node, args)
+        if args is None:
+            args = more
+        elif more:
+            args.update(more)
+        # Ids, parent, component and timestamps are filled in on entry.
+        span = _new_span(SpanRecord)
+        span._sink = self
+        span.category = category
+        span.name = name
+        span.node = node
+        span.args = args
+        span.status = "ok"
+        span.components = None
+        span.head_kept = span.kept = False
+        return span
 
     def component(self, name: str):
         """Context manager overriding attribution of enclosed clock
@@ -393,134 +528,74 @@ class SpanSink:
         return _ComponentOverride(self, name)
 
     @property
+    def current_span(self) -> SpanRecord | None:
+        """Innermost open span — what a histogram bucket keeps as its
+        exemplar, unrendered, to link back to a concrete trace."""
+        return self._stack[-1] if self._stack else None
+
+    @property
     def current_span_id(self) -> str | None:
-        """Innermost open span's id — the exemplar a histogram bucket
-        links back to a concrete trace."""
+        """Innermost open span's id."""
         return self._stack[-1].span_id if self._stack else None
 
     def _on_advance(self, delta_ns: int) -> None:
-        stack = self._stack
-        if not stack:
+        buckets = self._buckets
+        if buckets is None:
             return
-        if self._overrides:
-            component = self._overrides[-1]
-        else:
-            component = "client"
-            for span in reversed(stack):
-                mapped = CATEGORY_COMPONENTS.get(span.category)
-                if mapped is not None:
-                    component = mapped
-                    break
-        buckets = stack[0].components
-        buckets[component] = buckets.get(component, 0) + delta_ns
-
-    def _open(self, span: _OpenSpan) -> None:
-        span.start_ns = self._clock.now_ns
-        self._span_seq += 1
-        span.span_id = f"s{self._span_seq:08d}"
-        if self._stack:
-            root = self._stack[0]
-            span.trace_id = root.trace_id
-            span.parent_id = self._stack[-1].span_id
-        else:
-            rid = span.args.get("rid")
-            self._trace_seq += 1
-            span.trace_id = str(rid) if rid else f"t{self._trace_seq:06d}"
-            span.is_root = True
-            span.components = {c: 0 for c in BASE_COMPONENTS}
-            span.head_kept = self._head_sample()
-            self._buffer = []
-        self._stack.append(span)
-
-    def _close(self, span: _OpenSpan) -> None:
-        popped = self._stack.pop()
-        if popped is not span:  # pragma: no cover - nesting bug tripwire
-            raise RuntimeError(
-                f"span nesting violated: closing {span.name!r} "
-                f"but {popped.name!r} is innermost"
-            )
-        span.duration_ns = self._clock.now_ns - span.start_ns
-        record = SpanRecord(
-            span.trace_id,
-            span.span_id,
-            span.parent_id,
-            span.category,
-            span.name,
-            span.node,
-            span.start_ns,
-            span.duration_ns,
-            span.status,
-            span.args,
-        )
-        node = record.node or "sim"
-        recorder = self._flight.get(node)
-        if recorder is None:
-            recorder = self._flight[node] = FlightRecorder(
-                self._config.flight_capacity
-            )
-        recorder.record(record)
-        self._buffer.append(record)
-        if span.is_root:
-            self._close_root(span)
-
-    def _head_sample(self) -> bool:
-        rate = self._config.sample_rate
-        if rate >= 1.0:
-            return True
-        if rate <= 0.0 or self._rng is None:
-            return False
-        return self._rng.uniform(0.0, 1.0) < rate
+        overrides = self._overrides
+        component = overrides[-1] if overrides else self._stack[-1]._component
+        try:
+            buckets[component] += delta_ns
+        except KeyError:  # "pipeline" materializes on first charge
+            buckets[component] = delta_ns
 
     def _tail_slow(self, duration_ns: int) -> bool:
-        """Is this root in the slowest ``1 - tail_percentile`` of all root
-        durations observed so far (itself included)? Exact, not an
-        estimate — durations are kept sorted, so the answer is the same on
-        every replay."""
+        """File the ``roots_total``-th root duration and answer: is it in
+        the slowest ``1 - tail_percentile`` of all root durations observed
+        so far (itself included)? Exact, not an estimate — the threshold
+        is the order statistic at index ``int(pct * (n - 1))``, so the
+        answer is the same on every replay."""
         pct = self._config.tail_percentile
         if pct <= 0.0:
             return True
-        durations = self._durations
-        threshold = durations[int(pct * (len(durations) - 1))]
-        return duration_ns >= threshold
+        low, high = self._tail_low, self._tail_high
+        grow = len(low) <= int(pct * (self.roots_total - 1))
+        if high and duration_ns > high[0]:
+            if grow:
+                heappush(low, -heappushpop(high, duration_ns))
+            else:
+                heappush(high, duration_ns)
+        elif grow:
+            heappush(low, -duration_ns)
+        else:
+            heappush(high, -heappushpop(low, -duration_ns))
+        return duration_ns >= -low[0]
 
-    def _close_root(self, span: _OpenSpan) -> None:
+    def _close_root(self, root: SpanRecord) -> None:
+        self._buckets = None
         self.roots_total += 1
-        insort(self._durations, span.duration_ns)
-        error = span.status != "ok"
-        if span.head_kept:
+        slow = self._tail_slow(root.duration_ns)
+        buffer = self._buffer
+        if root.head_kept:
             self.kept_head += 1
-            span.kept = True
-        elif error or self._tail_slow(span.duration_ns):
+        elif slow or root.status != "ok":
             self.kept_tail += 1
-            span.kept = True
         else:
             self.discarded += 1
-        if span.kept:
-            if len(self._traces) < self._config.max_traces:
-                self._traces.append(
-                    {
-                        "trace_id": span.trace_id,
-                        "name": span.name,
-                        "category": span.category,
-                        "node": span.node,
-                        "start_ns": span.start_ns,
-                        "duration_ns": span.duration_ns,
-                        "status": span.status,
-                        # By reference on purpose: the runner folds the
-                        # op's pre-execution wait in after close.
-                        "components_ns": span.components,
-                        "spans": self._buffer,
-                    }
-                )
-            else:
-                self.traces_overflowed += 1
+            del buffer[:]
+            return
+        root.kept = True
+        if len(self._traces) < self._config.max_traces:
+            self._traces.append(buffer)
+        else:
+            self.traces_overflowed += 1
         self._buffer = []
 
     # -- introspection --------------------------------------------------------------
 
     def traces(self) -> list[dict]:
         """Retained traces (root metadata + finished spans, close order)."""
-        return list(self._traces)
+        return [_trace_view(spans) for spans in self._traces]
 
     def flight_recorder(self, node: str) -> FlightRecorder | None:
         return self._flight.get(node)
@@ -543,8 +618,8 @@ class SpanSink:
         events, microsecond timestamps, one pid per node), loadable in
         Perfetto."""
         events = []
-        for trace in self._traces:
-            for span in trace["spans"]:
+        for spans in self._traces:
+            for span in spans:
                 args = dict(span.args)
                 args["trace_id"] = span.trace_id
                 args["span_id"] = span.span_id
@@ -578,17 +653,11 @@ class SpanSink:
             "sampling": self.sampling_stats(),
             "traces": [
                 {
-                    "trace_id": trace["trace_id"],
-                    "name": trace["name"],
-                    "category": trace["category"],
-                    "node": trace["node"],
-                    "start_ns": trace["start_ns"],
-                    "duration_ns": trace["duration_ns"],
-                    "status": trace["status"],
-                    "components_ns": dict(trace["components_ns"]),
-                    "spans": [record.to_dict() for record in trace["spans"]],
+                    **_trace_view(spans),
+                    "components_ns": dict(spans[-1].components),
+                    "spans": [record.to_dict() for record in spans],
                 }
-                for trace in self._traces
+                for spans in self._traces
             ],
         }
 

@@ -78,6 +78,8 @@ class Channel:
         self._config = config
         self._rng = rng.spawn("rpc", local_host, server.host)
         self._spans = spans
+        # The node label every rpc span on this channel carries, built once.
+        self._span_node = f"{local_host}->{server.host}"
         self._breaker = breaker
         self._chaos = chaos
         self._correlation = correlation
@@ -244,12 +246,7 @@ class Channel:
         start_ns = self._clock.now_ns if track else 0
         try:
             if self._spans is not None:
-                with self._spans.span(
-                    "rpc",
-                    f"{service}.{method}",
-                    node=f"{self._local_host}->{self._server.host}",
-                    **self._span_args(),
-                ):
+                with self._rpc_span(service, method):
                     response = self._unary_call_inner(
                         service, method, request, deadline
                     )
@@ -268,9 +265,15 @@ class Channel:
         self._breaker_record(None)
         return response
 
-    def _span_args(self) -> dict:
+    def _rpc_span(self, service: str, method: str):
+        """The ``rpc`` span of one call (only with a sink attached)."""
         rid = self._correlation.current if self._correlation is not None else None
-        return {} if rid is None else {"rid": rid}
+        return self._spans.span(
+            "rpc",
+            self._server._method_name(service, method),
+            self._span_node,
+            {} if rid is None else {"rid": rid},
+        )
 
     def _charge_retry(
         self, cost_ns: float, start_ns: int, deadline_ns: float | None
@@ -289,9 +292,7 @@ class Channel:
             self._latency.labels(peer=self._server.host, method=method).observe(
                 self._clock.now_ns - start_ns,
                 exemplar=(
-                    self._spans.current_span_id
-                    if self._spans is not None
-                    else None
+                    self._spans.current_span if self._spans is not None else None
                 ),
             )
 
@@ -469,12 +470,7 @@ class Channel:
         start_ns = self._clock.now_ns if self._latency is not None else 0
         try:
             if self._spans is not None:
-                with self._spans.span(
-                    "rpc",
-                    f"{service}.{method}",
-                    node=f"{self._local_host}->{self._server.host}",
-                    **self._span_args(),
-                ):
+                with self._rpc_span(service, method):
                     responses = self._stream_call_inner(
                         service, method, requests, deadline
                     )

@@ -48,6 +48,7 @@ class RpcServer:
         self.spans = None
         self.clock = None
         self._latency = None
+        self._method_names: dict[tuple[str, str], str] = {}
         # Opt-in admission control (repro.rpc.overload), set by the cluster
         # builder. None (or an inactive model) keeps the legacy
         # infinite-capacity dispatch.
@@ -182,6 +183,16 @@ class RpcServer:
             return StatusCode.INTERNAL, b"", f"unserialisable response: {exc}"
         return status, wire, detail
 
+    def _method_name(self, service: str, method: str) -> str:
+        """``service.method`` — one string per pair, shared by every span
+        name and latency label of that method on this server and on the
+        channels that call it."""
+        try:
+            return self._method_names[service, method]
+        except KeyError:
+            name = self._method_names[service, method] = f"{service}.{method}"
+            return name
+
     def _dispatch_observed(
         self,
         service: str,
@@ -192,22 +203,28 @@ class RpcServer:
         """Dispatch wrapped in a server-side span and handler-latency
         observation. Lives outside :meth:`dispatch` so subclasses and test
         fakes overriding ``dispatch`` keep the plain 3-argument seam."""
-        start_ns = self.clock.now_ns if self.clock is not None else 0
-        args = {}
-        if correlation_id is not None:
-            args["rid"] = correlation_id
+        latency = self._latency if self.clock is not None else None
+        start_ns = self.clock.now_ns if latency is not None else 0
+        name = self._method_name(service, method)
         exemplar = None
         try:
-            if self.spans is not None:
-                with self.spans.span(
-                    "rpc.server", f"{service}.{method}", node=self._host, **args
-                ) as sp:
-                    exemplar = sp.span_id
+            spans = self.spans
+            if spans is not None:
+                with spans.span(
+                    "rpc.server",
+                    name,
+                    self._host,
+                    {} if correlation_id is None else {"rid": correlation_id},
+                ):
+                    if latency is not None:
+                        # The dispatch span itself (None while the sink
+                        # is parked), kept unrendered.
+                        exemplar = spans.current_span
                     return self.dispatch(service, method, request)
             return self.dispatch(service, method, request)
         finally:
-            if self._latency is not None and self.clock is not None:
-                self._latency.labels(method=f"{service}.{method}").observe(
+            if latency is not None:
+                latency.labels(method=name).observe(
                     self.clock.now_ns - start_ns, exemplar=exemplar
                 )
 

@@ -37,6 +37,7 @@ class OpenCapiLink:
         self._ends = frozenset((node_a, node_b))
         self._node_a = node_a
         self._node_b = node_b
+        self._link_name = f"{self._node_a}<->{self._node_b}"
         self._clock = clock
         self._config = config
         link_rng = rng.spawn("link", *sorted(self._ends))
@@ -73,7 +74,7 @@ class OpenCapiLink:
 
     @property
     def link_name(self) -> str:
-        return f"{self._node_a}<->{self._node_b}"
+        return self._link_name
 
     def attach_metrics(self, registry) -> None:
         """Bind byte/op counters and per-transfer latency histograms."""
@@ -153,7 +154,7 @@ class OpenCapiLink:
         rid = self.correlation.current if self.correlation else None
         if rid is not None:
             args["rid"] = rid
-        with self.spans.span("fabric", op, node=self.link_name, **args):
+        with self.spans.span("fabric", op, self._link_name, args):
             return inner(nbytes)
 
     def _charge_stream_read(self, nbytes: int) -> float:

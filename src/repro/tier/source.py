@@ -31,7 +31,7 @@ def _charge_hit(store, agent, link, size: int, header_size: int) -> None:
     cost_ns = agent.hit_cost.cost_ns(size)
     spans = store.spans
     if spans is not None:
-        with spans.span("cache", "hit", node=store.node, nbytes=size):
+        with spans.span("cache", "hit", store.node, {"nbytes": size}):
             store.clock.advance(cost_ns)
     else:
         store.clock.advance(cost_ns)

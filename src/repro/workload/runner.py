@@ -243,7 +243,14 @@ class ScenarioRunner:
             "Payload bytes moved by tenant and direction",
             labels=("tenant", "direction"),
         )
+        # (tenant, kind, outcome) -> the counter child, histogram child and
+        # per-kind distribution one completed op lands in.
+        self._complete_cells: dict[tuple[str, str, str], tuple] = {}
+        # (kind, tenant) -> [ops, observed ns, component -> ns]: raw sums,
+        # folded into the result's two attribution tables when the run ends.
+        self._attribution: dict[tuple[str, str], list] = {}
         self.cluster: Cluster | None = None
+        self._clock = None  # the cluster's SimClock, once run() built it
         self._spans = None
         self._slots: dict[int, _Slot] = {}
         self._next_oid = 0
@@ -553,7 +560,7 @@ class ScenarioRunner:
         with per-task attribution in place of the root span."""
         if not self._ingress(op, issue_ns):
             return
-        attr = TaskAttribution(self.cluster.clock, issue_ns)
+        attr = TaskAttribution(self._clock, issue_ns)
         # Between the op's scheduled arrival and the task actually starting
         # the loop may have been busy with other ops: that is queueing.
         attr.settle("queue")
@@ -575,7 +582,7 @@ class ScenarioRunner:
         (``burst_backlog_ms`` of queued work each ``burst_period_s``)."""
         if self._burst_model is None:
             return
-        while self.cluster.clock.now_ns >= self._next_burst_ns:
+        while self._clock.now_ns >= self._next_burst_ns:
             self._burst_model.add_backlog(self._burst_backlog_ns)
             self._next_burst_ns += self._burst_period_ns
 
@@ -584,13 +591,13 @@ class ScenarioRunner:
         if spans is None:
             self._execute_inner(op, issue_ns)
             return
-        clock = self.cluster.clock
+        clock = self._clock
         # The op's deadline (and observed latency) is anchored at its
         # scheduled arrival; by the time _execute runs, the clock may be
         # past it — that pre-dispatch backlog wait is queueing delay.
         wait = clock.now_ns - issue_ns
         with spans.span(
-            "op", op.kind, node="workload", tenant=op.tenant, slot=op.slot
+            "op", op.kind, "workload", {"tenant": op.tenant, "slot": op.slot}
         ) as sp:
             latency = self._execute_inner(op, issue_ns)
         if latency is None:
@@ -605,8 +612,28 @@ class ScenarioRunner:
         self._accumulate_attribution(op, latency, components)
 
     def _accumulate_attribution(
-        self, op: WorkloadOp, observed, components: dict
+        self, op: WorkloadOp, observed: int, components: dict
     ) -> None:
+        """Add one measured op's latency decomposition to its (kind,
+        tenant) pair's running sums — integers, so the order they are
+        folded in (:meth:`_fold_attribution`) cannot matter."""
+        try:
+            acc = self._attribution[op.kind, op.tenant]
+        except KeyError:  # the pair's first op
+            acc = self._attribution[op.kind, op.tenant] = [0, 0, {}]
+        acc[0] += 1
+        acc[1] += observed
+        sums = acc[2]
+        for component, value in components.items():
+            if value:
+                try:
+                    sums[component] += value
+                except KeyError:
+                    sums[component] = value
+
+    def _fold_attribution(self) -> None:
+        """The per-kind and per-tenant attribution tables out of the
+        per-pair sums."""
         result = self.result
         # Without a tiering block the "cache" component cannot acquire time
         # (no tier agent exists), so the report keeps emitting exactly the
@@ -617,29 +644,29 @@ class ScenarioRunner:
             if self.scenario.tiering is not None
             else LEGACY_COMPONENTS
         )
-        for key, table in (
-            (op.kind, result.attribution_by_kind),
-            (op.tenant, result.attribution_by_tenant),
-        ):
-            slot = table.get(key)
-            if slot is None:
-                slot = table[key] = {
-                    "ops": 0,
-                    "observed_ns": 0,
-                    "components_ns": {c: 0 for c in known},
-                }
-            slot["ops"] += 1
-            slot["observed_ns"] += observed
-            bucket = slot["components_ns"]
-            for component, value in components.items():
-                if component in bucket or value:
+        for (kind, tenant), (ops, observed, sums) in self._attribution.items():
+            for key, table in (
+                (kind, result.attribution_by_kind),
+                (tenant, result.attribution_by_tenant),
+            ):
+                slot = table.get(key)
+                if slot is None:
+                    slot = table[key] = {
+                        "ops": 0,
+                        "observed_ns": 0,
+                        "components_ns": dict.fromkeys(known, 0),
+                    }
+                slot["ops"] += ops
+                slot["observed_ns"] += observed
+                bucket = slot["components_ns"]
+                for component, value in sums.items():
                     bucket[component] = bucket.get(component, 0) + value
 
     def _ingress(self, op: WorkloadOp, issue_ns: int) -> bool:
         """The ingress every op passes first: due bursts, the expired-
         ingress shed, tenant admission. False when the op ends here (its
         outcome is already tallied and no latency is measured)."""
-        clock = self.cluster.clock
+        clock = self._clock
         result = self.result
         self._maybe_burst()
         if (
@@ -679,7 +706,7 @@ class ScenarioRunner:
     def _complete(self, op: WorkloadOp, issue_ns: int, outcome: str) -> int:
         """Tally one executed op's outcome; returns its latency (ns)."""
         result = self.result
-        latency = self.cluster.clock.now_ns - issue_ns
+        latency = self._clock.now_ns - issue_ns
         result.executed_ops += 1
         if outcome == "ok" and (
             result.op_deadline_ns <= 0 or latency <= result.op_deadline_ns
@@ -687,9 +714,23 @@ class ScenarioRunner:
             result.in_deadline_ops += 1
         result.outcomes[outcome] = result.outcomes.get(outcome, 0) + 1
         result.latency_overall.add(latency)
-        result.latency_by_kind.setdefault(op.kind, Distribution()).add(latency)
-        self._m_ops.labels(tenant=op.tenant, kind=op.kind, outcome=outcome).inc()
-        self._m_latency.labels(tenant=op.tenant, kind=op.kind).observe(latency)
+        key = (op.tenant, op.kind, outcome)
+        cells = self._complete_cells.get(key)
+        if cells is None:
+            by_kind = result.latency_by_kind.get(op.kind)
+            if by_kind is None:
+                by_kind = result.latency_by_kind[op.kind] = Distribution()
+            cells = self._complete_cells[key] = (
+                self._m_ops.labels(
+                    tenant=op.tenant, kind=op.kind, outcome=outcome
+                ),
+                self._m_latency.labels(tenant=op.tenant, kind=op.kind),
+                by_kind,
+            )
+        ops_total, latency_ns, by_kind = cells
+        ops_total.inc()
+        latency_ns.observe(latency)
+        by_kind.add(latency)
         return latency
 
     def _execute_inner(self, op: WorkloadOp, issue_ns: int):
@@ -823,6 +864,7 @@ class ScenarioRunner:
                 and scenario.overload.op_deadline_ms > 0
             )
         self.cluster = self._build_cluster()
+        self._clock = self.cluster.clock
         if scenario.tiering is not None:
             self.result.tiering_enabled = True
             self._tier_engine = self.cluster.tier_engine
@@ -902,6 +944,7 @@ class ScenarioRunner:
                 )
 
         self.result.duration_ns = clock.now_ns - t0
+        self._fold_attribution()
         self.result.admission = self.admission.snapshot()
         if self.result.overload_enabled:
             self._collect_overload()

@@ -1,6 +1,7 @@
 """`python -m repro trace` and the `metrics --out` file path."""
 
 import json
+from pathlib import Path
 
 from repro.cli import main
 
@@ -49,6 +50,17 @@ class TestTraceCommand:
             ]) == 0
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_checked_in_demo_artifacts_are_current(self, tmp_path):
+        """``TRACE_demo.json`` and its snapshot at the repo root are what
+        the default command writes, byte for byte (CI ``cmp``s the same
+        pair): a change to the span plane that moves an exported byte has
+        to regenerate them on purpose."""
+        root = Path(__file__).resolve().parents[2]
+        out, snap = tmp_path / "trace.json", tmp_path / "snap.json"
+        assert main(["trace", "--out", str(out), "--snapshot", str(snap)]) == 0
+        assert out.read_bytes() == (root / "TRACE_demo.json").read_bytes()
+        assert snap.read_bytes() == (root / "TRACE_demo_snapshot.json").read_bytes()
 
     def test_sample_rate_zero_still_exact(self, tmp_path, capsys):
         rc = main([

@@ -135,3 +135,39 @@ class TestDegradedRouting:
         assert cluster.store("node0").placement_home(
             cluster.new_object_id()
         ) is None
+
+
+class TestForwardedPutIntoCachedRange:
+    """The home CPU had the extent's bytes in its cache (it read the
+    previous tenant); the creator's fabric write must not leave — or
+    bother snapshotting — stale lines the seal would discard anyway."""
+
+    def test_no_stale_snapshot_and_sealed_crc_matches(self, pcluster):
+        from repro.common.checksum import crc32c
+
+        ring = pcluster.placement_ring()
+        first, second = [
+            o for o in pcluster.new_object_ids(64) if ring.home(o) == "node1"
+        ][:2]
+        creator = pcluster.client("node0")
+        home_client = pcluster.client("node1")
+        home = pcluster.store("node1")
+        endpoint = pcluster.node("node1").endpoint
+
+        old = b"\xaa" * len(PAYLOAD)
+        creator.put_bytes(first, old)
+        with home.table.lock:
+            extent = home.table.lookup(first).allocation.offset
+        # The home reads it: the payload range is now resident in its cache.
+        assert bytes(home_client.get_bytes(first)) == old
+        home.delete_object(first)
+
+        creator.put_bytes(second, PAYLOAD)
+        with home.table.lock:
+            entry = home.table.lookup(second)
+        assert entry.allocation.offset == extent, "the extent must be reused"
+        assert endpoint.counters.get("stale_bytes_created") == 0
+        assert endpoint.cache.stale_ranges == 0
+        assert entry.is_sealed and entry.payload_crc == crc32c(PAYLOAD)
+        # And the home CPU observes the creator's bytes, not the old tenant's.
+        assert bytes(home_client.get_bytes(second)) == PAYLOAD
