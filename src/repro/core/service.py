@@ -15,7 +15,9 @@ Methods:
   one of our objects, pinning it against eviction.
 * ``NotifyDeleted`` — home-store push used to invalidate peers' lookup
   caches (paper future work: caching "could result in corrupted object
-  buffers if not handled carefully" — this is the careful handling).
+  buffers if not handled carefully" — this is the careful handling). One
+  message per peer carries a whole eviction round; a replica holder hears
+  ``DropReplica`` instead, which implies the same invalidation.
 
 Every handler runs under the store's object-table mutex, modelling the
 paper's gRPC-server-thread / main-thread contention point.
@@ -146,10 +148,12 @@ class StoreService(Service):
 
     @rpc_method
     def DropReplica(self, request: dict) -> dict:
-        """The home store deleted an object we hold a replica of; drop our
-        copy if it is idle (best effort — an in-use replica survives until
-        released)."""
+        """The home store deleted an object we hold a replica of: forget
+        what we cached about it (the caller sends a holder no separate
+        NotifyDeleted), then drop our copy if it is idle (best effort — an
+        in-use replica survives until released)."""
         object_ids = self._ids_from(request)
+        self._store.invalidate_cached_lookups(object_ids)
         dropped = self._store.drop_replicas(object_ids)
         return {"dropped": dropped}
 

@@ -594,7 +594,7 @@ class DisaggregatedStore(PlasmaStore):
         self._deferred_retires.discard(object_id)
         self._replicated_to.pop(object_id, None)
         self._retract_from_directory(object_id)
-        self._broadcast_deleted(object_id)
+        self._announce_deleted([object_id], *self._deletion_plan())
         self._notify(SealNotification(object_id, entry.data_size, deleted=True))
         self.counters.inc("objects_migrated_out")
         self.counters.inc("bytes_migrated_out", entry.data_size)
@@ -1178,9 +1178,10 @@ class DisaggregatedStore(PlasmaStore):
     # loop; the synchronous facades hand it to _drive(), which spawns it on
     # the loop in async mode and otherwise runs it inline with blocking
     # leaves. What still exists twice are those leaves — the ordered lookup
-    # sweep vs scatter-gather, sequential vs gathered pin/broadcast/drop
-    # fan-out, stub call vs unary task — because the two channels charge
-    # time differently (docs/architecture.md, "Async RPC core").
+    # sweep vs scatter-gather, sequential vs gathered pin and deletion
+    # fan-out (one message plan, _deletion_plan, sent two ways), stub call
+    # vs unary task — because the two channels charge time differently
+    # (docs/architecture.md, "Async RPC core").
 
     def attach_aio(self, loop, *, async_mode: bool = False) -> None:
         """Wire the cluster-wide event loop; *async_mode* makes the sync
@@ -1420,38 +1421,56 @@ class DisaggregatedStore(PlasmaStore):
         self, object_id: ObjectID, attr=None, blocking: bool = False
     ):
         """The one body of :meth:`delete_object`: the local unlink is
-        instant; the NotifyDeleted fan-out and replica drops run peer by
-        peer (*blocking*) or concurrently."""
+        instant; then every peer hears once — ``DropReplica`` if it holds a
+        copy, ``NotifyDeleted`` otherwise — peer by peer (*blocking*) or as
+        one gather."""
         PlasmaStore.delete_object(self, object_id)
         self._retract_from_directory(object_id)
+        notify, drop = self._deletion_plan(self._pop_replica_holders(object_id))
         if blocking:
-            self._broadcast_deleted(object_id)
-            self._drop_remote_replicas(object_id)
+            self._announce_deleted([object_id], notify, drop)
         else:
-            yield from self._broadcast_deleted_task(object_id, attr)
-            yield from self._drop_remote_replicas_task(object_id, attr)
+            yield from self._announce_deleted_task([object_id], notify, drop, attr)
         self._replicas_of.pop(object_id, None)
 
-    def _broadcast_deleted_task(self, object_id: ObjectID, attr=None):
-        """Concurrent batched NotifyDeleted to every peer (task form of
-        `_broadcast_deleted`, same unavailable-peer tolerance)."""
-        if not self._notify_deletions:
-            return
-        wire_id = object_id.binary()
-        names = self.peers()
-        results = yield self._aio_loop.gather(
-            [
-                self._peer_channel(name).batched_call(
+    def _announce_deleted_task(
+        self,
+        object_ids: list[ObjectID],
+        notify: list[str],
+        drop: list[str],
+        attr=None,
+    ):
+        """Task form of `_announce_deleted`, same unavailable-peer
+        tolerance: the whole plan is ONE gather — a batched NotifyDeleted
+        per *notify* peer and (DropReplica is not batchable) one pipelined
+        unary per *drop* peer."""
+        loop = self._aio_loop
+        wire_ids = [oid.binary() for oid in object_ids]
+        calls = [
+            self._peer_channel(name).batched_call(
+                self._peers[name].stub.service,
+                "NotifyDeleted",
+                wire_ids,
+                attr=attr,
+            )
+            for name in notify
+        ]
+        calls += [
+            loop.spawn(
+                self._peer_channel(name).unary_task(
                     self._peers[name].stub.service,
-                    "NotifyDeleted",
-                    [wire_id],
+                    "DropReplica",
+                    {"object_ids": wire_ids},
                     attr=attr,
-                )
-                for name in names
-            ]
-        )
-        self._raise_unless_unavailable(names, results)
-        self.counters.inc("delete_notifications")
+                ),
+                name=("drop-replica", name),
+            )
+            for name in drop
+        ]
+        results = yield loop.gather(calls)
+        self._raise_unless_unavailable(notify + drop, results)
+        if self._notify_deletions:
+            self.counters.inc("delete_notifications", len(object_ids))
 
     def _raise_unless_unavailable(self, names: list[str], results: list) -> None:
         """Gathered fan-out results, peer by peer: an unreachable peer is
@@ -1463,31 +1482,6 @@ class DisaggregatedStore(PlasmaStore):
                 raise result
             if isinstance(result, BaseException):
                 raise result
-
-    def _drop_remote_replicas_task(self, object_id: ObjectID, attr=None):
-        """Concurrent DropReplica to every recorded holder (task form of
-        `_drop_remote_replicas`; DropReplica is not batchable — one pipelined
-        unary per holder)."""
-        names = self._pop_replica_holders(object_id)
-        if not names:
-            return
-        loop = self._aio_loop
-        payload = {"object_ids": [object_id.binary()]}
-        results = yield loop.gather(
-            [
-                loop.spawn(
-                    self._peer_channel(name).unary_task(
-                        self._peers[name].stub.service,
-                        "DropReplica",
-                        payload,
-                        attr=attr,
-                    ),
-                    name=("drop-replica", name),
-                )
-                for name in names
-            ]
-        )
-        self._raise_unless_unavailable(names, results)
 
     # -- replication for failover reads (degraded-mode extension) ------------------------------
 
@@ -1615,19 +1609,6 @@ class DisaggregatedStore(PlasmaStore):
             if name in self._peers
         ]
 
-    def _drop_remote_replicas(self, object_id: ObjectID) -> None:
-        holders = self._pop_replica_holders(object_id)
-        if not holders:
-            return
-        payload = {"object_ids": [object_id.binary()]}
-        for name in holders:
-            try:
-                self._peers[name].stub.DropReplica(payload)
-            except RpcStatusError as exc:
-                if self._peer_unavailable(name, exc):
-                    continue
-                raise
-
     # -- integrity: quarantine/repair with directory upkeep ------------------------------------
 
     def quarantine_object(self, object_id: ObjectID) -> ObjectEntry:
@@ -1635,7 +1616,7 @@ class DisaggregatedStore(PlasmaStore):
         peers (directory retraction + cache invalidation push)."""
         entry = super().quarantine_object(object_id)
         self._retract_from_directory(object_id)
-        self._broadcast_deleted(object_id)
+        self._announce_deleted([object_id], *self._deletion_plan())
         return entry
 
     def repair_object(self, object_id: ObjectID, data) -> ObjectEntry:
@@ -1685,18 +1666,37 @@ class DisaggregatedStore(PlasmaStore):
 
     # -- deletion/eviction notifications (cache invalidation) ------------------------------------
 
-    def _broadcast_deleted(self, object_id: ObjectID) -> None:
+    def _deletion_plan(self, holders=()) -> tuple[list[str], list[str]]:
+        """Who is told that objects left this store, and with which message
+        — the one plan both drivers send. Recorded replica *holders* get
+        ``DropReplica``, whose handler invalidates before it drops, so a
+        holder never hears twice; every other peer gets ``NotifyDeleted``
+        (nobody, with deletion pushes off)."""
+        drop = list(holders)
         if not self._notify_deletions:
-            return
-        payload = {"object_ids": [object_id.binary()]}
-        for name in self.peers():
-            try:
-                self._peers[name].stub.NotifyDeleted(payload)
-            except RpcStatusError as exc:
-                if self._peer_unavailable(name, exc):
-                    continue
-                raise
-        self.counters.inc("delete_notifications")
+            return [], drop
+        notify = self.peers()
+        if drop:
+            notify = [name for name in notify if name not in drop]
+        return notify, drop
+
+    def _announce_deleted(
+        self, object_ids: list[ObjectID], notify: list[str], drop: list[str]
+    ) -> None:
+        """One message per peer for the whole list of *object_ids*, peer by
+        peer: ``NotifyDeleted`` to *notify*, ``DropReplica`` to *drop*. An
+        unreachable peer is tolerated (and counted): its stale descriptors
+        fail the generation check on their next fabric read."""
+        payload = {"object_ids": [oid.binary() for oid in object_ids]}
+        for method, names in (("NotifyDeleted", notify), ("DropReplica", drop)):
+            for name in names:
+                try:
+                    getattr(self._peers[name].stub, method)(payload)
+                except RpcStatusError as exc:
+                    if not self._peer_unavailable(name, exc):
+                        raise
+        if self._notify_deletions:
+            self.counters.inc("delete_notifications", len(object_ids))
 
     def delete_object(self, object_id: ObjectID) -> None:
         self._drive(self.delete_object_task, object_id)
@@ -1704,7 +1704,14 @@ class DisaggregatedStore(PlasmaStore):
     def _evict_entry(self, entry: ObjectEntry) -> None:
         super()._evict_entry(entry)
         self._retract_from_directory(entry.object_id)
-        self._broadcast_deleted(entry.object_id)
+
+    def _announce_evicted(self, victims: list[ObjectEntry]) -> None:
+        """One NotifyDeleted per peer for the whole round: every reachable
+        peer has dropped its cached descriptors and tier-cache payloads
+        before any victim's extent can be re-sealed."""
+        self._announce_deleted(
+            [victim.object_id for victim in victims], *self._deletion_plan()
+        )
 
     # -- remote subscriptions (cross-node notification relay) ----------------------------
 

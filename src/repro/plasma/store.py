@@ -330,16 +330,21 @@ class PlasmaStore:
             return self._allocator.allocate(data_size)
         except OutOfMemoryError:
             pass
-        # Memory pressure: evict a batch of LRU sealed unused objects.
+        # Memory pressure: evict a batch of LRU sealed unused objects. If
+        # the request still does not fit (all remaining objects in use, or
+        # fragmentation) the retry's OutOfMemoryError goes to the caller.
         decision = self._eviction.plan(self._table, required_bytes=data_size)
-        for victim in decision.victims:
+        self._evict_round(decision.victims)
+        return self._allocator.allocate(data_size)
+
+    def _evict_round(self, victims: list[ObjectEntry]) -> None:
+        """Evict one planned round, then announce it once — after the last
+        victim is retired and freed, before anything is allocated into the
+        space."""
+        for victim in victims:
             self._evict_entry(victim)
-        try:
-            return self._allocator.allocate(data_size)
-        except OutOfMemoryError:
-            # Even after eviction the request does not fit (all remaining
-            # objects in use, or fragmentation).
-            raise
+        if victims:
+            self._announce_evicted(victims)
 
     def _evict_entry(self, entry: ObjectEntry) -> None:
         self._table.remove(entry.object_id)
@@ -350,6 +355,11 @@ class PlasmaStore:
         self._notify(
             SealNotification(entry.object_id, entry.data_size, deleted=True)
         )
+
+    def _announce_evicted(self, victims: list[ObjectEntry]) -> None:
+        """Hook: a whole eviction round has left this store. Local
+        subscribers heard per victim already; the distributed store tells
+        its peers here, once per round."""
 
     def seal_object(self, object_id: ObjectID) -> ObjectEntry:
         """Make the object immutable and announce it."""
@@ -398,8 +408,7 @@ class PlasmaStore:
         """Force-evict at least *nbytes* if possible; returns freed bytes."""
         with self._table.lock:
             decision = self._eviction.plan(self._table, required_bytes=nbytes)
-            for victim in decision.victims:
-                self._evict_entry(victim)
+            self._evict_round(decision.victims)
             return decision.freed_bytes
 
     # -- lookups ---------------------------------------------------------------------

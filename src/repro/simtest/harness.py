@@ -62,8 +62,9 @@ from repro.simtest.ops import Op
 from repro.simtest.workload import SEED_NODES, generate_ops
 from repro.workload.admission import AdmissionController, TenantQuota
 
-#: Per-node region size. Large enough that the workload never triggers
-#: eviction (which would invalidate the oracle's LIVE bookkeeping).
+#: Per-node region size. Large enough that the *generated* workload never
+#: triggers eviction; a hand-written trace can, with puts of hundreds of
+#: KiB (see ``_note_evictions`` for what the oracle then stops expecting).
 CAPACITY_BYTES = 8 * MiB
 
 #: Structural (allocator/table/at-rest-bytes) checks run every N ops.
@@ -152,6 +153,8 @@ class SimulationRunner:
         self._degraded: set[tuple[str, str]] = set()
         self._blackhole_until = 0
         self._epochs: dict[str, int] = {}
+        # node -> its store's objects_evicted count as of the last op.
+        self._evictions_seen: dict[str, int] = {}
         self._clients: dict[str, object] = {}
         # Admission-control state fuzzed alongside the cluster: set_quota
         # installs byte quotas, tenant_put routes through admit() first.
@@ -213,6 +216,7 @@ class SimulationRunner:
                     # loop never stops between requests.
                     self.cluster.loop.drain()
                 self.steps.append(f"{index:04d} {op.format()} -> {outcome}")
+                self._note_evictions()
                 self._check_epochs()
                 if not self.violations and (index + 1) % DEEP_CHECK_EVERY == 0:
                     self._deep_check()
@@ -795,6 +799,25 @@ class SimulationRunner:
         return "ok"
 
     # ------------------------------------------------------------------ checks
+
+    def _note_evictions(self) -> None:
+        """Capacity pressure evicted something during the last op: a LIVE
+        object whose primary extent is gone is no longer owed to readers.
+        A replica, or a hot cache that missed the push, may still serve it
+        — exact bytes or a typed miss, which is the MAYBE contract."""
+
+        evicted = False
+        for name in self._up():
+            # A recovered node's fresh store counts from zero again, so a
+            # drop is not an eviction; only a rise is.
+            count = self.cluster.store(name).counters.get("objects_evicted")
+            evicted = evicted or count > self._evictions_seen.get(name, 0)
+            self._evictions_seen[name] = count
+        if not evicted:
+            return
+        for obj in self.model.live_objects():
+            if self._find_holder(ObjectID.from_int(obj)) is None:
+                self.model.record_evicted(obj)
 
     def _check_epochs(self) -> None:
         for name in sorted(set(self._up())):

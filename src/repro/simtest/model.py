@@ -6,8 +6,9 @@ with regardless of schedule:
 * ``LIVE`` — a put completed; the object must be readable with exactly
   the generated payload wherever a read succeeds, and after convergence
   it must be readable from its ring home.
-* ``MAYBE`` — a put raised; the object may or may not exist, but if any
-  bytes are ever returned they must match the generated payload.
+* ``MAYBE`` — a put raised, or capacity pressure evicted the primary
+  extent; the object may or may not exist, but if any bytes are ever
+  returned they must match the generated payload.
 * ``DELETED_CLEAN`` — a delete completed while the cluster was quiet
   (no crashed nodes, no active faults, holder breakers closed, and no
   crash had previously wiped replica bookkeeping for the object). The
@@ -77,6 +78,9 @@ class Model:
     def record_put_failed(self, obj: int, size: int) -> None:
         self.states[obj] = ObjState.MAYBE
         self.sizes[obj] = size
+
+    def record_evicted(self, obj: int) -> None:
+        self.states[obj] = ObjState.MAYBE
 
     def record_deleted(self, obj: int, *, clean: bool) -> None:
         self.states[obj] = ObjState.DELETED_CLEAN if clean else ObjState.DELETED_DIRTY

@@ -6,10 +6,11 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.common.config import ClusterConfig, testing_config
-from repro.common.ids import UniqueIDGenerator
+from repro.common.ids import ObjectID, UniqueIDGenerator
 from repro.common.rng import DeterministicRng
 from repro.common.units import MiB
 from repro.core import Cluster
+from repro.rpc.server import RpcServer
 
 
 @pytest.fixture
@@ -42,6 +43,32 @@ def small_config() -> ClusterConfig:
 def cluster(small_config) -> Cluster:
     """A 2-node disaggregated cluster with batched uniqueness checks."""
     return Cluster(small_config, n_nodes=2, check_remote_uniqueness=False)
+
+
+def oid_homed_at(cluster: Cluster, home: str) -> ObjectID:
+    """A fresh id whose ring home is *home* (placement clusters)."""
+    ring = cluster.placement_ring()
+    while True:
+        oid = cluster.new_object_id()
+        if ring.home(oid) == home:
+            return oid
+
+
+@pytest.fixture
+def rpc_log(monkeypatch) -> list:
+    """Every request any RPC server is handed while the test runs, in
+    order, as ``(server host, method, [object ids])`` — a shut-down server's
+    UNAVAILABLE answers included."""
+    log = []
+    dispatch = RpcServer.dispatch
+
+    def recording(self, service, method, request):
+        raw_ids = request.get("object_ids", ()) if isinstance(request, dict) else ()
+        log.append((self.host, method, [ObjectID(raw) for raw in raw_ids]))
+        return dispatch(self, service, method, request)
+
+    monkeypatch.setattr(RpcServer, "dispatch", recording)
+    return log
 
 
 @pytest.fixture

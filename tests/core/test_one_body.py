@@ -17,6 +17,7 @@ from repro.common.ids import ObjectID
 from repro.common.units import KiB, MiB
 from repro.core import Cluster
 from repro.rpc.aio.loop import EventLoop, Sleep
+from tests.conftest import oid_homed_at
 
 
 def make_cluster(mode: str = "sync", *, capacity: int = 32 * MiB, **kwargs) -> Cluster:
@@ -30,15 +31,6 @@ def make_cluster(mode: str = "sync", *, capacity: int = 32 * MiB, **kwargs) -> C
         placement=True,
         **kwargs,
     )
-
-
-def oid_homed_at(cluster: Cluster, home: str) -> ObjectID:
-    """A fresh id whose ring home is *home*."""
-    ring = cluster.placement_ring()
-    while True:
-        oid = cluster.new_object_id()
-        if ring.home(oid) == home:
-            return oid
 
 
 # -- (a) a facade called from inside a task blocks inline ----------------------------
@@ -202,6 +194,132 @@ def test_mode_parity(mode):
         },
     }
     assert cluster.loop.pending() == 0
+
+
+# -- (c') one deletion plan, sent peer by peer or as one gather ---------------------------
+#
+# A delete tells every peer exactly once: ``DropReplica`` if it holds a
+# copy (the handler invalidates before it drops), ``NotifyDeleted``
+# otherwise. *parent* marks what the two-phase form (commit 6c245ca:
+# NotifyDeleted to everyone, then DropReplica to holders) did here.
+
+PAYLOAD = b"d" * 900
+
+
+def replicated_and_cached(mode: str):
+    """An object at node0, read (so cached) by node1 and node2, and only
+    then replicated to node1: a holder that also holds a cached descriptor
+    and hot-cache payload, which only an invalidation can remove."""
+    cluster = make_cluster(mode, tiering=True)
+    oid = oid_homed_at(cluster, "node0")
+    cluster.client("node0").put_bytes(oid, PAYLOAD)
+    for peer in ("node1", "node2"):
+        assert cluster.client(peer).get_bytes(oid) == PAYLOAD
+        assert holds_cached(cluster, peer, oid) == (True, True)
+    assert cluster.store("node0").replicate_object(oid, "node1") == "node1"
+    return cluster, oid
+
+
+def holds_cached(cluster: Cluster, node: str, oid: ObjectID) -> tuple[bool, bool]:
+    """(descriptor in the lookup cache, payload in the hot-object cache)."""
+    store = cluster.store(node)
+    return (
+        oid in store.lookup_cache,
+        store.tier_agent.cache.lookup_any(oid) is not None,
+    )
+
+
+def calls(rpc_log, mode: str) -> list[tuple[str, str]]:
+    """(peer, method) per RPC: in order peer by peer, sorted for the gather
+    (the loop's seeded tie ranks order simultaneous wake-ups)."""
+    pairs = [(host, method) for host, method, _ in rpc_log]
+    return pairs if mode == "sync" else sorted(pairs)
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_delete_sends_each_peer_one_message(mode, rpc_log):
+    cluster, oid = replicated_and_cached(mode)
+    holder = cluster.store("node1")
+    used = holder.used_bytes
+    del rpc_log[:]
+
+    cluster.store("node0").delete_object(oid)
+
+    # parent: node1 NotifyDeleted, node2 NotifyDeleted, node1 DropReplica.
+    expected = [("node2", "NotifyDeleted"), ("node1", "DropReplica")]
+    assert calls(rpc_log, mode) == (expected if mode == "sync" else sorted(expected))
+    assert all(ids == [oid] for _, _, ids in rpc_log)
+    assert holds_cached(cluster, "node1", oid) == (False, False)
+    assert holds_cached(cluster, "node2", oid) == (False, False)
+    assert not holder.contains(oid) and not holder.is_replica(oid)
+    assert holder.used_bytes < used
+    assert holder.counters.get("replicas_dropped") == 1
+    assert cluster.store("node0").counters.get("delete_notifications") == 1
+    assert cluster.client("node2").multi_get([oid]) == [None]
+    assert cluster.loop.pending() == 0
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_pinned_replica_outlives_the_delete_its_cached_descriptor_does_not(mode):
+    cluster, oid = replicated_and_cached(mode)
+    reader = cluster.client("node1")
+    [buffer] = reader.get([oid])  # the local replica, now pinned
+
+    cluster.store("node0").delete_object(oid)
+
+    holder = cluster.store("node1")
+    assert holder.contains(oid) and holder.is_replica(oid)
+    assert holder.counters.get("replicas_dropped") == 0
+    assert holds_cached(cluster, "node1", oid) == (False, False)
+    assert bytes(buffer.read_all()) == PAYLOAD
+    reader.release(oid)
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_unreachable_holder_is_tolerated(mode, rpc_log):
+    cluster, oid = replicated_and_cached(mode)
+    cluster.node("node1").server.shutdown()
+    del rpc_log[:]
+
+    cluster.store("node0").delete_object(oid)
+
+    home = cluster.store("node0")
+    assert not home.contains(oid) and home.replica_locations(oid) == ()
+    # parent: 2 — its NotifyDeleted and its DropReplica both went unanswered.
+    assert home.counters.get("peers_unavailable") == 1
+    assert {method for host, method, _ in rpc_log if host == "node1"} == {"DropReplica"}
+    assert [method for host, method, _ in rpc_log if host == "node2"] == ["NotifyDeleted"]
+    assert holds_cached(cluster, "node2", oid) == (False, False)
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_delete_without_holders_is_the_plain_broadcast(mode, rpc_log):
+    cluster = make_cluster(mode)
+    oid = oid_homed_at(cluster, "node0")
+    cluster.client("node0").put_bytes(oid, PAYLOAD)
+    del rpc_log[:]
+
+    cluster.store("node0").delete_object(oid)
+
+    # The parent's sequence, call for call (that the loop also runs the
+    # same events is what the byte-identical zipfian-async golden pins).
+    assert calls(rpc_log, mode) == [("node1", "NotifyDeleted"), ("node2", "NotifyDeleted")]
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_restarted_home_falls_back_to_notifying_every_peer(mode, rpc_log):
+    cluster = make_cluster(mode)
+    oid = oid_homed_at(cluster, "node0")
+    cluster.client("node0").put_bytes(oid, PAYLOAD, replicas=2)
+    [holder] = cluster.store("node0").replica_locations(oid)
+    cluster.recover_node("node0")  # the replica map died with the process
+    assert cluster.store("node0").replica_locations(oid) == ()
+    del rpc_log[:]
+
+    cluster.store("node0").delete_object(oid)
+
+    assert calls(rpc_log, mode) == [("node1", "NotifyDeleted"), ("node2", "NotifyDeleted")]
+    assert cluster.store(holder).is_replica(oid)  # stray until the scrubber finds it
 
 
 # -- (d) the inline driver refuses a body that suspends ---------------------------------------

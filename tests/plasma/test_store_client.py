@@ -206,6 +206,29 @@ class TestEvictionUnderPressure:
         assert freed >= 2 * MiB
         assert store.object_count() < 4
 
+    def test_a_finished_round_is_handed_over_whole(self, client, store):
+        # The hook a distributed store announces rounds from; the plain
+        # store's own is a no-op, so everything above runs unchanged.
+        rounds = []
+
+        def announced(victims):
+            assert not any(store.contains(v.object_id) for v in victims)
+            rounds.append([v.object_id for v in victims])
+
+        store._announce_evicted = announced  # noqa: SLF001
+        feed = store.subscribe()
+        n_fit = store.capacity_bytes // MiB
+        for i in range(n_fit):  # headers: the last one no longer fits
+            client.put_bytes(oid(i), bytes(MiB))
+        store.evict(MiB)
+        evicted = [note.object_id for note in feed.drain() if note.deleted]
+        assert len(rounds) == 2 and len(rounds[0]) > 1
+        assert rounds[0] + rounds[1] == evicted
+        assert evicted[:2] == [oid(0), oid(1)]
+        assert store.evict(64 * MiB) and len(rounds) == 3
+        store.evict(MiB)  # nothing left to evict: no empty round
+        assert len(rounds) == 3
+
 
 class TestNotifications:
     def test_seal_notifies_subscribers(self, client, store):

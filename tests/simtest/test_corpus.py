@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.simtest.harness import replay_trace
+from repro.simtest.harness import SimulationRunner, replay_trace
+from repro.simtest.ops import Op
 
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.json"))
 
@@ -52,3 +53,21 @@ def test_corpus_traces_stripped_of_mutation_are_clean(path):
     trace.pop("mutation", None)
     result = replay_trace(trace)
     assert result.ok, f"{path.stem} without mutation:\n{result.report()}"
+
+
+def test_eviction_round_trace_takes_the_lost_push_path():
+    """``eviction_round_lost_push`` is only worth replaying while it still
+    drives what its note says: one multi-victim round whose single message
+    to the partitioned peer is lost, and that peer's later reads failing
+    the generation check instead of being answered from a cache."""
+    trace = _load(Path(__file__).parent / "corpus" / "eviction_round_lost_push.json")
+    runner = SimulationRunner(trace["seed"])
+    result = runner.run([Op.from_obj(item) for item in trace["ops"]])
+    assert result.ok, result.report()
+    evictor, cut_off = runner.cluster.store("node0"), runner.cluster.store("node1")
+    assert evictor.counters.get("objects_evicted") == 4
+    assert evictor.counters.get("delete_notifications") == 4
+    assert evictor.counters.get("peers_unavailable") == 1  # one round, one loss
+    assert cut_off.counters.get("stale_descriptor_refreshes") == 4
+    outcomes = [step.rsplit(" -> ", 1)[1] for step in result.steps if " get(" in step]
+    assert outcomes[-7:] == ["stale"] * 4 + ["notfound", "notfound", "ok"]
