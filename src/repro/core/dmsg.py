@@ -100,7 +100,8 @@ class DmsgChannel:
         envelope = decode_message(frames[-1])
         head = decode_message(envelope["h"])
         status, wire_response, detail = self._server.dispatch_wire(
-            head["service"], head["method"], envelope["b"]
+            head["service"], head["method"], envelope["b"],
+            caller=self._local_host,
         )
         # 3. Response out: the peer writes its own exposed ring.
         response_frame = encode_message(

@@ -15,9 +15,17 @@ Methods:
   one of our objects, pinning it against eviction.
 * ``NotifyDeleted`` — home-store push used to invalidate peers' lookup
   caches (paper future work: caching "could result in corrupted object
-  buffers if not handled carefully" — this is the careful handling). One
-  message per peer carries a whole eviction round; a replica holder hears
-  ``DropReplica`` instead, which implies the same invalidation.
+  buffers if not handled carefully" — this is the careful handling). It
+  goes only to peers that can hold something to invalidate: a store keeps,
+  per object it sealed, the set of callers its ``Lookup`` handed the
+  descriptor to (the caller's name arrives as call metadata, gRPC's
+  ``context.peer()``), and a delete or eviction round tells exactly those,
+  one message per peer listing the ids it resolved. No set — an object
+  recovered after a restart, directory-based sharing, an unnamed caller —
+  means unknown, and unknown means every peer is told. A replica holder
+  hears ``DropReplica`` instead, which implies the same invalidation, and
+  revokes in turn: the peers that resolved *its* copy hear
+  ``NotifyDeleted`` from it.
 
 Every handler runs under the store's object-table mutex, modelling the
 paper's gRPC-server-thread / main-thread contention point.
@@ -48,14 +56,18 @@ class StoreService(Service):
 
     @rpc_method
     def Lookup(self, request: dict) -> dict:
-        """Return descriptors for every requested id sealed in this store."""
+        """Return descriptors for every requested id sealed in this store;
+        the caller joins each returned object's sharer set."""
         object_ids = self._ids_from(request)
         found: list[dict] = []
-        with self._store.table.lock:
+        caller = self.caller()
+        store = self._store
+        with store.table.lock:
             for oid in object_ids:
-                descriptor = self._store.lookup_descriptor(oid)
+                descriptor = store.lookup_descriptor(oid)
                 if descriptor is not None:
                     found.append(descriptor)
+                    store.add_sharer(oid, caller)
         return {"found": found, "store": self._store.name}
 
     @rpc_method
@@ -150,10 +162,12 @@ class StoreService(Service):
     def DropReplica(self, request: dict) -> dict:
         """The home store deleted an object we hold a replica of: forget
         what we cached about it (the caller sends a holder no separate
-        NotifyDeleted), then drop our copy if it is idle (best effort — an
-        in-use replica survives until released)."""
+        NotifyDeleted), tell the peers that resolved our copy, then drop
+        it if it is idle (best effort — an in-use replica survives until
+        released)."""
         object_ids = self._ids_from(request)
         self._store.invalidate_cached_lookups(object_ids)
+        self._store.revoke_replicas(object_ids, self.caller())
         dropped = self._store.drop_replicas(object_ids)
         return {"dropped": dropped}
 

@@ -114,6 +114,14 @@ class DisaggregatedStore(PlasmaStore):
         # (replica side).
         self._replicated_to: dict[ObjectID, tuple[str, ...]] = {}
         self._replicas_of: dict[ObjectID, str] = {}
+        # Directed invalidation: object id -> the peers this process answered
+        # a Lookup for it with a descriptor. A set is born when this process
+        # seals the object and dies when the object is announced gone. No
+        # set means unknown — recovered after a restart, resolved through
+        # the fabric-resident directory, or asked by an unnamed caller —
+        # and unknown means every peer is told.
+        self._sharers: dict[ObjectID, set[str]] = {}
+        self._track_sharers = notify_deletions and sharing in ("rpc", "dmsg")
         # Elastic placement (repro.placement): the installed topology view,
         # the ring derived from it, and migration book-keeping. All None /
         # empty until the cluster enables placement.
@@ -594,7 +602,9 @@ class DisaggregatedStore(PlasmaStore):
         self._deferred_retires.discard(object_id)
         self._replicated_to.pop(object_id, None)
         self._retract_from_directory(object_id)
-        self._announce_deleted([object_id], *self._deletion_plan())
+        self._announce_deleted(
+            [object_id], *self._deletion_plan([object_id], broadcast=True)
+        )
         self._notify(SealNotification(object_id, entry.data_size, deleted=True))
         self.counters.inc("objects_migrated_out")
         self.counters.inc("bytes_migrated_out", entry.data_size)
@@ -630,6 +640,8 @@ class DisaggregatedStore(PlasmaStore):
 
     def seal_object(self, object_id: ObjectID) -> ObjectEntry:
         entry = super().seal_object(object_id)
+        if self._track_sharers:
+            self._sharers[object_id] = set()
         if self._directory is not None:
             self._directory.insert(
                 object_id,
@@ -776,7 +788,8 @@ class DisaggregatedStore(PlasmaStore):
             # Pre-resolution fast path: a cached incarnation can be served
             # without touching the home at all — no Lookup, no AddRef/
             # ReleaseRef round trips, no fabric stream. Sound only because
-            # deletes and evictions *push* NotifyDeleted to every peer
+            # deletes and evictions *push* NotifyDeleted to every peer that
+            # resolved the descriptor from the store that will push it
             # (hence the gate), so anything still cached is live.
             unresolved: list[ObjectID] = []
             for oid in missing:
@@ -896,7 +909,7 @@ class DisaggregatedStore(PlasmaStore):
         hedging trades tail latency for duplicate work, never
         availability."""
         remaining = list(object_ids)
-        peers = self.peers()
+        _, peers = self._probe_order(remaining)
         hedged: list[str] = []
         for index, name in enumerate(peers):
             if not remaining:
@@ -918,6 +931,29 @@ class DisaggregatedStore(PlasmaStore):
                     name, remaining, resolved, unreachable, None, None
                 )
         return remaining
+
+    def _probe_order(
+        self, object_ids: list[ObjectID]
+    ) -> tuple[dict[str, list[ObjectID]], list[str]]:
+        """Who a Lookup of *object_ids* asks, in which order — the one
+        order both drivers use. Returns the ids grouped under their ring
+        home (placement on, home a connected peer other than us) and every
+        peer: those homes first, then the rest, each part in ``peers()``
+        order. Without a ring, that is just ``peers()``."""
+        peers = self.peers()
+        ring = self._ring
+        if ring is None:
+            return {}, peers
+        by_home: dict[str, list[ObjectID]] = {}
+        for oid in object_ids:
+            home = ring.home(oid)
+            if home != self._name and home in self._peers:
+                by_home.setdefault(home, []).append(oid)
+        if not by_home:
+            return by_home, peers
+        return by_home, [name for name in peers if name in by_home] + [
+            name for name in peers if name not in by_home
+        ]
 
     def _lookup_peer(
         self,
@@ -1251,29 +1287,27 @@ class DisaggregatedStore(PlasmaStore):
         self,
         object_ids: list[ObjectID],
         resolved: dict[ObjectID, RemoteObjectRecord],
-        unreachable: list[str] | None = None,
+        unreachable: list[str],
         attr=None,
     ):
         """Scatter-gather replica resolution (task form of `_rpc_lookup`).
 
-        Ids with a known ring home are probed *concurrently*, one batched
-        Lookup per home, each hedged to the next peer after the channel's
-        ``hedge_stagger_ns`` (losers run out harmlessly — Lookup is
-        idempotent). Whatever no targeted probe claims falls back to the
-        ordered sweep over every peer, exactly like the sync path — any
-        peer might hold a replica, and the ring view might be stale."""
+        Same probe order (:meth:`_probe_order`), asked concurrently where
+        it can be: the ring homes first, one batched Lookup each, each
+        hedged to the next peer after the channel's ``hedge_stagger_ns``
+        (losers run out harmlessly — Lookup is idempotent). Whatever no
+        home claims goes on the ordered sweep over the rest of that order
+        — any peer might hold a replica, and the ring view might be stale
+        — never back to a home that already answered no (one that failed,
+        or lost its hedge race, is asked again like any other peer)."""
         remaining = list(object_ids)
-        peers = self.peers()
+        by_home, peers = self._probe_order(remaining)
         if not peers:
             return remaining
-        by_home: dict[str, list[ObjectID]] = {}
-        if self._ring is not None:
-            for oid in remaining:
-                home = self._ring.home(oid)
-                if home != self._name and home in self._peers:
-                    by_home.setdefault(home, []).append(oid)
-        loop = self._aio_loop
+        said_no: dict[str, list[ObjectID]] = {}
         if by_home:
+            loop = self._aio_loop
+            homes = sorted(by_home)
             probes = [
                 loop.spawn(
                     self._probe_peer_task(
@@ -1281,19 +1315,31 @@ class DisaggregatedStore(PlasmaStore):
                     ),
                     name=("lookup", home),
                 )
-                for home in sorted(by_home)
+                for home in homes
             ]
             results = yield loop.gather(probes)
-            for result in results:
+            for home, result in zip(homes, results):
                 if isinstance(result, BaseException):
                     raise result
-        remaining = [oid for oid in object_ids if oid not in resolved]
+                if result:
+                    said_no[home] = by_home[home]
+            remaining = [oid for oid in object_ids if oid not in resolved]
         for name in peers:
             if not remaining:
                 break
-            remaining = yield from self._lookup_peer_task(
-                name, remaining, resolved, unreachable, attr
+            asked = said_no.get(name)
+            ids = (
+                remaining
+                if asked is None
+                else [oid for oid in remaining if oid not in asked]
             )
+            if not ids:
+                continue
+            unclaimed = yield from self._lookup_peer_task(
+                name, ids, resolved, unreachable, attr
+            )
+            if len(unclaimed) != len(ids):
+                remaining = [oid for oid in remaining if oid not in resolved]
         return remaining
 
     def _probe_peer_task(
@@ -1301,12 +1347,12 @@ class DisaggregatedStore(PlasmaStore):
         name: str,
         ids: list[ObjectID],
         resolved: dict,
-        unreachable: list[str] | None,
+        unreachable: list[str],
         attr=None,
     ):
         """One targeted probe, hedged: race the home's Lookup against a
-        staggered backup probe at the next peer. Returns the ids neither
-        claimed."""
+        staggered backup probe at the next peer. Returns whether the home
+        itself answered."""
         loop = self._aio_loop
         stagger = self._peer_channel(name).hedge_stagger_ns
         backup = None
@@ -1320,8 +1366,8 @@ class DisaggregatedStore(PlasmaStore):
             name=("probe", name),
         )
         if backup is None:
-            result = yield primary
-            return result
+            yield primary
+            return name not in unreachable
         hedge = loop.spawn(
             self._hedge_probe_task(stagger, backup, ids, resolved, primary),
             name=("hedge", backup),
@@ -1340,7 +1386,8 @@ class DisaggregatedStore(PlasmaStore):
             raise outcome
         if index == 1:
             self.counters.inc("lookup_hedge_wins")
-        return outcome
+            return False
+        return name not in unreachable
 
     def _hedge_probe_task(self, stagger_ns, name, ids, resolved, primary):
         """The backup half of a hedged probe: wait out the stagger; if the
@@ -1421,12 +1468,15 @@ class DisaggregatedStore(PlasmaStore):
         self, object_id: ObjectID, attr=None, blocking: bool = False
     ):
         """The one body of :meth:`delete_object`: the local unlink is
-        instant; then every peer hears once — ``DropReplica`` if it holds a
-        copy, ``NotifyDeleted`` otherwise — peer by peer (*blocking*) or as
-        one gather."""
+        instant; then every replica holder hears ``DropReplica`` and every
+        other peer that resolved the object here ``NotifyDeleted`` (see
+        :meth:`_deletion_plan`), peer by peer (*blocking*) or as one
+        gather."""
         PlasmaStore.delete_object(self, object_id)
         self._retract_from_directory(object_id)
-        notify, drop = self._deletion_plan(self._pop_replica_holders(object_id))
+        notify, drop = self._deletion_plan(
+            [object_id], self._pop_replica_holders(object_id)
+        )
         if blocking:
             self._announce_deleted([object_id], notify, drop)
         else:
@@ -1436,7 +1486,7 @@ class DisaggregatedStore(PlasmaStore):
     def _announce_deleted_task(
         self,
         object_ids: list[ObjectID],
-        notify: list[str],
+        notify: list[tuple[str, list[ObjectID]]],
         drop: list[str],
         attr=None,
     ):
@@ -1445,16 +1495,16 @@ class DisaggregatedStore(PlasmaStore):
         per *notify* peer and (DropReplica is not batchable) one pipelined
         unary per *drop* peer."""
         loop = self._aio_loop
-        wire_ids = [oid.binary() for oid in object_ids]
         calls = [
             self._peer_channel(name).batched_call(
                 self._peers[name].stub.service,
                 "NotifyDeleted",
-                wire_ids,
+                [oid.binary() for oid in ids],
                 attr=attr,
             )
-            for name in notify
+            for name, ids in notify
         ]
+        wire_ids = [oid.binary() for oid in object_ids]
         calls += [
             loop.spawn(
                 self._peer_channel(name).unary_task(
@@ -1468,7 +1518,9 @@ class DisaggregatedStore(PlasmaStore):
             for name in drop
         ]
         results = yield loop.gather(calls)
-        self._raise_unless_unavailable(notify + drop, results)
+        self._raise_unless_unavailable(
+            [name for name, _ in notify] + drop, results
+        )
         if self._notify_deletions:
             self.counters.inc("delete_notifications", len(object_ids))
 
@@ -1557,6 +1609,32 @@ class DisaggregatedStore(PlasmaStore):
         self._replicas_of[object_id] = source
         self.counters.inc("replicas_held")
 
+    def revoke_replicas(self, object_ids: list[ObjectID], caller: str | None) -> None:
+        """Whoever hands out a descriptor revokes it: the home deleted
+        objects we hold replicas of (``DropReplica``), so every peer that
+        resolved one of those replicas *here* hears ``NotifyDeleted`` now —
+        the deleting home (*caller*) excepted, and whether or not the copy
+        can be dropped (a pinned replica keeps its bytes, not its
+        sharers). A blocking call from inside the handler, under either
+        driver; an unreachable sharer is tolerated like any deletion push."""
+        if not self._track_sharers:
+            return  # the home broadcasts: no sharer sets exist anywhere
+        with self.table.lock:
+            held = [
+                oid
+                for oid in object_ids
+                if oid in self._replicas_of and self.table.contains(oid)
+            ]
+        if not held:
+            return
+        notify, _ = self._deletion_plan(held)
+        for oid in held:
+            self._sharers[oid] = set()  # everyone who knew has been told
+        notify = [(name, ids) for name, ids in notify if name != caller]
+        if notify:
+            self._send_deleted(notify, [], ())
+            self.counters.inc("replica_revocations", len(notify))
+
     def drop_replicas(self, object_ids: list[ObjectID]) -> int:
         """Best-effort removal of local replicas (the home store deleted the
         originals). In-use replicas survive until their readers release
@@ -1576,6 +1654,7 @@ class DisaggregatedStore(PlasmaStore):
                 self._retire_header(entry)
                 self._allocator.free(entry.allocation.offset)
             del self._replicas_of[oid]
+            self._sharers.pop(oid, None)
             self._retract_from_directory(oid)
             self._notify(SealNotification(oid, entry.data_size, deleted=True))
             self.counters.inc("replicas_dropped")
@@ -1616,7 +1695,9 @@ class DisaggregatedStore(PlasmaStore):
         peers (directory retraction + cache invalidation push)."""
         entry = super().quarantine_object(object_id)
         self._retract_from_directory(object_id)
-        self._announce_deleted([object_id], *self._deletion_plan())
+        self._announce_deleted(
+            [object_id], *self._deletion_plan([object_id], broadcast=True)
+        )
         return entry
 
     def repair_object(self, object_id: ObjectID, data) -> ObjectEntry:
@@ -1666,37 +1747,87 @@ class DisaggregatedStore(PlasmaStore):
 
     # -- deletion/eviction notifications (cache invalidation) ------------------------------------
 
-    def _deletion_plan(self, holders=()) -> tuple[list[str], list[str]]:
-        """Who is told that objects left this store, and with which message
-        — the one plan both drivers send. Recorded replica *holders* get
-        ``DropReplica``, whose handler invalidates before it drops, so a
-        holder never hears twice; every other peer gets ``NotifyDeleted``
-        (nobody, with deletion pushes off)."""
+    def add_sharer(self, object_id: ObjectID, caller: str | None) -> None:
+        """A Lookup handed *caller* our descriptor of *object_id*: it must
+        hear when the object goes. An unnamed caller makes the set unknown
+        (everyone is told); an object without a set stays unknown."""
+        sharers = self._sharers.get(object_id)
+        if sharers is None:
+            return
+        if caller is None:
+            del self._sharers[object_id]
+        else:
+            sharers.add(caller)
+
+    def _deletion_plan(
+        self, object_ids: list[ObjectID], holders=(), *, broadcast: bool = False
+    ) -> tuple[list[tuple[str, list[ObjectID]]], list[str]]:
+        """Who is told that *object_ids* left this store, about which of
+        them, and with which message — the one plan both drivers send; it
+        consumes the ids' sharer sets. Recorded replica *holders* get
+        ``DropReplica`` (its handler invalidates before it drops, so a
+        holder never hears twice); every other peer that resolved one of
+        the ids here gets one ``NotifyDeleted`` listing those it resolved.
+        An id without a sharer set, or *broadcast*, is told to every peer;
+        an empty plan sends nothing, and nobody hears ``NotifyDeleted``
+        with deletion pushes off."""
         drop = list(holders)
+        sharers = self._sharers
+        known = [sharers.pop(oid, None) for oid in object_ids]
         if not self._notify_deletions:
             return [], drop
-        notify = self.peers()
-        if drop:
-            notify = [name for name in notify if name not in drop]
+        notify = []
+        for name in self.peers():
+            if name in drop:
+                continue
+            if broadcast:
+                ids = list(object_ids)
+            else:
+                ids = [
+                    oid
+                    for oid, told in zip(object_ids, known)
+                    if told is None or name in told
+                ]
+            if ids:
+                notify.append((name, ids))
         return notify, drop
 
     def _announce_deleted(
-        self, object_ids: list[ObjectID], notify: list[str], drop: list[str]
+        self,
+        object_ids: list[ObjectID],
+        notify: list[tuple[str, list[ObjectID]]],
+        drop: list[str],
     ) -> None:
-        """One message per peer for the whole list of *object_ids*, peer by
-        peer: ``NotifyDeleted`` to *notify*, ``DropReplica`` to *drop*. An
-        unreachable peer is tolerated (and counted): its stale descriptors
-        fail the generation check on their next fabric read."""
-        payload = {"object_ids": [oid.binary() for oid in object_ids]}
-        for method, names in (("NotifyDeleted", notify), ("DropReplica", drop)):
-            for name in names:
-                try:
-                    getattr(self._peers[name].stub, method)(payload)
-                except RpcStatusError as exc:
-                    if not self._peer_unavailable(name, exc):
-                        raise
+        """Send a :meth:`_deletion_plan` for *object_ids* peer by peer and
+        count the objects announced."""
+        self._send_deleted(notify, drop, object_ids)
         if self._notify_deletions:
             self.counters.inc("delete_notifications", len(object_ids))
+
+    def _send_deleted(
+        self,
+        notify: list[tuple[str, list[ObjectID]]],
+        drop: list[str],
+        object_ids,
+    ) -> None:
+        """One blocking message per peer: ``NotifyDeleted`` with its ids to
+        each *notify* peer, then ``DropReplica`` for *object_ids* to each
+        *drop* peer. An unreachable peer is tolerated (and counted): its
+        stale descriptors fail the generation check on their next fabric
+        read."""
+        sends = [
+            (name, "NotifyDeleted", [oid.binary() for oid in ids])
+            for name, ids in notify
+        ]
+        if drop:
+            wire_ids = [oid.binary() for oid in object_ids]
+            sends += [(name, "DropReplica", wire_ids) for name in drop]
+        for name, method, wire_ids in sends:
+            try:
+                getattr(self._peers[name].stub, method)({"object_ids": wire_ids})
+            except RpcStatusError as exc:
+                if not self._peer_unavailable(name, exc):
+                    raise
 
     def delete_object(self, object_id: ObjectID) -> None:
         self._drive(self.delete_object_task, object_id)
@@ -1706,12 +1837,12 @@ class DisaggregatedStore(PlasmaStore):
         self._retract_from_directory(entry.object_id)
 
     def _announce_evicted(self, victims: list[ObjectEntry]) -> None:
-        """One NotifyDeleted per peer for the whole round: every reachable
-        peer has dropped its cached descriptors and tier-cache payloads
-        before any victim's extent can be re-sealed."""
-        self._announce_deleted(
-            [victim.object_id for victim in victims], *self._deletion_plan()
-        )
+        """One NotifyDeleted per peer that resolved a victim here, listing
+        the victims it resolved: every reachable one has dropped its cached
+        descriptors and tier-cache payloads before any victim's extent can
+        be re-sealed."""
+        object_ids = [victim.object_id for victim in victims]
+        self._announce_deleted(object_ids, *self._deletion_plan(object_ids))
 
     # -- remote subscriptions (cross-node notification relay) ----------------------------
 
@@ -1747,6 +1878,9 @@ class DisaggregatedStore(PlasmaStore):
         and reconcile the surviving directory — corrupt objects come back
         quarantined and must not be advertised to peers."""
         report = self.recover_from_region()
+        # Nobody knows who resolved what before the crash: every recovered
+        # object starts without a sharer set, i.e. told to every peer.
+        self._sharers.clear()
         if self._directory is not None:
             for entry in list(self.table):
                 if entry.quarantined:

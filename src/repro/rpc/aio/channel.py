@@ -196,6 +196,7 @@ class AsyncChannel(Channel):
                     if deadline_ns is not None
                     else None
                 ),
+                caller=self._local_host,
             )
             yield from self._sleep_within_deadline(
                 self._direction_cost_ns(len(wire_response)), start_ns, deadline_ns)

@@ -351,6 +351,7 @@ class Channel:
                     if deadline_ns is not None
                     else None
                 ),
+                caller=self._local_host,
             )
             self._advance_within_deadline(
                 self._cost_ns(len(wire_request), len(wire_response)),
@@ -549,6 +550,7 @@ class Channel:
                     if deadline_ns is not None
                     else None
                 ),
+                caller=self._local_host,
             )
             wire_in += len(wire_request)
             wire_out += len(wire_response)

@@ -53,6 +53,8 @@ class RpcServer:
         # builder. None (or an inactive model) keeps the legacy
         # infinite-capacity dispatch.
         self.overload = None
+        # The host whose call is being handled right now (see dispatch_wire).
+        self.caller: str | None = None
 
     def attach_metrics(self, registry) -> None:
         """Bind dispatch counters and per-method handler latency."""
@@ -98,6 +100,7 @@ class RpcServer:
         if not methods:
             raise RpcError(f"service {name!r} exposes no @rpc_method handlers")
         self._services[name] = methods
+        service.server = self
 
     def replace_service(self, service: Service) -> None:
         """Swap a registered service for a fresh instance — the restart
@@ -110,6 +113,7 @@ class RpcServer:
         if not methods:
             raise RpcError(f"service {name!r} exposes no @rpc_method handlers")
         self._services[name] = methods
+        service.server = self
 
     def service_names(self) -> list[str]:
         return sorted(self._services)
@@ -121,6 +125,7 @@ class RpcServer:
         request_wire: bytes,
         correlation_id: str | None = None,
         deadline_ns: float | None = None,
+        caller: str | None = None,
     ) -> tuple[StatusCode, bytes, str]:
         """Decode, dispatch, encode. Returns (status, response_wire, detail).
 
@@ -131,7 +136,10 @@ class RpcServer:
         and ``deadline_ns`` models the ``grpc-timeout`` metadata header:
         the caller's *remaining* budget, which admission control uses to
         shed already-expired or can't-possibly-finish work before parsing
-        or servicing it.
+        or servicing it. ``caller`` is the calling host, gRPC's
+        ``context.peer()``: handlers read it as :attr:`caller` (through
+        :meth:`Service.caller <repro.rpc.service.Service.caller>`) while
+        they run; None means the transport did not say.
         """
         if (
             self.overload is not None
@@ -171,12 +179,16 @@ class RpcServer:
             request = decode_message(request_wire)
         except RpcError as exc:
             return StatusCode.INVALID_ARGUMENT, b"", str(exc)
-        if self.spans is None and self._latency is None:
-            status, response, detail = self.dispatch(service, method, request)
-        else:
-            status, response, detail = self._dispatch_observed(
-                service, method, request, correlation_id
-            )
+        outer, self.caller = self.caller, caller
+        try:
+            if self.spans is None and self._latency is None:
+                status, response, detail = self.dispatch(service, method, request)
+            else:
+                status, response, detail = self._dispatch_observed(
+                    service, method, request, correlation_id
+                )
+        finally:
+            self.caller = outer
         try:
             wire = encode_message({} if response is None else response)
         except RpcError as exc:  # handler returned something unserialisable

@@ -29,6 +29,8 @@ class Service:
     """
 
     SERVICE_NAME: str = ""
+    #: The server this instance is registered on (set by ``add_service``).
+    server = None
 
     @classmethod
     def service_name(cls) -> str:
@@ -44,3 +46,9 @@ class Service:
             if callable(member) and getattr(member, _RPC_ATTR, False):
                 out[name] = member
         return out
+
+    def caller(self) -> str | None:
+        """The host whose call the running handler serves — the analogue
+        of gRPC's ``context.peer()``; None outside a dispatch, on an
+        unregistered service, or when the transport did not name it."""
+        return None if self.server is None else self.server.caller

@@ -165,8 +165,8 @@ class HotObjectCache:
 
         This is the pre-resolution fast path — serving it skips the home's
         AddRef/ReleaseRef round trips entirely, which is only sound while
-        delete/evict invalidations are *pushed* to every peer (the store
-        gates the call on ``notify_deletions``). A hit counts and
+        delete/evict invalidations are *pushed* to every peer that resolved
+        the descriptor (the store gates the call on ``notify_deletions``). A hit counts and
         refreshes recency exactly like :meth:`lookup`; an absent id is NOT
         counted as a miss, because the caller falls through to the
         resolving path whose generation-keyed probe counts it there.

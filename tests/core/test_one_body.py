@@ -294,16 +294,21 @@ def test_unreachable_holder_is_tolerated(mode, rpc_log):
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
 def test_delete_without_holders_is_the_plain_broadcast(mode, rpc_log):
+    """A delete with no replica holder sends only NotifyDeleted — since
+    directed invalidation, to the sharers rather than to every peer."""
     cluster = make_cluster(mode)
     oid = oid_homed_at(cluster, "node0")
     cluster.client("node0").put_bytes(oid, PAYLOAD)
+    assert cluster.client("node1").get_bytes(oid) == PAYLOAD
     del rpc_log[:]
 
     cluster.store("node0").delete_object(oid)
 
-    # The parent's sequence, call for call (that the loop also runs the
-    # same events is what the byte-identical zipfian-async golden pins).
-    assert calls(rpc_log, mode) == [("node1", "NotifyDeleted"), ("node2", "NotifyDeleted")]
+    # The directed plan, the same call for call in both modes: node1
+    # resolved the object at node0, node2 never did (parent: both told).
+    assert calls(rpc_log, mode) == [("node1", "NotifyDeleted")]
+    assert rpc_log[0][2] == [oid]
+    assert oid not in cluster.store("node1").lookup_cache
 
 
 @pytest.mark.parametrize("mode", ["sync", "async"])

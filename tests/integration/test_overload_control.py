@@ -26,7 +26,7 @@ def spy_deadlines(server, seen):
     """Record the deadline each dispatched method arrived with."""
     orig = server.dispatch_wire
 
-    def spy(service, method, wire, correlation_id=None, deadline_ns=None):
+    def spy(service, method, wire, correlation_id=None, deadline_ns=None, caller=None):
         seen.append((method, deadline_ns))
         return orig(
             service,
@@ -34,6 +34,7 @@ def spy_deadlines(server, seen):
             wire,
             correlation_id=correlation_id,
             deadline_ns=deadline_ns,
+            caller=caller,
         )
 
     server.dispatch_wire = spy

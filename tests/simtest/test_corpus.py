@@ -71,3 +71,29 @@ def test_eviction_round_trace_takes_the_lost_push_path():
     assert cut_off.counters.get("stale_descriptor_refreshes") == 4
     outcomes = [step.rsplit(" -> ", 1)[1] for step in result.steps if " get(" in step]
     assert outcomes[-7:] == ["stale"] * 4 + ["notfound", "notfound", "ok"]
+
+
+def test_replica_revocation_trace_takes_the_lost_revocation_path():
+    """``replica_revocation_lost_push`` is only worth replaying while the
+    reader really resolved through the replica holder and the holder's
+    revocation — not the home's delete — is the message the partition ate:
+    the home tells nobody, the holder's one revocation goes unanswered, and
+    the reader's next reads fail the generation check. Replaying it twice
+    leaves every node's flight recorder byte-identical."""
+    trace = _load(Path(__file__).parent / "corpus" / "replica_revocation_lost_push.json")
+    dumps = []
+    for _ in range(2):
+        runner = SimulationRunner(trace["seed"])
+        result = runner.run([Op.from_obj(item) for item in trace["ops"]])
+        assert result.ok, result.report()
+        home, holder, reader = (runner.cluster.store(n) for n in ("node0", "node1", "node2"))
+        assert home.counters.get("delete_notifications") == 1
+        assert home.counters.get("peers_unavailable") == 0  # nothing to send
+        assert holder.counters.get("replica_revocations") == 1
+        assert holder.counters.get("peers_unavailable") == 1  # the lost one
+        assert holder.counters.get("replicas_dropped") == 1
+        assert reader.counters.get("stale_descriptor_refreshes") == 1
+        outcomes = [s.rsplit(" -> ", 1)[1] for s in result.steps if " get(node=node2, obj=1)" in s]
+        assert outcomes == ["ok", "stale", "notfound"]
+        dumps.append(json.dumps(runner.cluster.spans.flight_dump(), sort_keys=True))
+    assert dumps[0] == dumps[1]
