@@ -40,7 +40,7 @@ from repro.placement.membership import Membership, NodeStatus, TopologyView
 from repro.placement.migrate import MigrationEngine
 from repro.placement.rebalance import Rebalancer
 from repro.placement.ring import HashRing
-from repro.rpc.aio import AsyncChannel, EventLoop
+from repro.rpc.aio import EventLoop
 from repro.rpc.channel import Channel
 from repro.rpc.overload import OverloadModel
 from repro.rpc.server import RpcServer
@@ -362,7 +362,7 @@ class Cluster:
         if self._use_dmsg:
             channel = self._make_dmsg_channel(reader_name, home_name)
         else:
-            channel = AsyncChannel(
+            channel = Channel(
                 reader_name,
                 home.server,
                 self._clock,

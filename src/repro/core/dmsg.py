@@ -82,9 +82,23 @@ class DmsgChannel:
         mean = self._config.poll_interval_ns / 2.0
         self._clock.advance(mean * self._rng.lognormal_jitter(0.5))
 
-    def unary_call(self, service: str, method: str, request: dict | None = None) -> dict:
+    def unary_call(
+        self,
+        service: str,
+        method: str,
+        request: dict | None = None,
+        *,
+        deadline_ns: float | None = None,
+    ) -> dict:
+        """One blocking call over the ring pair. The rings carry no
+        deadline header, so a call that asks for one is refused."""
         if self._closed:
             raise RpcError(f"dmsg channel to {self._server.host} is closed")
+        if deadline_ns is not None:
+            raise RpcStatusError(
+                StatusCode.UNIMPLEMENTED,
+                f"dmsg channel to {self._server.host} carries no deadlines",
+            )
         header = encode_message({"service": service, "method": method})
         wire_request = encode_message(request or {})
         frame = encode_message({"h": header, "b": wire_request})

@@ -380,10 +380,11 @@ class DisaggregatedStore(PlasmaStore):
         attr=None,
         blocking: bool = False,
     ):
-        """The one body of :meth:`forward_put`; the two hops are blocking
-        unary calls or pipelined unary tasks (see :meth:`_unary_hop`), the
-        payload streams over the fabric between them either way."""
+        """The one body of :meth:`forward_put`; the two hops run the
+        channel's unary body in this body's mode (blocking, or pipelined
+        tasks), the payload streams over the fabric between them."""
         handle = self.peer(home)
+        channel = handle.stub.channel
         mv = memoryview(data)
         if mv.ndim != 1 or mv.itemsize != 1:
             mv = mv.cast("B")
@@ -393,17 +394,17 @@ class DisaggregatedStore(PlasmaStore):
         # second instead of resetting it.
         budget = DeadlineBudget.for_stub(handle.stub, self.clock)
         try:
-            response = yield from self._unary_hop(
-                handle.stub,
+            response = yield from channel.unary_task(
+                handle.stub.service,
                 "PlacedCreate",
                 {
                     "object_id": object_id.binary(),
                     "data_size": len(mv),
                     "metadata": bytes(metadata),
                 },
-                budget,
-                attr,
-                blocking,
+                attr=attr,
+                blocking=blocking,
+                **budget.kwargs(),
             )
         except RpcStatusError as exc:
             if exc.code is StatusCode.ALREADY_EXISTS:
@@ -417,13 +418,13 @@ class DisaggregatedStore(PlasmaStore):
         offset = int(response["offset"])
         handle.remote_region.write(offset, mv)
         try:
-            yield from self._unary_hop(
-                handle.stub,
+            yield from channel.unary_task(
+                handle.stub.service,
                 "PlacedSeal",
                 {"object_id": object_id.binary(), "replicas": int(replicas)},
-                budget,
-                attr,
-                blocking,
+                attr=attr,
+                blocking=blocking,
+                **budget.kwargs(),
             )
         except RpcStatusError as exc:
             if self._peer_unavailable(home, exc):
@@ -439,18 +440,6 @@ class DisaggregatedStore(PlasmaStore):
         self.counters.inc("placed_creates_forwarded")
         self.counters.inc("placed_bytes_forwarded", len(mv))
         return True
-
-    def _unary_hop(
-        self, stub, method: str, request: dict, budget, attr, blocking: bool
-    ):
-        """One deadline-budgeted unary call to a peer: the blocking stub
-        call, or the channel's pipelined task form."""
-        if blocking:
-            return getattr(stub, method)(request, **budget.kwargs())
-        response = yield from stub.channel.unary_task(
-            stub.service, method, request, attr=attr, **budget.kwargs()
-        )
-        return response
 
     def placed_create(
         self, object_id: ObjectID, data_size: int, metadata: bytes = b""
@@ -1215,9 +1204,10 @@ class DisaggregatedStore(PlasmaStore):
     # the loop in async mode and otherwise runs it inline with blocking
     # leaves. What still exists twice are those leaves — the ordered lookup
     # sweep vs scatter-gather, sequential vs gathered pin and deletion
-    # fan-out (one message plan, _deletion_plan, sent two ways), stub call
-    # vs unary task — because the two channels charge time differently
-    # (docs/architecture.md, "Async RPC core").
+    # fan-out (one message plan, _deletion_plan, sent two ways) — because
+    # one-at-a-time and concurrent calls charge time differently
+    # (docs/architecture.md, "Async RPC core"). A single unary hop needs no
+    # second leaf: the channel's unary_task takes the same ``blocking``.
 
     def attach_aio(self, loop, *, async_mode: bool = False) -> None:
         """Wire the cluster-wide event loop; *async_mode* makes the sync
@@ -1280,7 +1270,7 @@ class DisaggregatedStore(PlasmaStore):
     def _peer_channel(self, name: str):
         """The peer's task-capable channel. Task leaves only run in async
         mode, which the cluster refuses to arm over dmsg rings, so this is
-        always an :class:`~repro.rpc.aio.AsyncChannel`."""
+        always a :class:`~repro.rpc.channel.Channel`."""
         return self._peers[name].stub.channel
 
     def _rpc_lookup_task(

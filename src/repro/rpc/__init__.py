@@ -14,7 +14,8 @@ stack's observable behaviour:
   object-table mutex).
 * :class:`Channel` / stubs — the client side: blocking unary calls that
   charge the calibrated round-trip + per-byte cost and raise
-  :class:`~repro.common.errors.RpcStatusError` on non-OK status.
+  :class:`~repro.common.errors.RpcStatusError` on non-OK status, and —
+  with an event loop attached — the same calls as pipelined tasks.
 """
 
 from repro.rpc.codec import encode_message, decode_message, MessageError
@@ -23,7 +24,6 @@ from repro.rpc.service import Service, rpc_method
 from repro.rpc.server import RpcServer
 from repro.rpc.channel import Channel, ServiceStub
 from repro.rpc.aio import (
-    AsyncChannel,
     CoalescingBuffer,
     EventLoop,
     EventLoopError,
@@ -34,7 +34,6 @@ from repro.rpc.aio import (
 )
 
 __all__ = [
-    "AsyncChannel",
     "CoalescingBuffer",
     "EventLoop",
     "EventLoopError",

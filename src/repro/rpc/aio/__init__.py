@@ -1,4 +1,4 @@
-"""Deterministic cooperative event loop and async RPC core.
+"""Deterministic cooperative event loop and the async RPC plane's parts.
 
 ``repro.rpc`` reproduces the paper's synchronous unary gRPC stack: one
 blocking request in flight per channel, so concurrent clients serialize
@@ -11,13 +11,15 @@ deterministic**:
   generator-coroutine tasks. Ties at the same simulated instant break by a
   seeded random rank (never wall-clock, never hash order), so two runs of
   the same seed interleave identically.
-* :class:`AsyncChannel` — extends :class:`~repro.rpc.channel.Channel` with
-  non-blocking task-based calls: pipelined unary calls, transparent
-  coalescing of id-list RPCs into batched wire messages
-  (:class:`CoalescingBuffer`), and chunked streaming pulls.
+* :class:`CoalescingBuffer` — transparent coalescing of id-list RPCs into
+  batched wire messages, and :func:`stream_pull_task` — chunked streaming
+  pulls that yield between slices.
 
-Sync callers never touch this package — ``rpc_mode="sync"`` preserves the
-one-in-flight semantics (and every standing BENCH/TRACE artifact) exactly.
+The task-based calls themselves live on :class:`~repro.rpc.channel.Channel`
+(``unary_task``, ``batched_call``), beside the blocking ones they share one
+body with. Sync callers never run anything in this package —
+``rpc_mode="sync"`` preserves the one-in-flight semantics (and every
+standing BENCH/TRACE artifact) exactly.
 """
 
 from repro.rpc.aio.loop import (
@@ -29,7 +31,6 @@ from repro.rpc.aio.loop import (
     TaskAttribution,
 )
 from repro.rpc.aio.batch import CoalescingBuffer, BATCHABLE_METHODS
-from repro.rpc.aio.channel import AsyncChannel
 from repro.rpc.aio.streaming import stream_pull, stream_pull_task
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "TaskAttribution",
     "CoalescingBuffer",
     "BATCHABLE_METHODS",
-    "AsyncChannel",
     "stream_pull",
     "stream_pull_task",
 ]

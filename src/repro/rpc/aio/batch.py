@@ -23,7 +23,7 @@ from repro.rpc.aio.loop import Future, TaskAttribution
 from repro.rpc.status import StatusCode
 
 if TYPE_CHECKING:
-    from repro.rpc.aio.channel import AsyncChannel
+    from repro.rpc.channel import Channel
 
 #: Methods safe to coalesce: request is exactly ``{"object_ids": [...]}`` and
 #: the response is splittable per submitter (positionally for Contains, by
@@ -43,13 +43,13 @@ class _Entry:
 
 
 class CoalescingBuffer:
-    """One per ``(channel, service, method)``; owned by :class:`AsyncChannel`."""
+    """One per ``(channel, service, method)``; owned by the :class:`Channel`."""
 
     __slots__ = ("_channel", "_loop", "_service", "_method", "_window_ns",
                  "_max_batch", "_entries", "_pending_ids", "_epoch",
                  "_task_name")
 
-    def __init__(self, channel: "AsyncChannel", service: str, method: str, *,
+    def __init__(self, channel: "Channel", service: str, method: str, *,
                  window_ns: float, max_batch: int):
         if method not in BATCHABLE_METHODS:
             raise ValueError(f"method {method!r} is not batchable")
@@ -57,7 +57,7 @@ class CoalescingBuffer:
         self._loop = channel.loop
         self._service = service
         self._method = method
-        self._task_name = f"batch:{method}@{channel.server_host}"
+        self._task_name = f"batch:{method}@{channel.target}"
         self._window_ns = max(0.0, float(window_ns))
         self._max_batch = max(1, int(max_batch))
         self._entries: list[_Entry] = []

@@ -12,6 +12,25 @@ minimize protocol overhead"). Each call:
 3. dispatches on the server and decodes the response,
 4. raises :class:`~repro.common.errors.RpcStatusError` on non-OK status.
 
+With an event loop attached (``loop=``) the same channel also runs calls
+as tasks — :meth:`Channel.unary_task`, and id-list calls coalesced into
+shared wire messages by :meth:`Channel.batched_call`. Instead of advancing
+the shared clock inline (which serializes every caller), a task ``yield``s
+its transport time to the loop, so many requests to the same peer overlap
+in simulated time.
+
+One body, two drivers: blocking calls, tasks and stream establishment all
+run one generator, :meth:`Channel._call`, and its one attempt ladder. Every
+wait goes through :meth:`Channel._wait`, which advances the clock in place
+for a blocking call and yields :class:`~repro.rpc.aio.Sleep` for a task;
+the blocking entry points drive the body inline (a suspension raises). The
+one thing the modes charge differently is a unary attempt's transport: a
+blocking call dispatches, then charges one lump ``(round_trip + bytes *
+per_byte) * jitter`` (one draw); a task charges the request leg
+``(round_trip/2 + request_bytes * per_byte) * jitter``, dispatches, then the
+response leg (two draws), because the server must see the request before
+the response travels back while other tasks interleave.
+
 Resilience semantics (gRPC-shaped, used by repro.core.health / repro.chaos):
 
 * **Retries with exponential backoff** — UNAVAILABLE outcomes (injected
@@ -39,6 +58,8 @@ from repro.common.errors import RpcError, RpcStatusError, ServerOverloadedError
 from repro.common.rng import DeterministicRng
 from repro.common.stats import Distribution
 from repro.obs.metrics import CounterGroup
+from repro.rpc.aio.batch import BATCHABLE_METHODS, CoalescingBuffer
+from repro.rpc.aio.loop import EventLoop, Future, Sleep, TaskAttribution
 from repro.rpc.codec import decode_message, encode_message
 from repro.rpc.overload import RetryBudget
 from repro.rpc.server import RpcServer
@@ -55,9 +76,23 @@ _FAILURE_CODES = (
     StatusCode.RESOURCE_EXHAUSTED,
 )
 
+#: Counters specific to task calls. Kept out of the metrics-registry
+#: counter group so a sync-mode scrape is byte-identical to the baseline.
+AIO_COUNTER_NAMES = (
+    "tasks_started",
+    "tasks_completed",
+    "in_flight_peak",
+    "batches_sent",
+    "batched_requests",
+    "batched_ids",
+    "batch_expired",
+    "hedges_fired",
+)
+
 
 class Channel:
-    """A blocking unary-call channel from *local_host* to a server."""
+    """A unary-call channel from *local_host* to a server: blocking calls,
+    and their pipelined task forms when an event *loop* is attached."""
 
     def __init__(
         self,
@@ -71,6 +106,7 @@ class Channel:
         breaker=None,
         chaos=None,
         correlation=None,
+        loop: EventLoop | None = None,
     ):
         self._local_host = local_host
         self._server = server
@@ -83,7 +119,11 @@ class Channel:
         self._breaker = breaker
         self._chaos = chaos
         self._correlation = correlation
+        self._loop = loop
         self.counters = CounterGroup()
+        self.aio_counters: dict[str, int] = {name: 0 for name in AIO_COUNTER_NAMES}
+        self._in_flight = 0
+        self._buffers: dict[tuple[str, str], CoalescingBuffer] = {}
         self._latency = None  # per-(peer, method) histogram family
         self._closed = False
         # Retry amplification cap: a token bucket on simulated time shared
@@ -128,10 +168,28 @@ class Channel:
         return self._retry_budget
 
     @property
+    def loop(self) -> EventLoop:
+        if self._loop is None:
+            raise RpcError(
+                f"channel to {self._server.host} has no event loop attached"
+            )
+        return self._loop
+
+    @property
     def default_deadline_ns(self) -> float:
         """The configured per-call deadline (0 = none) — the budget a
         multi-hop operation starts from (see DeadlineBudget.for_stub)."""
         return self._config.default_deadline_ns
+
+    @property
+    def hedge_stagger_ns(self) -> float:
+        """Stagger before a scatter-gather lookup hedges to the next peer."""
+        return self._config.hedge_stagger_ns
+
+    @property
+    def stream_chunk_bytes(self) -> int:
+        """Chunk size for streaming bulk transfers in async mode."""
+        return self._config.stream_chunk_bytes
 
     def hedge_delay_ns(self) -> float | None:
         """How long to wait on a read before hedging to another holder:
@@ -153,25 +211,18 @@ class Channel:
             + (request_bytes + response_bytes) * self._config.per_byte_ns
         ) * self._rng.lognormal_jitter(self._config.jitter_sigma)
 
-    def _advance_within_deadline(
-        self, cost_ns: float, start_ns: int, deadline_ns: float | None
-    ) -> None:
-        """Advance the clock by *cost_ns*, but never past the call deadline;
-        on expiry, charge only the remainder and raise DEADLINE_EXCEEDED."""
-        if deadline_ns is None:
-            self._clock.advance(cost_ns)
-            return
-        remaining = deadline_ns - (self._clock.now_ns - start_ns)
-        if cost_ns > remaining:
-            self._clock.advance(max(0.0, remaining))
-            self.counters.inc("deadline_exceeded")
-            self.counters.inc("calls_failed")
-            raise RpcStatusError(
-                StatusCode.DEADLINE_EXCEEDED,
-                f"deadline of {deadline_ns / 1e6:.3f} ms exceeded calling "
-                f"{self._server.host}",
-            )
-        self._clock.advance(cost_ns)
+    def _direction_cost_ns(self, nbytes: int) -> float:
+        return (
+            self._config.round_trip_ns / 2.0
+            + nbytes * self._config.per_byte_ns
+        ) * self._rng.lognormal_jitter(self._config.jitter_sigma)
+
+    def _stream_cost_ns(self, nmessages: int, bytes_in: int, bytes_out: int) -> float:
+        return (
+            self._config.round_trip_ns
+            + nmessages * self._config.per_stream_message_ns
+            + (bytes_in + bytes_out) * self._config.per_byte_ns
+        ) * self._rng.lognormal_jitter(self._config.jitter_sigma)
 
     def _backoff_ns(self, retry_index: int) -> float:
         base = self._config.retry_initial_backoff_ns * (
@@ -181,6 +232,48 @@ class Channel:
         return base * self._rng.lognormal_jitter(
             self._config.retry_backoff_jitter_sigma
         )
+
+    def _wait(
+        self,
+        cost_ns: float,
+        start_ns: int,
+        deadline_ns: float | None,
+        blocking: bool,
+        attr: TaskAttribution | None = None,
+        retry: bool = False,
+    ):
+        """Spend *cost_ns* of the call's time — advanced in place when
+        *blocking*, slept as a task otherwise — but never past the call
+        deadline; on expiry, spend only the remainder and raise
+        DEADLINE_EXCEEDED.
+
+        *retry* time (backoff, and the transport of repeat attempts that
+        never reached the server) is retry amplification, not useful
+        service time: the span plane's ``retry`` component when blocking,
+        a hint on the task's *attr* otherwise. Everything else goes to the
+        caller's default component."""
+        if retry and attr is not None:
+            attr.hint("retry", cost_ns)
+        expired = False
+        if deadline_ns is not None:
+            remaining = deadline_ns - (self._clock.now_ns - start_ns)
+            if cost_ns > remaining:
+                cost_ns, expired = max(0.0, remaining), True
+        if not blocking:
+            yield Sleep(cost_ns)
+        elif retry and self._spans is not None:
+            with self._spans.component("retry"):
+                self._clock.advance(cost_ns)
+        else:
+            self._clock.advance(cost_ns)
+        if expired:
+            self.counters.inc("deadline_exceeded")
+            self.counters.inc("calls_failed")
+            raise RpcStatusError(
+                StatusCode.DEADLINE_EXCEEDED,
+                f"deadline of {deadline_ns / 1e6:.3f} ms exceeded calling "
+                f"{self._server.host}",
+            )
 
     def _attempt_fails(self) -> bool:
         rate = self._config.inject_failure_rate
@@ -201,16 +294,19 @@ class Channel:
 
     # -- breaker gate ---------------------------------------------------------------
 
-    def _breaker_admit(self) -> None:
-        if self._breaker is None:
-            return
-        if not self._breaker.allow():
+    def _admit(self, deadline_ns: float | None) -> float | None:
+        """Open a call: refuse it on a closed channel or an open breaker
+        (failing fast, without a round trip); return its deadline."""
+        if self._closed:
+            raise RpcError(f"channel to {self._server.host} is closed")
+        if self._breaker is not None and not self._breaker.allow():
             self._clock.advance(self._breaker.fail_fast_cost_ns)
             self.counters.inc("breaker_rejections")
             raise RpcStatusError(
                 StatusCode.UNAVAILABLE,
                 f"circuit breaker open for {self._server.host}",
             )
+        return self._effective_deadline(deadline_ns)
 
     def _breaker_record(self, exc: RpcStatusError | None) -> None:
         if self._breaker is None:
@@ -222,7 +318,7 @@ class Channel:
             # proves the peer is alive.
             self._breaker.record_success()
 
-    # -- unary ------------------------------------------------------------------------
+    # -- entry points ------------------------------------------------------------------
 
     def unary_call(
         self,
@@ -238,204 +334,40 @@ class Channel:
         up to the configured ``max_retries``; every attempt and backoff is
         charged in simulated time, bounded by the call deadline.
         """
-        if self._closed:
-            raise RpcError(f"channel to {self._server.host} is closed")
-        self._breaker_admit()
-        deadline = self._effective_deadline(deadline_ns)
-        track = self._latency is not None or self._config.hedge_quantile > 0
-        start_ns = self._clock.now_ns if track else 0
-        try:
-            if self._spans is not None:
-                with self._rpc_span(service, method):
-                    response = self._unary_call_inner(
-                        service, method, request, deadline
-                    )
-            else:
-                response = self._unary_call_inner(
-                    service, method, request, deadline
-                )
-        except RpcStatusError as exc:
-            self._observe_latency(method, start_ns)
-            self._breaker_record(exc)
-            raise
-        self._observe_latency(method, start_ns)
-        if self._config.hedge_quantile > 0:
-            # Successful-call latency feeds the hedge-delay quantile.
-            self._latency_samples.add(self._clock.now_ns - start_ns)
-        self._breaker_record(None)
-        return response
+        deadline = self._admit(deadline_ns)
+        return self._run(self._call(service, method, request, deadline, True))
 
-    def _rpc_span(self, service: str, method: str):
-        """The ``rpc`` span of one call (only with a sink attached)."""
-        rid = self._correlation.current if self._correlation is not None else None
-        return self._spans.span(
-            "rpc",
-            self._server._method_name(service, method),
-            self._span_node,
-            {} if rid is None else {"rid": rid},
-        )
-
-    def _charge_retry(
-        self, cost_ns: float, start_ns: int, deadline_ns: float | None
-    ) -> None:
-        """Charge *cost_ns* attributed to the retry component: backoff
-        intervals and the transport cost of repeat attempts are retry
-        amplification, not useful service time."""
-        if self._spans is not None:
-            with self._spans.component("retry"):
-                self._advance_within_deadline(cost_ns, start_ns, deadline_ns)
-        else:
-            self._advance_within_deadline(cost_ns, start_ns, deadline_ns)
-
-    def _observe_latency(self, method: str, start_ns: int) -> None:
-        if self._latency is not None:
-            self._latency.labels(peer=self._server.host, method=method).observe(
-                self._clock.now_ns - start_ns,
-                exemplar=(
-                    self._spans.current_span if self._spans is not None else None
-                ),
-            )
-
-    def _unary_call_inner(
+    def unary_task(
         self,
         service: str,
         method: str,
-        request: dict | None,
-        deadline_ns: float | None,
-    ) -> dict:
-        wire_request = encode_message(request or {})
-        attempts = 1 + max(0, self._config.max_retries)
-        start_ns = self._clock.now_ns
-        for attempt in range(attempts):
-            last = attempt == attempts - 1
-            if self._transport_silent():
-                # The attempt vanished into a partition/blackhole: the
-                # caller waits out its connect timeout (or the deadline).
-                self._fail_attempt(
-                    self._chaos.unanswered_wait_ns,
-                    start_ns,
-                    deadline_ns,
-                    last,
-                    attempts,
-                    attempt,
-                    f"no response from {self._server.host}",
-                )
-                continue
-            if self._attempt_fails():
-                # The connection dropped mid-call: charge the round trip,
-                # then retry or surface UNAVAILABLE.
-                self._fail_attempt(
-                    self._cost_ns(len(wire_request), 0),
-                    start_ns,
-                    deadline_ns,
-                    last,
-                    attempts,
-                    attempt,
-                    f"connection to {self._server.host} lost",
-                )
-                continue
-            status, wire_response, detail = self._server.dispatch_wire(
-                service,
-                method,
-                wire_request,
-                correlation_id=(
-                    self._correlation.current
-                    if self._correlation is not None
-                    else None
-                ),
-                # The grpc-timeout header: the budget *left*, not the
-                # original deadline, so a forwarded/retried call tells the
-                # server how much patience actually remains.
-                deadline_ns=(
-                    deadline_ns - (self._clock.now_ns - start_ns)
-                    if deadline_ns is not None
-                    else None
-                ),
-                caller=self._local_host,
-            )
-            self._advance_within_deadline(
-                self._cost_ns(len(wire_request), len(wire_response)),
-                start_ns,
-                deadline_ns,
-            )
-            self.counters.inc("calls")
-            self.counters.inc("bytes_sent", len(wire_request))
-            self.counters.inc("bytes_received", len(wire_response))
-            if status is StatusCode.UNAVAILABLE:
-                # The server process is down (connection refused). gRPC
-                # treats UNAVAILABLE as retryable; so do we.
-                self.counters.inc("attempts_failed")
-                if last:
-                    self.counters.inc("calls_failed")
-                    raise RpcStatusError(status, detail)
-                self._gate_retry(RpcStatusError(status, detail))
-                self.counters.inc("retries")
-                self._charge_retry(self._backoff_ns(attempt), start_ns, deadline_ns)
-                continue
-            if status is StatusCode.RESOURCE_EXHAUSTED:
-                # The server shed us under overload. Retryable — the peer is
-                # alive — but every retry spends retry budget, so a storm
-                # of shed calls fails fast instead of amplifying the load.
-                self.counters.inc("attempts_shed")
-                err = ServerOverloadedError(detail)
-                if last:
-                    self.counters.inc("calls_failed")
-                    raise err
-                self._gate_retry(err)
-                self.counters.inc("retries")
-                self._charge_retry(self._backoff_ns(attempt), start_ns, deadline_ns)
-                continue
-            if status is not StatusCode.OK:
-                self.counters.inc("calls_failed")
-                raise RpcStatusError(status, detail)
-            return decode_message(wire_response)
-        raise AssertionError("unreachable")  # pragma: no cover
+        request: dict | None = None,
+        *,
+        deadline_ns: float | None = None,
+        attr: TaskAttribution | None = None,
+        blocking: bool = False,
+    ):
+        """Generator-coroutine form of :meth:`unary_call`.
 
-    def _gate_retry(self, exc: RpcStatusError) -> None:
-        """Spend one retry token or fail the call fast with *exc*.
-
-        The per-channel token bucket caps retry amplification: once the
-        budget is dry, a failed attempt surfaces immediately instead of
-        piling more attempts onto a peer that is already struggling.
+        ``yield from`` it inside another task, or ``loop.spawn`` it
+        directly. Raises exactly what the sync call raises; returns the
+        response dict. With *blocking* it is :meth:`unary_call`'s own body
+        and never suspends — what a store body driven inline passes on.
         """
-        if self._retry_budget.try_spend():
-            return
-        self.counters.inc("retries_suppressed")
-        self.counters.inc("calls_failed")
-        raise exc
-
-    def _fail_attempt(
-        self,
-        cost_ns: float,
-        start_ns: int,
-        deadline_ns: float | None,
-        last: bool,
-        attempts: int,
-        attempt: int,
-        detail: str,
-    ) -> None:
-        """Account one transport-level failed attempt; retry or raise."""
-        if attempt > 0:
-            # A repeat attempt's wasted transport cost is retry
-            # amplification; the first attempt's cost is ordinary service.
-            self._charge_retry(cost_ns, start_ns, deadline_ns)
-        else:
-            self._advance_within_deadline(cost_ns, start_ns, deadline_ns)
-        self.counters.inc("attempts_failed")
-        if last:
-            self.counters.inc("calls_failed")
-            raise RpcStatusError(
-                StatusCode.UNAVAILABLE, f"{detail} ({attempts} attempts)"
+        deadline = self._admit(deadline_ns)
+        if blocking:
+            return (yield from self._call(service, method, request, deadline, True))
+        self._in_flight += 1
+        self.aio_counters["tasks_started"] += 1
+        if self._in_flight > self.aio_counters["in_flight_peak"]:
+            self.aio_counters["in_flight_peak"] = self._in_flight
+        try:
+            return (
+                yield from self._call(service, method, request, deadline, False, attr)
             )
-        self._gate_retry(
-            RpcStatusError(
-                StatusCode.UNAVAILABLE, f"{detail} (retry budget exhausted)"
-            )
-        )
-        self.counters.inc("retries")
-        self._charge_retry(self._backoff_ns(attempt), start_ns, deadline_ns)
-
-    # -- streaming ---------------------------------------------------------------------
+        finally:
+            self._in_flight -= 1
+            self.aio_counters["tasks_completed"] += 1
 
     def stream_call(
         self,
@@ -456,84 +388,256 @@ class Channel:
         call would hit; the first non-OK status aborts the stream (gRPC
         semantics) and raises.
 
-        Stream *establishment* goes through the same failure path as unary
-        calls: injected connection drops and chaos blackholes/partitions
-        are retried with backoff, deadlines bound the whole call, and the
+        Stream *establishment* runs the unary calls' attempt ladder:
+        injected connection drops and chaos blackholes/partitions are
+        retried with backoff, deadlines bound the whole call, and the
         breaker gates admission — a fault plan degrades streams and unary
         calls alike.
         """
-        if self._closed:
-            raise RpcError(f"channel to {self._server.host} is closed")
-        if not requests:
-            return []
-        self._breaker_admit()
-        deadline = self._effective_deadline(deadline_ns)
-        start_ns = self._clock.now_ns if self._latency is not None else 0
+        if not requests and not self._closed:
+            return []  # nothing to send: no round trip, no breaker probe
+        deadline = self._admit(deadline_ns)
+        return self._run(
+            self._call(service, method, requests, deadline, True, stream=True)
+        )
+
+    def batched_call(
+        self,
+        service: str,
+        method: str,
+        object_ids: list,
+        *,
+        deadline_ns: float | None = None,
+        attr: TaskAttribution | None = None,
+    ) -> Future:
+        """Submit an id-list call to this channel's coalescing buffer.
+
+        Returns a future resolving with the caller's slice of the merged
+        response. Calls landing within ``batch_window_ns`` of each other (or
+        until ``max_batch`` ids accumulate) share one wire message.
+        """
+        if method not in BATCHABLE_METHODS:
+            raise ValueError(f"method {method!r} is not batchable")
+        key = (service, method)
+        buffer = self._buffers.get(key)
+        if buffer is None:
+            buffer = CoalescingBuffer(
+                self, service, method,
+                window_ns=self._config.batch_window_ns,
+                max_batch=self._config.max_batch,
+            )
+            self._buffers[key] = buffer
+        return buffer.submit(
+            object_ids,
+            deadline_ns=self._effective_deadline(deadline_ns),
+            attr=attr,
+        )
+
+    @staticmethod
+    def _run(body):
+        """Drive a blocking call's body to completion in this frame."""
         try:
-            if self._spans is not None:
+            awaited = body.send(None)
+        except StopIteration as done:
+            return done.value
+        body.close()
+        raise RuntimeError(f"a blocking call suspended on {awaited!r}")
+
+    # -- the one body ------------------------------------------------------------------
+
+    def _call(
+        self,
+        service: str,
+        method: str,
+        request,
+        deadline_ns: float | None,
+        blocking: bool,
+        attr: TaskAttribution | None = None,
+        stream: bool = False,
+    ):
+        """Every admitted call: its attempts (inside the ``rpc`` span of a
+        blocking call, with a sink attached), then latency and breaker
+        recording. Successful unary latency feeds the hedge-delay quantile."""
+        start_ns = self._clock.now_ns
+        ladder = self._attempts(
+            service, method, request, start_ns, deadline_ns, blocking, attr, stream
+        )
+        try:
+            if blocking and self._spans is not None:
                 with self._rpc_span(service, method):
-                    responses = self._stream_call_inner(
-                        service, method, requests, deadline
-                    )
+                    result = yield from ladder
             else:
-                responses = self._stream_call_inner(
-                    service, method, requests, deadline
-                )
+                result = yield from ladder
         except RpcStatusError as exc:
             self._observe_latency(method, start_ns)
             self._breaker_record(exc)
             raise
         self._observe_latency(method, start_ns)
+        if not stream and self._config.hedge_quantile > 0:
+            self._latency_samples.add(self._clock.now_ns - start_ns)
         self._breaker_record(None)
-        return responses
+        return result
 
-    def _stream_call_inner(
+    def _rpc_span(self, service: str, method: str):
+        """The ``rpc`` span of one call (only with a sink attached)."""
+        rid = self._correlation.current if self._correlation is not None else None
+        return self._spans.span(
+            "rpc",
+            self._server._method_name(service, method),
+            self._span_node,
+            {} if rid is None else {"rid": rid},
+        )
+
+    def _observe_latency(self, method: str, start_ns: int) -> None:
+        if self._latency is not None:
+            self._latency.labels(peer=self._server.host, method=method).observe(
+                self._clock.now_ns - start_ns,
+                exemplar=(
+                    self._spans.current_span if self._spans is not None else None
+                ),
+            )
+
+    def _attempts(
         self,
         service: str,
         method: str,
-        requests: list[dict],
+        request,
+        start_ns: int,
         deadline_ns: float | None,
-    ) -> list[dict]:
+        blocking: bool,
+        attr: TaskAttribution | None,
+        stream: bool,
+    ):
+        """The attempt ladder: transport failures and retryable statuses
+        are retried with backoff while attempts and retry budget last."""
+        if stream:
+            payload, dispatch = request, self._stream_attempt
+            dropped_bytes, link = 0, "stream"
+        else:
+            payload = encode_message(request or {})
+            dispatch = self._unary_attempt
+            dropped_bytes, link = len(payload), "connection"
         attempts = 1 + max(0, self._config.max_retries)
-        start_ns = self._clock.now_ns
         for attempt in range(attempts):
             last = attempt == attempts - 1
             if self._transport_silent():
-                self._fail_attempt(
+                # The attempt vanished into a partition/blackhole: the
+                # caller waits out its connect timeout (or the deadline).
+                wasted, detail = (
                     self._chaos.unanswered_wait_ns,
-                    start_ns,
-                    deadline_ns,
-                    last,
-                    attempts,
-                    attempt,
                     f"no response from {self._server.host}",
                 )
-                continue
-            if self._attempt_fails():
-                # The stream never established: one wasted round trip.
-                self._fail_attempt(
-                    self._cost_ns(0, 0),
-                    start_ns,
-                    deadline_ns,
-                    last,
-                    attempts,
-                    attempt,
-                    f"stream to {self._server.host} lost",
+            elif self._attempt_fails():
+                # The connection dropped mid-call (a stream never
+                # established): charge the wasted round trip.
+                wasted, detail = (
+                    self._cost_ns(dropped_bytes, 0),
+                    f"{link} to {self._server.host} lost",
                 )
-                continue
-            return self._stream_dispatch(
-                service, method, requests, start_ns, deadline_ns
+            else:
+                wasted = None
+            if wasted is None:
+                status, result, detail = yield from dispatch(
+                    service, method, payload, start_ns, deadline_ns, blocking
+                )
+                if status is StatusCode.OK:
+                    return result
+                if status is StatusCode.UNAVAILABLE:
+                    # The server process is down (connection refused). gRPC
+                    # treats UNAVAILABLE as retryable; so do we.
+                    self.counters.inc("attempts_failed")
+                    error = RpcStatusError(status, detail)
+                elif status is StatusCode.RESOURCE_EXHAUSTED:
+                    # The server shed us under overload. Retryable — the
+                    # peer is alive — but every retry spends retry budget,
+                    # so a storm of shed calls fails fast instead of
+                    # amplifying the load.
+                    self.counters.inc("attempts_shed")
+                    error = ServerOverloadedError(detail)
+                else:
+                    self.counters.inc("calls_failed")
+                    raise RpcStatusError(status, detail)
+            else:
+                # Only a repeat attempt's wasted transport is retry
+                # amplification; the first attempt's is ordinary service.
+                yield from self._wait(
+                    wasted, start_ns, deadline_ns, blocking, attr, attempt > 0
+                )
+                self.counters.inc("attempts_failed")
+                error = RpcStatusError(
+                    StatusCode.UNAVAILABLE,
+                    f"{detail} ({attempts} attempts)"
+                    if last
+                    else f"{detail} (retry budget exhausted)",
+                )
+            if last:
+                self.counters.inc("calls_failed")
+                raise error
+            self._gate_retry(error)
+            self.counters.inc("retries")
+            yield from self._wait(
+                self._backoff_ns(attempt), start_ns, deadline_ns, blocking, attr, True
             )
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _stream_dispatch(
-        self,
-        service: str,
-        method: str,
-        requests: list[dict],
-        start_ns: int,
-        deadline_ns: float | None,
-    ) -> list[dict]:
+    def _gate_retry(self, exc: RpcStatusError) -> None:
+        """Spend one retry token or fail the call fast with *exc*.
+
+        The per-channel token bucket caps retry amplification: once the
+        budget is dry, a failed attempt surfaces immediately instead of
+        piling more attempts onto a peer that is already struggling.
+        """
+        if self._retry_budget.try_spend():
+            return
+        self.counters.inc("retries_suppressed")
+        self.counters.inc("calls_failed")
+        raise exc
+
+    def _unary_attempt(
+        self, service, method, wire_request, start_ns, deadline_ns, blocking
+    ):
+        """One unary attempt that reached the transport: its dispatch and
+        its charge, the one step the two modes take differently (see the
+        module docstring). Returns ``(status, response, detail)``."""
+        if not blocking:
+            yield from self._wait(
+                self._direction_cost_ns(len(wire_request)), start_ns, deadline_ns,
+                False,
+            )
+        status, wire_response, detail = self._server.dispatch_wire(
+            service,
+            method,
+            wire_request,
+            correlation_id=(
+                self._correlation.current if self._correlation is not None else None
+            ),
+            # The grpc-timeout header: the budget *left*, not the original
+            # deadline, so a forwarded/retried call tells the server how
+            # much patience actually remains.
+            deadline_ns=(
+                deadline_ns - (self._clock.now_ns - start_ns)
+                if deadline_ns is not None
+                else None
+            ),
+            caller=self._local_host,
+        )
+        if blocking:
+            cost = self._cost_ns(len(wire_request), len(wire_response))
+        else:
+            cost = self._direction_cost_ns(len(wire_response))
+        yield from self._wait(cost, start_ns, deadline_ns, blocking)
+        self.counters.inc("calls")
+        self.counters.inc("bytes_sent", len(wire_request))
+        self.counters.inc("bytes_received", len(wire_response))
+        if status is StatusCode.OK:
+            return status, decode_message(wire_response), detail
+        return status, None, detail
+
+    def _stream_attempt(
+        self, service, method, requests, start_ns, deadline_ns, blocking
+    ):
+        """An established stream: every message dispatched in order, one
+        charge for the lot. A non-OK status aborts it (never retried)."""
         responses: list[dict] = []
         wire_in = 0
         wire_out = 0
@@ -555,33 +659,28 @@ class Channel:
             wire_in += len(wire_request)
             wire_out += len(wire_response)
             if status is not StatusCode.OK:
-                self._advance_within_deadline(
+                yield from self._wait(
                     self._stream_cost_ns(len(requests), wire_in, wire_out),
                     start_ns,
                     deadline_ns,
+                    blocking,
                 )
                 self.counters.inc("calls_failed")
                 if status is StatusCode.RESOURCE_EXHAUSTED:
                     raise ServerOverloadedError(detail)
                 raise RpcStatusError(status, detail)
             responses.append(decode_message(wire_response))
-        self._advance_within_deadline(
+        yield from self._wait(
             self._stream_cost_ns(len(requests), wire_in, wire_out),
             start_ns,
             deadline_ns,
+            blocking,
         )
         self.counters.inc("calls")
         self.counters.inc("stream_messages", len(requests))
         self.counters.inc("bytes_sent", wire_in)
         self.counters.inc("bytes_received", wire_out)
-        return responses
-
-    def _stream_cost_ns(self, nmessages: int, bytes_in: int, bytes_out: int) -> float:
-        return (
-            self._config.round_trip_ns
-            + nmessages * self._config.per_stream_message_ns
-            + (bytes_in + bytes_out) * self._config.per_byte_ns
-        ) * self._rng.lognormal_jitter(self._config.jitter_sigma)
+        return StatusCode.OK, responses, ""
 
     def stub(self, service: str) -> "ServiceStub":
         return ServiceStub(self, service)
@@ -612,10 +711,6 @@ class ServiceStub:
         def call(
             request: dict | None = None, *, deadline_ns: float | None = None
         ) -> dict:
-            if deadline_ns is None:
-                # Keep the plain signature for alternate transports
-                # (e.g. DmsgChannel) that predate deadlines.
-                return self._channel.unary_call(self._service, method, request)
             return self._channel.unary_call(
                 self._service, method, request, deadline_ns=deadline_ns
             )

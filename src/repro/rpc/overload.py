@@ -294,8 +294,8 @@ class DeadlineBudget:
 
     def kwargs(self) -> dict:
         """``{'deadline_ns': remaining}`` when enabled, else ``{}`` — the
-        shape stub calls splat so deadline-less transports keep their
-        plain signature. A spent budget is clamped to 1 ns rather than 0:
+        keyword arguments a call splats, so a disabled budget passes no
+        deadline at all. A spent budget is clamped to 1 ns rather than 0:
         the channel treats a non-positive deadline as *unset*, and a spent
         budget must fail fast, not wait forever."""
         if not self.enabled:

@@ -42,6 +42,22 @@ def test_failed_call_counted(dmsg_cluster):
     assert channel.counters.get("calls_failed") == 1
 
 
+def test_stub_calls_share_the_channel_signature(dmsg_cluster):
+    """The stub forwards ``deadline_ns`` to every transport; the rings carry
+    no deadline header, so a dmsg call that asks for one is refused typed."""
+    from repro.common.errors import RpcStatusError
+    from repro.rpc.status import StatusCode
+
+    channel = dmsg_cluster.node("node1").channels["node0"]
+    stub = channel.stub("plasma.StoreService")
+    assert isinstance(stub.Stats({}), dict)
+    assert channel.counters.get("calls") == 1
+    with pytest.raises(RpcStatusError) as excinfo:
+        stub.Stats({}, deadline_ns=5_000_000.0)
+    assert excinfo.value.code is StatusCode.UNIMPLEMENTED
+    assert channel.counters.get("calls") == 1  # refused before the rings
+
+
 def test_poll_delay_charged_twice_per_call(dmsg_cluster):
     """Request leg + response leg each wait ~poll_interval/2 on average."""
     channel = dmsg_cluster.node("node1").channels["node0"]

@@ -1,5 +1,6 @@
-"""AsyncChannel: pipelined unary tasks, coalesced batches, and the
-buffered-deadline fail-fast regression (doomed wire messages must not ship)."""
+"""Channel task forms: pipelined unary tasks, coalesced batches, the
+buffered-deadline fail-fast regression (doomed wire messages must not ship),
+and task attribution that observes without perturbing."""
 
 import pytest
 
@@ -7,8 +8,8 @@ from repro.common.clock import SimClock
 from repro.common.config import RpcConfig
 from repro.common.errors import RpcStatusError
 from repro.common.rng import DeterministicRng
-from repro.rpc import RpcServer, Service, StatusCode, rpc_method
-from repro.rpc.aio import AsyncChannel, EventLoop, Sleep
+from repro.rpc import Channel, RpcServer, Service, StatusCode, rpc_method
+from repro.rpc.aio import EventLoop, Sleep, TaskAttribution
 
 
 class DirService(Service):
@@ -50,7 +51,7 @@ def world():
     server.add_service(service)
 
     def channel(**cfg):
-        return AsyncChannel(
+        return Channel(
             "node-y", server, clock, RpcConfig(jitter_sigma=0.0, **cfg),
             rng, loop=loop)
 
@@ -214,6 +215,88 @@ class TestBufferedDeadlineFailFast:
         result = loop.run_until_complete(fut)
         assert [d["object_id"] for d in result["found"]] == [b"obj-1"]
         assert service.lookups == 1
+
+
+class RecordingChannel(Channel):
+    """Notes every cost the channel draws, in draw order: a dropped
+    attempt's wasted round trip, a transport leg, a backoff interval."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.waits: list[tuple[str, float]] = []
+
+    def _cost_ns(self, request_bytes, response_bytes):
+        cost = super()._cost_ns(request_bytes, response_bytes)
+        self.waits.append(("dropped", cost))
+        return cost
+
+    def _direction_cost_ns(self, nbytes):
+        cost = super()._direction_cost_ns(nbytes)
+        self.waits.append(("leg", cost))
+        return cost
+
+    def _backoff_ns(self, retry_index):
+        cost = super()._backoff_ns(retry_index)
+        self.waits.append(("backoff", cost))
+        return cost
+
+
+class TestAttributionObservesOnly:
+    """Regression: the task form used to hint every repeat attempt that
+    reached the server with a fresh round-trip draw from the channel's
+    RNG, so passing a ``TaskAttribution`` changed the simulation it was
+    meant to observe."""
+
+    FAULTS = ("dropped-connections", "server-down")
+
+    @staticmethod
+    def run(fault: str, with_attr: bool):
+        clock = SimClock()
+        rng = DeterministicRng(11)
+        loop = EventLoop(clock, rng)
+        server = RpcServer("node-x")
+        server.add_service(DirService())
+        config = RpcConfig(
+            jitter_sigma=0.3,
+            max_retries=4,
+            inject_failure_rate=0.5 if fault == "dropped-connections" else 0.0,
+        )
+        channel = RecordingChannel("node-y", server, clock, config, rng, loop=loop)
+        if fault == "server-down":
+            server.shutdown()
+        calls = []
+        for i in range(12):
+            attr = TaskAttribution(clock, clock.now_ns) if with_attr else None
+            start, seen = clock.now_ns, len(channel.waits)
+            task = loop.spawn(channel.unary_task(
+                "test.Dir", "Echo", {"msg": str(i)}, attr=attr))
+            try:
+                loop.run_until_complete(task)
+            except RpcStatusError:
+                pass
+            if attr is not None:
+                attr.settle("service")
+            calls.append((clock.now_ns - start, attr, channel.waits[seen:]))
+        return clock, channel, calls
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_attr_leaves_clock_counters_and_rng_alone(self, fault):
+        clock, channel, _ = self.run(fault, with_attr=True)
+        bare_clock, bare, _ = self.run(fault, with_attr=False)
+        assert channel.counters.get("retries") > 0
+        assert clock.now_ns == bare_clock.now_ns
+        assert channel.counters.snapshot() == bare.counters.snapshot()
+        assert channel._rng.integer(0, 1 << 30) == bare._rng.integer(0, 1 << 30)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_retry_is_backoff_plus_wasted_repeat_transport(self, fault):
+        _, _, calls = self.run(fault, with_attr=True)
+        for latency, attr, waits in calls:
+            assert attr.total_ns() == latency
+            # The first attempt's cost, dropped or not, is ordinary service;
+            # every backoff and every later dropped attempt is retry.
+            expected = sum(round(cost) for kind, cost in waits[1:] if kind != "leg")
+            assert attr.components.get("retry", 0) == expected
 
 
 class TestStreamingPull:

@@ -51,6 +51,19 @@ class TestObsSurface:
             assert not hasattr(repro.Cluster, gone), gone
 
 
+class TestRpcSurface:
+    def test_one_channel_class_serves_both_modes(self):
+        """``Channel`` runs blocking and task calls; there is no async twin."""
+        import repro.rpc
+        import repro.rpc.aio
+
+        for module in (repro.rpc, repro.rpc.aio):
+            assert "AsyncChannel" not in module.__all__
+            assert not hasattr(module, "AsyncChannel")
+        for name in ("unary_call", "stream_call", "unary_task", "batched_call"):
+            assert callable(getattr(repro.rpc.Channel, name)), name
+
+
 class TestReadmeQuickstart:
     def test_readme_snippet_verbatim(self):
         """The exact code from README.md §Quickstart must work."""
