@@ -48,5 +48,7 @@ def table_results():
 @pytest.fixture()
 def bench_cluster():
     """A small 2-node cluster for wall-clock micro-measurements."""
-    cfg = ClusterConfig().with_store(capacity_bytes=64 * MiB)
-    return Cluster(cfg, n_nodes=2, check_remote_uniqueness=False)
+    cfg = ClusterConfig().with_store(
+        capacity_bytes=64 * MiB, check_remote_uniqueness=False
+    )
+    return Cluster(cfg)

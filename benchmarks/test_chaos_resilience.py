@@ -37,7 +37,7 @@ def build_cluster(seed: int, n_nodes: int) -> Cluster:
         config, rpc=replace(config.rpc, default_deadline_ns=DEADLINE_NS)
     )
     plan = FaultPlan([NodeCrash(at_ns=CRASH_AT_NS, node="node1")])
-    return Cluster(config, n_nodes=n_nodes, fault_plan=plan)
+    return Cluster(config, n_nodes, fault_plan=plan)
 
 
 def run_scenario(seed: int, replicas: int, n_nodes: int = 3) -> dict:

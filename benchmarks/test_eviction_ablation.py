@@ -34,7 +34,7 @@ def run_streaming_workload(policy: str) -> dict:
     cfg = ClusterConfig().with_store(
         capacity_bytes=STORE_CAPACITY, eviction_policy=policy
     )
-    cluster = Cluster(cfg, n_nodes=2, check_remote_uniqueness=False)
+    cluster = Cluster(cfg.with_store(check_remote_uniqueness=False))
     producer = cluster.client("node0")
     hot_ids = [ObjectID.from_int(i) for i in range(HOT_OBJECTS)]
     hot_payload = bytes(HOT_SIZE)
@@ -87,8 +87,10 @@ def test_eviction_throughput_wall_clock(benchmark):
     """Real wall-time of an eviction-heavy create loop (policy machinery
     itself must stay cheap)."""
     capacity = 8 * MiB
-    cfg = ClusterConfig().with_store(capacity_bytes=capacity)
-    cluster = Cluster(cfg, n_nodes=2, check_remote_uniqueness=False)
+    cfg = ClusterConfig().with_store(
+        capacity_bytes=capacity, check_remote_uniqueness=False
+    )
+    cluster = Cluster(cfg)
     producer = cluster.client("node0")
     counter = iter(range(10_000_000))
 

@@ -27,7 +27,7 @@ def _remote_read_ns(size: int, **store_overrides) -> int:
     cfg = ClusterConfig(seed=7).with_store(
         capacity_bytes=64 * MiB, **store_overrides
     )
-    cluster = Cluster(cfg, n_nodes=2, check_remote_uniqueness=False)
+    cluster = Cluster(cfg.with_store(check_remote_uniqueness=False))
     producer = cluster.client("node0")
     consumer = cluster.client("node1")
     oid = cluster.new_object_id()
@@ -44,7 +44,7 @@ def _remote_get_ns(size: int, **store_overrides) -> int:
     cfg = ClusterConfig(seed=7).with_store(
         capacity_bytes=64 * MiB, **store_overrides
     )
-    cluster = Cluster(cfg, n_nodes=2, check_remote_uniqueness=False)
+    cluster = Cluster(cfg.with_store(check_remote_uniqueness=False))
     producer = cluster.client("node0")
     consumer = cluster.client("node1")
     oid = cluster.new_object_id()

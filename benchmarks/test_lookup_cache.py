@@ -38,11 +38,11 @@ def _repeated_requests(cluster, rounds: int, n_objects: int) -> float:
 
 def test_cache_accelerates_repeated_requests(benchmark):
     def run():
-        cold_cluster = Cluster(cfg(), n_nodes=2, check_remote_uniqueness=False)
+        cold_cluster = Cluster(cfg().with_store(check_remote_uniqueness=False))
         cold = _repeated_requests(cold_cluster, rounds=10, n_objects=20)
         cold_rpcs = cold_cluster.store("node1").counters.get("lookup_rpcs")
         warm_cluster = Cluster(
-            cfg(), n_nodes=2, enable_lookup_cache=True, check_remote_uniqueness=False
+            cfg().with_store(lookup_cache=True, check_remote_uniqueness=False),
         )
         warm = _repeated_requests(warm_cluster, rounds=10, n_objects=20)
         warm_rpcs = warm_cluster.store("node1").counters.get("lookup_rpcs")
@@ -71,7 +71,7 @@ def test_invalidation_keeps_cache_coherent(benchmark):
 
     def run():
         cluster = Cluster(
-            cfg(), n_nodes=2, enable_lookup_cache=True, check_remote_uniqueness=False
+            cfg().with_store(lookup_cache=True, check_remote_uniqueness=False),
         )
         producer = cluster.client("node0")
         consumer = cluster.client("node1")
@@ -107,7 +107,7 @@ def test_zipf_hit_rates_with_bounded_cache(benchmark):
     smaller than the object population absorbs most lookups; under uniform
     access the same cache thrashes. Paper §V-B: the caching win "is
     dependent on system usage" — this quantifies that dependence."""
-    from repro.bench import uniform_access_sequence, zipf_access_sequence
+    from repro.workload.popularity import uniform_access_sequence, zipf_access_sequence
     from repro.common.rng import DeterministicRng
 
     N_OBJECTS = 400
@@ -116,10 +116,7 @@ def test_zipf_hit_rates_with_bounded_cache(benchmark):
 
     def run_pattern(pattern: str) -> float:
         cluster = Cluster(
-            cfg(),
-            n_nodes=2,
-            enable_lookup_cache=True,
-            check_remote_uniqueness=False,
+            cfg().with_store(lookup_cache=True, check_remote_uniqueness=False),
         )
         # Shrink the cache to force replacement.
         store = cluster.store("node1")
@@ -159,7 +156,7 @@ def test_zipf_hit_rates_with_bounded_cache(benchmark):
 def test_cached_lookup_wall_clock(benchmark):
     """Real wall-time of a cache-hit remote get (no RPC dispatch at all)."""
     cluster = Cluster(
-        cfg(), n_nodes=2, enable_lookup_cache=True, check_remote_uniqueness=False
+        cfg().with_store(lookup_cache=True, check_remote_uniqueness=False),
     )
     producer = cluster.client("node0")
     consumer = cluster.client("node1")

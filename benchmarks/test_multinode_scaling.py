@@ -26,7 +26,7 @@ def cfg():
 
 def wide_exchange(n_nodes: int) -> dict:
     """All-to-all consumption; returns simulated timings and counters."""
-    cluster = Cluster(cfg(), n_nodes=n_nodes, check_remote_uniqueness=False)
+    cluster = Cluster(cfg().with_store(check_remote_uniqueness=False), n_nodes)
     clients = {n: cluster.client(n) for n in cluster.node_names()}
     ids_by_node = {}
     payload = bytes(OBJECT_SIZE)
@@ -75,7 +75,7 @@ def test_scaling_2_to_6_nodes(benchmark):
 def test_placement_transparency_at_scale(benchmark):
     """At 6 nodes a client still resolves any object with one batched RPC
     per peer at worst, stopping at the first claimant."""
-    cluster = Cluster(cfg(), n_nodes=6, check_remote_uniqueness=False)
+    cluster = Cluster(cfg().with_store(check_remote_uniqueness=False), 6)
     producer = cluster.client("node5")
     ids = cluster.new_object_ids(10)
     for oid in ids:

@@ -27,10 +27,9 @@ def _run_fig67_workload(*, metrics: bool) -> tuple[int, dict]:
     """The Fig 6/7 shape: put on node0, remote get + sequential read from
     node1. Returns (final simulated ns, cluster stats)."""
     cluster = Cluster(
-        ClusterConfig(seed=123).with_store(capacity_bytes=64 * MiB),
-        n_nodes=2,
-        check_remote_uniqueness=False,
-        metrics=metrics,
+        ClusterConfig(seed=123, metrics=metrics).with_store(
+            capacity_bytes=64 * MiB, check_remote_uniqueness=False
+        ),
     )
     producer = cluster.client("node0")
     consumer = cluster.client("node1")

@@ -19,9 +19,7 @@ contract:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.common.config import ClusterConfig
+from repro.common.config import ClusterConfig, PlacementConfig
 from repro.common.units import KiB, MiB
 from repro.core import Cluster
 
@@ -36,16 +34,13 @@ PAYLOAD = (PATTERN * (OBJECT_SIZE // len(PATTERN) + 1))[:OBJECT_SIZE]
 
 
 def build_cluster(seed: int) -> Cluster:
-    config = ClusterConfig(seed=seed).with_store(capacity_bytes=64 * MiB)
-    config = replace(
-        config,
-        placement=replace(
-            config.placement,
-            rebalance_bytes_per_tick=BYTES_PER_TICK,
-            rebalance_tick_interval_ns=TICK_NS,
-        ),
+    placement = PlacementConfig(
+        rebalance_bytes_per_tick=BYTES_PER_TICK, rebalance_tick_interval_ns=TICK_NS
     )
-    return Cluster(config, n_nodes=4, placement=True)
+    config = ClusterConfig(seed=seed, placement=placement).with_store(
+        capacity_bytes=64 * MiB
+    )
+    return Cluster(config, 4)
 
 
 def run_drain(seed: int) -> dict:

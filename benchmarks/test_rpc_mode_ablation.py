@@ -28,8 +28,10 @@ N_IDS = 200
 
 @pytest.fixture()
 def loaded_cluster():
-    cfg = ClusterConfig().with_store(capacity_bytes=64 * MiB)
-    cluster = Cluster(cfg, n_nodes=2, check_remote_uniqueness=False)
+    cfg = ClusterConfig().with_store(
+        capacity_bytes=64 * MiB, check_remote_uniqueness=False
+    )
+    cluster = Cluster(cfg)
     producer = cluster.client("node0")
     ids = cluster.new_object_ids(N_IDS)
     for oid in ids:
@@ -103,7 +105,7 @@ def test_retry_overhead_under_faults(benchmark):
                     base.rpc, inject_failure_rate=rate, max_retries=8
                 ),
             )
-            cluster = Cluster(cfg, n_nodes=2, check_remote_uniqueness=False)
+            cluster = Cluster(cfg.with_store(check_remote_uniqueness=False))
             producer = cluster.client("node0")
             consumer = cluster.client("node1")
             ids = cluster.new_object_ids(40)

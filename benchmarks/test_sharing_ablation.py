@@ -16,6 +16,8 @@ introduction argues against:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baseline import ScaleOutCluster
@@ -55,25 +57,25 @@ def cfg():
 def test_sharing_strategy_comparison(benchmark):
     def run():
         rows = {}
-        cl = Cluster(cfg(), n_nodes=2, check_remote_uniqueness=False)
+        cl = Cluster(cfg().with_store(check_remote_uniqueness=False))
         rows["rpc"] = _consume_remote(cl, _commit(cl))
 
         cl = Cluster(
-            cfg(), n_nodes=2, sharing="dmsg", check_remote_uniqueness=False
+            replace(cfg(), sharing="dmsg").with_store(check_remote_uniqueness=False),
         )
         rows["dmsg"] = _consume_remote(cl, _commit(cl))
 
         cl = Cluster(
-            cfg(), n_nodes=2, sharing="hashmap", check_remote_uniqueness=False
+            replace(cfg(), sharing="hashmap").with_store(check_remote_uniqueness=False),
         )
         rows["hashmap"] = _consume_remote(cl, _commit(cl))
 
         cl = Cluster(
-            cfg(), n_nodes=2, sharing="hybrid", check_remote_uniqueness=False
+            replace(cfg(), sharing="hybrid").with_store(check_remote_uniqueness=False),
         )
         rows["hybrid"] = _consume_remote(cl, _commit(cl))
 
-        so = ScaleOutCluster(cfg(), n_nodes=2)
+        so = ScaleOutCluster(cfg())
         ids = _commit(so)
         consumer = so.client("node1")
         t0 = so.clock.now_ns
@@ -114,11 +116,9 @@ def test_hashmap_probe_cost_scaling(benchmark):
 
     def run():
         cl = Cluster(
-            cfg(),
-            n_nodes=2,
-            sharing="hashmap",
-            check_remote_uniqueness=False,
-            directory_buckets=256,
+            replace(cfg(), sharing="hashmap", directory_buckets=256).with_store(
+                check_remote_uniqueness=False
+            ),
         )
         producer = cl.client("node0")
         consumer = cl.client("node1")

@@ -19,10 +19,9 @@ Same contract the metrics plane honors (benchmarks/test_obs_overhead.py):
 import gc
 import sys
 
-from repro.common.config import ClusterConfig
+from repro.common.config import ClusterConfig, SpanConfig
 from repro.common.units import KiB, MiB
 from repro.core import Cluster
-from repro.obs.spans import SpanConfig
 
 N_OBJECTS = 50
 OBJ_BYTES = 10 * KiB
@@ -32,10 +31,9 @@ def _run_fig67_cluster(tracing=None) -> Cluster:
     """The Fig 6/7 shape: put on node0, remote get + sequential read from
     node1. Returns the cluster it ran on."""
     cluster = Cluster(
-        ClusterConfig(seed=123).with_store(capacity_bytes=64 * MiB),
-        n_nodes=2,
-        check_remote_uniqueness=False,
-        tracing=tracing,
+        ClusterConfig(seed=123, tracing=tracing).with_store(
+            capacity_bytes=64 * MiB, check_remote_uniqueness=False
+        ),
     )
     producer = cluster.client("node0")
     consumer = cluster.client("node1")
@@ -58,7 +56,7 @@ def _run_fig67_workload(*, tracing=None) -> tuple[int, dict]:
 class TestSimulatedTimeNeutrality:
     def test_tracing_adds_zero_simulated_ns(self):
         ns_off, stats_off = _run_fig67_workload()
-        ns_on, stats_on = _run_fig67_workload(tracing=True)
+        ns_on, stats_on = _run_fig67_workload(tracing=SpanConfig())
         assert ns_on == ns_off
         assert stats_on == stats_off
 
@@ -79,9 +77,9 @@ class TestSimulatedTimeNeutrality:
 class TestDisabledPathIsFree:
     def test_untraced_cluster_builds_no_sink(self):
         cluster = Cluster(
-            ClusterConfig(seed=123).with_store(capacity_bytes=64 * MiB),
-            n_nodes=2,
-            check_remote_uniqueness=False,
+            ClusterConfig(seed=123).with_store(
+                capacity_bytes=64 * MiB, check_remote_uniqueness=False
+            ),
         )
         assert cluster.spans is None
 
@@ -131,19 +129,20 @@ class TestHostWorkPerSpan:
 
     @staticmethod
     def _spans(cluster: Cluster) -> int:
-        # tracing=True keeps every trace, so the retained spans are all.
+        # The default SpanConfig keeps every trace, so the retained spans
+        # are all.
         return sum(len(trace["spans"]) for trace in cluster.spans.traces())
 
     def test_calls_added_per_span(self):
-        _run_fig67_cluster(True)  # warm the per-process caches once
-        traced, cluster = self._calls(True)
+        _run_fig67_cluster(SpanConfig())  # warm the per-process caches once
+        traced, cluster = self._calls(SpanConfig())
         plain, _ = self._calls(None)
         per_span = (traced - plain) / self._spans(cluster)
         assert 0 < per_span <= MAX_CALLS_PER_SPAN, f"{per_span:.2f} calls/span"
 
     def test_blocks_allocated_per_span(self):
-        _run_fig67_cluster(True)
-        traced, cluster = self._blocks(True)
+        _run_fig67_cluster(SpanConfig())
+        traced, cluster = self._blocks(SpanConfig())
         plain, _ = self._blocks(None)
         per_span = (traced - plain) / self._spans(cluster)
         assert 0 < per_span <= MAX_BLOCKS_PER_SPAN, f"{per_span:.2f} blocks/span"

@@ -41,8 +41,10 @@ PARTITIONS = 6
 
 
 def main() -> None:
-    cfg = ClusterConfig().with_store(capacity_bytes=96 * MiB)
-    cluster = Cluster(cfg, n_nodes=N_NODES, check_remote_uniqueness=False)
+    cfg = ClusterConfig().with_store(
+        capacity_bytes=96 * MiB, check_remote_uniqueness=False
+    )
+    cluster = Cluster(cfg, N_NODES)
     rng = DeterministicRng(2026)
 
     # --- shared reference data: one columnar table, readable everywhere ----

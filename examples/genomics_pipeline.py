@@ -119,10 +119,8 @@ def call_stage(cluster) -> dict[str, dict[str, float]]:
 def main() -> None:
     cfg = ClusterConfig().with_store(capacity_bytes=96 * MiB)
     cluster = Cluster(
-        cfg,
-        n_nodes=3,
-        check_remote_uniqueness=False,
-        enable_lookup_cache=True,  # sorter re-requests batches per chrom
+        cfg.with_store(check_remote_uniqueness=False, lookup_cache=True),
+        3,
     )
 
     total_reads = align_stage(cluster)

@@ -30,10 +30,10 @@ STORE_CAPACITY = 24 * MiB  # deliberately < N_BATCHES * BATCH_BYTES
 
 
 def main() -> None:
-    cfg = ClusterConfig().with_store(capacity_bytes=STORE_CAPACITY)
-    cluster = Cluster(
-        cfg, n_nodes=2, share_usage=True, check_remote_uniqueness=False
+    cfg = ClusterConfig().with_store(
+        capacity_bytes=STORE_CAPACITY, share_usage=True, check_remote_uniqueness=False
     )
+    cluster = Cluster(cfg)
     producer = cluster.client("node0", "sensor-gateway")
     analyst = cluster.client("node1", "stream-analyst")
     feed = cluster.store("node0").subscribe()

@@ -15,7 +15,7 @@ from repro.common.units import MiB, format_duration_ns
 
 
 def main() -> None:
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster()
 
     producer = cluster.client("node0")
     local_consumer = cluster.client("node0")

@@ -87,10 +87,10 @@ def main() -> None:
     print(f"{N_NODES}-node wide-dependency job, "
           f"{RECORDS_PER_NODE} records/node:")
 
-    disaggregated = Cluster(cfg, n_nodes=N_NODES, check_remote_uniqueness=False)
+    disaggregated = Cluster(cfg.with_store(check_remote_uniqueness=False), N_NODES)
     totals_dis = run_job(disaggregated, "disaggregated (fabric reads)")
 
-    scale_out = ScaleOutCluster(cfg, n_nodes=N_NODES)
+    scale_out = ScaleOutCluster(cfg, N_NODES)
     totals_so = run_job(scale_out, "scale-out     (LAN copies) ")
 
     assert totals_dis == totals_so, "both architectures must agree on results"

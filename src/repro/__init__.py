@@ -11,7 +11,7 @@ Quickstart::
 
     from repro import Cluster
 
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster()
     producer = cluster.client("node0")
     consumer = cluster.client("node1")
 

@@ -17,10 +17,11 @@ caching behaviour is honest too.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.common.clock import SimClock
-from repro.common.config import ClusterConfig
+from repro.common.config import ClusterConfig, cluster_node_names
 from repro.common.errors import ObjectNotFoundError
 from repro.common.ids import ObjectID, UniqueIDGenerator
 from repro.common.rng import DeterministicRng
@@ -157,11 +158,12 @@ class ScaleOutNode:
 class ScaleOutCluster:
     """N nodes sharing objects the traditional way (Fig 1a)."""
 
-    def __init__(self, config: ClusterConfig | None = None, n_nodes: int = 2):
+    def __init__(
+        self, config: ClusterConfig | None = None, nodes: int | Sequence[str] = 2
+    ):
         self._config = config or ClusterConfig()
-        self._config.validate()
-        if n_nodes < 2:
-            raise ValueError("a cluster needs >= 2 nodes")
+        names = cluster_node_names(nodes)
+        self._config.validate(names)
         self._clock = SimClock()
         self._rng = DeterministicRng(self._config.seed)
         self._id_gen = UniqueIDGenerator(self._rng.spawn("object-ids"))
@@ -169,7 +171,6 @@ class ScaleOutCluster:
         self._nodes: dict[str, ScaleOutNode] = {}
         self._client_seq = 0
 
-        names = [f"node{i}" for i in range(n_nodes)]
         for name in names:
             self._network.register_host(name)
             capacity = self._config.store.capacity_bytes

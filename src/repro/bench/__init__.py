@@ -11,12 +11,7 @@
 """
 
 from repro.bench.specs import BenchmarkSpec, TABLE_I, spec_by_index
-from repro.bench.workload import (
-    WorkloadData,
-    make_payloads,
-    uniform_access_sequence,
-    zipf_access_sequence,
-)
+from repro.bench.workload import WorkloadData, make_payloads
 from repro.bench.sweep import (
     CrossoverResult,
     SizePoint,
@@ -46,8 +41,6 @@ __all__ = [
     "spec_by_index",
     "WorkloadData",
     "make_payloads",
-    "zipf_access_sequence",
-    "uniform_access_sequence",
     "CrossoverResult",
     "SizePoint",
     "reread_crossover",

@@ -99,12 +99,10 @@ def _cluster_for(spec: BenchmarkSpec, base: ClusterConfig, n_nodes: int,
     # never trigger eviction (the paper's specs fit comfortably in the
     # IC922s' memory).
     capacity = spec.total_bytes + max(64 * MiB, spec.total_bytes // 4)
-    cfg = base.with_store(capacity_bytes=capacity)
-    return Cluster(
-        cfg,
-        n_nodes=n_nodes,
-        check_remote_uniqueness=per_create_uniqueness_rpc,
+    cfg = base.with_store(
+        capacity_bytes=capacity, check_remote_uniqueness=per_create_uniqueness_rpc
     )
+    return Cluster(cfg, n_nodes)
 
 
 def run_spec(

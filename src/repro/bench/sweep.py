@@ -53,7 +53,7 @@ class CrossoverResult:
 
 
 def _disaggregated_cost_ms(config: ClusterConfig, size: int, rereads: int) -> float:
-    cluster = Cluster(config, n_nodes=2, check_remote_uniqueness=False)
+    cluster = Cluster(config.with_store(check_remote_uniqueness=False))
     producer = cluster.client("node0")
     consumer = cluster.client("node1")
     oid = cluster.new_object_id()
@@ -67,7 +67,7 @@ def _disaggregated_cost_ms(config: ClusterConfig, size: int, rereads: int) -> fl
 
 
 def _scale_out_cost_ms(config: ClusterConfig, size: int, rereads: int) -> float:
-    cluster = ScaleOutCluster(config, n_nodes=2)
+    cluster = ScaleOutCluster(config)
     producer = cluster.client("node0")
     consumer = cluster.client("node1")
     oid = cluster.new_object_id()
@@ -125,8 +125,11 @@ def object_size_sweep(
     out: list[SizePoint] = []
     for size in sizes:
         n = max(1, objects_budget_bytes // size)
-        cfg = base.with_store(capacity_bytes=objects_budget_bytes + 64 * MiB)
-        cluster = Cluster(cfg, n_nodes=2, check_remote_uniqueness=False)
+        cfg = base.with_store(
+            capacity_bytes=objects_budget_bytes + 64 * MiB,
+            check_remote_uniqueness=False,
+        )
+        cluster = Cluster(cfg)
         producer = cluster.client("node0")
         ids = cluster.new_object_ids(n)
         for oid in ids:

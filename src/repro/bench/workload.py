@@ -41,12 +41,3 @@ def make_payloads(spec: BenchmarkSpec, rng: DeterministicRng) -> WorkloadData:
         spec=spec, payload=payload, scratch=bytearray(spec.object_size_bytes)
     )
 
-
-# Access-sequence generators grew into the traffic plane's popularity
-# models; the canonical implementations live in repro.workload.popularity
-# and are re-exported here unchanged (same signatures, bit-identical draws
-# for the same RNG state) for existing callers.
-from repro.workload.popularity import (  # noqa: E402,F401  (re-export)
-    uniform_access_sequence,
-    zipf_access_sequence,
-)

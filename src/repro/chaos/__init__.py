@@ -19,7 +19,7 @@ measure *degraded-mode* behaviour, not just steady state::
     from repro.chaos import FaultPlan, NodeCrash
 
     plan = FaultPlan([NodeCrash(at_ns=50_000_000, node="node1")])
-    cluster = Cluster(n_nodes=2, fault_plan=plan)
+    cluster = Cluster(fault_plan=plan)
     # ... run a workload; node1's store dies 50 simulated ms in.
 """
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.common.config import ClusterConfig
+from repro.common.config import SHARING_MODES, ClusterConfig
 from repro.common.units import GiB, MiB, format_duration_ns
 
 
@@ -75,12 +75,12 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro import Cluster
+    from repro.common.config import SpanConfig
     from repro.common.units import gib_per_s
-    from repro.obs.spans import SpanConfig
 
     cluster = Cluster(
-        n_nodes=args.nodes,
-        tracing=SpanConfig(sample_rate=1.0) if args.trace else None,
+        ClusterConfig(tracing=SpanConfig(sample_rate=1.0) if args.trace else None),
+        args.nodes,
     )
     producer = cluster.client("node0")
     remote = cluster.client(f"node{args.nodes - 1}")
@@ -159,10 +159,14 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
             print("  " + fragmentation_report(name, alloc).format_row())
         return 0
 
+    from dataclasses import replace
+
     from repro.common.units import KB
     from repro.core import Cluster
 
-    cfg = ClusterConfig().with_store(capacity_bytes=128 * MiB)
+    cfg = ClusterConfig().with_store(
+        capacity_bytes=128 * MiB, check_remote_uniqueness=False
+    )
 
     def run_remote_consumption(cluster) -> float:
         producer = cluster.client("node0")
@@ -183,25 +187,18 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
         from repro.baseline import ScaleOutCluster
 
         print("sharing-strategy ablation (50 x 1000 kB remote consumption):")
-        for label, kwargs in (
-            ("rpc (paper)", {}),
-            ("dmsg", {"sharing": "dmsg"}),
-            ("hashmap", {"sharing": "hashmap"}),
-            ("hybrid", {"sharing": "hybrid"}),
-        ):
-            cluster = Cluster(cfg, n_nodes=2, check_remote_uniqueness=False, **kwargs)
+        for sharing in SHARING_MODES:
+            cluster = Cluster(replace(cfg, sharing=sharing))
+            label = "rpc (paper)" if sharing == "rpc" else sharing
             print(f"  {label:<14}: {run_remote_consumption(cluster):8.2f} ms")
-        so = ScaleOutCluster(cfg, n_nodes=2)
+        so = ScaleOutCluster(cfg)
         print(f"  {'scale-out':<14}: {run_remote_consumption(so):8.2f} ms")
         return 0
 
     if args.kind == "cache":
         print("lookup-cache ablation (10 rounds x 20 remote objects):")
-        for label, kwargs in (
-            ("no cache", {}),
-            ("cache", {"enable_lookup_cache": True}),
-        ):
-            cluster = Cluster(cfg, n_nodes=2, check_remote_uniqueness=False, **kwargs)
+        for label, lookup_cache in (("no cache", False), ("cache", True)):
+            cluster = Cluster(cfg.with_store(lookup_cache=lookup_cache))
             producer = cluster.client("node0")
             consumer = cluster.client("node1")
             ids = cluster.new_object_ids(20)
@@ -230,14 +227,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.nodes < 2:
         print("error: metrics needs --nodes >= 2", file=sys.stderr)
         return 2
-    cfg = ClusterConfig(seed=args.seed).with_store(capacity_bytes=256 * MiB)
-    cluster = Cluster(
-        cfg,
-        n_nodes=args.nodes,
-        check_remote_uniqueness=False,
-        enable_lookup_cache=True,
-        metrics=True,
+    cfg = ClusterConfig(seed=args.seed, metrics=True).with_store(
+        capacity_bytes=256 * MiB, check_remote_uniqueness=False, lookup_cache=True
     )
+    cluster = Cluster(cfg, args.nodes)
     producer = cluster.client("node0")
     consumer = cluster.client(f"node{args.nodes - 1}")
     ids = cluster.new_object_ids(args.objects)
@@ -276,21 +269,19 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.common.config import SpanConfig
     from repro.common.units import KB
     from repro.core import Cluster
-    from repro.obs.spans import SpanConfig
 
     if args.nodes < 2:
         print("error: trace needs --nodes >= 2", file=sys.stderr)
         return 2
-    cfg = ClusterConfig(seed=args.seed).with_store(capacity_bytes=256 * MiB)
-    cluster = Cluster(
-        cfg,
-        n_nodes=args.nodes,
-        check_remote_uniqueness=False,
-        enable_lookup_cache=True,
-        tracing=SpanConfig(sample_rate=args.sample_rate),
+    cfg = ClusterConfig(
+        seed=args.seed, tracing=SpanConfig(sample_rate=args.sample_rate)
+    ).with_store(
+        capacity_bytes=256 * MiB, check_remote_uniqueness=False, lookup_cache=True
     )
+    cluster = Cluster(cfg, args.nodes)
     producer = cluster.client("node0")
     consumer = cluster.client(f"node{args.nodes - 1}")
     ids = cluster.new_object_ids(args.objects)
@@ -365,9 +356,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         ObjectUnavailableError,
         RpcStatusError,
     )
+    from repro.common.config import SpanConfig
     from repro.common.units import KB
     from repro.core import Cluster
-    from repro.obs.spans import SpanConfig
 
     if args.nodes < 2:
         print("error: chaos needs --nodes >= 2", file=sys.stderr)
@@ -394,7 +385,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"  {line}")
 
     def run_once() -> tuple[list[str], dict[str, int]]:
-        cfg = ClusterConfig(seed=args.seed).with_store(capacity_bytes=256 * MiB)
+        cfg = ClusterConfig(
+            seed=args.seed,
+            metrics=True,
+            # Flight-recorder-only tracing: no sampled traces, just the
+            # bounded per-node span rings — the black box a determinism
+            # diff ships with. Tracing never advances the clock, so the
+            # timeline/outcome comparison below is unaffected.
+            tracing=SpanConfig(sample_rate=0.0, max_traces=0),
+        ).with_store(capacity_bytes=256 * MiB, check_remote_uniqueness=False)
         if args.deadline_ms:
             cfg = dataclasses.replace(
                 cfg,
@@ -402,18 +401,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                     cfg.rpc, default_deadline_ns=args.deadline_ms * 1e6
                 ),
             )
-        cluster = Cluster(
-            cfg,
-            n_nodes=args.nodes,
-            check_remote_uniqueness=False,
-            fault_plan=plan,
-            metrics=True,
-            # Flight-recorder-only tracing: no sampled traces, just the
-            # bounded per-node span rings — the black box a determinism
-            # diff ships with. Tracing never advances the clock, so the
-            # timeline/outcome comparison below is unaffected.
-            tracing=SpanConfig(sample_rate=0.0, max_traces=0),
-        )
+        cluster = Cluster(cfg, args.nodes, fault_plan=plan)
         producer = cluster.client("node0")
         consumer = cluster.client(f"node{args.nodes - 1}")
         ids = cluster.new_object_ids(args.objects)
@@ -513,14 +501,11 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         return 2
 
     def run_once() -> tuple[list[str], dict[str, int]]:
-        cfg = ClusterConfig(seed=args.seed).with_store(capacity_bytes=256 * MiB)
-        cluster = Cluster(
-            cfg,
-            n_nodes=args.nodes,
-            check_remote_uniqueness=False,
-            enable_lookup_cache=True,
-            fault_plan=FaultPlan(),  # events are injected once offsets exist
+        cfg = ClusterConfig(seed=args.seed).with_store(
+            capacity_bytes=256 * MiB, check_remote_uniqueness=False, lookup_cache=True
         )
+        # Events are injected once offsets exist.
+        cluster = Cluster(cfg, args.nodes, fault_plan=FaultPlan())
         producer = cluster.client("node0")
         consumer = cluster.client(f"node{args.nodes - 1}")
         ids = cluster.new_object_ids(args.objects)
@@ -594,14 +579,15 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     import json
 
     from repro import Cluster
+    from repro.common.config import PlacementConfig
 
     if args.nodes < 2:
         print("topology demo needs at least 2 nodes", file=sys.stderr)
         return 2
-    names = [f"node{i}" for i in range(args.nodes)]
     cluster = Cluster(
-        ClusterConfig(seed=args.seed), node_names=names, placement=True
+        ClusterConfig(seed=args.seed, placement=PlacementConfig()), args.nodes
     )
+    names = cluster.node_names()
     client = cluster.client("node0")
     payload_size = args.size_kb * 1024
     ids = cluster.new_object_ids(args.objects)

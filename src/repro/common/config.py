@@ -17,9 +17,14 @@ different target machine only requires touching this module.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
+from repro.common.errors import ObjectStoreError
 from repro.common.units import GiB, KiB, MiB
+
+#: The four ways stores share objects (paper §IV-A2 plus §V-B's hybrid).
+SHARING_MODES = ("rpc", "dmsg", "hashmap", "hybrid")
 
 
 @dataclass(frozen=True)
@@ -261,7 +266,9 @@ class ChaosConfig:
 
 @dataclass(frozen=True)
 class PlacementConfig:
-    """Elastic placement (repro.placement): ring shape and rebalance pacing."""
+    """Elastic placement (repro.placement): ring shape, per-node weights
+    and rebalance pacing. A cluster places objects iff its config carries
+    one."""
 
     # Virtual ring points per unit of member weight. More points = smoother
     # ownership shares at the cost of a larger (still tiny) ring.
@@ -277,8 +284,17 @@ class PlacementConfig:
     # simulated time one tick stands for.
     rebalance_bytes_per_tick: int = 8 * MiB
     rebalance_tick_interval_ns: float = 1_000_000.0
+    # Seed members' ring weights (name -> weight; unnamed members weigh
+    # 1.0). A weight-2 node owns twice the ring, the stand-in for a
+    # memory-rich host in a heterogeneous cluster.
+    weights: Mapping[str, float] | None = None
 
     def validate(self) -> None:
+        for name, weight in (self.weights or {}).items():
+            if weight <= 0:
+                raise ValueError(
+                    f"placement.weights[{name!r}] must be positive, got {weight}"
+                )
         if self.vnodes < 1:
             raise ValueError("vnodes must be >= 1")
         if not 0.0 < self.capacity_high_watermark <= 1.0:
@@ -295,9 +311,8 @@ class PlacementConfig:
 class TierConfig:
     """Tiered memory (repro.tier): hot-object byte cache + promote/demote.
 
-    Disabled by default; a cluster built without ``tiering=True`` never
-    constructs any tier state, so every legacy artifact stays
-    byte-identical.
+    A cluster whose config carries no ``TierConfig`` never constructs any
+    tier state, so every legacy artifact stays byte-identical.
     """
 
     # Per-node hot-object byte cache capacity. 0 disables the cache while
@@ -397,6 +412,35 @@ class OverloadConfig:
 
 
 @dataclass(frozen=True)
+class SpanConfig:
+    """Retention knobs for one :class:`~repro.obs.spans.SpanSink`.
+
+    ``sample_rate`` is the head-sampling probability (decided at root open
+    from the sink's dedicated RNG stream); ``tail_percentile`` always keeps
+    roots at or above that percentile of durations observed so far (plus
+    every errored/shed op) regardless of the head decision;
+    ``flight_capacity`` bounds each node's flight-recorder ring;
+    ``max_traces`` caps retained traces so a long run cannot grow without
+    bound (overflow is counted, never silent).
+    """
+
+    sample_rate: float = 1.0
+    tail_percentile: float = 0.99
+    flight_capacity: int = 512
+    max_traces: int = 100_000
+
+    def validate(self) -> None:
+        if not 0.0 <= self.sample_rate <= 1.0:
+            raise ValueError("sample_rate must be within [0, 1]")
+        if not 0.0 <= self.tail_percentile <= 1.0:
+            raise ValueError("tail_percentile must be within [0, 1]")
+        if self.flight_capacity <= 0:
+            raise ValueError("flight_capacity must be positive")
+        if self.max_traces < 0:
+            raise ValueError("max_traces must be non-negative")
+
+
+@dataclass(frozen=True)
 class StoreConfig:
     """Plasma store behaviour knobs."""
 
@@ -432,11 +476,38 @@ class StoreConfig:
     # checksummed on a *timed* path (remote reads with CRC verification).
     # 0.0 models a hardware-accelerated CRC32C folded into the copy loop.
     checksum_ns_per_byte: float = 0.0
+    # --- metadata plane (repro.core.store.DisaggregatedStore) ---
+    # Paper §IV-A: a create asks every peer (Contains RPC) whether the id
+    # is already in use. Off trusts the cluster's unique-id stream, which
+    # is what every benchmark driving batches of fresh ids does.
+    check_remote_uniqueness: bool = True
+    # Distributed usage sharing: AddRef/ReleaseRef RPCs pin remotely-used
+    # objects at their home store so eviction cannot corrupt a remote
+    # reader (closes the gap paper §IV-A2 leaves open).
+    share_usage: bool = False
+    # Descriptor caching for repeated requests (paper §V-B). A cached
+    # descriptor is only safe while its home tells the cacher about
+    # deletions, so this one switch also turns on the NotifyDeleted pushes.
+    lookup_cache: bool = False
+
+
+def cluster_node_names(nodes: int | Sequence[str]) -> list[str]:
+    """The node names a cluster is built with: *nodes* is a count (named
+    ``node0``, ``node1``, ...) or the names themselves."""
+    if isinstance(nodes, int):
+        return [f"node{i}" for i in range(nodes)]
+    return list(nodes)
 
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Everything needed to stand up a simulated cluster."""
+    """Everything needed to stand up a simulated cluster.
+
+    The one description :class:`~repro.core.cluster.Cluster` builds from:
+    cost models, the sharing transport, and one optional sub-config per
+    feature plane — ``None`` means the plane is off and nothing of it is
+    constructed.
+    """
 
     seed: int = 2022
     local_memory: LocalMemoryConfig = field(default_factory=LocalMemoryConfig)
@@ -448,9 +519,22 @@ class ClusterConfig:
     store: StoreConfig = field(default_factory=StoreConfig)
     health: HealthConfig = field(default_factory=HealthConfig)
     chaos: ChaosConfig = field(default_factory=ChaosConfig)
-    placement: PlacementConfig = field(default_factory=PlacementConfig)
     overload: OverloadConfig = field(default_factory=OverloadConfig)
-    tier: TierConfig = field(default_factory=TierConfig)
+    # Feature planes: elastic placement (membership, ring-routed creates,
+    # rebalancer), tiering (per-node hot-object cache and heat; with
+    # placement also the promote/demote engine) and span tracing.
+    placement: PlacementConfig | None = None
+    tier: TierConfig | None = None
+    tracing: SpanConfig | None = None
+    # Per-node metric registries and the cluster-wide telemetry view.
+    metrics: bool = False
+    # How stores share objects: 'rpc' (the paper's gRPC lookups), 'dmsg'
+    # (the same protocol over rings in disaggregated memory), 'hashmap'
+    # (a directory in disaggregated memory read by fabric loads) or
+    # 'hybrid' (directory lookups, ring feedback — paper §V-B).
+    sharing: str = "rpc"
+    # Buckets of each node's hash directory ('hashmap' / 'hybrid' only).
+    directory_buckets: int = 4096
     # Fraction of each node's store capacity carved out as the local
     # disaggregated region (paper: "a portion of local system memory is
     # marked as disaggregated").
@@ -462,7 +546,9 @@ class ClusterConfig:
     def with_store(self, **kwargs) -> "ClusterConfig":
         return replace(self, store=replace(self.store, **kwargs))
 
-    def validate(self) -> None:
+    def validate(self, nodes: Sequence[str] | None = None) -> None:
+        """Reject every inconsistent combination; with *nodes* (the names
+        the cluster is built with) also the node-dependent ones."""
         if self.store.capacity_bytes <= 0:
             raise ValueError("store capacity must be positive")
         if not 0.0 < self.disaggregated_fraction <= 1.0:
@@ -488,9 +574,40 @@ class ClusterConfig:
             )
         self.health.validate()
         self.chaos.validate()
-        self.placement.validate()
         self.overload.validate()
-        self.tier.validate()
+        for plane in (self.placement, self.tier, self.tracing):
+            if plane is not None:
+                plane.validate()
+        if self.sharing not in SHARING_MODES:
+            raise ValueError(
+                f"sharing: unknown strategy {self.sharing!r}; have {SHARING_MODES}"
+            )
+        if self.directory_buckets < 1:
+            raise ValueError("directory_buckets must be >= 1")
+        if self.placement is not None and self.sharing != "rpc":
+            # dmsg mailboxes and the hash directory are sized at build time
+            # for a fixed node count; elastic membership needs the sharing
+            # mode whose per-pair state can grow and shrink.
+            raise ValueError(
+                "placement requires sharing='rpc' (dmsg rings and the hash "
+                f"directory are statically sized per node count), not {self.sharing!r}"
+            )
+        if self.store.share_usage and self.sharing == "hashmap":
+            # The paper's core argument for gRPC over the shared-data-
+            # structure approach: the one-way directory gives the home store
+            # no usage feedback, so remote pinning is impossible. (The
+            # 'hybrid' strategy exists precisely to lift this restriction.)
+            raise ValueError(
+                "store.share_usage: usage sharing requires a bidirectional "
+                "sharing strategy ('rpc', 'dmsg' or 'hybrid'), not 'hashmap'"
+            )
+        if self.rpc.mode == "async" and self.sharing in ("dmsg", "hybrid"):
+            # Refused at construction and at a runtime flip alike, so no
+            # task leaf ever meets a dmsg ring.
+            raise ObjectStoreError(
+                "rpc.mode='async' requires gRPC-model channels; dmsg rings "
+                f"have no event-loop integration (sharing={self.sharing!r})"
+            )
         if self.rpc.retry_budget_per_s < 0:
             raise ValueError("retry_budget_per_s must be non-negative")
         if self.rpc.retry_budget_burst < 1:
@@ -518,6 +635,21 @@ class ClusterConfig:
         ):
             if bw <= 0:
                 raise ValueError(f"{bw_name} bandwidth must be positive")
+        if nodes is None:
+            return
+        if len(nodes) < 2:
+            raise ValueError(
+                f"nodes: a cluster needs >= 2 nodes, got {len(nodes)}"
+            )
+        if len(set(nodes)) != len(nodes):
+            raise ValueError(f"nodes: node names must be unique, got {list(nodes)}")
+        if self.placement is not None and self.placement.weights:
+            unknown = sorted(set(self.placement.weights) - set(nodes))
+            if unknown:
+                raise ValueError(
+                    f"placement.weights names unknown node(s) {unknown}; "
+                    f"the cluster has {list(nodes)}"
+                )
 
 
 # A small-capacity config for fast unit tests.

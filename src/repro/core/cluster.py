@@ -11,11 +11,12 @@ modification" — here it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 from repro.chaos import ChaosRuntime, FaultPlan
 from repro.common.clock import SimClock
-from repro.common.config import ClusterConfig
+from repro.common.config import ClusterConfig, cluster_node_names
 from repro.common.errors import ObjectStoreError, PlacementError, RpcStatusError
 from repro.common.ids import UniqueIDGenerator
 from repro.common.rng import DeterministicRng
@@ -35,7 +36,7 @@ from repro.network.ipc import IpcChannel
 from repro.obs.correlation import CorrelationContext
 from repro.obs.export import Telemetry
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanConfig, SpanSink
+from repro.obs.spans import SpanSink
 from repro.placement.membership import Membership, NodeStatus, TopologyView
 from repro.placement.migrate import MigrationEngine
 from repro.placement.rebalance import Rebalancer
@@ -69,126 +70,88 @@ class ClusterNode:
 
 
 class Cluster:
-    """A running mesh of disaggregated Plasma stores."""
+    """A running mesh of disaggregated Plasma stores.
+
+    Everything about its shape comes from one :class:`ClusterConfig`;
+    *nodes* is a count (``node0``, ``node1``, ...) or the names, and an
+    optional *fault_plan* arms the chaos runtime.
+    """
 
     def __init__(
         self,
         config: ClusterConfig | None = None,
-        n_nodes: int = 2,
+        nodes: int | Sequence[str] = 2,
         *,
-        node_names: list[str] | None = None,
-        share_usage: bool = False,
-        enable_lookup_cache: bool = False,
-        check_remote_uniqueness: bool = True,
-        sharing: str = "rpc",
-        directory_buckets: int = 4096,
-        tracing: SpanConfig | bool | None = None,
         fault_plan: FaultPlan | None = None,
-        metrics: bool = False,
-        placement: bool = False,
-        node_weights: dict[str, float] | None = None,
-        tiering: bool = False,
     ):
-        self._config = config or ClusterConfig()
-        self._config.validate()
+        self._config = config = config or ClusterConfig()
+        node_names = cluster_node_names(nodes)
+        config.validate(node_names)
         # Correlation ids only exist when someone can observe them (the
         # span sink or the metrics plane); otherwise every component keeps
         # its None fast path.
         self._correlation = (
-            CorrelationContext() if (metrics or tracing) else None
+            CorrelationContext() if (config.metrics or config.tracing) else None
         )
-        if node_names is None:
-            if n_nodes < 2:
-                raise ValueError("a disaggregated cluster needs >= 2 nodes")
-            node_names = [f"node{i}" for i in range(n_nodes)]
-        if len(set(node_names)) != len(node_names):
-            raise ValueError("node names must be unique")
         self._clock = SimClock()
-        self._rng = DeterministicRng(self._config.seed)
+        self._rng = DeterministicRng(config.seed)
         # One event loop serves the whole mesh (repro.rpc.aio). Building it
         # draws nothing from the RNG — rng.spawn() is hash-derived — and in
         # sync mode nothing ever schedules on it, so every sync-mode stream
         # (and artifact) is bit-identical to a pre-loop build.
         self._loop = EventLoop(self._clock, self._rng)
-        self._rpc_mode = self._config.rpc.mode
         # The span sink draws its head-sampling decisions from a dedicated
         # child of the RNG tree, so enabling tracing never perturbs any
         # simulation stream (and the clock listener only *reads* time):
         # simulated results are bit-identical with tracing on or off.
         self._spans: SpanSink | None = None
-        if tracing:
-            span_config = tracing if isinstance(tracing, SpanConfig) else SpanConfig()
+        if config.tracing is not None:
             self._spans = SpanSink(
-                self._clock, self._rng.spawn("obs", "spans"), span_config
+                self._clock, self._rng.spawn("obs", "spans"), config.tracing
             )
         self._chaos: ChaosRuntime | None = None
         if fault_plan is not None:
             fault_plan.validate(node_names)
-            self._chaos = ChaosRuntime(fault_plan, self._clock, self._config.chaos)
+            self._chaos = ChaosRuntime(fault_plan, self._clock, config.chaos)
         self._id_gen = UniqueIDGenerator(self._rng.spawn("object-ids"))
         self._fabric = ThymesisFabric(
-            self._clock, self._config.fabric, self._config.local_memory, self._rng
+            self._clock, config.fabric, config.local_memory, self._rng
         )
         self._nodes: dict[str, ClusterNode] = {}
-        self._sharing = sharing
         self._client_seq = 0
         # Tiering (repro.tier): per-node agents built alongside the stores;
         # the promotion/demotion engine follows in phase 5 (it needs the
         # placement plane's migration machinery).
-        self._tiering = tiering
         self._tier_agents: dict[str, TierAgent] = {}
         self._tier_engine: TierEngine | None = None
 
         # 'hybrid' (paper §V-B) combines the hash-map directory for lookups
         # with dmsg rings for feedback RPCs — so it needs both layouts.
-        use_directory = sharing in ("hashmap", "hybrid")
-        use_dmsg = sharing in ("dmsg", "hybrid")
-        if placement and sharing != "rpc":
-            # dmsg mailboxes and the hash directory are sized at build time
-            # for a fixed node count; elastic membership needs the sharing
-            # mode whose per-pair state can grow and shrink.
-            raise ValueError(
-                "placement=True requires sharing='rpc' (dmsg rings and the "
-                "hash directory are statically sized per node count)"
-            )
-        self._use_directory = use_directory
-        self._use_dmsg = use_dmsg
-        self._check_rpc_mode(self._rpc_mode)
+        self._use_directory = config.sharing in ("hashmap", "hybrid")
+        self._use_dmsg = config.sharing in ("dmsg", "hybrid")
         dir_size = 0
-        if use_directory:
-            dir_size = -(-directory_bytes(directory_buckets) // _DIRECTORY_ALIGN)
+        if self._use_directory:
+            dir_size = -(-directory_bytes(config.directory_buckets) // _DIRECTORY_ALIGN)
             dir_size *= _DIRECTORY_ALIGN
         # dmsg mailboxes: per peer, one request ring (we initiate) and one
         # response ring (we serve), each in our own exposed region.
         ring_total = 0
         mailbox_size = 0
-        if use_dmsg:
-            raw = ring_bytes(self._config.dmsg.ring_capacity_bytes)
+        if self._use_dmsg:
+            raw = ring_bytes(config.dmsg.ring_capacity_bytes)
             ring_total = -(-raw // 64) * 64
             mailbox_size = 2 * (len(node_names) - 1) * ring_total
             mailbox_size = -(-mailbox_size // _DIRECTORY_ALIGN) * _DIRECTORY_ALIGN
         self._ring_total = ring_total
         self._mailbox_base = dir_size
 
-        store_capacity = int(
-            self._config.store.capacity_bytes * self._config.disaggregated_fraction
-        )
-        store_base = dir_size + mailbox_size
-        exposed_size = store_base + store_capacity
         # Kept for recover_node() and add_node(): restarted/joining stores
         # are built with the exact construction parameters of the seed set.
-        self._store_base = store_base
-        self._store_capacity = store_capacity
-        self._exposed_size = exposed_size
-        self._directory_buckets = directory_buckets
-        self._store_kwargs = dict(
-            check_remote_uniqueness=check_remote_uniqueness,
-            share_usage=share_usage,
-            enable_lookup_cache=enable_lookup_cache,
-            notify_deletions=enable_lookup_cache,
-            sharing=sharing,
-            region_offset_in_exposed=store_base,
+        self._store_base = dir_size + mailbox_size
+        self._store_capacity = int(
+            config.store.capacity_bytes * config.disaggregated_fraction
         )
+        self._exposed_size = self._store_base + self._store_capacity
 
         # Phase 1: nodes, endpoints, exposed regions, stores, servers.
         for name in node_names:
@@ -218,9 +181,9 @@ class Cluster:
         # Phase 4: health monitors (heartbeat failure detection) over the
         # per-pair channels. Dmsg rings have no breaker/deadline machinery,
         # so monitors only cover gRPC-model channels.
-        if not use_dmsg:
+        if not self._use_dmsg:
             for name, node in self._nodes.items():
-                monitor = HealthMonitor(name, self._clock, self._config.health)
+                monitor = HealthMonitor(name, self._clock, config.health)
                 for peer_name, channel in sorted(node.channels.items()):
                     monitor.add_peer(
                         peer_name,
@@ -230,23 +193,17 @@ class Cluster:
                 node.monitor = monitor
 
         # Phase 5: elastic placement (opt-in). Membership starts with every
-        # seed node ACTIVE — at weight 1.0, or at the per-node weights a
-        # heterogeneous scenario supplies (a weight-2 node owns twice the
-        # ring, the stand-in for a memory-rich host). The epoch-1 view is
-        # installed on each store before any client routes a create.
+        # seed node ACTIVE at the placement config's weights (1.0 unless a
+        # heterogeneous cluster names them). The epoch-1 view is installed
+        # on each store before any client routes a create.
         self._membership: Membership | None = None
         self._engine: MigrationEngine | None = None
         self._rebalancer: Rebalancer | None = None
         self._placement_ring: HashRing | None = None
-        if node_weights and not placement:
-            raise ValueError(
-                "node_weights requires placement=True (weights feed the "
-                "consistent-hash ring)"
-            )
-        if placement:
-            self._membership = Membership(node_names, weights=node_weights)
+        pcfg = config.placement
+        if pcfg is not None:
+            self._membership = Membership(node_names, weights=pcfg.weights)
             self._engine = MigrationEngine(self._clock, spans=self._spans)
-            pcfg = self._config.placement
             self._rebalancer = Rebalancer(
                 self,
                 self._engine,
@@ -256,9 +213,9 @@ class Cluster:
             for node in self._nodes.values():
                 node.store.enable_placement(pcfg)
             self._publish_topology()
-            if tiering:
+            if config.tier is not None:
                 self._tier_engine = TierEngine(
-                    self, self._engine, self._tier_agents, self._config.tier
+                    self, self._engine, self._tier_agents, config.tier
                 )
 
         # Phase 6: metrics plane (opt-in). One registry per node plus one
@@ -266,7 +223,7 @@ class Cluster:
         # stay branch-on-None.
         self._registries: dict[str, MetricsRegistry] = {}
         self._telemetry: Telemetry | None = None
-        if metrics:
+        if config.metrics:
             fabric_registry = MetricsRegistry(node="fabric")
             for link in self._fabric.links():
                 link.attach_metrics(fabric_registry)
@@ -294,11 +251,11 @@ class Cluster:
         directory = None
         if self._use_directory:
             directory = DisaggregatedHashMap(
-                exposed.subregion(0, directory_bytes(self._directory_buckets)),
-                self._directory_buckets,
+                exposed.subregion(0, directory_bytes(self._config.directory_buckets)),
+                self._config.directory_buckets,
             )
             store.attach_directory(directory)
-        if self._tiering:
+        if self._config.tier is not None:
             agent = TierAgent(
                 name,
                 self._config.tier,
@@ -337,10 +294,11 @@ class Cluster:
             endpoint.exposed.subregion(self._store_base, self._store_capacity),
             self._config.store,
             self._clock,
-            **self._store_kwargs,
+            sharing=self._config.sharing,
+            region_offset_in_exposed=self._store_base,
         )
         self._observe(store)
-        store.attach_aio(self._loop, async_mode=self._rpc_mode == "async")
+        store.attach_aio(self._loop, async_mode=self.rpc_mode == "async")
         return store
 
     def _observe(self, component) -> None:
@@ -390,7 +348,9 @@ class Cluster:
         if self._use_directory:
             reader.store.attach_hashmap_reader(
                 home_name,
-                RemoteHashMapReader(remote_region, 0, self._directory_buckets),
+                RemoteHashMapReader(
+                    remote_region, 0, self._config.directory_buckets
+                ),
             )
 
     def _attach_node_metrics(self, node: "ClusterNode", registry: MetricsRegistry) -> None:
@@ -475,7 +435,7 @@ class Cluster:
     @property
     def rpc_mode(self) -> str:
         """Current RPC execution mode: ``"sync"`` or ``"async"``."""
-        return self._rpc_mode
+        return self._config.rpc.mode
 
     def set_rpc_mode(self, mode: str) -> None:
         """Flip the mesh between sync (one-in-flight, artifact-stable) and
@@ -485,34 +445,22 @@ class Cluster:
         schedules on the loop and every draw sequence matches a pre-async
         build byte for byte. Async mode routes the store facades through
         their task forms (pipelining, coalesced batches, hedged
-        scatter-gather lookups, chunked bulk pulls).
+        scatter-gather lookups, chunked bulk pulls). A mode the config
+        would refuse at construction is refused here too.
         """
-        if mode not in ("sync", "async"):
-            raise ValueError(
-                f"rpc mode must be 'sync' or 'async', got {mode!r}"
-            )
-        self._check_rpc_mode(mode)
-        self._rpc_mode = mode
+        config = replace(self._config, rpc=replace(self._config.rpc, mode=mode))
+        config.validate()
+        self._config = config
         for node in self._nodes.values():
             node.store.set_rpc_async(mode == "async")
 
-    def _check_rpc_mode(self, mode: str) -> None:
-        """Async mode needs task-capable channels — refused at construction
-        and at a runtime flip alike, so no task leaf ever meets a dmsg ring."""
-        if mode == "async" and self._use_dmsg:
-            raise ObjectStoreError(
-                "async rpc mode requires gRPC-model channels; dmsg rings "
-                "have no event-loop integration (sharing="
-                f"{self._sharing!r})"
-            )
-
     @property
     def sharing(self) -> str:
-        return self._sharing
+        return self._config.sharing
 
     @property
     def spans(self) -> SpanSink | None:
-        """The span sink (None unless built with ``tracing=``)."""
+        """The span sink (None unless the config carries ``tracing``)."""
         return self._spans
 
     @property
@@ -529,8 +477,8 @@ class Cluster:
         """The cluster-wide telemetry view (requires ``metrics=True``)."""
         if self._telemetry is None:
             raise ObjectStoreError(
-                "cluster was built without metrics; pass Cluster(..., "
-                "metrics=True) to enable the telemetry plane"
+                "cluster was built without metrics; build it from "
+                "ClusterConfig(metrics=True) to enable the telemetry plane"
             )
         return self._telemetry
 
@@ -575,11 +523,12 @@ class Cluster:
 
     @property
     def membership(self) -> Membership:
-        """The authoritative membership record (requires ``placement=True``)."""
+        """The authoritative membership record (requires a placement config)."""
         if self._membership is None:
             raise ObjectStoreError(
-                "cluster was built without placement; pass Cluster(..., "
-                "placement=True) to enable elastic membership"
+                "cluster was built without placement; build it from "
+                "ClusterConfig(placement=PlacementConfig()) to enable elastic "
+                "membership"
             )
         return self._membership
 
@@ -605,12 +554,12 @@ class Cluster:
 
     @property
     def tiering_enabled(self) -> bool:
-        return self._tiering
+        return self._config.tier is not None
 
     @property
     def tier_engine(self) -> TierEngine | None:
-        """The promotion/demotion engine (None unless built with both
-        ``tiering=True`` and ``placement=True``)."""
+        """The promotion/demotion engine (None unless the config carries
+        both ``tier`` and ``placement``)."""
         return self._tier_engine
 
     def tier_agent(self, name: str) -> TierAgent | None:
@@ -926,13 +875,13 @@ class Cluster:
                     remote_region=self._remote_regions[(name, peer_name)],
                 )
             )
-            if self._sharing in ("hashmap", "hybrid"):
+            if self._use_directory:
                 store.attach_hashmap_reader(
                     peer_name,
                     RemoteHashMapReader(
                         self._remote_regions[(name, peer_name)],
                         0,
-                        self._directory_buckets,
+                        self._config.directory_buckets,
                     ),
                 )
         report = store.recover()
@@ -999,4 +948,4 @@ class Cluster:
         return out
 
     def __repr__(self) -> str:
-        return f"Cluster(nodes={self.node_names()}, sharing={self._sharing!r})"
+        return f"Cluster(nodes={self.node_names()}, sharing={self.sharing!r})"

@@ -13,12 +13,13 @@ the paper describes:
    wires the returned descriptors to ThymesisFlow reads; on creation it
    enforces system-wide id uniqueness with Contains RPCs.
 
-Future-work extensions (each individually switchable, all benchmarked):
+Future-work extensions (each a :class:`~repro.common.config.StoreConfig`
+switch, all benchmarked):
 
 * ``share_usage`` — distributed object-usage sharing: AddRef/ReleaseRef
   RPCs pin remotely-used objects at their home store so eviction cannot
   corrupt a remote reader (closes the gap paper §IV-A2 leaves open).
-* ``enable_lookup_cache`` — descriptor caching for repeated requests
+* ``lookup_cache`` — descriptor caching for repeated requests
   (paper §V-B), invalidated by NotifyDeleted pushes.
 * multi-node — peers are a list, not a single partner; nothing in the
   data path is 2-node specific.
@@ -71,11 +72,6 @@ class DisaggregatedStore(PlasmaStore):
         config: StoreConfig,
         clock: SimClock,
         *,
-        check_remote_uniqueness: bool = True,
-        share_usage: bool = False,
-        enable_lookup_cache: bool = False,
-        lookup_cache_entries: int = 100_000,
-        notify_deletions: bool = False,
         sharing: str = "rpc",
         region_offset_in_exposed: int = 0,
     ):
@@ -85,29 +81,21 @@ class DisaggregatedStore(PlasmaStore):
         # 'hashmap' replaces lookups with direct directory probes; 'hybrid'
         # (paper §V-B: "a hybrid system that combines disaggregated memory
         # hash map look-up with messaging") probes the directory for
-        # lookups but keeps a dmsg channel for feedback RPCs.
-        if sharing not in ("rpc", "hashmap", "dmsg", "hybrid"):
-            raise ValueError(f"unknown sharing strategy {sharing!r}")
-        if sharing == "hashmap" and share_usage:
-            # The paper's core argument for gRPC over the shared-data-
-            # structure approach: the one-way directory gives the home store
-            # no usage feedback, so remote pinning is impossible. (The
-            # 'hybrid' strategy exists precisely to lift this restriction.)
-            raise ValueError(
-                "usage sharing requires a bidirectional sharing strategy "
-                "('rpc', 'dmsg' or 'hybrid')"
-            )
+        # lookups but keeps a dmsg channel for feedback RPCs. The cluster
+        # config has already refused the combinations that cannot work.
         self._peers: dict[str, PeerHandle] = {}
         self._remote_records: dict[ObjectID, RemoteObjectRecord] = {}
-        self._check_remote_uniqueness = check_remote_uniqueness
-        self._share_usage = share_usage
-        self._notify_deletions = notify_deletions
+        self._check_remote_uniqueness = config.check_remote_uniqueness
+        self._share_usage = config.share_usage
+        # A cached descriptor is only safe while its home says when it dies:
+        # the lookup cache and the NotifyDeleted pushes are one switch.
+        self._notify_deletions = config.lookup_cache
         self._sharing = sharing
         self._exposed_offset = region_offset_in_exposed
         self._directory = None  # home-side DisaggregatedHashMap, if attached
         self._readers: dict[str, object] = {}  # peer -> RemoteHashMapReader
         self._lookup_cache: LookupCache | None = (
-            LookupCache(lookup_cache_entries) if enable_lookup_cache else None
+            LookupCache() if config.lookup_cache else None
         )
         # Replication book-keeping: which peers hold copies of our objects
         # (home side) and which of our objects are copies of a peer's
@@ -121,7 +109,7 @@ class DisaggregatedStore(PlasmaStore):
         # the fabric-resident directory, or asked by an unnamed caller —
         # and unknown means every peer is told.
         self._sharers: dict[ObjectID, set[str]] = {}
-        self._track_sharers = notify_deletions and sharing in ("rpc", "dmsg")
+        self._track_sharers = self._notify_deletions and sharing in ("rpc", "dmsg")
         # Elastic placement (repro.placement): the installed topology view,
         # the ring derived from it, and migration book-keeping. All None /
         # empty until the cluster enables placement.

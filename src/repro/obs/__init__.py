@@ -10,7 +10,7 @@ snapshot, and cluster-merged view, and :class:`CorrelationContext` mints
 deterministic per-operation request ids that stitch client, RPC, and
 fabric trace spans of a single Get into one correlated story.
 
-Instrumentation is strictly opt-in (``Cluster(..., metrics=True)``) and
+Instrumentation is strictly opt-in (``ClusterConfig(metrics=True)``) and
 never advances the simulated clock or consumes deterministic RNG — with
 metrics disabled, benchmark results are bit-identical to an uninstrumented
 build, and the disabled hot path is a single ``is None`` check.

@@ -54,8 +54,9 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from dataclasses import dataclass
 from heapq import heappush, heappushpop
+
+from repro.common.config import SpanConfig
 
 SPAN_SCHEMA_VERSION = 1
 
@@ -97,35 +98,6 @@ CATEGORY_COMPONENTS = {
 
 #: A root's buckets the moment it opens (copied per root).
 _ZERO_BUCKETS = dict.fromkeys(BASE_COMPONENTS, 0)
-
-
-@dataclass(frozen=True)
-class SpanConfig:
-    """Retention knobs for one :class:`SpanSink`.
-
-    ``sample_rate`` is the head-sampling probability (decided at root open
-    from the sink's dedicated RNG stream); ``tail_percentile`` always keeps
-    roots at or above that percentile of durations observed so far (plus
-    every errored/shed op) regardless of the head decision;
-    ``flight_capacity`` bounds each node's flight-recorder ring;
-    ``max_traces`` caps retained traces so a long run cannot grow without
-    bound (overflow is counted, never silent).
-    """
-
-    sample_rate: float = 1.0
-    tail_percentile: float = 0.99
-    flight_capacity: int = 512
-    max_traces: int = 100_000
-
-    def validate(self) -> None:
-        if not 0.0 <= self.sample_rate <= 1.0:
-            raise ValueError("sample_rate must be within [0, 1]")
-        if not 0.0 <= self.tail_percentile <= 1.0:
-            raise ValueError("tail_percentile must be within [0, 1]")
-        if self.flight_capacity <= 0:
-            raise ValueError("flight_capacity must be positive")
-        if self.max_traces < 0:
-            raise ValueError("max_traces must be non-negative")
 
 
 class SpanRecord:

@@ -115,30 +115,16 @@ class Membership:
     the epoch exactly once. Utilization refreshes do *not* bump the epoch —
     they piggyback on the next published change."""
 
-    def __init__(
-        self,
-        names,
-        *,
-        default_weight: float = 1.0,
-        weights: "dict[str, float] | None" = None,
-    ):
+    def __init__(self, names, *, weights: "dict[str, float] | None" = None):
+        # Seed weights are checked where they are configured
+        # (PlacementConfig / ClusterConfig.validate); unnamed members weigh 1.
         names = list(names)
         if not names:
             raise PlacementError("membership needs at least one node")
-        weights = dict(weights or {})
-        unknown = sorted(set(weights) - set(names))
-        if unknown:
-            raise PlacementError(f"weights given for non-members: {unknown}")
-        for name, weight in weights.items():
-            if weight <= 0:
-                raise PlacementError(
-                    f"member {name!r} needs a positive weight, got {weight}"
-                )
+        weights = weights or {}
         self._epoch = 1
         self._members: dict[str, MemberInfo] = {
-            name: MemberInfo(
-                NodeStatus.ACTIVE, float(weights.get(name, default_weight))
-            )
+            name: MemberInfo(NodeStatus.ACTIVE, float(weights.get(name, 1.0)))
             for name in names
         }
 

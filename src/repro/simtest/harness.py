@@ -40,7 +40,14 @@ from repro.chaos import (
     RpcBlackhole,
 )
 from repro.common.clock import NS_PER_MS
-from repro.common.config import ClusterConfig, OverloadConfig
+from repro.common.config import (
+    ClusterConfig,
+    OverloadConfig,
+    PlacementConfig,
+    RpcConfig,
+    SpanConfig,
+    TierConfig,
+)
 from repro.common.errors import (
     AdmissionRejectedError,
     ObjectCorruptedError,
@@ -52,7 +59,6 @@ from repro.common.errors import (
 from repro.common.ids import ObjectID
 from repro.common.units import MiB
 from repro.core import Cluster
-from repro.obs.spans import SpanConfig
 from repro.core.health import BreakerState
 from repro.placement.membership import NodeStatus
 from repro.scrub import Scrubber
@@ -82,6 +88,23 @@ OVERLOAD_QUEUE_DEPTH = 16
 #: async, a blackholed primary (1–20 ms holes) outlives the stagger and
 #: the hedge probe actually races.
 HEDGE_STAGGER_NS = 4 * NS_PER_MS
+
+#: Every harness cluster, seeded per run: lookup cache on, placement,
+#: the tiering plane armed (every get runs through the hot-object cache,
+#: exercising its coherence machinery under faults; the promote/demote ops
+#: drive the tier engine directly) and flight-recorder-only tracing (no
+#: head sampling, no retained traces — just the bounded per-node rings a
+#: violation ships with; tracing never advances the clock, so trace text
+#: is unchanged).
+CLUSTER_CONFIG = ClusterConfig(
+    rpc=RpcConfig(hedge_stagger_ns=HEDGE_STAGGER_NS),
+    overload=OverloadConfig(queue_depth=OVERLOAD_QUEUE_DEPTH),
+    placement=PlacementConfig(),
+    tier=TierConfig(),
+    tracing=SpanConfig(sample_rate=0.0, max_traces=0),
+).with_store(
+    capacity_bytes=CAPACITY_BYTES, check_remote_uniqueness=False, lookup_cache=True
+)
 
 #: Sweep presets: (n_seeds, n_ops, workload profile). The concurrency
 #: profile runs the async event-loop RPC plane under the same oracle —
@@ -168,43 +191,15 @@ class SimulationRunner:
         self._last_cached: tuple[int, str] | None = None
         self.cluster: Cluster | None = None
 
-    # ------------------------------------------------------------------ setup
-
-    def _build_cluster(self) -> Cluster:
-        config = ClusterConfig(seed=self.seed).with_store(
-            capacity_bytes=CAPACITY_BYTES
-        )
-        config = replace(
-            config, overload=OverloadConfig(queue_depth=OVERLOAD_QUEUE_DEPTH)
-        )
-        config = replace(
-            config,
-            rpc=replace(config.rpc, hedge_stagger_ns=HEDGE_STAGGER_NS),
-        )
-        return Cluster(
-            config,
-            node_names=list(SEED_NODES),
-            sharing="rpc",
-            enable_lookup_cache=True,
-            check_remote_uniqueness=False,
-            fault_plan=FaultPlan(),
-            placement=True,
-            # Tiering plane armed: every get runs through the hot-object
-            # cache (exercising its coherence machinery under faults) and
-            # the promote/demote ops drive the tier engine directly.
-            tiering=True,
-            # Flight-recorder-only tracing: no head sampling and no
-            # retained traces (max_traces=0), just the bounded per-node
-            # rings — the crash dump a violation ships with. Tracing
-            # never advances the clock, so trace text is unchanged.
-            tracing=SpanConfig(sample_rate=0.0, max_traces=0),
-        )
-
     # ------------------------------------------------------------------ run
 
     def run(self, ops: list[Op]) -> RunResult:
         with mutations.apply(self.mutation):
-            self.cluster = self._build_cluster()
+            self.cluster = Cluster(
+                replace(CLUSTER_CONFIG, seed=self.seed),
+                list(SEED_NODES),
+                fault_plan=FaultPlan(),
+            )
             for index, op in enumerate(ops):
                 self._op_index = index
                 outcome = self._execute(op)

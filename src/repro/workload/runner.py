@@ -27,7 +27,13 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from repro.common.config import ClusterConfig, OverloadConfig, TierConfig
+from repro.common.config import (
+    ClusterConfig,
+    OverloadConfig,
+    PlacementConfig,
+    SpanConfig,
+    TierConfig,
+)
 from repro.common.errors import (
     AdmissionRejectedError,
     ObjectCorruptedError,
@@ -39,7 +45,7 @@ from repro.common.stats import Distribution
 from repro.common.units import MiB
 from repro.core.cluster import Cluster
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import BASE_COMPONENTS, LEGACY_COMPONENTS, SpanConfig
+from repro.obs.spans import BASE_COMPONENTS, LEGACY_COMPONENTS
 from repro.rpc.aio.loop import Sleep, TaskAttribution
 from repro.workload.admission import AdmissionController, TenantQuota
 from repro.workload.arrival import closed_loop_next
@@ -135,10 +141,14 @@ class WorkloadResult:
 
 
 def _config_for(scenario: Scenario, seed: int) -> ClusterConfig:
+    """The one description of the cluster a scenario runs against (built
+    over ``scenario.cluster.node_weights()``'s names)."""
     shape = scenario.cluster
     link = shape.link
     config = ClusterConfig(seed=seed).with_store(
-        capacity_bytes=shape.capacity_mib * MiB
+        capacity_bytes=shape.capacity_mib * MiB,
+        check_remote_uniqueness=False,
+        lookup_cache=True,
     )
     fabric = replace(
         config.fabric,
@@ -181,7 +191,12 @@ def _config_for(scenario: Scenario, seed: int) -> ClusterConfig:
             max_batch=rspec.max_batch,
             hedge_stagger_ns=rspec.hedge_stagger_ns,
         )
-    tier = config.tier
+    placement = None
+    if shape.placement:
+        weights = shape.node_weights()
+        heterogeneous = any(w != 1.0 for w in weights.values())
+        placement = PlacementConfig(weights=weights if heterogeneous else None)
+    tier = None
     tspec = scenario.tiering
     if tspec is not None:
         # tick_interval_ns stays 0: engine ticks ride the op stream (every
@@ -199,7 +214,27 @@ def _config_for(scenario: Scenario, seed: int) -> ClusterConfig:
             bytes_per_tick=tspec.bytes_per_tick_mib * MiB,
             tick_interval_ns=0.0,
         )
-    return replace(config, fabric=fabric, rpc=rpc, overload=overload, tier=tier)
+    tracing = None
+    trspec = scenario.tracing
+    if trspec is not None and trspec.enabled and rpc.mode != "async":
+        # The span sink attributes clock advances through a single
+        # open-root stack — sound only while one op is on the clock at
+        # a time. Under the event loop attribution is carried per task
+        # (TaskAttribution), so the sink stays detached in async mode.
+        tracing = SpanConfig(
+            sample_rate=trspec.sample_rate,
+            tail_percentile=trspec.tail_percentile,
+            flight_capacity=trspec.flight_capacity,
+        )
+    return replace(
+        config,
+        fabric=fabric,
+        rpc=rpc,
+        overload=overload,
+        placement=placement,
+        tier=tier,
+        tracing=tracing,
+    )
 
 
 class ScenarioRunner:
@@ -211,9 +246,6 @@ class ScenarioRunner:
         self.registry = MetricsRegistry(node="workload")
         self._burst_model = None
         self._shed_expired_ingress = False
-        self._rpc_async = (
-            scenario.rpc is not None and scenario.rpc.mode == "async"
-        )
         self.admission = AdmissionController()
         self.admission.attach_metrics(self.registry)
         for tenant in scenario.tenants:
@@ -268,34 +300,6 @@ class ScenarioRunner:
         )
 
     # ------------------------------------------------------------------ setup
-
-    def _build_cluster(self) -> Cluster:
-        shape = self.scenario.cluster
-        weights = shape.node_weights()
-        heterogeneous = any(w != 1.0 for w in weights.values())
-        tracing = None
-        spec = self.scenario.tracing
-        if spec is not None and spec.enabled and not self._rpc_async:
-            # The span sink attributes clock advances through a single
-            # open-root stack — sound only while one op is on the clock at
-            # a time. Under the event loop attribution is carried per task
-            # (TaskAttribution), so the sink stays detached in async mode.
-            tracing = SpanConfig(
-                sample_rate=spec.sample_rate,
-                tail_percentile=spec.tail_percentile,
-                flight_capacity=spec.flight_capacity,
-            )
-        return Cluster(
-            _config_for(self.scenario, self.seed),
-            node_names=list(weights),
-            sharing="rpc",
-            enable_lookup_cache=True,
-            check_remote_uniqueness=False,
-            placement=shape.placement,
-            node_weights=weights if (shape.placement and heterogeneous) else None,
-            tracing=tracing,
-            tiering=self.scenario.tiering is not None,
-        )
 
     def _fresh_oid(self) -> ObjectID:
         self._next_oid += 1
@@ -863,7 +867,9 @@ class ScenarioRunner:
                 scenario.overload.shed_expired
                 and scenario.overload.op_deadline_ms > 0
             )
-        self.cluster = self._build_cluster()
+        self.cluster = Cluster(
+            _config_for(scenario, self.seed), list(scenario.cluster.node_weights())
+        )
         self._clock = self.cluster.clock
         if scenario.tiering is not None:
             self.result.tiering_enabled = True
@@ -916,7 +922,7 @@ class ScenarioRunner:
             self._next_burst_ns = t0 + self._burst_period_ns
 
         arrival = scenario.traffic.arrival
-        if self._rpc_async:
+        if self.cluster.rpc_mode == "async":
             self._run_async(ops, t0, arrival)
         elif arrival.mode == "open":
             for op in ops:

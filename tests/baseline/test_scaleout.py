@@ -9,7 +9,7 @@ from repro.common.units import MiB, gib_per_s
 
 @pytest.fixture
 def so_cluster(small_config):
-    return ScaleOutCluster(small_config, n_nodes=2)
+    return ScaleOutCluster(small_config)
 
 
 class TestBasics:
@@ -33,7 +33,7 @@ class TestBasics:
 
     def test_single_node_rejected(self, small_config):
         with pytest.raises(ValueError):
-            ScaleOutCluster(small_config, n_nodes=1)
+            ScaleOutCluster(small_config, 1)
 
 
 class TestReplication:

@@ -15,6 +15,7 @@ from repro.bench import (
 from repro.bench.specs import PAPER_REPETITIONS, BenchmarkSpec
 from repro.common.rng import DeterministicRng
 from repro.common.units import KB
+from repro.workload.popularity import uniform_access_sequence, zipf_access_sequence
 
 
 class TestSpecs:
@@ -73,8 +74,6 @@ class TestWorkload:
 
 class TestAccessSequences:
     def test_zipf_is_skewed(self):
-        from repro.bench import zipf_access_sequence
-
         seq = zipf_access_sequence(DeterministicRng(5), 100, 5000, s=1.2)
         assert seq.min() >= 0 and seq.max() < 100
         counts = {}
@@ -84,22 +83,16 @@ class TestAccessSequences:
         assert counts.get(0, 0) > 10 * max(counts.get(i, 0) for i in range(90, 100))
 
     def test_uniform_is_flat(self):
-        from repro.bench import uniform_access_sequence
-
         seq = uniform_access_sequence(DeterministicRng(5), 10, 10_000)
         counts = [int((seq == i).sum()) for i in range(10)]
         assert max(counts) < 1.3 * min(counts)
 
     def test_sequences_deterministic(self):
-        from repro.bench import zipf_access_sequence
-
         a = zipf_access_sequence(DeterministicRng(1), 50, 100)
         b = zipf_access_sequence(DeterministicRng(1), 50, 100)
         assert (a == b).all()
 
     def test_validation(self):
-        from repro.bench import uniform_access_sequence, zipf_access_sequence
-
         with pytest.raises(ValueError):
             zipf_access_sequence(DeterministicRng(1), 0, 10)
         with pytest.raises(ValueError):

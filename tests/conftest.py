@@ -42,7 +42,7 @@ def small_config() -> ClusterConfig:
 @pytest.fixture
 def cluster(small_config) -> Cluster:
     """A 2-node disaggregated cluster with batched uniqueness checks."""
-    return Cluster(small_config, n_nodes=2, check_remote_uniqueness=False)
+    return Cluster(small_config.with_store(check_remote_uniqueness=False))
 
 
 def oid_homed_at(cluster: Cluster, home: str) -> ObjectID:
@@ -74,7 +74,7 @@ def rpc_log(monkeypatch) -> list:
 @pytest.fixture
 def cluster_paper_mode(small_config) -> Cluster:
     """A 2-node cluster with the paper's per-create uniqueness RPCs."""
-    return Cluster(small_config, n_nodes=2, check_remote_uniqueness=True)
+    return Cluster(small_config.with_store(check_remote_uniqueness=True))
 
 
 @pytest.fixture
@@ -88,7 +88,7 @@ def cluster_factory(small_config):
     share function-scoped state across examples."""
 
     def make() -> Cluster:
-        return Cluster(small_config, n_nodes=2, check_remote_uniqueness=False)
+        return Cluster(small_config.with_store(check_remote_uniqueness=False))
 
     return make
 

@@ -13,24 +13,16 @@ class TestClusterConstruction:
         assert cl.node_names() == ["node0", "node1"]
 
     def test_custom_names(self, small_config):
-        cl = Cluster(small_config, node_names=["alpha", "beta", "gamma"])
+        cl = Cluster(small_config, ["alpha", "beta", "gamma"])
         assert cl.node_names() == ["alpha", "beta", "gamma"]
         assert cl.store("alpha").peers() == ["beta", "gamma"]
-
-    def test_duplicate_names_rejected(self, small_config):
-        with pytest.raises(ValueError):
-            Cluster(small_config, node_names=["x", "x"])
-
-    def test_single_node_rejected(self, small_config):
-        with pytest.raises(ValueError):
-            Cluster(small_config, n_nodes=1)
 
     def test_unknown_node_lookup(self, cluster):
         with pytest.raises(KeyError):
             cluster.node("node99")
 
     def test_full_mesh_links(self, small_config):
-        cl = Cluster(small_config, n_nodes=4)
+        cl = Cluster(small_config, 4)
         assert len(cl.fabric.links()) == 6  # C(4,2)
 
     def test_exposed_region_hosts_store(self, cluster):

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.common.config import PlacementConfig, TierConfig
 from repro.common.config import testing_config as make_config
 from repro.common.errors import ObjectNotFoundError
 from repro.common.ids import ObjectID
@@ -25,17 +26,16 @@ MODES = ["sync", "async"]
 PAYLOAD = b"d" * 900
 
 
-def make_cluster(mode: str = "sync", *, capacity: int = 32 * MiB, **kwargs) -> Cluster:
+def make_cluster(mode: str = "sync", *, capacity: int = 32 * MiB) -> Cluster:
     cfg = make_config(capacity_bytes=capacity, seed=99)
-    cfg = replace(cfg, rpc=replace(cfg.rpc, mode=mode))
-    return Cluster(
+    cfg = replace(
         cfg,
-        n_nodes=3,
-        check_remote_uniqueness=False,
-        enable_lookup_cache=True,
-        placement=True,
-        tiering=True,
-        **kwargs,
+        rpc=replace(cfg.rpc, mode=mode),
+        placement=PlacementConfig(),
+        tier=TierConfig(),
+    )
+    return Cluster(
+        cfg.with_store(check_remote_uniqueness=False, lookup_cache=True), 3
     )
 
 
@@ -107,11 +107,10 @@ def test_directory_sharing_tells_every_peer(rpc_log):
     fabric-resident directory without asking it, so the home cannot know
     who holds a descriptor."""
     cluster = Cluster(
-        make_config(capacity_bytes=32 * MiB, seed=99),
-        n_nodes=3,
-        sharing="hashmap",
-        enable_lookup_cache=True,
-        check_remote_uniqueness=False,
+        replace(
+            make_config(capacity_bytes=32 * MiB, seed=99), sharing="hashmap"
+        ).with_store(lookup_cache=True, check_remote_uniqueness=False),
+        3,
     )
     oid = cluster.new_object_id()
     cluster.client("node0").put_bytes(oid, PAYLOAD)
@@ -128,11 +127,10 @@ def test_directory_sharing_tells_every_peer(rpc_log):
 
 def test_caller_name_rides_the_dmsg_rings_too(rpc_log):
     cluster = Cluster(
-        make_config(capacity_bytes=32 * MiB, seed=99),
-        n_nodes=3,
-        sharing="dmsg",
-        enable_lookup_cache=True,
-        check_remote_uniqueness=False,
+        replace(
+            make_config(capacity_bytes=32 * MiB, seed=99), sharing="dmsg"
+        ).with_store(lookup_cache=True, check_remote_uniqueness=False),
+        3,
     )
     oid = cluster.new_object_id()
     cluster.client("node0").put_bytes(oid, PAYLOAD)

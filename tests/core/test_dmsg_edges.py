@@ -1,5 +1,7 @@
 """DmsgChannel edge behaviour not covered by the happy-path suite."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.config import testing_config as make_testing_config
@@ -11,10 +13,9 @@ from repro.core import Cluster
 @pytest.fixture
 def dmsg_cluster():
     return Cluster(
-        make_testing_config(capacity_bytes=16 * MiB, seed=55),
-        n_nodes=2,
-        sharing="dmsg",
-        check_remote_uniqueness=False,
+        replace(
+            make_testing_config(capacity_bytes=16 * MiB, seed=55), sharing="dmsg"
+        ).with_store(check_remote_uniqueness=False),
     )
 
 

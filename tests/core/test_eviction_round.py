@@ -8,8 +8,11 @@ caused the round is retried; ``DisaggregatedStore`` answers with one
 set-up.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.common.config import PlacementConfig, TierConfig
 from repro.common.config import testing_config as make_config
 from repro.common.errors import ObjectNotFoundError, StaleDescriptorError
 from repro.common.ids import ObjectID
@@ -23,12 +26,12 @@ VICTIMS = 13  # 0.2 x 1 MiB of 16 KiB extents; parent: the same 13
 
 def make_cluster(*, tiering: bool = True) -> Cluster:
     return Cluster(
-        make_config(capacity_bytes=1 * MiB, seed=99),
-        n_nodes=3,
-        check_remote_uniqueness=False,
-        enable_lookup_cache=True,
-        placement=True,
-        tiering=tiering,
+        replace(
+            make_config(capacity_bytes=1 * MiB, seed=99),
+            placement=PlacementConfig(),
+            tier=TierConfig() if tiering else None,
+        ).with_store(check_remote_uniqueness=False, lookup_cache=True),
+        3,
     )
 
 

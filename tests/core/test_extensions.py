@@ -1,6 +1,8 @@
 """The paper's future-work extensions: usage sharing, lookup cache,
 hashmap sharing, multi-node."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.errors import ObjectNotFoundError
@@ -11,17 +13,14 @@ from repro.core import Cluster
 @pytest.fixture
 def sharing_cluster(small_config):
     return Cluster(
-        small_config, n_nodes=2, share_usage=True, check_remote_uniqueness=False
+        small_config.with_store(share_usage=True, check_remote_uniqueness=False),
     )
 
 
 @pytest.fixture
 def caching_cluster(small_config):
     return Cluster(
-        small_config,
-        n_nodes=2,
-        enable_lookup_cache=True,
-        check_remote_uniqueness=False,
+        small_config.with_store(lookup_cache=True, check_remote_uniqueness=False),
     )
 
 
@@ -161,10 +160,9 @@ class TestHashmapSharing:
     @pytest.fixture
     def hm_cluster(self, small_config):
         return Cluster(
-            small_config,
-            n_nodes=2,
-            sharing="hashmap",
-            check_remote_uniqueness=False,
+            replace(small_config, sharing="hashmap").with_store(
+                check_remote_uniqueness=False
+            ),
         )
 
     def test_remote_get_without_any_rpc(self, hm_cluster):
@@ -200,12 +198,6 @@ class TestHashmapSharing:
         with pytest.raises(ObjectNotFoundError):
             c.get([oid])
 
-    def test_usage_sharing_incompatible_with_hashmap(self, small_config):
-        """The one-way directory cannot feed back usage — the paper's core
-        argument for RPC."""
-        with pytest.raises(ValueError, match="usage sharing"):
-            Cluster(small_config, n_nodes=2, sharing="hashmap", share_usage=True)
-
 
 class TestHybridSharing:
     """Paper §V-B: 'A hybrid system that combines disaggregated memory hash
@@ -214,11 +206,9 @@ class TestHybridSharing:
     @pytest.fixture
     def hybrid(self, small_config):
         return Cluster(
-            small_config,
-            n_nodes=2,
-            sharing="hybrid",
-            share_usage=True,
-            check_remote_uniqueness=False,
+            replace(small_config, sharing="hybrid").with_store(
+                share_usage=True, check_remote_uniqueness=False
+            ),
         )
 
     def test_lookup_via_directory_feedback_via_rings(self, hybrid):
@@ -268,7 +258,7 @@ class TestHybridSharing:
 class TestMultiNode:
     @pytest.mark.parametrize("n_nodes", [3, 4, 6])
     def test_any_node_reads_any_node(self, small_config, n_nodes):
-        cl = Cluster(small_config, n_nodes=n_nodes, check_remote_uniqueness=False)
+        cl = Cluster(small_config.with_store(check_remote_uniqueness=False), n_nodes)
         clients = {name: cl.client(name) for name in cl.node_names()}
         ids = {}
         for i, name in enumerate(cl.node_names()):
@@ -281,7 +271,7 @@ class TestMultiNode:
                 assert data == f"home-{home_name}".encode()
 
     def test_lookup_stops_at_first_claiming_peer(self, small_config):
-        cl = Cluster(small_config, n_nodes=4, check_remote_uniqueness=False)
+        cl = Cluster(small_config.with_store(check_remote_uniqueness=False), 4)
         p = cl.client("node1")
         oid = cl.new_object_id()
         p.put_bytes(oid, b"somewhere")
@@ -294,7 +284,7 @@ class TestMultiNode:
     def test_uniqueness_enforced_across_all_nodes(self, small_config):
         from repro.common.errors import ObjectExistsError
 
-        cl = Cluster(small_config, n_nodes=3, check_remote_uniqueness=True)
+        cl = Cluster(small_config.with_store(check_remote_uniqueness=True), 3)
         p2 = cl.client("node2")
         oid = cl.new_object_id()
         p2.put_bytes(oid, b"taken")

@@ -15,7 +15,7 @@ from repro.core import Cluster
 @pytest.fixture
 def cluster3():
     config = make_testing_config(capacity_bytes=32 * MiB, seed=99)
-    return Cluster(config, n_nodes=3, check_remote_uniqueness=False)
+    return Cluster(config.with_store(check_remote_uniqueness=False), 3)
 
 
 class TestReplication:

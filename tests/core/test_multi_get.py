@@ -5,8 +5,11 @@ operations in both modes, mode-flip validation, coalesced lookups on the
 wire, and the sync/async equivalence of results.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.common.config import PlacementConfig
 from repro.common.config import testing_config as small_cluster_config
 from repro.common.errors import ObjectNotFoundError, ObjectStoreError
 from repro.common.units import MiB
@@ -15,13 +18,14 @@ from repro.core import Cluster
 
 def make_cluster(mode: str = "sync", *, n_nodes: int = 2, placement: bool = False,
                  **cfg_over) -> Cluster:
-    from dataclasses import replace
-
     cfg = small_cluster_config(capacity_bytes=32 * MiB, seed=99)
     if cfg_over:
         cfg = replace(cfg, rpc=replace(cfg.rpc, **cfg_over))
     cluster = Cluster(
-        cfg, n_nodes=n_nodes, check_remote_uniqueness=False, placement=placement
+        replace(cfg, placement=PlacementConfig() if placement else None).with_store(
+            check_remote_uniqueness=False
+        ),
+        n_nodes,
     )
     if mode != "sync":
         cluster.set_rpc_mode(mode)
@@ -99,7 +103,7 @@ class TestRpcModeSwitch:
     def test_dmsg_sharing_rejected(self):
         cfg = small_cluster_config(capacity_bytes=32 * MiB, seed=99)
         cluster = Cluster(
-            cfg, n_nodes=2, check_remote_uniqueness=False, sharing="dmsg"
+            replace(cfg, sharing="dmsg").with_store(check_remote_uniqueness=False),
         )
         with pytest.raises(ObjectStoreError):
             cluster.set_rpc_mode("async")

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.common.config import PlacementConfig, TierConfig
 from repro.common.config import testing_config as make_config
 from repro.common.errors import ObjectStoreError
 from repro.common.ids import ObjectID
@@ -20,16 +21,15 @@ from repro.rpc.aio.loop import EventLoop, Sleep
 from tests.conftest import oid_homed_at
 
 
-def make_cluster(mode: str = "sync", *, capacity: int = 32 * MiB, **kwargs) -> Cluster:
+def make_cluster(
+    mode: str = "sync", *, capacity: int = 32 * MiB, tier: TierConfig | None = None
+) -> Cluster:
     cfg = make_config(capacity_bytes=capacity, seed=99)
-    cfg = replace(cfg, rpc=replace(cfg.rpc, mode=mode))
+    cfg = replace(
+        cfg, rpc=replace(cfg.rpc, mode=mode), placement=PlacementConfig(), tier=tier
+    )
     return Cluster(
-        cfg,
-        n_nodes=3,
-        check_remote_uniqueness=False,
-        enable_lookup_cache=True,
-        placement=True,
-        **kwargs,
+        cfg.with_store(check_remote_uniqueness=False, lookup_cache=True), 3
     )
 
 
@@ -135,7 +135,7 @@ def error_of(fn) -> tuple:
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
 def test_mode_parity(mode):
-    cluster = make_cluster(mode, tiering=True)
+    cluster = make_cluster(mode, tier=TierConfig())
     c0, c1 = cluster.client("node0"), cluster.client("node1")
     local = oid_homed_at(cluster, "node1")
     remote = oid_homed_at(cluster, "node0")
@@ -210,7 +210,7 @@ def replicated_and_cached(mode: str):
     """An object at node0, read (so cached) by node1 and node2, and only
     then replicated to node1: a holder that also holds a cached descriptor
     and hot-cache payload, which only an invalidation can remove."""
-    cluster = make_cluster(mode, tiering=True)
+    cluster = make_cluster(mode, tier=TierConfig())
     oid = oid_homed_at(cluster, "node0")
     cluster.client("node0").put_bytes(oid, PAYLOAD)
     for peer in ("node1", "node2"):
@@ -346,11 +346,9 @@ def test_async_mode_over_dmsg_rings_is_refused_both_ways(sharing):
     cfg = make_config(capacity_bytes=32 * MiB, seed=99)
     with pytest.raises(ObjectStoreError, match="no event-loop integration"):
         Cluster(
-            replace(cfg, rpc=replace(cfg.rpc, mode="async")),
-            n_nodes=2,
-            sharing=sharing,
+            replace(cfg, rpc=replace(cfg.rpc, mode="async"), sharing=sharing),
         )
-    cluster = Cluster(cfg, n_nodes=2, sharing=sharing)
+    cluster = Cluster(replace(cfg, sharing=sharing))
     with pytest.raises(ObjectStoreError, match="no event-loop integration"):
         cluster.set_rpc_mode("async")
     assert cluster.rpc_mode == "sync" and not cluster.store("node0").rpc_async

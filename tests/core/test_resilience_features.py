@@ -20,7 +20,7 @@ class TestNodeFailure:
     def test_cluster_keeps_serving_survivors(self, small_config):
         from repro.core import Cluster
 
-        cl = Cluster(small_config, n_nodes=3, check_remote_uniqueness=False)
+        cl = Cluster(small_config.with_store(check_remote_uniqueness=False), 3)
         p1 = cl.client("node1")
         c2 = cl.client("node2")
         oid = cl.new_object_id()

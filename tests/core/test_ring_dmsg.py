@@ -1,5 +1,7 @@
 """SPSC rings and the dmsg transport (§IV-A2 approach 2)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.clock import SimClock
@@ -108,10 +110,9 @@ class TestDmsgCluster:
     @pytest.fixture
     def cluster(self):
         return Cluster(
-            make_testing_config(capacity_bytes=32 * MiB, seed=3),
-            n_nodes=2,
-            sharing="dmsg",
-            check_remote_uniqueness=False,
+            replace(
+                make_testing_config(capacity_bytes=32 * MiB, seed=3), sharing="dmsg"
+            ).with_store(check_remote_uniqueness=False),
         )
 
     def test_remote_get_over_rings(self, cluster):
@@ -135,11 +136,9 @@ class TestDmsgCluster:
         """Unlike the one-way hashmap, dmsg is bidirectional — the
         eviction-feedback extension composes with it."""
         cl = Cluster(
-            make_testing_config(capacity_bytes=32 * MiB, seed=4),
-            n_nodes=2,
-            sharing="dmsg",
-            share_usage=True,
-            check_remote_uniqueness=False,
+            replace(
+                make_testing_config(capacity_bytes=32 * MiB, seed=4), sharing="dmsg"
+            ).with_store(share_usage=True, check_remote_uniqueness=False),
         )
         p = cl.client("node0")
         c = cl.client("node1")
@@ -152,10 +151,9 @@ class TestDmsgCluster:
         from repro.common.errors import ObjectExistsError
 
         cl = Cluster(
-            make_testing_config(capacity_bytes=32 * MiB, seed=5),
-            n_nodes=2,
-            sharing="dmsg",
-            check_remote_uniqueness=True,
+            replace(
+                make_testing_config(capacity_bytes=32 * MiB, seed=5), sharing="dmsg"
+            ).with_store(check_remote_uniqueness=True),
         )
         p = cl.client("node0")
         oid = cl.new_object_id()
@@ -172,10 +170,10 @@ class TestDmsgCluster:
 
     def test_three_node_dmsg_mesh(self):
         cl = Cluster(
-            make_testing_config(capacity_bytes=32 * MiB, seed=6),
-            n_nodes=3,
-            sharing="dmsg",
-            check_remote_uniqueness=False,
+            replace(
+                make_testing_config(capacity_bytes=32 * MiB, seed=6), sharing="dmsg"
+            ).with_store(check_remote_uniqueness=False),
+            3,
         )
         p = cl.client("node2")
         oid = cl.new_object_id()

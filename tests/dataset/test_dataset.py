@@ -13,9 +13,10 @@ from repro.dataset import DistributedDataset, Partition
 @pytest.fixture
 def cluster3():
     return Cluster(
-        make_testing_config(capacity_bytes=32 * MiB, seed=41),
-        n_nodes=3,
-        check_remote_uniqueness=False,
+        make_testing_config(capacity_bytes=32 * MiB, seed=41).with_store(
+            check_remote_uniqueness=False
+        ),
+        3,
     )
 
 

@@ -17,7 +17,7 @@ class TestProducerConsumerPipeline:
     def test_notification_driven_pipeline(self, cfg):
         """Producer commits partitions; a consumer on another node discovers
         them via seal notifications and reduces them."""
-        cluster = Cluster(cfg, n_nodes=2, check_remote_uniqueness=False)
+        cluster = Cluster(cfg.with_store(check_remote_uniqueness=False))
         producer = cluster.client("node0")
         consumer = cluster.client("node1")
         feed = cluster.store("node0").subscribe()
@@ -39,7 +39,7 @@ class TestProducerConsumerPipeline:
         assert total == expected_total
 
     def test_numpy_arrays_roundtrip_via_views(self, cfg):
-        cluster = Cluster(cfg, n_nodes=2, check_remote_uniqueness=False)
+        cluster = Cluster(cfg.with_store(check_remote_uniqueness=False))
         producer = cluster.client("node0")
         consumer = cluster.client("node1")
         matrix = np.arange(64 * 64, dtype=np.float64).reshape(64, 64)
@@ -56,7 +56,7 @@ class TestWideDependency:
     def test_shuffle_style_exchange(self, cfg):
         """Every node produces a partition; every node consumes all
         partitions (the wide-dependency pattern of §V-B)."""
-        cluster = Cluster(cfg, n_nodes=3, check_remote_uniqueness=False)
+        cluster = Cluster(cfg.with_store(check_remote_uniqueness=False), 3)
         clients = {n: cluster.client(n) for n in cluster.node_names()}
         for i, name in enumerate(cluster.node_names()):
             clients[name].put_bytes(
@@ -75,7 +75,7 @@ class TestWideDependency:
         """In the disaggregated design, payloads move over the fabric; the
         LAN carries only RPC metadata (which our RPC model accounts
         separately), unlike the scale-out baseline."""
-        cluster = Cluster(cfg, n_nodes=2, check_remote_uniqueness=False)
+        cluster = Cluster(cfg.with_store(check_remote_uniqueness=False))
         p = cluster.client("node0")
         c = cluster.client("node1")
         oid = cluster.new_object_id()
@@ -91,7 +91,7 @@ class TestDisaggregationVsScaleOut:
         object is several times faster via the fabric than via LAN copy."""
         size = 16 * MiB
 
-        dis = Cluster(cfg, n_nodes=2, check_remote_uniqueness=False)
+        dis = Cluster(cfg.with_store(check_remote_uniqueness=False))
         p, c = dis.client("node0"), dis.client("node1")
         oid = dis.new_object_id()
         p.put_bytes(oid, bytes(size))
@@ -99,7 +99,7 @@ class TestDisaggregationVsScaleOut:
         c.get_bytes(oid)
         dis_ns = dis.clock.now_ns - t0
 
-        so = ScaleOutCluster(cfg, n_nodes=2)
+        so = ScaleOutCluster(cfg)
         p2, c2 = so.client("node0"), so.client("node1")
         oid2 = so.new_object_id()
         p2.put_bytes(oid2, bytes(size))
@@ -115,7 +115,7 @@ class TestDisaggregationVsScaleOut:
         size = 16 * MiB
         reads = 5
 
-        dis = Cluster(cfg, n_nodes=2, check_remote_uniqueness=False)
+        dis = Cluster(cfg.with_store(check_remote_uniqueness=False))
         p, c = dis.client("node0"), dis.client("node1")
         oid = dis.new_object_id()
         p.put_bytes(oid, bytes(size))
@@ -125,7 +125,7 @@ class TestDisaggregationVsScaleOut:
             c.get_bytes(oid)
         dis_ns = dis.clock.now_ns - t0
 
-        so = ScaleOutCluster(cfg, n_nodes=2)
+        so = ScaleOutCluster(cfg)
         p2, c2 = so.client("node0"), so.client("node1")
         oid2 = so.new_object_id()
         p2.put_bytes(oid2, bytes(size))
@@ -140,7 +140,7 @@ class TestDisaggregationVsScaleOut:
 
 class TestCapacityStory:
     def test_remote_consumption_does_not_consume_local_capacity(self, cfg):
-        cluster = Cluster(cfg, n_nodes=2, check_remote_uniqueness=False)
+        cluster = Cluster(cfg.with_store(check_remote_uniqueness=False))
         p = cluster.client("node0")
         c = cluster.client("node1")
         ids = cluster.new_object_ids(8)
@@ -152,7 +152,7 @@ class TestCapacityStory:
         assert cluster.store("node1").used_bytes == used_before
 
     def test_scaleout_consumes_local_capacity(self, cfg):
-        so = ScaleOutCluster(cfg, n_nodes=2)
+        so = ScaleOutCluster(cfg)
         p = so.client("node0")
         c = so.client("node1")
         ids = so.new_object_ids(8)

@@ -25,9 +25,9 @@ from repro.rpc.status import StatusCode
 @pytest.fixture
 def cluster():
     return Cluster(
-        make_testing_config(capacity_bytes=32 * MiB, seed=31),
-        n_nodes=2,
-        check_remote_uniqueness=False,
+        make_testing_config(capacity_bytes=32 * MiB, seed=31).with_store(
+            check_remote_uniqueness=False
+        ),
     )
 
 
@@ -103,7 +103,7 @@ class TestFailureInjection:
         """share_usage pins via AddRef after Lookup; if the object is
         deleted in between, the client sees a clean not-found."""
         cfg = make_testing_config(capacity_bytes=32 * MiB, seed=77)
-        cl = Cluster(cfg, n_nodes=2, share_usage=True, check_remote_uniqueness=False)
+        cl = Cluster(cfg.with_store(share_usage=True, check_remote_uniqueness=False))
         p = cl.client("node0")
         c = cl.client("node1")
         oid = cl.new_object_id()

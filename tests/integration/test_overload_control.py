@@ -19,7 +19,7 @@ def make_cluster(n_nodes=3, *, rpc_overrides=None):
     config = _testing_config(capacity_bytes=32 * MiB, seed=99)
     rpc = replace(config.rpc, jitter_sigma=0.0, **(rpc_overrides or {}))
     config = replace(config, rpc=rpc)
-    return Cluster(config, n_nodes=n_nodes, check_remote_uniqueness=False)
+    return Cluster(config.with_store(check_remote_uniqueness=False), n_nodes)
 
 
 def spy_deadlines(server, seen):

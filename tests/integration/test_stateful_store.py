@@ -32,9 +32,9 @@ class StoreMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.cluster = Cluster(
-            make_testing_config(capacity_bytes=8 * MiB, seed=1),
-            n_nodes=2,
-            check_remote_uniqueness=True,
+            make_testing_config(capacity_bytes=8 * MiB, seed=1).with_store(
+                check_remote_uniqueness=True
+            ),
         )
         self.nodes = self.cluster.node_names()
         self.producers = {

@@ -25,9 +25,9 @@ from repro.core import Cluster
 @pytest.fixture
 def cluster():
     return Cluster(
-        make_testing_config(capacity_bytes=48 * MiB, seed=5),
-        n_nodes=2,
-        check_remote_uniqueness=False,
+        make_testing_config(capacity_bytes=48 * MiB, seed=5).with_store(
+            check_remote_uniqueness=False
+        ),
     )
 
 
@@ -132,9 +132,9 @@ def test_concurrent_creates_from_two_nodes_with_uniqueness(cluster):
     test is the regression guard for that deadlock.
     """
     cl = Cluster(
-        make_testing_config(capacity_bytes=48 * MiB, seed=6),
-        n_nodes=2,
-        check_remote_uniqueness=True,
+        make_testing_config(capacity_bytes=48 * MiB, seed=6).with_store(
+            check_remote_uniqueness=True
+        ),
     )
     errors: list[Exception] = []
 

@@ -52,9 +52,10 @@ def store(make_store):
 @pytest.fixture
 def cluster3():
     return Cluster(
-        testing_config(capacity_bytes=32 * MiB, seed=99),
-        n_nodes=3,
-        check_remote_uniqueness=False,
+        testing_config(capacity_bytes=32 * MiB, seed=99).with_store(
+            check_remote_uniqueness=False
+        ),
+        3,
     )
 
 

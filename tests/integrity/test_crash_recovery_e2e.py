@@ -31,10 +31,8 @@ def run_scenario(seed: int) -> list[str]:
         capacity_bytes=32 * MiB, verify_checksum_on_read=True
     )
     cluster = Cluster(
-        cfg,
-        n_nodes=3,
-        check_remote_uniqueness=False,
-        enable_lookup_cache=True,
+        cfg.with_store(check_remote_uniqueness=False, lookup_cache=True),
+        3,
         fault_plan=FaultPlan(),
     )
     producer = cluster.client("node0")

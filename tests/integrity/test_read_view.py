@@ -16,10 +16,8 @@ from repro.core import Cluster
 def make_cluster(**store_overrides) -> Cluster:
     return Cluster(
         make_testing_config(capacity_bytes=32 * MiB, seed=99).with_store(
-            **store_overrides
+            **store_overrides, check_remote_uniqueness=False
         ),
-        n_nodes=2,
-        check_remote_uniqueness=False,
     )
 
 

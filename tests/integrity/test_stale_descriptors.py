@@ -26,10 +26,9 @@ def cached_cluster():
     """2-node cluster: lookup cache + deletion notifications on, plus a
     chaos runtime so tests can blackhole the notification channel."""
     return Cluster(
-        make_testing_config(capacity_bytes=32 * MiB, seed=99),
-        n_nodes=2,
-        check_remote_uniqueness=False,
-        enable_lookup_cache=True,
+        make_testing_config(capacity_bytes=32 * MiB, seed=99).with_store(
+            check_remote_uniqueness=False, lookup_cache=True
+        ),
         fault_plan=FaultPlan(),
     )
 

@@ -3,6 +3,7 @@ covers every instrumented subsystem."""
 
 import pytest
 
+from repro.common.config import ClusterConfig
 from repro.common.errors import ObjectStoreError
 from repro.core.cluster import Cluster
 from repro.obs.export import Telemetry
@@ -26,8 +27,9 @@ def _run_workload(cluster: Cluster) -> None:
 class TestClusterMetrics:
     def test_scrape_covers_subsystems(self):
         cluster = Cluster(
-            n_nodes=2, check_remote_uniqueness=False, enable_lookup_cache=True,
-            metrics=True,
+            ClusterConfig(metrics=True).with_store(
+                check_remote_uniqueness=False, lookup_cache=True
+            ),
         )
         _run_workload(cluster)
         scrape = cluster.metrics().prometheus()
@@ -42,7 +44,9 @@ class TestClusterMetrics:
             assert subsystem in prefixes, f"missing {subsystem}: {sorted(prefixes)}"
 
     def test_latency_quantiles_present(self):
-        cluster = Cluster(n_nodes=2, check_remote_uniqueness=False, metrics=True)
+        cluster = Cluster(
+            ClusterConfig(metrics=True).with_store(check_remote_uniqueness=False),
+        )
         _run_workload(cluster)
         scrape = cluster.metrics().prometheus()
         for family in (
@@ -56,19 +60,23 @@ class TestClusterMetrics:
         assert 'quantile="0.95"' in scrape
 
     def test_metrics_returns_telemetry(self):
-        cluster = Cluster(n_nodes=2, check_remote_uniqueness=False, metrics=True)
+        cluster = Cluster(
+            ClusterConfig(metrics=True).with_store(check_remote_uniqueness=False),
+        )
         telemetry = cluster.metrics()
         assert isinstance(telemetry, Telemetry)
         assert set(telemetry.nodes()) == {"node0", "node1", "fabric"}
         assert cluster.registry("node0").node == "node0"
 
     def test_metrics_requires_flag(self):
-        cluster = Cluster(n_nodes=2, check_remote_uniqueness=False)
+        cluster = Cluster(ClusterConfig().with_store(check_remote_uniqueness=False))
         with pytest.raises(ObjectStoreError, match="metrics=True"):
             cluster.metrics()
 
     def test_fabric_registry_owns_link_latency(self):
-        cluster = Cluster(n_nodes=2, check_remote_uniqueness=False, metrics=True)
+        cluster = Cluster(
+            ClusterConfig(metrics=True).with_store(check_remote_uniqueness=False),
+        )
         _run_workload(cluster)
         fabric = cluster.registry("fabric")
         names = {f["name"] for f in fabric.collect()}
@@ -76,8 +84,9 @@ class TestClusterMetrics:
 
     def test_gauges_sample_live_state(self):
         cluster = Cluster(
-            n_nodes=2, check_remote_uniqueness=False, enable_lookup_cache=True,
-            metrics=True,
+            ClusterConfig(metrics=True).with_store(
+                check_remote_uniqueness=False, lookup_cache=True
+            ),
         )
         _run_workload(cluster)
         snap = cluster.registry("node0").snapshot()
@@ -90,7 +99,8 @@ class TestClusterMetrics:
         """After crash+recover, the fresh store's counters are scraped under
         the same families — the dead store's group is replaced."""
         cluster = Cluster(
-            n_nodes=3, check_remote_uniqueness=False, metrics=True,
+            ClusterConfig(metrics=True).with_store(check_remote_uniqueness=False),
+            3,
         )
         _run_workload(cluster)
         # recover_node models a store-process restart over the surviving
@@ -109,7 +119,7 @@ class TestClusterMetrics:
         assert creates == 1.0
 
     def test_disabled_cluster_has_no_registries(self):
-        cluster = Cluster(n_nodes=2, check_remote_uniqueness=False)
+        cluster = Cluster(ClusterConfig().with_store(check_remote_uniqueness=False))
         store = cluster.store("node0")
         assert store._m_create is None
         assert store._m_seal is None

@@ -3,6 +3,7 @@ end-to-end check that a single remote Get carries one request id through
 the client span, the RPC client/server spans, and the deferred fabric
 read."""
 
+from repro.common.config import ClusterConfig, SpanConfig
 from repro.core.cluster import Cluster
 from repro.obs.correlation import CorrelationContext
 
@@ -57,7 +58,11 @@ class TestEndToEndCorrelation:
         return out
 
     def test_remote_get_spans_one_request_id(self):
-        cluster = Cluster(n_nodes=2, check_remote_uniqueness=False, tracing=True)
+        cluster = Cluster(
+            ClusterConfig(tracing=SpanConfig()).with_store(
+                check_remote_uniqueness=False
+            ),
+        )
         producer = cluster.client("node0")
         consumer = cluster.client("node1")
 
@@ -79,7 +84,11 @@ class TestEndToEndCorrelation:
         assert rid in by_event[("fabric", "read")]
 
     def test_distinct_operations_get_distinct_ids(self):
-        cluster = Cluster(n_nodes=2, check_remote_uniqueness=False, tracing=True)
+        cluster = Cluster(
+            ClusterConfig(tracing=SpanConfig()).with_store(
+                check_remote_uniqueness=False
+            ),
+        )
         producer = cluster.client("node0")
         consumer = cluster.client("node1")
 
@@ -100,9 +109,11 @@ class TestEndToEndCorrelation:
         assert len(rids) == 6
 
     def test_no_tracer_no_metrics_means_no_correlation(self):
-        cluster = Cluster(n_nodes=2, check_remote_uniqueness=False)
+        cluster = Cluster(ClusterConfig().with_store(check_remote_uniqueness=False))
         assert cluster.correlation is None
 
     def test_metrics_only_cluster_still_mints_ids(self):
-        cluster = Cluster(n_nodes=2, check_remote_uniqueness=False, metrics=True)
+        cluster = Cluster(
+            ClusterConfig(metrics=True).with_store(check_remote_uniqueness=False),
+        )
         assert isinstance(cluster.correlation, CorrelationContext)

@@ -11,9 +11,12 @@ they pin that storing the reference unformatted changed no byte.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.clock import SimClock
+from repro.common.config import SpanConfig
 from repro.core import Cluster
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.spans import SpanSink
@@ -63,8 +66,9 @@ def _histograms(cluster, family: str) -> list[dict]:
 
 def test_remote_get_exemplars_in_scrape_and_snapshot(small_config):
     cluster = Cluster(
-        small_config, n_nodes=2, check_remote_uniqueness=False,
-        metrics=True, tracing=True,
+        replace(small_config, metrics=True, tracing=SpanConfig()).with_store(
+            check_remote_uniqueness=False
+        ),
     )
     producer, consumer = cluster.client("node0"), cluster.client("node1")
     oids = cluster.new_object_ids(3)

@@ -7,6 +7,7 @@ nanosecond — not approximately, by construction.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -275,7 +276,9 @@ class TestClusterSpans:
         from repro.core import Cluster
 
         cluster = Cluster(
-            small_config, n_nodes=2, check_remote_uniqueness=False, tracing=True
+            replace(small_config, tracing=SpanConfig()).with_store(
+                check_remote_uniqueness=False
+            ),
         )
         producer = cluster.client("node0")
         consumer = cluster.client("node1")

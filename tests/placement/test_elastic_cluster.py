@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import FaultPlan
 from repro.chaos.plan import NodeCrash, NodeRestart
+from repro.common.config import PlacementConfig
 from repro.common.config import testing_config as make_testing_config
 from repro.common.errors import PlacementError
 from repro.common.units import MiB
@@ -15,12 +18,14 @@ from repro.placement import NodeStatus
 PAYLOAD = b"\xabelastic" * 512  # 4 KiB
 
 
-def make_cluster(n=3, seed=23, **kwargs):
+def make_cluster(n=3, seed=23, fault_plan=None):
     return Cluster(
-        make_testing_config(capacity_bytes=32 * MiB, seed=seed),
-        node_names=[f"node{i}" for i in range(n)],
-        placement=True,
-        **kwargs,
+        replace(
+            make_testing_config(capacity_bytes=32 * MiB, seed=seed),
+            placement=PlacementConfig(),
+        ),
+        n,
+        fault_plan=fault_plan,
     )
 
 

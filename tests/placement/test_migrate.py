@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.common.config import PlacementConfig
 from repro.common.config import testing_config as make_testing_config
 from repro.common.units import MiB
 from repro.core import Cluster
@@ -14,10 +17,11 @@ PAYLOAD = b"migrate-me" * 400  # ~4 KB
 @pytest.fixture
 def pcluster():
     return Cluster(
-        make_testing_config(capacity_bytes=32 * MiB, seed=11),
-        node_names=["node0", "node1", "node2"],
-        placement=True,
-        enable_lookup_cache=True,
+        replace(
+            make_testing_config(capacity_bytes=32 * MiB, seed=11),
+            placement=PlacementConfig(),
+        ).with_store(lookup_cache=True),
+        ["node0", "node1", "node2"],
     )
 
 

@@ -13,8 +13,11 @@ The destination dies after MigratePrepare (payload pulled, header written
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.chaos import FaultPlan
 from repro.chaos.plan import NodeCrash, NodeRestart
+from repro.common.config import PlacementConfig
 from repro.common.config import testing_config as make_testing_config
 from repro.common.units import MiB
 from repro.core import Cluster
@@ -28,9 +31,11 @@ def run_scenario() -> list[str]:
     """One full crash-mid-migration drill; returns its replay fingerprint."""
     trace: list[str] = []
     cluster = Cluster(
-        make_testing_config(capacity_bytes=32 * MiB, seed=SEED),
-        node_names=["node0", "node1", "node2"],
-        placement=True,
+        replace(
+            make_testing_config(capacity_bytes=32 * MiB, seed=SEED),
+            placement=PlacementConfig(),
+        ),
+        ["node0", "node1", "node2"],
         fault_plan=FaultPlan(),
     )
     ring = cluster.placement_ring()

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import FaultPlan
 from repro.chaos.plan import NodeCrash
+from repro.common.config import PlacementConfig
 from repro.common.config import testing_config as make_testing_config
 from repro.common.errors import ObjectExistsError, ObjectStoreError
 from repro.common.units import MiB
@@ -17,9 +20,11 @@ PAYLOAD = bytes(range(256)) * 16  # 4 KiB
 @pytest.fixture
 def pcluster():
     return Cluster(
-        make_testing_config(capacity_bytes=32 * MiB, seed=42),
-        node_names=["node0", "node1", "node2", "node3"],
-        placement=True,
+        replace(
+            make_testing_config(capacity_bytes=32 * MiB, seed=42),
+            placement=PlacementConfig(),
+        ),
+        ["node0", "node1", "node2", "node3"],
     )
 
 
@@ -95,9 +100,11 @@ class TestRoutedCreate:
 class TestDegradedRouting:
     def test_unreachable_home_falls_back_to_local_create(self):
         cluster = Cluster(
-            make_testing_config(capacity_bytes=32 * MiB, seed=42),
-            node_names=["node0", "node1", "node2", "node3"],
-            placement=True,
+            replace(
+                make_testing_config(capacity_bytes=32 * MiB, seed=42),
+                placement=PlacementConfig(),
+            ),
+            ["node0", "node1", "node2", "node3"],
             fault_plan=FaultPlan(),
         )
         client = cluster.client("node0")
@@ -116,17 +123,8 @@ class TestDegradedRouting:
         assert client.counters.get("puts_forward_fallback") == 1
         assert cluster.store("node0").counters.get("placed_creates_fallback") == 1
 
-    def test_placement_requires_rpc_sharing(self):
-        with pytest.raises(ValueError, match="sharing='rpc'"):
-            Cluster(
-                make_testing_config(seed=1),
-                n_nodes=2,
-                sharing="dmsg",
-                placement=True,
-            )
-
     def test_placement_accessors_raise_when_disabled(self):
-        cluster = Cluster(make_testing_config(seed=1), n_nodes=2)
+        cluster = Cluster(make_testing_config(seed=1))
         assert not cluster.placement_enabled
         with pytest.raises(ObjectStoreError, match="placement"):
             cluster.membership

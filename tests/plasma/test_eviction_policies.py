@@ -53,7 +53,7 @@ class TestFactory:
         from repro.core import Cluster
 
         cfg = make_testing_config().with_store(eviction_policy="fifo")
-        cluster = Cluster(cfg, n_nodes=2, check_remote_uniqueness=False)
+        cluster = Cluster(cfg.with_store(check_remote_uniqueness=False))
         assert cluster.store("node0")._eviction.name == "fifo"  # noqa: SLF001
 
     def test_config_rejects_unknown_policy(self):
@@ -121,7 +121,7 @@ class TestEndToEndBehaviourDifference:
         cfg = make_testing_config(seed=11).with_store(
             capacity_bytes=8 * MiB, eviction_policy=policy_name
         )
-        cluster = Cluster(cfg, n_nodes=2, check_remote_uniqueness=False)
+        cluster = Cluster(cfg.with_store(check_remote_uniqueness=False))
         client = cluster.client("node0")
         hot = ObjectID.from_int(0)
         client.put_bytes(hot, bytes(MiB))

@@ -8,8 +8,11 @@ same — only the host-side copy differs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.common.config import SpanConfig
 from repro.common.config import testing_config as make_testing_config
 from repro.common.errors import ObjectStoreError
 from repro.common.units import MiB
@@ -24,7 +27,9 @@ def make_cluster(**store_overrides) -> Cluster:
     config = make_testing_config(capacity_bytes=32 * MiB, seed=99)
     if store_overrides:
         config = config.with_store(**store_overrides)
-    return Cluster(config, n_nodes=2, check_remote_uniqueness=False, tracing=True)
+    return Cluster(
+        replace(config, tracing=SpanConfig()).with_store(check_remote_uniqueness=False),
+    )
 
 
 def read_with(cluster: Cluster, reader: str, how: str) -> tuple[bytes, type]:

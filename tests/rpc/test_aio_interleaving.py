@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import replace
 
+from repro.common.config import PlacementConfig
 from repro.common.config import testing_config as small_cluster_config
 from repro.common.errors import ReproError
 from repro.common.ids import ObjectID
@@ -59,11 +60,10 @@ def _build_cluster() -> Cluster:
         ),
     )
     cluster = Cluster(
-        cfg,
-        n_nodes=3,
-        check_remote_uniqueness=False,
-        placement=True,
-        enable_lookup_cache=True,
+        replace(cfg, placement=PlacementConfig()).with_store(
+            check_remote_uniqueness=False, lookup_cache=True
+        ),
+        3,
     )
     cluster.set_rpc_mode("async")
     return cluster

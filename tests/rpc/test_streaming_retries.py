@@ -144,7 +144,7 @@ class TestFaultInjectionAndRetries:
                 base.rpc, inject_failure_rate=0.25, max_retries=8
             ),
         )
-        cluster = Cluster(cfg, n_nodes=2, check_remote_uniqueness=False)
+        cluster = Cluster(cfg.with_store(check_remote_uniqueness=False))
         p = cluster.client("node0")
         c = cluster.client("node1")
         for oid in cluster.new_object_ids(20):

@@ -5,6 +5,9 @@ APIs directly so a regression points at the exact call, not a 3-op
 simulation trace.
 """
 
+from dataclasses import replace
+
+from repro.common.config import PlacementConfig
 from repro.common.ids import ObjectID
 from repro.core import Cluster
 
@@ -20,7 +23,7 @@ def _home_of(cluster, oid):
 def test_dropped_replica_extent_is_retired(small_config):
     """drop_replicas must retire the replica header before freeing, or a
     region scan of the holder resurrects cleanly deleted objects."""
-    cluster = Cluster(small_config, n_nodes=3, check_remote_uniqueness=False)
+    cluster = Cluster(small_config.with_store(check_remote_uniqueness=False), 3)
     oid = ObjectID.from_int(1)
     cluster.client("node0", client_name="t").put_bytes(
         oid, b"x" * 4096, replicas=2
@@ -46,11 +49,10 @@ def test_delete_with_removed_replica_holder(small_config):
     """Deleting an object whose replica holder left the cluster must not
     raise (historically: KeyError from _drop_remote_replicas)."""
     cluster = Cluster(
-        small_config,
-        n_nodes=3,
-        sharing="rpc",
-        check_remote_uniqueness=False,
-        placement=True,
+        replace(small_config, placement=PlacementConfig()).with_store(
+            check_remote_uniqueness=False
+        ),
+        3,
     )
     oid = ObjectID.from_int(2)
     cluster.client("node0", client_name="t").put_bytes(

@@ -43,12 +43,39 @@ class TestObsSurface:
         )
 
     def test_cluster_takes_no_tracer(self):
+        import dataclasses
         import inspect
 
         params = inspect.signature(repro.Cluster.__init__).parameters
-        assert "tracer" not in params and "tracing" in params
+        assert "tracer" not in params
+        fields = {f.name for f in dataclasses.fields(repro.ClusterConfig)}
+        assert "tracing" in fields and "tracer" not in fields
         for gone in ("tracer", "attach_tracer", "attach_spans"):
             assert not hasattr(repro.Cluster, gone), gone
+
+
+class TestConstructionSurface:
+    def test_cluster_builds_from_config_nodes_and_fault_plan_only(self):
+        import inspect
+
+        assert list(inspect.signature(repro.Cluster).parameters) == [
+            "config", "nodes", "fault_plan",
+        ]
+        assert list(inspect.signature(repro.ScaleOutCluster).parameters) == [
+            "config", "nodes",
+        ]
+
+    def test_store_takes_no_feature_keyword(self):
+        import inspect
+
+        from repro.core.store import DisaggregatedStore
+
+        params = inspect.signature(DisaggregatedStore.__init__).parameters
+        assert not {
+            "check_remote_uniqueness", "share_usage", "enable_lookup_cache",
+            "lookup_cache_entries", "notify_deletions", "placement", "tiering",
+            "tracing", "metrics",
+        } & set(params)
 
 
 class TestRpcSurface:
@@ -69,7 +96,7 @@ class TestReadmeQuickstart:
         """The exact code from README.md §Quickstart must work."""
         from repro import Cluster
 
-        cluster = Cluster(n_nodes=2)
+        cluster = Cluster()
         producer = cluster.client("node0")
         consumer = cluster.client("node1")
 

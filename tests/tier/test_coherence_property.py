@@ -11,6 +11,7 @@ read from every node is checked against a model of the live payloads.
 
 import pytest
 
+from repro.common.config import ClusterConfig, PlacementConfig, TierConfig
 from repro.common.errors import ReproError
 from repro.common.ids import ObjectID
 from repro.common.rng import DeterministicRng
@@ -47,7 +48,10 @@ def find_holder(cluster: Cluster, object_id: ObjectID) -> str | None:
 @pytest.mark.parametrize("seed", [3, 17, 404, 2024, 9999])
 def test_random_interleavings_never_serve_stale_bytes(seed):
     cluster = Cluster(
-        n_nodes=3, enable_lookup_cache=True, placement=True, tiering=True
+        ClusterConfig(placement=PlacementConfig(), tier=TierConfig()).with_store(
+            lookup_cache=True
+        ),
+        3,
     )
     rng = DeterministicRng(seed).spawn("coherence")
     clients = {n: cluster.client(n) for n in NODES}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.config import ClusterConfig, PlacementConfig, TierConfig
 from repro.common.ids import ObjectID
 from repro.core.cluster import Cluster
 
@@ -25,7 +26,10 @@ def holder_of(cluster: Cluster, object_id: ObjectID) -> str | None:
 @pytest.fixture()
 def cluster():
     return Cluster(
-        n_nodes=3, enable_lookup_cache=True, placement=True, tiering=True
+        ClusterConfig(placement=PlacementConfig(), tier=TierConfig()).with_store(
+            lookup_cache=True
+        ),
+        3,
     )
 
 

@@ -4,6 +4,7 @@ sound across deletes and re-puts."""
 
 import pytest
 
+from repro.common.config import ClusterConfig, PlacementConfig, TierConfig
 from repro.common.errors import ReproError
 from repro.common.ids import ObjectID
 from repro.core.cluster import Cluster
@@ -40,7 +41,10 @@ def read_released(client, object_id: ObjectID) -> bytes:
 @pytest.fixture()
 def cluster():
     return Cluster(
-        n_nodes=3, enable_lookup_cache=True, placement=True, tiering=True
+        ClusterConfig(placement=PlacementConfig(), tier=TierConfig()).with_store(
+            lookup_cache=True
+        ),
+        3,
     )
 
 

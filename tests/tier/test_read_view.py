@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.config import ClusterConfig, PlacementConfig, SpanConfig, TierConfig
 from repro.core.cluster import Cluster
 from repro.tier.source import CachedBufferSource, TierBufferSource
 from tests.conftest import cluster_fingerprint
@@ -17,11 +18,10 @@ PAYLOAD = bytes(range(256)) * 256
 
 def make_cluster() -> Cluster:
     return Cluster(
-        n_nodes=3,
-        enable_lookup_cache=True,
-        placement=True,
-        tiering=True,
-        tracing=True,
+        ClusterConfig(
+            placement=PlacementConfig(), tier=TierConfig(), tracing=SpanConfig()
+        ).with_store(lookup_cache=True),
+        3,
     )
 
 
