@@ -145,15 +145,6 @@ class FreeList:
         self._remove(offset, block_size)
         return offset, block_size
 
-    def take_lowest_addr_fit(self, size: int) -> tuple[int, int] | None:
-        """Classic address-ordered first fit (linear scan); used by the
-        dlmalloc-style allocator's large path and available for comparison."""
-        for offset, block_size in self._by_offset:
-            if block_size >= size:
-                self._remove(offset, block_size)
-                return offset, block_size
-        return None
-
     def blocks(self) -> list[tuple[int, int]]:
         return list(self._by_offset)
 

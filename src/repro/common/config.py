@@ -21,7 +21,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ObjectStoreError
-from repro.common.units import GiB, KiB, MiB
+from repro.common.units import GiB, MiB
 
 #: The four ways stores share objects (paper §IV-A2 plus §V-B's hybrid).
 SHARING_MODES = ("rpc", "dmsg", "hashmap", "hybrid")
@@ -657,11 +657,3 @@ def testing_config(capacity_bytes: int = 64 * MiB, seed: int = 7) -> ClusterConf
     """A cluster config sized for unit tests (small capacity, fixed seed)."""
     cfg = ClusterConfig(seed=seed)
     return replace(cfg, store=replace(cfg.store, capacity_bytes=capacity_bytes))
-
-
-# Alignment used by real Plasma for object buffers; kept here so tests and
-# allocators agree on one constant.
-DEFAULT_ALIGNMENT = 64
-MINIMUM_OBJECT_SIZE = 1
-MAXIMUM_REASONABLE_OBJECT = 16 * GiB
-_ = KiB  # re-exported convenience

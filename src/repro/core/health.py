@@ -71,8 +71,6 @@ class CircuitBreaker:
     def attach_metrics(self, registry, **labels: str) -> None:
         """Bind transition counters plus a sampled state gauge
         (0=closed, 1=open, 2=half-open)."""
-        if not getattr(registry, "enabled", True):
-            return
         registry.register_group(self.counters, "rpc_breaker", **labels)
         state_code = {
             BreakerState.CLOSED: 0,
@@ -166,8 +164,6 @@ class HealthMonitor:
     def attach_metrics(self, registry) -> None:
         """Bind heartbeat counters and per-peer suspicion gauges. Peers
         added later (elastic join) get their gauge on :meth:`add_peer`."""
-        if not getattr(registry, "enabled", True):
-            return
         self._registry = registry
         registry.register_group(self.counters, "health")
         for name in self.peers():

@@ -135,8 +135,6 @@ class DisaggregatedStore(PlasmaStore):
     def attach_metrics(self, registry) -> None:
         """Local-store metrics plus Get latency and lookup-cache gauges."""
         super().attach_metrics(registry)
-        if not getattr(registry, "enabled", True):
-            return
         self._m_get = registry.histogram(
             "plasma_get_latency_ns",
             "Simulated end-to-end Get latency at the store "

@@ -19,14 +19,12 @@ build, and the disabled hot path is a single ``is None`` check.
 from repro.obs.correlation import CorrelationContext
 from repro.obs.export import Telemetry, group_by_label, render_prometheus
 from repro.obs.metrics import (
-    NULL_REGISTRY,
     Counter,
     CounterGroup,
     Gauge,
     Histogram,
     MetricFamily,
     MetricsRegistry,
-    NullMetricsRegistry,
     QUANTILES,
 )
 from repro.obs.spans import (
@@ -49,8 +47,6 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_REGISTRY",
     "QUANTILES",
     "SpanConfig",
     "SpanRecord",

@@ -31,7 +31,7 @@ prefer passing a registry object over branching.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.common.stats import Distribution
 
@@ -482,75 +482,3 @@ class MetricsRegistry:
             f"MetricsRegistry(node={self.node!r}, "
             f"{len(self._families)} families, {len(self._groups)} groups)"
         )
-
-
-class _NullInstrument:
-    """Absorbs every instrument call; shared singleton."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def set_function(self, fn) -> None:
-        pass
-
-    def observe(self, value: float, exemplar=None) -> None:
-        pass
-
-
-class _NullFamily:
-    __slots__ = ()
-
-    def labels(self, **values) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-
-class NullMetricsRegistry:
-    """The disabled registry: every factory returns no-op instruments.
-
-    Lets call sites hold a registry unconditionally; components built by
-    the cluster instead keep ``None`` handles and never touch metrics at
-    all, which is measurably cheaper still.
-    """
-
-    enabled = False
-    node = ""
-
-    def counter(self, name: str, help: str = "", labels=()) -> _NullFamily:
-        return _NULL_FAMILY
-
-    def gauge(self, name: str, help: str = "", labels=()) -> _NullFamily:
-        return _NULL_FAMILY
-
-    def histogram(self, name: str, help: str = "", labels=(), buckets=None) -> _NullFamily:
-        return _NULL_FAMILY
-
-    def register_group(self, group, prefix, *, route=None, **labels) -> None:
-        pass
-
-    def collect(self, include_samples: bool = False) -> list:
-        return []
-
-    def prometheus(self) -> str:
-        return ""
-
-    def snapshot(self) -> dict:
-        return {"node": "", "families": []}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-_NULL_FAMILY = _NullFamily()
-
-#: Shared no-op registry for explicitly-disabled call sites.
-NULL_REGISTRY = NullMetricsRegistry()
-
-
-def registries_enabled(registries: Iterable) -> bool:
-    return any(getattr(r, "enabled", False) for r in registries)

@@ -68,8 +68,6 @@ class MigrationEngine:
         self._m_bytes = None
 
     def attach_metrics(self, registry) -> None:
-        if not getattr(registry, "enabled", True):
-            return
         registry.register_group(self.counters, "placement")
         self._m_latency = registry.histogram(
             "placement_migration_latency_ns",

@@ -126,8 +126,6 @@ class PlasmaStore:
         Safe to call again after a restart-recovery rebuilt the store: the
         group binding and gauge callbacks are replaced in place.
         """
-        if not getattr(registry, "enabled", True):
-            return
         registry.register_group(
             self.counters,
             "plasma",

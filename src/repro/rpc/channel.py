@@ -138,8 +138,6 @@ class Channel:
 
     def attach_metrics(self, registry) -> None:
         """Bind call counters, per-method latency, and breaker state."""
-        if not getattr(registry, "enabled", True):
-            return
         registry.register_group(
             self.counters, "rpc_client", peer=self._server.host
         )

@@ -200,8 +200,6 @@ class OverloadModel:
 
     def attach_metrics(self, registry, **labels) -> None:
         """Bind shed/admit counters and a live queue-depth gauge."""
-        if not getattr(registry, "enabled", True):
-            return
         registry.register_group(self.counters, "rpc_overload", **labels)
         labelnames = tuple(sorted(labels))
         registry.gauge(

@@ -58,8 +58,6 @@ class RpcServer:
 
     def attach_metrics(self, registry) -> None:
         """Bind dispatch counters and per-method handler latency."""
-        if not getattr(registry, "enabled", True):
-            return
         registry.register_group(self.counters, "rpc_server")
         self._latency = registry.histogram(
             "rpc_server_latency_ns",
@@ -72,10 +70,6 @@ class RpcServer:
     @property
     def host(self) -> str:
         return self._host
-
-    @property
-    def is_shutdown(self) -> bool:
-        return self._shutdown
 
     def shutdown(self) -> None:
         """Simulate the store process dying: every subsequent call gets
@@ -114,9 +108,6 @@ class RpcServer:
             raise RpcError(f"service {name!r} exposes no @rpc_method handlers")
         self._services[name] = methods
         service.server = self
-
-    def service_names(self) -> list[str]:
-        return sorted(self._services)
 
     def dispatch_wire(
         self,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.simtest.harness import RunResult, SimulationRunner
-from repro.simtest.ops import Op, ops_to_json
+from repro.simtest.ops import Op
 
 
 @dataclass
@@ -183,7 +183,3 @@ def format_trace(report: ShrinkReport) -> str:
     lines = [report.summary()]
     lines += [f"  {i:02d} {op.format()}" for i, op in enumerate(report.minimal)]
     return "\n".join(lines)
-
-
-def minimal_ops_json(report: ShrinkReport) -> str:
-    return ops_to_json(report.minimal)

@@ -78,8 +78,6 @@ class OpenCapiLink:
 
     def attach_metrics(self, registry) -> None:
         """Bind byte/op counters and per-transfer latency histograms."""
-        if not getattr(registry, "enabled", True):
-            return
         registry.register_group(
             self.counters, "thymesisflow_link", link=self.link_name
         )
@@ -118,10 +116,6 @@ class OpenCapiLink:
             raise ValueError("degradation factors must be positive")
         self._bandwidth_factor = bandwidth_factor
         self._latency_factor = latency_factor
-
-    @property
-    def is_partitioned(self) -> bool:
-        return self._partitioned
 
     @property
     def degradation(self) -> tuple[float, float]:

@@ -77,8 +77,6 @@ class TierEngine:
         self.counters = CounterGroup()
 
     def attach_metrics(self, registry) -> None:
-        if not getattr(registry, "enabled", True):
-            return
         registry.register_group(self.counters, "tier")
 
     # -- registry (the Rebalancer consults this) ---------------------------------

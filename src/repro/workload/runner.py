@@ -144,27 +144,12 @@ def _config_for(scenario: Scenario, seed: int) -> ClusterConfig:
     """The one description of the cluster a scenario runs against (built
     over ``scenario.cluster.node_weights()``'s names)."""
     shape = scenario.cluster
-    link = shape.link
     config = ClusterConfig(seed=seed).with_store(
         capacity_bytes=shape.capacity_mib * MiB,
         check_remote_uniqueness=False,
         lookup_cache=True,
     )
-    fabric = replace(
-        config.fabric,
-        read_bandwidth_bps=config.fabric.read_bandwidth_bps
-        * link.fabric_bandwidth_factor,
-        write_bandwidth_bps=config.fabric.write_bandwidth_bps
-        * link.fabric_bandwidth_factor,
-        added_latency_ns=config.fabric.added_latency_ns
-        * link.fabric_latency_factor,
-        streaming_overhead_ns=config.fabric.streaming_overhead_ns
-        * link.fabric_latency_factor,
-    )
-    rpc = replace(
-        config.rpc,
-        round_trip_ns=config.rpc.round_trip_ns * link.rpc_round_trip_factor,
-    )
+    rpc = config.rpc
     overload = config.overload
     spec = scenario.overload
     if spec is not None:
@@ -204,13 +189,8 @@ def _config_for(scenario: Scenario, seed: int) -> ClusterConfig:
         # the migrations' own modelled transfer costs.
         tier = TierConfig(
             cache_capacity_bytes=tspec.cache_capacity_mib * MiB,
-            sketch_width=tspec.sketch_width,
-            sketch_depth=tspec.sketch_depth,
             heat_half_life_ns=tspec.heat_half_life_ms * 1e6,
-            heat_sample_rate=tspec.heat_sample_rate,
             promote_min_heat=tspec.promote_min_heat,
-            demote_watermark=tspec.demote_watermark,
-            demote_target=tspec.demote_target,
             bytes_per_tick=tspec.bytes_per_tick_mib * MiB,
             tick_interval_ns=0.0,
         )
@@ -228,7 +208,6 @@ def _config_for(scenario: Scenario, seed: int) -> ClusterConfig:
         )
     return replace(
         config,
-        fabric=fabric,
         rpc=rpc,
         overload=overload,
         placement=placement,

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    CounterGroup,
-    MetricsRegistry,
-    NullMetricsRegistry,
-)
+from repro.obs.metrics import CounterGroup, MetricsRegistry
 
 
 class TestCounterGroup:
@@ -189,28 +184,3 @@ class TestCollect:
         assert snap["node"] == "n0"
         assert snap["families"][0]["name"] == "c"
 
-
-class TestNullRegistry:
-    def test_everything_is_noop(self):
-        registry = NullMetricsRegistry()
-        assert registry.enabled is False
-        child = registry.counter("c", labels=("x",)).labels(x="1")
-        child.inc()
-        child.inc(-5)  # even invalid calls are absorbed
-        registry.gauge("g").labels().set_function(lambda: 1 / 0)
-        registry.histogram("h").labels().observe(1)
-        registry.register_group(CounterGroup(), "p")
-        assert registry.collect() == []
-        assert registry.prometheus() == ""
-        assert registry.snapshot()["families"] == []
-
-    def test_components_skip_disabled_registry(self):
-        """attach_metrics guards on registry.enabled: binding to the null
-        registry leaves instrument handles None (the zero-overhead path)."""
-        from repro.common.clock import SimClock
-        from repro.common.config import HealthConfig
-        from repro.core.health import CircuitBreaker
-
-        breaker = CircuitBreaker(SimClock(), HealthConfig(), name="x")
-        breaker.attach_metrics(NULL_REGISTRY, peer="p")
-        assert NULL_REGISTRY.collect() == []

@@ -35,8 +35,7 @@ class TestObsSurface:
             [
                 "BASE_COMPONENTS", "COMPONENTS", "CorrelationContext",
                 "Counter", "CounterGroup", "FlightRecorder", "Gauge",
-                "Histogram", "MetricFamily", "MetricsRegistry",
-                "NullMetricsRegistry", "NULL_REGISTRY", "QUANTILES",
+                "Histogram", "MetricFamily", "MetricsRegistry", "QUANTILES",
                 "SpanConfig", "SpanRecord", "SpanSink", "Telemetry",
                 "group_by_label", "render_prometheus",
             ]

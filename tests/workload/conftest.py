@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import typing
 
 import pytest
 
@@ -39,3 +41,21 @@ def mini_obj(**overrides) -> dict:
 @pytest.fixture()
 def mini_scenario() -> Scenario:
     return Scenario.from_obj(mini_obj())
+
+
+def declared_keys(cls=Scenario) -> set[str]:
+    """Every key a scenario file may use, at any depth, read off the
+    reader's field declarations."""
+    hints = typing.get_type_hints(cls)
+    keys = {"schema_version"} if cls is Scenario else set()
+    for f in dataclasses.fields(cls):
+        keys.add(f.name)
+        if f.metadata.get("shorthand"):
+            keys.add(f.metadata["shorthand"])
+        tp = hints[f.name]
+        if typing.get_origin(tp) is tuple and f.metadata.get("choices"):
+            keys.update(f.metadata["choices"])  # a weight table's keys
+        for inner in (tp, *typing.get_args(tp)):
+            if dataclasses.is_dataclass(inner):
+                keys |= declared_keys(inner)
+    return keys

@@ -143,9 +143,7 @@ class TestTracingSpec:
         assert spec.enabled and spec.sample_rate == 1.0
 
     def test_roundtrip(self):
-        spec = TracingSpec.from_obj(
-            {"enabled": True, "sample_rate": 0.25, "tail_percentile": 0.9,
-             "flight_capacity": 64},
-            "test.tracing",
-        )
-        assert TracingSpec.from_obj(spec.to_obj(), "test.tracing") == spec
+        block = {"enabled": True, "sample_rate": 0.25, "tail_percentile": 0.9,
+                 "flight_capacity": 64}
+        spec = Scenario.from_obj({"name": "t", "tracing": block}).tracing
+        assert spec == TracingSpec(**block)

@@ -1,32 +1,23 @@
-"""Scenario schema: round-trip, validation, and loader behavior."""
+"""Scenario schema: loading, validation, and loader behavior."""
 
+import dataclasses
 import json
+import re
 import sys
+import typing
+from pathlib import Path
 
 import pytest
 
-from repro.workload import Scenario, ScenarioError, load_scenario
-from repro.workload.scenario import loads
+from repro.workload import SCHEMA_VERSION, Scenario, ScenarioError, load_scenario
+from repro.workload.scenario import ClusterShape, loads
 
-from tests.workload.conftest import mini_obj
+from tests.workload.conftest import declared_keys, mini_obj
+
+DOCS = Path(__file__).resolve().parents[2] / "docs" / "workloads.md"
 
 
 class TestRoundTrip:
-    def test_from_obj_to_obj_round_trips(self):
-        scenario = Scenario.from_obj(mini_obj())
-        again = Scenario.from_obj(scenario.to_obj())
-        assert again == scenario
-
-    def test_dumps_loads_round_trips(self):
-        scenario = Scenario.from_obj(mini_obj())
-        assert loads(scenario.dumps()) == scenario
-
-    def test_defaults_are_materialized_on_dump(self):
-        obj = Scenario.from_obj(mini_obj()).to_obj()
-        assert obj["schema_version"] == 1
-        assert obj["cluster"]["replicas"] == 1
-        assert obj["traffic"]["arrival"]["mode"] == "open"
-
     def test_with_seed(self):
         scenario = Scenario.from_obj(mini_obj())
         assert scenario.with_seed(99).seed == 99
@@ -135,3 +126,40 @@ ops = 10
     def test_toml_gated_below_311(self):
         with pytest.raises(ScenarioError, match="toml"):
             loads("name = 'x'", fmt="toml")
+
+
+class TestDocumentedSchema:
+    """docs/workloads.md's schema block is the reader's declarations: the
+    same keys, and every value it shows is the declared default."""
+
+    @staticmethod
+    def block() -> str:
+        text = DOCS.read_text(encoding="utf-8")
+        return text.split("```jsonc\n", 1)[1].split("```", 1)[0]
+
+    def test_documented_keys_are_the_readers_keys(self):
+        documented = set(re.findall(r'"(\w+)"\s*:', self.block()))
+        assert documented == declared_keys()
+
+    def test_documented_values_are_the_defaults(self):
+        doc = json.loads(re.sub(r"//.*", "", self.block()))
+        assert doc.pop("schema_version") == SCHEMA_VERSION
+        self.assert_defaults(Scenario, doc, "scenario")
+
+    def assert_defaults(self, cls, doc: dict, path: str) -> None:
+        hints = typing.get_type_hints(cls)
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        for key, value in doc.items():
+            where = f"{path}.{key}"
+            if key == "nodes":
+                assert value == ClusterShape().n_nodes, where
+                continue
+            tp, f = hints[key], fields[key]
+            blocks = [t for t in (tp, *typing.get_args(tp))
+                      if dataclasses.is_dataclass(t)]
+            if blocks:
+                for item in value if isinstance(value, list) else [value]:
+                    self.assert_defaults(blocks[0], item, where)
+            elif f.default is not dataclasses.MISSING:
+                default = dict(f.default) if isinstance(value, dict) else f.default
+                assert value == default, where
