@@ -769,6 +769,13 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.trace and scenario.rpc is not None and scenario.rpc.mode == "async":
+        print(
+            f"error: --trace needs a sync scenario; {scenario.name!r} runs "
+            "rpc.mode='async', where the span sink stays detached",
+            file=sys.stderr,
+        )
+        return 2
     if args.trace and (scenario.tracing is None or not scenario.tracing.enabled):
         import dataclasses
 

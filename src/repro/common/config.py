@@ -20,11 +20,11 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
-from repro.common.errors import ObjectStoreError
 from repro.common.units import GiB, MiB
 
-#: The four ways stores share objects (paper §IV-A2 plus §V-B's hybrid).
-SHARING_MODES = ("rpc", "dmsg", "hashmap", "hybrid")
+#: How stores share object metadata (paper §IV-A2): gRPC-model lookups,
+#: or a directory in disaggregated memory read by fabric loads.
+SHARING_MODES = ("rpc", "hashmap")
 
 
 @dataclass(frozen=True)
@@ -177,18 +177,6 @@ class LanConfig:
     round_trip_ns: float = 180_000.0
     per_byte_ns: float = 0.0  # derived from bandwidth
     jitter_sigma: float = 0.08
-
-
-@dataclass(frozen=True)
-class DmsgConfig:
-    """Messaging-via-disaggregated-memory transport (paper §IV-A2 approach
-    2, implemented in :mod:`repro.core.dmsg`)."""
-
-    # How often a store's service loop polls its peers' request rings; a
-    # call waits half of this on average, twice (request + response legs).
-    poll_interval_ns: float = 4_000.0
-    # Data bytes per SPSC ring; bounds the largest single message.
-    ring_capacity_bytes: int = 1 * MiB
 
 
 @dataclass(frozen=True)
@@ -515,7 +503,6 @@ class ClusterConfig:
     ipc: IpcConfig = field(default_factory=IpcConfig)
     rpc: RpcConfig = field(default_factory=RpcConfig)
     lan: LanConfig = field(default_factory=LanConfig)
-    dmsg: DmsgConfig = field(default_factory=DmsgConfig)
     store: StoreConfig = field(default_factory=StoreConfig)
     health: HealthConfig = field(default_factory=HealthConfig)
     chaos: ChaosConfig = field(default_factory=ChaosConfig)
@@ -528,12 +515,10 @@ class ClusterConfig:
     tracing: SpanConfig | None = None
     # Per-node metric registries and the cluster-wide telemetry view.
     metrics: bool = False
-    # How stores share objects: 'rpc' (the paper's gRPC lookups), 'dmsg'
-    # (the same protocol over rings in disaggregated memory), 'hashmap'
-    # (a directory in disaggregated memory read by fabric loads) or
-    # 'hybrid' (directory lookups, ring feedback — paper §V-B).
+    # How stores share objects: 'rpc' (the paper's gRPC lookups) or
+    # 'hashmap' (a directory in disaggregated memory read by fabric loads).
     sharing: str = "rpc"
-    # Buckets of each node's hash directory ('hashmap' / 'hybrid' only).
+    # Buckets of each node's hash directory ('hashmap' only).
     directory_buckets: int = 4096
     # Fraction of each node's store capacity carved out as the local
     # disaggregated region (paper: "a portion of local system memory is
@@ -584,29 +569,21 @@ class ClusterConfig:
             )
         if self.directory_buckets < 1:
             raise ValueError("directory_buckets must be >= 1")
-        if self.placement is not None and self.sharing != "rpc":
-            # dmsg mailboxes and the hash directory are sized at build time
-            # for a fixed node count; elastic membership needs the sharing
-            # mode whose per-pair state can grow and shrink.
+        if self.placement is not None and self.sharing == "hashmap":
+            # The hash directory is sized at build time for a fixed node
+            # count; elastic membership needs per-pair state that can grow
+            # and shrink.
             raise ValueError(
-                "placement requires sharing='rpc' (dmsg rings and the hash "
-                f"directory are statically sized per node count), not {self.sharing!r}"
+                "placement requires sharing='rpc' (the hash directory is "
+                "statically sized per node count), not 'hashmap'"
             )
         if self.store.share_usage and self.sharing == "hashmap":
             # The paper's core argument for gRPC over the shared-data-
             # structure approach: the one-way directory gives the home store
-            # no usage feedback, so remote pinning is impossible. (The
-            # 'hybrid' strategy exists precisely to lift this restriction.)
+            # no usage feedback, so remote pinning is impossible.
             raise ValueError(
-                "store.share_usage: usage sharing requires a bidirectional "
-                "sharing strategy ('rpc', 'dmsg' or 'hybrid'), not 'hashmap'"
-            )
-        if self.rpc.mode == "async" and self.sharing in ("dmsg", "hybrid"):
-            # Refused at construction and at a runtime flip alike, so no
-            # task leaf ever meets a dmsg ring.
-            raise ObjectStoreError(
-                "rpc.mode='async' requires gRPC-model channels; dmsg rings "
-                f"have no event-loop integration (sharing={self.sharing!r})"
+                "store.share_usage: usage sharing requires the bidirectional "
+                "sharing strategy 'rpc', not 'hashmap'"
             )
         if self.rpc.retry_budget_per_s < 0:
             raise ValueError("retry_budget_per_s must be non-negative")

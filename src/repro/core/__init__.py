@@ -21,7 +21,9 @@ Public surface:
   benchmarked: :class:`LookupCache` (repeated-request caching),
   distributed reference sharing (eviction safety for remote readers),
   multi-node (>2) operation, and :class:`DisaggregatedHashMap` (the
-  "shared data structure in disaggregated memory" sharing alternative).
+  "shared data structure in disaggregated memory" sharing alternative,
+  which replaces only lookups: every peer link stays one
+  :class:`~repro.rpc.channel.Channel`).
 * Resilience layer (:mod:`repro.core.health`): heartbeat failure
   detection (:class:`HealthMonitor`), per-peer :class:`CircuitBreaker`
   gating every channel, RPC deadlines and exponential-backoff retries,

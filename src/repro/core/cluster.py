@@ -21,10 +21,8 @@ from repro.common.errors import ObjectStoreError, PlacementError, RpcStatusError
 from repro.common.ids import UniqueIDGenerator
 from repro.common.rng import DeterministicRng
 from repro.core.client import DisaggregatedClient
-from repro.core.dmsg import DmsgChannel
 from repro.core.health import CircuitBreaker, HealthMonitor
 from repro.core.remote import PeerHandle
-from repro.core.ring import RingReader, RingWriter, ring_bytes
 from repro.core.service import StoreService
 from repro.core.sharing import (
     DisaggregatedHashMap,
@@ -60,9 +58,9 @@ class ClusterNode:
     store: DisaggregatedStore
     server: RpcServer
     ipc: IpcChannel
+    monitor: HealthMonitor
     directory: DisaggregatedHashMap | None = None
     channels: dict[str, Channel] = field(default_factory=dict)
-    monitor: HealthMonitor | None = None
 
     @property
     def endpoint(self):
@@ -125,29 +123,17 @@ class Cluster:
         self._tier_agents: dict[str, TierAgent] = {}
         self._tier_engine: TierEngine | None = None
 
-        # 'hybrid' (paper §V-B) combines the hash-map directory for lookups
-        # with dmsg rings for feedback RPCs — so it needs both layouts.
-        self._use_directory = config.sharing in ("hashmap", "hybrid")
-        self._use_dmsg = config.sharing in ("dmsg", "hybrid")
+        # 'hashmap' puts each node's hash directory at offset 0 of its
+        # exposed region; the store's objects follow it.
+        self._use_directory = config.sharing == "hashmap"
         dir_size = 0
         if self._use_directory:
             dir_size = -(-directory_bytes(config.directory_buckets) // _DIRECTORY_ALIGN)
             dir_size *= _DIRECTORY_ALIGN
-        # dmsg mailboxes: per peer, one request ring (we initiate) and one
-        # response ring (we serve), each in our own exposed region.
-        ring_total = 0
-        mailbox_size = 0
-        if self._use_dmsg:
-            raw = ring_bytes(config.dmsg.ring_capacity_bytes)
-            ring_total = -(-raw // 64) * 64
-            mailbox_size = 2 * (len(node_names) - 1) * ring_total
-            mailbox_size = -(-mailbox_size // _DIRECTORY_ALIGN) * _DIRECTORY_ALIGN
-        self._ring_total = ring_total
-        self._mailbox_base = dir_size
 
         # Kept for recover_node() and add_node(): restarted/joining stores
         # are built with the exact construction parameters of the seed set.
-        self._store_base = dir_size + mailbox_size
+        self._store_base = dir_size
         self._store_capacity = int(
             config.store.capacity_bytes * config.disaggregated_fraction
         )
@@ -172,25 +158,16 @@ class Cluster:
                         self._fabric.map_remote(reader_name, home_name)
                     )
 
-        # Phase 3: metadata channels (gRPC-model or dmsg rings) and peers.
+        # Phase 3: metadata channels and peers.
         for reader_name in node_names:
             for home_name in node_names:
                 if reader_name != home_name:
                     self._link_pair(reader_name, home_name)
 
         # Phase 4: health monitors (heartbeat failure detection) over the
-        # per-pair channels. Dmsg rings have no breaker/deadline machinery,
-        # so monitors only cover gRPC-model channels.
-        if not self._use_dmsg:
-            for name, node in self._nodes.items():
-                monitor = HealthMonitor(name, self._clock, config.health)
-                for peer_name, channel in sorted(node.channels.items()):
-                    monitor.add_peer(
-                        peer_name,
-                        channel.stub(StoreService.SERVICE_NAME),
-                        channel.breaker,
-                    )
-                node.monitor = monitor
+        # per-pair channels.
+        for node in self._nodes.values():
+            self._watch(node, sorted(node.channels))
 
         # Phase 5: elastic placement (opt-in). Membership starts with every
         # seed node ACTIVE at the placement config's weights (1.0 unless a
@@ -280,7 +257,12 @@ class Cluster:
             self._chaos.attach_server(name, server)
             self._chaos.attach_region(name, exposed)
         node = ClusterNode(
-            name=name, store=store, server=server, ipc=ipc, directory=directory
+            name=name,
+            store=store,
+            server=server,
+            ipc=ipc,
+            monitor=HealthMonitor(name, self._clock, self._config.health),
+            directory=directory,
         )
         self._nodes[name] = node
         return node
@@ -316,26 +298,22 @@ class Cluster:
         """Wire the directed (reader -> home) metadata channel and peer
         handle over the already-mapped aperture."""
         reader = self._nodes[reader_name]
-        home = self._nodes[home_name]
-        if self._use_dmsg:
-            channel = self._make_dmsg_channel(reader_name, home_name)
-        else:
-            channel = Channel(
-                reader_name,
-                home.server,
+        channel = Channel(
+            reader_name,
+            self._nodes[home_name].server,
+            self._clock,
+            self._config.rpc,
+            self._rng,
+            spans=self._spans,
+            breaker=CircuitBreaker(
                 self._clock,
-                self._config.rpc,
-                self._rng,
-                spans=self._spans,
-                breaker=CircuitBreaker(
-                    self._clock,
-                    self._config.health,
-                    name=f"{reader_name}->{home_name}",
-                ),
-                chaos=self._chaos,
-                correlation=self._correlation,
-                loop=self._loop,
-            )
+                self._config.health,
+                name=f"{reader_name}->{home_name}",
+            ),
+            chaos=self._chaos,
+            correlation=self._correlation,
+            loop=self._loop,
+        )
         reader.channels[home_name] = channel
         remote_region = self._remote_regions[(reader_name, home_name)]
         reader.store.connect_peer(
@@ -353,61 +331,29 @@ class Cluster:
                 ),
             )
 
-    def _attach_node_metrics(self, node: "ClusterNode", registry: MetricsRegistry) -> None:
+    def _watch(self, node: ClusterNode, peers: list[str]) -> None:
+        """Put *node*'s channels to *peers* under its health monitor."""
+        for peer_name in peers:
+            channel = node.channels[peer_name]
+            node.monitor.add_peer(
+                peer_name, channel.stub(StoreService.SERVICE_NAME), channel.breaker
+            )
+
+    def _attach_node_metrics(self, node: ClusterNode, registry: MetricsRegistry) -> None:
         node.store.attach_metrics(registry)
         node.server.attach_metrics(registry)
         registry.register_group(node.ipc.counters, "ipc")
         registry.register_group(
             node.endpoint.counters, "thymesisflow_endpoint"
         )
-        for peer_name, channel in sorted(node.channels.items()):
-            if hasattr(channel, "attach_metrics"):
-                channel.attach_metrics(registry)
-            else:  # dmsg rings: counters only
-                registry.register_group(channel.counters, "dmsg", peer=peer_name)
+        for _, channel in sorted(node.channels.items()):
+            channel.attach_metrics(registry)
         for (reader_name, home_name), region in sorted(self._remote_regions.items()):
             if reader_name == node.name:
                 registry.register_group(
                     region.counters, "thymesisflow_aperture", home=home_name
                 )
-        if node.monitor is not None:
-            node.monitor.attach_metrics(registry)
-
-    # -- dmsg wiring ---------------------------------------------------------------
-
-    def _peer_index(self, node: str, peer: str) -> int:
-        peers = sorted(n for n in self._nodes if n != node)
-        return peers.index(peer)
-
-    def _ring_offsets(self, node: str, peer: str) -> tuple[int, int]:
-        """(request-ring offset, response-ring offset) of *node*'s rings
-        dedicated to *peer*, within *node*'s exposed region."""
-        base = self._mailbox_base + self._peer_index(node, peer) * 2 * self._ring_total
-        return base, base + self._ring_total
-
-    def _make_dmsg_channel(self, initiator: str, server_node: str) -> DmsgChannel:
-        raw = ring_bytes(self._config.dmsg.ring_capacity_bytes)
-        ep_a = self._nodes[initiator].endpoint
-        ep_b = self._nodes[server_node].endpoint
-        a_req_off, _ = self._ring_offsets(initiator, server_node)
-        _, b_resp_off = self._ring_offsets(server_node, initiator)
-        a_req_abs = ep_a.exposed.absolute(a_req_off)
-        b_resp_abs = ep_b.exposed.absolute(b_resp_off)
-        return DmsgChannel(
-            initiator,
-            self._nodes[server_node].server,
-            local_writer=RingWriter(ep_a, ep_a.memory.region(a_req_abs, raw)),
-            peer_request_reader=RingReader(
-                self._remote_regions[(server_node, initiator)], a_req_off, raw
-            ),
-            peer_writer=RingWriter(ep_b, ep_b.memory.region(b_resp_abs, raw)),
-            response_reader=RingReader(
-                self._remote_regions[(initiator, server_node)], b_resp_off, raw
-            ),
-            clock=self._clock,
-            config=self._config.dmsg,
-            rng=self._rng,
-        )
+        node.monitor.attach_metrics(registry)
 
     # -- access ---------------------------------------------------------------------
 
@@ -498,22 +444,17 @@ class Cluster:
             self._chaos.poll()
         out: dict[str, dict[str, bool]] = {}
         for name, node in self._nodes.items():
-            if node.monitor is not None:
-                out[name] = node.monitor.tick()
+            out[name] = node.monitor.tick()
         if self._membership is not None:
             self._reconcile_membership()
         return out
 
-    def monitor(self, name: str) -> HealthMonitor | None:
+    def monitor(self, name: str) -> HealthMonitor:
         return self.node(name).monitor
 
     def health_snapshot(self) -> dict[str, dict]:
         """Per-node view of peer health (breaker states, suspicion)."""
-        return {
-            name: node.monitor.snapshot()
-            for name, node in self._nodes.items()
-            if node.monitor is not None
-        }
+        return {name: node.monitor.snapshot() for name, node in self._nodes.items()}
 
     # -- elastic placement (repro.placement) --------------------------------------
 
@@ -686,21 +627,9 @@ class Cluster:
         for other in existing:
             self._link_pair(name, other)
             self._link_pair(other, name)
-        monitor = HealthMonitor(name, self._clock, self._config.health)
-        for peer_name, channel in sorted(node.channels.items()):
-            monitor.add_peer(
-                peer_name,
-                channel.stub(StoreService.SERVICE_NAME),
-                channel.breaker,
-            )
-        node.monitor = monitor
+        self._watch(node, sorted(node.channels))
         for other in existing:
-            other_node = self._nodes[other]
-            if other_node.monitor is not None:
-                channel = other_node.channels[name]
-                other_node.monitor.add_peer(
-                    name, channel.stub(StoreService.SERVICE_NAME), channel.breaker
-                )
+            self._watch(self._nodes[other], [name])
         if self._telemetry is not None:
             registry = MetricsRegistry(node=name)
             self._attach_node_metrics(node, registry)
@@ -766,8 +695,7 @@ class Cluster:
         for other in self._nodes.values():
             other.channels.pop(name, None)
             other.store.disconnect_peer(name)
-            if other.monitor is not None:
-                other.monitor.remove_peer(name)
+            other.monitor.remove_peer(name)
         for key in [k for k in self._remote_regions if name in k]:
             del self._remote_regions[key]
         if self._telemetry is not None:
@@ -781,8 +709,6 @@ class Cluster:
         bumped view publishes, so the ring stops homing new objects there."""
         coordinator = self._coordinator_name()
         monitor = self._nodes[coordinator].monitor
-        if monitor is None:
-            return
         suspects = [p for p in monitor.suspects() if p in self._nodes]
         if suspects and self._membership.reconcile(suspects) is not None:
             self._publish_topology()

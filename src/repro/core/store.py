@@ -76,13 +76,10 @@ class DisaggregatedStore(PlasmaStore):
         region_offset_in_exposed: int = 0,
     ):
         super().__init__(name, endpoint, region, config, clock)
-        # 'rpc' and 'dmsg' run the same StoreService protocol over different
-        # transports (gRPC-model channel vs. disaggregated-memory rings);
-        # 'hashmap' replaces lookups with direct directory probes; 'hybrid'
-        # (paper §V-B: "a hybrid system that combines disaggregated memory
-        # hash map look-up with messaging") probes the directory for
-        # lookups but keeps a dmsg channel for feedback RPCs. The cluster
-        # config has already refused the combinations that cannot work.
+        # 'rpc' resolves remote objects with StoreService lookups over the
+        # peer channels; 'hashmap' replaces those lookups with direct
+        # directory probes. The cluster config has already refused the
+        # combinations that cannot work.
         self._peers: dict[str, PeerHandle] = {}
         self._remote_records: dict[ObjectID, RemoteObjectRecord] = {}
         self._check_remote_uniqueness = config.check_remote_uniqueness
@@ -109,7 +106,7 @@ class DisaggregatedStore(PlasmaStore):
         # the fabric-resident directory, or asked by an unnamed caller —
         # and unknown means every peer is told.
         self._sharers: dict[ObjectID, set[str]] = {}
-        self._track_sharers = self._notify_deletions and sharing in ("rpc", "dmsg")
+        self._track_sharers = self._notify_deletions and sharing == "rpc"
         # Elastic placement (repro.placement): the installed topology view,
         # the ring derived from it, and migration book-keeping. All None /
         # empty until the cluster enables placement.
@@ -838,7 +835,7 @@ class DisaggregatedStore(PlasmaStore):
                 unresolved.append(oid)
         if unresolved:
             unreachable: list[str] = []
-            if self._sharing in ("hashmap", "hybrid"):
+            if self._sharing == "hashmap":
                 still = self._hashmap_lookup(unresolved, resolved)
             elif blocking:
                 still = self._rpc_lookup(unresolved, resolved, unreachable)
@@ -891,9 +888,7 @@ class DisaggregatedStore(PlasmaStore):
                 break
             hedge_ns = None
             if index < len(peers) - 1:
-                channel = getattr(self._peers[name].stub, "channel", None)
-                if channel is not None and hasattr(channel, "hedge_delay_ns"):
-                    hedge_ns = channel.hedge_delay_ns()
+                hedge_ns = self._peers[name].stub.channel.hedge_delay_ns()
             remaining = self._lookup_peer(
                 name, remaining, resolved, unreachable, hedged, hedge_ns
             )
@@ -1140,7 +1135,7 @@ class DisaggregatedStore(PlasmaStore):
             # never hit again — reclaim their bytes now.
             self._tier.cache.invalidate(object_id)
         resolved: dict[ObjectID, RemoteObjectRecord] = {}
-        if self._sharing in ("hashmap", "hybrid"):
+        if self._sharing == "hashmap":
             self._hashmap_lookup([object_id], resolved)
         else:
             try:
@@ -1254,9 +1249,7 @@ class DisaggregatedStore(PlasmaStore):
         )
 
     def _peer_channel(self, name: str):
-        """The peer's task-capable channel. Task leaves only run in async
-        mode, which the cluster refuses to arm over dmsg rings, so this is
-        always a :class:`~repro.rpc.channel.Channel`."""
+        """The :class:`~repro.rpc.channel.Channel` under the peer's stub."""
         return self._peers[name].stub.channel
 
     def _rpc_lookup_task(

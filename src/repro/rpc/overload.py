@@ -274,11 +274,9 @@ class DeadlineBudget:
 
     @classmethod
     def for_stub(cls, stub, clock) -> "DeadlineBudget":
-        """Budget sized from the stub's channel default deadline; disabled
-        (no deadline anywhere) for transports without one (e.g. dmsg)."""
-        channel = getattr(stub, "channel", None)
-        total = getattr(channel, "default_deadline_ns", 0.0) if channel else 0.0
-        return cls(clock, total)
+        """Budget sized from the stub's channel default deadline (disabled
+        when that is 0: no deadline anywhere)."""
+        return cls(clock, stub.channel.default_deadline_ns)
 
     @property
     def enabled(self) -> bool:

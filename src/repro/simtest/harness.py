@@ -902,7 +902,6 @@ class SimulationRunner:
             monitors_quiet = all(
                 not cluster.node(n).monitor.suspects()
                 for n in sorted(self._present)
-                if cluster.node(n).monitor is not None
             )
             if breakers_ok and (monitors_quiet or not require_quiet):
                 return True

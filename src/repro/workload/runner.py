@@ -823,9 +823,7 @@ class ScenarioRunner:
                         result.overload_server.get(key, 0) + value
                     )
             for _, channel in sorted(node.channels.items()):
-                counters = getattr(channel, "counters", None)
-                if counters is None:
-                    continue
+                counters = channel.counters
                 for key in (
                     "attempts_shed",
                     "retries",
@@ -982,10 +980,7 @@ class ScenarioRunner:
         for name in self.cluster.node_names():
             node = self.cluster.node(name)
             for _, channel in sorted(node.channels.items()):
-                counters = getattr(channel, "aio_counters", None)
-                if not counters:
-                    continue
-                for key, value in counters.items():
+                for key, value in channel.aio_counters.items():
                     if key == "in_flight_peak":
                         merged[key] = max(merged.get(key, 0), value)
                     else:

@@ -13,9 +13,8 @@ from pathlib import Path
 import pytest
 
 from repro.baseline import ScaleOutCluster
-from repro.common.config import PlacementConfig
+from repro.common.config import ClusterConfig, PlacementConfig
 from repro.common.config import testing_config as make_config
-from repro.common.errors import ObjectStoreError
 from repro.core import Cluster
 from repro.core.store import DisaggregatedStore
 from repro.workload import load_scenario
@@ -60,7 +59,6 @@ def test_removed_keyword_is_a_type_error(small_config, build, keyword):
 
 
 PLACED = replace(make_config(seed=1), placement=PlacementConfig())
-ASYNC = replace(PLACED, placement=None, rpc=replace(PLACED.rpc, mode="async"))
 
 REJECTIONS = {
     "weights-unknown-node": (
@@ -75,19 +73,9 @@ REJECTIONS = {
         replace(PLACED, placement=PlacementConfig(weights={"node1": -1.0})),
         2, ValueError, r"placement\.weights\['node1'\]",
     ),
-    "placement-over-dmsg": (
-        replace(PLACED, sharing="dmsg"), 2, ValueError,
-        r"placement requires sharing='rpc'",
-    ),
     "placement-over-hashmap": (
         replace(PLACED, sharing="hashmap"), 2, ValueError,
         r"placement requires sharing='rpc'",
-    ),
-    "async-over-dmsg": (
-        replace(ASYNC, sharing="dmsg"), 2, ObjectStoreError, r"rpc\.mode='async'",
-    ),
-    "async-over-hybrid": (
-        replace(ASYNC, sharing="hybrid"), 2, ObjectStoreError, r"rpc\.mode='async'",
     ),
     "share-usage-over-hashmap": (
         replace(make_config(seed=1), sharing="hashmap").with_store(share_usage=True),
@@ -97,6 +85,15 @@ REJECTIONS = {
         replace(make_config(seed=1), sharing="carrier-pigeon"), 2, ValueError,
         r"sharing: unknown strategy",
     ),
+    # The ring transport and the hybrid over it are deleted, not refused
+    # combination by combination: both are simply unknown now.
+    **{
+        f"removed-sharing-{mode}": (
+            replace(make_config(seed=1), sharing=mode), 2, ValueError,
+            r"sharing: unknown strategy '%s'; have \('rpc', 'hashmap'\)" % mode,
+        )
+        for mode in ("dmsg", "hybrid")
+    },
     "duplicate-node-names": (
         make_config(seed=1), ["x", "x"], ValueError,
         r"nodes: node names must be unique",
@@ -113,6 +110,11 @@ def test_config_rejects_inconsistent_combination(case):
         config.validate(names)
     with pytest.raises(error, match=match):
         Cluster(config, nodes)
+
+
+def test_dmsg_sub_config_is_gone():
+    with pytest.raises(TypeError, match="dmsg"):
+        ClusterConfig(dmsg=None)
 
 
 def test_scale_out_cluster_shares_the_node_checks(small_config):

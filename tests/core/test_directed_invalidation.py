@@ -125,25 +125,6 @@ def test_directory_sharing_tells_every_peer(rpc_log):
     assert oid not in cluster.store("node1").lookup_cache
 
 
-def test_caller_name_rides_the_dmsg_rings_too(rpc_log):
-    cluster = Cluster(
-        replace(
-            make_config(capacity_bytes=32 * MiB, seed=99), sharing="dmsg"
-        ).with_store(lookup_cache=True, check_remote_uniqueness=False),
-        3,
-    )
-    oid = cluster.new_object_id()
-    cluster.client("node0").put_bytes(oid, PAYLOAD)
-    assert cluster.client("node2").get_bytes(oid) == PAYLOAD
-    del rpc_log[:]
-
-    cluster.store("node0").delete_object(oid)
-
-    # parent: node1 and node2.
-    assert told(rpc_log) == [("node2", "NotifyDeleted")]
-    assert oid not in cluster.store("node2").lookup_cache
-
-
 # -- the holder revokes what it handed out -------------------------------------------------
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.common.config import PlacementConfig
 from repro.common.config import testing_config as small_cluster_config
-from repro.common.errors import ObjectNotFoundError, ObjectStoreError
+from repro.common.errors import ObjectNotFoundError
 from repro.common.units import MiB
 from repro.core import Cluster
 
@@ -99,14 +99,6 @@ class TestRpcModeSwitch:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             make_cluster().set_rpc_mode("turbo")
-
-    def test_dmsg_sharing_rejected(self):
-        cfg = small_cluster_config(capacity_bytes=32 * MiB, seed=99)
-        cluster = Cluster(
-            replace(cfg, sharing="dmsg").with_store(check_remote_uniqueness=False),
-        )
-        with pytest.raises(ObjectStoreError):
-            cluster.set_rpc_mode("async")
 
 
 class TestAsyncMultiGet:

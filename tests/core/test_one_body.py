@@ -336,20 +336,3 @@ def test_inline_driver_raises_if_the_body_suspends(cluster):
 
     with pytest.raises(RuntimeError, match="suspended on Sleep"):
         cluster.store("node0")._drive(suspends)  # noqa: SLF001
-
-
-# -- the constructor refuses what the setter refuses ---------------------------------------------
-
-
-@pytest.mark.parametrize("sharing", ["dmsg", "hybrid"])
-def test_async_mode_over_dmsg_rings_is_refused_both_ways(sharing):
-    cfg = make_config(capacity_bytes=32 * MiB, seed=99)
-    with pytest.raises(ObjectStoreError, match="no event-loop integration"):
-        Cluster(
-            replace(cfg, rpc=replace(cfg.rpc, mode="async"), sharing=sharing),
-        )
-    cluster = Cluster(replace(cfg, sharing=sharing))
-    with pytest.raises(ObjectStoreError, match="no event-loop integration"):
-        cluster.set_rpc_mode("async")
-    assert cluster.rpc_mode == "sync" and not cluster.store("node0").rpc_async
-

@@ -1,8 +1,12 @@
 """CLI smoke/behaviour tests (python -m repro ...)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SCENARIOS = Path(__file__).resolve().parents[2] / "benchmarks" / "scenarios"
 
 
 class TestParser:
@@ -66,8 +70,21 @@ class TestCommands:
     def test_ablation_sharing(self, capsys):
         assert main(["ablation", "sharing"]) == 0
         out = capsys.readouterr().out
-        for label in ("rpc", "dmsg", "hashmap", "scale-out"):
-            assert label in out
+        rows = [line.split(":")[0].strip() for line in out.splitlines()[1:]]
+        assert rows == ["rpc (paper)", "hashmap", "scale-out"]
+
+    def test_workload_trace_refuses_an_async_scenario(self, capsys, tmp_path):
+        # The span sink stays detached under the event loop, so there is no
+        # trace to write: refuse up front instead of failing after the run.
+        code = main([
+            "workload", "--scenario", str(SCENARIOS / "zipfian-async.json"),
+            "--trace", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "--trace" in err and "rpc.mode='async'" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_ablation_cache(self, capsys):
         assert main(["ablation", "cache"]) == 0

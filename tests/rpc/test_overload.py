@@ -185,7 +185,6 @@ class TestDeadlineBudget:
         clock = SimClock()
         budget = DeadlineBudget.for_stub(FakeStub(), clock)
         assert budget.remaining_ns() == pytest.approx(25 * MS)
-        assert DeadlineBudget.for_stub(object(), clock).enabled is False
 
 
 def make_pair(clock, *, rate=0.0, depth=4, rpc=None):

@@ -77,6 +77,40 @@ class TestConstructionSurface:
         } & set(params)
 
 
+class TestSharingSurface:
+    def test_cluster_config_fields_are_exactly_these(self):
+        """One metadata channel: no ring-transport sub-config."""
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(repro.ClusterConfig)] == [
+            "seed", "local_memory", "fabric", "ipc", "rpc", "lan", "store",
+            "health", "chaos", "overload", "placement", "tier", "tracing",
+            "metrics", "sharing", "directory_buckets", "disaggregated_fraction",
+        ]
+
+    def test_sharing_modes_are_exactly_these(self):
+        from repro.common.config import SHARING_MODES
+
+        assert SHARING_MODES == ("rpc", "hashmap")
+
+    def test_core_exports_are_exactly_these(self):
+        import repro.core
+
+        assert sorted(repro.core.__all__) == [
+            "BreakerState", "CircuitBreaker", "Cluster", "ClusterNode",
+            "DisaggregatedClient", "DisaggregatedHashMap",
+            "DisaggregatedStore", "HealthMonitor", "LookupCache", "PeerHandle",
+            "RemoteObjectRecord", "StoreService",
+        ]
+
+    @pytest.mark.parametrize("module", ["repro.core.ring", "repro.core.dmsg"])
+    def test_ring_transport_modules_are_gone(self, module):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+
 class TestRpcSurface:
     def test_one_channel_class_serves_both_modes(self):
         """``Channel`` runs blocking and task calls; there is no async twin."""
