@@ -58,13 +58,6 @@ class FetchService(Service):
                     found.append(descriptor)
         return {"found": found, "store": self._store.name}
 
-    @rpc_method
-    def Contains(self, request: dict) -> dict:
-        object_ids = [ObjectID(raw) for raw in request.get("object_ids", [])]
-        with self._store.table.lock:
-            return {"present": [self._store.contains(oid) for oid in object_ids]}
-
-
 class ScaleOutStore(PlasmaStore):
     """A node-local store that can pull remote objects over the LAN."""
 

@@ -54,7 +54,6 @@ class ChaosRuntime:
         self._servers: dict[str, object] = {}   # node -> RpcServer
         self._regions: dict[str, object] = {}   # node -> exposed MemoryRegion
         self._links: dict[frozenset, object] = {}  # {a,b} -> OpenCapiLink
-        self._networks: list = []
         self._crashed: set[str] = set()
         self._partitioned: set[frozenset] = set()
         self._blackholes: list[RpcBlackhole] = []
@@ -86,10 +85,6 @@ class ChaosRuntime:
     def attach_link(self, link) -> None:
         self._links[link.endpoints] = link
         link.chaos = self
-
-    def attach_network(self, network) -> None:
-        self._networks.append(network)
-        network.chaos = self
 
     def inject(self, *events: FaultEvent) -> None:
         """Merge targeted events into the pending schedule at runtime.

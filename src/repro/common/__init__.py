@@ -26,7 +26,7 @@ from repro.common.errors import (
 )
 from repro.common.ids import ObjectID, UniqueIDGenerator
 from repro.common.rng import DeterministicRng, derive_seed
-from repro.common.stats import Distribution, RunningStats
+from repro.common.stats import Distribution
 from repro.common.units import (
     KiB,
     MiB,
@@ -34,7 +34,6 @@ from repro.common.units import (
     KB,
     MB,
     GB,
-    format_bytes,
     format_duration_ns,
     gib_per_s,
 )
@@ -65,14 +64,12 @@ __all__ = [
     "DeterministicRng",
     "derive_seed",
     "Distribution",
-    "RunningStats",
     "KiB",
     "MiB",
     "GiB",
     "KB",
     "MB",
     "GB",
-    "format_bytes",
     "format_duration_ns",
     "gib_per_s",
 ]

@@ -23,12 +23,3 @@ def crc32c(data, value: int = 0) -> int:
     the CRC32C calling convention; see the module docstring for why this
     is sound here. Any contiguous buffer is checksummed in place."""
     return zlib.crc32(data, value) & 0xFFFFFFFF
-
-
-def payload_crc(*chunks) -> int:
-    """Checksum a sequence of buffers as one logical byte stream."""
-    value = 0
-    for chunk in chunks:
-        if chunk:
-            value = crc32c(chunk, value)
-    return value

@@ -164,9 +164,6 @@ class RpcConfig:
     # Async hedged lookups: after this stagger, a not-yet-resolved batched
     # lookup races a second probe at the next candidate peer. 0 disables.
     hedge_stagger_ns: float = 0.0
-    # Chunk size for streamed bulk pulls (migration / replication / tier
-    # promotion) in async mode; sync mode always pulls in one lump.
-    stream_chunk_bytes: int = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -258,16 +255,6 @@ class PlacementConfig:
     and rebalance pacing. A cluster places objects iff its config carries
     one."""
 
-    # Virtual ring points per unit of member weight. More points = smoother
-    # ownership shares at the cost of a larger (still tiny) ring.
-    vnodes: int = 64
-    # Allocator utilization above which a member's ring weight is derated
-    # (capacity awareness); below it utilization does not move the ring, so
-    # rebalancing cannot oscillate.
-    capacity_high_watermark: float = 0.85
-    # Floor of the capacity derate: even a full store keeps this fraction
-    # of its weight (it can still be a last-resort home).
-    min_capacity_factor: float = 0.05
     # Rebalancer throttle: payload bytes migrated per tick, and the
     # simulated time one tick stands for.
     rebalance_bytes_per_tick: int = 8 * MiB
@@ -283,12 +270,6 @@ class PlacementConfig:
                 raise ValueError(
                     f"placement.weights[{name!r}] must be positive, got {weight}"
                 )
-        if self.vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        if not 0.0 < self.capacity_high_watermark <= 1.0:
-            raise ValueError("capacity_high_watermark must be in (0, 1]")
-        if not 0.0 < self.min_capacity_factor <= 1.0:
-            raise ValueError("min_capacity_factor must be in (0, 1]")
         if self.rebalance_bytes_per_tick <= 0:
             raise ValueError("rebalance_bytes_per_tick must be positive")
         if self.rebalance_tick_interval_ns < 0:
@@ -306,22 +287,11 @@ class TierConfig:
     # Per-node hot-object byte cache capacity. 0 disables the cache while
     # keeping heat tracking (promotion/demotion still runs).
     cache_capacity_bytes: int = 8 * MiB
-    # TinyLFU admission sketch geometry (count-min, 4-bit counters).
-    sketch_width: int = 512
-    sketch_depth: int = 4
-    # Heat decays by half every this much simulated time; with
-    # sample_rate < 1 only a seeded fraction of accesses is recorded
-    # (weight-scaled, unbiased).
+    # Heat decays by half every this much simulated time.
     heat_half_life_ns: float = 500_000_000.0
-    heat_sample_rate: float = 1.0
     # Promote a remote object to its reader once its decayed remote-read
     # heat at that reader crosses this threshold.
     promote_min_heat: float = 3.0
-    # Demote cold objects from nodes above the watermark until they are
-    # back at the target utilisation; destinations must stay below the
-    # watermark after absorbing the object.
-    demote_watermark: float = 0.85
-    demote_target: float = 0.70
     # Tier-engine throttle, mirroring the rebalancer's tick shape.
     bytes_per_tick: int = 4 * MiB
     tick_interval_ns: float = 2_000_000.0
@@ -335,18 +305,10 @@ class TierConfig:
     def validate(self) -> None:
         if self.cache_capacity_bytes < 0:
             raise ValueError("cache_capacity_bytes must be non-negative")
-        if self.sketch_width < 1 or self.sketch_depth < 1:
-            raise ValueError("sketch geometry must be positive")
         if self.heat_half_life_ns <= 0:
             raise ValueError("heat_half_life_ns must be positive")
-        if not 0.0 < self.heat_sample_rate <= 1.0:
-            raise ValueError("heat_sample_rate must be in (0, 1]")
         if self.promote_min_heat <= 0:
             raise ValueError("promote_min_heat must be positive")
-        if not 0.0 < self.demote_target < self.demote_watermark <= 1.0:
-            raise ValueError(
-                "need 0 < demote_target < demote_watermark <= 1"
-            )
         if self.bytes_per_tick <= 0:
             raise ValueError("bytes_per_tick must be positive")
         if self.tick_interval_ns < 0:
@@ -407,14 +369,12 @@ class SpanConfig:
     from the sink's dedicated RNG stream); ``tail_percentile`` always keeps
     roots at or above that percentile of durations observed so far (plus
     every errored/shed op) regardless of the head decision;
-    ``flight_capacity`` bounds each node's flight-recorder ring;
     ``max_traces`` caps retained traces so a long run cannot grow without
     bound (overflow is counted, never silent).
     """
 
     sample_rate: float = 1.0
     tail_percentile: float = 0.99
-    flight_capacity: int = 512
     max_traces: int = 100_000
 
     def validate(self) -> None:
@@ -422,8 +382,6 @@ class SpanConfig:
             raise ValueError("sample_rate must be within [0, 1]")
         if not 0.0 <= self.tail_percentile <= 1.0:
             raise ValueError("tail_percentile must be within [0, 1]")
-        if self.flight_capacity <= 0:
-            raise ValueError("flight_capacity must be positive")
         if self.max_traces < 0:
             raise ValueError("max_traces must be non-negative")
 
@@ -436,16 +394,9 @@ class StoreConfig:
     # the simulation backs every store with a real bytearray, so the default
     # is sized for laptops. Benchmarks override per workload.
     capacity_bytes: int = 256 * MiB
-    # Fraction of capacity freed per eviction round (mirrors Plasma, which
-    # evicts in bulk to amortise the scan).
-    eviction_batch_fraction: float = 0.2
     # Victim ordering: 'lru' (Plasma's policy, default), 'fifo', or
     # 'largest_first' — the E10 ablation compares them.
     eviction_policy: str = "lru"
-    # Allocator selection: 'first_fit' is the paper's replacement allocator,
-    # 'dlmalloc' the original library's strategy, 'buddy' an extension.
-    allocator: str = "first_fit"
-    alignment: int = 64
     # --- end-to-end integrity (sealed-object in-region headers) ---
     # Write a 64-byte header (magic, id, generation, sizes, CRC32C, seal
     # flag) into the region ahead of every object's payload. Required for
@@ -520,10 +471,6 @@ class ClusterConfig:
     sharing: str = "rpc"
     # Buckets of each node's hash directory ('hashmap' only).
     directory_buckets: int = 4096
-    # Fraction of each node's store capacity carved out as the local
-    # disaggregated region (paper: "a portion of local system memory is
-    # marked as disaggregated").
-    disaggregated_fraction: float = 1.0
 
     def with_seed(self, seed: int) -> "ClusterConfig":
         return replace(self, seed=seed)
@@ -536,12 +483,6 @@ class ClusterConfig:
         the cluster is built with) also the node-dependent ones."""
         if self.store.capacity_bytes <= 0:
             raise ValueError("store capacity must be positive")
-        if not 0.0 < self.disaggregated_fraction <= 1.0:
-            raise ValueError("disaggregated_fraction must be in (0, 1]")
-        if self.store.alignment <= 0 or self.store.alignment & (self.store.alignment - 1):
-            raise ValueError("alignment must be a positive power of two")
-        if self.store.allocator not in ("first_fit", "dlmalloc", "buddy"):
-            raise ValueError(f"unknown allocator {self.store.allocator!r}")
         if self.store.eviction_policy not in ("lru", "fifo", "largest_first"):
             raise ValueError(
                 f"unknown eviction policy {self.store.eviction_policy!r}"
@@ -601,8 +542,6 @@ class ClusterConfig:
             raise ValueError("max_batch must be >= 1")
         if self.rpc.hedge_stagger_ns < 0:
             raise ValueError("hedge_stagger_ns must be non-negative")
-        if self.rpc.stream_chunk_bytes < 1:
-            raise ValueError("stream_chunk_bytes must be >= 1")
         for bw_name, bw in (
             ("local read", self.local_memory.read_bandwidth_bps),
             ("local write", self.local_memory.write_bandwidth_bps),

@@ -1,95 +1,14 @@
 """Streaming statistics and distribution summaries.
 
 Figure 7 of the paper is a box plot of per-repetition throughput; the bench
-harness reproduces it as printed distribution summaries. `RunningStats`
-(Welford's algorithm) gives numerically stable mean/variance for long
-streams; `Distribution` keeps raw samples for quantiles.
+harness reproduces it as printed distribution summaries. `Distribution`
+keeps raw samples for exact quantiles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-
-class RunningStats:
-    """Welford online mean/variance with min/max tracking."""
-
-    __slots__ = ("_n", "_mean", "_m2", "_min", "_max")
-
-    def __init__(self) -> None:
-        self._n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def add(self, x: float) -> None:
-        self._n += 1
-        delta = x - self._mean
-        self._mean += delta / self._n
-        self._m2 += delta * (x - self._mean)
-        if x < self._min:
-            self._min = x
-        if x > self._max:
-            self._max = x
-
-    def extend(self, xs) -> None:
-        for x in xs:
-            self.add(x)
-
-    @property
-    def count(self) -> int:
-        return self._n
-
-    @property
-    def mean(self) -> float:
-        if self._n == 0:
-            raise ValueError("no samples")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (n-1 denominator)."""
-        if self._n < 2:
-            return 0.0
-        return self._m2 / (self._n - 1)
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def min(self) -> float:
-        if self._n == 0:
-            raise ValueError("no samples")
-        return self._min
-
-    @property
-    def max(self) -> float:
-        if self._n == 0:
-            raise ValueError("no samples")
-        return self._max
-
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        """Chan et al. parallel merge of two streams."""
-        out = RunningStats()
-        if self._n == 0:
-            out._n, out._mean, out._m2 = other._n, other._mean, other._m2
-            out._min, out._max = other._min, other._max
-            return out
-        if other._n == 0:
-            out._n, out._mean, out._m2 = self._n, self._mean, self._m2
-            out._min, out._max = self._min, self._max
-            return out
-        n = self._n + other._n
-        delta = other._mean - self._mean
-        out._n = n
-        out._mean = self._mean + delta * other._n / n
-        out._m2 = self._m2 + other._m2 + delta * delta * self._n * other._n / n
-        out._min = min(self._min, other._min)
-        out._max = max(self._max, other._max)
-        return out
 
 
 class Distribution:

@@ -20,16 +20,6 @@ MB = 1000 * KB
 GB = 1000 * MB
 
 
-def format_bytes(n: int) -> str:
-    """Human-readable binary-unit rendering ('1.5 MiB')."""
-    if n < 0:
-        raise ValueError("byte counts are non-negative")
-    for unit, name in ((GiB, "GiB"), (MiB, "MiB"), (KiB, "KiB")):
-        if n >= unit:
-            return f"{n / unit:.2f} {name}"
-    return f"{n} B"
-
-
 def format_duration_ns(ns: float) -> str:
     """Human-readable duration ('3.21 ms')."""
     if ns < 0:

@@ -14,35 +14,6 @@ from repro.core.store import DisaggregatedStore
 from repro.network.ipc import IpcChannel
 from repro.plasma.buffer import PlasmaBuffer
 from repro.plasma.client import PlasmaClient
-from repro.plasma.notifications import SealNotification
-
-
-class RemoteSubscription:
-    """A polled cross-node notification feed.
-
-    Each :meth:`poll` is one RPC to the home store returning everything
-    sealed/deleted there since the previous poll.
-    """
-
-    def __init__(self, stub, subscription_id: int, home: str):
-        self._stub = stub
-        self._id = subscription_id
-        self._home = home
-
-    @property
-    def home(self) -> str:
-        return self._home
-
-    def poll(self) -> list[SealNotification]:
-        response = self._stub.PollNotifications({"subscription": self._id})
-        return [
-            SealNotification(
-                object_id=ObjectID(n["object_id"]),
-                data_size=int(n["data_size"]),
-                deleted=bool(n["deleted"]),
-            )
-            for n in response.get("notifications", [])
-        ]
 
 
 class DisaggregatedClient(PlasmaClient):
@@ -209,69 +180,6 @@ class DisaggregatedClient(PlasmaClient):
         )
         return self._hold(buffers)
 
-    def multi_put(
-        self,
-        items: list[tuple[ObjectID, object]],
-        metadata: bytes = b"",
-        *,
-        replicas: int = 1,
-    ) -> list[ObjectID]:
-        """Bulk put: one batched uniqueness check for all ids; in async
-        mode every object's create pipeline runs as a concurrent task (a
-        ring-forwarded create overlaps its peers' instead of queueing
-        behind them)."""
-        if self._store._aio_facade():  # noqa: SLF001 — co-designed
-            return self._store._run_on_loop(  # noqa: SLF001
-                self.multi_put_task(items, metadata, replicas=replicas)
-            )
-        return self.put_batch(list(items), metadata, replicas=replicas)
-
-    def multi_put_task(
-        self,
-        items: list[tuple[ObjectID, object]],
-        metadata: bytes = b"",
-        *,
-        replicas: int = 1,
-        attr=None,
-    ):
-        """Task form of :meth:`multi_put`: concurrent per-object pipelines
-        after one shared reserve_ids check."""
-        self._check_replicas(replicas)
-        items = list(items)
-        if not items:
-            return []
-        ids = [oid for oid, _ in items]
-        self.store.reserve_ids(ids)
-        loop = self.store.aio_loop
-        tasks = [
-            loop.spawn(
-                self._put_one_task(oid, data, metadata, replicas, attr),
-                name=("put", i),
-            )
-            for i, (oid, data) in enumerate(items)
-        ]
-        results = yield loop.gather(tasks)
-        for result in results:
-            if isinstance(result, BaseException):
-                raise result
-        return ids
-
-    def _put_one_task(self, oid, data, metadata, replicas, attr):
-        """One multi_put item, ids already reserved: forward to the ring
-        home as a pipelined task, else the classic unchecked local create."""
-        home = self.store.placement_home(oid)
-        if home is not None:
-            self._ipc.charge_request(nobjects=1, nbytes=len(metadata))
-            ok = yield from self.store.forward_put_task(
-                oid, data, metadata, home, replicas=replicas, attr=attr
-            )
-            if ok:
-                self.counters.inc("puts_forwarded")
-                return oid
-            self.counters.inc("puts_forward_fallback")
-        self._put_reserved(oid, data, metadata, replicas)
-        return oid
-
     def _put_reserved(self, oid, data, metadata: bytes, replicas: int) -> None:
         """Local create + write + seal + release + replicate of an object
         whose id a batched ``reserve_ids`` already checked."""
@@ -315,37 +223,6 @@ class DisaggregatedClient(PlasmaClient):
         PlasmaClient.put_bytes(self, object_id, data, metadata)
         self._replicate(object_id, replicas)
         return object_id
-
-    def delete_task(self, object_id: ObjectID, attr=None):
-        """Task form of :meth:`~repro.plasma.client.PlasmaClient.delete`."""
-        self._ipc.charge_request(nobjects=1)
-        if attr is not None:
-            attr.settle("client")
-        yield from self.store.delete_object_task(object_id, attr)
-        self.counters.inc("deletes")
-
-    def tier_stats(self, peer: str | None = None) -> dict | None:
-        """The tiering-plane snapshot (cache counters, heat-tracker sizes)
-        for this client's node, or — with *peer* — for a peer store via its
-        Stats RPC. ``None`` when tiering is not enabled on the target."""
-        if peer is None:
-            agent = self.store.tier_agent
-            return agent.stats() if agent is not None else None
-        handle = self.store.peer(peer)
-        return handle.stub.Stats({}).get("tier")
-
-    def subscribe_remote(self, peer_name: str) -> RemoteSubscription:
-        """Subscribe to a *peer* store's seal/delete notifications.
-
-        The local store's notification socket only announces local events;
-        this is the RPC-based cross-node feed (§V-B's "additional RPC
-        functionality").
-        """
-        handle = self.store.peer(peer_name)
-        response = handle.stub.Subscribe({})
-        return RemoteSubscription(
-            handle.stub, int(response["subscription"]), peer_name
-        )
 
     def put_bytes(
         self,

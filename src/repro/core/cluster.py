@@ -134,9 +134,7 @@ class Cluster:
         # Kept for recover_node() and add_node(): restarted/joining stores
         # are built with the exact construction parameters of the seed set.
         self._store_base = dir_size
-        self._store_capacity = int(
-            config.store.capacity_bytes * config.disaggregated_fraction
-        )
+        self._store_capacity = config.store.capacity_bytes
         self._exposed_size = self._store_base + self._store_capacity
 
         # Phase 1: nodes, endpoints, exposed regions, stores, servers.
@@ -188,7 +186,7 @@ class Cluster:
                 tick_interval_ns=pcfg.rebalance_tick_interval_ns,
             )
             for node in self._nodes.values():
-                node.store.enable_placement(pcfg)
+                node.store.enable_placement()
             self._publish_topology()
             if config.tier is not None:
                 self._tier_engine = TierEngine(
@@ -209,13 +207,6 @@ class Cluster:
                 self._attach_node_metrics(node, registry)
                 self._registries[name] = registry
             self._registries["fabric"] = fabric_registry
-            if self._membership is not None:
-                placement_registry = MetricsRegistry(node="placement")
-                self._engine.attach_metrics(placement_registry)
-                self._attach_placement_gauges(placement_registry)
-                if self._tier_engine is not None:
-                    self._tier_engine.attach_metrics(placement_registry)
-                self._registries["placement"] = placement_registry
             self._telemetry = Telemetry(self._registries)
 
     def _build_node(self, name: str) -> ClusterNode:
@@ -430,7 +421,8 @@ class Cluster:
 
     def registry(self, node: str) -> MetricsRegistry:
         """One node's metric registry (requires ``metrics=True``)."""
-        return self.metrics().registry(node)
+        self.metrics()  # raises when the metrics plane is off
+        return self._registries[node]
 
     def health_tick(self) -> dict[str, dict[str, bool]]:
         """Pump every node's failure detector once.
@@ -547,13 +539,7 @@ class Cluster:
             }
         )
         view = self._membership.view()
-        pcfg = self._config.placement
-        self._placement_ring = HashRing.from_view(
-            view,
-            vnodes=pcfg.vnodes,
-            high_watermark=pcfg.capacity_high_watermark,
-            min_capacity_factor=pcfg.min_capacity_factor,
-        )
+        self._placement_ring = HashRing.from_view(view)
         coordinator = self._nodes[self._coordinator_name()]
         coordinator.store.install_topology(view)
         wire = view.to_wire()
@@ -646,7 +632,7 @@ class Cluster:
                 )
             # Telemetry snapshots its registry dict at construction.
             self._telemetry = Telemetry(self._registries)
-        node.store.enable_placement(self._config.placement)
+        node.store.enable_placement()
         membership.join(name, weight)
         self._publish_topology()
         return node
@@ -743,28 +729,6 @@ class Cluster:
             "nodes": nodes,
         }
 
-    def _attach_placement_gauges(self, registry: MetricsRegistry) -> None:
-        registry.gauge(
-            "placement_epoch",
-            "Current topology epoch at the membership coordinator.",
-        ).labels().set_function(lambda: float(self._membership.epoch))
-        registry.gauge(
-            "placement_ring_imbalance",
-            "Max ownership share over the weight-fair share (1.0 = balanced).",
-        ).labels().set_function(
-            lambda: (
-                self._placement_ring.imbalance()
-                if self._placement_ring is not None
-                else 0.0
-            )
-        )
-        registry.gauge(
-            "placement_misplaced_bytes",
-            "Payload bytes whose ring home differs from their holder.",
-        ).labels().set_function(
-            lambda: float(self._rebalancer.misplaced_bytes())
-        )
-
     def recover_node(self, name: str):
         """Restart a crashed node's store process and recover its objects
         from the region's sealed-object headers.
@@ -819,7 +783,7 @@ class Cluster:
             # latency histograms keep accumulating across the restart.
             store.attach_metrics(self._registries[name])
         if self._membership is not None:
-            store.enable_placement(self._config.placement)
+            store.enable_placement()
             if self._membership.status(name) is NodeStatus.DOWN:
                 # Rejoin first so the view the node catches up on already
                 # includes itself (the push from the coordinator may still

@@ -105,30 +105,6 @@ class StoreService(Service):
         return {}
 
     @rpc_method
-    def Subscribe(self, request: dict) -> dict:
-        """Register a cross-node notification subscription; the caller
-        polls it with PollNotifications (the RPC realisation of the
-        "additional RPC functionality" §V-B suggests for store feedback)."""
-        return {"subscription": self._store.create_subscription()}
-
-    @rpc_method
-    def PollNotifications(self, request: dict) -> dict:
-        sub_id = request.get("subscription")
-        if not isinstance(sub_id, int):
-            raise ValueError("subscription id required")
-        notes = self._store.poll_subscription(sub_id)
-        return {
-            "notifications": [
-                {
-                    "object_id": n.object_id.binary(),
-                    "data_size": n.data_size,
-                    "deleted": n.deleted,
-                }
-                for n in notes
-            ]
-        }
-
-    @rpc_method
     def Heartbeat(self, request: dict) -> dict:
         """Liveness probe for the failure detector (repro.core.health).
 
@@ -242,21 +218,3 @@ class StoreService(Service):
         object_id = ObjectID(request["object_id"])
         generation = self._store.commit_adopt(object_id)
         return {"generation": generation}
-
-    @rpc_method
-    def Stats(self, request: dict) -> dict:
-        """Operational snapshot (used by examples and debugging, not by any
-        hot path). With the tiering plane attached the reply carries the
-        node's tier agent snapshot (cache counters + heat-tracker sizes) so
-        an operator can read hit rates over the wire."""
-        out = {
-            "store": self._store.name,
-            "node": self._store.node,
-            "objects": self._store.object_count(),
-            "used_bytes": self._store.used_bytes,
-            "capacity_bytes": self._store.capacity_bytes,
-        }
-        agent = self._store.tier_agent
-        if agent is not None:
-            out["tier"] = agent.stats()
-        return out

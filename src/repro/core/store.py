@@ -49,7 +49,6 @@ from repro.plasma.buffer import (
     RemoteReadIntegrity,
 )
 from repro.plasma.entry import ObjectEntry
-from repro.plasma.eviction import HeatAwareEvictionPolicy
 from repro.plasma.notifications import SealNotification
 from repro.plasma.store import PlasmaStore
 from repro.rpc.aio.loop import Sleep
@@ -108,9 +107,9 @@ class DisaggregatedStore(PlasmaStore):
         self._sharers: dict[ObjectID, set[str]] = {}
         self._track_sharers = self._notify_deletions and sharing == "rpc"
         # Elastic placement (repro.placement): the installed topology view,
-        # the ring derived from it, and migration book-keeping. All None /
-        # empty until the cluster enables placement.
-        self._placement_cfg = None
+        # the ring derived from it, and migration book-keeping. Off, None
+        # or empty until the cluster enables placement.
+        self._placement = False
         self._topology: TopologyView | None = None
         self._ring: HashRing | None = None
         self._pending_adoptions: set[ObjectID] = set()
@@ -239,14 +238,8 @@ class DisaggregatedStore(PlasmaStore):
     def attach_tier(self, agent) -> None:
         """Arm the tiering plane: *agent* fronts every materialising fabric
         read with its hot-object cache and feeds the heat trackers the
-        promotion/demotion engine plans from. Capacity-pressure eviction is
-        upgraded to coldest-first so it agrees with demotion about victims."""
+        promotion/demotion engine plans from."""
         self._tier = agent
-        policy = HeatAwareEvictionPolicy(
-            self._region.size, self._config.eviction_batch_fraction
-        )
-        policy.heat_probe = agent.local_heat.heat
-        self._eviction = policy
 
     @property
     def tier_agent(self):
@@ -269,14 +262,14 @@ class DisaggregatedStore(PlasmaStore):
 
     # -- elastic placement (repro.placement) ------------------------------------
 
-    def enable_placement(self, placement_cfg) -> None:
+    def enable_placement(self) -> None:
         """Arm the placement plane; the cluster installs topology views
         (locally for the coordinator, via UpdateTopology RPCs for peers)."""
-        self._placement_cfg = placement_cfg
+        self._placement = True
 
     @property
     def placement_enabled(self) -> bool:
-        return self._placement_cfg is not None
+        return self._placement
 
     def topology(self) -> TopologyView | None:
         return self._topology
@@ -293,7 +286,7 @@ class DisaggregatedStore(PlasmaStore):
         or re-ordered pushes are no-ops), rebuild the placement ring, and
         epoch-stamp the lookup cache so descriptors learned under the old
         topology are re-looked-up instead of trusted."""
-        if self._placement_cfg is None:
+        if not self._placement:
             raise ObjectStoreError(
                 f"{self._name} was not built with placement enabled"
             )
@@ -301,13 +294,7 @@ class DisaggregatedStore(PlasmaStore):
             self.counters.inc("topology_stale_updates")
             return False
         self._topology = view
-        cfg = self._placement_cfg
-        self._ring = HashRing.from_view(
-            view,
-            vnodes=cfg.vnodes,
-            high_watermark=cfg.capacity_high_watermark,
-            min_capacity_factor=cfg.min_capacity_factor,
-        )
+        self._ring = HashRing.from_view(view)
         if self._lookup_cache is not None:
             self._lookup_cache.set_epoch(view.epoch)
         if self._tier is not None and self._tier.cache is not None:
@@ -1054,15 +1041,9 @@ class DisaggregatedStore(PlasmaStore):
         (migration adoption, replica materialisation, tier promotion all
         come through here). Sync mode keeps the baseline one-lump
         ``view + charge_read`` shape byte-for-byte; async mode streams in
-        ``stream_chunk_bytes`` chunks, charging the identical link model
-        per slice."""
+        64 KiB chunks, charging the identical link model per slice."""
         if self._rpc_async:
-            payload = stream_pull(
-                handle.remote_region,
-                offset,
-                data_size,
-                chunk_bytes=self._peer_channel(handle.name).stream_chunk_bytes,
-            )
+            payload = stream_pull(handle.remote_region, offset, data_size)
         else:
             payload = handle.remote_region.view(offset, data_size)
             handle.remote_region.charge_read(data_size)
@@ -1208,10 +1189,6 @@ class DisaggregatedStore(PlasmaStore):
     @property
     def rpc_async(self) -> bool:
         return self._rpc_async
-
-    @property
-    def aio_loop(self):
-        return self._aio_loop
 
     def _aio_facade(self) -> bool:
         """The one loop-vs-inline decision, made per invocation: True when
@@ -1812,32 +1789,6 @@ class DisaggregatedStore(PlasmaStore):
         be re-sealed."""
         object_ids = [victim.object_id for victim in victims]
         self._announce_deleted(object_ids, *self._deletion_plan(object_ids))
-
-    # -- remote subscriptions (cross-node notification relay) ----------------------------
-
-    def create_subscription(self) -> int:
-        """Register a notification queue a *remote* client will poll over
-        RPC — the cross-node version of Plasma's notification socket."""
-        queue = self.subscribe()
-        sub_id = len(self._subscriptions) + 1
-        self._subscriptions[sub_id] = queue
-        return sub_id
-
-    def poll_subscription(self, sub_id: int) -> list:
-        try:
-            queue = self._subscriptions[sub_id]
-        except KeyError:
-            raise ObjectStoreError(f"unknown subscription {sub_id}") from None
-        return queue.drain()
-
-    @property
-    def _subscriptions(self) -> dict:
-        # Lazily created so plain PlasmaStore paths pay nothing.
-        subs = getattr(self, "_subscriptions_map", None)
-        if subs is None:
-            subs = {}
-            self._subscriptions_map = subs
-        return subs
 
     # -- restart recovery ------------------------------------------------------------
 

@@ -243,45 +243,6 @@ class DistributedDataset:
             raise ObjectStoreError("shuffle produced no rows")
         return DistributedDataset(self._cluster, out)
 
-    def sort(self, num_partitions: int | None = None) -> "DistributedDataset":
-        """Distributed sort by value: sample-based range partitioning.
-
-        1. every partition contributes a small sample (read at home);
-        2. the driver derives ``n-1`` splitters from the pooled sample;
-        3. a shuffle routes each row to its range bucket;
-        4. each bucket sorts locally (narrow).
-
-        ``collect()`` of the result is globally sorted; imbalance is
-        bounded by sample quality, as in any sampling sort (TeraSort et
-        al.).
-        """
-        nodes = self._cluster.node_names()
-        n_out = num_partitions or len(nodes)
-        if n_out <= 0:
-            raise ValueError("num_partitions must be positive")
-
-        # Stage 0: sampling (metadata-scale reads).
-        per_partition = max(32, 16 * n_out)
-        samples: list[np.ndarray] = []
-        for p in self._partitions:
-            worker = self._worker(self._cluster, p.home)
-            with get_array(worker, p.object_id) as ref:
-                arr = ref.array
-                stride = max(1, len(arr) // per_partition)
-                samples.append(np.array(arr[::stride], copy=True))
-        pooled = np.sort(np.concatenate(samples))
-        quantiles = np.linspace(0, 1, n_out + 1)[1:-1]
-        splitters = np.quantile(pooled, quantiles) if n_out > 1 else np.array([])
-
-        # Stages 1-2: route rows to their range bucket; 'key % n_out' is the
-        # identity because searchsorted already yields bucket indices.
-        bucketed = self.shuffle_by(
-            lambda values: np.searchsorted(splitters, values, side="right"),
-            num_partitions=n_out,
-        )
-        # Stage 3: sort each bucket where it lives.
-        return bucketed.map_partitions(np.sort)
-
     # -- lifecycle -----------------------------------------------------------------------
 
     def drop(self) -> None:

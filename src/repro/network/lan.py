@@ -37,9 +37,6 @@ class Network:
             rng=self._rng,
         )
         self.counters = CounterGroup()
-        # Fault-injection hook (repro.chaos): while a partition covers a
-        # host pair, sends between them fail instead of being charged.
-        self.chaos = None  # ChaosRuntime, set by attach_network()
 
     @property
     def clock(self) -> SimClock:
@@ -71,14 +68,6 @@ class Network:
         conn_a._peer = conn_b
         conn_b._peer = conn_a
         return conn_a
-
-    def _gate(self, local: str, remote: str) -> None:
-        if self.chaos is None:
-            return
-        self.chaos.poll()
-        if self.chaos.partitioned(local, remote):
-            self.counters.inc("partition_drops")
-            raise NetworkError(f"LAN path {local}<->{remote} is partitioned")
 
     def _charge_transfer(self, nbytes: int) -> None:
         self._clock.advance(self._model.cost_ns(nbytes))
@@ -120,10 +109,6 @@ class Connection:
         assert self._peer is not None
         return self._peer
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def send(self, payload: bytes) -> None:
         """Transmit *payload*; charges the LAN model for its size."""
         if self._closed or (self._peer and self._peer._closed):
@@ -131,7 +116,6 @@ class Connection:
                 f"connection {self._local}->{self._remote} is closed"
             )
         data = bytes(payload)
-        self._network._gate(self._local, self._remote)
         self._network._charge_transfer(len(data))
         self._send_q.append(data)
         self.bytes_sent += len(data)

@@ -34,10 +34,6 @@ class TransferModel:
         self._rng = rng
 
     @property
-    def fixed_latency_ns(self) -> float:
-        return self._latency_ns
-
-    @property
     def ns_per_byte(self) -> float:
         return self._ns_per_byte
 

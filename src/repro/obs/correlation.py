@@ -8,8 +8,8 @@ beneath the operation (RPC channel spans, the server-side dispatch span,
 fabric read/write spans) reads ``current`` and stamps the id into its
 trace-event args as ``rid``. Remote buffers returned by a Get carry the id
 with them so the *deferred* fabric reads (``read_all`` after the Get
-returned) still attribute to the originating request via
-:meth:`CorrelationContext.resumed`.
+returned) still attribute to the originating request: they ``begin`` the
+stamped id again.
 
 The context is a plain stack, matching the simulator's single-threaded
 depth-first execution: nested operations (a replicated Put issuing RPCs)
@@ -17,8 +17,6 @@ see the innermost id.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 
 class CorrelationContext:
@@ -51,25 +49,6 @@ class CorrelationContext:
     def current(self) -> str | None:
         """The innermost active request id, or None outside any operation."""
         return self._stack[-1] if self._stack else None
-
-    @contextmanager
-    def operation(self, rid: str | None = None):
-        """``with ctx.operation() as rid:`` — scoped begin/end."""
-        rid = self.begin(rid)
-        try:
-            yield rid
-        finally:
-            self.end()
-
-    @contextmanager
-    def resumed(self, rid: str):
-        """Re-enter an existing id, e.g. a deferred fabric read performed
-        after the originating Get already returned."""
-        self.begin(rid)
-        try:
-            yield rid
-        finally:
-            self.end()
 
     def __repr__(self) -> str:
         return (

@@ -213,12 +213,6 @@ class Telemetry:
     def __init__(self, registries: dict[str, MetricsRegistry]):
         self._registries = dict(registries)
 
-    def nodes(self) -> list[str]:
-        return list(self._registries)
-
-    def registry(self, node: str) -> MetricsRegistry:
-        return self._registries[node]
-
     def prometheus(self) -> str:
         """One merged scrape covering every node (node label per series)."""
         return render_prometheus(self._registries.values())
@@ -226,49 +220,6 @@ class Telemetry:
     def snapshot(self) -> dict:
         """JSON-ready per-node snapshot."""
         return {node: reg.snapshot() for node, reg in self._registries.items()}
-
-    def by_label(self, label: str) -> dict:
-        """Cluster totals sliced by one label's values (see
-        :func:`group_by_label`) — e.g. ``by_label("tenant")`` for the
-        workload plane's per-tenant accounting."""
-        return group_by_label(self._registries.values(), label)
-
-    def merged(self) -> dict:
-        """Cluster totals: counters/gauges summed across nodes, histograms
-        merged losslessly from raw samples (exact merged quantiles)."""
-        counters: dict[str, float] = {}
-        gauges: dict[str, float] = {}
-        hist_samples: dict[str, list[float]] = {}
-        for registry in self._registries.values():
-            for family in registry.collect(include_samples=True):
-                name = family["name"]
-                for series in family["series"]:
-                    if family["type"] == "counter":
-                        counters[name] = counters.get(name, 0.0) + series["value"]
-                    elif family["type"] == "gauge":
-                        gauges[name] = gauges.get(name, 0.0) + series["value"]
-                    else:
-                        hist_samples.setdefault(name, []).extend(
-                            series["histogram"].get("samples", [])
-                        )
-        histograms = {}
-        for name, samples in sorted(hist_samples.items()):
-            entry: dict = {"count": len(samples), "sum": float(sum(samples))}
-            if samples:
-                from repro.common.stats import Distribution
-
-                dist = Distribution()
-                dist.extend(samples)
-                entry["max"] = dist.max
-                entry["quantiles"] = {
-                    _q_label(q): dist.quantile(q) for q in QUANTILES
-                }
-            histograms[name] = entry
-        return {
-            "counters": dict(sorted(counters.items())),
-            "gauges": dict(sorted(gauges.items())),
-            "histograms": histograms,
-        }
 
     def top_latency(self, k: int = 8) -> list[dict]:
         """The k histogram series with the largest total time, with exact

@@ -111,9 +111,6 @@ class Gauge:
         self._value += amount
         self._fn = None
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     def set_function(self, fn: Callable[[], float]) -> None:
         """Sample *fn* at collect time instead of storing writes — the
         zero-hot-path-cost mode used for allocator fragmentation, lookup

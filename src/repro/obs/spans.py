@@ -60,6 +60,9 @@ from repro.common.config import SpanConfig
 
 SPAN_SCHEMA_VERSION = 1
 
+#: Spans each node's flight-recorder ring keeps.
+FLIGHT_CAPACITY = 512
+
 #: The critical-path components every traced op's latency decomposes into.
 COMPONENTS = (
     "cache", "client", "fabric", "hedge", "pipeline", "queue", "retry",
@@ -239,7 +242,7 @@ class SpanRecord:
             recorder = sink._flight[self.node or "sim"]
         except KeyError:  # the node's first span
             recorder = sink._flight[self.node or "sim"] = FlightRecorder(
-                sink._config.flight_capacity
+                FLIGHT_CAPACITY
             )
         recorder.recorded += 1
         recorder._ring.append(self)
@@ -305,7 +308,7 @@ class FlightRecorder:
 
     __slots__ = ("_ring", "recorded")
 
-    def __init__(self, capacity: int = 512):
+    def __init__(self, capacity: int = FLIGHT_CAPACITY):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self._ring: deque = deque(maxlen=capacity)
@@ -326,9 +329,6 @@ class FlightRecorder:
 
     def events(self) -> list:
         return list(self._ring)
-
-    def oldest_start_ns(self) -> int:
-        return self._ring[0].start_ns if self._ring else 0
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -351,10 +351,6 @@ class _NullSpan:
     is_root = False
     head_kept = False
     kept = False
-
-    @property
-    def components(self) -> dict:
-        return _ZERO_BUCKETS.copy()
 
     def __enter__(self) -> "_NullSpan":
         return self

@@ -66,14 +66,6 @@ class TopologyView:
             if m.status is NodeStatus.ACTIVE
         )
 
-    def readable_names(self) -> list[str]:
-        """Members whose stores can answer reads (not DOWN)."""
-        return sorted(
-            name
-            for name, m in self.members.items()
-            if m.status is not NodeStatus.DOWN
-        )
-
     def status(self, name: str) -> NodeStatus:
         try:
             return self.members[name].status
@@ -174,13 +166,6 @@ class Membership:
         if member.status is NodeStatus.DRAINING:
             raise PlacementError(f"{name!r} is already draining")
         self._members[name] = replace(member, status=NodeStatus.DRAINING)
-        return self._bump()
-
-    def mark_down(self, name: str) -> TopologyView:
-        member = self._member(name)
-        if member.status is NodeStatus.DOWN:
-            return self.view()
-        self._members[name] = replace(member, status=NodeStatus.DOWN)
         return self._bump()
 
     def reactivate(self, name: str) -> TopologyView:

@@ -64,20 +64,6 @@ class MigrationEngine:
         self._clock = clock
         self.spans = spans
         self.counters = CounterGroup()
-        self._m_latency = None
-        self._m_bytes = None
-
-    def attach_metrics(self, registry) -> None:
-        registry.register_group(self.counters, "placement")
-        self._m_latency = registry.histogram(
-            "placement_migration_latency_ns",
-            "Simulated wall time of one object migration "
-            "(prepare + fabric pull + commit + source retire).",
-        ).labels()
-        self._m_bytes = registry.histogram(
-            "placement_migration_bytes",
-            "Payload size of each completed migration.",
-        ).labels()
 
     def migrate(
         self,
@@ -118,7 +104,6 @@ class MigrationEngine:
     def _migrate_inner(
         self, source_store, dest_name: str, object_id: ObjectID
     ) -> MigrationResult:
-        start_ns = self._clock.now_ns
         source = source_store.name
         descriptor = source_store.migration_descriptor(object_id)
         if descriptor is None:
@@ -185,10 +170,6 @@ class MigrationEngine:
             self.counters.inc("migration_bytes_moved", size)
             status = "migrated"
             moved = size
-            if self._m_bytes is not None:
-                self._m_bytes.observe(size)
-        if self._m_latency is not None:
-            self._m_latency.observe(self._clock.now_ns - start_ns)
         return MigrationResult(
             object_id, source, dest_name, status,
             bytes_moved=moved, source_retired=retired,

@@ -72,10 +72,6 @@ class Rebalancer:
         self._bytes_per_tick = int(bytes_per_tick)
         self._tick_interval_ns = float(tick_interval_ns)
 
-    @property
-    def bytes_per_tick(self) -> int:
-        return self._bytes_per_tick
-
     def _source_names(self) -> list[str]:
         view = self._cluster.membership.view()
         return [

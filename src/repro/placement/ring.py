@@ -114,22 +114,6 @@ class HashRing:
             idx = 0
         return self._points[idx][1]
 
-    def preference(self, object_id: ObjectID, n: int) -> list[str]:
-        """The first *n* distinct members clockwise of the object's
-        position — home first, then failover candidates."""
-        if not self._points:
-            raise PlacementError("placement ring has no active members")
-        h = _hash64(object_id.binary())
-        idx = bisect.bisect_right(self._keys, h)
-        out: list[str] = []
-        for step in range(len(self._points)):
-            name = self._points[(idx + step) % len(self._points)][1]
-            if name not in out:
-                out.append(name)
-                if len(out) >= n:
-                    break
-        return out
-
     # -- introspection ------------------------------------------------------
 
     def members(self) -> list[str]:

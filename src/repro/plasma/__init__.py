@@ -29,7 +29,6 @@ from repro.plasma.eviction import (
     EvictionDecision,
     EvictionPolicy,
     FifoEvictionPolicy,
-    HeatAwareEvictionPolicy,
     LargestFirstEvictionPolicy,
     LruEvictionPolicy,
     create_eviction_policy,
@@ -47,7 +46,6 @@ __all__ = [
     "RemoteBufferSource",
     "LruEvictionPolicy",
     "FifoEvictionPolicy",
-    "HeatAwareEvictionPolicy",
     "LargestFirstEvictionPolicy",
     "EvictionPolicy",
     "EvictionDecision",

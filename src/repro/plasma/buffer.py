@@ -195,16 +195,6 @@ class RemoteBufferSource:
                 )
         return view
 
-    def timed_write(self, offset: int, data) -> float:
-        self._remote.write(self._off + offset, data)
-        return 0.0
-
-    def charge_write(self, offset: int, size: int) -> float:
-        # Charge-only remote write: link time without byte movement (and
-        # therefore without the Fig 3b staleness side effect).
-        return self._remote.aperture.link.charge_stream_write(size)
-
-
 class PlasmaBuffer:
     """A client's handle to one object's payload.
 

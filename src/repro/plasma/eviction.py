@@ -104,41 +104,12 @@ class LargestFirstEvictionPolicy(EvictionPolicy):
         )
 
 
-class HeatAwareEvictionPolicy(EvictionPolicy):
-    """Coldest object first, by a tiering heat probe.
-
-    When the tiering plane is attached (:mod:`repro.tier`), the store
-    upgrades its policy to this one so capacity pressure sacrifices the
-    objects the promotion/demotion engine already considers cold — the
-    same ordering a demotion sweep would choose, keeping eviction and
-    demotion from fighting over victims. Python's stable sort preserves
-    the table's LRU order among equally-cold objects, and with no probe
-    attached the policy degrades to exactly LRU.
-    """
-
-    name = "heat_aware"
-
-    def __init__(self, capacity_bytes: int, batch_fraction: float = 0.2):
-        super().__init__(capacity_bytes, batch_fraction)
-        # ObjectID -> float, typically a tier HeatTracker's ``heat``;
-        # settable after construction because the config path builds
-        # policies from (name, capacity, fraction) alone.
-        self.heat_probe = None
-
-    def order(self, candidates: list[ObjectEntry]) -> list[ObjectEntry]:
-        probe = self.heat_probe
-        if probe is None:
-            return candidates
-        return sorted(candidates, key=lambda e: probe(e.object_id))
-
-
 EVICTION_POLICIES = {
     cls.name: cls
     for cls in (
         LruEvictionPolicy,
         FifoEvictionPolicy,
         LargestFirstEvictionPolicy,
-        HeatAwareEvictionPolicy,
     )
 }
 

@@ -37,11 +37,6 @@ class NotificationQueue:
         """Next pending notification, or None."""
         return self._queue.popleft() if self._queue else None
 
-    def drain(self) -> list[SealNotification]:
-        out = list(self._queue)
-        self._queue.clear()
-        return out
-
     def __len__(self) -> int:
         return len(self._queue)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.allocator import create_allocator
+from repro.allocator import FirstFitAllocator
 from repro.allocator.base import align_up
 from repro.common.checksum import crc32c
 from repro.common.clock import SimClock
@@ -93,13 +93,11 @@ class PlasmaStore:
         self._region = region
         self._config = config
         self._clock = clock
-        self._allocator = create_allocator(
-            config.allocator, region.size, config.alignment
-        )
+        # The paper's replacement allocator; the E5 ablation builds the
+        # others itself (repro.allocator.create_allocator).
+        self._allocator = FirstFitAllocator(region.size)
         self._table = ObjectTable()
-        self._eviction = create_eviction_policy(
-            config.eviction_policy, region.size, config.eviction_batch_fraction
-        )
+        self._eviction = create_eviction_policy(config.eviction_policy, region.size)
         self._subscribers: list[NotificationQueue] = []
         # Integrity: every extent is prefixed by a fixed in-region header
         # (one alignment quantum) and stamped with a store-monotonic
@@ -157,7 +155,7 @@ class PlasmaStore:
             "Padding overhead within allocated blocks.",
             labels=("store", "allocator"),
         )
-        labels = {"store": self._name, "allocator": self._config.allocator}
+        labels = {"store": self._name, "allocator": "first_fit"}
         utilization.labels(**labels).set_function(
             lambda: self.used_bytes / max(1, self.capacity_bytes)
         )
@@ -171,7 +169,7 @@ class PlasmaStore:
     def _fragmentation(self):
         from repro.allocator.metrics import fragmentation_report
 
-        return fragmentation_report(self._config.allocator, self._allocator)
+        return fragmentation_report("first_fit", self._allocator)
 
     # -- identity -----------------------------------------------------------------
 
@@ -557,7 +555,7 @@ class PlasmaStore:
                 f"recover_from_region needs an empty store; {self._name} "
                 f"already holds {len(self._table)} objects"
             )
-        align = self._config.alignment
+        align = self._allocator.alignment
         # Headers only ever start at allocation offsets, which are aligned —
         # so the scan inspects one 4-byte magic probe per alignment quantum,
         # vectorised over the whole region in one numpy pass.
@@ -668,9 +666,7 @@ class PlasmaStore:
         return len(self._table)
 
     def describe_all(self) -> list[dict]:
-        out: list[dict] = []
-        self._table.for_each(lambda e: out.append(e.describe()))
-        return out
+        return [entry.describe() for entry in self._table]
 
     def __repr__(self) -> str:
         return (

@@ -14,7 +14,7 @@ hammer the same lock from concurrent callers.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.common.errors import (
     ObjectExistsError,
@@ -138,8 +138,3 @@ class ObjectTable:
             cands = [e for e in self._entries.values() if e.evictable]
             cands.sort(key=lambda e: e.last_access_seq)
             return cands
-
-    def for_each(self, fn: Callable[[ObjectEntry], None]) -> None:
-        with self._lock:
-            for entry in list(self._entries.values()):
-                fn(entry)

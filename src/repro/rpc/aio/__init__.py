@@ -12,8 +12,8 @@ deterministic**:
   seeded random rank (never wall-clock, never hash order), so two runs of
   the same seed interleave identically.
 * :class:`CoalescingBuffer` — transparent coalescing of id-list RPCs into
-  batched wire messages, and :func:`stream_pull_task` — chunked streaming
-  pulls that yield between slices.
+  batched wire messages, and :func:`stream_pull` — the chunked bulk pull
+  async-mode transfers use.
 
 The task-based calls themselves live on :class:`~repro.rpc.channel.Channel`
 (``unary_task``, ``batched_call``), beside the blocking ones they share one
@@ -31,7 +31,7 @@ from repro.rpc.aio.loop import (
     TaskAttribution,
 )
 from repro.rpc.aio.batch import CoalescingBuffer, BATCHABLE_METHODS
-from repro.rpc.aio.streaming import stream_pull, stream_pull_task
+from repro.rpc.aio.streaming import stream_pull
 
 __all__ = [
     "EventLoop",
@@ -43,5 +43,4 @@ __all__ = [
     "CoalescingBuffer",
     "BATCHABLE_METHODS",
     "stream_pull",
-    "stream_pull_task",
 ]

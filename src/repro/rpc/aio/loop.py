@@ -92,11 +92,6 @@ class Future:
             raise self._exc
         return self._value
 
-    def exception(self) -> BaseException | None:
-        if not self._done:
-            raise EventLoopError("future is not resolved yet")
-        return self._exc
-
     def set_result(self, value) -> None:
         self._settle(value, None)
 
@@ -217,10 +212,6 @@ class EventLoop:
             (wake, self._rng.integer(0, 1 << 30), self._seq, target, future))
         self._seq += 1
 
-    def call_at(self, wake_ns: float, fn: Callable[[], None]) -> None:
-        """Run *fn* once the clock reaches *wake_ns* (clamped to now)."""
-        self._push(max(int(wake_ns), self._clock.now_ns), fn, None)
-
     def call_later(self, delta_ns: float, fn: Callable[[], None]) -> None:
         self._push(self._clock.now_ns + max(0, int(round(delta_ns))), fn, None)
 
@@ -295,13 +286,6 @@ class EventLoop:
                 f"Sleep, Future, or Task")
 
     # -- composition ---------------------------------------------------------
-
-    def completed(self, value=None) -> Future:
-        """An already-resolved future (awaiting it continues inline)."""
-        fut = Future(self)
-        fut._done = True
-        fut._value = value
-        return fut
 
     def gather(self, futures: Iterable[Future | Task]) -> Future:
         """Resolve with a list of results in input order once *all* resolve.

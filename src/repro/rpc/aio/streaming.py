@@ -1,26 +1,17 @@
-"""Chunked bulk transfer over the fabric, shareable with the event loop.
+"""Chunked bulk transfer over the fabric.
 
 Migration (``begin_adopt``), scrub repair / replication (``create_replica``)
 and tier promotion all pull a whole object's payload through a
-:class:`~repro.thymesisflow.aperture.RemoteRegion` in one
-``view() + charge_read(total)`` lump today. These helpers split the pull
-into ``chunk_bytes`` slices:
-
-* :func:`stream_pull` — synchronous form used from RPC handlers (which run
-  inline inside a dispatch, where yielding is impossible);
-* :func:`stream_pull_task` — generator form that yields the scheduler slot
-  between chunks, so a bulk transfer no longer blocks every other in-flight
-  task for its full duration — RPC completions interleave at chunk
-  granularity.
-
-Both charge exactly the same link cost model (``charge_read`` per slice);
-sync-mode clusters never call either, keeping the baseline draw sequence —
-and therefore every standing artifact — untouched.
+:class:`~repro.thymesisflow.aperture.RemoteRegion`. Sync-mode clusters do it
+in one ``view() + charge_read(total)`` lump; async-mode clusters call
+:func:`stream_pull`, which splits the pull into ``chunk_bytes`` slices and
+charges the same link cost model (``charge_read``) per slice. It runs inline
+inside an RPC dispatch, where yielding is impossible. Sync mode never calls
+it, keeping the baseline draw sequence — and therefore every standing
+artifact — untouched.
 """
 
 from __future__ import annotations
-
-from repro.rpc.aio.loop import Sleep
 
 DEFAULT_CHUNK_BYTES = 64 * 1024
 
@@ -37,22 +28,4 @@ def stream_pull(region, offset: int, nbytes: int, *,
         region.charge_read(n)
         out[done:done + n] = src
         done += n
-    return bytes(out)
-
-
-def stream_pull_task(region, offset: int, nbytes: int, *,
-                     chunk_bytes: int = DEFAULT_CHUNK_BYTES):
-    """Generator-coroutine form of :func:`stream_pull`: yields between
-    chunks so concurrent tasks interleave with the bulk transfer."""
-    chunk_bytes = max(1, int(chunk_bytes))
-    out = bytearray(nbytes)
-    done = 0
-    while done < nbytes:
-        n = min(chunk_bytes, nbytes - done)
-        src = region.view(offset + done, n)
-        region.charge_read(n)
-        out[done:done + n] = src
-        done += n
-        if done < nbytes:
-            yield Sleep(0.0)
     return bytes(out)

@@ -154,10 +154,6 @@ class Channel:
         return self._server.host
 
     @property
-    def local_host(self) -> str:
-        return self._local_host
-
-    @property
     def breaker(self):
         return self._breaker
 
@@ -183,11 +179,6 @@ class Channel:
     def hedge_stagger_ns(self) -> float:
         """Stagger before a scatter-gather lookup hedges to the next peer."""
         return self._config.hedge_stagger_ns
-
-    @property
-    def stream_chunk_bytes(self) -> int:
-        """Chunk size for streaming bulk transfers in async mode."""
-        return self._config.stream_chunk_bytes
 
     def hedge_delay_ns(self) -> float | None:
         """How long to wait on a read before hedging to another holder:

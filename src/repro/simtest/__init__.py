@@ -31,7 +31,7 @@ from repro.simtest.harness import (
     run_seed,
     run_seeds,
 )
-from repro.simtest.ops import Op, make, ops_from_json, ops_to_json
+from repro.simtest.ops import Op, make
 from repro.simtest.shrink import ShrinkReport, ddmin, emit_pytest, shrink_result
 from repro.simtest.selfcheck import SelfCheckReport, run_selfcheck
 from repro.simtest.workload import generate_ops
@@ -48,8 +48,6 @@ __all__ = [
     "emit_pytest",
     "generate_ops",
     "make",
-    "ops_from_json",
-    "ops_to_json",
     "replay_trace",
     "run_seed",
     "run_seeds",

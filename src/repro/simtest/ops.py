@@ -12,9 +12,8 @@ valid traces.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 #: Op kinds and the argument names each carries. Values are ints or strings.
 OP_SCHEMA: Mapping[str, tuple[str, ...]] = {
@@ -113,14 +112,3 @@ def make(kind: str, **args: int | str) -> Op:
     """Build an op with keyword args: ``make("put", obj=0, node="node0", ...)``."""
 
     return Op(kind, tuple(sorted(args.items())))
-
-
-def ops_to_json(ops: Iterable[Op]) -> str:
-    return json.dumps([op.to_obj() for op in ops], indent=2, sort_keys=True)
-
-
-def ops_from_json(text: str) -> list[Op]:
-    raw = json.loads(text)
-    if not isinstance(raw, list):
-        raise ValueError("trace JSON must be a list of op objects")
-    return [Op.from_obj(item) for item in raw]

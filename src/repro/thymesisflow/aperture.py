@@ -3,9 +3,8 @@
 On real ThymesisFlow hardware, remote disaggregated memory appears in a
 node's *extended physical address space*; loads/stores that hit an aperture
 window are relayed to the home node's FPGA. :class:`ApertureMap` reproduces
-that translation: each mapped remote region gets a window above the node's
-local capacity, and :meth:`translate` resolves any extended address to
-either local memory or a (link, home endpoint, home offset) triple.
+that layout: each mapped remote region gets a window above the node's
+local capacity.
 
 :class:`RemoteRegion` is the ergonomic handle the object store uses: a
 region-shaped view of one remote exposed window with timed read/write.
@@ -52,13 +51,6 @@ class ApertureMap:
     def _align_up(addr: int) -> int:
         return -(-addr // _WINDOW_ALIGN) * _WINDOW_ALIGN
 
-    @property
-    def owner(self) -> ThymesisEndpoint:
-        return self._owner
-
-    def apertures(self) -> list[Aperture]:
-        return list(self._apertures)
-
     def map_remote(self, home: ThymesisEndpoint, link: OpenCapiLink) -> Aperture:
         """Map *home*'s exposed region into the extended address space."""
         if home.name == self._owner.name:
@@ -79,26 +71,6 @@ class ApertureMap:
         self._apertures.append(aperture)
         self._next_base = self._align_up(aperture.end + 1)
         return aperture
-
-    def translate(self, address: int, size: int) -> tuple[Aperture | None, int]:
-        """Resolve an extended physical address range.
-
-        Returns ``(None, address)`` for local memory, or
-        ``(aperture, home_offset)`` for a mapped remote window. The range
-        must lie entirely within one window.
-        """
-        if size <= 0:
-            raise ApertureError("translation range must be non-empty")
-        if 0 <= address and address + size <= self._owner.memory.capacity:
-            return None, address
-        for ap in self._apertures:
-            if ap.base <= address and address + size <= ap.end:
-                return ap, address - ap.base
-        raise ApertureError(
-            f"address range [{address}, {address + size}) of node "
-            f"{self._owner.name} hits no local memory or mapped aperture"
-        )
-
 
 class RemoteRegion:
     """Timed access to one remote exposed window through an aperture.
@@ -190,12 +162,3 @@ class RemoteRegion:
         src = self._ap.home.serve_remote_read(offset, size)
         self._ap.link.charge_single_access()
         return bytes(src)
-
-    def store(self, offset: int, data) -> int:
-        """A single unpipelined store; same coherency caveat as write()."""
-        mv = memoryview(data)
-        if mv.ndim != 1 or mv.itemsize != 1:
-            mv = mv.cast("B")
-        self._check(offset, len(mv))
-        self._ap.link.charge_single_access()
-        return self._ap.home.serve_remote_write(offset, mv)

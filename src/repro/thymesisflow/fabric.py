@@ -112,9 +112,3 @@ class ThymesisFabric:
         link = self.link_between(reader, home)
         aperture = self._aperture_maps[reader].map_remote(home_ep, link)
         return RemoteRegion(aperture, reader_ep)
-
-    def aperture_map(self, name: str) -> ApertureMap:
-        try:
-            return self._aperture_maps[name]
-        except KeyError:
-            raise FabricError(f"unknown node {name!r}") from None

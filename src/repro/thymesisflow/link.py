@@ -117,10 +117,6 @@ class OpenCapiLink:
         self._bandwidth_factor = bandwidth_factor
         self._latency_factor = latency_factor
 
-    @property
-    def degradation(self) -> tuple[float, float]:
-        return self._bandwidth_factor, self._latency_factor
-
     def _gate(self) -> None:
         if self.chaos is not None:
             self.chaos.poll()

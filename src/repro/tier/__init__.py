@@ -20,7 +20,7 @@ any hot path changes behaviour (the store branches on a ``None`` agent).
 
 from repro.tier.agent import TierAgent
 from repro.tier.cache import FrequencySketch, HotObjectCache
-from repro.tier.engine import TierConvergenceReport, TierEngine, TierTickReport
+from repro.tier.engine import TierEngine, TierTickReport
 from repro.tier.heat import HeatTracker
 from repro.tier.source import CachedBufferSource, TierBufferSource
 
@@ -31,7 +31,6 @@ __all__ = [
     "HotObjectCache",
     "TierAgent",
     "TierBufferSource",
-    "TierConvergenceReport",
     "TierEngine",
     "TierTickReport",
 ]

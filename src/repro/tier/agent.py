@@ -26,22 +26,13 @@ class TierAgent:
         self.cache: HotObjectCache | None = None
         if config.cache_capacity_bytes > 0:
             self.cache = HotObjectCache(
-                config.cache_capacity_bytes,
-                sketch_width=config.sketch_width,
-                sketch_depth=config.sketch_depth,
-                seed=rng.spawn("sketch").seed,
+                config.cache_capacity_bytes, seed=rng.spawn("sketch").seed
             )
         self.remote_heat = HeatTracker(
-            clock,
-            half_life_ns=config.heat_half_life_ns,
-            sample_rate=config.heat_sample_rate,
-            rng=rng.spawn("remote-heat"),
+            clock, half_life_ns=config.heat_half_life_ns, rng=rng.spawn("remote-heat")
         )
         self.local_heat = HeatTracker(
-            clock,
-            half_life_ns=config.heat_half_life_ns,
-            sample_rate=config.heat_sample_rate,
-            rng=rng.spawn("local-heat"),
+            clock, half_life_ns=config.heat_half_life_ns, rng=rng.spawn("local-heat")
         )
         # A cache hit is a local DRAM copy: same shape as the endpoint's
         # local-read model, with its own jitter stream so enabling the
@@ -111,7 +102,7 @@ class TierAgent:
         self.local_heat.clear()
 
     def stats(self) -> dict:
-        """Deterministic snapshot for BENCH artifacts and Stats RPCs."""
+        """Deterministic snapshot for BENCH artifacts."""
         out = {
             "node": self.node,
             "remote_tracked": len(self.remote_heat),

@@ -18,11 +18,17 @@ does exactly that before its final converge-and-sweep oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.ids import ObjectID
 from repro.obs.metrics import CounterGroup
 from repro.placement.membership import NodeStatus
+
+# Demote cold objects from nodes above the watermark until they are back at
+# the target utilisation; destinations must stay below the watermark after
+# absorbing the object.
+DEMOTE_WATERMARK = 0.85
+DEMOTE_TARGET = 0.70
 
 
 @dataclass(frozen=True)
@@ -35,26 +41,6 @@ class TierTickReport:
     demoted_bytes: int
     aborted: int
     retired: int
-
-
-@dataclass(frozen=True)
-class TierConvergenceReport:
-    ticks: int
-    promoted_objects: int
-    promoted_bytes: int
-    demoted_objects: int
-    demoted_bytes: int
-    converged: bool
-    tick_reports: tuple[TierTickReport, ...] = field(default=())
-
-    def describe(self) -> str:
-        state = "converged" if self.converged else "NOT converged"
-        return (
-            f"{state} after {self.ticks} tick(s): "
-            f"{self.promoted_objects} promoted "
-            f"({self.promoted_bytes} B), {self.demoted_objects} demoted "
-            f"({self.demoted_bytes} B)"
-        )
 
 
 class TierEngine:
@@ -76,16 +62,10 @@ class TierEngine:
         self._placed: dict[ObjectID, str] = {}
         self.counters = CounterGroup()
 
-    def attach_metrics(self, registry) -> None:
-        registry.register_group(self.counters, "tier")
-
     # -- registry (the Rebalancer consults this) ---------------------------------
 
     def is_tier_placed(self, object_id: ObjectID) -> bool:
         return object_id in self._placed
-
-    def placements(self) -> dict[ObjectID, str]:
-        return dict(self._placed)
 
     def clear_placements(self) -> int:
         """Hand every tier-placed object back to the ring (the rebalancer
@@ -93,9 +73,6 @@ class TierEngine:
         cleared = len(self._placed)
         self._placed.clear()
         return cleared
-
-    def agent(self, node: str):
-        return self._agents[node]
 
     # -- plan computation ---------------------------------------------------------
 
@@ -135,7 +112,7 @@ class TierEngine:
 
     def _has_room(self, node: str, size: int) -> bool:
         store = self._cluster.store(node)
-        limit = self._cfg.demote_watermark * store.capacity_bytes
+        limit = DEMOTE_WATERMARK * store.capacity_bytes
         return store.used_bytes + size <= limit
 
     def promotion_plan(self) -> list[tuple[str, ObjectID, int]]:
@@ -181,9 +158,9 @@ class TierEngine:
         for node in self._active_names():
             store = self._cluster.store(node)
             cap = store.capacity_bytes
-            if store.used_bytes <= self._cfg.demote_watermark * cap:
+            if store.used_bytes <= DEMOTE_WATERMARK * cap:
                 continue
-            shed = store.used_bytes - int(self._cfg.demote_target * cap)
+            shed = store.used_bytes - int(DEMOTE_TARGET * cap)
             agent = self._agents[node]
             with store.table.lock:
                 candidates = [
@@ -313,46 +290,4 @@ class TierEngine:
             demoted_bytes=demoted_bytes,
             aborted=aborted,
             retired=retired,
-        )
-
-    def run_until_converged(
-        self, *, max_ticks: int = 10_000, keep_reports: bool = False
-    ) -> TierConvergenceReport:
-        """Tick until no promotion or demotion is wanted (heat decays on
-        the advancing clock, so promotion pressure drains by itself), or
-        until three consecutive ticks make no progress."""
-        promoted = promoted_bytes = demoted = demoted_bytes = 0
-        reports: list[TierTickReport] = []
-        ticks = 0
-        stalled = 0
-        while ticks < max_ticks:
-            if not self.promotion_plan() and not self.demotion_plan():
-                break
-            report = self.tick()
-            ticks += 1
-            promoted += report.promoted_objects
-            promoted_bytes += report.promoted_bytes
-            demoted += report.demoted_objects
-            demoted_bytes += report.demoted_bytes
-            if keep_reports:
-                reports.append(report)
-            if (
-                report.promoted_objects == 0
-                and report.demoted_objects == 0
-                and report.retired == 0
-            ):
-                stalled += 1
-                if stalled >= 3:
-                    break
-            else:
-                stalled = 0
-        converged = not self.promotion_plan() and not self.demotion_plan()
-        return TierConvergenceReport(
-            ticks=ticks,
-            promoted_objects=promoted,
-            promoted_bytes=promoted_bytes,
-            demoted_objects=demoted,
-            demoted_bytes=demoted_bytes,
-            converged=converged,
-            tick_reports=tuple(reports),
         )

@@ -20,7 +20,6 @@ generation keying at lookup time.
 
 from __future__ import annotations
 
-from repro.common.errors import ObjectStoreError
 from repro.plasma.buffer import RemoteBufferSource, RemoteReadIntegrity
 
 
@@ -86,13 +85,6 @@ class CachedBufferSource:
         self.charge_read(offset, size)
         return self.view(offset, size)
 
-    def timed_write(self, offset: int, data) -> float:
-        raise ObjectStoreError("cache-served buffers are read-only")
-
-    def charge_write(self, offset: int, size: int) -> float:
-        raise ObjectStoreError("cache-served buffers are read-only")
-
-
 class TierBufferSource:
     """A RemoteBufferSource with a hot-object byte cache in front."""
 
@@ -119,12 +111,6 @@ class TierBufferSource:
 
     def view(self, offset: int, size: int):
         return self._inner.view(offset, size)
-
-    def timed_write(self, offset: int, data) -> float:
-        return self._inner.timed_write(offset, data)
-
-    def charge_write(self, offset: int, size: int) -> float:
-        return self._inner.charge_write(offset, size)
 
     # -- the cached read path -----------------------------------------------------
 

@@ -204,7 +204,6 @@ def _config_for(scenario: Scenario, seed: int) -> ClusterConfig:
         tracing = SpanConfig(
             sample_rate=trspec.sample_rate,
             tail_percentile=trspec.tail_percentile,
-            flight_capacity=trspec.flight_capacity,
         )
     return replace(
         config,

@@ -280,7 +280,6 @@ class TracingSpec:
     enabled: bool = True
     sample_rate: float = knob(1.0, lo=0.0, hi=1.0)
     tail_percentile: float = knob(0.99, lo=0.0, hi=1.0)
-    flight_capacity: int = knob(512, lo=1)
 
 
 # --------------------------------------------------------------------------- tiering
@@ -297,7 +296,7 @@ class TieringSpec:
     their readers and demotes cold sealed objects to capacity-rich nodes,
     budgeted ``bytes_per_tick_mib`` per engine tick, one tick every
     ``tick_every_ops`` executed operations. The admission sketch, heat
-    sampling and demotion watermarks keep :class:`TierConfig`'s defaults.
+    sampling and demotion watermarks are constants of :mod:`repro.tier`.
     Absent, the tier plane is never built and artifacts are
     byte-identical to previous schema versions.
     """

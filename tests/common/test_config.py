@@ -8,7 +8,11 @@ from repro.common.config import (
     ClusterConfig,
     FabricLinkConfig,
     LocalMemoryConfig,
+    PlacementConfig,
+    RpcConfig,
+    SpanConfig,
     StoreConfig,
+    TierConfig,
 )
 from repro.common.config import testing_config as make_testing_config
 from repro.common.units import GiB, MiB
@@ -45,14 +49,13 @@ class TestValidation:
         ClusterConfig().validate()
 
     def test_bad_allocator_rejected(self):
-        cfg = ClusterConfig().with_store(allocator="slab")
-        with pytest.raises(ValueError, match="allocator"):
-            cfg.validate()
+        # Every store is first-fit: the selector is gone, any value refused.
+        with pytest.raises(TypeError, match="allocator"):
+            ClusterConfig().with_store(allocator="slab")
 
     def test_bad_alignment_rejected(self):
-        cfg = ClusterConfig().with_store(alignment=48)
-        with pytest.raises(ValueError, match="alignment"):
-            cfg.validate()
+        with pytest.raises(TypeError, match="alignment"):
+            ClusterConfig().with_store(alignment=48)
 
     def test_zero_capacity_rejected(self):
         cfg = ClusterConfig().with_store(capacity_bytes=0)
@@ -60,10 +63,9 @@ class TestValidation:
             cfg.validate()
 
     def test_disaggregated_fraction_bounds(self):
-        cfg = dataclasses.replace(ClusterConfig(), disaggregated_fraction=0.0)
-        with pytest.raises(ValueError):
-            cfg.validate()
-        dataclasses.replace(ClusterConfig(), disaggregated_fraction=1.0).validate()
+        # The whole store region is disaggregated; the fraction is gone.
+        with pytest.raises(TypeError, match="disaggregated_fraction"):
+            dataclasses.replace(ClusterConfig(), disaggregated_fraction=0.5)
 
     def test_negative_bandwidth_rejected(self):
         bad = dataclasses.replace(
@@ -79,9 +81,9 @@ class TestHelpers:
         assert ClusterConfig().with_seed(7).seed == 7
 
     def test_with_store_overrides(self):
-        cfg = ClusterConfig().with_store(capacity_bytes=MiB, allocator="buddy")
+        cfg = ClusterConfig().with_store(capacity_bytes=MiB, eviction_policy="fifo")
         assert cfg.store.capacity_bytes == MiB
-        assert cfg.store.allocator == "buddy"
+        assert cfg.store.eviction_policy == "fifo"
 
     def test_testing_config_is_small_and_valid(self):
         cfg = make_testing_config()
@@ -92,4 +94,34 @@ class TestHelpers:
         with pytest.raises(dataclasses.FrozenInstanceError):
             ClusterConfig().seed = 1  # type: ignore[misc]
         with pytest.raises(dataclasses.FrozenInstanceError):
-            StoreConfig().alignment = 128  # type: ignore[misc]
+            StoreConfig().capacity_bytes = 128  # type: ignore[misc]
+
+
+#: Fields no run, scenario, PERF workload, golden or benchmark ever set to
+#: anything but the default: each is now a constant at its one reader.
+DELETED_FIELDS = [
+    (StoreConfig, "allocator", "buddy"),
+    (StoreConfig, "alignment", 128),
+    (StoreConfig, "eviction_batch_fraction", 0.5),
+    (ClusterConfig, "disaggregated_fraction", 0.5),
+    (RpcConfig, "stream_chunk_bytes", 1024),
+    (PlacementConfig, "vnodes", 16),
+    (PlacementConfig, "capacity_high_watermark", 0.9),
+    (PlacementConfig, "min_capacity_factor", 0.1),
+    (TierConfig, "sketch_width", 1024),
+    (TierConfig, "sketch_depth", 2),
+    (TierConfig, "heat_sample_rate", 0.5),
+    (TierConfig, "demote_watermark", 0.9),
+    (TierConfig, "demote_target", 0.5),
+    (SpanConfig, "flight_capacity", 64),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,name,value", DELETED_FIELDS,
+    ids=[f"{cls.__name__}.{name}" for cls, name, _ in DELETED_FIELDS],
+)
+def test_deleted_field_is_refused(cls, name, value):
+    assert name not in {f.name for f in dataclasses.fields(cls)}
+    with pytest.raises(TypeError, match=name):
+        cls(**{name: value})

@@ -1,69 +1,15 @@
-"""RunningStats (Welford), Distribution quantiles, counters."""
+"""Distribution quantiles and summaries."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.stats import Distribution, RunningStats
+from repro.common.stats import Distribution
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
 )
-
-
-class TestRunningStats:
-    def test_empty_raises(self):
-        s = RunningStats()
-        with pytest.raises(ValueError):
-            _ = s.mean
-        with pytest.raises(ValueError):
-            _ = s.min
-
-    def test_single_sample(self):
-        s = RunningStats()
-        s.add(5.0)
-        assert s.mean == 5.0
-        assert s.variance == 0.0
-        assert s.min == s.max == 5.0
-
-    def test_known_values(self):
-        s = RunningStats()
-        s.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert s.mean == pytest.approx(5.0)
-        assert s.stdev == pytest.approx(math.sqrt(32.0 / 7.0))
-        assert s.count == 8
-        assert (s.min, s.max) == (2.0, 9.0)
-
-    @given(st.lists(finite_floats, min_size=2, max_size=200))
-    def test_matches_batch_computation(self, xs):
-        s = RunningStats()
-        s.extend(xs)
-        mean = sum(xs) / len(xs)
-        var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
-        assert s.mean == pytest.approx(mean, rel=1e-9, abs=1e-6)
-        assert s.variance == pytest.approx(var, rel=1e-6, abs=1e-6)
-
-    @given(
-        st.lists(finite_floats, min_size=1, max_size=50),
-        st.lists(finite_floats, min_size=1, max_size=50),
-    )
-    def test_merge_equals_concatenation(self, xs, ys):
-        a, b, c = RunningStats(), RunningStats(), RunningStats()
-        a.extend(xs)
-        b.extend(ys)
-        c.extend(xs + ys)
-        merged = a.merge(b)
-        assert merged.count == c.count
-        assert merged.mean == pytest.approx(c.mean, rel=1e-9, abs=1e-6)
-        assert merged.variance == pytest.approx(c.variance, rel=1e-6, abs=1e-6)
-        assert merged.min == c.min and merged.max == c.max
-
-    def test_merge_with_empty(self):
-        a, b = RunningStats(), RunningStats()
-        a.extend([1.0, 2.0])
-        assert a.merge(b).mean == pytest.approx(1.5)
-        assert b.merge(a).count == 2
 
 
 class TestDistribution:

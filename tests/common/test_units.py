@@ -9,7 +9,6 @@ from repro.common.units import (
     KiB,
     MB,
     MiB,
-    format_bytes,
     format_duration_ns,
     gib_per_s,
 )
@@ -29,18 +28,6 @@ class TestConstants:
     def test_paper_size_mapping(self):
         # Table I "100000 kB" objects are ~95.4 MiB.
         assert 100_000 * KB / MiB == pytest.approx(95.367, abs=0.001)
-
-
-class TestFormatBytes:
-    def test_ranges(self):
-        assert format_bytes(512) == "512 B"
-        assert format_bytes(2 * KiB) == "2.00 KiB"
-        assert format_bytes(3 * MiB) == "3.00 MiB"
-        assert format_bytes(5 * GiB) == "5.00 GiB"
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            format_bytes(-1)
 
 
 class TestFormatDuration:

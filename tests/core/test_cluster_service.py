@@ -129,12 +129,3 @@ class TestStoreServiceRpc:
         with pytest.raises(RpcStatusError) as excinfo:
             stub.Lookup({"object_ids": [b"short"]})
         assert excinfo.value.code is StatusCode.INVALID_ARGUMENT
-
-    def test_stats_method(self, cluster):
-        p = cluster.client("node0")
-        p.put_bytes(cluster.new_object_id(), b"counted")
-        stub = self._stub(cluster)
-        response = stub.Stats({})
-        assert response["objects"] == 1
-        assert response["node"] == "node0"
-        assert response["capacity_bytes"] > 0

@@ -207,7 +207,7 @@ def test_eviction_round_reaches_only_its_victims_sharers(mode, rpc_log):
 
     client.put_bytes(oid_homed_at(cluster, "node0"), b"n" * SIZE)
 
-    victims = [note.object_id for note in feed.drain() if note.deleted]
+    victims = [note.object_id for note in list(iter(feed.pop, None)) if note.deleted]
     assert len(victims) == 13 and oids[-1] not in victims
     notified = [
         (host, ids) for host, method, ids in rpc_log if method == "NotifyDeleted"

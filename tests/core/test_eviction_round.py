@@ -73,7 +73,7 @@ def evict_one_round(cluster: Cluster) -> list[ObjectID]:
     store = cluster.store("node0")
     feed = store.subscribe()
     cluster.client("node0").put_bytes(oid_homed_at(cluster, "node0"), b"n" * SIZE)
-    return [note.object_id for note in feed.drain() if note.deleted]
+    return [note.object_id for note in list(iter(feed.pop, None)) if note.deleted]
 
 
 def notified(rpc_log, node: str) -> list[list[ObjectID]]:
@@ -186,7 +186,7 @@ def test_forced_evict_announces_one_round_too(rpc_log):
 
     freed = store.evict(5 * SIZE)
 
-    victims = [note.object_id for note in feed.drain() if note.deleted]
+    victims = [note.object_id for note in list(iter(feed.pop, None)) if note.deleted]
     assert freed >= 5 * SIZE and len(victims) == VICTIMS  # the batch floor
     assert notified(rpc_log, "node1") == [victims]
     assert notified(rpc_log, "node2") == [victims]

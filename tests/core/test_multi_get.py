@@ -1,4 +1,4 @@
-"""multi_get/multi_put and the cluster rpc_mode switch.
+"""multi_get and the cluster rpc_mode switch.
 
 Covers the client-visible face of the async RPC core: batched multi-object
 operations in both modes, mode-flip validation, coalesced lookups on the
@@ -9,22 +9,18 @@ from dataclasses import replace
 
 import pytest
 
-from repro.common.config import PlacementConfig
 from repro.common.config import testing_config as small_cluster_config
 from repro.common.errors import ObjectNotFoundError
 from repro.common.units import MiB
 from repro.core import Cluster
 
 
-def make_cluster(mode: str = "sync", *, n_nodes: int = 2, placement: bool = False,
-                 **cfg_over) -> Cluster:
+def make_cluster(mode: str = "sync", *, n_nodes: int = 2, **cfg_over) -> Cluster:
     cfg = small_cluster_config(capacity_bytes=32 * MiB, seed=99)
     if cfg_over:
         cfg = replace(cfg, rpc=replace(cfg.rpc, **cfg_over))
     cluster = Cluster(
-        replace(cfg, placement=PlacementConfig() if placement else None).with_store(
-            check_remote_uniqueness=False
-        ),
+        cfg.with_store(check_remote_uniqueness=False),
         n_nodes,
     )
     if mode != "sync":
@@ -142,31 +138,3 @@ class TestAsyncMultiGet:
             return out, cluster.clock.now_ns
 
         assert run() == run()
-
-
-class TestAsyncMultiPut:
-    def test_roundtrip_across_nodes(self):
-        cluster = make_cluster("async")
-        writer = cluster.client("node0")
-        ids = cluster.new_object_ids(5)
-        items = [(oid, bytes([i + 1]) * 128) for i, oid in enumerate(ids)]
-        assert writer.multi_put(items) == ids
-        out = cluster.client("node1").multi_get(ids)
-        assert out == [payload for _, payload in items]
-
-    def test_placement_routes_forwarded_creates(self):
-        cluster = make_cluster("async", n_nodes=3, placement=True)
-        writer = cluster.client("node0")
-        ids = cluster.new_object_ids(12)
-        items = [(oid, b"p" * 256) for oid in ids]
-        writer.multi_put(items)
-        assert writer.counters.get("puts_forwarded") > 0
-        out = cluster.client("node2").multi_get(ids)
-        assert all(o == b"p" * 256 for o in out)
-
-    def test_sync_multi_put_uses_batch_path(self):
-        cluster = make_cluster("sync")
-        writer = cluster.client("node0")
-        ids = cluster.new_object_ids(3)
-        writer.multi_put([(oid, b"s" * 32) for oid in ids])
-        assert cluster.client("node1").multi_get(ids) == [b"s" * 32] * 3

@@ -83,7 +83,7 @@ def test_sync_mode_never_schedules_on_the_loop(monkeypatch):
         raise AssertionError("sync mode scheduled work on the event loop")
 
     monkeypatch.setattr(EventLoop, "spawn", forbidden)
-    monkeypatch.setattr(EventLoop, "call_at", forbidden)
+    monkeypatch.setattr(EventLoop, "call_later", forbidden)
 
     cluster = make_cluster("sync", capacity=1 * MiB)
     writer, reader = cluster.client("node1"), cluster.client("node2")

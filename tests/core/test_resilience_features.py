@@ -1,4 +1,4 @@
-"""Node-failure resilience, allow-missing gets, cross-node subscriptions."""
+"""Node-failure resilience and allow-missing gets."""
 
 import pytest
 
@@ -96,62 +96,3 @@ class TestAllowMissing:
         c = cluster.client("node1")
         with pytest.raises(ObjectNotFoundError):
             c.get([cluster.new_object_id()])
-
-
-class TestRemoteSubscription:
-    def test_cross_node_notification_relay(self, cluster):
-        producer = cluster.client("node0")
-        consumer = cluster.client("node1")
-        feed = consumer.subscribe_remote("node0")
-        assert feed.home == "node0"
-        assert feed.poll() == []
-        ids = cluster.new_object_ids(3)
-        for oid in ids:
-            producer.put_bytes(oid, b"announced")
-        notes = feed.poll()
-        assert [n.object_id for n in notes] == ids
-        assert all(not n.deleted for n in notes)
-
-    def test_deletions_flow_through(self, cluster):
-        producer = cluster.client("node0")
-        consumer = cluster.client("node1")
-        feed = consumer.subscribe_remote("node0")
-        oid = cluster.new_object_id()
-        producer.put_bytes(oid, b"brief")
-        producer.delete(oid)
-        notes = feed.poll()
-        assert [n.deleted for n in notes] == [False, True]
-
-    def test_polls_are_incremental(self, cluster):
-        producer = cluster.client("node0")
-        consumer = cluster.client("node1")
-        feed = consumer.subscribe_remote("node0")
-        producer.put_bytes(cluster.new_object_id(), b"one")
-        assert len(feed.poll()) == 1
-        assert feed.poll() == []
-        producer.put_bytes(cluster.new_object_id(), b"two")
-        assert len(feed.poll()) == 1
-
-    def test_independent_subscriptions(self, cluster):
-        producer = cluster.client("node0")
-        c1 = cluster.client("node1")
-        feed_a = c1.subscribe_remote("node0")
-        feed_b = c1.subscribe_remote("node0")
-        producer.put_bytes(cluster.new_object_id(), b"fanout")
-        assert len(feed_a.poll()) == 1
-        assert len(feed_b.poll()) == 1  # both feeds saw it
-
-    def test_unknown_subscription_rejected(self, cluster):
-        from repro.common.errors import RpcStatusError
-
-        stub = cluster.store("node1").peer("node0").stub
-        with pytest.raises(RpcStatusError):
-            stub.PollNotifications({"subscription": 999})
-
-    def test_each_poll_costs_one_rpc(self, cluster):
-        consumer = cluster.client("node1")
-        feed = consumer.subscribe_remote("node0")
-        before = cluster.clock.now_ns
-        feed.poll()
-        elapsed_ms = (cluster.clock.now_ns - before) / 1e6
-        assert 1.0 < elapsed_ms < 5.0  # a gRPC round trip

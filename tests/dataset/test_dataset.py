@@ -201,40 +201,6 @@ class TestShuffle:
         assert after > before
 
 
-class TestDistributedSort:
-    def test_collect_is_globally_sorted(self, cluster3, np_rng):
-        arrays = [np_rng.integers(0, 10**9, size=2000) for _ in range(5)]
-        ds = DistributedDataset.from_arrays(cluster3, arrays)
-        result = ds.sort(num_partitions=4).collect()
-        whole = np.concatenate(arrays)
-        assert np.array_equal(result, np.sort(whole))
-
-    def test_sort_conserves_duplicates(self, cluster3):
-        arrays = [np.array([5, 1, 5, 3] * 50), np.array([5, 5, 2, 2] * 50)]
-        ds = DistributedDataset.from_arrays(cluster3, arrays)
-        result = ds.sort(num_partitions=3).collect()
-        assert np.array_equal(result, np.sort(np.concatenate(arrays)))
-
-    def test_sort_single_output_partition(self, cluster3):
-        ds, arrays = make_ds(cluster3, n_parts=3, rows=200)
-        result = ds.sort(num_partitions=1)
-        assert result.num_partitions == 1
-        assert np.array_equal(result.collect(), np.sort(np.concatenate(arrays)))
-
-    def test_sort_balance_is_reasonable(self, cluster3, np_rng):
-        arrays = [np_rng.integers(0, 10**6, size=3000) for _ in range(4)]
-        ds = DistributedDataset.from_arrays(cluster3, arrays)
-        result = ds.sort(num_partitions=4)
-        rows = [p.rows for p in result.partitions]
-        assert max(rows) < 3 * min(rows)  # sampling keeps buckets sane
-
-    def test_sort_of_already_sorted_input(self, cluster3):
-        arrays = [np.arange(i * 100, (i + 1) * 100) for i in range(3)]
-        ds = DistributedDataset.from_arrays(cluster3, arrays)
-        result = ds.sort(num_partitions=3).collect()
-        assert np.array_equal(result, np.arange(300))
-
-
 class TestLifecycle:
     def test_drop_deletes_objects(self, cluster3):
         ds, _ = make_ds(cluster3, n_parts=3)

@@ -26,6 +26,10 @@ from repro.obs.spans import (
     SpanConfig,
 )
 
+#: Each node's flight-ring size (``SpanConfig.flight_capacity`` until that
+#: knob, which nothing set, became a constant).
+FLIGHT_CAPACITY = 512
+
 
 class SpanRecord:
     """One finished span of simulated time.
@@ -366,9 +370,7 @@ class SpanSink:
         node = record.node or "sim"
         recorder = self._flight.get(node)
         if recorder is None:
-            recorder = self._flight[node] = FlightRecorder(
-                self._config.flight_capacity
-            )
+            recorder = self._flight[node] = FlightRecorder(FLIGHT_CAPACITY)
         recorder.record(record)
         self._buffer.append(record)
         if span.is_root:

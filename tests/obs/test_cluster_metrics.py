@@ -65,7 +65,7 @@ class TestClusterMetrics:
         )
         telemetry = cluster.metrics()
         assert isinstance(telemetry, Telemetry)
-        assert set(telemetry.nodes()) == {"node0", "node1", "fabric"}
+        assert set(telemetry.snapshot()) == {"node0", "node1", "fabric"}
         assert cluster.registry("node0").node == "node0"
 
     def test_metrics_requires_flag(self):

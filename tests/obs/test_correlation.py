@@ -28,21 +28,17 @@ class TestCorrelationContext:
         ctx.end()
         assert ctx.current is None
 
-    def test_operation_context_manager(self):
-        ctx = CorrelationContext()
-        with ctx.operation() as rid:
-            assert ctx.current == rid
-        assert ctx.current is None
-
     def test_resumed_reenters_existing_id(self):
         """A deferred completion (fabric read) re-enters the scope of the
         request that created the buffer, not a fresh id."""
         ctx = CorrelationContext()
-        with ctx.operation() as rid:
-            pass
-        with ctx.resumed(rid):
-            assert ctx.current == rid
+        rid = ctx.begin()
+        ctx.end()
+        assert ctx.begin(rid) == rid
+        assert ctx.current == rid
+        ctx.end()
         assert ctx.current is None
+        assert ctx.mint() == "req-000002"  # resuming minted nothing
 
 
 class TestEndToEndCorrelation:

@@ -3,8 +3,6 @@ edge cases and the cross-node Telemetry views."""
 
 from pathlib import Path
 
-import pytest
-
 from repro.obs.export import Telemetry, render_prometheus
 from repro.obs.metrics import MetricsRegistry
 
@@ -93,30 +91,6 @@ class TestGoldenScrape:
 
 
 class TestTelemetry:
-    def test_merged_counters_sum_across_nodes(self):
-        telemetry = Telemetry(
-            {r.node: r for r in _build_registries()}
-        )
-        merged = telemetry.merged()
-        assert merged["counters"]["rpc_calls"] == 7.0
-
-    def test_merged_histogram_quantiles_are_exact(self):
-        """Merging concatenates raw per-node samples, so merged quantiles
-        equal quantiles over the union — not an approximation."""
-        n0 = MetricsRegistry(node="n0")
-        n1 = MetricsRegistry(node="n1")
-        a = n0.histogram("lat", labels=()).labels()
-        b = n1.histogram("lat", labels=()).labels()
-        for v in (1.0, 2.0, 3.0):
-            a.observe(v)
-        for v in (4.0, 5.0):
-            b.observe(v)
-        merged = Telemetry({"n0": n0, "n1": n1}).merged()
-        entry = merged["histograms"]["lat"]
-        assert entry["count"] == 5
-        assert entry["quantiles"]["0.5"] == pytest.approx(3.0)
-        assert entry["max"] == 5.0
-
     def test_top_latency_orders_by_total(self):
         registries = {r.node: r for r in _build_registries()}
         rows = Telemetry(registries).top_latency(k=3)

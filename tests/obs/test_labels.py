@@ -1,6 +1,8 @@
-"""group_by_label / Telemetry.by_label: slicing metrics by one label."""
+"""group_by_label: slicing metrics by one label."""
 
-from repro.obs import MetricsRegistry, Telemetry, group_by_label
+from repro.common.config import ClusterConfig
+from repro.core import Cluster
+from repro.obs import MetricsRegistry, group_by_label
 
 
 def _registry(node: str) -> MetricsRegistry:
@@ -46,9 +48,18 @@ class TestGroupByLabel:
         assert group_by_label([_registry("n0")], "zone") == {}
 
 
-class TestTelemetryByLabel:
-    def test_by_label_delegates(self):
-        telemetry = Telemetry({"n0": _registry("n0"), "n1": _registry("n1")})
-        grouped = telemetry.by_label("tenant")
-        assert set(grouped) == {"a", "b"}
-        assert grouped["a"]["counters"]["ops_total"] == 6
+class TestGroupByLabelOverACluster:
+    def test_slices_every_node_registry_by_store(self):
+        """The cluster-wide slicing the workload plane relies on: one
+        group_by_label over every node's registry."""
+        cluster = Cluster(ClusterConfig(metrics=True))
+        oid = cluster.new_object_id()
+        cluster.client("node0").put_bytes(oid, b"x" * 64)
+        cluster.client("node1").get_bytes(oid)
+        grouped = group_by_label(
+            [cluster.registry(name) for name in cluster.node_names()], "store"
+        )
+        assert set(grouped) == {"node0", "node1"}
+        assert grouped["node0"]["counters"]["plasma_objects_sealed"] == 1
+        assert grouped["node1"]["counters"]["plasma_gets_remote"] == 1
+        assert grouped["node1"]["histograms"]["plasma_get_latency_ns"]["count"] == 1

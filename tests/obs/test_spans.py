@@ -174,8 +174,9 @@ class TestFlightRecorder:
         assert ring.dropped == 2
         assert len(ring) == 3
 
-    def test_per_node_rings_and_dump_shape(self):
-        clock, sink = make_sink(flight_capacity=2)
+    def test_per_node_rings_and_dump_shape(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.spans.FLIGHT_CAPACITY", 2)
+        clock, sink = make_sink()
         build_reference_tree(sink, clock)
         dump = sink.flight_dump()
         assert dump["schema_version"] == 1
@@ -188,9 +189,11 @@ class TestFlightRecorder:
             "StoreService.Get", "StoreService.Get",
         ]
 
-    def test_dump_is_deterministic(self):
+    def test_dump_is_deterministic(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.spans.FLIGHT_CAPACITY", 4)
+
         def run() -> str:
-            clock, sink = make_sink(flight_capacity=4)
+            clock, sink = make_sink()
             build_reference_tree(sink, clock)
             return json.dumps(sink.flight_dump(), sort_keys=True)
 

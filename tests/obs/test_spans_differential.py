@@ -159,13 +159,25 @@ def first_difference(ref, new, path: str = "") -> str | None:
     return None
 
 
-def assert_same(steps: list[tuple], seed: int = 7, **config) -> dict:
+def assert_same(
+    steps: list[tuple], seed: int = 7, flight_capacity: int | None = None, **config
+) -> dict:
     """Run *steps* on both sinks; every observation — key order included,
-    the exports are written as ordered JSON — must agree."""
-    worlds = [World(module, seed, **config) for module in (reference, production)]
-    for world in worlds:
-        world.run(steps)
-    ref, new = (world.observed() for world in worlds)
+    the exports are written as ordered JSON — must agree. *flight_capacity*
+    shrinks both sinks' per-node rings for the run."""
+    modules = (reference, production)
+    saved = [module.FLIGHT_CAPACITY for module in modules]
+    try:
+        if flight_capacity is not None:
+            for module in modules:
+                module.FLIGHT_CAPACITY = flight_capacity
+        worlds = [World(module, seed, **config) for module in modules]
+        for world in worlds:
+            world.run(steps)
+        ref, new = (world.observed() for world in worlds)
+    finally:
+        for module, value in zip(modules, saved):
+            module.FLIGHT_CAPACITY = value
     difference = first_difference(ref, new)
     if difference is not None:
         pytest.fail(f"production sink differs from the reference at {difference}")

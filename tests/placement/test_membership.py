@@ -19,7 +19,7 @@ class TestMembership:
         m = Membership(["a", "b"])
         assert m.join("c").epoch == 2
         assert m.drain("c").epoch == 3
-        assert m.mark_down("b").epoch == 4
+        assert m.reconcile({"b"}).epoch == 4
         assert m.reactivate("b").epoch == 5
         assert m.remove("c").epoch == 6
 
@@ -34,20 +34,20 @@ class TestMembership:
         m.drain("b")
         view = m.view()
         assert view.placeable_names() == ["a", "c"]
-        assert view.readable_names() == ["a", "b", "c"]
+        assert view.status("b") is NodeStatus.DRAINING
 
     def test_down_member_is_neither(self):
         m = Membership(["a", "b", "c"])
-        m.mark_down("b")
+        m.reconcile({"b"})
         view = m.view()
         assert view.placeable_names() == ["a", "c"]
-        assert view.readable_names() == ["a", "c"]
+        assert view.status("b") is NodeStatus.DOWN
 
     def test_idempotent_transitions_do_not_bump(self):
         m = Membership(["a", "b"])
-        m.mark_down("b")
+        m.reconcile({"b"})
         epoch = m.epoch
-        assert m.mark_down("b").epoch == epoch
+        assert m.reconcile({"b"}) is None
         assert m.reactivate("a").epoch == epoch
 
     def test_bad_transitions_raise(self):

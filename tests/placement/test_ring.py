@@ -57,14 +57,6 @@ class TestHashRing:
                 stayed += 1
         assert moved > 0 and stayed > 0
 
-    def test_preference_is_distinct_and_starts_at_home(self, ids):
-        ring = HashRing({f"n{i}": 1.0 for i in range(4)})
-        for oid in make_ids(ids, 50):
-            pref = ring.preference(oid, 3)
-            assert len(pref) == 3
-            assert len(set(pref)) == 3
-            assert pref[0] == ring.home(oid)
-
     def test_empty_ring_raises(self, ids):
         ring = HashRing({})
         with pytest.raises(PlacementError):

@@ -221,7 +221,7 @@ class TestEvictionUnderPressure:
         for i in range(n_fit):  # headers: the last one no longer fits
             client.put_bytes(oid(i), bytes(MiB))
         store.evict(MiB)
-        evicted = [note.object_id for note in feed.drain() if note.deleted]
+        evicted = [note.object_id for note in list(iter(feed.pop, None)) if note.deleted]
         assert len(rounds) == 2 and len(rounds[0]) > 1
         assert rounds[0] + rounds[1] == evicted
         assert evicted[:2] == [oid(0), oid(1)]
@@ -234,7 +234,7 @@ class TestNotifications:
     def test_seal_notifies_subscribers(self, client, store):
         queue = store.subscribe()
         client.put_bytes(oid(1), b"announce")
-        notes = queue.drain()
+        notes = list(iter(queue.pop, None))
         assert len(notes) == 1
         assert notes[0].object_id == oid(1)
         assert notes[0].data_size == 8
@@ -244,14 +244,14 @@ class TestNotifications:
         queue = store.subscribe()
         client.put_bytes(oid(1), b"x")
         client.delete(oid(1))
-        notes = queue.drain()
+        notes = list(iter(queue.pop, None))
         assert notes[-1].deleted
 
     def test_eviction_notifies(self, client, store):
         queue = store.subscribe()
         for i in range(store.capacity_bytes // MiB + 2):
             client.put_bytes(oid(i), bytes(MiB))
-        assert any(n.deleted for n in queue.drain())
+        assert any(n.deleted for n in list(iter(queue.pop, None)))
 
     def test_pop_and_len(self, client, store):
         queue = store.subscribe()

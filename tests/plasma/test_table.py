@@ -158,9 +158,7 @@ class TestIntrospection:
         t = ObjectTable()
         for i in range(3):
             t.insert(entry(i))
-        seen = []
-        t.for_each(lambda e: seen.append(e.object_id))
-        assert len(seen) == 3
+        assert sorted(e.object_id for e in t) == [entry(i).object_id for i in range(3)]
 
 
 class TestThreadSafety:

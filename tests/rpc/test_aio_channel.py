@@ -9,7 +9,7 @@ from repro.common.config import RpcConfig
 from repro.common.errors import RpcStatusError
 from repro.common.rng import DeterministicRng
 from repro.rpc import Channel, RpcServer, Service, StatusCode, rpc_method
-from repro.rpc.aio import EventLoop, Sleep, TaskAttribution
+from repro.rpc.aio import EventLoop, TaskAttribution
 
 
 class DirService(Service):
@@ -300,45 +300,22 @@ class TestAttributionObservesOnly:
 
 
 class TestStreamingPull:
-    def test_task_form_interleaves_with_other_tasks(self):
-        # Use a stub region: what matters here is that the task yields
-        # between chunks so another task can run mid-transfer.
-        from repro.rpc.aio.streaming import stream_pull, stream_pull_task
+    def test_pull_charges_each_chunk_and_reassembles_the_payload(self):
+        # A stub region: what matters is the slicing and the per-slice charge.
+        from repro.rpc.aio.streaming import stream_pull
+
+        charged = []
 
         class Region:
-            def __init__(self, payload, clock):
-                self.payload = payload
-                self.clock = clock
-
             def view(self, offset, size):
-                return memoryview(self.payload)[offset:offset + size]
+                return memoryview(payload)[offset:offset + size]
 
             def charge_read(self, size):
-                self.clock.advance(size * 10)
+                charged.append(size)
 
-        clock = SimClock()
-        loop = EventLoop(clock, DeterministicRng(3))
         payload = bytes(range(256)) * 16  # 4096 B
-        region = Region(payload, clock)
-
-        assert stream_pull(region, 0, len(payload), chunk_bytes=1024) == payload
-
-        marks = []
-
-        def pull():
-            data = yield from stream_pull_task(
-                region, 0, len(payload), chunk_bytes=1024)
-            return data
-
-        def observer():
-            for _ in range(3):
-                yield Sleep(5_000)
-                marks.append(clock.now_ns)
-
-        task = loop.spawn(pull())
-        loop.spawn(observer())
-        assert loop.run_until_complete(task) == payload
-        pull_done_ns = clock.now_ns
-        loop.drain()
-        # The observer got scheduler slots while the pull was in progress.
-        assert marks and marks[0] < pull_done_ns
+        assert stream_pull(Region(), 0, len(payload), chunk_bytes=1024) == payload
+        assert charged == [1024] * 4
+        charged.clear()
+        assert stream_pull(Region(), 100, 3000, chunk_bytes=1024) == payload[100:3100]
+        assert charged == [1024, 1024, 952]

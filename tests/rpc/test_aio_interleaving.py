@@ -113,7 +113,7 @@ def run_schedule(seed: int) -> list[tuple[int, str, str]]:
 
     def delete_factory(client, obj: int):
         def factory():
-            yield from client.delete_task(ObjectID.from_int(obj))
+            yield from client.store.delete_object_task(ObjectID.from_int(obj))
             return b"deleted:%d" % obj
 
         return factory

@@ -12,6 +12,13 @@ def make_loop(seed: int = 7) -> EventLoop:
     return EventLoop(SimClock(), DeterministicRng(seed))
 
 
+def resolved(loop: EventLoop, value) -> Future:
+    """A future already resolved with *value* (awaiting it continues inline)."""
+    fut = Future(loop)
+    fut.set_result(value)
+    return fut
+
+
 def sleeper(log, name, delta_ns, loop):
     yield Sleep(delta_ns)
     log.append((name, loop.now_ns))
@@ -107,7 +114,7 @@ class TestScheduling:
     @pytest.mark.parametrize("drive", [
         lambda loop: loop.drain(),
         lambda loop: loop.run_until(5_000),
-        lambda loop: loop.run_until_complete(loop.completed(1)),
+        lambda loop: loop.run_until_complete(resolved(loop, 1)),
     ], ids=["drain", "run_until", "run_until_complete"])
     def test_driving_from_inside_a_handler_is_an_error(self, drive):
         # A driver's stop rule is its own: a second driver nested inside one
@@ -175,7 +182,7 @@ class TestFutures:
         loop = make_loop()
 
         def waiter():
-            value = yield loop.completed(7)
+            value = yield resolved(loop, 7)
             return value
 
         task = loop.spawn(waiter())

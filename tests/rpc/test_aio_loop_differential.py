@@ -76,6 +76,7 @@ class World:
 
     def __init__(self, module, seed: int):
         self.loop = module.EventLoop(SimClock(), DeterministicRng(seed))
+        self.future_type = module.Future
         self.futures = [module.Future(self.loop) for _ in range(N_FUTURES)]
         self.log: list[tuple[int, str]] = []
         self.sleeps = 0
@@ -98,7 +99,9 @@ class World:
             elif kind == "timer":
                 loop.call_later(step[1], lambda here=here: self.note(f"{here}:timer"))
             elif kind == "completed":
-                value = yield loop.completed(here)
+                done = self.future_type(loop)
+                done.set_result(here)
+                value = yield done
                 self.note(f"{value}:completed")
             elif kind == "await":
                 try:

@@ -251,11 +251,14 @@ class World:
 
     def blocking(self, call, *args, **kwargs) -> tuple:
         """A blocking call as one traced operation (when a sink is attached)."""
-        with self.correlation.operation():
+        self.correlation.begin()
+        try:
             if self.spans is None:
                 return outcome(call, *args, **kwargs)
             with self.spans.span("client", "op", CLIENT):
                 return outcome(call, *args, **kwargs)
+        finally:
+            self.correlation.end()
 
     def delayed_unary(self, delay, method, request, deadline):
         if delay:

@@ -4,8 +4,17 @@ import json
 
 import pytest
 
-from repro.simtest.ops import Op, make, ops_from_json, ops_to_json
+from repro.simtest.ops import Op, make
 from repro.simtest.workload import generate_ops
+
+
+def _to_json(ops):
+    """The trace file's op list, as ``RunResult.to_trace`` writes it."""
+    return json.dumps([op.to_obj() for op in ops], indent=2, sort_keys=True)
+
+
+def _from_json(text):
+    return [Op.from_obj(item) for item in json.loads(text)]
 
 
 def test_make_and_access():
@@ -36,10 +45,10 @@ def test_json_round_trip():
         make("advance", ms=60),
         make("rebalance"),
     ]
-    text = ops_to_json(ops)
-    assert ops_from_json(text) == ops
+    text = _to_json(ops)
+    assert _from_json(text) == ops
     # Stable serialization: re-encoding yields identical text.
-    assert ops_to_json(ops_from_json(text)) == text
+    assert _to_json(_from_json(text)) == text
 
 
 def test_from_obj_round_trip_via_plain_dicts():
@@ -55,4 +64,4 @@ def test_format_is_deterministic():
 def test_generated_ops_all_serialize():
     ops = generate_ops(7, 200)
     assert len(ops) == 200
-    assert ops_from_json(ops_to_json(ops)) == ops
+    assert _from_json(_to_json(ops)) == ops

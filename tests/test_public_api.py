@@ -85,7 +85,7 @@ class TestSharingSurface:
         assert [f.name for f in dataclasses.fields(repro.ClusterConfig)] == [
             "seed", "local_memory", "fabric", "ipc", "rpc", "lan", "store",
             "health", "chaos", "overload", "placement", "tier", "tracing",
-            "metrics", "sharing", "directory_buckets", "disaggregated_fraction",
+            "metrics", "sharing", "directory_buckets",
         ]
 
     def test_sharing_modes_are_exactly_these(self):
@@ -124,6 +124,60 @@ class TestRpcSurface:
             assert callable(getattr(repro.rpc.Channel, name)), name
 
 
+class TestReachedSurface:
+    """What no entry point the system runs ever executed is gone."""
+
+    def test_rpc_aio_exports_are_exactly_these(self):
+        import repro.rpc.aio
+
+        assert sorted(repro.rpc.aio.__all__) == [
+            "BATCHABLE_METHODS", "CoalescingBuffer", "EventLoop",
+            "EventLoopError", "Future", "Sleep", "Task", "TaskAttribution",
+            "stream_pull",
+        ]
+
+    def test_tier_exports_are_exactly_these(self):
+        import repro.tier
+
+        assert sorted(repro.tier.__all__) == [
+            "CachedBufferSource", "FrequencySketch", "HeatTracker",
+            "HotObjectCache", "TierAgent", "TierBufferSource", "TierEngine",
+            "TierTickReport",
+        ]
+
+    @pytest.mark.parametrize("module,owner,name", [
+        ("repro.core.client", "DisaggregatedClient", "subscribe_remote"),
+        ("repro.core.client", "DisaggregatedClient", "multi_put"),
+        ("repro.core.client", "DisaggregatedClient", "multi_put_task"),
+        ("repro.core.client", "DisaggregatedClient", "tier_stats"),
+        ("repro.core.client", "DisaggregatedClient", "delete_task"),
+        ("repro.core.service", "StoreService", "Subscribe"),
+        ("repro.core.service", "StoreService", "PollNotifications"),
+        ("repro.core.service", "StoreService", "Stats"),
+        ("repro.core.store", "DisaggregatedStore", "create_subscription"),
+        ("repro.core.store", "DisaggregatedStore", "poll_subscription"),
+        ("repro.plasma.notifications", "NotificationQueue", "drain"),
+        ("repro.tier.engine", "TierEngine", "run_until_converged"),
+        ("repro.obs.export", "Telemetry", "merged"),
+        ("repro.obs.export", "Telemetry", "by_label"),
+        ("repro.obs.export", "Telemetry", "nodes"),
+        ("repro.obs.export", "Telemetry", "registry"),
+        ("repro.obs.correlation", "CorrelationContext", "operation"),
+        ("repro.obs.correlation", "CorrelationContext", "resumed"),
+        ("repro.common.stats", None, "RunningStats"),
+        ("repro.core.client", None, "RemoteSubscription"),
+        ("repro.tier.engine", None, "TierConvergenceReport"),
+        ("repro.rpc.aio.streaming", None, "stream_pull_task"),
+    ])
+    def test_unreached_name_is_gone(self, module, owner, name):
+        import importlib
+
+        target = importlib.import_module(module)
+        if owner is not None:
+            target = getattr(target, owner)
+        assert not hasattr(target, name), f"{module}.{owner or ''}.{name}"
+
+
 class TestReadmeQuickstart:
     def test_readme_snippet_verbatim(self):
         """The exact code from README.md §Quickstart must work."""
@@ -143,11 +197,13 @@ class TestReadmeQuickstart:
         assert "Cluster" in (repro.__doc__ or "")
 
     def test_default_cluster_is_paper_shaped(self):
+        from repro.allocator import FirstFitAllocator
+
         cluster = repro.Cluster()
         assert len(cluster.node_names()) == 2  # the paper's 2-node system
         for name in cluster.node_names():
             store = cluster.store(name)
-            assert store.config.allocator == "first_fit"  # paper's allocator
+            assert type(store.allocator) is FirstFitAllocator  # paper's allocator
             assert store.sharing == "rpc"  # paper's sharing choice
 
 

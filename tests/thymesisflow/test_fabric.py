@@ -85,25 +85,6 @@ class TestApertures:
         assert rr.aperture.base >= 8 * MiB
         assert rr.size == 4 * MiB
 
-    def test_translate_local_and_remote(self, fabric):
-        rr_b = fabric.map_remote("a", "b")
-        amap = fabric.aperture_map("a")
-        ap, off = amap.translate(100, 10)
-        assert ap is None and off == 100  # local memory
-        ap, off = amap.translate(rr_b.aperture.base + 50, 10)
-        assert ap is rr_b.aperture and off == 50
-
-    def test_translate_unmapped_raises(self, fabric):
-        amap = fabric.aperture_map("a")
-        with pytest.raises(ApertureError):
-            amap.translate(10**12, 8)
-
-    def test_translate_straddling_window_edge_raises(self, fabric):
-        rr = fabric.map_remote("a", "b")
-        amap = fabric.aperture_map("a")
-        with pytest.raises(ApertureError):
-            amap.translate(rr.aperture.end - 4, 8)
-
     def test_multiple_windows_disjoint(self, fabric):
         rr_b = fabric.map_remote("a", "b")
         rr_c = fabric.map_remote("a", "c")
@@ -156,7 +137,7 @@ class TestRemoteRegionAccess:
         assert bytes(out) == b"OLD!"  # home is stale
         assert rr.read(0, 4) == b"NEW!"  # fabric readers are coherent
 
-    def test_load_store_single_access(self, fabric):
+    def test_load_is_a_single_access(self, fabric):
         home = fabric.endpoint("b")
         home.local_write(0, b"\x07" + b"\x00" * 7)
         rr = fabric.map_remote("a", "b")
@@ -164,8 +145,6 @@ class TestRemoteRegionAccess:
         word = rr.load(0, 8)
         assert word[0] == 7
         assert fabric.clock.now_ns - before >= FabricLinkConfig().added_latency_ns * 0.9
-        rr.store(8, b"\x01")
-        assert rr.read(8, 1) == b"\x01"
 
     def test_home_name(self, fabric):
         assert fabric.map_remote("a", "c").home_name == "c"

@@ -143,7 +143,6 @@ class TestTracingSpec:
         assert spec.enabled and spec.sample_rate == 1.0
 
     def test_roundtrip(self):
-        block = {"enabled": True, "sample_rate": 0.25, "tail_percentile": 0.9,
-                 "flight_capacity": 64}
+        block = {"enabled": True, "sample_rate": 0.25, "tail_percentile": 0.9}
         spec = Scenario.from_obj({"name": "t", "tracing": block}).tracing
         assert spec == TracingSpec(**block)
