@@ -51,7 +51,6 @@ KEEP_REASONS = {
               "a refused input, oracle bookkeeping after an eviction",
     "plasma-api": "the documented client surface (DESIGN §2)",
     "bench-option": "the body of an option no standing command selects",
-    "item-10": "the hashmap directory, until ROADMAP item 10 decides",
     "test-hook": "a small accessor or lifecycle call that a test of "
                  "documented behaviour makes",
     "debug": "a dunder",

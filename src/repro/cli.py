@@ -50,7 +50,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.common.config import SHARING_MODES, ClusterConfig
+from repro.common.config import ClusterConfig
 from repro.common.units import GiB, MiB, format_duration_ns
 
 
@@ -159,8 +159,6 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
             print("  " + fragmentation_report(name, alloc).format_row())
         return 0
 
-    from dataclasses import replace
-
     from repro.common.units import KB
     from repro.core import Cluster
 
@@ -187,10 +185,8 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
         from repro.baseline import ScaleOutCluster
 
         print("sharing-strategy ablation (50 x 1000 kB remote consumption):")
-        for sharing in SHARING_MODES:
-            cluster = Cluster(replace(cfg, sharing=sharing))
-            label = "rpc (paper)" if sharing == "rpc" else sharing
-            print(f"  {label:<14}: {run_remote_consumption(cluster):8.2f} ms")
+        cluster = Cluster(cfg)
+        print(f"  {'rpc (paper)':<14}: {run_remote_consumption(cluster):8.2f} ms")
         so = ScaleOutCluster(cfg)
         print(f"  {'scale-out':<14}: {run_remote_consumption(so):8.2f} ms")
         return 0

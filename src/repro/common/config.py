@@ -22,10 +22,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.common.units import GiB, MiB
 
-#: How stores share object metadata (paper §IV-A2): gRPC-model lookups,
-#: or a directory in disaggregated memory read by fabric loads.
-SHARING_MODES = ("rpc", "hashmap")
-
 
 @dataclass(frozen=True)
 class LocalMemoryConfig:
@@ -443,7 +439,7 @@ class ClusterConfig:
     """Everything needed to stand up a simulated cluster.
 
     The one description :class:`~repro.core.cluster.Cluster` builds from:
-    cost models, the sharing transport, and one optional sub-config per
+    cost models, the RPC metadata plane, and one optional sub-config per
     feature plane — ``None`` means the plane is off and nothing of it is
     constructed.
     """
@@ -466,11 +462,6 @@ class ClusterConfig:
     tracing: SpanConfig | None = None
     # Per-node metric registries and the cluster-wide telemetry view.
     metrics: bool = False
-    # How stores share objects: 'rpc' (the paper's gRPC lookups) or
-    # 'hashmap' (a directory in disaggregated memory read by fabric loads).
-    sharing: str = "rpc"
-    # Buckets of each node's hash directory ('hashmap' only).
-    directory_buckets: int = 4096
 
     def with_seed(self, seed: int) -> "ClusterConfig":
         return replace(self, seed=seed)
@@ -504,28 +495,6 @@ class ClusterConfig:
         for plane in (self.placement, self.tier, self.tracing):
             if plane is not None:
                 plane.validate()
-        if self.sharing not in SHARING_MODES:
-            raise ValueError(
-                f"sharing: unknown strategy {self.sharing!r}; have {SHARING_MODES}"
-            )
-        if self.directory_buckets < 1:
-            raise ValueError("directory_buckets must be >= 1")
-        if self.placement is not None and self.sharing == "hashmap":
-            # The hash directory is sized at build time for a fixed node
-            # count; elastic membership needs per-pair state that can grow
-            # and shrink.
-            raise ValueError(
-                "placement requires sharing='rpc' (the hash directory is "
-                "statically sized per node count), not 'hashmap'"
-            )
-        if self.store.share_usage and self.sharing == "hashmap":
-            # The paper's core argument for gRPC over the shared-data-
-            # structure approach: the one-way directory gives the home store
-            # no usage feedback, so remote pinning is impossible.
-            raise ValueError(
-                "store.share_usage: usage sharing requires the bidirectional "
-                "sharing strategy 'rpc', not 'hashmap'"
-            )
         if self.rpc.retry_budget_per_s < 0:
             raise ValueError("retry_budget_per_s must be non-negative")
         if self.rpc.retry_budget_burst < 1:

@@ -19,11 +19,9 @@ Public surface:
   ReleaseRef/NotifyDeleted) stores expose to peers.
 * Extensions the paper lists as future work, all implemented and
   benchmarked: :class:`LookupCache` (repeated-request caching),
-  distributed reference sharing (eviction safety for remote readers),
-  multi-node (>2) operation, and :class:`DisaggregatedHashMap` (the
-  "shared data structure in disaggregated memory" sharing alternative,
-  which replaces only lookups: every peer link stays one
-  :class:`~repro.rpc.channel.Channel`).
+  distributed reference sharing (eviction safety for remote readers) and
+  multi-node (>2) operation. The metadata plane is RPC only, as in the
+  paper: every peer link is one :class:`~repro.rpc.channel.Channel`.
 * Resilience layer (:mod:`repro.core.health`): heartbeat failure
   detection (:class:`HealthMonitor`), per-peer :class:`CircuitBreaker`
   gating every channel, RPC deadlines and exponential-backoff retries,
@@ -38,7 +36,6 @@ from repro.core.health import BreakerState, CircuitBreaker, HealthMonitor
 from repro.core.store import DisaggregatedStore
 from repro.core.client import DisaggregatedClient
 from repro.core.cluster import Cluster, ClusterNode
-from repro.core.sharing import DisaggregatedHashMap
 
 __all__ = [
     "StoreService",
@@ -52,5 +49,4 @@ __all__ = [
     "DisaggregatedClient",
     "Cluster",
     "ClusterNode",
-    "DisaggregatedHashMap",
 ]

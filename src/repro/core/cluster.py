@@ -1,12 +1,11 @@
 """Cluster builder: one call from config to a running disaggregated mesh.
 
 Reproduces the paper's deployment (Fig 5) for any node count: per node a
-ThymesisFlow endpoint whose exposed window hosts the store's objects (plus,
-optionally, the hash directory), an RPC server with the
-:class:`~repro.core.service.StoreService`, and for every ordered node pair
-a gRPC-style channel and a mapped aperture. The paper's prototype is the
-2-node instance; "the current system design allows for this [multi-node]
-modification" — here it is.
+ThymesisFlow endpoint whose exposed window is the store's region, an RPC
+server with the :class:`~repro.core.service.StoreService`, and for every
+ordered node pair a gRPC-style channel and a mapped aperture. The paper's
+prototype is the 2-node instance; "the current system design allows for
+this [multi-node] modification" — here it is.
 """
 
 from __future__ import annotations
@@ -24,11 +23,6 @@ from repro.core.client import DisaggregatedClient
 from repro.core.health import CircuitBreaker, HealthMonitor
 from repro.core.remote import PeerHandle
 from repro.core.service import StoreService
-from repro.core.sharing import (
-    DisaggregatedHashMap,
-    RemoteHashMapReader,
-    directory_bytes,
-)
 from repro.core.store import DisaggregatedStore
 from repro.network.ipc import IpcChannel
 from repro.obs.correlation import CorrelationContext
@@ -47,8 +41,6 @@ from repro.rpc.status import StatusCode
 from repro.thymesisflow.fabric import ThymesisFabric
 from repro.tier import TierAgent, TierEngine
 
-_DIRECTORY_ALIGN = 4096
-
 
 @dataclass
 class ClusterNode:
@@ -59,7 +51,6 @@ class ClusterNode:
     server: RpcServer
     ipc: IpcChannel
     monitor: HealthMonitor
-    directory: DisaggregatedHashMap | None = None
     channels: dict[str, Channel] = field(default_factory=dict)
 
     @property
@@ -122,20 +113,6 @@ class Cluster:
         # placement plane's migration machinery).
         self._tier_agents: dict[str, TierAgent] = {}
         self._tier_engine: TierEngine | None = None
-
-        # 'hashmap' puts each node's hash directory at offset 0 of its
-        # exposed region; the store's objects follow it.
-        self._use_directory = config.sharing == "hashmap"
-        dir_size = 0
-        if self._use_directory:
-            dir_size = -(-directory_bytes(config.directory_buckets) // _DIRECTORY_ALIGN)
-            dir_size *= _DIRECTORY_ALIGN
-
-        # Kept for recover_node() and add_node(): restarted/joining stores
-        # are built with the exact construction parameters of the seed set.
-        self._store_base = dir_size
-        self._store_capacity = config.store.capacity_bytes
-        self._exposed_size = self._store_base + self._store_capacity
 
         # Phase 1: nodes, endpoints, exposed regions, stores, servers.
         for name in node_names:
@@ -213,16 +190,10 @@ class Cluster:
         """Construct one node's full stack (endpoint, exposed region, store,
         RPC server, IPC channel) and register it. Used for the seed set at
         build time and for every elastic :meth:`add_node` join."""
-        endpoint = self._fabric.add_node(name, self._exposed_size)
-        exposed = endpoint.expose(0, self._exposed_size)
+        size = self._config.store.capacity_bytes
+        endpoint = self._fabric.add_node(name, size)
+        exposed = endpoint.expose(0, size)
         store = self._new_store(name, endpoint)
-        directory = None
-        if self._use_directory:
-            directory = DisaggregatedHashMap(
-                exposed.subregion(0, directory_bytes(self._config.directory_buckets)),
-                self._config.directory_buckets,
-            )
-            store.attach_directory(directory)
         if self._config.tier is not None:
             agent = TierAgent(
                 name,
@@ -253,7 +224,6 @@ class Cluster:
             server=server,
             ipc=ipc,
             monitor=HealthMonitor(name, self._clock, self._config.health),
-            directory=directory,
         )
         self._nodes[name] = node
         return node
@@ -262,13 +232,7 @@ class Cluster:
         """A store process over *endpoint*'s exposed region, observed and
         attached to the event loop — at build, join and restart alike."""
         store = DisaggregatedStore(
-            name,
-            endpoint,
-            endpoint.exposed.subregion(self._store_base, self._store_capacity),
-            self._config.store,
-            self._clock,
-            sharing=self._config.sharing,
-            region_offset_in_exposed=self._store_base,
+            name, endpoint, endpoint.exposed, self._config.store, self._clock
         )
         self._observe(store)
         store.attach_aio(self._loop, async_mode=self.rpc_mode == "async")
@@ -306,21 +270,13 @@ class Cluster:
             loop=self._loop,
         )
         reader.channels[home_name] = channel
-        remote_region = self._remote_regions[(reader_name, home_name)]
         reader.store.connect_peer(
             PeerHandle(
                 name=home_name,
                 stub=channel.stub(StoreService.SERVICE_NAME),
-                remote_region=remote_region,
+                remote_region=self._remote_regions[(reader_name, home_name)],
             )
         )
-        if self._use_directory:
-            reader.store.attach_hashmap_reader(
-                home_name,
-                RemoteHashMapReader(
-                    remote_region, 0, self._config.directory_buckets
-                ),
-            )
 
     def _watch(self, node: ClusterNode, peers: list[str]) -> None:
         """Put *node*'s channels to *peers* under its health monitor."""
@@ -390,10 +346,6 @@ class Cluster:
         self._config = config
         for node in self._nodes.values():
             node.store.set_rpc_async(mode == "async")
-
-    @property
-    def sharing(self) -> str:
-        return self._config.sharing
 
     @property
     def spans(self) -> SpanSink | None:
@@ -753,10 +705,6 @@ class Cluster:
             # Same agent instance, fresh state: store.recover() resets the
             # cache and heat — process state that died with the old store.
             store.attach_tier(agent)
-        if node.directory is not None:
-            # The directory's buckets live in the region and survived; the
-            # recovered store re-attaches the same instance.
-            store.attach_directory(node.directory)
         for peer_name, channel in sorted(node.channels.items()):
             store.connect_peer(
                 PeerHandle(
@@ -765,15 +713,6 @@ class Cluster:
                     remote_region=self._remote_regions[(name, peer_name)],
                 )
             )
-            if self._use_directory:
-                store.attach_hashmap_reader(
-                    peer_name,
-                    RemoteHashMapReader(
-                        self._remote_regions[(name, peer_name)],
-                        0,
-                        self._config.directory_buckets,
-                    ),
-                )
         report = store.recover()
         node.server.replace_service(StoreService(store))
         node.server.restart()
@@ -838,4 +777,4 @@ class Cluster:
         return out
 
     def __repr__(self) -> str:
-        return f"Cluster(nodes={self.node_names()}, sharing={self.sharing!r})"
+        return f"Cluster(nodes={self.node_names()})"

@@ -44,8 +44,8 @@ class RemoteObjectRecord:
     local_refs: int = 0
     pinned_at_home: bool = False
     # Integrity fields carried by the descriptor: the home store's
-    # generation for this incarnation of the object (0 = unknown, e.g. the
-    # hashmap directory path), the in-region header size (0 = home runs
+    # generation for this incarnation of the object (0 = unknown: the home
+    # runs without headers), the in-region header size (0 = home runs
     # without headers) and the seal-time payload checksum.
     generation: int = 0
     header_size: int = 0

@@ -21,8 +21,8 @@ Methods:
   descriptor to (the caller's name arrives as call metadata, gRPC's
   ``context.peer()``), and a delete or eviction round tells exactly those,
   one message per peer listing the ids it resolved. No set — an object
-  recovered after a restart, directory-based sharing, an unnamed caller —
-  means unknown, and unknown means every peer is told. A replica holder
+  recovered after a restart, an unnamed caller — means unknown, and
+  unknown means every peer is told. A replica holder
   hears ``DropReplica`` instead, which implies the same invalidation, and
   revokes in turn: the peers that resolved *its* copy hear
   ``NotifyDeleted`` from it.

@@ -11,7 +11,9 @@ the paper describes:
 2. **Remote object sharing** — stores are interconnected with RPC. On a
    client request for unknown ids the store batch-Lookups its peers and
    wires the returned descriptors to ThymesisFlow reads; on creation it
-   enforces system-wide id uniqueness with Contains RPCs.
+   enforces system-wide id uniqueness with Contains RPCs. RPC is the only
+   metadata path: because a home answers every Lookup itself, it knows
+   which peers hold each descriptor and tells only them when it dies.
 
 Future-work extensions (each a :class:`~repro.common.config.StoreConfig`
 switch, all benchmarked):
@@ -70,15 +72,8 @@ class DisaggregatedStore(PlasmaStore):
         region: MemoryRegion,
         config: StoreConfig,
         clock: SimClock,
-        *,
-        sharing: str = "rpc",
-        region_offset_in_exposed: int = 0,
     ):
         super().__init__(name, endpoint, region, config, clock)
-        # 'rpc' resolves remote objects with StoreService lookups over the
-        # peer channels; 'hashmap' replaces those lookups with direct
-        # directory probes. The cluster config has already refused the
-        # combinations that cannot work.
         self._peers: dict[str, PeerHandle] = {}
         self._remote_records: dict[ObjectID, RemoteObjectRecord] = {}
         self._check_remote_uniqueness = config.check_remote_uniqueness
@@ -86,10 +81,6 @@ class DisaggregatedStore(PlasmaStore):
         # A cached descriptor is only safe while its home says when it dies:
         # the lookup cache and the NotifyDeleted pushes are one switch.
         self._notify_deletions = config.lookup_cache
-        self._sharing = sharing
-        self._exposed_offset = region_offset_in_exposed
-        self._directory = None  # home-side DisaggregatedHashMap, if attached
-        self._readers: dict[str, object] = {}  # peer -> RemoteHashMapReader
         self._lookup_cache: LookupCache | None = (
             LookupCache() if config.lookup_cache else None
         )
@@ -101,11 +92,9 @@ class DisaggregatedStore(PlasmaStore):
         # Directed invalidation: object id -> the peers this process answered
         # a Lookup for it with a descriptor. A set is born when this process
         # seals the object and dies when the object is announced gone. No
-        # set means unknown — recovered after a restart, resolved through
-        # the fabric-resident directory, or asked by an unnamed caller —
-        # and unknown means every peer is told.
+        # set means unknown — recovered after a restart or asked by an
+        # unnamed caller — and unknown means every peer is told.
         self._sharers: dict[ObjectID, set[str]] = {}
-        self._track_sharers = self._notify_deletions and sharing == "rpc"
         # Elastic placement (repro.placement): the installed topology view,
         # the ring derived from it, and migration book-keeping. Off, None
         # or empty until the cluster enables placement.
@@ -196,7 +185,6 @@ class DisaggregatedStore(PlasmaStore):
         records without live references are dropped. Records still held by
         readers release locally — there is no peer left to un-pin at."""
         self._peers.pop(name, None)
-        self._readers.pop(name, None)
         if self._lookup_cache is not None:
             self._lookup_cache.invalidate_node(name)
         if self._tier is not None and self._tier.cache is not None:
@@ -226,10 +214,6 @@ class DisaggregatedStore(PlasmaStore):
         return self._share_usage
 
     @property
-    def sharing(self) -> str:
-        return self._sharing
-
-    @property
     def lookup_cache(self) -> LookupCache | None:
         return self._lookup_cache
 
@@ -244,21 +228,6 @@ class DisaggregatedStore(PlasmaStore):
     @property
     def tier_agent(self):
         return self._tier
-
-    # -- hashmap-sharing wiring (ablation E6) -----------------------------------
-
-    def attach_directory(self, directory) -> None:
-        """Attach the home-side disaggregated hash directory; sealed objects
-        are published to it and deletions retract them."""
-        self._directory = directory
-
-    def attach_hashmap_reader(self, peer_name: str, reader) -> None:
-        """Attach the remote-side reader for *peer_name*'s directory."""
-        self._readers[peer_name] = reader
-
-    @property
-    def directory(self):
-        return self._directory
 
     # -- elastic placement (repro.placement) ------------------------------------
 
@@ -424,11 +393,10 @@ class DisaggregatedStore(PlasmaStore):
         resident and snapshots no old bytes (Fig 3b) that the seal would
         throw away one RPC later without anybody having observed them."""
         entry = self.create_object_unchecked(object_id, data_size, metadata)
-        offset = entry.payload_offset + self._exposed_offset
         if data_size:
-            self.endpoint.invalidate_exposed(offset, data_size)
+            self.endpoint.invalidate_exposed(entry.payload_offset, data_size)
         self.counters.inc("placed_creates_received")
-        return offset
+        return entry.payload_offset
 
     def placed_seal(self, object_id: ObjectID, replicas: int = 1) -> None:
         """Seal a placement-routed object after the creator's fabric write.
@@ -444,7 +412,7 @@ class DisaggregatedStore(PlasmaStore):
                     f"{object_id!r} not found in {self._name}"
                 )
             self.endpoint.invalidate_exposed(
-                entry.allocation.offset + self._exposed_offset,
+                entry.allocation.offset,
                 entry.allocation.padded_size,
             )
         self.seal_object(object_id)
@@ -462,7 +430,7 @@ class DisaggregatedStore(PlasmaStore):
                 return None
             return {
                 "object_id": object_id.binary(),
-                "offset": entry.payload_offset + self._exposed_offset,
+                "offset": entry.payload_offset,
                 "data_size": entry.data_size,
                 "metadata": entry.metadata,
             }
@@ -507,10 +475,10 @@ class DisaggregatedStore(PlasmaStore):
         return "prepared"
 
     def commit_adopt(self, object_id: ObjectID) -> int:
-        """Destination side of MigrateCommit: seal — payload CRC, in-region
-        seal flag and directory publication all happen under the table
-        mutex, so the new descriptor becomes visible atomically. Idempotent
-        for a re-sent commit; returns the new generation."""
+        """Destination side of MigrateCommit: seal — payload CRC and in-region
+        seal flag both happen under the table mutex, so the new descriptor
+        becomes visible atomically. Idempotent for a re-sent commit;
+        returns the new generation."""
         if object_id not in self._pending_adoptions:
             with self.table.lock:
                 entry = self.table.lookup(object_id)
@@ -532,9 +500,7 @@ class DisaggregatedStore(PlasmaStore):
             if entry is None or entry.is_sealed:
                 self._pending_adoptions.discard(object_id)
                 return
-            self.table.remove(object_id)
-            self._retire_header(entry)
-            self._allocator.free(entry.allocation.offset)
+            self._retire_and_free(entry)
         self._pending_adoptions.discard(object_id)
         self.counters.inc("adoptions_aborted")
 
@@ -555,12 +521,9 @@ class DisaggregatedStore(PlasmaStore):
                     self._deferred_retires.add(object_id)
                     self.counters.inc("migration_retires_deferred")
                 return False
-            self.table.remove(object_id)
-            self._retire_header(entry)
-            self._allocator.free(entry.allocation.offset)
+            self._retire_and_free(entry)
         self._deferred_retires.discard(object_id)
         self._replicated_to.pop(object_id, None)
-        self._retract_from_directory(object_id)
         self._announce_deleted(
             [object_id], *self._deletion_plan([object_id], broadcast=True)
         )
@@ -581,37 +544,13 @@ class DisaggregatedStore(PlasmaStore):
     def deferred_retires(self) -> frozenset:
         return frozenset(self._deferred_retires)
 
-    # -- descriptor translation ---------------------------------------------------
-
-    def lookup_descriptor(self, object_id: ObjectID) -> dict | None:
-        """Descriptors cross the wire with offsets relative to the *exposed*
-        region (what the peer's aperture addresses), which may start before
-        the store's allocation region (e.g. the hashmap directory prefix)."""
-        descriptor = super().lookup_descriptor(object_id)
-        if descriptor is not None and self._exposed_offset:
-            descriptor = {
-                **descriptor,
-                "offset": descriptor["offset"] + self._exposed_offset,
-            }
-        return descriptor
-
-    # -- publishing to the directory -------------------------------------------------
+    # -- sharer sets ------------------------------------------------------------------
 
     def seal_object(self, object_id: ObjectID) -> ObjectEntry:
         entry = super().seal_object(object_id)
-        if self._track_sharers:
+        if self._notify_deletions:
             self._sharers[object_id] = set()
-        if self._directory is not None:
-            self._directory.insert(
-                object_id,
-                entry.payload_offset + self._exposed_offset,
-                entry.data_size,
-            )
         return entry
-
-    def _retract_from_directory(self, object_id: ObjectID) -> None:
-        if self._directory is not None:
-            self._directory.remove(object_id)
 
     # -- id uniqueness across the system (paper §IV-A2) ---------------------------------
 
@@ -805,8 +744,8 @@ class DisaggregatedStore(PlasmaStore):
         blocking: bool = False,
     ):
         """Ids to remote records: held records, then the lookup cache, then
-        the peers — by directory probe, the blocking ordered sweep
-        (:meth:`_rpc_lookup`) or the scatter-gather task form."""
+        the peers — by the blocking ordered sweep (:meth:`_rpc_lookup`) or
+        the scatter-gather task form."""
         resolved: dict[ObjectID, RemoteObjectRecord] = {}
         unresolved: list[ObjectID] = []
         for oid in object_ids:
@@ -822,9 +761,7 @@ class DisaggregatedStore(PlasmaStore):
                 unresolved.append(oid)
         if unresolved:
             unreachable: list[str] = []
-            if self._sharing == "hashmap":
-                still = self._hashmap_lookup(unresolved, resolved)
-            elif blocking:
+            if blocking:
                 still = self._rpc_lookup(unresolved, resolved, unreachable)
             else:
                 still = yield from self._rpc_lookup_task(
@@ -997,45 +934,6 @@ class DisaggregatedStore(PlasmaStore):
             claimed.add(record.object_id)
         return claimed
 
-    def _hashmap_lookup(
-        self,
-        object_ids: list[ObjectID],
-        resolved: dict[ObjectID, RemoteObjectRecord],
-    ) -> list[ObjectID]:
-        """Resolve ids by probing peers' disaggregated hash directories with
-        timed fabric loads (no RPC; no usage feedback)."""
-        remaining = list(object_ids)
-        for name in self.peers():
-            if not remaining:
-                break
-            reader = self._readers.get(name)
-            if reader is None:
-                continue
-            claimed: set[ObjectID] = set()
-            for oid in remaining:
-                hit = reader.lookup(oid)
-                self.counters.inc("directory_probes")
-                if hit is None:
-                    continue
-                offset, size = hit
-                # The directory carries no generation; generation=0 means
-                # validated reads still check magic/id/seal, but accept any
-                # generation (the one-way-sharing trade, paper §V-B).
-                record = RemoteObjectRecord(
-                    object_id=oid,
-                    home=name,
-                    offset=offset,
-                    data_size=size,
-                    header_size=self.header_size,
-                )
-                self._remote_records[oid] = record
-                if self._lookup_cache is not None:
-                    self._lookup_cache.put(record)
-                resolved[oid] = record
-                claimed.add(oid)
-            remaining = [oid for oid in remaining if oid not in claimed]
-        return remaining
-
     def _pull_payload(self, handle, entry, offset: int, data_size: int) -> None:
         """Bulk-pull a peer object's payload into a fresh local extent
         (migration adoption, replica materialisation, tier promotion all
@@ -1116,13 +1014,10 @@ class DisaggregatedStore(PlasmaStore):
             # never hit again — reclaim their bytes now.
             self._tier.cache.invalidate(object_id)
         resolved: dict[ObjectID, RemoteObjectRecord] = {}
-        if self._sharing == "hashmap":
-            self._hashmap_lookup([object_id], resolved)
-        else:
-            try:
-                self._rpc_lookup([object_id], resolved, unreachable=[])
-            except RpcStatusError:
-                return None
+        try:
+            self._rpc_lookup([object_id], resolved, unreachable=[])
+        except RpcStatusError:
+            return None
         record = resolved.get(object_id)
         if record is None:
             return None
@@ -1419,7 +1314,6 @@ class DisaggregatedStore(PlasmaStore):
         :meth:`_deletion_plan`), peer by peer (*blocking*) or as one
         gather."""
         PlasmaStore.delete_object(self, object_id)
-        self._retract_from_directory(object_id)
         notify, drop = self._deletion_plan(
             [object_id], self._pop_replica_holders(object_id)
         )
@@ -1496,7 +1390,7 @@ class DisaggregatedStore(PlasmaStore):
         """
         with self.table.lock:
             entry = self.get_sealed_entry(object_id)
-            offset = entry.payload_offset + self._exposed_offset
+            offset = entry.payload_offset
             data_size = entry.data_size
             metadata = entry.metadata
         existing = self._replicated_to.get(object_id, ())
@@ -1563,7 +1457,7 @@ class DisaggregatedStore(PlasmaStore):
         can be dropped (a pinned replica keeps its bytes, not its
         sharers). A blocking call from inside the handler, under either
         driver; an unreachable sharer is tolerated like any deletion push."""
-        if not self._track_sharers:
+        if not self._notify_deletions:
             return  # the home broadcasts: no sharer sets exist anywhere
         with self.table.lock:
             held = [
@@ -1596,12 +1490,9 @@ class DisaggregatedStore(PlasmaStore):
                     continue
                 if entry.total_refs > 0:
                     continue
-                self.table.remove(oid)
-                self._retire_header(entry)
-                self._allocator.free(entry.allocation.offset)
+                self._retire_and_free(entry)
             del self._replicas_of[oid]
             self._sharers.pop(oid, None)
-            self._retract_from_directory(oid)
             self._notify(SealNotification(oid, entry.data_size, deleted=True))
             self.counters.inc("replicas_dropped")
             dropped += 1
@@ -1634,29 +1525,15 @@ class DisaggregatedStore(PlasmaStore):
             if name in self._peers
         ]
 
-    # -- integrity: quarantine/repair with directory upkeep ------------------------------------
+    # -- integrity: quarantine ------------------------------------------------------------------
 
     def quarantine_object(self, object_id: ObjectID) -> ObjectEntry:
         """Quarantine locally and stop advertising the corrupt object to
-        peers (directory retraction + cache invalidation push)."""
+        peers (Lookup no longer answers it; cache invalidation push)."""
         entry = super().quarantine_object(object_id)
-        self._retract_from_directory(object_id)
         self._announce_deleted(
             [object_id], *self._deletion_plan([object_id], broadcast=True)
         )
-        return entry
-
-    def repair_object(self, object_id: ObjectID, data) -> ObjectEntry:
-        entry = super().repair_object(object_id, data)
-        if self._directory is not None:
-            try:
-                self._directory.insert(
-                    object_id,
-                    entry.payload_offset + self._exposed_offset,
-                    entry.data_size,
-                )
-            except ObjectStoreError:
-                pass  # repair without a prior retraction: still advertised
         return entry
 
     # -- reference management spanning nodes ---------------------------------------------------
@@ -1778,10 +1655,6 @@ class DisaggregatedStore(PlasmaStore):
     def delete_object(self, object_id: ObjectID) -> None:
         self._drive(self.delete_object_task, object_id)
 
-    def _evict_entry(self, entry: ObjectEntry) -> None:
-        super()._evict_entry(entry)
-        self._retract_from_directory(entry.object_id)
-
     def _announce_evicted(self, victims: list[ObjectEntry]) -> None:
         """One NotifyDeleted per peer that resolved a victim here, listing
         the victims it resolved: every reachable one has dropped its cached
@@ -1794,17 +1667,13 @@ class DisaggregatedStore(PlasmaStore):
 
     def recover(self):
         """Restart recovery: rebuild the object table and free list from the
-        region's sealed-object headers (see PlasmaStore.recover_from_region)
-        and reconcile the surviving directory — corrupt objects come back
-        quarantined and must not be advertised to peers."""
+        region's sealed-object headers (see PlasmaStore.recover_from_region);
+        corrupt objects come back quarantined, so Lookup never advertises
+        them to peers."""
         report = self.recover_from_region()
         # Nobody knows who resolved what before the crash: every recovered
         # object starts without a sharer set, i.e. told to every peer.
         self._sharers.clear()
-        if self._directory is not None:
-            for entry in list(self.table):
-                if entry.quarantined:
-                    self._retract_from_directory(entry.object_id)
         if self._tier is not None:
             # Cache and heat are process state; a crash may also have eaten
             # invalidation pushes addressed to us, so nothing cached before

@@ -12,20 +12,18 @@ register *labeled families* of three instrument kinds —
   samples, so p50/p95/p99/max are exact, and per-node histograms merge
   losslessly into cluster-wide views).
 
-:class:`CounterGroup` is the migration path for the pre-registry ad-hoc
-ad-hoc counter bags that used to be scattered across stores, links and
-channels: the same dict-backed ``inc``/``get``/``snapshot`` hot path, plus
-the ability to be *bound* to a registry so every key exports as a labeled
-counter family at scrape time — binding costs nothing per increment.
+:class:`CounterGroup` is the dict-backed counter bag stores, links and
+channels count into: the hot path is one ``inc``/``get``/``snapshot``
+dict update, and *binding* the group to a registry makes every key export
+as a labeled counter family at scrape time — binding costs nothing per
+increment.
 
-Disabled mode is the default and is genuinely zero-overhead: components
-hold ``None`` instrument handles until ``attach_metrics`` is called, and
-every instrumented site guards with ``if self._m_x is not None`` — the same
-pattern the opt-in :class:`~repro.obs.spans.SpanSink` uses. Nothing here
-ever advances the simulated clock or consumes deterministic RNG, so a run
-with metrics enabled is bit-identical in simulated time to one without.
-:data:`NULL_REGISTRY` is an explicit no-op registry for call sites that
-prefer passing a registry object over branching.
+With ``ClusterConfig.metrics`` off no registry is built: counter groups
+still count but export nowhere, and the few components that time a hot
+path (``_m_*`` histogram handles) keep ``None`` until ``attach_metrics``
+binds them. Nothing here ever advances the simulated clock or consumes
+deterministic RNG, so a run with metrics on is bit-identical in simulated
+time to one without.
 """
 
 from __future__ import annotations
@@ -296,8 +294,6 @@ class MetricsRegistry:
     ``node`` label, so per-node scrapes concatenate into one cluster view
     without collisions.
     """
-
-    enabled = True
 
     def __init__(self, node: str = ""):
         self.node = node

@@ -33,7 +33,7 @@ class ObjectEntry:
     state: ObjectState = ObjectState.CREATED
     ref_count: int = 0
     # Reference counts attributed to remote stores' clients (the
-    # distributed-usage-sharing extension; see repro.core.refshare).
+    # distributed-usage-sharing extension, StoreConfig.share_usage).
     remote_ref_count: int = 0
     created_at_ns: int = 0
     sealed_at_ns: int = 0

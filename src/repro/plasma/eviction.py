@@ -5,7 +5,8 @@ allocation cannot be satisfied. The paper leans on exactly this behaviour —
 "In-use objects will not be evicted, because clients might still be reading
 from memory and evicting the objects would likely corrupt their data"
 (§IV-A2) — and identifies its distributed blind spot (remote clients' usage
-is invisible), which the :mod:`repro.core.refshare` extension closes.
+is invisible), which the ``StoreConfig.share_usage`` extension (AddRef/
+ReleaseRef pins at the home, :mod:`repro.core.store`) closes.
 """
 
 from __future__ import annotations

@@ -321,6 +321,15 @@ class PlasmaStore:
         self._next_generation += 1
         self._write_header(entry, flags=0, generation=retired_generation)
 
+    def _retire_and_free(self, entry: ObjectEntry) -> None:
+        """Unlink *entry* from the table, retire its header, and only then
+        return its extent to the allocator — the one place every removal
+        (delete, eviction, migration, replica drop, aborted adoption) keeps
+        retire-before-free. The caller holds the table lock."""
+        self._table.remove(entry.object_id)
+        self._retire_header(entry)
+        self._allocator.free(entry.allocation.offset)
+
     def _allocate_with_eviction(self, data_size: int):
         try:
             return self._allocator.allocate(data_size)
@@ -338,19 +347,14 @@ class PlasmaStore:
         victim is retired and freed, before anything is allocated into the
         space."""
         for victim in victims:
-            self._evict_entry(victim)
+            self._retire_and_free(victim)
+            self.counters.inc("objects_evicted")
+            self.counters.inc("bytes_evicted", victim.allocation.padded_size)
+            self._notify(
+                SealNotification(victim.object_id, victim.data_size, deleted=True)
+            )
         if victims:
             self._announce_evicted(victims)
-
-    def _evict_entry(self, entry: ObjectEntry) -> None:
-        self._table.remove(entry.object_id)
-        self._retire_header(entry)
-        self._allocator.free(entry.allocation.offset)
-        self.counters.inc("objects_evicted")
-        self.counters.inc("bytes_evicted", entry.allocation.padded_size)
-        self._notify(
-            SealNotification(entry.object_id, entry.data_size, deleted=True)
-        )
 
     def _announce_evicted(self, victims: list[ObjectEntry]) -> None:
         """Hook: a whole eviction round has left this store. Local
@@ -394,9 +398,7 @@ class PlasmaStore:
                 raise ObjectNotSealedError(
                     f"{object_id!r} cannot be deleted before sealing"
                 )
-            self._table.remove(object_id)
-            self._retire_header(entry)
-            self._allocator.free(entry.allocation.offset)
+            self._retire_and_free(entry)
         self.counters.inc("objects_deleted")
         self._notify(SealNotification(entry.object_id, entry.data_size, deleted=True))
 

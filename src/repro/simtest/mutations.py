@@ -60,7 +60,6 @@ def _skip_replica_retire() -> Iterator[None]:
                 self.table.remove(oid)
                 self._allocator.free(entry.allocation.offset)
             del self._replicas_of[oid]
-            self._retract_from_directory(oid)
             self._notify(SealNotification(oid, entry.data_size, deleted=True))
             self.counters.inc("replicas_dropped")
             dropped += 1

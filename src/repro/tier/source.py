@@ -127,7 +127,7 @@ class TierBufferSource:
 
     def _read_cache(self):
         """The hot cache, or None when this read is uncacheable: generation
-        0 means "unknown incarnation" (hashmap directory descriptors), and
+        0 means "unknown incarnation" (a home that writes no headers), and
         a hit on it could never be proven coherent. Straight to the fabric."""
         cache = self._agent.cache
         return cache if cache is not None and self._generation() else None

@@ -139,13 +139,13 @@ def build_workload_payload(result) -> dict:
         },
         "outcomes": dict(sorted(result.outcomes.items())),
     }
-    if getattr(result, "overload_enabled", False):
+    if result.overload_enabled:
         payload["overload"] = overload_block(result, duration_s)
-    if getattr(result, "tracing_enabled", False):
+    if result.tracing_enabled:
         payload["latency_attribution"] = attribution_block(result)
-    if getattr(result, "tiering_enabled", False):
+    if result.tiering_enabled:
         payload["tiering"] = result.tiering
-    if getattr(result, "rpc_enabled", False):
+    if result.rpc_enabled:
         payload["rpc"] = rpc_block(result)
     return payload
 

@@ -33,7 +33,8 @@ CLUSTER_KEYWORDS = (
 )
 STORE_KEYWORDS = (
     "check_remote_uniqueness", "share_usage", "enable_lookup_cache",
-    "lookup_cache_entries", "notify_deletions",
+    "lookup_cache_entries", "notify_deletions", "sharing",
+    "region_offset_in_exposed",
 )
 
 
@@ -73,27 +74,6 @@ REJECTIONS = {
         replace(PLACED, placement=PlacementConfig(weights={"node1": -1.0})),
         2, ValueError, r"placement\.weights\['node1'\]",
     ),
-    "placement-over-hashmap": (
-        replace(PLACED, sharing="hashmap"), 2, ValueError,
-        r"placement requires sharing='rpc'",
-    ),
-    "share-usage-over-hashmap": (
-        replace(make_config(seed=1), sharing="hashmap").with_store(share_usage=True),
-        2, ValueError, r"store\.share_usage: usage sharing",
-    ),
-    "unknown-sharing": (
-        replace(make_config(seed=1), sharing="carrier-pigeon"), 2, ValueError,
-        r"sharing: unknown strategy",
-    ),
-    # The ring transport and the hybrid over it are deleted, not refused
-    # combination by combination: both are simply unknown now.
-    **{
-        f"removed-sharing-{mode}": (
-            replace(make_config(seed=1), sharing=mode), 2, ValueError,
-            r"sharing: unknown strategy '%s'; have \('rpc', 'hashmap'\)" % mode,
-        )
-        for mode in ("dmsg", "hybrid")
-    },
     "duplicate-node-names": (
         make_config(seed=1), ["x", "x"], ValueError,
         r"nodes: node names must be unique",
@@ -115,6 +95,14 @@ def test_config_rejects_inconsistent_combination(case):
 def test_dmsg_sub_config_is_gone():
     with pytest.raises(TypeError, match="dmsg"):
         ClusterConfig(dmsg=None)
+
+
+@pytest.mark.parametrize("field", ["sharing", "directory_buckets"])
+def test_directory_fields_are_gone(field):
+    """RPC lookups are the one metadata path: there is no strategy to pick
+    and no fabric-resident directory to size."""
+    with pytest.raises(TypeError, match=field):
+        ClusterConfig(**{field: None})
 
 
 def test_scale_out_cluster_shares_the_node_checks(small_config):

@@ -102,29 +102,6 @@ def test_restarted_home_tells_every_peer(mode, rpc_log):
     assert holds_cached(cluster, "node1", oid)[0] is False
 
 
-def test_directory_sharing_tells_every_peer(rpc_log):
-    """Under ``sharing="hashmap"`` readers resolve through the home's
-    fabric-resident directory without asking it, so the home cannot know
-    who holds a descriptor."""
-    cluster = Cluster(
-        replace(
-            make_config(capacity_bytes=32 * MiB, seed=99), sharing="hashmap"
-        ).with_store(lookup_cache=True, check_remote_uniqueness=False),
-        3,
-    )
-    oid = cluster.new_object_id()
-    cluster.client("node0").put_bytes(oid, PAYLOAD)
-    assert cluster.client("node1").get_bytes(oid) == PAYLOAD
-    assert oid in cluster.store("node1").lookup_cache
-    del rpc_log[:]
-
-    cluster.store("node0").delete_object(oid)
-
-    # parent: the same two.
-    assert told(rpc_log) == [("node1", "NotifyDeleted"), ("node2", "NotifyDeleted")]
-    assert oid not in cluster.store("node1").lookup_cache
-
-
 # -- the holder revokes what it handed out -------------------------------------------------
 
 

@@ -1,7 +1,5 @@
 """The paper's future-work extensions: usage sharing, lookup cache,
-hashmap sharing, multi-node."""
-
-from dataclasses import replace
+multi-node."""
 
 import pytest
 
@@ -154,49 +152,6 @@ class TestLookupCache:
         cache = caching_cluster.store("node1").lookup_cache
         assert cache.hit_rate == 0.0
         assert len(cache) == 0
-
-
-class TestHashmapSharing:
-    @pytest.fixture
-    def hm_cluster(self, small_config):
-        return Cluster(
-            replace(small_config, sharing="hashmap").with_store(
-                check_remote_uniqueness=False
-            ),
-        )
-
-    def test_remote_get_without_any_rpc(self, hm_cluster):
-        cl = hm_cluster
-        p = cl.client("node0")
-        c = cl.client("node1")
-        oid = cl.new_object_id()
-        p.put_bytes(oid, b"via-directory")
-        server0 = cl.node("node0").server
-        calls_before = server0.counters.get("calls")
-        buf = c.get_one(oid)
-        assert buf.read_all() == b"via-directory"
-        assert server0.counters.get("calls") == calls_before  # zero RPCs
-
-    def test_directory_lookup_is_microseconds(self, hm_cluster):
-        cl = hm_cluster
-        p = cl.client("node0")
-        c = cl.client("node1")
-        oid = cl.new_object_id()
-        p.put_bytes(oid, b"fast")
-        t0 = cl.clock.now_ns
-        c.get_one(oid)
-        elapsed_us = (cl.clock.now_ns - t0) / 1e3
-        assert elapsed_us < 200  # vs ~2400 us for the gRPC path
-
-    def test_deleted_object_disappears_from_directory(self, hm_cluster):
-        cl = hm_cluster
-        p = cl.client("node0")
-        c = cl.client("node1")
-        oid = cl.new_object_id()
-        p.put_bytes(oid, b"temp")
-        p.delete(oid)
-        with pytest.raises(ObjectNotFoundError):
-            c.get([oid])
 
 
 class TestMultiNode:

@@ -71,7 +71,7 @@ class TestCommands:
         assert main(["ablation", "sharing"]) == 0
         out = capsys.readouterr().out
         rows = [line.split(":")[0].strip() for line in out.splitlines()[1:]]
-        assert rows == ["rpc (paper)", "hashmap", "scale-out"]
+        assert rows == ["rpc (paper)", "scale-out"]
 
     def test_workload_trace_refuses_an_async_scenario(self, capsys, tmp_path):
         # The span sink stays detached under the event loop, so there is no

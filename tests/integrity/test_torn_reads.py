@@ -21,7 +21,6 @@ def _source_for(
 ):
     """A remote buffer source aimed straight at *entry* on *home_node* —
     the raw aperture a reader holds, bypassing lookup."""
-    home = cluster.store(home_node)
     handle = cluster.store(reader_node).peer(home_node)
     integrity = RemoteReadIntegrity(
         object_id=entry.object_id.binary(),
@@ -30,8 +29,7 @@ def _source_for(
         payload_crc=entry.payload_crc,
         refresh=refresh,
     )
-    offset = entry.payload_offset + home._exposed_offset  # noqa: SLF001
-    return RemoteBufferSource(handle.remote_region, offset, integrity)
+    return RemoteBufferSource(handle.remote_region, entry.payload_offset, integrity)
 
 
 def _gone():

@@ -79,28 +79,28 @@ class TestConstructionSurface:
 
 class TestSharingSurface:
     def test_cluster_config_fields_are_exactly_these(self):
-        """One metadata channel: no ring-transport sub-config."""
+        """One metadata path: no ring-transport sub-config, no sharing
+        strategy, no directory sizing."""
         import dataclasses
 
         assert [f.name for f in dataclasses.fields(repro.ClusterConfig)] == [
             "seed", "local_memory", "fabric", "ipc", "rpc", "lan", "store",
             "health", "chaos", "overload", "placement", "tier", "tracing",
-            "metrics", "sharing", "directory_buckets",
+            "metrics",
         ]
 
-    def test_sharing_modes_are_exactly_these(self):
-        from repro.common.config import SHARING_MODES
+    def test_sharing_modes_are_gone(self):
+        import repro.common.config
 
-        assert SHARING_MODES == ("rpc", "hashmap")
+        assert not hasattr(repro.common.config, "SHARING_MODES")
 
     def test_core_exports_are_exactly_these(self):
         import repro.core
 
         assert sorted(repro.core.__all__) == [
             "BreakerState", "CircuitBreaker", "Cluster", "ClusterNode",
-            "DisaggregatedClient", "DisaggregatedHashMap",
-            "DisaggregatedStore", "HealthMonitor", "LookupCache", "PeerHandle",
-            "RemoteObjectRecord", "StoreService",
+            "DisaggregatedClient", "DisaggregatedStore", "HealthMonitor",
+            "LookupCache", "PeerHandle", "RemoteObjectRecord", "StoreService",
         ]
 
     @pytest.mark.parametrize("module", ["repro.core.ring", "repro.core.dmsg"])
@@ -109,6 +109,25 @@ class TestSharingSurface:
 
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
+
+    def test_directory_module_is_gone(self):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.sharing")
+
+    @pytest.mark.parametrize("owner,name", [
+        ("DisaggregatedStore", "sharing"),
+        ("DisaggregatedStore", "directory"),
+        ("DisaggregatedStore", "attach_directory"),
+        ("DisaggregatedStore", "attach_hashmap_reader"),
+        ("Cluster", "sharing"),
+        ("ClusterNode", "directory"),
+    ])
+    def test_directory_wiring_is_gone(self, owner, name):
+        import repro.core
+
+        assert not hasattr(getattr(repro.core, owner), name)
 
 
 class TestRpcSurface:
@@ -204,7 +223,8 @@ class TestReadmeQuickstart:
         for name in cluster.node_names():
             store = cluster.store(name)
             assert type(store.allocator) is FirstFitAllocator  # paper's allocator
-            assert store.sharing == "rpc"  # paper's sharing choice
+            # The paper's sharing choice: one RPC channel to every peer.
+            assert sorted(cluster.node(name).channels) == store.peers()
 
 
 class TestSubpackageDocs:
