@@ -13,7 +13,7 @@ from repro.common.ids import ObjectID
 from repro.core.store import DisaggregatedStore
 from repro.network.ipc import IpcChannel
 from repro.plasma.buffer import PlasmaBuffer
-from repro.plasma.client import PlasmaClient
+from repro.plasma.client import PlasmaClient, copy_writer
 
 
 class DisaggregatedClient(PlasmaClient):
@@ -180,32 +180,30 @@ class DisaggregatedClient(PlasmaClient):
         )
         return self._hold(buffers)
 
-    def _put_reserved(self, oid, data, metadata: bytes, replicas: int) -> None:
-        """Local create + write + seal + release + replicate of an object
+    def _put_reserved(
+        self, oid, size: int, write, metadata: bytes, replicas: int
+    ) -> None:
+        """Local create + fill + seal + release + replicate of an object
         whose id a batched ``reserve_ids`` already checked."""
-        mv = memoryview(data)
-        if mv.ndim != 1 or mv.itemsize != 1:
-            mv = mv.cast("B")
         self._ipc.charge_request(nobjects=1, nbytes=len(metadata))
-        entry = self._store.create_object_unchecked(oid, len(mv), metadata)
+        entry = self._store.create_object_unchecked(oid, size, metadata)
         self._store.add_ref(oid)
         buffer = self._store.local_buffer(entry)
         self._held.setdefault(oid, []).append(buffer)
-        buffer.write(mv)
-        self.seal(oid)
-        self.release(oid)
+        self._fill_and_seal(buffer, write)
         self._replicate(oid, replicas)
 
-    def put_bytes_task(
+    def put_into_task(
         self,
         object_id: ObjectID,
-        data,
-        metadata: bytes = b"",
+        size: int,
+        write,
         *,
+        metadata: bytes = b"",
         replicas: int = 1,
         attr=None,
     ):
-        """Task form of :meth:`put_bytes` (placement-aware, pipelined
+        """Task form of :meth:`put_into` (placement-aware, pipelined
         forward hops)."""
         self._check_replicas(replicas)
         home = self.store.placement_home(object_id)
@@ -214,25 +212,32 @@ class DisaggregatedClient(PlasmaClient):
             if attr is not None:
                 attr.settle("client")
             ok = yield from self.store.forward_put_task(
-                object_id, data, metadata, home, replicas=replicas, attr=attr
+                object_id, size, write, metadata, home, replicas=replicas, attr=attr
             )
             if ok:
                 self.counters.inc("puts_forwarded")
                 return object_id
             self.counters.inc("puts_forward_fallback")
-        PlasmaClient.put_bytes(self, object_id, data, metadata)
+        PlasmaClient.put_into(self, object_id, size, write, metadata=metadata)
         self._replicate(object_id, replicas)
         return object_id
 
-    def put_bytes(
+    def put_into(
         self,
         object_id: ObjectID,
-        data,
-        metadata: bytes = b"",
+        size: int,
+        write,
         *,
+        metadata: bytes = b"",
         replicas: int = 1,
     ) -> ObjectID:
-        """create + write + seal + release, optionally replicated.
+        """create + fill in place + seal + release, optionally replicated.
+
+        ``write(view)`` receives a writable ``memoryview`` of exactly
+        ``size`` bytes — the new extent itself, in local memory or, for a
+        forwarded create, a window of the ring home's memory over the
+        fabric — and must fill all of it without raising; there is no
+        abort path.
 
         ``replicas=1`` (default) is the paper's single-copy mode. With
         ``replicas=2`` (or more) the home store pushes copies to
@@ -244,12 +249,13 @@ class DisaggregatedClient(PlasmaClient):
         With elastic placement enabled, the consistent-hash ring decides
         where the object lives: a ring home other than this node receives
         the object via the forwarded-create protocol (metadata over RPC,
-        payload over the fabric). An unreachable home degrades to a local
-        create — the rebalancer re-homes the object once the cluster heals.
+        payload written over the fabric). An unreachable home degrades to a
+        local create — the rebalancer re-homes the object once the cluster
+        heals.
         """
         self._check_replicas(replicas)
         if self._correlation is None:
-            self._put_routed(object_id, data, metadata, replicas)
+            self._put_routed(object_id, size, write, metadata, replicas)
             return object_id
         rid = self._correlation.begin()
         try:
@@ -258,15 +264,28 @@ class DisaggregatedClient(PlasmaClient):
                 with spans.span(
                     "client", "put", self._name, {"rid": rid, "replicas": replicas}
                 ):
-                    self._put_routed(object_id, data, metadata, replicas)
+                    self._put_routed(object_id, size, write, metadata, replicas)
             else:
-                self._put_routed(object_id, data, metadata, replicas)
+                self._put_routed(object_id, size, write, metadata, replicas)
         finally:
             self._correlation.end()
         return object_id
 
+    def put_bytes(
+        self,
+        object_id: ObjectID,
+        data,
+        metadata: bytes = b"",
+        *,
+        replicas: int = 1,
+    ) -> ObjectID:
+        """:meth:`put_into` whose writer copies *data* in."""
+        return self.put_into(
+            object_id, *copy_writer(data), metadata=metadata, replicas=replicas
+        )
+
     def _put_routed(
-        self, object_id: ObjectID, data, metadata: bytes, replicas: int
+        self, object_id: ObjectID, size: int, write, metadata: bytes, replicas: int
     ) -> None:
         """Placement-aware create: forward to the ring home when it is a
         reachable peer, else the classic local create + replicate path."""
@@ -274,12 +293,12 @@ class DisaggregatedClient(PlasmaClient):
         if home is not None:
             self._ipc.charge_request(nobjects=1, nbytes=len(metadata))
             if self.store.forward_put(
-                object_id, data, metadata, home, replicas=replicas
+                object_id, size, write, metadata, home, replicas=replicas
             ):
                 self.counters.inc("puts_forwarded")
                 return
             self.counters.inc("puts_forward_fallback")
-        super().put_bytes(object_id, data, metadata)
+        super().put_into(object_id, size, write, metadata=metadata)
         self._replicate(object_id, replicas)
 
     def _check_replicas(self, replicas: int) -> None:
@@ -311,16 +330,17 @@ class DisaggregatedClient(PlasmaClient):
         self.store.reserve_ids(ids)
         out: list[ObjectID] = []
         for oid, data in items:
+            size, write = copy_writer(data)
             home = self.store.placement_home(oid)
             if home is not None:
                 self._ipc.charge_request(nobjects=1, nbytes=len(metadata))
                 if self.store.forward_put(
-                    oid, data, metadata, home, replicas=replicas
+                    oid, size, write, metadata, home, replicas=replicas
                 ):
                     self.counters.inc("puts_forwarded")
                     out.append(oid)
                     continue
                 self.counters.inc("puts_forward_fallback")
-            self._put_reserved(oid, data, metadata, replicas)
+            self._put_reserved(oid, size, write, metadata, replicas)
             out.append(oid)
         return out

@@ -288,7 +288,8 @@ class DisaggregatedStore(PlasmaStore):
     def forward_put(
         self,
         object_id: ObjectID,
-        data,
+        size: int,
+        write,
         metadata: bytes,
         home: str,
         *,
@@ -297,21 +298,22 @@ class DisaggregatedStore(PlasmaStore):
         """Create a new object at its ring *home* instead of locally.
 
         PlacedCreate allocates the extent at the home (header unsealed);
-        the payload streams over the ThymesisFlow fabric as a remote write
-        into the home's exposed region (Fig 3b — bulk bytes never touch the
-        LAN); PlacedSeal makes the home flush its stale cached lines and
-        seal. Returns False when the home's metadata plane is unreachable —
+        ``write(window)`` fills the extent in place through a fabric write
+        window onto the home's exposed region (Fig 3b — bulk bytes never
+        touch the LAN); PlacedSeal makes the home flush its stale cached
+        lines and seal. Returns False when the home's metadata plane is unreachable —
         the caller degrades to a local create and the rebalancer re-homes
         the object later."""
         return self._drive(
-            self.forward_put_task, object_id, data, metadata, home,
+            self.forward_put_task, object_id, size, write, metadata, home,
             replicas=replicas,
         )
 
     def forward_put_task(
         self,
         object_id: ObjectID,
-        data,
+        size: int,
+        write,
         metadata: bytes,
         home: str,
         *,
@@ -321,12 +323,10 @@ class DisaggregatedStore(PlasmaStore):
     ):
         """The one body of :meth:`forward_put`; the two hops run the
         channel's unary body in this body's mode (blocking, or pipelined
-        tasks), the payload streams over the fabric between them."""
+        tasks), the writer fills the home's extent over the fabric between
+        them."""
         handle = self.peer(home)
         channel = handle.stub.channel
-        mv = memoryview(data)
-        if mv.ndim != 1 or mv.itemsize != 1:
-            mv = mv.cast("B")
         # One budget for the whole forwarded create: PlacedSeal is issued
         # with whatever the PlacedCreate hop and fabric write left of the
         # channel's default deadline, so a slow first hop shrinks the
@@ -338,7 +338,7 @@ class DisaggregatedStore(PlasmaStore):
                 "PlacedCreate",
                 {
                     "object_id": object_id.binary(),
-                    "data_size": len(mv),
+                    "data_size": size,
                     "metadata": bytes(metadata),
                 },
                 attr=attr,
@@ -355,7 +355,8 @@ class DisaggregatedStore(PlasmaStore):
                 return False
             raise
         offset = int(response["offset"])
-        handle.remote_region.write(offset, mv)
+        window, _ = handle.remote_region.write_window(offset, size)
+        write(window)
         try:
             yield from channel.unary_task(
                 handle.stub.service,
@@ -377,7 +378,7 @@ class DisaggregatedStore(PlasmaStore):
                 ) from exc
             raise
         self.counters.inc("placed_creates_forwarded")
-        self.counters.inc("placed_bytes_forwarded", len(mv))
+        self.counters.inc("placed_bytes_forwarded", size)
         return True
 
     def placed_create(
@@ -937,15 +938,19 @@ class DisaggregatedStore(PlasmaStore):
     def _pull_payload(self, handle, entry, offset: int, data_size: int) -> None:
         """Bulk-pull a peer object's payload into a fresh local extent
         (migration adoption, replica materialisation, tier promotion all
-        come through here). Sync mode keeps the baseline one-lump
-        ``view + charge_read`` shape byte-for-byte; async mode streams in
-        64 KiB chunks, charging the identical link model per slice."""
+        come through here), straight into the extent's window: one copy.
+        Sync mode keeps the baseline one-lump ``view + charge_read`` shape
+        byte-for-byte; async mode streams in 64 KiB chunks, charging the
+        identical link model per slice. Either way one local-write charge
+        follows the pull."""
+        buffer = self.local_buffer(entry)
         if self._rpc_async:
-            payload = stream_pull(handle.remote_region, offset, data_size)
+            stream_pull(handle.remote_region, offset, data_size, buffer.view())
         else:
             payload = handle.remote_region.view(offset, data_size)
             handle.remote_region.charge_read(data_size)
-        self.local_buffer(entry).write(payload)
+            buffer.view()[:] = payload
+        buffer.charge_sequential_write()
 
     def _remote_buffer(self, record: RemoteObjectRecord) -> PlasmaBuffer:
         handle = self.peer(record.home)

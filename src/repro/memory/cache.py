@@ -179,18 +179,16 @@ class CacheModel:
         remote reader always observes current DRAM contents."""
         return self._mem.readonly_view(offset, size)
 
-    def remote_write_received(self, offset: int, data) -> int:
-        """A write arriving over the fabric (Fig 3b): flushed to DRAM, but
-        the home cache is *not* invalidated. If the range is resident, the
-        old bytes are snapshotted so the home CPU keeps observing them.
+    def remote_write_received(self, offset: int, size: int) -> int:
+        """A write of ``size`` bytes at ``offset`` is arriving over the
+        fabric (Fig 3b): it lands in DRAM, but the home cache is *not*
+        invalidated. If the range is resident, the old bytes are
+        snapshotted here — before the writer fills DRAM — so the home CPU
+        keeps observing them.
 
         Returns the number of bytes that became stale in the home cache.
         """
-        mv = memoryview(data)
-        if mv.ndim != 1 or mv.itemsize != 1:
-            mv = mv.cast("B")
-        size = len(mv)
-        if size == 0:
+        if size <= 0:
             raise ValueError("write size must be positive")
         stale = 0
         for iv in self._resident.intersecting(*self._align(offset, size)):
@@ -199,7 +197,6 @@ class CacheModel:
             if lo < hi:
                 self._stale[lo] = self._mem.read(lo, hi - lo)
                 stale += hi - lo
-        self._mem.write(offset, mv)
         return stale
 
     # -- maintenance -----------------------------------------------------------------

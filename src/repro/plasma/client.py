@@ -4,10 +4,14 @@ Clients talk to their node-local store over the modelled Unix-domain-socket
 IPC; every public method charges that channel, so client-observed latencies
 include the IPC costs Figure 6 measures. The API mirrors Arrow Plasma's
 (`create`/`seal`/`get`/`release`/`delete`/`contains` plus byte-level
-conveniences).
+conveniences). A put is create → fill the returned window → seal:
+:meth:`PlasmaClient.put_into` hands the producer the extent itself, and
+``put_bytes`` is that with a writer that copies a ready buffer in.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.common.errors import ObjectStoreError
 from repro.common.ids import ObjectID
@@ -15,6 +19,19 @@ from repro.obs.metrics import CounterGroup
 from repro.network.ipc import IpcChannel
 from repro.plasma.buffer import PlasmaBuffer
 from repro.plasma.store import PlasmaStore
+
+
+def copy_writer(data) -> tuple[int, Callable[[memoryview], None]]:
+    """``(size, write)`` for a put whose payload already exists as a
+    buffer: the writer is one slice assignment into the extent."""
+    mv = memoryview(data)
+    if mv.ndim != 1 or mv.itemsize != 1:
+        mv = mv.cast("B")
+
+    def write(view: memoryview) -> None:
+        view[:] = mv
+
+    return len(mv), write
 
 
 class PlasmaClient:
@@ -61,16 +78,26 @@ class PlasmaClient:
             buffer._mark_sealed()  # noqa: SLF001 — client owns its handles
         self.counters.inc("seals")
 
-    def put_bytes(self, object_id: ObjectID, data, metadata: bytes = b"") -> ObjectID:
-        """create + write + seal + release in one call; returns the id."""
-        mv = memoryview(data)
-        if mv.ndim != 1 or mv.itemsize != 1:
-            mv = mv.cast("B")
-        buffer = self.create(object_id, len(mv), metadata)
-        buffer.write(mv)
-        self.seal(object_id)
-        self.release(object_id)
+    def put_into(
+        self, object_id: ObjectID, size: int, write, *, metadata: bytes = b""
+    ) -> ObjectID:
+        """create + fill in place + seal + release in one call; returns the
+        id. ``write(view)`` fills the writable ``size``-byte window of the
+        new extent — no source buffer is built or copied."""
+        self._fill_and_seal(self.create(object_id, size, metadata), write)
         return object_id
+
+    def _fill_and_seal(self, buffer: PlasmaBuffer, write) -> None:
+        """The one local put body: charge the sequential write, let the
+        producer fill the extent in place, seal, drop the reference."""
+        buffer.charge_sequential_write()
+        write(buffer.view())
+        self.seal(buffer.object_id)
+        self.release(buffer.object_id)
+
+    def put_bytes(self, object_id: ObjectID, data, metadata: bytes = b"") -> ObjectID:
+        """:meth:`put_into` whose writer copies *data* in."""
+        return self.put_into(object_id, *copy_writer(data), metadata=metadata)
 
     # -- consumer path ---------------------------------------------------------------
 

@@ -7,7 +7,8 @@ that layout: each mapped remote region gets a window above the node's
 local capacity.
 
 :class:`RemoteRegion` is the ergonomic handle the object store uses: a
-region-shaped view of one remote exposed window with timed read/write.
+region-shaped view of one remote exposed window with timed reads and
+timed write windows.
 """
 
 from __future__ import annotations
@@ -140,18 +141,16 @@ class RemoteRegion:
         """Charge link time for streaming *size* bytes (used with view())."""
         return self._ap.link.charge_stream_read(size)
 
-    def write(self, offset: int, data) -> int:
-        """Streaming write into remote memory (Fig 3b!): the bytes land in
-        the home node's DRAM, but its cache is NOT invalidated — the home
-        CPU may keep observing stale data. Returns stale byte count."""
-        mv = memoryview(data)
-        if mv.ndim != 1 or mv.itemsize != 1:
-            mv = mv.cast("B")
-        self._check(offset, len(mv))
-        self._ap.link.charge_stream_write(len(mv))
-        stale = self._ap.home.serve_remote_write(offset, mv)
-        self.counters.inc("write_bytes", len(mv))
-        return stale
+    def write_window(self, offset: int, size: int) -> tuple[memoryview, int]:
+        """Streaming write into remote memory (Fig 3b!): charges the link
+        and returns the writable window of the home node's DRAM the writer
+        fills in place, plus the stale byte count — the home's cache is NOT
+        invalidated, so the home CPU may keep observing the old data."""
+        self._check(offset, size)
+        self._ap.link.charge_stream_write(size)
+        window, stale = self._ap.home.serve_remote_write(offset, size)
+        self.counters.inc("write_bytes", size)
+        return window, stale
 
     def load(self, offset: int, size: int = 8) -> bytes:
         """A single unpipelined load (≤ one cache line): pays the full

@@ -156,21 +156,20 @@ class ThymesisEndpoint:
         self.counters.inc("served_remote_read_bytes", size)
         return self._cache.remote_coherent_read(abs_off, size)
 
-    def serve_remote_write(self, offset: int, data) -> int:
-        """A remote node writes our exposed region: lands in DRAM but our
-        cache is NOT invalidated (Fig 3b). Returns stale byte count."""
+    def serve_remote_write(self, offset: int, size: int) -> tuple[memoryview, int]:
+        """A remote node writes ``size`` bytes of our exposed region at
+        ``offset``: returns the writable DRAM window the writer fills, and
+        the stale byte count — the bytes land in DRAM but our cache is NOT
+        invalidated (Fig 3b), so what it held is snapshotted first."""
         region = self.exposed
-        mv = memoryview(data)
-        if mv.ndim != 1 or mv.itemsize != 1:
-            mv = mv.cast("B")
         abs_off = region.absolute(offset)
         # Bounds: the write must stay inside the exposed window.
-        region._translate(offset, len(mv))  # noqa: SLF001 — shared bounds check
-        stale = self._cache.remote_write_received(abs_off, mv)
-        self.counters.inc("served_remote_write_bytes", len(mv))
+        region._translate(offset, size)  # noqa: SLF001 — shared bounds check
+        stale = self._cache.remote_write_received(abs_off, size)
+        self.counters.inc("served_remote_write_bytes", size)
         if stale:
             self.counters.inc("stale_bytes_created", stale)
-        return stale
+        return self._memory.view(abs_off, size), stale
 
     def invalidate_exposed(self, offset: int, size: int) -> None:
         """What the paper's hypothetical kernel module would do: drop cached

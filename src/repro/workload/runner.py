@@ -14,7 +14,8 @@ stream on simulated time:
 
 Every op passes multi-tenant admission first; rejected ops consume no
 cluster work and are tallied per tenant/reason. Writes replace the slot's
-current object (delete old version, put new), deletes empty the slot, and
+current object (delete old version, put new — filled in place in its
+extent, no payload built), deletes empty the slot, and
 scans batch-read consecutive slots. Latencies and outcomes land both in a
 ``workload`` :class:`~repro.obs.metrics.MetricsRegistry` (labeled by
 tenant and kind) and in plain distributions the BENCH payload is built
@@ -26,6 +27,9 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field, replace
+from typing import Callable
+
+import numpy as np
 
 from repro.common.config import (
     ClusterConfig,
@@ -58,10 +62,16 @@ def _fill_byte(slot: int, version: int) -> int:
     return (slot * 131 + version * 17) % 251
 
 
-def payload_for(slot: int, version: int, size: int) -> bytes:
-    """Deterministic payload for one slot version (contents don't affect
-    modelled timing; a recognizable fill makes corruption visible)."""
-    return bytes([_fill_byte(slot, version)]) * size
+def fill_writer(slot: int, version: int) -> Callable[[memoryview], None]:
+    """The put writer of one slot version: fills the new extent in place
+    with a deterministic constant (contents don't affect modelled timing;
+    a recognizable fill makes corruption visible). No payload is built."""
+    fill = _fill_byte(slot, version)
+
+    def write(view: memoryview) -> None:
+        np.frombuffer(view, np.uint8).fill(fill)
+
+    return write
 
 
 def _checked_len(data, slot: int, version: int) -> int:
@@ -300,8 +310,8 @@ class ScenarioRunner:
         for slot in range(scenario.population.objects):
             size = scenario.population.size.draw(size_rng)
             oid = self._fresh_oid()
-            self._client(slot).put_bytes(
-                oid, payload_for(slot, self._next_oid, size), replicas=replicas
+            self._client(slot).put_into(
+                oid, size, fill_writer(slot, self._next_oid), replicas=replicas
             )
             tenant = owners[slot]
             self._slots[slot] = _Slot(self._next_oid, size, tenant)
@@ -417,9 +427,10 @@ class ScenarioRunner:
         self._delete_slot(op.slot)
         oid = self._fresh_oid()
         oid_int = self._next_oid
-        self._client(op.seq).put_bytes(
+        self._client(op.seq).put_into(
             oid,
-            payload_for(op.slot, oid_int, op.size_bytes),
+            op.size_bytes,
+            fill_writer(op.slot, oid_int),
             replicas=self.scenario.cluster.replicas,
         )
         self._record_write(op, oid_int)
@@ -502,9 +513,10 @@ class ScenarioRunner:
         # suspended, so pin this object's id now rather than re-reading
         # the allocator after the put completes.
         oid_int = self._next_oid
-        yield from self._client(op.seq).put_bytes_task(
+        yield from self._client(op.seq).put_into_task(
             oid,
-            payload_for(op.slot, oid_int, op.size_bytes),
+            op.size_bytes,
+            fill_writer(op.slot, oid_int),
             replicas=self.scenario.cluster.replicas,
             attr=attr,
         )

@@ -17,6 +17,7 @@ from repro.common.errors import ObjectStoreError
 from repro.common.ids import ObjectID
 from repro.common.units import KiB, MiB
 from repro.core import Cluster
+from repro.plasma.client import copy_writer
 from repro.rpc.aio.loop import EventLoop, Sleep
 from tests.conftest import oid_homed_at
 
@@ -60,7 +61,7 @@ def test_nested_facades_block_inline(monkeypatch):
         data = bytes(buffer.read_all())
         consumer.release(read_oid)
         forwarded = cluster.store("node1").forward_put(
-            put_oid, b"w" * 256, b"", "node0"
+            put_oid, *copy_writer(b"w" * 256), b"", "node0"
         )
         cluster.store("node0").delete_object(read_oid)
         return data, forwarded

@@ -58,7 +58,8 @@ class TestCoherencyHazardEndToEnd:
         abs_base = region.absolute(0)
         home_ep.local_write(abs_base, b"HOME-VALUE")
         remote_window = cluster.store("node1").peer("node0").remote_region
-        stale = remote_window.write(0, b"PEER-WRITE")
+        window, stale = remote_window.write_window(0, 10)
+        window[:] = b"PEER-WRITE"
         assert stale == 10
         out = home_ep.local_read_view(abs_base, 10)
         assert bytes(out) == b"HOME-VALUE"  # the hazard, reproduced

@@ -11,6 +11,7 @@ from repro.common.config import testing_config as _testing_config
 from repro.common.errors import ObjectUnavailableError
 from repro.common.units import MiB
 from repro.core import Cluster
+from repro.plasma.client import copy_writer
 
 MS = 1_000_000
 
@@ -48,7 +49,9 @@ class TestDeadlinePropagation:
         seen = []
         spy_deadlines(cl.node("node1").server, seen)
         oid = cl.new_object_id()
-        assert cl.store("node0").forward_put(oid, b"x" * 1024, b"", "node1")
+        assert cl.store("node0").forward_put(
+            oid, *copy_writer(b"x" * 1024), b"", "node1"
+        )
         deadlines = dict(
             (m, d) for m, d in seen if m in ("PlacedCreate", "PlacedSeal")
         )
@@ -64,7 +67,9 @@ class TestDeadlinePropagation:
         seen = []
         spy_deadlines(cl.node("node1").server, seen)
         oid = cl.new_object_id()
-        assert cl.store("node0").forward_put(oid, b"y" * 64, b"", "node1")
+        assert cl.store("node0").forward_put(
+            oid, *copy_writer(b"y" * 64), b"", "node1"
+        )
         assert all(d is None for _, d in seen)
 
 

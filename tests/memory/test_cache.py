@@ -15,6 +15,13 @@ def make(capacity=64 * 1024, cache_capacity=8 * 1024, line=128):
     return mem, CacheModel(mem, cfg)
 
 
+def remote_write(mem, cache, offset, data):
+    """A fabric write: the stale snapshot first, then the bytes land."""
+    stale = cache.remote_write_received(offset, len(data))
+    mem.write(offset, data)
+    return stale
+
+
 class TestResidency:
     def test_first_read_misses_second_hits(self):
         _, cache = make()
@@ -133,7 +140,7 @@ class TestFig3bRemoteWriteStaleness:
     def test_home_cpu_observes_stale_value(self):
         mem, cache = make()
         cache.local_write(0, b"original-contents")
-        stale = cache.remote_write_received(0, b"OVERWRITTEN-BYTES")
+        stale = remote_write(mem, cache, 0, b"OVERWRITTEN-BYTES")
         assert stale > 0
         # DRAM holds the new bytes...
         assert mem.read(0, 17) == b"OVERWRITTEN-BYTES"
@@ -143,53 +150,53 @@ class TestFig3bRemoteWriteStaleness:
     def test_uncached_range_has_no_staleness(self):
         mem, cache = make()
         mem.write(0, b"cold-data")
-        stale = cache.remote_write_received(0, b"NEW!-data")
+        stale = remote_write(mem, cache, 0, b"NEW!-data")
         assert stale == 0
         assert cache.observed_view(0, 9) == b"NEW!-data"
 
     def test_invalidate_makes_remote_write_visible(self):
-        _, cache = make()
+        mem, cache = make()
         cache.local_write(0, b"aaaa")
-        cache.remote_write_received(0, b"bbbb")
+        remote_write(mem, cache, 0, b"bbbb")
         assert cache.observed_view(0, 4) == b"aaaa"
         cache.invalidate(0, 4)
         assert cache.observed_view(0, 4) == b"bbbb"
 
     def test_local_rewrite_supersedes_staleness(self):
-        _, cache = make()
+        mem, cache = make()
         cache.local_write(0, b"aaaa")
-        cache.remote_write_received(0, b"bbbb")
+        remote_write(mem, cache, 0, b"bbbb")
         cache.local_write(0, b"cccc")
         assert cache.observed_view(0, 4) == b"cccc"
         assert bytes(cache.remote_coherent_read(0, 4)) == b"cccc"
 
     def test_partial_staleness_overlay(self):
-        _, cache = make(line=128)
+        mem, cache = make(line=128)
         cache.local_write(0, b"A" * 128)  # line 0 cached
         # Remote write spans lines 0-1; only the cached line goes stale.
-        cache.remote_write_received(0, b"B" * 256)
+        remote_write(mem, cache, 0, b"B" * 256)
         observed = cache.observed_view(0, 256)
         assert observed[:128] == b"A" * 128
         assert observed[128:] == b"B" * 128
 
     def test_remote_coherent_read_sees_remote_write(self):
-        _, cache = make()
+        mem, cache = make()
         cache.local_write(0, b"xxxx")
-        cache.remote_write_received(0, b"yyyy")
+        remote_write(mem, cache, 0, b"yyyy")
         # Another remote reader is coherent with DRAM, not the stale cache.
         assert bytes(cache.remote_coherent_read(0, 4)) == b"yyyy"
 
     def test_stale_count_reported_by_read(self):
-        _, cache = make()
+        mem, cache = make()
         cache.local_write(0, b"q" * 256)
-        cache.remote_write_received(0, b"r" * 256)
+        remote_write(mem, cache, 0, b"r" * 256)
         access = cache.local_read(0, 256)
         assert access.stale_bytes == 256
 
     def test_eviction_drops_stale_snapshot(self):
-        _, cache = make(cache_capacity=1024, line=128)
+        mem, cache = make(cache_capacity=1024, line=128)
         cache.local_write(0, b"s" * 128)
-        cache.remote_write_received(0, b"t" * 128)
+        remote_write(mem, cache, 0, b"t" * 128)
         # Push enough new lines through to evict line 0.
         for i in range(1, 20):
             cache.local_read(i * 128, 128)
@@ -206,9 +213,9 @@ class TestChargeOnlyWrite:
         assert cache.is_resident(0, 8)
 
     def test_note_local_write_supersedes_staleness(self):
-        _, cache = make()
+        mem, cache = make()
         cache.local_write(0, b"aaaa")
-        cache.remote_write_received(0, b"bbbb")
+        remote_write(mem, cache, 0, b"bbbb")
         cache.note_local_write(0, 4)
         # Stale snapshot dropped: observation now matches DRAM.
         assert cache.observed_view(0, 4) == b"bbbb"

@@ -125,7 +125,9 @@ def test_fig3b_stale_snapshot_is_observed_through_read_view(cluster):
     cluster.client("node0").put_bytes(oid, b"HOME" * 256)  # cached by the write
     offset = home.lookup_descriptor(oid)["offset"]
     window = cluster.store("node1").peer("node0").remote_region
-    assert window.write(offset, b"PEER" * 256) == 1024
+    dram, stale = window.write_window(offset, 1024)
+    dram[:] = b"PEER" * 256
+    assert stale == 1024
     client = cluster.client("node0")
     buffer = client.get([oid])[0]
     observed = buffer.read_view()

@@ -22,6 +22,7 @@ from repro.common.ids import ObjectID
 from repro.common.rng import DeterministicRng, derive_seed
 from repro.common.units import MiB
 from repro.core import Cluster
+from repro.plasma.client import copy_writer
 from repro.rpc.aio.loop import Sleep
 
 import pytest
@@ -95,8 +96,8 @@ def run_schedule(seed: int) -> list[tuple[int, str, str]]:
 
     def put_factory(client, obj: int, size: int, repl: int):
         def factory():
-            yield from client.put_bytes_task(
-                ObjectID.from_int(obj), _payload(obj, size), replicas=repl
+            yield from client.put_into_task(
+                ObjectID.from_int(obj), *copy_writer(_payload(obj, size)), replicas=repl
             )
             return _payload(obj, size)
 

@@ -187,6 +187,9 @@ class TestReachedSurface:
         ("repro.core.client", None, "RemoteSubscription"),
         ("repro.tier.engine", None, "TierConvergenceReport"),
         ("repro.rpc.aio.streaming", None, "stream_pull_task"),
+        ("repro.core.client", "DisaggregatedClient", "put_bytes_task"),
+        ("repro.thymesisflow.aperture", "RemoteRegion", "write"),
+        ("repro.workload.runner", None, "payload_for"),
     ])
     def test_unreached_name_is_gone(self, module, owner, name):
         import importlib

@@ -84,7 +84,8 @@ class TestExposedRegion:
         _, ep = make()
         ep.expose(0, MiB)
         ep.local_write(0, b"AAAA")
-        stale = ep.serve_remote_write(0, b"BBBB")
+        window, stale = ep.serve_remote_write(0, 4)
+        window[:] = b"BBBB"
         assert stale == 4
         out = ep.local_read_view(0, 4)
         assert bytes(out) == b"AAAA"  # Fig 3b: home CPU sees old value
@@ -94,7 +95,8 @@ class TestExposedRegion:
         _, ep = make()
         ep.expose(0, MiB)
         ep.local_write(0, b"AAAA")
-        ep.serve_remote_write(0, b"BBBB")
+        window, _ = ep.serve_remote_write(0, 4)
+        window[:] = b"BBBB"
         ep.invalidate_exposed(0, 4)
         out = ep.local_read_view(0, 4)
         assert bytes(out) == b"BBBB"
@@ -103,4 +105,4 @@ class TestExposedRegion:
         _, ep = make()
         ep.expose(0, 1024)
         with pytest.raises(FabricError):
-            ep.serve_remote_write(1020, b"too-long")
+            ep.serve_remote_write(1020, len(b"too-long"))

@@ -131,7 +131,8 @@ class TestRemoteRegionAccess:
         home = fabric.endpoint("b")
         home.local_write(0, b"OLD!")
         rr = fabric.map_remote("a", "b")
-        stale = rr.write(0, b"NEW!")
+        window, stale = rr.write_window(0, 4)
+        window[:] = b"NEW!"
         assert stale == 4
         out = home.local_read_view(0, 4)
         assert bytes(out) == b"OLD!"  # home is stale

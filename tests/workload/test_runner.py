@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.common.config import testing_config as make_config
+from repro.core import Cluster
 from repro.workload import Scenario, run_scenario, runner
 from repro.workload.report import bench_artifact_name, dumps_bench
-from repro.workload.runner import payload_for
+from repro.workload.runner import _fill_byte, fill_writer
 
 from tests.workload.conftest import mini_obj
 
@@ -89,11 +91,26 @@ class TestClosedLoop:
         assert payload["sim"]["ops_per_s"] > 0
 
 
+def _filled(slot, version, size):
+    out = bytearray(size)
+    fill_writer(slot, version)(memoryview(out))
+    return bytes(out)
+
+
 class TestPayloadHelper:
-    def test_payload_for_is_deterministic_fill(self):
-        assert payload_for(3, 5, 8) == payload_for(3, 5, 8)
-        assert len(payload_for(0, 1, 100)) == 100
-        assert payload_for(1, 1, 4) != payload_for(2, 1, 4)
+    def test_fill_writer_is_deterministic_fill(self):
+        assert _filled(3, 5, 8) == _filled(3, 5, 8)
+        assert len(_filled(0, 1, 100)) == 100
+        assert _filled(1, 1, 4) != _filled(2, 1, 4)
+        # The bytes a put leaves at rest are the constant fill a payload
+        # temporary used to carry, byte for byte.
+        cluster = Cluster(make_config(), 2)
+        oid = cluster.new_object_id()
+        cluster.client("node0").put_into(oid, 4096, fill_writer(3, 5))
+        store = cluster.store("node0")
+        entry = store.table.lookup(oid)
+        at_rest = store.region.view(entry.payload_offset, entry.data_size)
+        assert bytes(at_rest) == bytes([_fill_byte(3, 5)]) * 4096
 
 
 class TestPayloadSpotCheck:
@@ -103,10 +120,16 @@ class TestPayloadSpotCheck:
 
     @pytest.mark.parametrize("mode", ["sync", "async"])
     def test_wrong_bytes_fail_reads_and_scans(self, monkeypatch, mode):
-        def torn(slot, version, size):
-            return payload_for(slot, version, size)[:-1] + b"\xff"  # never a fill
+        def torn(slot, version):
+            fill = fill_writer(slot, version)
 
-        monkeypatch.setattr(runner, "payload_for", torn)
+            def write(view):
+                fill(view)
+                view[-1] = 0xFF  # never a fill
+
+            return write
+
+        monkeypatch.setattr(runner, "fill_writer", torn)
         obj = mini_obj(rpc={"mode": mode})
         result, payload = run_scenario(Scenario.from_obj(obj))
         # Every read and scan that found an object failed typed; none
