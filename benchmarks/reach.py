@@ -140,8 +140,13 @@ def system_set(out: Path) -> list[Command]:
             "simtest --self-check --mutation skip_replica_retire",
             repro + ("simtest", "--self-check", "--mutation", "skip_replica_retire"),
         ),
+        Command(
+            "simtest --self-check --mutation skip_alias_copy_out",
+            repro + ("simtest", "--self-check", "--mutation", "skip_alias_copy_out"),
+        ),
         Command("simtest smoke", repro + ("simtest", "--profile", "smoke")),
         Command("simtest concurrency", repro + ("simtest", "--profile", "concurrency")),
+        Command("simtest tier-hazards", repro + ("simtest", "--profile", "tier-hazards")),
         Command("metrics", repro + ("metrics", "--nodes", "3", "--objects", "10")),
         Command(
             "trace",

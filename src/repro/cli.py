@@ -992,11 +992,14 @@ def build_parser() -> argparse.ArgumentParser:
     simtest.add_argument("--base-seed", type=int, default=0,
                          help="first seed of the sweep")
     simtest.add_argument("--profile",
-                         choices=("smoke", "nightly", "concurrency"),
+                         choices=("smoke", "nightly", "concurrency",
+                                  "tier-hazards"),
                          default="smoke",
                          help="seed budget preset: smoke=100x200, "
                               "nightly=500x300, concurrency=300x200 on the "
-                              "async event-loop RPC workload")
+                              "async event-loop RPC workload, "
+                              "tier-hazards=100x200 reusing hot-cached "
+                              "extents")
     simtest.add_argument("--shrink", action="store_true",
                          help="delta-debug the first failing trace to a "
                               "minimal reproducer")

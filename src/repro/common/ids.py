@@ -25,7 +25,7 @@ class ObjectID:
     bytes, which lets the stores keep ordered id maps.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_hash")
 
     def __init__(self, data: bytes):
         if type(data) is not bytes:  # ids decoded off the wire already are
@@ -37,6 +37,10 @@ class ObjectID:
                 f"ObjectID requires exactly {ID_NBYTES} bytes, got {len(data)}"
             )
         self._data = data
+        # Ids key every table and map on the data path; hashing once here
+        # saves a bytes-hash call per lookup. Same value, so every dict and
+        # set iterates exactly as it did.
+        self._hash = hash(data)
 
     # -- constructors -------------------------------------------------------
 
@@ -87,7 +91,7 @@ class ObjectID:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._data)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"ObjectID({self._data.hex()[:12]}…)"

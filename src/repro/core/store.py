@@ -970,10 +970,10 @@ class DisaggregatedStore(PlasmaStore):
         )
 
     def _cache_served_buffer(
-        self, object_id: ObjectID, payload: bytes, home: str
+        self, object_id: ObjectID, payload, home: str
     ) -> PlasmaBuffer:
-        """A handle over a cache-resident payload copy (the pre-resolution
-        fast path); reads charge the local-copy model and credit the home
+        """A handle over a cache-resident payload (the pre-resolution fast
+        path); reads charge the local-copy model and credit the home
         link with the fabric stream they replaced."""
         handle = self._peers.get(home)
         link = handle.remote_region.aperture.link if handle is not None else None

@@ -123,6 +123,12 @@ class RemoteBufferSource:
     def view(self, offset: int, size: int) -> memoryview:
         return self._remote.view(self._off + offset, size)
 
+    def home_extent(self, offset: int, size: int):
+        """``(memory, start, end)`` that :meth:`view` of this range aliases
+        in the home's DRAM — after any stale-descriptor refresh, the
+        incarnation the last read actually streamed."""
+        return self._remote.home_extent(self._off + offset, size)
+
     def charge_read(self, offset: int, size: int) -> float:
         # A validating reader still fetches the header with the stream.
         ig = self._integrity

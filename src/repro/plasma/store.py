@@ -331,16 +331,23 @@ class PlasmaStore:
         self._allocator.free(entry.allocation.offset)
 
     def _allocate_with_eviction(self, data_size: int):
+        """Allocate an extent, evicting on pressure. Whatever the caller
+        does next writes into it, so any view a remote hot cache still
+        keeps of the extent's old bytes is copied out here first."""
         try:
-            return self._allocator.allocate(data_size)
+            allocation = self._allocator.allocate(data_size)
         except OutOfMemoryError:
-            pass
-        # Memory pressure: evict a batch of LRU sealed unused objects. If
-        # the request still does not fit (all remaining objects in use, or
-        # fragmentation) the retry's OutOfMemoryError goes to the caller.
-        decision = self._eviction.plan(self._table, required_bytes=data_size)
-        self._evict_round(decision.victims)
-        return self._allocator.allocate(data_size)
+            allocation = None
+        if allocation is None:
+            # Memory pressure: evict a batch of LRU sealed unused objects.
+            # If the request still does not fit (all remaining objects in
+            # use, or fragmentation) the retry's OutOfMemoryError goes to
+            # the caller.
+            decision = self._eviction.plan(self._table, required_bytes=data_size)
+            self._evict_round(decision.victims)
+            allocation = self._allocator.allocate(data_size)
+        self._region.copy_out(allocation.offset, allocation.padded_size)
+        return allocation
 
     def _evict_round(self, victims: list[ObjectEntry]) -> None:
         """Evict one planned round, then announce it once — after the last

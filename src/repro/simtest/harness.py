@@ -108,11 +108,13 @@ CLUSTER_CONFIG = ClusterConfig(
 
 #: Sweep presets: (n_seeds, n_ops, workload profile). The concurrency
 #: profile runs the async event-loop RPC plane under the same oracle —
-#: pipelined data-path ops, batched multi-gets, mid-trace mode flips.
+#: pipelined data-path ops, batched multi-gets, mid-trace mode flips; the
+#: tier-hazards profile reuses extents that readers' hot caches still view.
 PROFILES = {
     "smoke": (100, 200, "default"),
     "nightly": (500, 300, "default"),
     "concurrency": (300, 200, "concurrency"),
+    "tier-hazards": (100, 200, "tier-hazards"),
 }
 
 

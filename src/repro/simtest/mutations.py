@@ -72,10 +72,39 @@ def _skip_replica_retire() -> Iterator[None]:
         DisaggregatedStore.drop_replicas = original
 
 
+@contextlib.contextmanager
+def _skip_alias_copy_out() -> Iterator[None]:
+    """Plant the aliasing hot-cache bug: home memory changes without first
+    copying out the cache entries that still view it.
+
+    A reader that missed a delete's invalidation then serves whatever a
+    later put wrote into the reused extent instead of the bytes it
+    admitted.
+    """
+
+    from repro.memory.host import HostMemory
+
+    original = HostMemory.copy_out
+
+    def skip(self, offset, size):  # noqa: ANN001 - matches patched signature
+        return None
+
+    HostMemory.copy_out = skip
+    try:
+        yield
+    finally:
+        HostMemory.copy_out = original
+
+
 MUTATIONS = {
     "skip_retire": _skip_retire,
     "skip_replica_retire": _skip_replica_retire,
+    "skip_alias_copy_out": _skip_alias_copy_out,
 }
+
+#: The workload profile a mutation's self-check sweeps when it is not the
+#: default one: the schedule that exposes it is too rare to draw there.
+SELF_CHECK_PROFILES = {"skip_alias_copy_out": "tier-hazards"}
 
 
 @contextlib.contextmanager

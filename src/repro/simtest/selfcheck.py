@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.simtest.harness import RunResult, run_seed
+from repro.simtest.mutations import SELF_CHECK_PROFILES
 from repro.simtest.shrink import ShrinkReport, emit_pytest, shrink_result
 
 
@@ -47,13 +48,17 @@ def run_selfcheck(
     base_seed: int = 0,
     budget: int = 400,
 ) -> SelfCheckReport:
-    """Inject ``mutation``, scan seeds until the harness catches it, shrink."""
+    """Inject ``mutation``, scan seeds of its workload profile until the
+    harness catches it, shrink."""
 
+    profile = SELF_CHECK_PROFILES.get(mutation, "default")
     failing: RunResult | None = None
     tried = 0
     for offset in range(max_seeds):
         tried += 1
-        result = run_seed(base_seed + offset, n_ops, mutation=mutation)
+        result = run_seed(
+            base_seed + offset, n_ops, mutation=mutation, profile=profile
+        )
         if not result.ok:
             failing = result
             break

@@ -89,9 +89,23 @@ CONCURRENCY_WEIGHTS: tuple[tuple[str, int], ...] = (
     ("advance", 7),
 )
 
+#: Hot-cache hazard weighting: puts and remote gets fill the readers' hot
+#: caches, partitions swallow the delete invalidations meant for them
+#: (a blackhole of at most 20 ms never outlasts the sender's retries), and
+#: fresh puts reuse the freed extents while a reader still holds a cached
+#: view of the old bytes — which its next get of the deleted id serves.
+TIER_HAZARD_WEIGHTS: tuple[tuple[str, int], ...] = (
+    ("put", 20),
+    ("get", 40),
+    ("delete", 10),
+    ("partition", 6),
+    ("heal", 3),
+)
+
 PROFILE_WEIGHTS: dict[str, tuple[tuple[str, int], ...]] = {
     "default": WEIGHTS,
     "concurrency": CONCURRENCY_WEIGHTS,
+    "tier-hazards": TIER_HAZARD_WEIGHTS,
 }
 
 

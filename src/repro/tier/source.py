@@ -2,13 +2,15 @@
 
 Wraps a :class:`~repro.plasma.buffer.RemoteBufferSource`: a read first
 probes the node's :class:`~repro.tier.cache.HotObjectCache` by
-``(object id, generation)``. A hit serves the cached bytes in place from
-local DRAM — charged through the agent's local-copy cost model, attributed
-to the ``cache`` span component, and counted on the fabric link as avoided
-read bytes. A miss delegates to the wrapped source's *validated* fabric read
+``(object id, generation)``. A hit serves the cached payload in place —
+charged through the agent's local-copy cost model, attributed to the
+``cache`` span component, and counted on the fabric link as avoided read
+bytes. A miss delegates to the wrapped source's *validated* fabric read
 and, when that read covered the whole payload, offers the view it returned
-to the cache keyed by the generation the validation just proved; the cache
-copies it only if it admits it.
+to the cache keyed by the generation the validation just proved, together
+with the home extent the view aliases. Admission copies nothing: cached
+entries are views copied out before the home changes them (see
+:mod:`repro.tier.cache`).
 
 Filling only after a validated read is the coherence linchpin: the header
 check before the stream and the generation re-check after it guarantee the
@@ -39,18 +41,19 @@ def _charge_hit(store, agent, link, size: int, header_size: int) -> None:
 
 
 class CachedBufferSource:
-    """A buffer source over a cache-resident payload copy.
+    """A buffer source over a cache-resident payload.
 
     Backs the *pre-resolution* fast path: the store answered a get straight
     from the hot-object cache, so there is no remote record, no home-side
-    pin, and no fabric mapping behind this source — just the bytes. Reads
+    pin, and no fabric mapping behind this source — just the cache's entry
+    (its view of the home extent, or the bytes copied out of it). Reads
     are charged through the agent's local-copy cost model under the
     ``cache`` span component and credited to the home link as avoided
     fabric traffic; the payload is immutable (sealed), so writes are a
     programming error.
     """
 
-    def __init__(self, payload: bytes, home: str, agent, store, link):
+    def __init__(self, payload, home: str, agent, store, link):
         self._payload = payload
         self._home = home
         self._agent = agent
@@ -63,7 +66,7 @@ class CachedBufferSource:
 
     @property
     def is_remote(self) -> bool:
-        # The object lives remotely; only this copy of its bytes is local.
+        # The object lives remotely; only the cache's entry is local.
         # True keeps client-side correlation stamping identical to the
         # resolving path, so deferred reads attribute to their Get.
         return True
@@ -132,7 +135,7 @@ class TierBufferSource:
         cache = self._agent.cache
         return cache if cache is not None and self._generation() else None
 
-    def _hit(self, cache, size: int) -> bytes | None:
+    def _hit(self, cache, size: int):
         """The cached payload of the live incarnation with the serve
         charged, or None on a miss."""
         payload = cache.lookup(self._record.object_id, self._generation())
@@ -168,5 +171,6 @@ class TierBufferSource:
                     generation,
                     view,
                     home=self._record.home,
+                    extent=self._inner.home_extent(offset, size),
                 )
         return view

@@ -126,3 +126,39 @@ def test_handcrafted_async_multi_get_mixes_hits_and_misses():
     result = SimulationRunner(2).run(ops)
     assert result.ok, result.report()
     assert result.steps[3].endswith("-> ok,notfound,ok,ok")
+
+
+#: node0 reads obj 3 (homed on node2) into its hot cache; node2's breaker
+#: towards node0, opened during the partition, drops the delete's
+#: NotifyDeleted. A copy of obj 12 later lands in obj 3's old extent on
+#: node2 while node0's cache still views it, and the final sweep reads obj 3
+#: through that cache. (The shrunk self-check trace of skip_alias_copy_out.)
+ALIAS_HAZARD = [
+    make("partition", a="node1", b="node2"),
+    make("partition", a="node2", b="node0"),
+    make("health"),
+    make("put", node="node2", obj=3, replicas=3, size=4096),
+    make("heal", a="node0", b="node2"),
+    make("get", node="node0", obj=3),
+    make("delete", obj=3),
+    make("put", node="node1", obj=12, replicas=2, size=8192),
+]
+
+
+def test_hot_cache_entry_is_copied_out_before_its_extent_is_reused():
+    runner = SimulationRunner(0)
+    result = runner.run(ALIAS_HAZARD)
+    assert result.ok, result.report()
+    assert runner.cluster.tier_agent("node0").cache.copy_outs == 1
+
+
+def test_skipped_copy_out_serves_the_reused_extent():
+    result = SimulationRunner(0, mutation="skip_alias_copy_out").run(ALIAS_HAZARD)
+    assert [v.kind for v in result.violations] == ["wrong-bytes"]
+
+
+@pytest.mark.slow
+@pytest.mark.simtest
+def test_small_tier_hazards_sweep_is_clean():
+    sweep = run_seeds(6, 120, profile="tier-hazards")
+    assert sweep.ok, sweep.summary()

@@ -86,6 +86,14 @@ def test_selfcheck_catches_and_shrinks_mutation(tmp_path):
     test_fns[0]()  # asserts the harness still catches the mutation
 
 
+@pytest.mark.slow
+@pytest.mark.simtest
+def test_selfcheck_sweeps_the_profile_that_exposes_the_mutation():
+    report = run_selfcheck(mutation="skip_alias_copy_out", max_seeds=10)
+    assert report.caught, report.summary()
+    assert len(report.shrink.minimal) <= 25
+
+
 def test_emit_pytest_clean_expectation():
     failing = SimulationRunner(1, mutation="skip_retire").run([
         make("put", obj=0, node="node0", size=512, replicas=1),

@@ -88,3 +88,20 @@ class TestConcurrencyProfile:
             op.kind not in ("multi_get", "set_rpc_mode")
             for op in generate_ops(42, 300)
         )
+
+
+class TestTierHazardsProfile:
+    def test_deterministic(self):
+        first = generate_ops(11, 200, profile="tier-hazards")
+        assert first == generate_ops(11, 200, profile="tier-hazards")
+
+    def test_draws_only_the_hazard_vocabulary(self):
+        """Puts, gets, deletes and partitions (plus the health/advance
+        fallbacks) — nothing that would clear or bypass the hot caches."""
+        seen = set()
+        for seed in range(8):
+            seen |= {
+                op.kind for op in generate_ops(seed, 200, profile="tier-hazards")
+            }
+        assert {"put", "get", "delete", "partition", "heal"} <= seen
+        assert seen <= {"put", "get", "delete", "partition", "heal", "health", "advance"}

@@ -1,10 +1,11 @@
 """The zero-copy read through the tier plane: a miss streams the home
-extent in place and offers that view to the hot cache, a hit serves the
-cache's own bytes in place — at exactly the simulated cost of the copying
-reads, which are copies of the same view."""
+extent in place and offers that view to the hot cache, which keeps it
+without copying; a hit serves the cache's entry in place — at exactly the
+simulated cost of the copying reads, which are copies of the same view."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.common.config import ClusterConfig, PlacementConfig, SpanConfig, TierConfig
@@ -74,12 +75,15 @@ def seeded():
 
 
 def test_admitted_payload_does_not_alias_the_home_extent(seeded):
+    """Overwriting the home extent copies the admitted entry out first, so
+    the entry stops aliasing those bytes before they change."""
     cluster, client, cache = seeded
     home = cluster.store(holder_of(cluster, oid(1)))
     offset = home.lookup_descriptor(oid(1))["offset"]
     cluster.node(home.node).endpoint.exposed.write(offset, b"\xff" * len(PAYLOAD))
     _, cached, _ = cache.lookup_any(oid(1))
-    assert type(cached) is bytes and cached == PAYLOAD
+    assert cached == PAYLOAD
+    assert cache.copy_outs == 1
     assert read(client, client.get([oid(1)])[0], "read_view") == PAYLOAD
 
 
@@ -88,5 +92,7 @@ def test_cache_served_view_is_read_only_and_in_place(seeded):
     buffer = client.get([oid(1)])[0]
     view = buffer.read_view()
     assert view.readonly
-    assert view.obj is cache.lookup_any(oid(1))[1]  # the cache's own bytes
+    entry = cache.lookup_any(oid(1))[1]
+    assert np.shares_memory(np.frombuffer(view, np.uint8), np.frombuffer(entry, np.uint8))
+    assert bytes(view) == PAYLOAD
     client.release(oid(1))
