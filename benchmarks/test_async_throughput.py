@@ -42,7 +42,7 @@ def sync_payload():
 def test_async_sustains_offered_rate_sync_saturates(async_runs, sync_payload):
     """What the anchor protects: the event-loop path keeps up with the
     offered load, the serial unary path cannot. Measured on this scenario
-    and seed: async 0.957, sync 0.613 of the offered 1000 ops/s. Async is
+    and seed: async 0.957, sync 0.726 of the offered 1000 ops/s. Async is
     capped by the offered rate, so a ratio of the two drifts with every
     sync-path gain while these two bounds do not."""
     (_, async_payload), _ = async_runs

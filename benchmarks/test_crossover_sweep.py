@@ -1,18 +1,33 @@
-"""E11 — crossover sweep: when does replication beat disaggregation?
+"""E11 — crossover sweeps: when does replication beat disaggregation, and
+when does a forwarded put's payload ride its RPC?
 
 The paper's introduction argues against the scale-out approach (Fig 1a)
 because it burns LAN bandwidth and duplicates data; the honest counterpoint
 is that a replica serves *repeat* reads at local speed. This sweep measures
 both systems end-to-end as the re-read count grows and locates the
 crossover — the quantitative boundary of the paper's argument.
+
+The same question on the write side: a put routed to its ring home can
+carry the payload in one ``PlacedPut`` (every byte pays the RPC's per-byte
+cost) or take the fabric write window between ``PlacedCreate`` and
+``PlacedSeal`` (one more round trip). The store picks by the cost model,
+``size * per_byte_ns < round_trip_ns``; the size sweep below measures both
+paths and checks that the pick is the cheaper one.
 """
 
 from __future__ import annotations
 
+import statistics
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.sweep import object_size_sweep, reread_crossover
-from repro.common.units import KB, MiB
+from repro.common.config import ClusterConfig, PlacementConfig
+from repro.common.units import KB, KiB, MiB
+from repro.core import Cluster
+from repro.plasma.client import copy_writer
+from repro.rpc.channel import Channel
 
 
 def test_reread_crossover(benchmark):
@@ -83,3 +98,69 @@ def test_object_size_sweep(benchmark):
     # Local beats remote everywhere.
     for p in points:
         assert p.local_read_gibps > p.remote_read_gibps
+
+
+PUT_SIZES = (4, 16, 64, 128, 192, 224, 256, 288, 320, 384, 512, 768, 1024)  # KiB
+PUTS_PER_POINT = 9
+
+
+def forwarded_put_ns(size: int, inline: bool, monkeypatch) -> float:
+    """Median simulated latency of a client put of *size* bytes that the
+    ring forwards to another node, forced down one path."""
+    cfg = replace(ClusterConfig(seed=11), placement=PlacementConfig())
+    cfg = cfg.with_store(capacity_bytes=32 * MiB, check_remote_uniqueness=False)
+    cluster = Cluster(cfg, 2)
+    ring, writer = cluster.placement_ring(), cluster.client("node1")
+    size_, write = copy_writer(bytes(size))
+    samples = []
+    with monkeypatch.context() as patch:
+        patch.setattr(Channel, "inline_is_cheaper", lambda self, n: inline)
+        while len(samples) < PUTS_PER_POINT:
+            oid = cluster.new_object_id()
+            if ring.home(oid) != "node0":
+                continue
+            start = cluster.clock.now_ns
+            writer.put_into(oid, size_, write)
+            samples.append(cluster.clock.now_ns - start)
+    return statistics.median(samples)
+
+
+def test_forwarded_put_picks_the_cheaper_path(benchmark, monkeypatch):
+    """At every grid point at least 25 % away from the model's crossover
+    the path the store picks measures faster than the other one."""
+    rpc = ClusterConfig().rpc
+    model = rpc.round_trip_ns / rpc.per_byte_ns
+
+    def run():
+        return [
+            (
+                kib * KiB,
+                forwarded_put_ns(kib * KiB, True, monkeypatch),
+                forwarded_put_ns(kib * KiB, False, monkeypatch),
+            )
+            for kib in PUT_SIZES
+        ]
+
+    points = benchmark.pedantic(run, rounds=1, iterations=1)
+    print(f"\nforwarded put, model crossover {model / 1000:.0f} kB:")
+    print(f"{'size KiB':>9} {'inline ms':>10} {'window ms':>10} {'picked':>8}")
+    measured = None
+    previous = None
+    for size, inline_ns, window_ns in points:
+        picked = "inline" if size * rpc.per_byte_ns < rpc.round_trip_ns else "window"
+        print(
+            f"{size // KiB:>9} {inline_ns / 1e6:>10.3f} {window_ns / 1e6:>10.3f} "
+            f"{picked:>8}"
+        )
+        gap = inline_ns - window_ns
+        if previous is not None and measured is None and previous[1] < 0 <= gap:
+            # Linear interpolation between the last grid point where inline
+            # was cheaper and the first where it was not.
+            (lo, lo_gap), hi = previous, size
+            measured = lo + (hi - lo) * -lo_gap / (gap - lo_gap)
+        previous = (size, gap)
+        if abs(size - model) >= 0.25 * model:
+            cheaper = "inline" if inline_ns < window_ns else "window"
+            assert picked == cheaper, (size, inline_ns, window_ns)
+    assert measured is not None
+    print(f"measured crossover ≈ {measured / 1000:.0f} kB")

@@ -31,14 +31,14 @@ from repro.workload.scenario import Scenario
 SERVICE_RATE = 100.0  # ops/s each server can actually service
 # Goodput in ops/s (seed 77) against offered load, measured on this sweep:
 #
-#   offered ops/s  |  100 |   200 |   300 |   400
-#   controls off   | 80.0 | 132.8 |  44.9 |  23.4
-#   controls on    | 87.8 | 168.0 | 173.8 | 169.9
+#   offered ops/s  |  100 |   150 |   200 |   250 |   300 |   400 |   500
+#   controls off   | 83.3 | 120.4 | 158.4 | 184.0 |  88.2 |  75.2 |  37.5
+#   controls on    | 87.8 | 131.6 | 175.5 | 219.4 | 256.2 | 241.2 | 189.3
 #
-# Controls off, goodput peaks at 200 offered ops/s and collapses past it;
-# controls on, it plateaus there.
-KNEE = 200.0  # offered ops/s where goodput stops growing
-RATES = (100, 200, 400)  # offered load: 0.5x, 1x, 2x the knee
+# Controls off, goodput peaks at 250 offered ops/s and collapses past it;
+# controls on, it keeps serving.
+KNEE = 250.0  # offered ops/s where goodput stops growing
+RATES = (125, 250, 500)  # offered load: 0.5x, 1x, 2x the knee
 OP_DEADLINE_MS = 100.0
 
 

@@ -101,10 +101,13 @@ class RpcConfig:
     """
 
     round_trip_ns: float = 2_300_000.0
-    # Marshalling + HTTP/2 framing + LAN cost per serialized byte. RPC
-    # messages here are metadata-only (ids and object descriptors, ~70
+    # Marshalling + HTTP/2 framing + LAN cost per serialized byte. Lookup
+    # messages are metadata-only (ids and object descriptors, ~70
     # serialized bytes per object), so this term contributes the fitted
-    # ~0.85 us/object slope of Fig 6's remote series.
+    # ~0.85 us/object slope of Fig 6's remote series. The one message that
+    # carries payload is a forwarded put's PlacedPut, used only while
+    # size * per_byte_ns < round_trip_ns (≈ 270 kB here); larger payloads
+    # go over the fabric.
     per_byte_ns: float = 8.5
     # Per-message HTTP/2 frame handling cost on a *streaming* call; unary
     # calls fold this into the round trip. The paper picked unary "to

@@ -237,7 +237,12 @@ class DisaggregatedClient(PlasmaClient):
         ``size`` bytes — the new extent itself, in local memory or, for a
         forwarded create, a window of the ring home's memory over the
         fabric — and must fill all of it without raising; there is no
-        abort path.
+        abort path. A forwarded put below the RPC cost model's crossover
+        (``size * per_byte_ns < round_trip_ns``) is the exception: the
+        view is a buffer on this node that one PlacedPut carries to the
+        home, so a writer that raises there leaves nothing behind, and if
+        the home turns out unreachable the writer runs a second time, on
+        the local extent of the fallback create.
 
         ``replicas=1`` (default) is the paper's single-copy mode. With
         ``replicas=2`` (or more) the home store pushes copies to
@@ -248,10 +253,10 @@ class DisaggregatedClient(PlasmaClient):
 
         With elastic placement enabled, the consistent-hash ring decides
         where the object lives: a ring home other than this node receives
-        the object via the forwarded-create protocol (metadata over RPC,
-        payload written over the fabric). An unreachable home degrades to a
-        local create — the rebalancer re-homes the object once the cluster
-        heals.
+        the object via the forwarded-create protocol (one PlacedPut
+        carrying a small payload, or metadata over RPC around a payload
+        written over the fabric). An unreachable home degrades to a local
+        create — the rebalancer re-homes the object once the cluster heals.
         """
         self._check_replicas(replicas)
         if self._correlation is None:

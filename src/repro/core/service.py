@@ -26,6 +26,12 @@ Methods:
   hears ``DropReplica`` instead, which implies the same invalidation, and
   revokes in turn: the peers that resolved *its* copy hear
   ``NotifyDeleted`` from it.
+* ``PlacedPut`` / ``PlacedCreate`` + ``PlacedSeal`` — a create routed to
+  the object's ring home (repro.placement). A payload below the channel's
+  cost crossover (``size * per_byte_ns < round_trip_ns``) rides
+  ``PlacedPut``, one call in which the home creates, writes, seals and
+  replicates. A larger one takes two calls around the creator's fabric
+  write into the extent ``PlacedCreate`` allocated.
 
 Every handler runs under the store's object-table mutex, modelling the
 paper's gRPC-server-thread / main-thread contention point.
@@ -168,6 +174,23 @@ class StoreService(Service):
         view = TopologyView.from_wire(request)
         installed = self._store.install_topology(view)
         return {"installed": installed, "epoch": self._store.topology_epoch}
+
+    @rpc_method
+    def PlacedPut(self, request: dict) -> dict:
+        """A whole small forwarded put in one call: the payload rides the
+        request, and the home creates, writes it locally, seals and runs
+        home-driven replication before it answers."""
+        object_id = ObjectID(request["object_id"])
+        payload = request["payload"]
+        if not isinstance(payload, bytes) or len(payload) != int(request["data_size"]):
+            raise ValueError("PlacedPut payload must be data_size bytes")
+        self._store.placed_put(
+            object_id,
+            bytes(request.get("metadata", b"")),
+            payload,
+            int(request.get("replicas", 1)),
+        )
+        return {}
 
     @rpc_method
     def PlacedCreate(self, request: dict) -> dict:

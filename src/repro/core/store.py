@@ -297,13 +297,17 @@ class DisaggregatedStore(PlasmaStore):
     ) -> bool:
         """Create a new object at its ring *home* instead of locally.
 
-        PlacedCreate allocates the extent at the home (header unsealed);
-        ``write(window)`` fills the extent in place through a fabric write
-        window onto the home's exposed region (Fig 3b — bulk bytes never
-        touch the LAN); PlacedSeal makes the home flush its stale cached
-        lines and seal. Returns False when the home's metadata plane is unreachable —
-        the caller degrades to a local create and the rebalancer re-homes
-        the object later."""
+        Below the channel's cost crossover (``size * per_byte_ns <
+        round_trip_ns``) ``write(view)`` fills a buffer on this node and
+        one PlacedPut carries it: the home creates, writes, seals and
+        replicates in that one call. At and above it, PlacedCreate
+        allocates the extent at the home (header unsealed); ``write(window)``
+        fills the extent in place through a fabric write window onto the
+        home's exposed region (Fig 3b — bulk bytes never touch the LAN);
+        PlacedSeal makes the home flush its stale cached lines and seal.
+        Returns False when the home's metadata plane is unreachable — the
+        caller degrades to a local create and the rebalancer re-homes the
+        object later."""
         return self._drive(
             self.forward_put_task, object_id, size, write, metadata, home,
             replicas=replicas,
@@ -321,10 +325,10 @@ class DisaggregatedStore(PlasmaStore):
         attr=None,
         blocking: bool = False,
     ):
-        """The one body of :meth:`forward_put`; the two hops run the
-        channel's unary body in this body's mode (blocking, or pipelined
-        tasks), the writer fills the home's extent over the fabric between
-        them."""
+        """The one body of :meth:`forward_put`; its hops run the channel's
+        unary body in this body's mode (blocking, or pipelined tasks). A
+        small payload rides the create; a large one is written by the
+        writer over the fabric between PlacedCreate and PlacedSeal."""
         handle = self.peer(home)
         channel = handle.stub.channel
         # One budget for the whole forwarded create: PlacedSeal is issued
@@ -332,15 +336,22 @@ class DisaggregatedStore(PlasmaStore):
         # channel's default deadline, so a slow first hop shrinks the
         # second instead of resetting it.
         budget = DeadlineBudget.for_stub(handle.stub, self.clock)
+        request = {
+            "object_id": object_id.binary(),
+            "data_size": size,
+            "metadata": bytes(metadata),
+        }
+        inline = channel.inline_is_cheaper(size)
+        if inline:
+            payload = bytearray(size)
+            write(memoryview(payload))
+            request["payload"] = bytes(payload)
+            request["replicas"] = int(replicas)
         try:
             response = yield from channel.unary_task(
                 handle.stub.service,
-                "PlacedCreate",
-                {
-                    "object_id": object_id.binary(),
-                    "data_size": size,
-                    "metadata": bytes(metadata),
-                },
+                "PlacedPut" if inline else "PlacedCreate",
+                request,
                 attr=attr,
                 blocking=blocking,
                 **budget.kwargs(),
@@ -350,36 +361,62 @@ class DisaggregatedStore(PlasmaStore):
                 raise ObjectExistsError(
                     f"{object_id!r} already exists in home store {home}"
                 ) from exc
-            if self._peer_unavailable(home, exc):
-                self.counters.inc("placed_creates_fallback")
-                return False
-            raise
-        offset = int(response["offset"])
-        window, _ = handle.remote_region.write_window(offset, size)
-        write(window)
-        try:
-            yield from channel.unary_task(
-                handle.stub.service,
-                "PlacedSeal",
-                {"object_id": object_id.binary(), "replicas": int(replicas)},
-                attr=attr,
-                blocking=blocking,
-                **budget.kwargs(),
-            )
-        except RpcStatusError as exc:
-            if self._peer_unavailable(home, exc):
-                # The home died holding the unsealed extent (its restart
-                # recovery reclaims it), but the id is burned there — do
-                # NOT create locally; surface the outage instead.
+            if not self._peer_unavailable(home, exc):
+                raise
+            if inline and exc.code is StatusCode.DEADLINE_EXCEEDED:
+                # The put may have been sealed at the home before the
+                # deadline ran out: a local create could leave a second
+                # copy, so surface the outage instead.
                 raise ObjectUnavailableError(
-                    f"home store {home} became unreachable while sealing "
-                    f"{object_id!r}",
+                    f"home store {home} did not confirm {object_id!r} "
+                    "within the deadline",
                     unreachable_peers=(home,),
                 ) from exc
-            raise
+            self.counters.inc("placed_creates_fallback")
+            return False
+        if not inline:
+            window, _ = handle.remote_region.write_window(int(response["offset"]), size)
+            write(window)
+            try:
+                yield from channel.unary_task(
+                    handle.stub.service,
+                    "PlacedSeal",
+                    {"object_id": object_id.binary(), "replicas": int(replicas)},
+                    attr=attr,
+                    blocking=blocking,
+                    **budget.kwargs(),
+                )
+            except RpcStatusError as exc:
+                if self._peer_unavailable(home, exc):
+                    # The home died holding the unsealed extent (its restart
+                    # recovery reclaims it), but the id is burned there — do
+                    # NOT create locally; surface the outage instead.
+                    raise ObjectUnavailableError(
+                        f"home store {home} became unreachable while sealing "
+                        f"{object_id!r}",
+                        unreachable_peers=(home,),
+                    ) from exc
+                raise
         self.counters.inc("placed_creates_forwarded")
         self.counters.inc("placed_bytes_forwarded", size)
         return True
+
+    def placed_put(
+        self,
+        object_id: ObjectID,
+        metadata: bytes,
+        payload,
+        replicas: int = 1,
+    ) -> None:
+        """Home side of a small forwarded put, in one call: create, write
+        the carried payload as this CPU's own local write (charged as a
+        local put's fill is), seal and replicate."""
+        entry = self.create_object_unchecked(object_id, len(payload), metadata)
+        self.counters.inc("placed_creates_received")
+        buffer = self.local_buffer(entry)
+        buffer.charge_sequential_write()
+        buffer.view()[:] = payload
+        self._seal_and_replicate(object_id, replicas)
 
     def placed_create(
         self, object_id: ObjectID, data_size: int, metadata: bytes = b""
@@ -416,6 +453,10 @@ class DisaggregatedStore(PlasmaStore):
                 entry.allocation.offset,
                 entry.allocation.padded_size,
             )
+        self._seal_and_replicate(object_id, replicas)
+
+    def _seal_and_replicate(self, object_id: ObjectID, replicas: int) -> None:
+        """Seal a forwarded object and push its ``replicas - 1`` copies."""
         self.seal_object(object_id)
         for _ in range(max(0, int(replicas) - 1)):
             self.replicate_object(object_id)

@@ -180,6 +180,12 @@ class Channel:
         """Stagger before a scatter-gather lookup hedges to the next peer."""
         return self._config.hedge_stagger_ns
 
+    def inline_is_cheaper(self, nbytes: int) -> bool:
+        """True when carrying *nbytes* in a message costs less than one
+        more round trip on this channel: ``nbytes * per_byte_ns <
+        round_trip_ns``, the crossover of the unary cost model."""
+        return nbytes * self._config.per_byte_ns < self._config.round_trip_ns
+
     def hedge_delay_ns(self) -> float | None:
         """How long to wait on a read before hedging to another holder:
         the configured quantile of this channel's observed call latency.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.config import ClusterConfig, testing_config
+from repro.common.config import ClusterConfig, RpcConfig, testing_config
 from repro.common.ids import ObjectID, UniqueIDGenerator
 from repro.common.rng import DeterministicRng
 from repro.common.units import MiB
@@ -43,6 +43,12 @@ def small_config() -> ClusterConfig:
 def cluster(small_config) -> Cluster:
     """A 2-node disaggregated cluster with batched uniqueness checks."""
     return Cluster(small_config.with_store(check_remote_uniqueness=False))
+
+
+#: The smallest forwarded put that takes the fabric write window (PlacedCreate,
+#: fill, PlacedSeal) under the default RPC cost model; anything smaller rides
+#: one PlacedPut (``size * per_byte_ns < round_trip_ns``).
+WINDOW_PUT_MIN_BYTES = int(RpcConfig.round_trip_ns // RpcConfig.per_byte_ns) + 1
 
 
 def oid_homed_at(cluster: Cluster, home: str) -> ObjectID:

@@ -24,10 +24,14 @@ from repro.core import Cluster
 from repro.core.store import DisaggregatedStore
 from repro.memory.layout import ObjectHeader
 from repro.plasma.client import copy_writer
-from tests.conftest import oid_homed_at
+from tests.conftest import WINDOW_PUT_MIN_BYTES, oid_homed_at
 from tests.core import _reference_put as reference
 
 SIZES = (3000, 64 * KiB + 5, 200_000, 4096)
+# The copying body streamed every forwarded payload through the fabric; a
+# forwarded put does that only from the RPC cost model's crossover up, so
+# the forwarded comparisons run the same shapes shifted above it.
+FORWARDED_SIZES = tuple(WINDOW_PUT_MIN_BYTES + size for size in SIZES)
 
 
 def make_cluster(*, placement: bool, mode: str = "sync") -> Cluster:
@@ -113,7 +117,7 @@ def drive_forwarded(put) -> Cluster:
     one that lands locally because this node is the home."""
     cluster = make_cluster(placement=True)
     producer = cluster.client("node1")
-    for i, size in enumerate(SIZES):
+    for i, size in enumerate(FORWARDED_SIZES):
         oid = oid_homed_at(cluster, "node0")
         put(producer, oid, payload(i, size), replicas=1 + i % 2)
     put(producer, oid_homed_at(cluster, "node1"), payload(7, 5000))
@@ -133,7 +137,7 @@ def drive_tasks(form) -> Cluster:
     loop = cluster.loop
     producer = cluster.client("node1")
     homes = ["node0", "node1", "node2", "node0"]
-    for i, (home, size) in enumerate(zip(homes, SIZES)):
+    for i, (home, size) in enumerate(zip(homes, FORWARDED_SIZES)):
         oid = oid_homed_at(cluster, home)
         loop.run_until_complete(
             loop.spawn(form(producer, oid, payload(i, size), 1 + i % 2))
@@ -175,16 +179,18 @@ def test_forwarded_put_snapshots_the_home_cache_before_the_fill(monkeypatch):
     monkeypatch.setattr(DisaggregatedStore, "placed_create", create_then_cache)
     monkeypatch.setattr(DisaggregatedStore, "placed_seal", observe_then_seal)
 
+    size = WINDOW_PUT_MIN_BYTES + 8000
+
     def drive(put):
         cluster = make_cluster(placement=True)
-        put(cluster.client("node1"), oid_homed_at(cluster, "node0"), payload(3, 8000))
+        put(cluster.client("node1"), oid_homed_at(cluster, "node0"), payload(3, size))
         return cluster
 
     new, old = drive(put_new), drive(put_old)
-    assert new.node("node0").endpoint.counters.get("stale_bytes_created") == 8000
+    assert new.node("node0").endpoint.counters.get("stale_bytes_created") == size
     assert state(new) == state(old)
     # Fresh extent: the home kept observing zeros while DRAM held the fill.
-    assert observed == [bytes(8000)] * 2
+    assert observed == [bytes(size)] * 2
 
 
 def test_a_short_writer_leaves_what_a_short_write_leaves():

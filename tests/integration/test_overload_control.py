@@ -12,6 +12,7 @@ from repro.common.errors import ObjectUnavailableError
 from repro.common.units import MiB
 from repro.core import Cluster
 from repro.plasma.client import copy_writer
+from tests.conftest import WINDOW_PUT_MIN_BYTES
 
 MS = 1_000_000
 
@@ -50,7 +51,7 @@ class TestDeadlinePropagation:
         spy_deadlines(cl.node("node1").server, seen)
         oid = cl.new_object_id()
         assert cl.store("node0").forward_put(
-            oid, *copy_writer(b"x" * 1024), b"", "node1"
+            oid, *copy_writer(b"x" * (WINDOW_PUT_MIN_BYTES + 1024)), b"", "node1"
         )
         deadlines = dict(
             (m, d) for m, d in seen if m in ("PlacedCreate", "PlacedSeal")
@@ -61,6 +62,19 @@ class TestDeadlinePropagation:
         # The first hop and the fabric write spent real sim time, so the
         # seal hop arrived with strictly less budget.
         assert 0 < deadlines["PlacedSeal"] < deadlines["PlacedCreate"]
+
+    def test_small_put_carries_the_budget_in_its_one_hop(self):
+        """A payload below the crossover makes one PlacedPut, and that hop
+        arrives with the operation's deadline budget, not without one."""
+        cl = make_cluster(2, rpc_overrides={"default_deadline_ns": 50 * MS})
+        seen = []
+        spy_deadlines(cl.node("node1").server, seen)
+        assert cl.store("node0").forward_put(
+            cl.new_object_id(), *copy_writer(b"x" * 1024), b"", "node1"
+        )
+        [(method, deadline)] = seen
+        assert method == "PlacedPut"
+        assert deadline is not None and 0 < deadline <= 50 * MS
 
     def test_no_default_deadline_means_no_propagation(self):
         cl = make_cluster(2)
