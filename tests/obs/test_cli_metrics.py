@@ -1,8 +1,11 @@
 """`python -m repro metrics` — the observability CLI smoke path."""
 
 import json
+from pathlib import Path
 
 from repro.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cluster_scrape.txt")
 
 
 class TestMetricsCommand:
@@ -51,6 +54,17 @@ class TestMetricsCommand:
         assert main(["metrics", "--objects", "6", "--seed", "3"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_cluster_scrape_matches_golden(self, tmp_path, capsys):
+        """The full three-node scrape, zero-valued series included, is
+        byte-identical to the checked-in golden (CI ``cmp``s the same
+        file): a change that moves one exported line has to regenerate it
+        on purpose."""
+        out = tmp_path / "scrape.txt"
+        assert main([
+            "metrics", "--nodes", "3", "--objects", "10", "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == GOLDEN.read_bytes()
 
     def test_rejects_single_node(self, capsys):
         assert main(["metrics", "--nodes", "1"]) == 2
