@@ -58,7 +58,7 @@ def run_streaming_workload(policy: str) -> dict:
         "policy": policy,
         "recreations": recreations,
         "elapsed_ms": elapsed_ms,
-        "evictions": cluster.store("node0").counters.get("objects_evicted"),
+        "evictions": cluster.store("node0").counters.objects_evicted,
     }
 
 
@@ -105,7 +105,7 @@ def test_eviction_throughput_wall_clock(benchmark):
     # has evicted, so the assertion holds with and without the timing loop.
     counters = cluster.store("node0").counters
     for _ in range(2 * capacity // MiB):
-        if counters.get("objects_evicted"):
+        if counters.objects_evicted:
             break
         op()
-    assert counters.get("objects_evicted") > 0
+    assert counters.objects_evicted > 0

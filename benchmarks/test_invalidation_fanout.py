@@ -121,10 +121,10 @@ def test_notify_deleted_rpcs_are_exactly_the_plan(monkeypatch):
     result = runner.run()
 
     stores = [runner.cluster.store(name) for name in runner.cluster.node_names()]
-    deletes = sum(store.counters.get("objects_deleted") for store in stores)
-    evicted = sum(store.counters.get("objects_evicted") for store in stores)
-    announced = sum(store.counters.get("delete_notifications") for store in stores)
-    revocations = sum(store.counters.get("replica_revocations") for store in stores)
+    deletes = sum(store.counters.objects_deleted for store in stores)
+    evicted = sum(store.counters.objects_evicted for store in stores)
+    announced = sum(store.counters.delete_notifications for store in stores)
+    revocations = sum(store.counters.replica_revocations for store in stores)
 
     # The run must actually exercise all of it: deletes of replicated
     # objects, multi-victim rounds, holders revoking what they handed out.

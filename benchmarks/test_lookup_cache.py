@@ -40,12 +40,12 @@ def test_cache_accelerates_repeated_requests(benchmark):
     def run():
         cold_cluster = Cluster(cfg().with_store(check_remote_uniqueness=False))
         cold = _repeated_requests(cold_cluster, rounds=10, n_objects=20)
-        cold_rpcs = cold_cluster.store("node1").counters.get("lookup_rpcs")
+        cold_rpcs = cold_cluster.store("node1").counters.lookup_rpcs
         warm_cluster = Cluster(
             cfg().with_store(lookup_cache=True, check_remote_uniqueness=False),
         )
         warm = _repeated_requests(warm_cluster, rounds=10, n_objects=20)
-        warm_rpcs = warm_cluster.store("node1").counters.get("lookup_rpcs")
+        warm_rpcs = warm_cluster.store("node1").counters.lookup_rpcs
         hit_rate = warm_cluster.store("node1").lookup_cache.hit_rate
         return cold, warm, hit_rate, cold_rpcs, warm_rpcs
 
@@ -85,9 +85,7 @@ def test_invalidation_keeps_cache_coherent(benchmark):
         for oid in ids[:10]:
             producer.delete(oid)
         cache = cluster.store("node1").lookup_cache
-        notifications = cluster.store("node0").counters.get(
-            "delete_notifications"
-        )
+        notifications = cluster.store("node0").counters.delete_notifications
         return len(cache), cache.invalidations, notifications
 
     remaining, invalidations, notifications = benchmark.pedantic(

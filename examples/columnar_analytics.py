@@ -128,7 +128,7 @@ def main() -> None:
     print(f"global mean price: {global_mean:.2f}")
 
     fabric_mib = sum(
-        link.counters.get("read_bytes") for link in cluster.fabric.links()
+        link.counters.read_bytes for link in cluster.fabric.links()
     ) / MiB
     print(f"fabric traffic for the whole query: {fabric_mib:.1f} MiB")
 

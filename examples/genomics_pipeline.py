@@ -145,7 +145,7 @@ def main() -> None:
         )
 
     fabric_mib = sum(
-        link.counters.get("read_bytes") for link in cluster.fabric.links()
+        link.counters.read_bytes for link in cluster.fabric.links()
     ) / MiB
     print(f"total payload moved over the fabric: {fabric_mib:.1f} MiB "
           f"(LAN carried only RPC metadata)")

@@ -69,7 +69,7 @@ def main() -> None:
             note = feed.pop()
 
     store0 = cluster.store("node0")
-    evicted = store0.counters.get("objects_evicted")
+    evicted = store0.counters.objects_evicted
     print(f"processed {len(running_mean)} batches, "
           f"global mean of means = {np.mean(running_mean):.2f}")
     print(f"home store evicted {evicted} cold batches under pressure")

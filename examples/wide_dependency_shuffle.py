@@ -98,10 +98,10 @@ def main() -> None:
     print(f"  results agree; global checksum = {checksum}")
 
     link_bytes = sum(
-        link.counters.get("read_bytes")
+        link.counters.read_bytes
         for link in disaggregated.fabric.links()
     )
-    lan_bytes = scale_out.network.counters.get("bytes_transferred")
+    lan_bytes = scale_out.network.counters.bytes_transferred
     print(f"  disaggregated moved {link_bytes / MiB:.1f} MiB over the fabric;")
     print(f"  scale-out moved     {lan_bytes / MiB:.1f} MiB over the LAN "
           f"(and duplicated it in local memory)")

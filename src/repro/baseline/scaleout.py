@@ -61,6 +61,9 @@ class FetchService(Service):
 class ScaleOutStore(PlasmaStore):
     """A node-local store that can pull remote objects over the LAN."""
 
+    class Counters(PlasmaStore.Counters):
+        remote_fetches = bytes_fetched = 0
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._peer_stubs: dict[str, ServiceStub] = {}
@@ -110,8 +113,8 @@ class ScaleOutStore(PlasmaStore):
             replica = self.local_buffer(entry)
             replica.write(received)
             self.seal_object(object_id)
-            self.counters.inc("remote_fetches")
-            self.counters.inc("bytes_fetched", size)
+            self.counters.remote_fetches += 1
+            self.counters.bytes_fetched += size
             return
         raise ObjectNotFoundError(f"{object_id!r} not found on any peer")
 
@@ -135,7 +138,7 @@ class ScaleOutClient(PlasmaClient):
             buffer = store.local_buffer(entry)
             self._held.setdefault(oid, []).append(buffer)
             buffers.append(buffer)
-        self.counters.inc("gets", len(object_ids))
+        self.counters.gets += len(object_ids)
         return buffers
 
 

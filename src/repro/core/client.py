@@ -19,6 +19,9 @@ from repro.plasma.client import PlasmaClient, copy_writer
 class DisaggregatedClient(PlasmaClient):
     """A Plasma client whose local store is part of a disaggregated mesh."""
 
+    class Counters(PlasmaClient.Counters):
+        puts_forwarded = puts_forward_fallback = 0
+
     def __init__(
         self,
         name: str,
@@ -90,7 +93,7 @@ class DisaggregatedClient(PlasmaClient):
         for buffer in buffers:
             if buffer is not None:
                 self._held.setdefault(buffer.object_id, []).append(buffer)
-        self.counters.inc("gets", len(buffers))
+        self.counters.gets += len(buffers)
         return buffers
 
     def _release_store_ref(self, object_id: ObjectID) -> None:
@@ -215,9 +218,9 @@ class DisaggregatedClient(PlasmaClient):
                 object_id, size, write, metadata, home, replicas=replicas, attr=attr
             )
             if ok:
-                self.counters.inc("puts_forwarded")
+                self.counters.puts_forwarded += 1
                 return object_id
-            self.counters.inc("puts_forward_fallback")
+            self.counters.puts_forward_fallback += 1
         PlasmaClient.put_into(self, object_id, size, write, metadata=metadata)
         self._replicate(object_id, replicas)
         return object_id
@@ -300,9 +303,9 @@ class DisaggregatedClient(PlasmaClient):
             if self.store.forward_put(
                 object_id, size, write, metadata, home, replicas=replicas
             ):
-                self.counters.inc("puts_forwarded")
+                self.counters.puts_forwarded += 1
                 return
-            self.counters.inc("puts_forward_fallback")
+            self.counters.puts_forward_fallback += 1
         super().put_into(object_id, size, write, metadata=metadata)
         self._replicate(object_id, replicas)
 
@@ -342,10 +345,10 @@ class DisaggregatedClient(PlasmaClient):
                 if self.store.forward_put(
                     oid, size, write, metadata, home, replicas=replicas
                 ):
-                    self.counters.inc("puts_forwarded")
+                    self.counters.puts_forwarded += 1
                     out.append(oid)
                     continue
-                self.counters.inc("puts_forward_fallback")
+                self.counters.puts_forward_fallback += 1
             self._put_reserved(oid, size, write, metadata, replicas)
             out.append(oid)
         return out

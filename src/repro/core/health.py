@@ -50,6 +50,9 @@ class CircuitBreaker:
     outcome.
     """
 
+    class Counters(CounterGroup):
+        opens = closes = half_opens = rejected = 0
+
     def __init__(self, clock: SimClock, config: HealthConfig, name: str = ""):
         self._clock = clock
         self._config = config
@@ -58,7 +61,7 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._opened_at_ns = 0
         self._half_open_in_flight = 0
-        self.counters = CounterGroup()
+        self.counters = self.Counters()
 
     @property
     def state(self) -> BreakerState:
@@ -90,15 +93,15 @@ class CircuitBreaker:
         if self._state is BreakerState.OPEN:
             waited = self._clock.now_ns - self._opened_at_ns
             if waited < self._config.breaker_reset_timeout_ns:
-                self.counters.inc("rejected")
+                self.counters.rejected += 1
                 return False
             # Reset timeout elapsed: admit probes.
             self._state = BreakerState.HALF_OPEN
             self._half_open_in_flight = 0
-            self.counters.inc("half_opens")
+            self.counters.half_opens += 1
         # HALF_OPEN: bounded number of concurrent probes.
         if self._half_open_in_flight >= self._config.breaker_half_open_probes:
-            self.counters.inc("rejected")
+            self.counters.rejected += 1
             return False
         self._half_open_in_flight += 1
         return True
@@ -106,7 +109,7 @@ class CircuitBreaker:
     def record_success(self) -> None:
         self._consecutive_failures = 0
         if self._state is not BreakerState.CLOSED:
-            self.counters.inc("closes")
+            self.counters.closes += 1
         self._state = BreakerState.CLOSED
         self._half_open_in_flight = 0
 
@@ -124,7 +127,7 @@ class CircuitBreaker:
         self._state = BreakerState.OPEN
         self._opened_at_ns = self._clock.now_ns
         self._half_open_in_flight = 0
-        self.counters.inc("opens")
+        self.counters.opens += 1
 
     def __repr__(self) -> str:
         return (
@@ -149,13 +152,16 @@ class PeerHealth:
 class HealthMonitor:
     """Heartbeat-based failure detector for one node's peer set."""
 
+    class Counters(CounterGroup):
+        heartbeats_sent = heartbeats_missed = heartbeats_shed = 0
+
     def __init__(self, node: str, clock: SimClock, config: HealthConfig):
         self._node = node
         self._clock = clock
         self._config = config
         self._peers: dict[str, PeerHealth] = {}
         self._registry = None
-        self.counters = CounterGroup()
+        self.counters = self.Counters()
 
     @property
     def node(self) -> str:
@@ -218,7 +224,7 @@ class HealthMonitor:
                 continue
             health.last_heartbeat_sent_ns = self._clock.now_ns
             health.heartbeats_sent += 1
-            self.counters.inc("heartbeats_sent")
+            self.counters.heartbeats_sent += 1
             try:
                 health.stub.Heartbeat({"from": self._node})
             except RpcStatusError as exc:
@@ -227,7 +233,7 @@ class HealthMonitor:
                     # shed is an *answer*: the process is alive. Treating
                     # it as a miss would let saturation masquerade as
                     # death and trigger spurious failover.
-                    self.counters.inc("heartbeats_shed")
+                    self.counters.heartbeats_shed += 1
                     health.last_ack_ns = self._clock.now_ns
                     probed[name] = True
                     continue
@@ -236,7 +242,7 @@ class HealthMonitor:
                     StatusCode.DEADLINE_EXCEEDED,
                 ):
                     health.heartbeats_missed += 1
-                    self.counters.inc("heartbeats_missed")
+                    self.counters.heartbeats_missed += 1
                     probed[name] = False
                     continue
                 raise

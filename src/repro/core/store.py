@@ -65,6 +65,24 @@ class DisaggregatedStore(PlasmaStore):
     """A Plasma store whose objects live in disaggregated memory and whose
     metadata plane spans every connected peer."""
 
+    class Counters(PlasmaStore.Counters):
+        gets_local = gets_remote = gets_cache_served = 0
+        lookup_rpcs = lookup_cache_hits = lookups_shed = 0
+        lookup_hedges_fired = lookup_hedge_wins = lookup_hedge_losses = 0
+        addref_rpcs = releaseref_rpcs = stale_descriptor_refreshes = 0
+        peers_unavailable = peers_disconnected = 0
+        topology_installs = topology_stale_updates = 0
+        placed_creates_forwarded = placed_creates_fallback = 0
+        placed_creates_received = placed_bytes_forwarded = 0
+        adoptions_prepared = adoptions_committed = adoptions_aborted = 0
+        adoptions_already_sealed = migration_retires_deferred = 0
+        objects_migrated_out = bytes_migrated_out = 0
+        replicas_created = replicas_skipped = replicas_held = 0
+        replicas_dropped = replica_revocations = delete_notifications = 0
+        scrub_passes = scrub_scanned = scrub_corrupted = scrub_repaired = 0
+        scrub_quarantined = scrub_re_replicated = 0
+        scrub_replicas_rediscovered = scrub_replica_mismatches = 0
+
     def __init__(
         self,
         name: str,
@@ -198,7 +216,7 @@ class DisaggregatedStore(PlasmaStore):
         ]
         for oid in stale:
             del self._remote_records[oid]
-        self.counters.inc("peers_disconnected")
+        self.counters.peers_disconnected += 1
 
     def peers(self) -> list[str]:
         return sorted(self._peers)
@@ -260,7 +278,7 @@ class DisaggregatedStore(PlasmaStore):
                 f"{self._name} was not built with placement enabled"
             )
         if self._topology is not None and view.epoch <= self._topology.epoch:
-            self.counters.inc("topology_stale_updates")
+            self.counters.topology_stale_updates += 1
             return False
         self._topology = view
         self._ring = HashRing.from_view(view)
@@ -271,7 +289,7 @@ class DisaggregatedStore(PlasmaStore):
             # failovers) faster than per-object notifications can keep up;
             # the epoch bump is the wholesale invalidation channel.
             self._tier.cache.clear()
-        self.counters.inc("topology_installs")
+        self.counters.topology_installs += 1
         return True
 
     def placement_home(self, object_id: ObjectID) -> str | None:
@@ -372,7 +390,7 @@ class DisaggregatedStore(PlasmaStore):
                     "within the deadline",
                     unreachable_peers=(home,),
                 ) from exc
-            self.counters.inc("placed_creates_fallback")
+            self.counters.placed_creates_fallback += 1
             return False
         if not inline:
             window, _ = handle.remote_region.write_window(int(response["offset"]), size)
@@ -397,8 +415,8 @@ class DisaggregatedStore(PlasmaStore):
                         unreachable_peers=(home,),
                     ) from exc
                 raise
-        self.counters.inc("placed_creates_forwarded")
-        self.counters.inc("placed_bytes_forwarded", size)
+        self.counters.placed_creates_forwarded += 1
+        self.counters.placed_bytes_forwarded += size
         return True
 
     def placed_put(
@@ -412,7 +430,7 @@ class DisaggregatedStore(PlasmaStore):
         the carried payload as this CPU's own local write (charged as a
         local put's fill is), seal and replicate."""
         entry = self.create_object_unchecked(object_id, len(payload), metadata)
-        self.counters.inc("placed_creates_received")
+        self.counters.placed_creates_received += 1
         buffer = self.local_buffer(entry)
         buffer.charge_sequential_write()
         buffer.view()[:] = payload
@@ -433,7 +451,7 @@ class DisaggregatedStore(PlasmaStore):
         entry = self.create_object_unchecked(object_id, data_size, metadata)
         if data_size:
             self.endpoint.invalidate_exposed(entry.payload_offset, data_size)
-        self.counters.inc("placed_creates_received")
+        self.counters.placed_creates_received += 1
         return entry.payload_offset
 
     def placed_seal(self, object_id: ObjectID, replicas: int = 1) -> None:
@@ -500,7 +518,7 @@ class DisaggregatedStore(PlasmaStore):
             others = [h for h in holders if h != self._name]
             if others:
                 self.record_replicas(object_id, others)
-            self.counters.inc("adoptions_already_sealed")
+            self.counters.adoptions_already_sealed += 1
             return "sealed"
         if existing is not None:
             # Unsealed leftover of an earlier aborted migration: discard
@@ -513,7 +531,7 @@ class DisaggregatedStore(PlasmaStore):
         others = [h for h in holders if h != self._name]
         if others:
             self.record_replicas(object_id, others)
-        self.counters.inc("adoptions_prepared")
+        self.counters.adoptions_prepared += 1
         return "prepared"
 
     def commit_adopt(self, object_id: ObjectID) -> int:
@@ -531,7 +549,7 @@ class DisaggregatedStore(PlasmaStore):
             )
         entry = self.seal_object(object_id)
         self._pending_adoptions.discard(object_id)
-        self.counters.inc("adoptions_committed")
+        self.counters.adoptions_committed += 1
         return entry.generation
 
     def abort_adopt(self, object_id: ObjectID) -> None:
@@ -544,7 +562,7 @@ class DisaggregatedStore(PlasmaStore):
                 return
             self._retire_and_free(entry)
         self._pending_adoptions.discard(object_id)
-        self.counters.inc("adoptions_aborted")
+        self.counters.adoptions_aborted += 1
 
     def retire_migrated(self, object_id: ObjectID) -> bool:
         """Source side, after a committed migration: retire the local copy
@@ -561,7 +579,7 @@ class DisaggregatedStore(PlasmaStore):
             if entry.total_refs > 0:
                 if object_id not in self._deferred_retires:
                     self._deferred_retires.add(object_id)
-                    self.counters.inc("migration_retires_deferred")
+                    self.counters.migration_retires_deferred += 1
                 return False
             self._retire_and_free(entry)
         self._deferred_retires.discard(object_id)
@@ -570,8 +588,8 @@ class DisaggregatedStore(PlasmaStore):
             [object_id], *self._deletion_plan([object_id], broadcast=True)
         )
         self._notify(SealNotification(object_id, entry.data_size, deleted=True))
-        self.counters.inc("objects_migrated_out")
-        self.counters.inc("bytes_migrated_out", entry.data_size)
+        self.counters.objects_migrated_out += 1
+        self.counters.bytes_migrated_out += entry.data_size
         return True
 
     def flush_deferred_retires(self) -> int:
@@ -603,7 +621,7 @@ class DisaggregatedStore(PlasmaStore):
         Data in its exposed memory stays reachable over the fabric; only the
         metadata plane is skipped."""
         if exc.code in (StatusCode.UNAVAILABLE, StatusCode.DEADLINE_EXCEEDED):
-            self.counters.inc("peers_unavailable")
+            self.counters.peers_unavailable += 1
             return True
         return False
 
@@ -706,10 +724,12 @@ class DisaggregatedStore(PlasmaStore):
         optionally hedged) batched Lookups and a gathered AddRef pin."""
         buffers: dict[ObjectID, PlasmaBuffer | None] = {}
         missing: list[ObjectID] = []
+        found_local = 0
         with self.table.lock:
             for oid in object_ids:
                 entry = self.table.lookup(oid)
                 if entry is not None:
+                    found_local += 1
                     if not entry.is_sealed:
                         if allow_missing:
                             buffers[oid] = None
@@ -770,12 +790,10 @@ class DisaggregatedStore(PlasmaStore):
                 self._pin_at_home(newly_pinned)
             else:
                 yield from self._pin_at_home_task(newly_pinned, attr)
-        self.counters.inc(
-            "gets_local", len(object_ids) - len(missing) - served_cached
-        )
-        self.counters.inc("gets_remote", found_remote)
+        self.counters.gets_local += found_local
+        self.counters.gets_remote += found_remote
         if served_cached:
-            self.counters.inc("gets_cache_served", served_cached)
+            self.counters.gets_cache_served += served_cached
         return [buffers[oid] for oid in object_ids]
 
     def _resolve_remote_task(
@@ -796,7 +814,7 @@ class DisaggregatedStore(PlasmaStore):
                 record = self._lookup_cache.get(oid)
                 if record is not None:
                     self._remote_records[oid] = record
-                    self.counters.inc("lookup_cache_hits")
+                    self.counters.lookup_cache_hits += 1
             if record is not None:
                 resolved[oid] = record
             else:
@@ -859,7 +877,7 @@ class DisaggregatedStore(PlasmaStore):
                 name, remaining, resolved, unreachable, hedged, hedge_ns
             )
         if remaining and hedged:
-            self.counters.inc("lookup_hedge_losses")
+            self.counters.lookup_hedge_losses += 1
             for name in hedged:
                 if not remaining:
                     break
@@ -922,13 +940,13 @@ class DisaggregatedStore(PlasmaStore):
                 # could not finish inside the hedge window. That is the
                 # hedge firing, not an outage — the peer stays eligible
                 # for the full-deadline retry after the sweep.
-                self.counters.inc("lookup_hedges_fired")
+                self.counters.lookup_hedges_fired += 1
                 hedged.append(name)
                 return remaining
             # The peer is alive but shedding load; back off rather than
             # fail over (the channel's breaker/retry budget already did
             # their part).
-            self.counters.inc("lookups_shed")
+            self.counters.lookups_shed += 1
             if unreachable is not None:
                 unreachable.append(name)
             return remaining
@@ -937,7 +955,7 @@ class DisaggregatedStore(PlasmaStore):
                 # The hedge fired: this peer is slow, not dead — it is NOT
                 # marked unreachable. The sweep hedges to the next holder;
                 # this abandoned attempt is the cancelled one.
-                self.counters.inc("lookup_hedges_fired")
+                self.counters.lookup_hedges_fired += 1
                 hedged.append(name)
                 return remaining
             # A down peer's objects are unreachable by lookup (their
@@ -954,7 +972,7 @@ class DisaggregatedStore(PlasmaStore):
         if hedged and claimed:
             # An answer arrived from a holder reached only because an
             # earlier hedge fired — the hedge won the race.
-            self.counters.inc("lookup_hedge_wins")
+            self.counters.lookup_hedge_wins += 1
         return [oid for oid in remaining if oid not in claimed]
 
     def _claim_found(
@@ -965,7 +983,7 @@ class DisaggregatedStore(PlasmaStore):
     ) -> set[ObjectID]:
         """Register every descriptor *name* answered a Lookup with (live
         record, lookup cache, *resolved*); returns the ids it claimed."""
-        self.counters.inc("lookup_rpcs")
+        self.counters.lookup_rpcs += 1
         claimed: set[ObjectID] = set()
         for descriptor in response.get("found", []):
             record = RemoteObjectRecord.from_descriptor(name, descriptor)
@@ -1048,7 +1066,7 @@ class DisaggregatedStore(PlasmaStore):
         once, and hand the reader a fresh read target. Returns
         ``(remote_region, payload_offset, integrity)`` or None if nobody
         claims the id anymore."""
-        self.counters.inc("stale_descriptor_refreshes")
+        self.counters.stale_descriptor_refreshes += 1
         # The stale record stays registered until the re-lookup succeeds, so
         # held buffers release cleanly even when the object is gone for
         # good; the *cache* entry goes immediately — it is proven wrong.
@@ -1097,7 +1115,7 @@ class DisaggregatedStore(PlasmaStore):
                 raise
             for oid in oids:
                 self._remote_records[oid].pinned_at_home = True
-            self.counters.inc("addref_rpcs")
+            self.counters.addref_rpcs += 1
 
     # -- one body, two drivers (repro.rpc.aio) ----------------------------------------
     #
@@ -1272,7 +1290,7 @@ class DisaggregatedStore(PlasmaStore):
         if isinstance(outcome, BaseException):
             raise outcome
         if index == 1:
-            self.counters.inc("lookup_hedge_wins")
+            self.counters.lookup_hedge_wins += 1
             return False
         return name not in unreachable
 
@@ -1285,7 +1303,7 @@ class DisaggregatedStore(PlasmaStore):
         if primary.future.done():
             return list(ids)
         self._peer_channel(name).aio_counters["hedges_fired"] += 1
-        self.counters.inc("lookup_hedges_fired")
+        self.counters.lookup_hedges_fired += 1
         result = yield from self._lookup_peer_task(
             name, ids, resolved, None, None
         )
@@ -1311,7 +1329,7 @@ class DisaggregatedStore(PlasmaStore):
                 attr=attr,
             )
         except ServerOverloadedError:
-            self.counters.inc("lookups_shed")
+            self.counters.lookups_shed += 1
             if unreachable is not None and name not in unreachable:
                 unreachable.append(name)
             return list(remaining)
@@ -1349,7 +1367,7 @@ class DisaggregatedStore(PlasmaStore):
                 raise result
             for oid in by_home[home]:
                 self._remote_records[oid].pinned_at_home = True
-            self.counters.inc("addref_rpcs")
+            self.counters.addref_rpcs += 1
 
     def delete_object_task(
         self, object_id: ObjectID, attr=None, blocking: bool = False
@@ -1408,7 +1426,7 @@ class DisaggregatedStore(PlasmaStore):
             [name for name, _ in notify] + drop, results
         )
         if self._notify_deletions:
-            self.counters.inc("delete_notifications", len(object_ids))
+            self.counters.delete_notifications += len(object_ids)
 
     def _raise_unless_unavailable(self, names: list[str], results: list) -> None:
         """Gathered fan-out results, peer by peer: an unreachable peer is
@@ -1465,11 +1483,11 @@ class DisaggregatedStore(PlasmaStore):
             )
         except RpcStatusError as exc:
             if self._peer_unavailable(peer_name, exc):
-                self.counters.inc("replicas_skipped")
+                self.counters.replicas_skipped += 1
                 return None
             raise
         self._replicated_to[object_id] = existing + (peer_name,)
-        self.counters.inc("replicas_created")
+        self.counters.replicas_created += 1
         return peer_name
 
     def create_replica(
@@ -1493,7 +1511,7 @@ class DisaggregatedStore(PlasmaStore):
         self._pull_payload(handle, entry, offset, data_size)
         self.seal_object(object_id)
         self._replicas_of[object_id] = source
-        self.counters.inc("replicas_held")
+        self.counters.replicas_held += 1
 
     def revoke_replicas(self, object_ids: list[ObjectID], caller: str | None) -> None:
         """Whoever hands out a descriptor revokes it: the home deleted
@@ -1519,7 +1537,7 @@ class DisaggregatedStore(PlasmaStore):
         notify = [(name, ids) for name, ids in notify if name != caller]
         if notify:
             self._send_deleted(notify, [], ())
-            self.counters.inc("replica_revocations", len(notify))
+            self.counters.replica_revocations += len(notify)
 
     def drop_replicas(self, object_ids: list[ObjectID]) -> int:
         """Best-effort removal of local replicas (the home store deleted the
@@ -1540,7 +1558,7 @@ class DisaggregatedStore(PlasmaStore):
             del self._replicas_of[oid]
             self._sharers.pop(oid, None)
             self._notify(SealNotification(oid, entry.data_size, deleted=True))
-            self.counters.inc("replicas_dropped")
+            self.counters.replicas_dropped += 1
             dropped += 1
         return dropped
 
@@ -1605,7 +1623,7 @@ class DisaggregatedStore(PlasmaStore):
                     self._peers[record.home].stub.ReleaseRef(
                         {"object_ids": [object_id.binary()]}
                     )
-                    self.counters.inc("releaseref_rpcs")
+                    self.counters.releaseref_rpcs += 1
                 record.pinned_at_home = False
             # Drop the live record; the descriptor may survive in the
             # lookup cache for future requests.
@@ -1671,7 +1689,7 @@ class DisaggregatedStore(PlasmaStore):
         count the objects announced."""
         self._send_deleted(notify, drop, object_ids)
         if self._notify_deletions:
-            self.counters.inc("delete_notifications", len(object_ids))
+            self.counters.delete_notifications += len(object_ids)
 
     def _send_deleted(
         self,

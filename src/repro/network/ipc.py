@@ -23,11 +23,14 @@ class IpcChannel:
     *nbytes* of inline metadata.
     """
 
+    class Counters(CounterGroup):
+        requests = objects_referenced = 0
+
     def __init__(self, clock: SimClock, config: IpcConfig, rng: DeterministicRng):
         self._clock = clock
         self._config = config
         self._rng = rng.spawn("ipc")
-        self.counters = CounterGroup()
+        self.counters = self.Counters()
 
     @property
     def config(self) -> IpcConfig:
@@ -44,6 +47,6 @@ class IpcChannel:
         )
         cost *= self._rng.lognormal_jitter(self._config.jitter_sigma)
         self._clock.advance(cost)
-        self.counters.inc("requests")
-        self.counters.inc("objects_referenced", nobjects)
+        self.counters.requests += 1
+        self.counters.objects_referenced += nobjects
         return cost

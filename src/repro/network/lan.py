@@ -25,6 +25,9 @@ from repro.network.model import TransferModel
 class Network:
     """A named-host LAN with uniform per-pair characteristics."""
 
+    class Counters(CounterGroup):
+        messages = bytes_transferred = 0
+
     def __init__(self, clock: SimClock, config: LanConfig, rng: DeterministicRng):
         self._clock = clock
         self._config = config
@@ -36,7 +39,7 @@ class Network:
             jitter_sigma=config.jitter_sigma,
             rng=self._rng,
         )
-        self.counters = CounterGroup()
+        self.counters = self.Counters()
 
     @property
     def clock(self) -> SimClock:
@@ -71,8 +74,8 @@ class Network:
 
     def _charge_transfer(self, nbytes: int) -> None:
         self._clock.advance(self._model.cost_ns(nbytes))
-        self.counters.inc("bytes_transferred", nbytes)
-        self.counters.inc("messages", 1)
+        self.counters.bytes_transferred += nbytes
+        self.counters.messages += 1
 
 
 class Connection:

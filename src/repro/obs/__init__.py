@@ -1,12 +1,13 @@
 """repro.obs — unified observability: metrics, exporters, correlation.
 
 One metrics surface for the whole simulator: per-node
-:class:`MetricsRegistry` instances hold labeled Counter/Gauge/Histogram
-families (exact p50/p95/p99/max quantiles in simulated nanoseconds, built
-on ``repro.common.stats``), legacy per-component :class:`CounterGroup`
-bags bind into the same registries, :func:`render_prometheus` and
-:class:`Telemetry` export everything as a Prometheus text scrape, JSON
-snapshot, and cluster-merged view, and :class:`CorrelationContext` mints
+:class:`MetricsRegistry` instances read labeled Counter/Gauge families at
+collect time and hold Histogram families (exact p50/p95/p99/max quantiles
+in simulated nanoseconds, built on ``repro.common.stats``). Components own
+their counters as plain ints on a :class:`CounterGroup` subclass, which the
+same registries read at scrape. :func:`render_prometheus` and
+:class:`Telemetry` export everything as a Prometheus text scrape or a JSON
+snapshot, and :class:`CorrelationContext` mints
 deterministic per-operation request ids that stitch client, RPC, and
 fabric trace spans of a single Get into one correlated story.
 

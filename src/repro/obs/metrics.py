@@ -1,29 +1,19 @@
-"""The unified metrics surface: instruments, families, registries.
+"""The unified metrics surface: component counters, families, registries.
 
-Every node of a cluster owns one :class:`MetricsRegistry`; components
-register *labeled families* of three instrument kinds —
+Every node of a cluster owns one :class:`MetricsRegistry`, which stores no
+counter or gauge value: it reads them at collect time. Counters are plain
+``int`` attributes their component increments in place
+(:class:`CounterGroup`), or a :class:`Counter` child sampling a count the
+component already keeps; :class:`Gauge` children sample a callback
+(allocator utilisation, breaker state, cache sizes). Only
+:class:`Histogram` accumulates inside the registry: exact quantiles in
+simulated nanoseconds over raw samples, so per-node histograms merge
+losslessly into cluster-wide views.
 
-* :class:`Counter` — monotonically increasing event/byte counts;
-* :class:`Gauge` — point-in-time values, settable directly or sampled
-  through a callback at collect time (allocator utilisation, breaker
-  state, cache sizes never need a write on the hot path);
-* :class:`Histogram` — exact-quantile latency distributions in simulated
-  nanoseconds, backed by :class:`repro.common.stats.Distribution` (raw
-  samples, so p50/p95/p99/max are exact, and per-node histograms merge
-  losslessly into cluster-wide views).
-
-:class:`CounterGroup` is the dict-backed counter bag stores, links and
-channels count into: the hot path is one ``inc``/``get``/``snapshot``
-dict update, and *binding* the group to a registry makes every key export
-as a labeled counter family at scrape time — binding costs nothing per
-increment.
-
-With ``ClusterConfig.metrics`` off no registry is built: counter groups
-still count but export nowhere, and the few components that time a hot
-path (``_m_*`` histogram handles) keep ``None`` until ``attach_metrics``
-binds them. Nothing here ever advances the simulated clock or consumes
-deterministic RNG, so a run with metrics on is bit-identical in simulated
-time to one without.
+With ``ClusterConfig.metrics`` off no registry is built: components still
+count but export nowhere, and the ``_m_*`` histogram handles stay ``None``.
+Nothing here advances the simulated clock or consumes deterministic RNG,
+so a run with metrics on is bit-identical in simulated time to one without.
 """
 
 from __future__ import annotations
@@ -48,78 +38,42 @@ def _check_name(name: str, what: str = "metric") -> str:
 
 
 class CounterGroup:
-    """A named bag of monotonically increasing counters.
+    """A component's counters: plain ``int`` attributes it increments in place.
 
-    Drop-in successor of the removed ``repro.common.stats.Counter``:
-    the hot path is one dict update, nothing else. Binding the group to a
-    registry (:meth:`MetricsRegistry.register_group`) is done once at
-    wiring time; afterwards every key appears as a counter family in the
-    scrape with the bind-time labels attached.
+    A component declares them once, as class attributes set to ``0`` on a
+    small subclass, and counts with ``counters.calls += 1``. The first
+    ``+=`` creates the instance attribute, so ``vars()`` holds exactly the
+    counters touched so far (a zero-amount increment included), in
+    first-touch order; an untouched counter reads 0 and does not export, a
+    misspelt one raises ``AttributeError``. The registry a group is bound
+    to (:meth:`MetricsRegistry.register_group`) reads ``vars()`` at collect.
     """
 
-    __slots__ = ("values",)
-
-    def __init__(self) -> None:
-        self.values: dict[str, int] = {}
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self.values[name] = self.values.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        return self.values.get(name, 0)
-
     def snapshot(self) -> dict[str, int]:
-        return dict(self.values)
-
-
-class Counter:
-    """One counter child (a family member with fixed label values)."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self) -> None:
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
+        return dict(vars(self))
 
 
 class Gauge:
-    """One gauge child: set a value, or install a sampling callback."""
+    """One gauge child: the registry stores no value, it calls the function
+    installed with :meth:`set_function` at collect time (0 until then)."""
 
-    __slots__ = ("_value", "_fn")
+    __slots__ = ("_fn",)
 
     def __init__(self) -> None:
-        self._value = 0.0
         self._fn: Callable[[], float] | None = None
 
-    def set(self, value: float) -> None:
-        self._value = float(value)
-        self._fn = None
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-        self._fn = None
-
     def set_function(self, fn: Callable[[], float]) -> None:
-        """Sample *fn* at collect time instead of storing writes — the
-        zero-hot-path-cost mode used for allocator fragmentation, lookup
-        cache stats and breaker state."""
         self._fn = fn
 
     @property
     def value(self) -> float:
-        if self._fn is not None:
-            return float(self._fn())
-        return self._value
+        return 0.0 if self._fn is None else float(self._fn())
+
+
+class Counter(Gauge):
+    """One counter child: a count its component keeps, sampled at collect."""
+
+    __slots__ = ()
 
 
 def _rendered(pair: tuple) -> tuple[float, str]:
@@ -353,8 +307,8 @@ class MetricsRegistry:
         route: dict[str, str] | None = None,
         **labels: str,
     ) -> None:
-        """Bind *group* so each key exports as family ``<prefix>_<key>``
-        with the given labels.
+        """Bind *group* so each counter it has touched exports, read at
+        collect time, as family ``<prefix>_<name>`` with the given labels.
 
         ``route`` redirects keys by prefix into a different family name:
         ``route={"scrub_": "scrub_", "lookup_cache_": "cache_"}`` sends a
@@ -364,12 +318,9 @@ class MetricsRegistry:
         the previous group (the store-restart path).
         """
         _check_name(prefix, "group prefix")
-        key = (prefix, tuple(sorted((k, str(v)) for k, v in labels.items())))
-        self._groups[key] = (
-            group,
-            {k: str(v) for k, v in labels.items()},
-            dict(route or {}),
-        )
+        str_labels = {k: str(v) for k, v in labels.items()}
+        key = (prefix, tuple(sorted(str_labels.items())))
+        self._groups[key] = (group, str_labels, dict(route or {}))
 
     @staticmethod
     def _group_family_name(prefix: str, counter_key: str, route: dict) -> str:
@@ -417,14 +368,11 @@ class MetricsRegistry:
                 slot["series"].append(series)
 
         for (prefix, _), (group, labels, route) in sorted(self._groups.items()):
-            for counter_key in sorted(group.values):
+            for counter_key, value in sorted(vars(group).items()):
                 fname = self._group_family_name(prefix, counter_key, route)
                 slot = family_slot(fname, "counter", "Operational event counter.")
                 slot["series"].append(
-                    {
-                        "labels": self._with_node(labels),
-                        "value": float(group.values[counter_key]),
-                    }
+                    {"labels": self._with_node(labels), "value": float(value)}
                 )
 
         out = [by_name[name] for name in sorted(by_name)]

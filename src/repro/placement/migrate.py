@@ -60,10 +60,16 @@ class MigrationResult:
 class MigrationEngine:
     """Source-driven executor of the prepare/commit protocol."""
 
+    class Counters(CounterGroup):
+        migrations_completed = migrations_already_placed = 0
+        migrations_aborted = migration_bytes_moved = 0
+        migration_retires_deferred = migrations_rebalance = 0
+        migrations_promote = migrations_demote = 0
+
     def __init__(self, clock, *, spans=None):
         self._clock = clock
         self.spans = spans
-        self.counters = CounterGroup()
+        self.counters = self.Counters()
 
     def migrate(
         self,
@@ -93,12 +99,11 @@ class MigrationEngine:
             ) as sp:
                 result = self._migrate_inner(source_store, dest_name, object_id)
                 sp.annotate(status=result.status, bytes=result.bytes_moved)
-                if result.moved:
-                    self.counters.inc(f"migrations_{reason}")
-                return result
-        result = self._migrate_inner(source_store, dest_name, object_id)
+        else:
+            result = self._migrate_inner(source_store, dest_name, object_id)
         if result.moved:
-            self.counters.inc(f"migrations_{reason}")
+            name = f"migrations_{reason}"
+            setattr(self.counters, name, getattr(self.counters, name) + 1)
         return result
 
     def _migrate_inner(
@@ -108,7 +113,7 @@ class MigrationEngine:
         descriptor = source_store.migration_descriptor(object_id)
         if descriptor is None:
             # Deleted/evicted/quarantined since the plan was computed.
-            self.counters.inc("migrations_aborted")
+            self.counters.migrations_aborted += 1
             return MigrationResult(
                 object_id, source, dest_name, "aborted",
                 detail="source copy no longer migratable",
@@ -149,25 +154,25 @@ class MigrationEngine:
                 # mid-protocol. The source copy stays published; a
                 # half-pulled destination extent is unsealed and will be
                 # reclaimed by restart recovery.
-                self.counters.inc("migrations_aborted")
+                self.counters.migrations_aborted += 1
                 return MigrationResult(
                     object_id, source, dest_name, "aborted", detail=str(exc)
                 )
             raise
         retired = source_store.retire_migrated(object_id)
         if not retired:
-            self.counters.inc("migration_retires_deferred")
+            self.counters.migration_retires_deferred += 1
         size = int(descriptor["data_size"])
         if state == "sealed":
             # The destination already held a sealed copy (re-driven after a
             # source crash, or it was a replica holder that got promoted):
             # nothing crossed the fabric, but the object is now home.
-            self.counters.inc("migrations_already_placed")
+            self.counters.migrations_already_placed += 1
             status = "already_placed"
             moved = 0
         else:
-            self.counters.inc("migrations_completed")
-            self.counters.inc("migration_bytes_moved", size)
+            self.counters.migrations_completed += 1
+            self.counters.migration_bytes_moved += size
             status = "migrated"
             moved = size
         return MigrationResult(

@@ -37,6 +37,9 @@ def copy_writer(data) -> tuple[int, Callable[[memoryview], None]]:
 class PlasmaClient:
     """A client connected to one (node-local) store."""
 
+    class Counters(CounterGroup):
+        creates = seals = gets = releases = deletes = 0
+
     def __init__(self, name: str, store: PlasmaStore, ipc: IpcChannel):
         self._name = name
         self._store = store
@@ -44,7 +47,7 @@ class PlasmaClient:
         # Buffers this client holds references for, by id; get() may hold
         # several handles to the same object.
         self._held: dict[ObjectID, list[PlasmaBuffer]] = {}
-        self.counters = CounterGroup()
+        self.counters = self.Counters()
 
     @property
     def name(self) -> str:
@@ -67,7 +70,7 @@ class PlasmaClient:
         self._store.add_ref(object_id)
         buffer = self._store.local_buffer(entry)
         self._held.setdefault(object_id, []).append(buffer)
-        self.counters.inc("creates")
+        self.counters.creates += 1
         return buffer
 
     def seal(self, object_id: ObjectID) -> None:
@@ -76,7 +79,7 @@ class PlasmaClient:
         self._store.seal_object(object_id)
         for buffer in self._held.get(object_id, ()):
             buffer._mark_sealed()  # noqa: SLF001 — client owns its handles
-        self.counters.inc("seals")
+        self.counters.seals += 1
 
     def put_into(
         self, object_id: ObjectID, size: int, write, *, metadata: bytes = b""
@@ -130,7 +133,7 @@ class PlasmaClient:
             buffer = self._store.local_buffer(entry)
             self._held.setdefault(oid, []).append(buffer)
             buffers.append(buffer)
-        self.counters.inc("gets", len(object_ids))
+        self.counters.gets += len(object_ids)
         return buffers
 
     def get_one(self, object_id: ObjectID) -> PlasmaBuffer:
@@ -163,7 +166,7 @@ class PlasmaClient:
         if not held:
             del self._held[object_id]
         self._release_store_ref(object_id)
-        self.counters.inc("releases")
+        self.counters.releases += 1
 
     def _release_store_ref(self, object_id: ObjectID) -> None:
         self._store.release_ref(object_id)
@@ -181,7 +184,7 @@ class PlasmaClient:
     def delete(self, object_id: ObjectID) -> None:
         self._ipc.charge_request(nobjects=1)
         self._store.delete_object(object_id)
-        self.counters.inc("deletes")
+        self.counters.deletes += 1
 
     def __repr__(self) -> str:
         return f"PlasmaClient({self._name} -> {self._store.name})"

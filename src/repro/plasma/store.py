@@ -78,6 +78,11 @@ class RecoveryReport:
 class PlasmaStore:
     """One store instance managing one memory region on one node."""
 
+    class Counters(CounterGroup):
+        objects_created = bytes_created = objects_sealed = objects_deleted = 0
+        objects_evicted = bytes_evicted = objects_quarantined = 0
+        objects_repaired = objects_recovered = objects_recovered_quarantined = 0
+
     def __init__(
         self,
         name: str,
@@ -104,7 +109,7 @@ class PlasmaStore:
         # generation; see repro.memory.layout.
         self._header_size = HEADER_SIZE if config.integrity_headers else 0
         self._next_generation = 1
-        self.counters = CounterGroup()
+        self.counters = self.Counters()
         # Optional span sink (repro.obs.spans), set by the cluster builder
         # when distributed tracing is requested; hot paths guard on None.
         self.spans = None
@@ -290,8 +295,8 @@ class PlasmaStore:
                 # torn payload. Header writes are untimed bookkeeping (the
                 # store process touches its own region).
                 self._write_header(entry, flags=0)
-        self.counters.inc("objects_created")
-        self.counters.inc("bytes_created", data_size)
+        self.counters.objects_created += 1
+        self.counters.bytes_created += data_size
         return entry
 
     def _write_header(
@@ -355,8 +360,8 @@ class PlasmaStore:
         space."""
         for victim in victims:
             self._retire_and_free(victim)
-            self.counters.inc("objects_evicted")
-            self.counters.inc("bytes_evicted", victim.allocation.padded_size)
+            self.counters.objects_evicted += 1
+            self.counters.bytes_evicted += victim.allocation.padded_size
             self._notify(
                 SealNotification(victim.object_id, victim.data_size, deleted=True)
             )
@@ -393,7 +398,7 @@ class PlasmaStore:
                     self._region.view(entry.payload_offset, entry.data_size)
                 )
                 self._write_header(entry, flags=FLAG_SEALED)
-        self.counters.inc("objects_sealed")
+        self.counters.objects_sealed += 1
         self._notify(SealNotification(entry.object_id, entry.data_size))
         return entry
 
@@ -406,7 +411,7 @@ class PlasmaStore:
                     f"{object_id!r} cannot be deleted before sealing"
                 )
             self._retire_and_free(entry)
-        self.counters.inc("objects_deleted")
+        self.counters.objects_deleted += 1
         self._notify(SealNotification(entry.object_id, entry.data_size, deleted=True))
 
     def evict(self, nbytes: int) -> int:
@@ -510,7 +515,7 @@ class PlasmaStore:
             entry.quarantined = True
             if entry.header_size:
                 self._write_header(entry, flags=FLAG_SEALED | FLAG_QUARANTINED)
-        self.counters.inc("objects_quarantined")
+        self.counters.objects_quarantined += 1
         return entry
 
     def repair_object(self, object_id: ObjectID, data) -> ObjectEntry:
@@ -537,7 +542,7 @@ class PlasmaStore:
             entry.quarantined = False
             if entry.header_size:
                 self._write_header(entry, flags=FLAG_SEALED)
-        self.counters.inc("objects_repaired")
+        self.counters.objects_repaired += 1
         return entry
 
     # -- restart recovery ----------------------------------------------------------------
@@ -647,8 +652,8 @@ class PlasmaStore:
                 if corrupt:
                     quarantined += 1
             self._next_generation = max_generation + 1
-        self.counters.inc("objects_recovered", recovered)
-        self.counters.inc("objects_recovered_quarantined", quarantined)
+        self.counters.objects_recovered += recovered
+        self.counters.objects_recovered_quarantined += quarantined
         return RecoveryReport(
             candidates=len(candidates),
             recovered=recovered,

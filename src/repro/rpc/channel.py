@@ -94,6 +94,11 @@ class Channel:
     """A unary-call channel from *local_host* to a server: blocking calls,
     and their pipelined task forms when an event *loop* is attached."""
 
+    class Counters(CounterGroup):
+        calls = calls_failed = stream_messages = bytes_sent = 0
+        bytes_received = retries = retries_suppressed = attempts_failed = 0
+        attempts_shed = deadline_exceeded = breaker_rejections = 0
+
     def __init__(
         self,
         local_host: str,
@@ -120,7 +125,7 @@ class Channel:
         self._chaos = chaos
         self._correlation = correlation
         self._loop = loop
-        self.counters = CounterGroup()
+        self.counters = self.Counters()
         self.aio_counters: dict[str, int] = {name: 0 for name in AIO_COUNTER_NAMES}
         self._in_flight = 0
         self._buffers: dict[tuple[str, str], CoalescingBuffer] = {}
@@ -262,8 +267,8 @@ class Channel:
         else:
             self._clock.advance(cost_ns)
         if expired:
-            self.counters.inc("deadline_exceeded")
-            self.counters.inc("calls_failed")
+            self.counters.deadline_exceeded += 1
+            self.counters.calls_failed += 1
             raise RpcStatusError(
                 StatusCode.DEADLINE_EXCEEDED,
                 f"deadline of {deadline_ns / 1e6:.3f} ms exceeded calling "
@@ -296,7 +301,7 @@ class Channel:
             raise RpcError(f"channel to {self._server.host} is closed")
         if self._breaker is not None and not self._breaker.allow():
             self._clock.advance(self._breaker.fail_fast_cost_ns)
-            self.counters.inc("breaker_rejections")
+            self.counters.breaker_rejections += 1
             raise RpcStatusError(
                 StatusCode.UNAVAILABLE,
                 f"circuit breaker open for {self._server.host}",
@@ -540,17 +545,17 @@ class Channel:
                 if status is StatusCode.UNAVAILABLE:
                     # The server process is down (connection refused). gRPC
                     # treats UNAVAILABLE as retryable; so do we.
-                    self.counters.inc("attempts_failed")
+                    self.counters.attempts_failed += 1
                     error = RpcStatusError(status, detail)
                 elif status is StatusCode.RESOURCE_EXHAUSTED:
                     # The server shed us under overload. Retryable — the
                     # peer is alive — but every retry spends retry budget,
                     # so a storm of shed calls fails fast instead of
                     # amplifying the load.
-                    self.counters.inc("attempts_shed")
+                    self.counters.attempts_shed += 1
                     error = ServerOverloadedError(detail)
                 else:
-                    self.counters.inc("calls_failed")
+                    self.counters.calls_failed += 1
                     raise RpcStatusError(status, detail)
             else:
                 # Only a repeat attempt's wasted transport is retry
@@ -558,7 +563,7 @@ class Channel:
                 yield from self._wait(
                     wasted, start_ns, deadline_ns, blocking, attr, attempt > 0
                 )
-                self.counters.inc("attempts_failed")
+                self.counters.attempts_failed += 1
                 error = RpcStatusError(
                     StatusCode.UNAVAILABLE,
                     f"{detail} ({attempts} attempts)"
@@ -566,10 +571,10 @@ class Channel:
                     else f"{detail} (retry budget exhausted)",
                 )
             if last:
-                self.counters.inc("calls_failed")
+                self.counters.calls_failed += 1
                 raise error
             self._gate_retry(error)
-            self.counters.inc("retries")
+            self.counters.retries += 1
             yield from self._wait(
                 self._backoff_ns(attempt), start_ns, deadline_ns, blocking, attr, True
             )
@@ -584,8 +589,8 @@ class Channel:
         """
         if self._retry_budget.try_spend():
             return
-        self.counters.inc("retries_suppressed")
-        self.counters.inc("calls_failed")
+        self.counters.retries_suppressed += 1
+        self.counters.calls_failed += 1
         raise exc
 
     def _unary_attempt(
@@ -621,9 +626,9 @@ class Channel:
         else:
             cost = self._direction_cost_ns(len(wire_response))
         yield from self._wait(cost, start_ns, deadline_ns, blocking)
-        self.counters.inc("calls")
-        self.counters.inc("bytes_sent", len(wire_request))
-        self.counters.inc("bytes_received", len(wire_response))
+        self.counters.calls += 1
+        self.counters.bytes_sent += len(wire_request)
+        self.counters.bytes_received += len(wire_response)
         if status is StatusCode.OK:
             return status, decode_message(wire_response), detail
         return status, None, detail
@@ -660,7 +665,7 @@ class Channel:
                     deadline_ns,
                     blocking,
                 )
-                self.counters.inc("calls_failed")
+                self.counters.calls_failed += 1
                 if status is StatusCode.RESOURCE_EXHAUSTED:
                     raise ServerOverloadedError(detail)
                 raise RpcStatusError(status, detail)
@@ -671,10 +676,10 @@ class Channel:
             deadline_ns,
             blocking,
         )
-        self.counters.inc("calls")
-        self.counters.inc("stream_messages", len(requests))
-        self.counters.inc("bytes_sent", wire_in)
-        self.counters.inc("bytes_received", wire_out)
+        self.counters.calls += 1
+        self.counters.stream_messages += len(requests)
+        self.counters.bytes_sent += wire_in
+        self.counters.bytes_received += wire_out
         return StatusCode.OK, responses, ""
 
     def stub(self, service: str) -> "ServiceStub":

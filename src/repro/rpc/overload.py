@@ -68,6 +68,10 @@ class OverloadModel:
     bookkeeping needed for deterministic replay (no event loop, no RNG).
     """
 
+    class Counters(CounterGroup):
+        admitted = queued_ns = shed_queue_full = shed_expired = 0
+        bursts_injected = 0
+
     def __init__(self, clock, config=None, *, name: str = ""):
         self._clock = clock
         self._name = name
@@ -80,7 +84,7 @@ class OverloadModel:
         )
         self.shed_expired = config.shed_expired if config is not None else True
         self._busy_until_ns = 0.0
-        self.counters = CounterGroup()
+        self.counters = self.Counters()
         #: Queue depth observed by each arrival (admitted or shed) while
         #: the model is active — the distribution BENCH artifacts report
         #: p99 over. Sheds see the deepest queues, so sampling only admits
@@ -127,7 +131,7 @@ class OverloadModel:
         that the admission maths then drains at the service rate."""
         now = self._clock.now_ns
         self._busy_until_ns = max(self._busy_until_ns, now) + float(ns)
-        self.counters.inc("bursts_injected")
+        self.counters.bursts_injected += 1
 
     def reset(self) -> None:
         """Forget all queued work — the process died (shutdown/restart);
@@ -152,7 +156,7 @@ class OverloadModel:
         queue_len = int(backlog // service) if service > 0 else 0
         self.queue_samples.add(queue_len)
         if self.queue_depth > 0 and queue_len >= self.queue_depth:
-            self.counters.inc("shed_queue_full")
+            self.counters.shed_queue_full += 1
             return Admission(
                 admitted=False,
                 queue_len=queue_len,
@@ -168,7 +172,7 @@ class OverloadModel:
         wait = backlog if self.queue_discipline == "fifo" else min(backlog, service)
         if self.shed_expired and deadline_ns is not None:
             if deadline_ns <= 0:
-                self.counters.inc("shed_expired")
+                self.counters.shed_expired += 1
                 return Admission(
                     admitted=False,
                     queue_len=queue_len,
@@ -179,7 +183,7 @@ class OverloadModel:
                     ),
                 )
             if wait + service > deadline_ns:
-                self.counters.inc("shed_expired")
+                self.counters.shed_expired += 1
                 return Admission(
                     admitted=False,
                     queue_len=queue_len,
@@ -191,9 +195,9 @@ class OverloadModel:
                     ),
                 )
         self._busy_until_ns = max(self._busy_until_ns, now_ns) + service
-        self.counters.inc("admitted")
+        self.counters.admitted += 1
         if wait > 0:
-            self.counters.inc("queued_ns", int(wait))
+            self.counters.queued_ns += int(wait)
         return Admission(admitted=True, delay_ns=wait, queue_len=queue_len)
 
     # -- observability -------------------------------------------------------------

@@ -37,11 +37,15 @@ _EXCEPTION_STATUS = (
 class RpcServer:
     """A service registry + dispatcher bound to one host."""
 
+    class Counters(CounterGroup):
+        calls = calls_ok = calls_failed = calls_shed = calls_unavailable = 0
+        calls_unimplemented = 0
+
     def __init__(self, host: str):
         self._host = host
         self._services: dict[str, dict[str, object]] = {}
         self._shutdown = False
-        self.counters = CounterGroup()
+        self.counters = self.Counters()
         # Opt-in observability, set by the cluster builder: a span sink
         # plus clock for server-side dispatch spans, and a pre-bound latency
         # histogram. All default off; dispatch keeps a fast path.
@@ -139,7 +143,7 @@ class RpcServer:
         ):
             decision = self.overload.admit(self.clock.now_ns, deadline_ns)
             if not decision.admitted:
-                self.counters.inc("calls_shed")
+                self.counters.calls_shed += 1
                 if self.spans is not None:
                     # Zero-duration marker: the shed is visible in the
                     # flight recorder next to the queue state it saw.
@@ -233,9 +237,9 @@ class RpcServer:
 
     def dispatch(self, service: str, method: str, request: dict) -> tuple[StatusCode, dict | None, str]:
         """Dispatch a decoded request; maps handler exceptions to statuses."""
-        self.counters.inc("calls")
+        self.counters.calls += 1
         if self._shutdown:
-            self.counters.inc("calls_unavailable")
+            self.counters.calls_unavailable += 1
             return (
                 StatusCode.UNAVAILABLE,
                 None,
@@ -243,11 +247,11 @@ class RpcServer:
             )
         methods = self._services.get(service)
         if methods is None:
-            self.counters.inc("calls_unimplemented")
+            self.counters.calls_unimplemented += 1
             return StatusCode.UNIMPLEMENTED, None, f"unknown service {service!r}"
         handler = methods.get(method)
         if handler is None:
-            self.counters.inc("calls_unimplemented")
+            self.counters.calls_unimplemented += 1
             return (
                 StatusCode.UNIMPLEMENTED,
                 None,
@@ -256,7 +260,7 @@ class RpcServer:
         try:
             response = handler(request)
         except Exception as exc:  # noqa: BLE001 — the server must not die
-            self.counters.inc("calls_failed")
+            self.counters.calls_failed += 1
             for exc_type, code in _EXCEPTION_STATUS:
                 if isinstance(exc, exc_type):
                     return code, None, str(exc)
@@ -270,7 +274,7 @@ class RpcServer:
         if response is None:
             response = {}
         if not isinstance(response, dict):
-            self.counters.inc("calls_failed")
+            self.counters.calls_failed += 1
             return StatusCode.INTERNAL, None, "handler returned a non-dict response"
-        self.counters.inc("calls_ok")
+        self.counters.calls_ok += 1
         return StatusCode.OK, response, ""

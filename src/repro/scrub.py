@@ -100,12 +100,12 @@ class Scrubber:
             repaired += 1
             details.append(f"{oid!r}: repaired from replica")
             re_replicated += self._top_up_replicas(oid, details)
-        store.counters.inc("scrub_passes")
-        store.counters.inc("scrub_scanned", scanned)
-        store.counters.inc("scrub_corrupted", corrupted)
-        store.counters.inc("scrub_repaired", repaired)
-        store.counters.inc("scrub_quarantined", quarantined)
-        store.counters.inc("scrub_re_replicated", re_replicated)
+        store.counters.scrub_passes += 1
+        store.counters.scrub_scanned += scanned
+        store.counters.scrub_corrupted += corrupted
+        store.counters.scrub_repaired += repaired
+        store.counters.scrub_quarantined += quarantined
+        store.counters.scrub_re_replicated += re_replicated
         return ScrubReport(
             scanned=scanned,
             ok=ok,
@@ -143,7 +143,7 @@ class Scrubber:
                 actual.append(name)
         if actual:
             store.record_replicas(oid, actual)
-            store.counters.inc("scrub_replicas_rediscovered", len(actual))
+            store.counters.scrub_replicas_rediscovered += len(actual)
         return tuple(actual)
 
     # -- repair sourcing ---------------------------------------------------------
@@ -180,7 +180,7 @@ class Scrubber:
                 entry.data_size + int(descriptor.get("header_size", 0))
             )
             if crc32c(payload) != entry.payload_crc:
-                store.counters.inc("scrub_replica_mismatches")
+                store.counters.scrub_replica_mismatches += 1
                 continue
             return payload
         return None

@@ -807,7 +807,7 @@ class SimulationRunner:
         for name in self._up():
             # A recovered node's fresh store counts from zero again, so a
             # drop is not an eviction; only a rise is.
-            count = self.cluster.store(name).counters.get("objects_evicted")
+            count = self.cluster.store(name).counters.objects_evicted
             evicted = evicted or count > self._evictions_seen.get(name, 0)
             self._evictions_seen[name] = count
         if not evicted:

@@ -61,7 +61,7 @@ def _skip_replica_retire() -> Iterator[None]:
                 self._allocator.free(entry.allocation.offset)
             del self._replicas_of[oid]
             self._notify(SealNotification(oid, entry.data_size, deleted=True))
-            self.counters.inc("replicas_dropped")
+            self.counters.replicas_dropped += 1
             dropped += 1
         return dropped
 

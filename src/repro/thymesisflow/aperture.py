@@ -82,10 +82,13 @@ class RemoteRegion:
     + size travel in RPC lookups).
     """
 
+    class Counters(CounterGroup):
+        read_bytes = write_bytes = 0
+
     def __init__(self, aperture: Aperture, reader: ThymesisEndpoint):
         self._ap = aperture
         self._reader = reader
-        self.counters = CounterGroup()
+        self.counters = self.Counters()
 
     @property
     def home_name(self) -> str:
@@ -114,7 +117,7 @@ class RemoteRegion:
         self._check(offset, size)
         src = self._ap.home.serve_remote_read(offset, size)
         self._ap.link.charge_stream_read(size)
-        self.counters.inc("read_bytes", size)
+        self.counters.read_bytes += size
         return src
 
     def read(self, offset: int, size: int, out=None) -> bytes | None:
@@ -157,7 +160,7 @@ class RemoteRegion:
         self._check(offset, size)
         self._ap.link.charge_stream_write(size)
         window, stale = self._ap.home.serve_remote_write(offset, size)
-        self.counters.inc("write_bytes", size)
+        self.counters.write_bytes += size
         return window, stale
 
     def load(self, offset: int, size: int = 8) -> bytes:

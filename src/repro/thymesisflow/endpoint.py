@@ -26,6 +26,11 @@ from repro.memory.host import HostMemory, MemoryRegion
 class ThymesisEndpoint:
     """A node (name + memory + cache) attached to the fabric."""
 
+    class Counters(CounterGroup):
+        local_reads = local_read_bytes = local_writes = local_write_bytes = 0
+        served_remote_read_bytes = served_remote_write_bytes = 0
+        stale_bytes_observed = stale_bytes_created = 0
+
     def __init__(
         self,
         name: str,
@@ -43,7 +48,7 @@ class ThymesisEndpoint:
         self._exposed: MemoryRegion | None = None
         self._read_ns_per_byte = NS_PER_S / config.read_bandwidth_bps
         self._write_ns_per_byte = NS_PER_S / config.write_bandwidth_bps
-        self.counters = CounterGroup()
+        self.counters = self.Counters()
 
     # -- identity / structure ---------------------------------------------------
 
@@ -104,10 +109,10 @@ class ThymesisEndpoint:
         access = self._cache.local_read(offset, size)
         cost = self._local_read_cost(size, access.hit_fraction)
         self._clock.advance(cost)
-        self.counters.inc("local_read_bytes", size)
-        self.counters.inc("local_reads")
+        self.counters.local_read_bytes += size
+        self.counters.local_reads += 1
         if access.stale_bytes:
-            self.counters.inc("stale_bytes_observed", access.stale_bytes)
+            self.counters.stale_bytes_observed += access.stale_bytes
         return cost
 
     def local_read_view(self, offset: int, size: int) -> memoryview:
@@ -127,8 +132,8 @@ class ThymesisEndpoint:
         base = self._config.access_latency_ns + len(mv) * self._write_ns_per_byte
         cost = base * self._rng.lognormal_jitter(self._config.jitter_sigma)
         self._clock.advance(cost)
-        self.counters.inc("local_write_bytes", len(mv))
-        self.counters.inc("local_writes")
+        self.counters.local_write_bytes += len(mv)
+        self.counters.local_writes += 1
         return cost
 
     def charge_local_write(self, offset: int, size: int) -> float:
@@ -139,8 +144,8 @@ class ThymesisEndpoint:
         base = self._config.access_latency_ns + size * self._write_ns_per_byte
         cost = base * self._rng.lognormal_jitter(self._config.jitter_sigma)
         self._clock.advance(cost)
-        self.counters.inc("local_write_bytes", size)
-        self.counters.inc("local_writes")
+        self.counters.local_write_bytes += size
+        self.counters.local_writes += 1
         return cost
 
     def local_view(self, offset: int, size: int) -> memoryview:
@@ -153,7 +158,7 @@ class ThymesisEndpoint:
         """A remote node reads our exposed region: coherent (Fig 3a)."""
         region = self.exposed
         abs_off = region.absolute(offset)
-        self.counters.inc("served_remote_read_bytes", size)
+        self.counters.served_remote_read_bytes += size
         return self._cache.remote_coherent_read(abs_off, size)
 
     def serve_remote_write(self, offset: int, size: int) -> tuple[memoryview, int]:
@@ -166,9 +171,9 @@ class ThymesisEndpoint:
         # Bounds: the write must stay inside the exposed window.
         region._translate(offset, size)  # noqa: SLF001 — shared bounds check
         stale = self._cache.remote_write_received(abs_off, size)
-        self.counters.inc("served_remote_write_bytes", size)
+        self.counters.served_remote_write_bytes += size
         if stale:
-            self.counters.inc("stale_bytes_created", stale)
+            self.counters.stale_bytes_created += stale
         return self._memory.view(abs_off, size), stale
 
     def invalidate_exposed(self, offset: int, size: int) -> None:

@@ -24,6 +24,10 @@ from repro.network.model import TransferModel
 class OpenCapiLink:
     """A bidirectional link between two named endpoints."""
 
+    class Counters(CounterGroup):
+        read_ops = read_bytes = write_ops = write_bytes = reads_avoided = 0
+        read_bytes_avoided = single_accesses = partition_rejections = 0
+
     def __init__(
         self,
         node_a: str,
@@ -54,7 +58,7 @@ class OpenCapiLink:
             rng=link_rng,
         )
         self._single_rng = link_rng
-        self.counters = CounterGroup()
+        self.counters = self.Counters()
         # Fault-injection state (driven by repro.chaos.ChaosRuntime). A
         # healthy link has factors of 1.0 and pays nothing extra; the
         # happy-path cost model and its RNG draw sequence are untouched.
@@ -121,7 +125,7 @@ class OpenCapiLink:
         if self.chaos is not None:
             self.chaos.poll()
         if self._partitioned:
-            self.counters.inc("partition_rejections")
+            self.counters.partition_rejections += 1
             raise LinkPartitionedError(
                 f"fabric link {self._node_a}<->{self._node_b} is partitioned"
             )
@@ -158,8 +162,8 @@ class OpenCapiLink:
             remaining -= chunk
         cost /= self._bandwidth_factor
         self._clock.advance(cost)
-        self.counters.inc("read_bytes", nbytes)
-        self.counters.inc("read_ops")
+        self.counters.read_bytes += nbytes
+        self.counters.read_ops += 1
         return cost
 
     def charge_stream_write(self, nbytes: int) -> float:
@@ -182,8 +186,8 @@ class OpenCapiLink:
             remaining -= chunk
         cost /= self._bandwidth_factor
         self._clock.advance(cost)
-        self.counters.inc("write_bytes", nbytes)
-        self.counters.inc("write_ops")
+        self.counters.write_bytes += nbytes
+        self.counters.write_ops += 1
         return cost
 
     def note_read_avoided(self, nbytes: int) -> None:
@@ -191,8 +195,8 @@ class OpenCapiLink:
         have streamed. Pure accounting — no clock advance, no RNG draw —
         so enabling the cache never perturbs fabric timing for the reads
         that *do* happen."""
-        self.counters.inc("read_bytes_avoided", nbytes)
-        self.counters.inc("reads_avoided")
+        self.counters.read_bytes_avoided += nbytes
+        self.counters.reads_avoided += 1
 
     def charge_single_access(self) -> float:
         """One unpipelined load/store (≤ a cache line) round trip."""
@@ -203,7 +207,7 @@ class OpenCapiLink:
             * self._single_rng.lognormal_jitter(self._config.jitter_sigma)
         )
         self._clock.advance(cost)
-        self.counters.inc("single_accesses")
+        self.counters.single_accesses += 1
         return cost
 
     def __repr__(self) -> str:

@@ -46,6 +46,10 @@ class TierTickReport:
 class TierEngine:
     """Heat-driven, byte-budgeted promotion/demotion over the cluster."""
 
+    class Counters(CounterGroup):
+        ticks = promotions = promotion_bytes = demotions = demotion_bytes = 0
+        tier_aborts = 0
+
     def __init__(self, cluster, engine, agents: dict, config):
         if config.bytes_per_tick <= 0:
             raise ValueError("bytes_per_tick must be positive")
@@ -60,7 +64,7 @@ class TierEngine:
         # Objects the tier engine deliberately placed off their ring home
         # (demotions) or onto a reader (promotions): oid -> intended node.
         self._placed: dict[ObjectID, str] = {}
-        self.counters = CounterGroup()
+        self.counters = self.Counters()
 
     # -- registry (the Rebalancer consults this) ---------------------------------
 
@@ -204,10 +208,10 @@ class TierEngine:
         if result.moved:
             self._record_placement(object_id, dest)
             self._agents[dest].on_promoted_home(object_id)
-            self.counters.inc("promotions")
-            self.counters.inc("promotion_bytes", result.bytes_moved)
+            self.counters.promotions += 1
+            self.counters.promotion_bytes += result.bytes_moved
         else:
-            self.counters.inc("tier_aborts")
+            self.counters.tier_aborts += 1
         return result
 
     def demote(self, object_id: ObjectID):
@@ -224,10 +228,10 @@ class TierEngine:
         )
         if result.moved:
             self._record_placement(object_id, dest)
-            self.counters.inc("demotions")
-            self.counters.inc("demotion_bytes", result.bytes_moved)
+            self.counters.demotions += 1
+            self.counters.demotion_bytes += result.bytes_moved
         else:
-            self.counters.inc("tier_aborts")
+            self.counters.tier_aborts += 1
         return result
 
     def _prune_placements(self) -> None:
@@ -280,7 +284,7 @@ class TierEngine:
             else:
                 aborted += 1
         self._prune_placements()
-        self.counters.inc("ticks")
+        self.counters.ticks += 1
         if self._tick_interval_ns:
             self._cluster.clock.advance(self._tick_interval_ns)
         return TierTickReport(

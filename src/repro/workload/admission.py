@@ -141,7 +141,9 @@ class AdmissionController:
         self._tenants[tenant] = fresh
 
     def attach_metrics(self, registry) -> None:
-        """Export admission counters as labeled families on *registry*."""
+        """Export admission counts on *registry*: each series appears at its
+        tenant's first admit (or rejection for that reason) and reads the
+        tenant's live state at collect time."""
         self._m_admitted = registry.counter(
             "workload_admission_admitted_total",
             "Operations admitted per tenant",
@@ -161,11 +163,13 @@ class AdmissionController:
     def _reject(self, state: _TenantState, tenant: str, reason: str,
                 detail: str) -> None:
         state.rejected += 1
-        state.rejected_by_reason[reason] = (
-            state.rejected_by_reason.get(reason, 0) + 1
-        )
-        if self._m_rejected is not None:
-            self._m_rejected.labels(tenant=tenant, reason=reason).inc()
+        by_reason = state.rejected_by_reason
+        by_reason[reason] = by_reason.get(reason, 0) + 1
+        if by_reason[reason] == 1 and self._m_rejected is not None:
+            # set_quota replaces the state object: look it up at scrape.
+            self._m_rejected.labels(tenant=tenant, reason=reason).set_function(
+                lambda: self._tenants[tenant].rejected_by_reason[reason]
+            )
         raise AdmissionRejectedError(tenant, reason, detail)
 
     def admit(self, tenant: str, kind: str, nbytes: int, now_ns: int) -> None:
@@ -206,8 +210,10 @@ class AdmissionController:
                 f"{quota.max_stored_bytes} quota",
             )
         state.admitted += 1
-        if self._m_admitted is not None:
-            self._m_admitted.labels(tenant=tenant).inc()
+        if state.admitted == 1 and self._m_admitted is not None:
+            self._m_admitted.labels(tenant=tenant).set_function(
+                lambda: self._tenants[tenant].admitted
+            )
 
     def record_stored(self, tenant: str, delta_bytes: int) -> None:
         """Account a footprint change: positive on put, negative on delete."""

@@ -248,24 +248,13 @@ class ScenarioRunner:
                     burst_bytes=q.burst_bytes,
                 ),
             )
-        self._m_ops = self.registry.counter(
-            "workload_ops_total",
-            "Workload operations by tenant, kind and outcome",
-            labels=("tenant", "kind", "outcome"),
-        )
         self._m_latency = self.registry.histogram(
             "workload_op_latency_ns",
             "Per-op latency (arrival to completion, simulated ns)",
             labels=("tenant", "kind"),
         )
-        self._m_bytes = self.registry.counter(
-            "workload_bytes_total",
-            "Payload bytes moved by tenant and direction",
-            labels=("tenant", "direction"),
-        )
-        # (tenant, kind, outcome) -> the counter child, histogram child and
-        # per-kind distribution one completed op lands in.
-        self._complete_cells: dict[tuple[str, str, str], tuple] = {}
+        # (tenant, kind) -> the histogram child and per-kind distribution.
+        self._complete_cells: dict[tuple[str, str], tuple] = {}
         # (kind, tenant) -> [ops, observed ns, component -> ns]: raw sums,
         # folded into the result's two attribution tables when the run ends.
         self._attribution: dict[tuple[str, str], list] = {}
@@ -400,7 +389,6 @@ class ScenarioRunner:
                 hits + int(hit),
             )
         self.result.bytes_read += nbytes
-        self._m_bytes.labels(tenant=op.tenant, direction="read").inc(nbytes)
         return "ok"
 
     def _do_read(self, op: WorkloadOp) -> str:
@@ -419,9 +407,6 @@ class ScenarioRunner:
         self._slots[op.slot] = _Slot(oid_int, op.size_bytes, op.tenant)
         self.admission.record_stored(op.tenant, op.size_bytes)
         self.result.bytes_written += op.size_bytes
-        self._m_bytes.labels(tenant=op.tenant, direction="write").inc(
-            op.size_bytes
-        )
 
     def _do_write(self, op: WorkloadOp) -> str:
         self._delete_slot(op.slot)
@@ -466,7 +451,6 @@ class ScenarioRunner:
             finally:
                 client.release(oid)
         self.result.bytes_read += read
-        self._m_bytes.labels(tenant=op.tenant, direction="read").inc(read)
         return "ok"
 
     # ------------------------------------------------------------------ async ops
@@ -546,7 +530,6 @@ class ScenarioRunner:
             if payload is not None
         )
         self.result.bytes_read += read
-        self._m_bytes.labels(tenant=op.tenant, direction="read").inc(read)
         return "ok"
 
     def _op_task(self, op: WorkloadOp, issue_ns: int):
@@ -680,9 +663,6 @@ class ScenarioRunner:
             result.overload_client["ingress_shed"] = (
                 result.overload_client.get("ingress_shed", 0) + 1
             )
-            self._m_ops.labels(
-                tenant=op.tenant, kind=op.kind, outcome="shed:expired"
-            ).inc()
             return False
         try:
             self.admission.admit(
@@ -690,9 +670,6 @@ class ScenarioRunner:
             )
         except AdmissionRejectedError as exc:
             outcome = f"rejected:{exc.reason}"
-            self._m_ops.labels(
-                tenant=op.tenant, kind=op.kind, outcome=outcome
-            ).inc()
             result.outcomes[outcome] = result.outcomes.get(outcome, 0) + 1
             return False
         return True
@@ -708,21 +685,17 @@ class ScenarioRunner:
             result.in_deadline_ops += 1
         result.outcomes[outcome] = result.outcomes.get(outcome, 0) + 1
         result.latency_overall.add(latency)
-        key = (op.tenant, op.kind, outcome)
+        key = (op.tenant, op.kind)
         cells = self._complete_cells.get(key)
         if cells is None:
             by_kind = result.latency_by_kind.get(op.kind)
             if by_kind is None:
                 by_kind = result.latency_by_kind[op.kind] = Distribution()
             cells = self._complete_cells[key] = (
-                self._m_ops.labels(
-                    tenant=op.tenant, kind=op.kind, outcome=outcome
-                ),
                 self._m_latency.labels(tenant=op.tenant, kind=op.kind),
                 by_kind,
             )
-        ops_total, latency_ns, by_kind = cells
-        ops_total.inc()
+        latency_ns, by_kind = cells
         latency_ns.observe(latency)
         by_kind.add(latency)
         return latency
@@ -782,9 +755,8 @@ class ScenarioRunner:
             )
         read_bytes = avoided = 0
         for link in self.cluster.fabric.links():
-            snap = link.counters.snapshot()
-            read_bytes += snap.get("read_bytes", 0)
-            avoided += snap.get("read_bytes_avoided", 0)
+            read_bytes += link.counters.read_bytes
+            avoided += link.counters.read_bytes_avoided
         out["fabric"] = {
             "read_bytes": read_bytes,
             "read_bytes_avoided": avoided,
@@ -834,13 +806,8 @@ class ScenarioRunner:
                         result.overload_server.get(key, 0) + value
                     )
             for _, channel in sorted(node.channels.items()):
-                counters = channel.counters
-                for key in (
-                    "attempts_shed",
-                    "retries",
-                    "retries_suppressed",
-                ):
-                    value = counters.snapshot().get(key, 0)
+                for key in ("attempts_shed", "retries", "retries_suppressed"):
+                    value = getattr(channel.counters, key)
                     if value:
                         result.overload_client[key] = (
                             result.overload_client.get(key, 0) + value

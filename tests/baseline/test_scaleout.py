@@ -53,10 +53,10 @@ class TestReplication:
         oid = so_cluster.new_object_id()
         p.put_bytes(oid, bytes(MiB))
         c.get_bytes(oid)
-        fetched_before = so_cluster.store("node1").counters.get("remote_fetches")
+        fetched_before = so_cluster.store("node1").counters.remote_fetches
         c.get_bytes(oid)
         assert (
-            so_cluster.store("node1").counters.get("remote_fetches")
+            so_cluster.store("node1").counters.remote_fetches
             == fetched_before
         )
 
@@ -77,7 +77,7 @@ class TestReplication:
             p0.put_bytes(oid, bytes(MiB))
         for oid in remote_ids:
             c1.get_bytes(oid)
-        evicted = so_cluster.store("node1").counters.get("objects_evicted")
+        evicted = so_cluster.store("node1").counters.objects_evicted
         assert evicted >= 8  # resident data was thrashed
 
 
@@ -100,4 +100,4 @@ class TestTiming:
         oid = so_cluster.new_object_id()
         p.put_bytes(oid, bytes(MiB))
         c.get_bytes(oid)
-        assert so_cluster.network.counters.get("bytes_transferred") >= MiB
+        assert so_cluster.network.counters.bytes_transferred >= MiB

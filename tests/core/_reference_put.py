@@ -56,10 +56,10 @@ def _remote_write(remote, offset: int, mv) -> int:
             cache._stale[lo] = cache._mem.read(lo, hi - lo)
             stale += hi - lo
     cache._mem.write(abs_off, mv)
-    home.counters.inc("served_remote_write_bytes", len(mv))
+    home.counters.served_remote_write_bytes += len(mv)
     if stale:
-        home.counters.inc("stale_bytes_created", stale)
-    remote.counters.inc("write_bytes", len(mv))
+        home.counters.stale_bytes_created += stale
+    remote.counters.write_bytes += len(mv)
     return stale
 
 
@@ -87,7 +87,7 @@ def _forward_put_task(
         if exc.code is StatusCode.ALREADY_EXISTS:
             raise ObjectExistsError(f"{object_id!r} exists at {home}") from exc
         if store._peer_unavailable(home, exc):
-            store.counters.inc("placed_creates_fallback")
+            store.counters.placed_creates_fallback += 1
             return False
         raise
     offset = int(response["offset"])
@@ -108,8 +108,8 @@ def _forward_put_task(
                 unreachable_peers=(home,),
             ) from exc
         raise
-    store.counters.inc("placed_creates_forwarded")
-    store.counters.inc("placed_bytes_forwarded", len(mv))
+    store.counters.placed_creates_forwarded += 1
+    store.counters.placed_bytes_forwarded += len(mv)
     return True
 
 
@@ -125,9 +125,9 @@ def put_bytes(client, object_id, data, metadata=b"", *, replicas=1):
             partial(_forward_put_task, store), object_id, data, metadata, home,
             replicas=replicas,
         ):
-            client.counters.inc("puts_forwarded")
+            client.counters.puts_forwarded += 1
             return object_id
-        client.counters.inc("puts_forward_fallback")
+        client.counters.puts_forward_fallback += 1
     _local_put(client, object_id, _as_bytes(data), metadata)
     client._replicate(object_id, replicas)
     return object_id
@@ -146,9 +146,9 @@ def put_bytes_task(client, object_id, data, metadata=b"", *, replicas=1, attr=No
             store, object_id, data, metadata, home, replicas=replicas, attr=attr
         )
         if ok:
-            client.counters.inc("puts_forwarded")
+            client.counters.puts_forwarded += 1
             return object_id
-        client.counters.inc("puts_forward_fallback")
+        client.counters.puts_forward_fallback += 1
     _local_put(client, object_id, _as_bytes(data), metadata)
     client._replicate(object_id, replicas)
     return object_id

@@ -76,7 +76,7 @@ def test_delete_tells_only_the_peer_that_resolved_it(mode, rpc_log):
     assert told(rpc_log) == [("node1", "NotifyDeleted")]
     assert rpc_log[0][2] == [oid]
     assert holds_cached(cluster, "node1", oid) == (False, False)
-    assert cluster.store("node0").counters.get("delete_notifications") == 1
+    assert cluster.store("node0").counters.delete_notifications == 1
     assert_typed_miss(cluster, "node1", oid)
 
     # A re-put under the same id is a new object: node1 reads the new
@@ -134,9 +134,9 @@ def test_holder_revokes_the_replica_it_handed_out(mode, rpc_log):
     # parent: reader NotifyDeleted, holder DropReplica — from the home.
     assert told(rpc_log) == [(holder, "DropReplica"), (reader, "NotifyDeleted")]
     assert all(ids == [oid] for _, _, ids in rpc_log)
-    assert cluster.store(holder).counters.get("replica_revocations") == 1
-    assert cluster.store(holder).counters.get("replicas_dropped") == 1
-    assert cluster.store("node0").counters.get("delete_notifications") == 1
+    assert cluster.store(holder).counters.replica_revocations == 1
+    assert cluster.store(holder).counters.replicas_dropped == 1
+    assert cluster.store("node0").counters.delete_notifications == 1
     assert holds_cached(cluster, reader, oid) == (False, False)
     assert_typed_miss(cluster, reader, oid)
     assert cluster.loop.pending() == 0
@@ -155,7 +155,7 @@ def test_pinned_replica_keeps_its_bytes_not_its_sharers(mode, rpc_log):
     assert told(rpc_log) == [(holder, "DropReplica"), (reader, "NotifyDeleted")]
     store = cluster.store(holder)
     assert store.contains(oid) and store.is_replica(oid)
-    assert store.counters.get("replicas_dropped") == 0
+    assert store.counters.replicas_dropped == 0
     assert holds_cached(cluster, reader, oid) == (False, False)
     assert bytes(buffer.read_all()) == PAYLOAD
     local.release(oid)
@@ -191,7 +191,7 @@ def test_eviction_round_reaches_only_its_victims_sharers(mode, rpc_log):
     ]
     # parent: one message to each peer, each carrying all 13 victims.
     assert notified == [("node1", [v for v in victims if v in read_by_node1])]
-    assert store.counters.get("delete_notifications") == 13
+    assert store.counters.delete_notifications == 13
     assert not any(
         holds_cached(cluster, "node1", v)[0] for v in victims
     )

@@ -59,9 +59,9 @@ class TestRemoteRetrieval:
         ids = cluster.new_object_ids(20)
         for oid in ids:
             p.put_bytes(oid, b"batched")
-        before = cluster.store("node1").counters.get("lookup_rpcs")
+        before = cluster.store("node1").counters.lookup_rpcs
         c.get(ids)
-        after = cluster.store("node1").counters.get("lookup_rpcs")
+        after = cluster.store("node1").counters.lookup_rpcs
         assert after - before == 1
 
     def test_remote_get_latency_is_rpc_dominated(self, cluster):
@@ -116,9 +116,9 @@ class TestIdentifierUniqueness:
     def test_put_batch_uses_single_contains_rpc(self, cluster_paper_mode):
         p = cluster_paper_mode.client("node0")
         server1 = cluster_paper_mode.node("node1").server
-        before = server1.counters.get("calls")
+        before = server1.counters.calls
         p.put_batch([(oid, b"bulk") for oid in cluster_paper_mode.new_object_ids(10)])
-        after = server1.counters.get("calls")
+        after = server1.counters.calls
         assert after - before == 1
 
 

@@ -46,7 +46,7 @@ def fill_node0(cluster: Cluster) -> dict[ObjectID, int]:
         oid = oid_homed_at(cluster, "node0")
         client.put_bytes(oid, bytes([len(generations)]) * SIZE)
         generations[oid] = store.table.lookup(oid).generation
-    assert store.counters.get("objects_evicted") == 0
+    assert store.counters.objects_evicted == 0
     for peer in ("node1", "node2"):
         reader = cluster.client(peer)
         for index, oid in enumerate(generations):
@@ -93,9 +93,9 @@ def test_one_notify_deleted_per_peer_carries_the_whole_round(rpc_log):
     assert notified(rpc_log, "node2") == [victims]
     assert notified(rpc_log, "node0") == []
     store = cluster.store("node0")
-    assert store.counters.get("objects_evicted") == VICTIMS
+    assert store.counters.objects_evicted == VICTIMS
     # Still *objects announced*, not messages sent (parent: 13).
-    assert store.counters.get("delete_notifications") == VICTIMS
+    assert store.counters.delete_notifications == VICTIMS
     survivors = [oid for oid in cached if oid not in victims]
     for peer in ("node1", "node2"):
         assert cached_at(cluster, peer, cached, victims) == []
@@ -129,7 +129,7 @@ def test_a_victim_read_remotely_looks_up_again_and_misses(rpc_log):
     fill_node0(cluster)
     victims = evict_one_round(cluster)
     reader = cluster.client("node1")
-    served_from_cache = cluster.store("node1").counters.get("gets_cache_served")
+    served_from_cache = cluster.store("node1").counters.gets_cache_served
     del rpc_log[:]
 
     with pytest.raises(ObjectNotFoundError):
@@ -138,7 +138,7 @@ def test_a_victim_read_remotely_looks_up_again_and_misses(rpc_log):
 
     assert ("node0", "Lookup", [victims[0]]) in rpc_log
     assert (
-        cluster.store("node1").counters.get("gets_cache_served") == served_from_cache
+        cluster.store("node1").counters.gets_cache_served == served_from_cache
     )
 
 
@@ -158,7 +158,7 @@ def test_round_reaches_the_live_peer_when_the_other_is_down(rpc_log):
     assert cached_at(cluster, "node1", cached, victims) == []
     store = cluster.store("node0")
     # One tolerated failure for the whole round (parent: one per victim, 13).
-    assert store.counters.get("peers_unavailable") == 1
+    assert store.counters.peers_unavailable == 1
     # The channel retried the dead peer; every attempt was the whole round.
     attempts = notified(rpc_log, "node2")
     assert attempts and all(ids == victims for ids in attempts)

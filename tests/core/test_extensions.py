@@ -100,10 +100,10 @@ class TestLookupCache:
         store1 = cl.store("node1")
         c.get_one(oid)
         c.release(oid)
-        rpcs_after_first = store1.counters.get("lookup_rpcs")
+        rpcs_after_first = store1.counters.lookup_rpcs
         c.get_one(oid)
         c.release(oid)
-        assert store1.counters.get("lookup_rpcs") == rpcs_after_first
+        assert store1.counters.lookup_rpcs == rpcs_after_first
         assert store1.lookup_cache.hits >= 1
 
     def test_cached_get_is_much_faster(self, caching_cluster):
@@ -177,8 +177,8 @@ class TestMultiNode:
         c = cl.client("node0")
         c.get_one(oid)
         # node0 asked node1 first (sorted order) and stopped there.
-        assert cl.node("node2").server.counters.get("calls") == 0
-        assert cl.node("node3").server.counters.get("calls") == 0
+        assert cl.node("node2").server.counters.calls == 0
+        assert cl.node("node3").server.counters.calls == 0
 
     def test_uniqueness_enforced_across_all_nodes(self, small_config):
         from repro.common.errors import ObjectExistsError

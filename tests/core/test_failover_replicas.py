@@ -26,8 +26,8 @@ class TestReplication:
         client.put_bytes(oid, payload, replicas=2)
         assert cluster.store("node0").replica_locations(oid) == ("node1",)
         assert cluster.store("node1").is_replica(oid)
-        assert cluster.store("node0").counters.get("replicas_created") == 1
-        assert cluster.store("node1").counters.get("replicas_held") == 1
+        assert cluster.store("node0").counters.replicas_created == 1
+        assert cluster.store("node1").counters.replicas_held == 1
         # The replica is a faithful, locally sealed copy.
         reader = cluster.client("node1")
         assert reader.get_bytes(oid) == payload
@@ -36,9 +36,9 @@ class TestReplication:
         client = cluster.client("node0")
         oid = cluster.new_object_id()
         link = cluster.fabric.link_between("node1", "node0")
-        read0 = link.counters.get("read_bytes")
+        read0 = link.counters.read_bytes
         client.put_bytes(oid, b"x" * 4096, replicas=2)
-        assert link.counters.get("read_bytes") - read0 >= 4096
+        assert link.counters.read_bytes - read0 >= 4096
 
     def test_put_batch_replicates_every_object(self, cluster):
         client = cluster.client("node0")
@@ -77,7 +77,7 @@ class TestReplication:
         client.put_bytes(oid, b"lonely" * 10, replicas=2)  # must not raise
         store0 = cluster.store("node0")
         assert store0.replica_locations(oid) == ()
-        assert store0.counters.get("replicas_skipped") == 1
+        assert store0.counters.replicas_skipped == 1
         assert client.get_bytes(oid) == b"lonely" * 10  # local copy fine
 
 
@@ -93,7 +93,7 @@ class TestFailoverReads:
         cluster3.node("node0").server.shutdown()
         reader = cluster3.client("node1")
         assert reader.get_bytes(oid) == payload
-        assert cluster3.store("node1").counters.get("peers_unavailable") >= 1
+        assert cluster3.store("node1").counters.peers_unavailable >= 1
 
     def test_unreplicated_object_raises_typed_unavailable(self, cluster):
         producer = cluster.client("node0")
@@ -130,7 +130,7 @@ class TestReplicaLifecycle:
         client.delete(oid)
         store1 = cluster.store("node1")
         assert not store1.is_replica(oid)
-        assert store1.counters.get("replicas_dropped") == 1
+        assert store1.counters.replicas_dropped == 1
         with cluster.store("node1").table.lock:
             assert store1.table.lookup(oid) is None
 

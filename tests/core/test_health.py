@@ -40,8 +40,8 @@ class TestCircuitBreaker:
             breaker.record_failure()
         assert breaker.state is BreakerState.OPEN
         assert not breaker.allow()
-        assert breaker.counters.get("opens") == 1
-        assert breaker.counters.get("rejected") == 1
+        assert breaker.counters.opens == 1
+        assert breaker.counters.rejected == 1
         assert breaker.fail_fast_cost_ns == hcfg.breaker_fail_fast_ns
 
     def test_half_open_after_reset_timeout(self, hcfg):
@@ -67,7 +67,7 @@ class TestCircuitBreaker:
         breaker.record_failure()  # the probe failed
         assert breaker.state is BreakerState.OPEN
         assert not breaker.allow()  # reset timer restarted
-        assert breaker.counters.get("opens") == 2
+        assert breaker.counters.opens == 2
 
 
 class TestHealthMonitorUnit:

@@ -115,10 +115,10 @@ class TestAsyncMultiGet:
         for oid in ids:
             p1.put_bytes(oid, b"far away")
         consumer = cluster.client("node0")
-        before = cluster.store("node0").counters.get("lookup_rpcs")
+        before = cluster.store("node0").counters.lookup_rpcs
         out = consumer.multi_get(ids)
         assert all(o == b"far away" for o in out)
-        assert cluster.store("node0").counters.get("lookup_rpcs") - before == 1
+        assert cluster.store("node0").counters.lookup_rpcs - before == 1
         channel = cluster.node("node0").channels["node1"]
         assert channel.aio_counters["batches_sent"] >= 1
 

@@ -91,7 +91,7 @@ def test_sync_mode_never_schedules_on_the_loop(monkeypatch):
     oids = [oid_homed_at(cluster, "node0") for _ in range(3)]
     for i, oid in enumerate(oids):
         writer.put_bytes(oid, bytes([i]) * KiB, replicas=2)  # forwarded put
-    forwarded = cluster.store("node1").counters.get("placed_creates_forwarded")
+    forwarded = cluster.store("node1").counters.placed_creates_forwarded
     assert forwarded == 3
 
     [buffer] = reader.get([oids[0]])  # remote get
@@ -111,7 +111,7 @@ def test_sync_mode_never_schedules_on_the_loop(monkeypatch):
     node0 = cluster.client("node0")
     for _ in range(12):
         node0.put_bytes(oid_homed_at(cluster, "node0"), bytes(128 * KiB))
-    assert cluster.store("node0").counters.get("objects_evicted") > 0
+    assert cluster.store("node0").counters.objects_evicted > 0
     assert cluster.loop.pending() == 0
 
 
@@ -163,7 +163,7 @@ def test_mode_parity(mode):
 
     seen["counters"] = {
         name: {
-            key: cluster.store(name).counters.get(key) for key in PARITY_COUNTERS
+            key: getattr(cluster.store(name).counters, key) for key in PARITY_COUNTERS
         }
         for name in ("node0", "node1")
     }
@@ -254,8 +254,8 @@ def test_delete_sends_each_peer_one_message(mode, rpc_log):
     assert holds_cached(cluster, "node2", oid) == (False, False)
     assert not holder.contains(oid) and not holder.is_replica(oid)
     assert holder.used_bytes < used
-    assert holder.counters.get("replicas_dropped") == 1
-    assert cluster.store("node0").counters.get("delete_notifications") == 1
+    assert holder.counters.replicas_dropped == 1
+    assert cluster.store("node0").counters.delete_notifications == 1
     assert cluster.client("node2").multi_get([oid]) == [None]
     assert cluster.loop.pending() == 0
 
@@ -270,7 +270,7 @@ def test_pinned_replica_outlives_the_delete_its_cached_descriptor_does_not(mode)
 
     holder = cluster.store("node1")
     assert holder.contains(oid) and holder.is_replica(oid)
-    assert holder.counters.get("replicas_dropped") == 0
+    assert holder.counters.replicas_dropped == 0
     assert holds_cached(cluster, "node1", oid) == (False, False)
     assert bytes(buffer.read_all()) == PAYLOAD
     reader.release(oid)
@@ -287,7 +287,7 @@ def test_unreachable_holder_is_tolerated(mode, rpc_log):
     home = cluster.store("node0")
     assert not home.contains(oid) and home.replica_locations(oid) == ()
     # parent: 2 — its NotifyDeleted and its DropReplica both went unanswered.
-    assert home.counters.get("peers_unavailable") == 1
+    assert home.counters.peers_unavailable == 1
     assert {method for host, method, _ in rpc_log if host == "node1"} == {"DropReplica"}
     assert [method for host, method, _ in rpc_log if host == "node2"] == ["NotifyDeleted"]
     assert holds_cached(cluster, "node2", oid) == (False, False)

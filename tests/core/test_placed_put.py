@@ -44,7 +44,7 @@ def methods(rpc_log) -> list[str]:
 
 def window_bytes(cluster: Cluster, writer: str, home: str) -> int:
     """Bytes the writer streamed into *home*'s memory over the fabric."""
-    return cluster.store(writer).peer(home).remote_region.counters.get("write_bytes")
+    return cluster.store(writer).peer(home).remote_region.counters.write_bytes
 
 
 def at_rest(cluster: Cluster, node: str, oid) -> tuple:
@@ -138,8 +138,8 @@ def test_an_unavailable_home_falls_back_to_a_local_create(mode):
     cluster.node("node0").server.shutdown()
     writer = cluster.client("node1")
     writer.put_bytes(oid, payload(1 * KiB))
-    assert writer.counters.get("puts_forward_fallback") == 1
-    assert cluster.store("node1").counters.get("placed_creates_fallback") == 1
+    assert writer.counters.puts_forward_fallback == 1
+    assert cluster.store("node1").counters.placed_creates_fallback == 1
     assert sealed_copies(cluster, oid) == ["node1"]
     assert writer.get_bytes(oid) == payload(1 * KiB)
 
@@ -157,7 +157,7 @@ def test_a_deadline_after_dispatch_leaves_one_copy(mode, rpc_log):
     assert caught.value.unreachable_peers == ("node0",)
     assert methods(rpc_log) == ["PlacedPut"]
     assert sealed_copies(cluster, oid) == ["node0"]
-    assert cluster.store("node1").counters.get("placed_creates_fallback") == 0
+    assert cluster.store("node1").counters.placed_creates_fallback == 0
 
 
 @pytest.mark.parametrize("mode", MODES)

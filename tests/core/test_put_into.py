@@ -121,7 +121,7 @@ def drive_forwarded(put) -> Cluster:
         oid = oid_homed_at(cluster, "node0")
         put(producer, oid, payload(i, size), replicas=1 + i % 2)
     put(producer, oid_homed_at(cluster, "node1"), payload(7, 5000))
-    assert producer.counters.get("puts_forwarded") == len(SIZES)
+    assert producer.counters.puts_forwarded == len(SIZES)
     return cluster
 
 
@@ -187,7 +187,7 @@ def test_forwarded_put_snapshots_the_home_cache_before_the_fill(monkeypatch):
         return cluster
 
     new, old = drive(put_new), drive(put_old)
-    assert new.node("node0").endpoint.counters.get("stale_bytes_created") == size
+    assert new.node("node0").endpoint.counters.stale_bytes_created == size
     assert state(new) == state(old)
     # Fresh extent: the home kept observing zeros while DRAM held the fill.
     assert observed == [bytes(size)] * 2

@@ -15,7 +15,7 @@ class TestNodeFailure:
         cluster.node("node0").server.shutdown()
         with pytest.raises(ObjectNotFoundError):
             c.get([oid])
-        assert cluster.store("node1").counters.get("peers_unavailable") >= 1
+        assert cluster.store("node1").counters.peers_unavailable >= 1
 
     def test_cluster_keeps_serving_survivors(self, small_config):
         from repro.core import Cluster

@@ -71,11 +71,11 @@ class TestCollect:
     def test_collect_reads_remote_partitions_via_fabric(self, cluster3):
         ds, _ = make_ds(cluster3)
         before = sum(
-            link.counters.get("read_bytes") for link in cluster3.fabric.links()
+            link.counters.read_bytes for link in cluster3.fabric.links()
         )
         ds.collect(on="node0")
         after = sum(
-            link.counters.get("read_bytes") for link in cluster3.fabric.links()
+            link.counters.read_bytes for link in cluster3.fabric.links()
         )
         assert after > before  # 4 of 6 partitions are remote to node0
 
@@ -98,11 +98,11 @@ class TestNarrowOps:
     def test_map_generates_no_fabric_traffic(self, cluster3):
         ds, _ = make_ds(cluster3)
         before = sum(
-            link.counters.get("read_bytes") for link in cluster3.fabric.links()
+            link.counters.read_bytes for link in cluster3.fabric.links()
         )
         ds.map_partitions(lambda a: np.sqrt(a.astype(np.float64)))
         after = sum(
-            link.counters.get("read_bytes") for link in cluster3.fabric.links()
+            link.counters.read_bytes for link in cluster3.fabric.links()
         )
         assert after == before  # narrow: all local
 
@@ -141,11 +141,11 @@ class TestReduce:
     def test_reduce_moves_no_payload(self, cluster3):
         ds, _ = make_ds(cluster3)
         before = sum(
-            link.counters.get("read_bytes") for link in cluster3.fabric.links()
+            link.counters.read_bytes for link in cluster3.fabric.links()
         )
         ds.sum()
         after = sum(
-            link.counters.get("read_bytes") for link in cluster3.fabric.links()
+            link.counters.read_bytes for link in cluster3.fabric.links()
         )
         assert after == before  # partials computed at home; scalars combined
 
@@ -192,11 +192,11 @@ class TestShuffle:
     def test_shuffle_crosses_the_fabric(self, cluster3):
         ds, _ = make_ds(cluster3, n_parts=3, rows=600)
         before = sum(
-            link.counters.get("read_bytes") for link in cluster3.fabric.links()
+            link.counters.read_bytes for link in cluster3.fabric.links()
         )
         ds.shuffle_by(lambda v: v, num_partitions=3)
         after = sum(
-            link.counters.get("read_bytes") for link in cluster3.fabric.links()
+            link.counters.read_bytes for link in cluster3.fabric.links()
         )
         assert after > before
 

@@ -82,7 +82,7 @@ class TestWideDependency:
         p.put_bytes(oid, bytes(4 * MiB))
         c.get_bytes(oid)
         link = cluster.fabric.link_between("node0", "node1")
-        assert link.counters.get("read_bytes") >= 4 * MiB
+        assert link.counters.read_bytes >= 4 * MiB
 
 
 class TestDisaggregationVsScaleOut:

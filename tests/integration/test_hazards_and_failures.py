@@ -46,8 +46,8 @@ class TestCoherencyHazardEndToEnd:
         for oid in ids:
             assert c.get_bytes(oid) == b"clean" * 100
         link = cluster.fabric.link_between("node0", "node1")
-        assert link.counters.get("write_bytes") == 0
-        assert link.counters.get("read_bytes") > 0
+        assert link.counters.write_bytes == 0
+        assert link.counters.read_bytes > 0
 
     def test_manual_remote_write_demonstrates_the_staleness(self, cluster):
         """Drive the trap deliberately through the fabric API: home reads
@@ -146,7 +146,7 @@ class TestFailureInjection:
         c1_channel = cluster.node("node1").channels["node0"]
         with pytest.raises(RpcStatusError):
             c1_channel.stub("plasma.StoreService").Lookup({"object_ids": []})
-        assert c1_channel.counters.get("calls_failed") == 1
+        assert c1_channel.counters.calls_failed == 1
 
     def test_unknown_object_error_names_count(self, cluster):
         c = cluster.client("node1")

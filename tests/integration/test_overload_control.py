@@ -101,8 +101,8 @@ class TestExpiredWorkShed:
         model.add_backlog(50 * MS)
         with pytest.raises(ObjectUnavailableError):
             reader.get([oid])
-        assert model.counters.get("shed_expired") >= 1
-        assert cl.store("node1").counters.get("lookups_shed") >= 1
+        assert model.counters.shed_expired >= 1
+        assert cl.store("node1").counters.lookups_shed >= 1
         # Drain the backlog: the same read now clears admission.
         cl.clock.advance(60 * MS)
         assert reader.get_bytes(oid) == b"stale-by-arrival"
@@ -139,9 +139,9 @@ class TestHedgedReads:
         reader = cl.client("node1")
         assert reader.get_bytes(target) == b"hedged-payload"
         counters = cl.store("node1").counters
-        assert counters.get("lookup_hedges_fired") >= 1
-        assert counters.get("lookup_hedge_wins") >= 1
-        assert counters.get("lookup_hedge_losses") == 0
+        assert counters.lookup_hedges_fired >= 1
+        assert counters.lookup_hedge_wins >= 1
+        assert counters.lookup_hedge_losses == 0
 
     def test_hedge_loses_and_retries_with_full_deadline(self):
         """The hedged peer was the only holder: the clamped probe fails,
@@ -155,9 +155,9 @@ class TestHedgedReads:
         reader = cl.client("node1")
         assert reader.get_bytes(target) == b"only-copy"
         counters = cl.store("node1").counters
-        assert counters.get("lookup_hedges_fired") >= 1
-        assert counters.get("lookup_hedge_losses") >= 1
-        assert counters.get("lookup_hedge_wins") == 0
+        assert counters.lookup_hedges_fired >= 1
+        assert counters.lookup_hedge_losses >= 1
+        assert counters.lookup_hedge_wins == 0
 
     def test_hedged_run_replays_byte_identical(self):
         """The whole hedged-read schedule is deterministic: same seed,

@@ -38,7 +38,7 @@ def test_retired_extent_refreshes_then_fails_typed(held):
     cluster.store("node0").delete_object(oid)
     with pytest.raises(StaleDescriptorError):
         buffer.read_view()
-    assert cluster.store("node1").counters.get("stale_descriptor_refreshes") == 1
+    assert cluster.store("node1").counters.stale_descriptor_refreshes == 1
 
 
 def test_recreated_object_is_retried_transparently(held):
@@ -46,7 +46,7 @@ def test_recreated_object_is_retried_transparently(held):
     cluster.store("node0").delete_object(oid)
     cluster.client("node0").put_bytes(oid, b"B" * 4096)  # same id, new generation
     assert buffer.read_view() == b"B" * 4096
-    assert cluster.store("node1").counters.get("stale_descriptor_refreshes") == 1
+    assert cluster.store("node1").counters.stale_descriptor_refreshes == 1
 
 
 def test_quarantined_object_fails_typed(held):

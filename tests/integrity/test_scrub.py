@@ -99,7 +99,7 @@ class TestScrubber:
         # replicas were pushed, and the map is truthful again.
         assert report.re_replicated == 0
         assert all(len(store.replica_locations(oid)) == 1 for oid in ids)
-        assert store.counters.get("scrub_replicas_rediscovered") == 3
+        assert store.counters.scrub_replicas_rediscovered == 3
 
     def test_scrub_requires_integrity_headers(self, make_store):
         bare = make_store(integrity_headers=False, verify_remote_reads=False)

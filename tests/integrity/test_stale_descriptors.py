@@ -71,7 +71,7 @@ class TestStaleDescriptors:
             consumer.get_bytes(oid)
         # Generation mismatch evicted the lying entry (satellite b)...
         assert store1.lookup_cache.get(oid) is None
-        assert store1.counters.get("stale_descriptor_refreshes") >= 1
+        assert store1.counters.stale_descriptor_refreshes >= 1
         # ...so the next request resolves cleanly to not-found.
         with pytest.raises(ObjectNotFoundError):
             consumer.get_bytes(oid)
@@ -94,7 +94,7 @@ class TestStaleDescriptors:
         # read detects the mismatch, re-looks-up and retries — one call, the
         # new bytes, no error.
         assert consumer.get_bytes(oid) == b"B" * 4096
-        assert cluster.store("node1").counters.get("stale_descriptor_refreshes") >= 1
+        assert cluster.store("node1").counters.stale_descriptor_refreshes >= 1
 
     def test_notify_deleted_still_wins_when_delivered(self, cached_cluster):
         cluster = cached_cluster

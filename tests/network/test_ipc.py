@@ -51,8 +51,8 @@ class TestCostModel:
         _, ipc = make()
         ipc.charge_request(nobjects=3)
         ipc.charge_request(nobjects=2)
-        assert ipc.counters.get("requests") == 2
-        assert ipc.counters.get("objects_referenced") == 5
+        assert ipc.counters.requests == 2
+        assert ipc.counters.objects_referenced == 5
 
     def test_jitter_spreads_costs(self):
         _, ipc = make(jitter=0.2)

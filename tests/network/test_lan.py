@@ -80,8 +80,8 @@ class TestTransfer:
     def test_network_counters(self, network):
         conn = network.connect("a", "b")
         conn.send(b"12345")
-        assert network.counters.get("bytes_transferred") == 5
-        assert network.counters.get("messages") == 1
+        assert network.counters.bytes_transferred == 5
+        assert network.counters.messages == 1
 
 
 class TestClose:

@@ -17,14 +17,14 @@ def _build_registries() -> list[MetricsRegistry]:
     n1 = MetricsRegistry(node="node1")
 
     calls = n0.counter("rpc_calls", "Completed RPC calls.", labels=("peer",))
-    calls.labels(peer="node1").inc(5)
+    calls.labels(peer="node1").set_function(lambda: 5)
     # One family spanning both registries: exactly one HELP/TYPE header.
     n1.counter("rpc_calls", "Completed RPC calls.", labels=("peer",)).labels(
         peer="node0"
-    ).inc(2)
+    ).set_function(lambda: 2)
 
     weird = n0.gauge("escape_check", 'Help with \\ and a "quote".', labels=("path",))
-    weird.labels(path='C:\\data\n"x"').set(1)
+    weird.labels(path='C:\\data\n"x"').set_function(lambda: 1)
 
     latency = n0.histogram(
         "get_latency_ns", "Get latency in simulated ns.", labels=("store",)

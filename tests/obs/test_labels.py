@@ -8,14 +8,16 @@ from repro.obs import MetricsRegistry, group_by_label
 def _registry(node: str) -> MetricsRegistry:
     registry = MetricsRegistry(node=node)
     ops = registry.counter("ops_total", "ops", labels=("tenant", "kind"))
-    ops.labels(tenant="a", kind="read").inc(3)
-    ops.labels(tenant="b", kind="read").inc(1)
+    ops.labels(tenant="a", kind="read").set_function(lambda: 3)
+    ops.labels(tenant="b", kind="read").set_function(lambda: 1)
     lat = registry.histogram("latency_ns", "latency", labels=("tenant",))
     lat.labels(tenant="a").observe(100)
     lat.labels(tenant="a").observe(300)
     inflight = registry.gauge("inflight", "gauge", labels=("tenant",))
-    inflight.labels(tenant="b").inc(2)
-    registry.counter("untagged_total", "no labels").labels().inc(9)
+    inflight.labels(tenant="b").set_function(lambda: 2)
+    registry.counter("untagged_total", "no labels").labels().set_function(
+        lambda: 9
+    )
     return registry
 
 

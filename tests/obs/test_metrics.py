@@ -5,53 +5,93 @@ import pytest
 from repro.obs.metrics import CounterGroup, MetricsRegistry
 
 
-class TestCounterGroup:
-    def test_inc_and_get(self):
-        group = CounterGroup()
-        group.inc("gets")
-        group.inc("gets", 4)
-        assert group.get("gets") == 5
-        assert group.get("absent") == 0
+class _Counters(CounterGroup):
+    gets = puts = evictions = 0
+    gets_local = scrub_passes = lookup_cache_hits = requests = 0
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            CounterGroup().inc("x", -1)
+
+def _group_series(registry: MetricsRegistry) -> dict[str, float]:
+    return {
+        f["name"]: f["series"][0]["value"]
+        for f in registry.collect()
+        if f["type"] == "counter"
+    }
+
+
+class TestCounterGroup:
+    def test_increments_are_attribute_adds(self):
+        group = _Counters()
+        group.gets += 1
+        group.gets += 4
+        assert group.gets == 5
+
+    def test_snapshot_is_first_touch_order(self):
+        group = _Counters()
+        group.puts += 1
+        group.gets += 2
+        group.puts += 1
+        group.evictions += 3
+        assert list(group.snapshot().items()) == [
+            ("puts", 2), ("gets", 2), ("evictions", 3),
+        ]
 
     def test_snapshot_is_copy(self):
-        group = CounterGroup()
-        group.inc("a")
+        group = _Counters()
+        group.gets += 1
         snap = group.snapshot()
-        snap["a"] = 99
-        assert group.get("a") == 1
+        snap["gets"] = 99
+        assert group.gets == 1
+
+    def test_zero_amount_increment_exports_a_zero_series(self):
+        registry = MetricsRegistry()
+        group = _Counters()
+        group.scrub_passes += 0
+        registry.register_group(group, "plasma")
+        assert group.snapshot() == {"scrub_passes": 0}
+        assert _group_series(registry) == {"plasma_scrub_passes": 0.0}
+
+    def test_declared_but_untouched_reads_zero_and_does_not_export(self):
+        registry = MetricsRegistry()
+        group = _Counters()
+        registry.register_group(group, "plasma")
+        assert group.evictions == 0
+        assert group.snapshot() == {}
+        assert _group_series(registry) == {}
+
+    def test_undeclared_name_raises(self):
+        group = _Counters()
+        with pytest.raises(AttributeError):
+            group.misspelt += 1
+        assert group.snapshot() == {}
 
 
 class TestFamilies:
-    def test_counter_child_accumulates(self):
+    def test_counter_child_samples_its_count(self):
         registry = MetricsRegistry()
         family = registry.counter("rpc_calls", "calls", labels=("peer",))
-        family.labels(peer="n1").inc()
-        family.labels(peer="n1").inc(2)
-        family.labels(peer="n2").inc()
+        counts = {"n1": 3, "n2": 1}
+        for peer in counts:
+            family.labels(peer=peer).set_function(lambda p=peer: counts[p])
         assert family.labels(peer="n1").value == 3
         assert family.labels(peer="n2").value == 1
+        counts["n1"] += 1
+        assert family.labels(peer="n1").value == 4
 
-    def test_counter_rejects_negative(self):
-        child = MetricsRegistry().counter("c").labels()
-        with pytest.raises(ValueError):
-            child.inc(-1)
-
-    def test_gauge_set_and_callback(self):
+    def test_gauge_callback_is_read_at_collect(self):
         registry = MetricsRegistry()
         gauge = registry.gauge("depth").labels()
-        gauge.set(4)
-        assert gauge.value == 4
+        assert gauge.value == 0.0
         state = {"v": 7.0}
         gauge.set_function(lambda: state["v"])
         assert gauge.value == 7.0
         state["v"] = 9.0
         assert gauge.value == 9.0
-        gauge.set(1)  # direct set replaces the callback
-        assert gauge.value == 1
+
+    def test_children_store_no_value(self):
+        registry = MetricsRegistry()
+        for child in (registry.counter("c").labels(), registry.gauge("g").labels()):
+            for gone in ("inc", "set"):
+                assert not hasattr(child, gone), gone
 
     def test_histogram_exact_quantiles(self):
         hist = MetricsRegistry().histogram("lat_ns").labels()
@@ -97,8 +137,8 @@ class TestFamilies:
 class TestGroupBinding:
     def test_group_exports_prefixed_families(self):
         registry = MetricsRegistry(node="n0")
-        group = CounterGroup()
-        group.inc("gets_local", 3)
+        group = _Counters()
+        group.gets_local += 3
         registry.register_group(group, "plasma", store="n0")
         [family] = [
             f for f in registry.collect() if f["name"] == "plasma_gets_local"
@@ -110,10 +150,10 @@ class TestGroupBinding:
 
     def test_route_redirects_key_prefixes(self):
         registry = MetricsRegistry()
-        group = CounterGroup()
-        group.inc("scrub_passes")
-        group.inc("lookup_cache_hits", 2)
-        group.inc("gets_local", 5)
+        group = _Counters()
+        group.scrub_passes += 1
+        group.lookup_cache_hits += 2
+        group.gets_local += 5
         registry.register_group(
             group,
             "plasma",
@@ -125,25 +165,28 @@ class TestGroupBinding:
 
     def test_rebind_replaces_old_group(self):
         """The store-restart path: a recovered store re-binds a fresh
-        CounterGroup under the same prefix+labels and the dead one stops
+        counter group under the same prefix+labels and the dead one stops
         being scraped."""
         registry = MetricsRegistry()
-        old = CounterGroup()
-        old.inc("gets_local", 100)
+        old = _Counters()
+        old.gets_local += 100
+        old.requests += 1
         registry.register_group(old, "plasma", store="n0")
-        new = CounterGroup()
-        new.inc("gets_local", 1)
+        new = _Counters()
+        new.gets_local += 1
         registry.register_group(new, "plasma", store="n0")
         [family] = [
             f for f in registry.collect() if f["name"] == "plasma_gets_local"
         ]
-        assert family["series"][0]["value"] == 1.0
+        assert family["series"] == [{"labels": {"store": "n0"}, "value": 1.0}]
+        old.gets_local += 1
+        assert _group_series(registry) == {"plasma_gets_local": 1.0}
 
     def test_live_group_reflects_later_increments(self):
         registry = MetricsRegistry()
-        group = CounterGroup()
+        group = _Counters()
         registry.register_group(group, "ipc")
-        group.inc("requests", 7)
+        group.requests += 7
         [family] = [f for f in registry.collect() if f["name"] == "ipc_requests"]
         assert family["series"][0]["value"] == 7.0
 
@@ -151,7 +194,7 @@ class TestGroupBinding:
 class TestCollect:
     def test_node_label_injected(self):
         registry = MetricsRegistry(node="node3")
-        registry.counter("c", labels=("peer",)).labels(peer="x").inc()
+        registry.counter("c", labels=("peer",)).labels(peer="x")
         [family] = registry.collect()
         assert family["series"][0]["labels"] == {"node": "node3", "peer": "x"}
 
@@ -179,7 +222,7 @@ class TestCollect:
 
     def test_snapshot_shape(self):
         registry = MetricsRegistry(node="n0")
-        registry.counter("c").labels().inc()
+        registry.counter("c").labels()
         snap = registry.snapshot()
         assert snap["node"] == "n0"
         assert snap["families"][0]["name"] == "c"

@@ -46,8 +46,8 @@ class TestMigrate:
         assert not pcluster.store("node0").contains(oid)
         assert pcluster.store("node1").contains(oid)
         assert bytes(pcluster.client("node2").get_bytes(oid)) == PAYLOAD
-        assert engine.counters.get("migrations_completed") == 1
-        assert engine.counters.get("migration_bytes_moved") == len(PAYLOAD)
+        assert engine.counters.migrations_completed == 1
+        assert engine.counters.migration_bytes_moved == len(PAYLOAD)
 
     def test_destination_copy_gets_fresh_generation(self, pcluster):
         oid = put_on(pcluster, "node0")

@@ -54,7 +54,7 @@ def run_scenario() -> list[str]:
     result = cluster.migration_engine.migrate(src, "node1", oid)
     trace.append(f"migrate status={result.status} moved={result.bytes_moved}")
     assert result.status == "aborted"
-    assert cluster.migration_engine.counters.get("migrations_aborted") == 1
+    assert cluster.migration_engine.counters.migrations_aborted == 1
 
     # Source copy survives, published, readable from a third party.
     assert src.contains(oid)

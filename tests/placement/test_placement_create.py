@@ -82,8 +82,8 @@ class TestRoutedCreate:
         for oid in remote_ids:
             client.put_bytes(oid, PAYLOAD)
         store = pcluster.store("node0")
-        assert store.counters.get("placed_creates_forwarded") == len(remote_ids)
-        assert client.counters.get("puts_forwarded") == len(remote_ids)
+        assert store.counters.placed_creates_forwarded == len(remote_ids)
+        assert client.counters.puts_forwarded == len(remote_ids)
 
     def test_replicated_forwarded_put(self, pcluster):
         client = pcluster.client("node0")
@@ -120,8 +120,8 @@ class TestDegradedRouting:
         # The object exists locally, readable, and the fallback was counted.
         assert cluster.store("node0").contains(oid)
         assert bytes(client.get_bytes(oid)) == PAYLOAD
-        assert client.counters.get("puts_forward_fallback") == 1
-        assert cluster.store("node0").counters.get("placed_creates_fallback") == 1
+        assert client.counters.puts_forward_fallback == 1
+        assert cluster.store("node0").counters.placed_creates_fallback == 1
 
     def test_placement_accessors_raise_when_disabled(self):
         cluster = Cluster(make_testing_config(seed=1))
@@ -164,7 +164,7 @@ class TestForwardedPutIntoCachedRange:
         with home.table.lock:
             entry = home.table.lookup(second)
         assert entry.allocation.offset == extent, "the extent must be reused"
-        assert endpoint.counters.get("stale_bytes_created") == 0
+        assert endpoint.counters.stale_bytes_created == 0
         assert endpoint.cache.stale_ranges == 0
         assert entry.is_sealed and entry.payload_crc == crc32c(PAYLOAD)
         # And the home CPU observes the creator's bytes, not the old tenant's.

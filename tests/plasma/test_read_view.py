@@ -81,10 +81,10 @@ def test_copying_reads_cost_exactly_what_the_view_costs(name, how):
     # The read was really timed, and validated exactly when configured.
     link = by_view.fabric.links()[0].counters
     if reader == "node0":
-        assert by_view.node("node0").endpoint.counters.get("local_reads") == 1
+        assert by_view.node("node0").endpoint.counters.local_reads == 1
     else:
         header = by_view.store("node0").header_size if validated else 0
-        assert link.get("read_bytes") == len(PAYLOAD) + header
+        assert link.read_bytes == len(PAYLOAD) + header
 
 
 @pytest.mark.parametrize("reader", ["node0", "node1"])
@@ -134,7 +134,7 @@ def test_fig3b_stale_snapshot_is_observed_through_read_view(cluster):
     assert observed == b"HOME" * 256 and observed.readonly
     assert bytes(buffer.view()) == b"PEER" * 256  # DRAM moved on
     endpoint = cluster.node("node0").endpoint
-    assert endpoint.counters.get("stale_bytes_observed") == 1024
+    assert endpoint.counters.stale_bytes_observed == 1024
     endpoint.invalidate_exposed(offset, 1024)
     assert buffer.read_view() == b"PEER" * 256
     client.release(oid)

@@ -178,7 +178,7 @@ class TestEvictionUnderPressure:
         n_fit = store.capacity_bytes // MiB
         for i in range(n_fit + 4):
             client.put_bytes(oid(i), bytes(MiB))
-        assert store.counters.get("objects_evicted") >= 4
+        assert store.counters.objects_evicted >= 4
         # Oldest objects went first.
         assert not store.contains(oid(0))
         assert store.contains(oid(n_fit + 3))

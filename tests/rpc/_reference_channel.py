@@ -38,6 +38,12 @@ _FAILURE_CODES = (
 )
 
 
+class _ChannelCounters(CounterGroup):
+    calls = calls_failed = stream_messages = bytes_sent = bytes_received = 0
+    retries = retries_suppressed = attempts_failed = attempts_shed = 0
+    deadline_exceeded = breaker_rejections = 0
+
+
 class Channel:
     """A blocking unary-call channel from *local_host* to a server."""
 
@@ -65,7 +71,7 @@ class Channel:
         self._breaker = breaker
         self._chaos = chaos
         self._correlation = correlation
-        self.counters = CounterGroup()
+        self.counters = _ChannelCounters()
         self._latency = None  # per-(peer, method) histogram family
         self._closed = False
         # Retry amplification cap: a token bucket on simulated time shared
@@ -146,8 +152,8 @@ class Channel:
         remaining = deadline_ns - (self._clock.now_ns - start_ns)
         if cost_ns > remaining:
             self._clock.advance(max(0.0, remaining))
-            self.counters.inc("deadline_exceeded")
-            self.counters.inc("calls_failed")
+            self.counters.deadline_exceeded += 1
+            self.counters.calls_failed += 1
             raise RpcStatusError(
                 StatusCode.DEADLINE_EXCEEDED,
                 f"deadline of {deadline_ns / 1e6:.3f} ms exceeded calling "
@@ -188,7 +194,7 @@ class Channel:
             return
         if not self._breaker.allow():
             self._clock.advance(self._breaker.fail_fast_cost_ns)
-            self.counters.inc("breaker_rejections")
+            self.counters.breaker_rejections += 1
             raise RpcStatusError(
                 StatusCode.UNAVAILABLE,
                 f"circuit breaker open for {self._server.host}",
@@ -340,35 +346,35 @@ class Channel:
                 start_ns,
                 deadline_ns,
             )
-            self.counters.inc("calls")
-            self.counters.inc("bytes_sent", len(wire_request))
-            self.counters.inc("bytes_received", len(wire_response))
+            self.counters.calls += 1
+            self.counters.bytes_sent += len(wire_request)
+            self.counters.bytes_received += len(wire_response)
             if status is StatusCode.UNAVAILABLE:
                 # The server process is down (connection refused). gRPC
                 # treats UNAVAILABLE as retryable; so do we.
-                self.counters.inc("attempts_failed")
+                self.counters.attempts_failed += 1
                 if last:
-                    self.counters.inc("calls_failed")
+                    self.counters.calls_failed += 1
                     raise RpcStatusError(status, detail)
                 self._gate_retry(RpcStatusError(status, detail))
-                self.counters.inc("retries")
+                self.counters.retries += 1
                 self._charge_retry(self._backoff_ns(attempt), start_ns, deadline_ns)
                 continue
             if status is StatusCode.RESOURCE_EXHAUSTED:
                 # The server shed us under overload. Retryable — the peer is
                 # alive — but every retry spends retry budget, so a storm
                 # of shed calls fails fast instead of amplifying the load.
-                self.counters.inc("attempts_shed")
+                self.counters.attempts_shed += 1
                 err = ServerOverloadedError(detail)
                 if last:
-                    self.counters.inc("calls_failed")
+                    self.counters.calls_failed += 1
                     raise err
                 self._gate_retry(err)
-                self.counters.inc("retries")
+                self.counters.retries += 1
                 self._charge_retry(self._backoff_ns(attempt), start_ns, deadline_ns)
                 continue
             if status is not StatusCode.OK:
-                self.counters.inc("calls_failed")
+                self.counters.calls_failed += 1
                 raise RpcStatusError(status, detail)
             return decode_message(wire_response)
         raise AssertionError("unreachable")  # pragma: no cover
@@ -382,8 +388,8 @@ class Channel:
         """
         if self._retry_budget.try_spend():
             return
-        self.counters.inc("retries_suppressed")
-        self.counters.inc("calls_failed")
+        self.counters.retries_suppressed += 1
+        self.counters.calls_failed += 1
         raise exc
 
     def _fail_attempt(
@@ -403,9 +409,9 @@ class Channel:
             self._charge_retry(cost_ns, start_ns, deadline_ns)
         else:
             self._advance_within_deadline(cost_ns, start_ns, deadline_ns)
-        self.counters.inc("attempts_failed")
+        self.counters.attempts_failed += 1
         if last:
-            self.counters.inc("calls_failed")
+            self.counters.calls_failed += 1
             raise RpcStatusError(
                 StatusCode.UNAVAILABLE, f"{detail} ({attempts} attempts)"
             )
@@ -414,7 +420,7 @@ class Channel:
                 StatusCode.UNAVAILABLE, f"{detail} (retry budget exhausted)"
             )
         )
-        self.counters.inc("retries")
+        self.counters.retries += 1
         self._charge_retry(self._backoff_ns(attempt), start_ns, deadline_ns)
 
     # -- streaming ---------------------------------------------------------------------
@@ -542,7 +548,7 @@ class Channel:
                     start_ns,
                     deadline_ns,
                 )
-                self.counters.inc("calls_failed")
+                self.counters.calls_failed += 1
                 if status is StatusCode.RESOURCE_EXHAUSTED:
                     raise ServerOverloadedError(detail)
                 raise RpcStatusError(status, detail)
@@ -552,10 +558,10 @@ class Channel:
             start_ns,
             deadline_ns,
         )
-        self.counters.inc("calls")
-        self.counters.inc("stream_messages", len(requests))
-        self.counters.inc("bytes_sent", wire_in)
-        self.counters.inc("bytes_received", wire_out)
+        self.counters.calls += 1
+        self.counters.stream_messages += len(requests)
+        self.counters.bytes_sent += wire_in
+        self.counters.bytes_received += wire_out
         return responses
 
     def _stream_cost_ns(self, nmessages: int, bytes_in: int, bytes_out: int) -> float:
@@ -665,8 +671,8 @@ class AsyncChannel(Channel):
         remaining = deadline_ns - (self._clock.now_ns - start_ns)
         if cost_ns > remaining:
             yield Sleep(max(0.0, remaining))
-            self.counters.inc("deadline_exceeded")
-            self.counters.inc("calls_failed")
+            self.counters.deadline_exceeded += 1
+            self.counters.calls_failed += 1
             raise RpcStatusError(
                 StatusCode.DEADLINE_EXCEEDED,
                 f"deadline of {deadline_ns / 1e6:.3f} ms exceeded calling "
@@ -683,14 +689,14 @@ class AsyncChannel(Channel):
         if attempt > 0 and attr is not None:
             attr.hint("retry", cost_ns)
         yield from self._sleep_within_deadline(cost_ns, start_ns, deadline_ns)
-        self.counters.inc("attempts_failed")
+        self.counters.attempts_failed += 1
         if last:
-            self.counters.inc("calls_failed")
+            self.counters.calls_failed += 1
             raise RpcStatusError(
                 StatusCode.UNAVAILABLE, f"{detail} ({attempts} attempts)")
         self._gate_retry(RpcStatusError(
             StatusCode.UNAVAILABLE, f"{detail} (retry budget exhausted)"))
-        self.counters.inc("retries")
+        self.counters.retries += 1
         backoff = self._backoff_ns(attempt)
         if attr is not None:
             attr.hint("retry", backoff)
@@ -738,16 +744,16 @@ class AsyncChannel(Channel):
             )
             yield from self._sleep_within_deadline(
                 self._direction_cost_ns(len(wire_response)), start_ns, deadline_ns)
-            self.counters.inc("calls")
-            self.counters.inc("bytes_sent", len(wire_request))
-            self.counters.inc("bytes_received", len(wire_response))
+            self.counters.calls += 1
+            self.counters.bytes_sent += len(wire_request)
+            self.counters.bytes_received += len(wire_response)
             if status is StatusCode.UNAVAILABLE:
-                self.counters.inc("attempts_failed")
+                self.counters.attempts_failed += 1
                 if last:
-                    self.counters.inc("calls_failed")
+                    self.counters.calls_failed += 1
                     raise RpcStatusError(status, detail)
                 self._gate_retry(RpcStatusError(status, detail))
-                self.counters.inc("retries")
+                self.counters.retries += 1
                 backoff = self._backoff_ns(attempt)
                 if attr is not None:
                     attr.hint("retry", backoff)
@@ -755,13 +761,13 @@ class AsyncChannel(Channel):
                     backoff, start_ns, deadline_ns)
                 continue
             if status is StatusCode.RESOURCE_EXHAUSTED:
-                self.counters.inc("attempts_shed")
+                self.counters.attempts_shed += 1
                 err = ServerOverloadedError(detail)
                 if last:
-                    self.counters.inc("calls_failed")
+                    self.counters.calls_failed += 1
                     raise err
                 self._gate_retry(err)
-                self.counters.inc("retries")
+                self.counters.retries += 1
                 backoff = self._backoff_ns(attempt)
                 if attr is not None:
                     attr.hint("retry", backoff)
@@ -769,7 +775,7 @@ class AsyncChannel(Channel):
                     backoff, start_ns, deadline_ns)
                 continue
             if status is not StatusCode.OK:
-                self.counters.inc("calls_failed")
+                self.counters.calls_failed += 1
                 raise RpcStatusError(status, detail)
             return decode_message(wire_response)
         raise AssertionError("unreachable")  # pragma: no cover

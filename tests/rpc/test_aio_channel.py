@@ -98,7 +98,7 @@ class TestUnaryTask:
             task = loop.spawn(ch.unary_task("test.Dir", "Echo", {"msg": str(i)}))
             results.append(loop.run_until_complete(task))
         assert all(r["echo"] == str(i) for i, r in enumerate(results))
-        assert ch.counters.get("retries") > 0
+        assert ch.counters.retries > 0
 
     def test_error_status_raises_same_as_sync(self, world):
         _, loop, _, make = world
@@ -191,7 +191,7 @@ class TestBufferedDeadlineFailFast:
         assert [d["object_id"] for d in results[1]["found"]] == [b"obj-2"]
         assert ch.aio_counters["batch_expired"] == 1
         # No retry token was burned on the doomed request.
-        assert ch.counters.get("retries_suppressed") == 0
+        assert ch.counters.retries_suppressed == 0
         assert ch.retry_budget.try_spend()
 
     def test_whole_batch_expired_sends_nothing(self, world):
@@ -283,7 +283,7 @@ class TestAttributionObservesOnly:
     def test_attr_leaves_clock_counters_and_rng_alone(self, fault):
         clock, channel, _ = self.run(fault, with_attr=True)
         bare_clock, bare, _ = self.run(fault, with_attr=False)
-        assert channel.counters.get("retries") > 0
+        assert channel.counters.retries > 0
         assert clock.now_ns == bare_clock.now_ns
         assert channel.counters.snapshot() == bare.counters.snapshot()
         assert channel._rng.integer(0, 1 << 30) == bare._rng.integer(0, 1 << 30)

@@ -366,7 +366,7 @@ def test_random_programs_run_identically_on_both_channels(rng):
         for name, value in world.channel.aio_counters.items():
             totals[name] = totals.get(name, 0) + value
         if world.breaker is not None:
-            half_opens = world.breaker.counters.get("half_opens")
+            half_opens = world.breaker.counters.half_opens
             totals["half_opens"] = totals.get("half_opens", 0) + half_opens
         shed = world.server.overload.counters.snapshot()
         totals["server_shed"] = totals.get("server_shed", 0) + sum(
@@ -376,7 +376,7 @@ def test_random_programs_run_identically_on_both_channels(rng):
             1 for step, _, _ in got[:-1] if "no response" in str(step)
         )
         totals["server_down"] = totals.get("server_down", 0) + (
-            world.server.counters.get("calls_unavailable")
+            world.server.counters.calls_unavailable
         )
     # The comparison means nothing unless every path ran somewhere.
     for name in (
@@ -415,7 +415,7 @@ def test_deadline_expires_mid_backoff(impl):
     assert result[0] == "RpcStatusError" and "deadline" in result[2]
     assert world.clock.now_ns == deadline
     counters = world.channel.counters
-    assert (counters.get("attempts_failed"), counters.get("retries")) == (1, 1)
-    assert counters.get("deadline_exceeded") == 1
+    assert (counters.attempts_failed, counters.retries) == (1, 1)
+    assert counters.deadline_exceeded == 1
     [trace] = world.spans.traces()
     assert trace["components_ns"]["retry"] == 1 * MS

@@ -38,7 +38,7 @@ class TestOverloadModel:
         model.set_service_rate(0.0)
         decision = model.admit(clock.now_ns)
         assert decision.admitted and decision.delay_ns == 0
-        assert model.counters.get("admitted") == 0  # fast path, no stats
+        assert model.counters.admitted == 0  # fast path, no stats
         assert not model.active
 
     def test_admission_pushes_backlog_one_service_time(self):
@@ -68,7 +68,7 @@ class TestOverloadModel:
         decision = model.admit(clock.now_ns)
         assert not decision.admitted
         assert decision.reason == "queue-full"
-        assert model.counters.get("shed_queue_full") == 1
+        assert model.counters.shed_queue_full == 1
         # Shedding left the watermark untouched: rejection is cheap.
         assert model.queue_len() == 4
 
@@ -84,7 +84,7 @@ class TestOverloadModel:
         assert model.admit(clock.now_ns).admitted  # 10 ms backlog
         decision = model.admit(clock.now_ns, deadline_ns=15 * MS)
         assert not decision.admitted and decision.reason == "wont-finish"
-        assert model.counters.get("shed_expired") == 1
+        assert model.counters.shed_expired == 1
 
     def test_shed_expired_off_admits_doomed_work(self):
         clock = SimClock()
@@ -214,7 +214,7 @@ class TestServerGate:
         status, _, detail = server.dispatch_wire("test.Echo", "Echo", b"\x00")
         assert status is StatusCode.RESOURCE_EXHAUSTED
         assert "queue full" in detail
-        assert server.counters.get("calls_shed") == 1
+        assert server.counters.calls_shed == 1
 
     def test_queue_delay_lands_in_observed_latency(self):
         clock = SimClock()
@@ -236,7 +236,7 @@ class TestServerGate:
             channel.unary_call(
                 "test.Echo", "Echo", {"msg": "x"}, deadline_ns=20 * MS
             )
-        assert server.overload.counters.get("shed_expired") >= 1
+        assert server.overload.counters.shed_expired >= 1
 
 
 class TestChannelSheds:
@@ -248,8 +248,8 @@ class TestChannelSheds:
         with pytest.raises(ServerOverloadedError):
             channel.unary_call("test.Echo", "Echo", {})
         # Every attempt was shed and counted.
-        assert channel.counters.get("attempts_shed") == 3
-        assert channel.counters.get("calls_failed") == 1
+        assert channel.counters.attempts_shed == 3
+        assert channel.counters.calls_failed == 1
 
     def test_retry_budget_exhaustion_fails_fast(self):
         clock = SimClock()
@@ -264,13 +264,13 @@ class TestChannelSheds:
         with pytest.raises(ServerOverloadedError):
             channel.unary_call("test.Echo", "Echo", {})
         # Budget of 2 allowed two retries; the third was suppressed.
-        assert channel.counters.get("attempts_shed") == 3
-        assert channel.counters.get("retries_suppressed") == 1
+        assert channel.counters.attempts_shed == 3
+        assert channel.counters.retries_suppressed == 1
         with pytest.raises(ServerOverloadedError):
             channel.unary_call("test.Echo", "Echo", {})
         # Dry budget: the second call failed on its first shed.
-        assert channel.counters.get("attempts_shed") == 4
-        assert channel.counters.get("retries_suppressed") == 2
+        assert channel.counters.attempts_shed == 4
+        assert channel.counters.retries_suppressed == 2
 
     def test_sheds_feed_the_breaker(self):
         from repro.common.config import HealthConfig
@@ -296,10 +296,10 @@ class TestChannelSheds:
         # Two consecutive sheds tripped the breaker: overload is a
         # first-class failure signal, not a silent retry storm.
         assert breaker.state is BreakerState.OPEN
-        assert channel.counters.get("breaker_rejections") == 0
+        assert channel.counters.breaker_rejections == 0
         with pytest.raises(Exception):
             channel.unary_call("test.Echo", "Echo", {})
-        assert channel.counters.get("breaker_rejections") == 1
+        assert channel.counters.breaker_rejections == 1
 
     def test_hedge_delay_needs_samples(self):
         clock = SimClock()

@@ -62,10 +62,10 @@ class TestBackoffAccounting:
             channel.unary_call("test.Ping", "Ping")
         assert exc.value.code is StatusCode.UNAVAILABLE
         assert "3 attempts" in str(exc.value)
-        assert channel.counters.get("attempts_failed") == 3
-        assert channel.counters.get("retries") == 2
-        assert channel.counters.get("calls_failed") == 1
-        assert channel.counters.get("calls") == 0  # nothing dispatched
+        assert channel.counters.attempts_failed == 3
+        assert channel.counters.retries == 2
+        assert channel.counters.calls_failed == 1
+        assert channel.counters.calls == 0  # nothing dispatched
 
     def test_each_attempt_and_backoff_charged_exactly(self):
         channel, _, clock, config = make_channel(
@@ -135,7 +135,7 @@ class TestDeadlines:
             channel.unary_call("test.Ping", "Ping", deadline_ns=deadline)
         assert exc.value.code is StatusCode.DEADLINE_EXCEEDED
         assert clock.now_ns == pytest.approx(deadline)  # charged, capped
-        assert channel.counters.get("deadline_exceeded") == 1
+        assert channel.counters.deadline_exceeded == 1
 
     def test_default_deadline_from_config(self):
         channel, _, clock, _ = make_channel(
@@ -185,7 +185,7 @@ class TestServerUnavailableRetry:
         with pytest.raises(RpcStatusError) as exc:
             channel.unary_call("test.Ping", "Ping")
         assert exc.value.code is StatusCode.UNAVAILABLE
-        assert channel.counters.get("attempts_failed") == 3
+        assert channel.counters.attempts_failed == 3
 
     def test_server_back_mid_retry_succeeds(self):
         class FlakyServer(RpcServer):
@@ -203,7 +203,7 @@ class TestServerUnavailableRetry:
         server.add_service(PingService())
         channel, _, _, _ = make_channel(server=server)
         assert channel.unary_call("test.Ping", "Ping") == {"pong": True}
-        assert channel.counters.get("retries") == 1
+        assert channel.counters.retries == 1
 
 
 class TestBreakerGating:
@@ -238,7 +238,7 @@ class TestBreakerGating:
         with pytest.raises(RpcStatusError, match="circuit breaker open"):
             channel.unary_call("test.Ping", "Ping")
         assert clock.now_ns - t0 == pytest.approx(breaker.fail_fast_cost_ns)
-        assert channel.counters.get("breaker_rejections") == 1
+        assert channel.counters.breaker_rejections == 1
 
     def test_probe_after_reset_closes_on_recovery(self):
         channel, server, breaker, clock = self.make_gated()
@@ -270,8 +270,8 @@ class TestStreamFaultPath:
             channel.stream_call("test.Ping", "Ping", [{}, {}, {}])
         assert exc.value.code is StatusCode.UNAVAILABLE
         assert "3 attempts" in str(exc.value)
-        assert channel.counters.get("attempts_failed") == 3
-        assert channel.counters.get("calls") == 0
+        assert channel.counters.attempts_failed == 3
+        assert channel.counters.calls == 0
         # Each wasted attempt charges one round trip plus backoff gaps.
         assert clock.now_ns >= 3 * config.round_trip_ns
 

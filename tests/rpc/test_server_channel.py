@@ -114,10 +114,10 @@ class TestServer:
         server.dispatch("test.Echo", "Echo", {})
         server.dispatch("test.Echo", "Fail", {"kind": "other"})
         server.dispatch("test.Nope", "x", {})
-        assert server.counters.get("calls") == 3
-        assert server.counters.get("calls_ok") == 1
-        assert server.counters.get("calls_failed") == 1
-        assert server.counters.get("calls_unimplemented") == 1
+        assert server.counters.calls == 3
+        assert server.counters.calls_ok == 1
+        assert server.counters.calls_failed == 1
+        assert server.counters.calls_unimplemented == 1
 
     def test_malformed_wire_request(self, server):
         status, _, _ = server.dispatch_wire("test.Echo", "Echo", b"\xff\xff")
@@ -165,9 +165,9 @@ class TestChannel:
         channel.unary_call("test.Echo", "Echo", {"msg": "a"})
         with pytest.raises(RpcStatusError):
             channel.unary_call("test.Echo", "Fail", {"kind": "value"})
-        assert channel.counters.get("calls") == 2
-        assert channel.counters.get("calls_failed") == 1
-        assert channel.counters.get("bytes_sent") > 0
+        assert channel.counters.calls == 2
+        assert channel.counters.calls_failed == 1
+        assert channel.counters.bytes_sent > 0
 
 
 class TestStub:

@@ -104,7 +104,7 @@ class TestFaultInjectionAndRetries:
         for _ in range(50):
             response = channel.unary_call("test.Counter", "Bump", {"by": 3})
             assert response["value"] == 6
-        assert channel.counters.get("retries") > 0
+        assert channel.counters.retries > 0
         assert service.calls == 50
 
     def test_exhausted_retries_surface_unavailable(self):
@@ -113,7 +113,7 @@ class TestFaultInjectionAndRetries:
             channel.unary_call("test.Counter", "Bump", {})
         assert excinfo.value.code is StatusCode.UNAVAILABLE
         assert "3 attempts" in excinfo.value.detail
-        assert channel.counters.get("attempts_failed") == 3
+        assert channel.counters.attempts_failed == 3
 
     def test_each_failed_attempt_is_charged(self):
         _, clock, channel = make_channel(inject_failure_rate=1.0, max_retries=4)
@@ -126,7 +126,7 @@ class TestFaultInjectionAndRetries:
         _, _, channel = make_channel(inject_failure_rate=1.0, max_retries=0)
         with pytest.raises(RpcStatusError):
             channel.unary_call("test.Counter", "Bump", {})
-        assert channel.counters.get("attempts_failed") == 1
+        assert channel.counters.attempts_failed == 1
 
     def test_cluster_survives_flaky_network(self):
         """End to end: a cluster configured with a lossy RPC layer still

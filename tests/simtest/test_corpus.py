@@ -65,10 +65,10 @@ def test_eviction_round_trace_takes_the_lost_push_path():
     result = runner.run([Op.from_obj(item) for item in trace["ops"]])
     assert result.ok, result.report()
     evictor, cut_off = runner.cluster.store("node0"), runner.cluster.store("node1")
-    assert evictor.counters.get("objects_evicted") == 4
-    assert evictor.counters.get("delete_notifications") == 4
-    assert evictor.counters.get("peers_unavailable") == 1  # one round, one loss
-    assert cut_off.counters.get("stale_descriptor_refreshes") == 4
+    assert evictor.counters.objects_evicted == 4
+    assert evictor.counters.delete_notifications == 4
+    assert evictor.counters.peers_unavailable == 1  # one round, one loss
+    assert cut_off.counters.stale_descriptor_refreshes == 4
     outcomes = [step.rsplit(" -> ", 1)[1] for step in result.steps if " get(" in step]
     assert outcomes[-7:] == ["stale"] * 4 + ["notfound", "notfound", "ok"]
 
@@ -87,12 +87,12 @@ def test_replica_revocation_trace_takes_the_lost_revocation_path():
         result = runner.run([Op.from_obj(item) for item in trace["ops"]])
         assert result.ok, result.report()
         home, holder, reader = (runner.cluster.store(n) for n in ("node0", "node1", "node2"))
-        assert home.counters.get("delete_notifications") == 1
-        assert home.counters.get("peers_unavailable") == 0  # nothing to send
-        assert holder.counters.get("replica_revocations") == 1
-        assert holder.counters.get("peers_unavailable") == 1  # the lost one
-        assert holder.counters.get("replicas_dropped") == 1
-        assert reader.counters.get("stale_descriptor_refreshes") == 1
+        assert home.counters.delete_notifications == 1
+        assert home.counters.peers_unavailable == 0  # nothing to send
+        assert holder.counters.replica_revocations == 1
+        assert holder.counters.peers_unavailable == 1  # the lost one
+        assert holder.counters.replicas_dropped == 1
+        assert reader.counters.stale_descriptor_refreshes == 1
         outcomes = [s.rsplit(" -> ", 1)[1] for s in result.steps if " get(node=node2, obj=1)" in s]
         assert outcomes == ["ok", "stale", "notfound"]
         dumps.append(json.dumps(runner.cluster.spans.flight_dump(), sort_keys=True))

@@ -41,6 +41,18 @@ class TestObsSurface:
             ]
         )
 
+    @pytest.mark.parametrize("owner,name", [
+        ("CounterGroup", "inc"), ("CounterGroup", "get"),
+        ("CounterGroup", "values"), ("Counter", "inc"), ("Gauge", "set"),
+        ("Gauge", "inc"),
+    ])
+    def test_registry_stores_no_counter_or_gauge_value(self, owner, name):
+        """A counter is an int attribute its component increments in place;
+        the registry reads counters and gauges at scrape, never stores them."""
+        import repro.obs
+
+        assert not hasattr(getattr(repro.obs, owner), name), f"{owner}.{name}"
+
     def test_cluster_takes_no_tracer(self):
         import dataclasses
         import inspect

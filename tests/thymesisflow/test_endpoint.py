@@ -55,8 +55,8 @@ class TestTimedLocalAccess:
         _, ep = make()
         ep.local_read(0, 100)
         ep.local_write(0, b"x" * 50)
-        assert ep.counters.get("local_read_bytes") == 100
-        assert ep.counters.get("local_write_bytes") == 50
+        assert ep.counters.local_read_bytes == 100
+        assert ep.counters.local_write_bytes == 50
 
 
 class TestExposedRegion:
@@ -89,7 +89,7 @@ class TestExposedRegion:
         assert stale == 4
         out = ep.local_read_view(0, 4)
         assert bytes(out) == b"AAAA"  # Fig 3b: home CPU sees old value
-        assert ep.counters.get("stale_bytes_created") == 4
+        assert ep.counters.stale_bytes_created == 4
 
     def test_invalidate_exposed_restores_visibility(self):
         _, ep = make()

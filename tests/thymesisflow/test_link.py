@@ -40,9 +40,9 @@ class TestStreaming:
         link.charge_stream_read(1000)
         link.charge_stream_write(500)
         link.charge_single_access()
-        assert link.counters.get("read_bytes") == 1000
-        assert link.counters.get("write_bytes") == 500
-        assert link.counters.get("single_accesses") == 1
+        assert link.counters.read_bytes == 1000
+        assert link.counters.write_bytes == 500
+        assert link.counters.single_accesses == 1
 
 
 class TestSingleAccess:

@@ -89,7 +89,7 @@ def delete_then_reuse(cluster: Cluster, offset: int) -> None:
 def evict_then_reuse(cluster: Cluster, offset: int) -> None:
     blackhole_notifications(cluster)
     cluster.client(HOME).put_bytes(oid(2), OTHER)
-    assert cluster.store(HOME).counters.get("objects_evicted") == 1
+    assert cluster.store(HOME).counters.objects_evicted == 1
     assert cluster.store(HOME).lookup_descriptor(oid(2))["offset"] == offset
 
 

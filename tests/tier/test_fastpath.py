@@ -27,7 +27,7 @@ def holder_of(cluster: Cluster, object_id: ObjectID) -> str | None:
 
 
 def rpc_calls_to(cluster: Cluster, node: str, peer: str) -> int:
-    return cluster.store(node).peer(peer).stub.channel.counters.get("calls")
+    return cluster.store(node).peer(peer).stub.channel.counters.calls
 
 
 def read_released(client, object_id: ObjectID) -> bytes:

@@ -144,3 +144,53 @@ class TestAdmissionController:
             and s["value"] == 1
             for s in rejected
         )
+
+    @staticmethod
+    def _scraped(registry) -> dict[str, dict[tuple, float]]:
+        """family name -> {sorted label items: value} of one scrape."""
+        return {
+            f["name"]: {
+                tuple(sorted(s["labels"].items())): s["value"]
+                for s in f["series"]
+            }
+            for f in registry.collect()
+        }
+
+    def test_scrape_reads_live_counts_after_set_quota(self):
+        registry = MetricsRegistry()
+        controller = AdmissionController()
+        controller.attach_metrics(registry)
+        controller.set_quota("t", TenantQuota(ops_per_s=10.0, burst_ops=1))
+        controller.admit("t", "read", 0, now_ns=0)
+        with pytest.raises(AdmissionRejectedError):
+            controller.admit("t", "read", 0, now_ns=0)
+        # Replacing the quota replaces the tenant's state object; the
+        # series bound before must follow the live counts, not the old one.
+        controller.set_quota("t", TenantQuota(ops_per_s=10.0, burst_ops=2))
+        controller.admit("t", "read", 0, now_ns=0)
+        controller.admit("t", "read", 0, now_ns=0)
+        with pytest.raises(AdmissionRejectedError):
+            controller.admit("t", "read", 0, now_ns=0)
+        scraped = self._scraped(registry)
+        assert scraped["workload_admission_admitted_total"] == {
+            (("tenant", "t"),): 3.0
+        }
+        assert scraped["workload_admission_rejected_total"] == {
+            (("reason", "ops_rate"), ("tenant", "t")): 2.0
+        }
+
+    def test_tenant_without_an_admitted_op_has_no_admitted_series(self):
+        registry = MetricsRegistry()
+        controller = AdmissionController()
+        controller.attach_metrics(registry)
+        controller.set_quota("starved", TenantQuota(max_stored_bytes=10))
+        controller.admit("ok", "read", 0, now_ns=0)
+        with pytest.raises(AdmissionRejectedError):
+            controller.admit("starved", "write", 100, now_ns=0)
+        scraped = self._scraped(registry)
+        assert scraped["workload_admission_admitted_total"] == {
+            (("tenant", "ok"),): 1.0
+        }
+        assert scraped["workload_admission_rejected_total"] == {
+            (("reason", "byte_quota"), ("tenant", "starved")): 1.0
+        }

@@ -27,7 +27,7 @@ def write_peaks(monkeypatch, mode: str, replicas: int) -> list[tuple[int, int]]:
     peaks: list[tuple[int, int]] = []
 
     def forwarded(sim) -> int:
-        return sum(c.counters.get("puts_forwarded") for c in sim._clients)
+        return sum(c.counters.puts_forwarded for c in sim._clients)
 
     def start(sim) -> tuple[int, int]:
         before = forwarded(sim)
