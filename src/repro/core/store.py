@@ -79,9 +79,6 @@ class DisaggregatedStore(PlasmaStore):
         objects_migrated_out = bytes_migrated_out = 0
         replicas_created = replicas_skipped = replicas_held = 0
         replicas_dropped = replica_revocations = delete_notifications = 0
-        scrub_passes = scrub_scanned = scrub_corrupted = scrub_repaired = 0
-        scrub_quarantined = scrub_re_replicated = 0
-        scrub_replicas_rediscovered = scrub_replica_mismatches = 0
 
     def __init__(
         self,

@@ -82,6 +82,9 @@ class PlasmaStore:
         objects_created = bytes_created = objects_sealed = objects_deleted = 0
         objects_evicted = bytes_evicted = objects_quarantined = 0
         objects_repaired = objects_recovered = objects_recovered_quarantined = 0
+        scrub_passes = scrub_scanned = scrub_corrupted = scrub_repaired = 0
+        scrub_quarantined = scrub_re_replicated = 0
+        scrub_replicas_rediscovered = scrub_replica_mismatches = 0
 
     def __init__(
         self,
