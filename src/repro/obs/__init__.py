@@ -7,9 +7,9 @@ in simulated nanoseconds, built on ``repro.common.stats``). Components own
 their counters as plain ints on a :class:`CounterGroup` subclass, which the
 same registries read at scrape. :func:`render_prometheus` and
 :class:`Telemetry` export everything as a Prometheus text scrape or a JSON
-snapshot, and :class:`CorrelationContext` mints
-deterministic per-operation request ids that stitch client, RPC, and
-fabric trace spans of a single Get into one correlated story.
+snapshot. :class:`CorrelationContext` mints deterministic per-operation
+request ids that stitch client, RPC, and fabric trace spans of a single
+Get into one correlated story.
 
 Instrumentation is strictly opt-in (``ClusterConfig(metrics=True)``) and
 never advances the simulated clock or consumes deterministic RNG — with
