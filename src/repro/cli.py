@@ -68,8 +68,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"  gRPC round trip        : {cfg.rpc.round_trip_ns / 1e6:.2f} ms")
     print(f"  default store capacity : {cfg.store.capacity_bytes / MiB:.0f} MiB")
     print("subsystems: memory, allocator(first_fit/dlmalloc/buddy), "
-          "thymesisflow, network, rpc, plasma, core, baseline, columnar, "
-          "dataset, bench")
+          "thymesisflow, network, rpc, plasma, core, placement, tier, chaos, "
+          "obs, workload, simtest, baseline, columnar, dataset, bench, common")
     return 0
 
 
@@ -380,7 +380,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     for line in plan.describe().splitlines():
         print(f"  {line}")
 
-    def run_once() -> tuple[list[str], dict[str, int]]:
+    def run_once() -> tuple[list[str], dict[str, int], dict, list[str], dict]:
         cfg = ClusterConfig(
             seed=args.seed,
             metrics=True,

@@ -9,11 +9,17 @@ or cross-node release as appropriate.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from repro.common.ids import ObjectID
 from repro.core.store import DisaggregatedStore
 from repro.network.ipc import IpcChannel
 from repro.plasma.buffer import PlasmaBuffer
 from repro.plasma.client import PlasmaClient, copy_writer
+from repro.rpc.drive import drive
+
+#: What an unobserved call opens in place of a span.
+_UNOBSERVED = nullcontext()
 
 
 class DisaggregatedClient(PlasmaClient):
@@ -51,48 +57,53 @@ class DisaggregatedClient(PlasmaClient):
         """
         if not object_ids:
             return []
-        if self._correlation is None:
-            return self._get_op(object_ids, allow_missing, None)
-        rid = self._correlation.begin()
-        try:
-            buffers = self._get_op(object_ids, allow_missing, rid)
-        finally:
-            self._correlation.end()
-        # Stamp handles so deferred reads (read_all after the Get returned)
-        # still attribute their fabric spans to this request.
-        for buffer in buffers:
-            if buffer is not None and buffer.is_remote:
-                buffer._set_correlation(self._correlation, rid)
-        return buffers
+        return drive(self.get_task, object_ids, allow_missing)
 
-    def _get_op(
+    def get_task(
         self,
         object_ids: list[ObjectID],
-        allow_missing: bool,
-        rid: str | None,
-    ) -> list[PlasmaBuffer]:
-        spans = self._store.spans
-        if spans is None:
-            return self._get_inner(object_ids, allow_missing)
-        args = {"n": len(object_ids)}
-        if rid is not None:
-            args["rid"] = rid
-        with spans.span("client", "get", self._name, args):
-            return self._get_inner(object_ids, allow_missing)
-
-    def _get_inner(
-        self, object_ids: list[ObjectID], allow_missing: bool
-    ) -> list[PlasmaBuffer]:
-        self._ipc.charge_request(nobjects=len(object_ids))
-        return self._hold(
-            self._store.get_buffers(object_ids, allow_missing=allow_missing)
-        )
-
-    def _hold(self, buffers: list[PlasmaBuffer]) -> list[PlasmaBuffer]:
-        """Book the references one Get took (released by the caller)."""
+        allow_missing: bool = False,
+        attr=None,
+        blocking: bool = False,
+    ):
+        """The one body of :meth:`get` (the caller releases). A blocking
+        run is a synchronous Get: its store leaf is the store's
+        :meth:`~DisaggregatedStore.get_buffers` facade, and it is observed
+        as one correlation id for everything beneath it — stamped on the
+        remote handles, so their deferred reads attribute to it too —
+        inside a ``client/get`` span. A task yields from the store's body
+        and records only its *attr*."""
+        object_ids = list(object_ids)
+        if not object_ids:
+            return []
+        correlation = self._correlation if blocking else None
+        rid = None
+        scope = _UNOBSERVED
+        if correlation is not None:
+            rid = correlation.begin()
+            spans = self._store.spans
+            if spans is not None:
+                args = {"n": len(object_ids), "rid": rid}
+                scope = spans.span("client", "get", self._name, args)
+        try:
+            with scope:
+                self._ipc.charge_request(nobjects=len(object_ids))
+                if attr is not None:
+                    attr.settle("client")
+                if blocking:
+                    buffers = self.store.get_buffers(object_ids, allow_missing)
+                else:
+                    buffers = yield from self.store.get_buffers_task(
+                        object_ids, allow_missing, attr
+                    )
+        finally:
+            if correlation is not None:
+                correlation.end()
         for buffer in buffers:
             if buffer is not None:
                 self._held.setdefault(buffer.object_id, []).append(buffer)
+                if rid is not None and buffer.is_remote:
+                    buffer._set_correlation(correlation, rid)
         self.counters.gets += len(buffers)
         return buffers
 
@@ -100,11 +111,6 @@ class DisaggregatedClient(PlasmaClient):
         self.store.release_object(object_id)
 
     # -- batched multi-object API (repro.rpc.aio) ---------------------------------
-
-    # The client's facades and task forms observe differently (correlation
-    # ids and root spans vs per-task attribution), so they stay two drivers
-    # over shared helpers; which one runs is the store's one decision
-    # (``DisaggregatedStore._aio_facade``).
 
     def multi_get(
         self, object_ids: list[ObjectID], *, allow_missing: bool = True
@@ -115,37 +121,12 @@ class DisaggregatedClient(PlasmaClient):
         together (in async mode: one coalesced Lookup per peer instead of N
         unary calls, hedged scatter-gather across homes). Returns payload
         *copies* in input order — references are taken and released
-        internally — with ``None`` at unresolved positions unless
-        ``allow_missing=False``.
+        internally, every one of them even when a read fails — with
+        ``None`` at unresolved positions unless ``allow_missing=False``.
         """
         if not object_ids:
             return []
-        if self._store._aio_facade():  # noqa: SLF001 — co-designed
-            return self._store._run_on_loop(  # noqa: SLF001
-                self.multi_get_task(object_ids, allow_missing=allow_missing)
-            )
-        buffers = self.get(list(object_ids), allow_missing=allow_missing)
-        return self._read_out(object_ids, buffers)
-
-    def _read_out(self, object_ids, buffers) -> list[bytes | None]:
-        out: list[bytes | None] = []
-        # Duplicate ids in one call resolve to a single shared handle
-        # (one reference per occurrence): read each handle once and reuse
-        # the payload, so releasing slot N's reference cannot invalidate
-        # slot N+1's pending read of the same buffer.
-        read: dict[int, bytes] = {}
-        for oid, buffer in zip(object_ids, buffers):
-            if buffer is None:
-                out.append(None)
-                continue
-            key = id(buffer)
-            try:
-                if key not in read:
-                    read[key] = buffer.read_all()
-                out.append(read[key])
-            finally:
-                self.release(oid)
-        return out
+        return drive(self.multi_get_task, object_ids, allow_missing=allow_missing)
 
     def multi_get_task(
         self,
@@ -153,10 +134,11 @@ class DisaggregatedClient(PlasmaClient):
         *,
         allow_missing: bool = True,
         attr=None,
+        blocking: bool = False,
     ):
-        """Task form of :meth:`multi_get` (``yield from`` inside a task)."""
+        """The one body of :meth:`multi_get`: a Get, then the reads."""
         object_ids = list(object_ids)
-        buffers = yield from self.get_task(object_ids, allow_missing, attr)
+        buffers = yield from self.get_task(object_ids, allow_missing, attr, blocking)
         if attr is not None:
             attr.settle("service")
         out = self._read_out(object_ids, buffers)
@@ -164,24 +146,33 @@ class DisaggregatedClient(PlasmaClient):
             attr.settle("fabric")
         return out
 
-    def get_task(
-        self,
-        object_ids: list[ObjectID],
-        allow_missing: bool = False,
-        attr=None,
-    ):
-        """Task form of :meth:`get`: same reference-taking semantics, but
-        the resolution runs on the event loop (the caller releases)."""
-        object_ids = list(object_ids)
-        if not object_ids:
-            return []
-        self._ipc.charge_request(nobjects=len(object_ids))
-        if attr is not None:
-            attr.settle("client")
-        buffers = yield from self.store.get_buffers_task(
-            object_ids, allow_missing, attr
-        )
-        return self._hold(buffers)
+    def _read_out(self, object_ids, buffers) -> list[bytes | None]:
+        """Copy out every resolved payload, releasing each reference the
+        Get took — every one of them, even past a read that raises."""
+        out: list[bytes | None] = []
+        # Duplicate ids in one call resolve to a single shared handle
+        # (one reference per occurrence): read each handle once and reuse
+        # the payload, so releasing slot N's reference cannot invalidate
+        # slot N+1's pending read of the same buffer.
+        read: dict[int, bytes] = {}
+        pending = iter(zip(object_ids, buffers))
+        try:
+            for oid, buffer in pending:
+                if buffer is None:
+                    out.append(None)
+                    continue
+                try:
+                    key = id(buffer)
+                    if key not in read:
+                        read[key] = buffer.read_all()
+                    out.append(read[key])
+                finally:
+                    self.release(oid)
+        finally:
+            for oid, buffer in pending:  # only left over when a read raised
+                if buffer is not None:
+                    self.release(oid)
+        return out
 
     def _put_reserved(
         self, oid, size: int, write, metadata: bytes, replicas: int
@@ -195,35 +186,6 @@ class DisaggregatedClient(PlasmaClient):
         self._held.setdefault(oid, []).append(buffer)
         self._fill_and_seal(buffer, write)
         self._replicate(oid, replicas)
-
-    def put_into_task(
-        self,
-        object_id: ObjectID,
-        size: int,
-        write,
-        *,
-        metadata: bytes = b"",
-        replicas: int = 1,
-        attr=None,
-    ):
-        """Task form of :meth:`put_into` (placement-aware, pipelined
-        forward hops)."""
-        self._check_replicas(replicas)
-        home = self.store.placement_home(object_id)
-        if home is not None:
-            self._ipc.charge_request(nobjects=1, nbytes=len(metadata))
-            if attr is not None:
-                attr.settle("client")
-            ok = yield from self.store.forward_put_task(
-                object_id, size, write, metadata, home, replicas=replicas, attr=attr
-            )
-            if ok:
-                self.counters.puts_forwarded += 1
-                return object_id
-            self.counters.puts_forward_fallback += 1
-        PlasmaClient.put_into(self, object_id, size, write, metadata=metadata)
-        self._replicate(object_id, replicas)
-        return object_id
 
     def put_into(
         self,
@@ -261,23 +223,68 @@ class DisaggregatedClient(PlasmaClient):
         written over the fabric). An unreachable home degrades to a local
         create — the rebalancer re-homes the object once the cluster heals.
         """
+        return drive(
+            self.put_into_task,
+            object_id,
+            size,
+            write,
+            metadata=metadata,
+            replicas=replicas,
+        )
+
+    def put_into_task(
+        self,
+        object_id: ObjectID,
+        size: int,
+        write,
+        *,
+        metadata: bytes = b"",
+        replicas: int = 1,
+        attr=None,
+        blocking: bool = False,
+    ):
+        """The one body of :meth:`put_into`: forwarded to the ring home
+        when it is a reachable peer, else the local create + replicate. A
+        blocking run is a synchronous Put — the store's
+        :meth:`~DisaggregatedStore.forward_put` facade is its leaf, and it
+        is observed as one correlation id inside a ``client/put`` span; a
+        task yields from the store's body and records only its *attr*."""
         self._check_replicas(replicas)
-        if self._correlation is None:
-            self._put_routed(object_id, size, write, metadata, replicas)
-            return object_id
-        rid = self._correlation.begin()
-        try:
+        correlation = self._correlation if blocking else None
+        scope = _UNOBSERVED
+        if correlation is not None:
+            rid = correlation.begin()
             spans = self._store.spans
             if spans is not None:
-                with spans.span(
-                    "client", "put", self._name, {"rid": rid, "replicas": replicas}
-                ):
-                    self._put_routed(object_id, size, write, metadata, replicas)
-            else:
-                self._put_routed(object_id, size, write, metadata, replicas)
+                args = {"rid": rid, "replicas": replicas}
+                scope = spans.span("client", "put", self._name, args)
+        try:
+            with scope:
+                home = self.store.placement_home(object_id)
+                if home is not None:
+                    self._ipc.charge_request(nobjects=1, nbytes=len(metadata))
+                    if attr is not None:
+                        attr.settle("client")
+                    if blocking:
+                        forwarded = self.store.forward_put(
+                            object_id, size, write, metadata, home,
+                            replicas=replicas,
+                        )
+                    else:
+                        forwarded = yield from self.store.forward_put_task(
+                            object_id, size, write, metadata, home,
+                            replicas=replicas, attr=attr,
+                        )
+                    if forwarded:
+                        self.counters.puts_forwarded += 1
+                        return object_id
+                    self.counters.puts_forward_fallback += 1
+                PlasmaClient.put_into(self, object_id, size, write, metadata=metadata)
+                self._replicate(object_id, replicas)
+                return object_id
         finally:
-            self._correlation.end()
-        return object_id
+            if correlation is not None:
+                correlation.end()
 
     def put_bytes(
         self,
@@ -291,23 +298,6 @@ class DisaggregatedClient(PlasmaClient):
         return self.put_into(
             object_id, *copy_writer(data), metadata=metadata, replicas=replicas
         )
-
-    def _put_routed(
-        self, object_id: ObjectID, size: int, write, metadata: bytes, replicas: int
-    ) -> None:
-        """Placement-aware create: forward to the ring home when it is a
-        reachable peer, else the classic local create + replicate path."""
-        home = self.store.placement_home(object_id)
-        if home is not None:
-            self._ipc.charge_request(nobjects=1, nbytes=len(metadata))
-            if self.store.forward_put(
-                object_id, size, write, metadata, home, replicas=replicas
-            ):
-                self.counters.puts_forwarded += 1
-                return
-            self.counters.puts_forward_fallback += 1
-        super().put_into(object_id, size, write, metadata=metadata)
-        self._replicate(object_id, replicas)
 
     def _check_replicas(self, replicas: int) -> None:
         if replicas < 1:

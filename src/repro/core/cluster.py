@@ -76,12 +76,10 @@ class Cluster:
         self._config = config = config or ClusterConfig()
         node_names = cluster_node_names(nodes)
         config.validate(node_names)
-        # Correlation ids only exist when someone can observe them (the
-        # span sink or the metrics plane); otherwise every component keeps
-        # its None fast path.
-        self._correlation = (
-            CorrelationContext() if (config.metrics or config.tracing) else None
-        )
+        # Correlation ids only exist where something reads them — span
+        # args (the metrics plane never does); otherwise every component
+        # keeps its None fast path.
+        self._correlation = CorrelationContext() if config.tracing else None
         self._clock = SimClock()
         self._rng = DeterministicRng(config.seed)
         # One event loop serves the whole mesh (repro.rpc.aio). Building it
@@ -359,7 +357,7 @@ class Cluster:
 
     @property
     def correlation(self) -> CorrelationContext | None:
-        """The shared correlation context (None unless tracing/metrics)."""
+        """The shared correlation context (None unless tracing)."""
         return self._correlation
 
     def metrics(self) -> Telemetry:

@@ -29,6 +29,8 @@ switch, all benchmarked):
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from repro.common.clock import SimClock
 from repro.common.config import StoreConfig
 from repro.common.errors import (
@@ -55,10 +57,14 @@ from repro.plasma.notifications import SealNotification
 from repro.plasma.store import PlasmaStore
 from repro.rpc.aio.loop import Sleep
 from repro.rpc.aio.streaming import stream_pull
+from repro.rpc.drive import drive
 from repro.rpc.status import StatusCode
 from repro.common.errors import RpcStatusError
 from repro.thymesisflow.endpoint import ThymesisEndpoint
 from repro.tier.source import CachedBufferSource, TierBufferSource
+
+#: What an unobserved call opens in place of a span.
+_UNOBSERVED = nullcontext()
 
 
 class DisaggregatedStore(PlasmaStore):
@@ -323,9 +329,9 @@ class DisaggregatedStore(PlasmaStore):
         Returns False when the home's metadata plane is unreachable — the
         caller degrades to a local create and the rebalancer re-homes the
         object later."""
-        return self._drive(
+        return drive(
             self.forward_put_task, object_id, size, write, metadata, home,
-            replicas=replicas,
+            replicas=replicas, loop=self._facade_loop(),
         )
 
     def forward_put_task(
@@ -678,30 +684,29 @@ class DisaggregatedStore(PlasmaStore):
         ThymesisFlow-backed buffers. Raises
         :class:`~repro.common.errors.ObjectNotFoundError` if any id resolves
         nowhere — unless ``allow_missing`` is set, in which case unresolved
-        positions come back as ``None``.
+        positions come back as ``None``. Observed as a Get: a
+        ``plasma_get_latency_ns`` sample and, unless the event loop drives
+        the body, a ``store/get_buffers`` span (the sink's single open-root
+        stack cannot follow a task across suspensions).
         """
         if not object_ids:
             return []
-        spans = self.spans
-        if spans is not None and self._aio_facade():
-            # The sink's single open-root stack cannot follow a task across
-            # suspensions: no store span when the event loop drives.
-            spans = None
+        loop = self._facade_loop()
         m_get = self._m_get
-        if spans is None and m_get is None:
-            return self._drive(self.get_buffers_task, object_ids, allow_missing)
         start_ns = self.clock.now_ns if m_get is not None else 0
+        scope = _UNOBSERVED
+        spans = self.spans
+        if spans is not None and loop is None:
+            args = {"n": len(object_ids)}
+            rid = self.correlation.current if self.correlation else None
+            if rid is not None:
+                args["rid"] = rid
+            scope = spans.span("store", "get_buffers", self.node, args)
         try:
-            if spans is not None:
-                args = {"n": len(object_ids)}
-                rid = self.correlation.current if self.correlation else None
-                if rid is not None:
-                    args["rid"] = rid
-                with spans.span("store", "get_buffers", self.node, args):
-                    return self._drive(
-                        self.get_buffers_task, object_ids, allow_missing
-                    )
-            return self._drive(self.get_buffers_task, object_ids, allow_missing)
+            with scope:
+                return drive(
+                    self.get_buffers_task, object_ids, allow_missing, loop=loop
+                )
         finally:
             if m_get is not None:
                 m_get.observe(self.clock.now_ns - start_ns)
@@ -713,12 +718,12 @@ class DisaggregatedStore(PlasmaStore):
         attr=None,
         blocking: bool = False,
     ):
-        """The one body of :meth:`get_buffers`, run by either driver (see
-        :meth:`_drive`). The local table and tier-cache scans are instant;
-        unresolved ids are looked up and pinned through the leaves
-        *blocking* selects for this invocation: the ordered per-peer sweep
-        and sequential AddRef calls, or concurrent (scatter-gather,
-        optionally hedged) batched Lookups and a gathered AddRef pin."""
+        """The one body of :meth:`get_buffers`. The local table and
+        tier-cache scans are instant; unresolved ids are looked up and
+        pinned through the leaves *blocking* selects for this invocation:
+        the ordered per-peer sweep and sequential AddRef calls, or
+        concurrent (scatter-gather, optionally hedged) batched Lookups and
+        a gathered AddRef pin."""
         buffers: dict[ObjectID, PlasmaBuffer | None] = {}
         missing: list[ObjectID] = []
         found_local = 0
@@ -1117,15 +1122,16 @@ class DisaggregatedStore(PlasmaStore):
     # -- one body, two drivers (repro.rpc.aio) ----------------------------------------
     #
     # get_buffers, forward_put and delete_object each have ONE body, a
-    # generator (their ``*_task`` form). Tasks ``yield from`` it on the event
-    # loop; the synchronous facades hand it to _drive(), which spawns it on
-    # the loop in async mode and otherwise runs it inline with blocking
-    # leaves. What still exists twice are those leaves — the ordered lookup
-    # sweep vs scatter-gather, sequential vs gathered pin and deletion
-    # fan-out (one message plan, _deletion_plan, sent two ways) — because
-    # one-at-a-time and concurrent calls charge time differently
-    # (docs/architecture.md, "Async RPC core"). A single unary hop needs no
-    # second leaf: the channel's unary_task takes the same ``blocking``.
+    # generator taking ``blocking`` (their ``*_task`` form). Tasks ``yield
+    # from`` it; the synchronous facades hand it to repro.rpc.drive.drive(),
+    # which spawns it on the loop _facade_loop() names (async mode) and
+    # otherwise runs it inline with blocking leaves. What still exists twice
+    # are those leaves — the ordered lookup sweep vs scatter-gather,
+    # sequential vs gathered pin and deletion fan-out (one message plan,
+    # _deletion_plan, sent two ways) — because one-at-a-time and concurrent
+    # calls charge time differently (docs/architecture.md, "Async RPC core").
+    # A single unary hop needs no second leaf: the channel's unary_task takes
+    # the same ``blocking``.
 
     def attach_aio(self, loop, *, async_mode: bool = False) -> None:
         """Wire the cluster-wide event loop; *async_mode* makes the sync
@@ -1146,40 +1152,17 @@ class DisaggregatedStore(PlasmaStore):
     def rpc_async(self) -> bool:
         return self._rpc_async
 
-    def _aio_facade(self) -> bool:
-        """The one loop-vs-inline decision, made per invocation: True when
-        a synchronous facade should run its body on the event loop — async
-        mode is on and we are *not* already inside a task (a facade called
-        from task code blocks inline instead; re-entering the loop driver
-        from one of its own handlers is not safe)."""
-        return (
-            self._rpc_async
-            and self._aio_loop is not None
-            and not self._aio_loop.driving
-        )
-
-    def _run_on_loop(self, gen):
-        """Spawn *gen* on the event loop and drive the loop until it is done."""
+    def _facade_loop(self):
+        """The one loop-vs-inline decision, made per invocation: the event
+        loop a synchronous facade should run its body on, or None to run
+        it inline. A loop only in async mode, and only while we are *not*
+        already inside a task (a facade called from task code blocks inline
+        instead; re-entering the loop driver from one of its own handlers
+        is not safe)."""
         loop = self._aio_loop
-        return loop.run_until_complete(loop.spawn(gen, name=gen.__name__))
-
-    def _drive(self, task_form, *args, **kwargs):
-        """Run *task_form* to completion for a synchronous facade: on the
-        event loop when :meth:`_aio_facade` says so, else inline — the body
-        is told to use its blocking leaves, so it must finish in one step
-        without ever touching the loop (or its RNG stream)."""
-        if self._aio_facade():
-            return self._run_on_loop(task_form(*args, **kwargs))
-        gen = task_form(*args, blocking=True, **kwargs)
-        try:
-            awaited = gen.send(None)
-        except StopIteration as done:
-            return done.value
-        gen.close()
-        raise RuntimeError(
-            f"{gen.__name__} suspended on {awaited!r} while driven inline; "
-            "a blocking=True body may only use blocking leaves"
-        )
+        if self._rpc_async and loop is not None and not loop.driving:
+            return loop
+        return None
 
     def _peer_channel(self, name: str):
         """The :class:`~repro.rpc.channel.Channel` under the peer's stub."""
@@ -1299,7 +1282,7 @@ class DisaggregatedStore(PlasmaStore):
         yield Sleep(stagger_ns)
         if primary.future.done():
             return list(ids)
-        self._peer_channel(name).aio_counters["hedges_fired"] += 1
+        self._peer_channel(name).task_counters.hedges_fired += 1
         self.counters.lookup_hedges_fired += 1
         result = yield from self._lookup_peer_task(
             name, ids, resolved, None, None
@@ -1714,7 +1697,7 @@ class DisaggregatedStore(PlasmaStore):
                     raise
 
     def delete_object(self, object_id: ObjectID) -> None:
-        self._drive(self.delete_object_task, object_id)
+        drive(self.delete_object_task, object_id, loop=self._facade_loop())
 
     def _announce_evicted(self, victims: list[ObjectEntry]) -> None:
         """One NotifyDeleted per peer that resolved a victim here, listing

@@ -103,7 +103,7 @@ class CoalescingBuffer:
                 # Fail fast: the deadline expired in the buffer, so dispatching
                 # this entry would be a doomed wire message. No retry-budget
                 # token is spent and the server never sees it.
-                self._channel.aio_counters["batch_expired"] += 1
+                self._channel.task_counters.batch_expired += 1
                 entry.future.set_exception(RpcStatusError(
                     StatusCode.DEADLINE_EXCEEDED,
                     f"deadline expired in coalescing buffer for "
@@ -122,9 +122,10 @@ class CoalescingBuffer:
         # to a relative duration for the channel.
         wire_deadline = (None if any(x is None for x in expiries)
                          else max(0.0, max(expiries) - now))
-        self._channel.aio_counters["batches_sent"] += 1
-        self._channel.aio_counters["batched_requests"] += len(live)
-        self._channel.aio_counters["batched_ids"] += len(merged)
+        counters = self._channel.task_counters
+        counters.batches_sent += 1
+        counters.batched_requests += len(live)
+        counters.batched_ids += len(merged)
         self._loop.spawn(
             self._dispatch(live, merged, wire_deadline),
             name=self._task_name,

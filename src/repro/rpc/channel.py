@@ -23,7 +23,8 @@ One body, two drivers: blocking calls, tasks and stream establishment all
 run one generator, :meth:`Channel._call`, and its one attempt ladder. Every
 wait goes through :meth:`Channel._wait`, which advances the clock in place
 for a blocking call and yields :class:`~repro.rpc.aio.Sleep` for a task;
-the blocking entry points drive the body inline (a suspension raises). The
+the blocking entry points run the body inline through
+:func:`~repro.rpc.drive.drive` (a suspension raises). The
 one thing the modes charge differently is a unary attempt's transport: a
 blocking call dispatches, then charges one lump ``(round_trip + bytes *
 per_byte) * jitter`` (one draw); a task charges the request leg
@@ -52,6 +53,9 @@ Resilience semantics (gRPC-shaped, used by repro.core.health / repro.chaos):
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
+
 from repro.common.clock import SimClock
 from repro.common.config import RpcConfig
 from repro.common.errors import RpcError, RpcStatusError, ServerOverloadedError
@@ -61,6 +65,7 @@ from repro.obs.metrics import CounterGroup
 from repro.rpc.aio.batch import BATCHABLE_METHODS, CoalescingBuffer
 from repro.rpc.aio.loop import EventLoop, Future, Sleep, TaskAttribution
 from repro.rpc.codec import decode_message, encode_message
+from repro.rpc.drive import drive
 from repro.rpc.overload import RetryBudget
 from repro.rpc.server import RpcServer
 from repro.rpc.status import StatusCode
@@ -76,8 +81,7 @@ _FAILURE_CODES = (
     StatusCode.RESOURCE_EXHAUSTED,
 )
 
-#: Counters specific to task calls. Kept out of the metrics-registry
-#: counter group so a sync-mode scrape is byte-identical to the baseline.
+#: The task-call counters, in the order :attr:`Channel.aio_counters` lists them.
 AIO_COUNTER_NAMES = (
     "tasks_started",
     "tasks_completed",
@@ -98,6 +102,14 @@ class Channel:
         calls = calls_failed = stream_messages = bytes_sent = 0
         bytes_received = retries = retries_suppressed = attempts_failed = 0
         attempts_shed = deadline_exceeded = breaker_rejections = 0
+
+    class TaskCounters(CounterGroup):
+        """Counters specific to task calls. Never registered with a metrics
+        registry, so a sync-mode scrape is byte-identical to the baseline."""
+
+        tasks_started = tasks_completed = in_flight_peak = 0
+        batches_sent = batched_requests = batched_ids = batch_expired = 0
+        hedges_fired = 0
 
     def __init__(
         self,
@@ -126,7 +138,7 @@ class Channel:
         self._correlation = correlation
         self._loop = loop
         self.counters = self.Counters()
-        self.aio_counters: dict[str, int] = {name: 0 for name in AIO_COUNTER_NAMES}
+        self.task_counters = self.TaskCounters()
         self._in_flight = 0
         self._buffers: dict[tuple[str, str], CoalescingBuffer] = {}
         self._latency = None  # per-(peer, method) histogram family
@@ -153,6 +165,15 @@ class Channel:
         )
         if self._breaker is not None:
             self._breaker.attach_metrics(registry, peer=self._server.host)
+
+    @property
+    def aio_counters(self) -> Mapping[str, int]:
+        """Every task-call counter by name, zeros included, in
+        :data:`AIO_COUNTER_NAMES` order (a read-only snapshot)."""
+        counters = self.task_counters
+        return MappingProxyType(
+            {name: getattr(counters, name) for name in AIO_COUNTER_NAMES}
+        )
 
     @property
     def target(self) -> str:
@@ -335,7 +356,7 @@ class Channel:
         charged in simulated time, bounded by the call deadline.
         """
         deadline = self._admit(deadline_ns)
-        return self._run(self._call(service, method, request, deadline, True))
+        return drive(self._call, service, method, request, deadline)
 
     def unary_task(
         self,
@@ -356,18 +377,21 @@ class Channel:
         """
         deadline = self._admit(deadline_ns)
         if blocking:
-            return (yield from self._call(service, method, request, deadline, True))
+            return (
+                yield from self._call(service, method, request, deadline, blocking=True)
+            )
+        counters = self.task_counters
         self._in_flight += 1
-        self.aio_counters["tasks_started"] += 1
-        if self._in_flight > self.aio_counters["in_flight_peak"]:
-            self.aio_counters["in_flight_peak"] = self._in_flight
+        counters.tasks_started += 1
+        if self._in_flight > counters.in_flight_peak:
+            counters.in_flight_peak = self._in_flight
         try:
             return (
-                yield from self._call(service, method, request, deadline, False, attr)
+                yield from self._call(service, method, request, deadline, attr=attr)
             )
         finally:
             self._in_flight -= 1
-            self.aio_counters["tasks_completed"] += 1
+            counters.tasks_completed += 1
 
     def stream_call(
         self,
@@ -397,9 +421,7 @@ class Channel:
         if not requests and not self._closed:
             return []  # nothing to send: no round trip, no breaker probe
         deadline = self._admit(deadline_ns)
-        return self._run(
-            self._call(service, method, requests, deadline, True, stream=True)
-        )
+        return drive(self._call, service, method, requests, deadline, stream=True)
 
     def batched_call(
         self,
@@ -433,16 +455,6 @@ class Channel:
             attr=attr,
         )
 
-    @staticmethod
-    def _run(body):
-        """Drive a blocking call's body to completion in this frame."""
-        try:
-            awaited = body.send(None)
-        except StopIteration as done:
-            return done.value
-        body.close()
-        raise RuntimeError(f"a blocking call suspended on {awaited!r}")
-
     # -- the one body ------------------------------------------------------------------
 
     def _call(
@@ -451,7 +463,8 @@ class Channel:
         method: str,
         request,
         deadline_ns: float | None,
-        blocking: bool,
+        *,
+        blocking: bool = False,
         attr: TaskAttribution | None = None,
         stream: bool = False,
     ):

@@ -51,6 +51,7 @@ from repro.core.cluster import Cluster
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import BASE_COMPONENTS, LEGACY_COMPONENTS
 from repro.rpc.aio.loop import Sleep, TaskAttribution
+from repro.rpc.drive import drive
 from repro.workload.admission import AdmissionController, TenantQuota
 from repro.workload.arrival import closed_loop_next
 from repro.workload.report import build_workload_payload
@@ -320,35 +321,27 @@ class ScenarioRunner:
                     return name
         return None
 
-    # Each op kind has a blocking body and an event-loop task body (further
-    # down). The two observe differently — root spans here, per-task
-    # attribution there, and a span held across a ``yield`` would corrupt
-    # the sink's single open-root stack — so they stay two drivers; the
-    # halves they have in common are the helpers between them.
+    # Each op kind has ONE body, a generator taking the op's TaskAttribution
+    # (None when blocking) and ``blocking``: _execute_inner runs it inline
+    # through repro.rpc.drive.drive() in sync mode, _op_task yields from it
+    # as an event-loop task. The client and store bodies below it take the
+    # same two arguments, so the op observes exactly as its driver does —
+    # root spans when blocking, per-task attribution otherwise.
 
-    def _pop_slot(self, slot: int):
-        """Empty *slot*; returns ``(state, oid, holder store or None)`` for
-        the caller to delete at the holder, or ``None`` if it was empty."""
+    def _delete_slot(self, slot: int, attr, blocking: bool):
+        """Empty *slot*, deleting its object at the holder; False if it
+        was already empty."""
         state = self._slots.pop(slot, None)
         if state is None:
-            return None
+            return False
         oid = ObjectID.from_int(state.oid_int)
         holder = self._find_holder(oid)
-        store = self.cluster.store(holder) if holder is not None else None
-        return state, oid, store
-
-    def _record_delete(self, state: _Slot) -> None:
+        if holder is not None:
+            yield from self.cluster.store(holder).delete_object_task(
+                oid, attr, blocking
+            )
         self.admission.record_stored(state.tenant, -state.size)
         self.result.bytes_deleted += state.size
-
-    def _delete_slot(self, slot: int) -> bool:
-        target = self._pop_slot(slot)
-        if target is None:
-            return False
-        state, oid, store = target
-        if store is not None:
-            store.delete_object(oid)
-        self._record_delete(state)
         return True
 
     def _arm_hit_probe(self, client):
@@ -364,15 +357,24 @@ class ScenarioRunner:
             cache.last_served = None
         return cache
 
-    def _finish_read(
-        self, op: WorkloadOp, client, oid: ObjectID, version: int, buffer, cache
-    ) -> str:
-        """Spot-checked zero-copy read of a resolved buffer, release, and
-        the read bookkeeping."""
+    def _do_read(self, op: WorkloadOp, attr, blocking: bool = False):
+        state = self._slots.get(op.slot)
+        if state is None:
+            return "miss"
+        client = self._client(op.seq)
+        oid = ObjectID.from_int(state.oid_int)
+        cache = self._arm_hit_probe(client)
+        [buffer] = yield from client.get_task([oid], True, attr, blocking)
+        if attr is not None:
+            attr.settle("service")
+        if buffer is None:
+            return "miss"
         try:
-            nbytes = _checked_len(buffer.read_view(), op.slot, version)
+            nbytes = _checked_len(buffer.read_view(), op.slot, state.oid_int)
         finally:
             client.release(oid)
+        if attr is not None:
+            attr.settle("fabric")
         if self._read_stats is not None:
             # Only remote reads are cache-eligible: a home-local get never
             # consults the cache and would dilute the hit rate it reports.
@@ -391,111 +393,12 @@ class ScenarioRunner:
         self.result.bytes_read += nbytes
         return "ok"
 
-    def _do_read(self, op: WorkloadOp) -> str:
-        state = self._slots.get(op.slot)
-        if state is None:
-            return "miss"
-        client = self._client(op.seq)
-        oid = ObjectID.from_int(state.oid_int)
-        cache = self._arm_hit_probe(client)
-        buffer = client.get([oid], allow_missing=True)[0]
-        if buffer is None:
-            return "miss"
-        return self._finish_read(op, client, oid, state.oid_int, buffer, cache)
-
-    def _record_write(self, op: WorkloadOp, oid_int: int) -> None:
-        self._slots[op.slot] = _Slot(oid_int, op.size_bytes, op.tenant)
-        self.admission.record_stored(op.tenant, op.size_bytes)
-        self.result.bytes_written += op.size_bytes
-
-    def _do_write(self, op: WorkloadOp) -> str:
-        self._delete_slot(op.slot)
+    def _do_write(self, op: WorkloadOp, attr, blocking: bool = False):
+        yield from self._delete_slot(op.slot, attr, blocking)
         oid = self._fresh_oid()
-        oid_int = self._next_oid
-        self._client(op.seq).put_into(
-            oid,
-            op.size_bytes,
-            fill_writer(op.slot, oid_int),
-            replicas=self.scenario.cluster.replicas,
-        )
-        self._record_write(op, oid_int)
-        return "ok"
-
-    def _do_delete(self, op: WorkloadOp) -> str:
-        return "ok" if self._delete_slot(op.slot) else "miss"
-
-    def _scan_targets(self, op: WorkloadOp) -> list[tuple[int, int]]:
-        """(slot, object version) of every live slot a scan op covers."""
-        n_slots = self.scenario.population.objects
-        targets = []
-        for offset in range(self.scenario.traffic.scan_length):
-            slot = (op.slot + offset) % n_slots
-            state = self._slots.get(slot)
-            if state is not None:
-                targets.append((slot, state.oid_int))
-        return targets
-
-    def _do_scan(self, op: WorkloadOp) -> str:
-        targets = self._scan_targets(op)
-        if not targets:
-            return "empty"
-        oids = [ObjectID.from_int(version) for _, version in targets]
-        client = self._client(op.seq)
-        buffers = client.get(oids, allow_missing=True)
-        read = 0
-        for oid, buffer, (slot, version) in zip(oids, buffers, targets):
-            if buffer is None:
-                continue
-            try:
-                read += _checked_len(buffer.read_view(), slot, version)
-            finally:
-                client.release(oid)
-        self.result.bytes_read += read
-        return "ok"
-
-    # ------------------------------------------------------------------ async ops
-    #
-    # The event-loop twins of the _do_* bodies above: each op runs as one
-    # task, yielding its transport waits to the loop so many ops overlap in
-    # simulated time. Resolution goes through the client task plane —
-    # multi_get/get/put/delete tasks with coalesced per-peer lookups — and
-    # latency attribution rides per task (queue → client → service →
-    # fabric settle points, pipeline/retry/hedge waits hinted by children).
-
-    def _delete_slot_task(self, slot: int, attr):
-        target = self._pop_slot(slot)
-        if target is None:
-            return False
-        state, oid, store = target
-        if store is not None:
-            yield from store.delete_object_task(oid, attr)
-        self._record_delete(state)
-        return True
-
-    def _do_read_task(self, op: WorkloadOp, attr):
-        state = self._slots.get(op.slot)
-        if state is None:
-            return "miss"
-        client = self._client(op.seq)
-        oid = ObjectID.from_int(state.oid_int)
-        cache = self._arm_hit_probe(client)
-        buffers = yield from client.get_task([oid], allow_missing=True,
-                                             attr=attr)
-        attr.settle("service")
-        if buffers[0] is None:
-            return "miss"
-        outcome = self._finish_read(
-            op, client, oid, state.oid_int, buffers[0], cache
-        )
-        attr.settle("fabric")
-        return outcome
-
-    def _do_write_task(self, op: WorkloadOp, attr):
-        yield from self._delete_slot_task(op.slot, attr)
-        oid = self._fresh_oid()
-        # Concurrent writes keep allocating ids while this task is
-        # suspended, so pin this object's id now rather than re-reading
-        # the allocator after the put completes.
+        # Concurrent writes keep allocating ids while a task is suspended,
+        # so pin this object's id now rather than re-reading the allocator
+        # after the put completes.
         oid_int = self._next_oid
         yield from self._client(op.seq).put_into_task(
             oid,
@@ -503,32 +406,55 @@ class ScenarioRunner:
             fill_writer(op.slot, oid_int),
             replicas=self.scenario.cluster.replicas,
             attr=attr,
+            blocking=blocking,
         )
-        attr.settle("service")
-        self._record_write(op, oid_int)
+        if attr is not None:
+            attr.settle("service")
+        self._slots[op.slot] = _Slot(oid_int, op.size_bytes, op.tenant)
+        self.admission.record_stored(op.tenant, op.size_bytes)
+        self.result.bytes_written += op.size_bytes
         return "ok"
 
-    def _do_delete_task(self, op: WorkloadOp, attr):
-        deleted = yield from self._delete_slot_task(op.slot, attr)
-        attr.settle("service")
+    def _do_delete(self, op: WorkloadOp, attr, blocking: bool = False):
+        deleted = yield from self._delete_slot(op.slot, attr, blocking)
+        if attr is not None:
+            attr.settle("service")
         return "ok" if deleted else "miss"
 
-    def _do_scan_task(self, op: WorkloadOp, attr):
-        targets = self._scan_targets(op)
+    def _do_scan(self, op: WorkloadOp, attr, blocking: bool = False):
+        """One Get over the consecutive live slots, then a zero-copy
+        spot-checked read and a release per buffer — every reference is
+        released, even past a read that raises."""
+        n_slots = self.scenario.population.objects
+        targets = []
+        for offset in range(self.scenario.traffic.scan_length):
+            slot = (op.slot + offset) % n_slots
+            state = self._slots.get(slot)
+            if state is not None:
+                targets.append((slot, state.oid_int))
         if not targets:
             return "empty"
         oids = [ObjectID.from_int(version) for _, version in targets]
         client = self._client(op.seq)
-        # The whole scan is one batched multi-get: a single coalesced
-        # Lookup per peer instead of scan_length unary calls.
-        payloads = yield from client.multi_get_task(
-            oids, allow_missing=True, attr=attr
-        )
-        read = sum(
-            _checked_len(payload, slot, version)
-            for payload, (slot, version) in zip(payloads, targets)
-            if payload is not None
-        )
+        buffers = yield from client.get_task(oids, True, attr, blocking)
+        if attr is not None:
+            attr.settle("service")
+        read = 0
+        pending = iter(zip(oids, buffers, targets))
+        try:
+            for oid, buffer, (slot, version) in pending:
+                if buffer is None:
+                    continue
+                try:
+                    read += _checked_len(buffer.read_view(), slot, version)
+                finally:
+                    client.release(oid)
+        finally:
+            for oid, buffer, _ in pending:  # only left over when a read raised
+                if buffer is not None:
+                    client.release(oid)
+        if attr is not None:
+            attr.settle("fabric")
         self.result.bytes_read += read
         return "ok"
 
@@ -542,7 +468,7 @@ class ScenarioRunner:
         # the loop may have been busy with other ops: that is queueing.
         attr.settle("queue")
         try:
-            outcome = yield from getattr(self, f"_do_{op.kind}_task")(op, attr)
+            outcome = yield from getattr(self, f"_do_{op.kind}")(op, attr)
         except ReproError as exc:
             outcome = f"error:{type(exc).__name__}"
         attr.settle("client")
@@ -706,7 +632,7 @@ class ScenarioRunner:
         if not self._ingress(op, issue_ns):
             return None
         try:
-            outcome = getattr(self, f"_do_{op.kind}")(op)
+            outcome = drive(getattr(self, f"_do_{op.kind}"), op, None)
         except ReproError as exc:
             outcome = f"error:{type(exc).__name__}"
         return self._complete(op, issue_ns, outcome)

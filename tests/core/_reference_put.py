@@ -20,6 +20,7 @@ from repro.common.errors import (
     ObjectUnavailableError,
     RpcStatusError,
 )
+from repro.rpc.drive import drive
 from repro.rpc.overload import DeadlineBudget
 from repro.rpc.status import StatusCode
 
@@ -121,9 +122,9 @@ def put_bytes(client, object_id, data, metadata=b"", *, replicas=1):
     home = store.placement_home(object_id)
     if home is not None:
         client._ipc.charge_request(nobjects=1, nbytes=len(metadata))
-        if store._drive(
+        if drive(
             partial(_forward_put_task, store), object_id, data, metadata, home,
-            replicas=replicas,
+            replicas=replicas, loop=store._facade_loop(),
         ):
             client.counters.puts_forwarded += 1
             return object_id

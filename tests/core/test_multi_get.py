@@ -10,9 +10,10 @@ from dataclasses import replace
 import pytest
 
 from repro.common.config import testing_config as small_cluster_config
-from repro.common.errors import ObjectNotFoundError
+from repro.common.errors import ObjectNotFoundError, StaleDescriptorError
 from repro.common.units import MiB
 from repro.core import Cluster
+from repro.plasma.buffer import PlasmaBuffer
 
 
 def make_cluster(mode: str = "sync", *, n_nodes: int = 2, **cfg_over) -> Cluster:
@@ -78,6 +79,35 @@ class TestSyncMultiGet:
         out = client.multi_get([ids[0], ids[1], ids[0], ids[0]])
         assert out == [payloads[0], payloads[1], payloads[0], payloads[0]]
         assert client.held_ids() == []
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+@pytest.mark.parametrize("reader", ["node0", "node1"], ids=["local", "remote"])
+def test_a_failed_read_releases_every_reference(monkeypatch, mode, reader):
+    """The read of the second of three objects raises: every reference the
+    Get took still comes back, the third's included — a leaked local one
+    would pin the object and make its delete raise ObjectInUseError."""
+    cluster = make_cluster(mode)
+    ids = cluster.new_object_ids(3)
+    for i, oid in enumerate(ids):
+        cluster.client("node0").put_bytes(oid, bytes([i]) * 64)
+    read_view = PlasmaBuffer.read_view
+    reads = []
+
+    def second_read_fails(buffer):
+        reads.append(buffer.object_id)
+        if len(reads) == 2:
+            raise StaleDescriptorError("injected: the home retired the extent")
+        return read_view(buffer)
+
+    monkeypatch.setattr(PlasmaBuffer, "read_view", second_read_fails)
+    client = cluster.client(reader)
+    with pytest.raises(StaleDescriptorError):
+        client.multi_get(ids)
+    assert reads == ids[:2]
+    assert client.held_ids() == []
+    cluster.store("node0").delete_object(ids[2])
+    assert not cluster.store("node0").contains(ids[2])
 
 
 class TestRpcModeSwitch:

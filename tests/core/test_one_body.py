@@ -1,7 +1,7 @@
 """One body per store operation under both drivers.
 
 ``get_buffers``, ``forward_put`` and ``delete_object`` each have a single
-generator body; a synchronous facade hands it to ``DisaggregatedStore._drive``
+generator body; a synchronous facade hands it to ``repro.rpc.drive.drive``,
 which runs it on the event loop (async mode, loop idle) or inline with
 blocking leaves (sync mode, or a facade called from inside a running task).
 These tests pin the seams that arrangement relies on.
@@ -17,9 +17,13 @@ from repro.common.errors import ObjectStoreError
 from repro.common.ids import ObjectID
 from repro.common.units import KiB, MiB
 from repro.core import Cluster
+from repro.core.store import DisaggregatedStore
 from repro.plasma.client import copy_writer
 from repro.rpc.aio.loop import EventLoop, Sleep
+from repro.rpc.channel import Channel
+from repro.workload import Scenario, ScenarioRunner
 from tests.conftest import oid_homed_at
+from tests.workload.conftest import MINI_OBJ, mini_obj
 
 
 def make_cluster(
@@ -331,9 +335,35 @@ def test_restarted_home_falls_back_to_notifying_every_peer(mode, rpc_log):
 # -- (d) the inline driver refuses a body that suspends ---------------------------------------
 
 
-def test_inline_driver_raises_if_the_body_suspends(cluster):
-    def suspends(blocking: bool = False):
-        yield Sleep(1)
+def suspends(*args, **kwargs):
+    yield Sleep(1)
 
+
+def call_channel(cluster: Cluster) -> None:
+    cluster.node("node0").channels["node1"].unary_call("Store", "Lookup", {})
+
+
+def call_store_facade(cluster: Cluster) -> None:
+    cluster.store("node0").delete_object(cluster.new_object_id())
+
+
+def run_scenario_op(cluster: Cluster) -> None:
+    obj = mini_obj(traffic={**MINI_OBJ["traffic"], "mix": {"read": 100}})
+    ScenarioRunner(Scenario.from_obj(obj)).run()
+
+
+@pytest.mark.parametrize(
+    "owner, body, call",
+    [
+        (Channel, "_call", call_channel),
+        (DisaggregatedStore, "delete_object_task", call_store_facade),
+        (ScenarioRunner, "_do_read", run_scenario_op),
+    ],
+    ids=["channel", "store", "runner"],
+)
+def test_inline_driver_raises_if_the_body_suspends(cluster, monkeypatch, owner, body, call):
+    """``drive`` runs a sync-mode body inline; one that suspends anyway —
+    a channel call, a store facade, a runner op — is a bug, never a hang."""
+    monkeypatch.setattr(owner, body, suspends)
     with pytest.raises(RuntimeError, match="suspended on Sleep"):
-        cluster.store("node0")._drive(suspends)  # noqa: SLF001
+        call(cluster)

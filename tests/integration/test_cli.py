@@ -1,9 +1,11 @@
 """CLI smoke/behaviour tests (python -m repro ...)."""
 
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 SCENARIOS = Path(__file__).resolve().parents[2] / "benchmarks" / "scenarios"
@@ -29,7 +31,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "6.50 GiB/s" in out
         assert "5.75 GiB/s" in out
-        assert "subsystems" in out
+        [line] = [line for line in out.splitlines() if line.startswith("subsystems:")]
+        named = {name.split("(")[0] for name in line.split(":", 1)[1].strip().split(", ")}
+        packages = {m.name for m in pkgutil.iter_modules(repro.__path__) if m.ispkg}
+        assert packages - named == set()
 
     def test_demo(self, capsys):
         assert main(["demo", "--size-mib", "4"]) == 0

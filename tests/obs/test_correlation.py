@@ -108,8 +108,9 @@ class TestEndToEndCorrelation:
         cluster = Cluster(ClusterConfig().with_store(check_remote_uniqueness=False))
         assert cluster.correlation is None
 
-    def test_metrics_only_cluster_still_mints_ids(self):
+    def test_metrics_only_cluster_mints_no_ids(self):
+        # Only span args read a request id; the metrics plane never does.
         cluster = Cluster(
             ClusterConfig(metrics=True).with_store(check_remote_uniqueness=False),
         )
-        assert isinstance(cluster.correlation, CorrelationContext)
+        assert cluster.correlation is None

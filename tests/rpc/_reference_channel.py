@@ -592,12 +592,23 @@ AIO_COUNTER_NAMES = (
 class AsyncChannel(Channel):
     """A :class:`Channel` that can also run its calls as event-loop tasks."""
 
+    # The counters live where the shared CoalescingBuffer increments them:
+    # attributes of a ``task_counters`` group (a dict when this was shipped).
+    class TaskCounters(CounterGroup):
+        tasks_started = tasks_completed = in_flight_peak = 0
+        batches_sent = batched_requests = batched_ids = batch_expired = 0
+        hedges_fired = 0
+
     def __init__(self, *args, loop: EventLoop | None = None, **kwargs):
         super().__init__(*args, **kwargs)
         self._loop = loop
         self._in_flight = 0
         self._buffers: dict[tuple[str, str], CoalescingBuffer] = {}
-        self.aio_counters: dict[str, int] = {name: 0 for name in AIO_COUNTER_NAMES}
+        self.task_counters = self.TaskCounters()
+
+    @property
+    def aio_counters(self) -> dict[str, int]:
+        return {name: getattr(self.task_counters, name) for name in AIO_COUNTER_NAMES}
 
     @property
     def loop(self) -> EventLoop:
@@ -636,9 +647,9 @@ class AsyncChannel(Channel):
         deadline = self._effective_deadline(deadline_ns)
         start_ns = self._clock.now_ns
         self._in_flight += 1
-        self.aio_counters["tasks_started"] += 1
-        if self._in_flight > self.aio_counters["in_flight_peak"]:
-            self.aio_counters["in_flight_peak"] = self._in_flight
+        self.task_counters.tasks_started += 1
+        if self._in_flight > self.task_counters.in_flight_peak:
+            self.task_counters.in_flight_peak = self._in_flight
         try:
             response = yield from self._unary_task_inner(
                 service, method, request, deadline, attr)
@@ -648,7 +659,7 @@ class AsyncChannel(Channel):
             raise
         finally:
             self._in_flight -= 1
-            self.aio_counters["tasks_completed"] += 1
+            self.task_counters.tasks_completed += 1
         self._observe_latency(method, start_ns)
         if self._config.hedge_quantile > 0:
             self._latency_samples.add(self._clock.now_ns - start_ns)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.common.config import testing_config as make_config
+from repro.common.errors import StaleDescriptorError
 from repro.core import Cluster
+from repro.plasma.buffer import PlasmaBuffer
 from repro.workload import Scenario, run_scenario, runner
 from repro.workload.report import bench_artifact_name, dumps_bench
 from repro.workload.runner import _fill_byte, fill_writer
@@ -95,6 +97,36 @@ def _filled(slot, version, size):
     out = bytearray(size)
     fill_writer(slot, version)(memoryview(out))
     return bytes(out)
+
+
+class TestOneBodyPerOp:
+    def test_sync_run_never_runs_the_event_loop(self):
+        sim = runner.ScenarioRunner(Scenario.from_obj(mini_obj()))
+        sim.run()
+        assert sim.cluster.rpc_mode == "sync"
+        assert sim.cluster.loop.events_run == 0
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_a_failed_scan_read_releases_every_reference(self, monkeypatch, mode):
+        """Every third read of a scans-only run raises; each scan still
+        gives back every reference its Get took, past the failed read."""
+        read_view = PlasmaBuffer.read_view
+        reads = []
+
+        def every_third_read_fails(buffer):
+            reads.append(buffer.object_id)
+            if len(reads) % 3 == 2:
+                raise StaleDescriptorError("injected: the home retired the extent")
+            return read_view(buffer)
+
+        monkeypatch.setattr(PlasmaBuffer, "read_view", every_third_read_fails)
+        traffic = {**mini_obj()["traffic"], "mix": {"scan": 100}}
+        sim = runner.ScenarioRunner(
+            Scenario.from_obj(mini_obj(traffic=traffic, rpc={"mode": mode}))
+        )
+        result = sim.run()
+        assert result.outcomes["error:StaleDescriptorError"] > 0
+        assert [client.held_ids() for client in sim._clients] == [[], []]
 
 
 class TestPayloadHelper:

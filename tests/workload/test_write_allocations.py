@@ -41,18 +41,14 @@ def write_peaks(monkeypatch, mode: str, replicas: int) -> list[tuple[int, int]]:
         peaks.append((forwarded(sim) - before, peak))
         return outcome
 
-    def measured(sim, op):
+    def measured(sim, op, attr, blocking=False):
         started = start(sim)
-        return finish(sim, started, do_write(sim, op))
+        outcome = yield from do_write(sim, op, attr, blocking)
+        return finish(sim, started, outcome)
 
-    def measured_task(sim, op, attr):
-        started = start(sim)
-        return finish(sim, started, (yield from do_write_task(sim, op, attr)))
-
+    # The one write body, run inline (sync) or as a task (async).
     do_write = runner.ScenarioRunner._do_write
-    do_write_task = runner.ScenarioRunner._do_write_task
     monkeypatch.setattr(runner.ScenarioRunner, "_do_write", measured)
-    monkeypatch.setattr(runner.ScenarioRunner, "_do_write_task", measured_task)
     obj = mini_obj(
         cluster={"nodes": 2, "capacity_mib": 64, "replicas": replicas},
         population={"objects": 4, "size": {"dist": "fixed", "bytes": OBJECT_BYTES}},
