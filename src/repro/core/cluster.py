@@ -336,7 +336,7 @@ class Cluster:
         schedules on the loop and every draw sequence matches a pre-async
         build byte for byte. Async mode routes the store facades through
         their task forms (pipelining, coalesced batches, hedged
-        scatter-gather lookups, chunked bulk pulls). A mode the config
+        scatter-gather lookups). A mode the config
         would refuse at construction is refused here too.
         """
         config = replace(self._config, rpc=replace(self._config.rpc, mode=mode))

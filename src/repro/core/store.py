@@ -29,7 +29,7 @@ switch, all benchmarked):
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 from repro.common.clock import SimClock
 from repro.common.config import StoreConfig
@@ -56,8 +56,7 @@ from repro.plasma.entry import ObjectEntry
 from repro.plasma.notifications import SealNotification
 from repro.plasma.store import PlasmaStore
 from repro.rpc.aio.loop import Sleep
-from repro.rpc.aio.streaming import stream_pull
-from repro.rpc.drive import drive
+from repro.rpc.drive import drive, fan_out
 from repro.rpc.status import StatusCode
 from repro.common.errors import RpcStatusError
 from repro.thymesisflow.endpoint import ThymesisEndpoint
@@ -65,6 +64,8 @@ from repro.tier.source import CachedBufferSource, TierBufferSource
 
 #: What an unobserved call opens in place of a span.
 _UNOBSERVED = nullcontext()
+#: The status codes that mean a peer's metadata plane cannot answer.
+_UNREACHABLE = (StatusCode.UNAVAILABLE, StatusCode.DEADLINE_EXCEEDED)
 
 
 class DisaggregatedStore(PlasmaStore):
@@ -587,8 +588,10 @@ class DisaggregatedStore(PlasmaStore):
             self._retire_and_free(entry)
         self._deferred_retires.discard(object_id)
         self._replicated_to.pop(object_id, None)
-        self._announce_deleted(
-            [object_id], *self._deletion_plan([object_id], broadcast=True)
+        drive(
+            self._announce_deleted_task,
+            [object_id],
+            *self._deletion_plan([object_id], broadcast=True),
         )
         self._notify(SealNotification(object_id, entry.data_size, deleted=True))
         self.counters.objects_migrated_out += 1
@@ -623,7 +626,7 @@ class DisaggregatedStore(PlasmaStore):
         by an open circuit breaker) or it cannot answer within the deadline.
         Data in its exposed memory stays reachable over the fabric; only the
         metadata plane is skipped."""
-        if exc.code in (StatusCode.UNAVAILABLE, StatusCode.DEADLINE_EXCEEDED):
+        if exc.code in _UNREACHABLE:
             self.counters.peers_unavailable += 1
             return True
         return False
@@ -720,78 +723,87 @@ class DisaggregatedStore(PlasmaStore):
     ):
         """The one body of :meth:`get_buffers`. The local table and
         tier-cache scans are instant; unresolved ids are looked up and
-        pinned through the leaves *blocking* selects for this invocation:
-        the ordered per-peer sweep and sequential AddRef calls, or
-        concurrent (scatter-gather, optionally hedged) batched Lookups and
-        a gathered AddRef pin."""
+        pinned by the fan-outs *blocking* selects for this invocation: peer
+        by peer, or concurrent (scatter-gather, optionally hedged) batched
+        Lookups and a gathered AddRef pin. A Get that raises first gives
+        back every reference it took."""
         buffers: dict[ObjectID, PlasmaBuffer | None] = {}
+        taken: list = []  # (release, id) per reference held so far
         missing: list[ObjectID] = []
-        found_local = 0
-        with self.table.lock:
-            for oid in object_ids:
-                entry = self.table.lookup(oid)
-                if entry is not None:
-                    found_local += 1
-                    if not entry.is_sealed:
-                        if allow_missing:
-                            buffers[oid] = None
-                            continue
-                        raise ObjectNotFoundError(
-                            f"{oid!r} exists locally but is not sealed"
-                        )
-                    self.table.add_ref(oid)
-                    buffers[oid] = self.local_buffer(entry)
-                    if self._tier is not None:
-                        self._tier.note_local_get(oid)
-                else:
-                    missing.append(oid)
-        served_cached = 0
-        if missing and self._tier is not None and self._notify_deletions:
-            # Pre-resolution fast path: a cached incarnation can be served
-            # without touching the home at all — no Lookup, no AddRef/
-            # ReleaseRef round trips, no fabric stream. Sound only because
-            # deletes and evictions *push* NotifyDeleted to every peer that
-            # resolved the descriptor from the store that will push it
-            # (hence the gate), so anything still cached is live.
-            unresolved: list[ObjectID] = []
-            for oid in missing:
-                if oid in self._remote_records:
-                    # A held handle pinned this incarnation at its home;
-                    # keep the resolving path's refcounts authoritative.
-                    unresolved.append(oid)
-                    continue
-                hit = self._tier.serve_cached(oid)
-                if hit is None:
-                    unresolved.append(oid)
-                    continue
-                _, payload, home = hit
-                buffers[oid] = self._cache_served_buffer(oid, payload, home)
-                self._tier.note_served(oid)
-                self._tier.note_remote_get(oid)
-                served_cached += 1
-            missing = unresolved
-        found_remote = 0
-        if missing:
-            records = yield from self._resolve_remote_task(
-                missing, allow_missing, attr, blocking
-            )
-            newly_pinned: dict[str, list[ObjectID]] = {}
-            for oid in missing:
-                record = records.get(oid)
-                if record is None:
-                    buffers[oid] = None  # allow_missing guaranteed by resolve
-                    continue
-                if record.local_refs == 0 and self._share_usage:
-                    newly_pinned.setdefault(record.home, []).append(oid)
-                record.local_refs += 1
-                buffers[oid] = self._remote_buffer(record)
-                found_remote += 1
-                if self._tier is not None:
+        found_local = found_remote = served_cached = 0
+        try:
+            with self.table.lock:
+                for oid in object_ids:
+                    entry = self.table.lookup(oid)
+                    if entry is not None:
+                        found_local += 1
+                        if not entry.is_sealed:
+                            if allow_missing:
+                                buffers[oid] = None
+                                continue
+                            raise ObjectNotFoundError(
+                                f"{oid!r} exists locally but is not sealed"
+                            )
+                        self.table.add_ref(oid)
+                        taken.append((self.release_ref, oid))
+                        buffers[oid] = self.local_buffer(entry)
+                        if self._tier is not None:
+                            self._tier.note_local_get(oid)
+                    else:
+                        missing.append(oid)
+            if missing and self._tier is not None and self._notify_deletions:
+                # Pre-resolution fast path: a cached incarnation can be
+                # served without touching the home at all — no Lookup, no
+                # AddRef/ReleaseRef round trips, no fabric stream. Sound only
+                # because deletes and evictions *push* NotifyDeleted to every
+                # peer that resolved the descriptor from the store that will
+                # push it (hence the gate), so anything still cached is live.
+                unresolved: list[ObjectID] = []
+                for oid in missing:
+                    if oid in self._remote_records:
+                        # A held handle pinned this incarnation at its home;
+                        # keep the resolving path's refcounts authoritative.
+                        unresolved.append(oid)
+                        continue
+                    hit = self._tier.serve_cached(oid)
+                    if hit is None:
+                        unresolved.append(oid)
+                        continue
+                    _, payload, home = hit
+                    buffers[oid] = self._cache_served_buffer(oid, payload, home)
+                    self._tier.note_served(oid)
+                    taken.append((self._tier.release_served, oid))
                     self._tier.note_remote_get(oid)
-            if blocking:
-                self._pin_at_home(newly_pinned)
-            else:
-                yield from self._pin_at_home_task(newly_pinned, attr)
+                    served_cached += 1
+                missing = unresolved
+            if missing:
+                records = yield from self._resolve_remote_task(
+                    missing, allow_missing, attr, blocking
+                )
+                newly_pinned: dict[str, list[ObjectID]] = {}
+                for oid in missing:
+                    record = records.get(oid)
+                    if record is None:
+                        buffers[oid] = None  # allow_missing guaranteed by resolve
+                        continue
+                    if record.local_refs == 0 and self._share_usage:
+                        newly_pinned.setdefault(record.home, []).append(oid)
+                    record.local_refs += 1
+                    taken.append((self.release_object, oid))
+                    buffers[oid] = self._remote_buffer(record)
+                    found_remote += 1
+                    if self._tier is not None:
+                        self._tier.note_remote_get(oid)
+                yield from self._pin_at_home_task(newly_pinned, attr, blocking)
+        except Exception:
+            for release, oid in reversed(taken):
+                with suppress(RpcStatusError):  # an unreachable home keeps its pin
+                    release(oid)
+            for oid in missing:
+                record = self._remote_records.get(oid)
+                if record is not None and record.local_refs == 0:
+                    del self._remote_records[oid]  # claimed, never referenced
+            raise
         self.counters.gets_local += found_local
         self.counters.gets_remote += found_remote
         if served_cached:
@@ -806,8 +818,7 @@ class DisaggregatedStore(PlasmaStore):
         blocking: bool = False,
     ):
         """Ids to remote records: held records, then the lookup cache, then
-        the peers — by the blocking ordered sweep (:meth:`_rpc_lookup`) or
-        the scatter-gather task form."""
+        the peers (:meth:`_rpc_lookup_task`)."""
         resolved: dict[ObjectID, RemoteObjectRecord] = {}
         unresolved: list[ObjectID] = []
         for oid in object_ids:
@@ -823,12 +834,9 @@ class DisaggregatedStore(PlasmaStore):
                 unresolved.append(oid)
         if unresolved:
             unreachable: list[str] = []
-            if blocking:
-                still = self._rpc_lookup(unresolved, resolved, unreachable)
-            else:
-                still = yield from self._rpc_lookup_task(
-                    unresolved, resolved, unreachable, attr
-                )
+            still = yield from self._rpc_lookup_task(
+                unresolved, resolved, unreachable, attr, blocking
+            )
             if still and not allow_missing:
                 detail = ", ".join(repr(oid) for oid in still[:5])
                 if unreachable:
@@ -845,57 +853,96 @@ class DisaggregatedStore(PlasmaStore):
                 )
         return resolved
 
-    def _rpc_lookup(
+    def _rpc_lookup_task(
         self,
         object_ids: list[ObjectID],
         resolved: dict[ObjectID, RemoteObjectRecord],
-        unreachable: list[str] | None = None,
-    ) -> list[ObjectID]:
-        """One batched Lookup per peer until everything resolves; returns
-        the ids nobody claimed. Peers whose metadata plane cannot answer
-        (down, breaker-open, past deadline) are skipped and collected into
-        *unreachable*; so is a peer shedding under overload — its objects
-        may well exist, so unresolved ids surface as the typed outage
-        rather than not-found.
+        unreachable: list[str],
+        attr=None,
+        blocking: bool = False,
+    ):
+        """Ask the peers for *object_ids*, one sweep over the order
+        :meth:`_probe_order` gives; returns the ids nobody claimed. Peers
+        whose metadata plane cannot answer (down, breaker-open, past
+        deadline) are skipped and collected into *unreachable*; so is a peer
+        shedding under overload — its objects may well exist, so unresolved
+        ids surface as the typed outage rather than not-found.
 
-        When hedging is configured on the channels, a non-final peer is
-        only waited on for the hedge delay (a configured quantile of that
-        channel's observed latency): on expiry the sweep abandons the
-        attempt (the cancellation) and moves straight to the next holder.
-        A sweep that still has unresolved ids afterwards retries the
-        hedged (slow, not dead) peers once with the full deadline —
-        hedging trades tail latency for duplicate work, never
-        availability."""
+        A task first asks the ring homes concurrently, each hedged to the
+        next peer after the channel's ``hedge_stagger_ns`` (losers run out
+        harmlessly — Lookup is idempotent); the sweep then never goes back
+        to a home that answered no (one that failed, or lost its hedge
+        race, is asked again like any other peer) — any peer might hold a
+        replica, and the ring view might be stale.
+
+        A blocking sweep waits on a non-final peer only for the channel's
+        hedge delay (a configured quantile of its observed latency), if
+        hedging is configured: on expiry it moves straight to the next
+        holder, and ids still unresolved at the end are retried once at the
+        hedged (slow, not dead) peers with the full deadline — hedging
+        trades tail latency for duplicate work, never availability."""
         remaining = list(object_ids)
-        _, peers = self._probe_order(remaining)
+        by_home, peers = self._probe_order(remaining)
+        said_no: dict[str, list[ObjectID]] = {}
+        if by_home and not blocking:
+            loop = self._aio_loop
+            homes = sorted(by_home)
+            probes = [
+                loop.spawn(
+                    self._probe_peer_task(
+                        home, by_home[home], resolved, unreachable, attr
+                    ),
+                    name=("lookup", home),
+                )
+                for home in homes
+            ]
+            results = yield loop.gather(probes)
+            for home, result in zip(homes, results):
+                if isinstance(result, BaseException):
+                    raise result
+                if result:
+                    said_no[home] = by_home[home]
+            remaining = [oid for oid in object_ids if oid not in resolved]
         hedged: list[str] = []
+        last = len(peers) - 1
         for index, name in enumerate(peers):
             if not remaining:
                 break
-            hedge_ns = None
-            if index < len(peers) - 1:
-                hedge_ns = self._peers[name].stub.channel.hedge_delay_ns()
-            remaining = self._lookup_peer(
-                name, remaining, resolved, unreachable, hedged, hedge_ns
+            asked = said_no.get(name)
+            ids = (
+                remaining
+                if asked is None
+                else [oid for oid in remaining if oid not in asked]
             )
+            if not ids:
+                continue
+            hedge_ns = None
+            if blocking and index < last:
+                hedge_ns = self._peer_channel(name).hedge_delay_ns()
+            unclaimed = yield from self._lookup_peer_task(
+                name, ids, resolved, unreachable, attr,
+                blocking=blocking, hedged=hedged, hedge_ns=hedge_ns,
+            )
+            if len(unclaimed) != len(ids):
+                remaining = [oid for oid in remaining if oid not in resolved]
         if remaining and hedged:
             self.counters.lookup_hedge_losses += 1
             for name in hedged:
                 if not remaining:
                     break
-                remaining = self._lookup_peer(
-                    name, remaining, resolved, unreachable, None, None
+                remaining = yield from self._lookup_peer_task(
+                    name, remaining, resolved, unreachable, attr, blocking=blocking
                 )
         return remaining
 
     def _probe_order(
         self, object_ids: list[ObjectID]
     ) -> tuple[dict[str, list[ObjectID]], list[str]]:
-        """Who a Lookup of *object_ids* asks, in which order — the one
-        order both drivers use. Returns the ids grouped under their ring
-        home (placement on, home a connected peer other than us) and every
-        peer: those homes first, then the rest, each part in ``peers()``
-        order. Without a ring, that is just ``peers()``."""
+        """Who a Lookup of *object_ids* asks, in which order, in either
+        mode. Returns the ids grouped under their ring home (placement on,
+        home a connected peer other than us) and every peer: those homes
+        first, then the rest, each part in ``peers()`` order. Without a
+        ring, that is just ``peers()``."""
         peers = self.peers()
         ring = self._ring
         if ring is None:
@@ -911,33 +958,113 @@ class DisaggregatedStore(PlasmaStore):
             name for name in peers if name not in by_home
         ]
 
-    def _lookup_peer(
+    def _probe_peer_task(
+        self,
+        name: str,
+        ids: list[ObjectID],
+        resolved: dict,
+        unreachable: list[str],
+        attr=None,
+    ):
+        """One targeted probe, hedged: race the home's Lookup against a
+        staggered backup probe at the next peer. Returns whether the home
+        itself answered."""
+        loop = self._aio_loop
+        stagger = self._peer_channel(name).hedge_stagger_ns
+        backup = None
+        if stagger > 0:
+            peers = self.peers()
+            candidate = peers[(peers.index(name) + 1) % len(peers)]
+            if candidate != name:
+                backup = candidate
+        primary = loop.spawn(
+            self._lookup_peer_task(name, ids, resolved, unreachable, attr),
+            name=("probe", name),
+        )
+        if backup is None:
+            yield primary
+            return name not in unreachable
+        hedge = loop.spawn(
+            self._hedge_probe_task(stagger, backup, ids, resolved, primary),
+            name=("hedge", backup),
+        )
+        race_start_ns = self.clock.now_ns
+        index, outcome = yield loop.race([primary, hedge])
+        if attr is not None:
+            # Only the wait *past* the stagger ran in hedged territory; a
+            # primary that answers inside the stagger is ordinary lookup
+            # time and charges nothing to the hedge bucket.
+            attr.hint(
+                "hedge",
+                max(0.0, self.clock.now_ns - race_start_ns - stagger),
+            )
+        if isinstance(outcome, BaseException):
+            raise outcome
+        if index == 1:
+            self.counters.lookup_hedge_wins += 1
+            return False
+        return name not in unreachable
+
+    def _hedge_probe_task(self, stagger_ns, name, ids, resolved, primary):
+        """The backup half of a hedged probe: wait out the stagger; if the
+        primary has not answered, fire the same Lookup at the next peer.
+        Never marks anyone unreachable — it is a latency hedge, not a
+        failure detector."""
+        yield Sleep(stagger_ns)
+        if primary.future.done():
+            return list(ids)
+        self._peer_channel(name).task_counters.hedges_fired += 1
+        self.counters.lookup_hedges_fired += 1
+        result = yield from self._lookup_peer_task(
+            name, ids, resolved, None, None
+        )
+        return result
+
+    def _lookup_peer_task(
         self,
         name: str,
         remaining: list[ObjectID],
         resolved: dict[ObjectID, RemoteObjectRecord],
         unreachable: list[str] | None,
-        hedged: list[str] | None,
-        hedge_ns: float | None,
-    ) -> list[ObjectID]:
-        """Probe one peer with a batched Lookup (optionally clamped to the
-        hedge delay); returns the ids it did not claim."""
-        payload = {"object_ids": [oid.binary() for oid in remaining]}
-        stub = self._peers[name].stub
+        attr=None,
+        *,
+        blocking: bool = False,
+        hedged: list[str] | None = None,
+        hedge_ns: float | None = None,
+    ):
+        """Probe one peer with a batched Lookup; returns the ids it did not
+        claim. A task's Lookup goes through the peer channel's coalescing
+        buffer (sharing a wire message with any other lookup landing within
+        the batch window); a blocking one is a unary call, clamped to
+        *hedge_ns* when given — a clamped probe that runs out is the hedge
+        firing, and the peer goes on *hedged*, not on *unreachable*."""
+        wire_ids = [oid.binary() for oid in remaining]
+        channel = self._peer_channel(name)
+        service = self._peers[name].stub.service
         try:
-            if hedge_ns is not None:
-                if self.spans is not None:
-                    # Time burned waiting on a hedge-clamped probe is the
-                    # cost of the hedging policy, not ordinary service —
-                    # attribute every ns of this attempt to "hedge".
-                    with self.spans.component("hedge"):
-                        response = stub.Lookup(payload, deadline_ns=hedge_ns)
-                else:
-                    response = stub.Lookup(payload, deadline_ns=hedge_ns)
+            if not blocking:
+                response = yield channel.batched_call(
+                    service, "Lookup", wire_ids, attr=attr
+                )
             else:
-                response = stub.Lookup(payload)
+                # Time burned waiting on a hedge-clamped probe is the cost
+                # of the hedging policy, not ordinary service — attribute
+                # every ns of this attempt to "hedge".
+                scope = (
+                    self.spans.component("hedge")
+                    if hedge_ns is not None and self.spans is not None
+                    else _UNOBSERVED
+                )
+                with scope:
+                    response = yield from channel.unary_task(
+                        service,
+                        "Lookup",
+                        {"object_ids": wire_ids},
+                        deadline_ns=hedge_ns,
+                        blocking=True,
+                    )
         except ServerOverloadedError:
-            if hedge_ns is not None and hedged is not None:
+            if hedge_ns is not None:
                 # Shed *under the hedge clamp*: the server refused work it
                 # could not finish inside the hedge window. That is the
                 # hedge firing, not an outage — the peer stays eligible
@@ -949,7 +1076,7 @@ class DisaggregatedStore(PlasmaStore):
             # fail over (the channel's breaker/retry budget already did
             # their part).
             self.counters.lookups_shed += 1
-            if unreachable is not None:
+            if unreachable is not None and name not in unreachable:
                 unreachable.append(name)
             return remaining
         except RpcStatusError as exc:
@@ -960,13 +1087,13 @@ class DisaggregatedStore(PlasmaStore):
                 self.counters.lookup_hedges_fired += 1
                 hedged.append(name)
                 return remaining
-            # A down peer's objects are unreachable by lookup (their
-            # bytes survive in exposed memory, but nobody can resolve
-            # ids to offsets) — skip it and keep serving. An open
-            # circuit breaker takes this same path, at ~1 us instead
-            # of a full timed-out round trip.
+            # A down peer's objects are unreachable by lookup (their bytes
+            # survive in exposed memory, but nobody can resolve ids to
+            # offsets) — skip it and keep serving. An open circuit breaker
+            # takes this same path, at ~1 us instead of a full timed-out
+            # round trip.
             if self._peer_unavailable(name, exc):
-                if unreachable is not None:
+                if unreachable is not None and name not in unreachable:
                     unreachable.append(name)
                 return remaining
             raise
@@ -1000,17 +1127,12 @@ class DisaggregatedStore(PlasmaStore):
         """Bulk-pull a peer object's payload into a fresh local extent
         (migration adoption, replica materialisation, tier promotion all
         come through here), straight into the extent's window: one copy.
-        Sync mode keeps the baseline one-lump ``view + charge_read`` shape
-        byte-for-byte; async mode streams in 64 KiB chunks, charging the
-        identical link model per slice. Either way one local-write charge
-        follows the pull."""
+        The pull runs inline inside an RPC dispatch in either mode, so it is
+        one ``view + charge_read`` lump, then one local-write charge."""
         buffer = self.local_buffer(entry)
-        if self._rpc_async:
-            stream_pull(handle.remote_region, offset, data_size, buffer.view())
-        else:
-            payload = handle.remote_region.view(offset, data_size)
-            handle.remote_region.charge_read(data_size)
-            buffer.view()[:] = payload
+        payload = handle.remote_region.view(offset, data_size)
+        handle.remote_region.charge_read(data_size)
+        buffer.view()[:] = payload
         buffer.charge_sequential_write()
 
     def _remote_buffer(self, record: RemoteObjectRecord) -> PlasmaBuffer:
@@ -1081,7 +1203,7 @@ class DisaggregatedStore(PlasmaStore):
             self._tier.cache.invalidate(object_id)
         resolved: dict[ObjectID, RemoteObjectRecord] = {}
         try:
-            self._rpc_lookup([object_id], resolved, unreachable=[])
+            drive(self._rpc_lookup_task, [object_id], resolved, [])
         except RpcStatusError:
             return None
         record = resolved.get(object_id)
@@ -1103,35 +1225,52 @@ class DisaggregatedStore(PlasmaStore):
         handle = self.peer(record.home)
         return handle.remote_region, record.offset, self._integrity_for(record)
 
-    def _pin_at_home(self, by_home: dict[str, list[ObjectID]]) -> None:
-        for home, oids in by_home.items():
-            try:
-                self._peers[home].stub.AddRef(
-                    {"object_ids": [oid.binary() for oid in oids]}
-                )
-            except RpcStatusError as exc:
-                if exc.code is StatusCode.NOT_FOUND:
-                    # The object vanished between lookup and pin — surface
-                    # as not-found so the client can retry cleanly.
-                    raise ObjectNotFoundError(str(exc)) from exc
-                raise
-            for oid in oids:
+    def _pin_at_home_task(
+        self, by_home: dict[str, list[ObjectID]], attr=None, blocking: bool = False
+    ):
+        """Pin newly referenced records at their homes: one AddRef per home
+        listing its ids, home by home (*blocking*, stopping at the first
+        error) or gathered. Every home that granted its pin is recorded
+        before the first failure is raised, so the caller's release gives
+        each one back; an id that vanished since its lookup surfaces as
+        not-found so the client can retry cleanly."""
+        if not by_home:
+            return
+        homes = sorted(by_home)
+        calls = [
+            (self._peers[home].stub, "AddRef", [oid.binary() for oid in by_home[home]])
+            for home in homes
+        ]
+        outcomes = yield from fan_out(
+            calls, blocking=blocking, loop=self._aio_loop, attr=attr
+        )
+        failure = None
+        for home, outcome in zip(homes, outcomes):
+            if isinstance(outcome, BaseException):
+                failure = failure or outcome
+                continue
+            for oid in by_home[home]:
                 self._remote_records[oid].pinned_at_home = True
             self.counters.addref_rpcs += 1
+        if isinstance(failure, RpcStatusError) and failure.code is StatusCode.NOT_FOUND:
+            raise ObjectNotFoundError(str(failure)) from failure
+        if failure is not None:
+            raise failure
 
     # -- one body, two drivers (repro.rpc.aio) ----------------------------------------
     #
     # get_buffers, forward_put and delete_object each have ONE body, a
-    # generator taking ``blocking`` (their ``*_task`` form). Tasks ``yield
-    # from`` it; the synchronous facades hand it to repro.rpc.drive.drive(),
-    # which spawns it on the loop _facade_loop() names (async mode) and
-    # otherwise runs it inline with blocking leaves. What still exists twice
-    # are those leaves — the ordered lookup sweep vs scatter-gather,
-    # sequential vs gathered pin and deletion fan-out (one message plan,
-    # _deletion_plan, sent two ways) — because one-at-a-time and concurrent
-    # calls charge time differently (docs/architecture.md, "Async RPC core").
-    # A single unary hop needs no second leaf: the channel's unary_task takes
-    # the same ``blocking``.
+    # generator taking ``blocking`` (their ``*_task`` form), and so do the
+    # fan-outs beneath them: the lookup, the AddRef pin and the deletion
+    # push. Tasks ``yield from`` a body; a synchronous caller hands it to
+    # repro.rpc.drive.drive(), which spawns it on the loop _facade_loop()
+    # names (async-mode facades) and otherwise runs it inline, where every
+    # per-peer call blocks in turn (repro.rpc.drive.fan_out). The blocking
+    # form serves both modes: the eviction round (_announce_evicted, inside
+    # an allocation), retire_migrated, quarantine_object, revoke_replicas
+    # (inside a handler) and _refresh_stale (inside a buffer read) cannot
+    # suspend, so they drive the deletion push or the lookup inline whatever
+    # the mode (docs/architecture.md, "Async RPC core").
 
     def attach_aio(self, loop, *, async_mode: bool = False) -> None:
         """Wire the cluster-wide event loop; *async_mode* makes the sync
@@ -1168,187 +1307,6 @@ class DisaggregatedStore(PlasmaStore):
         """The :class:`~repro.rpc.channel.Channel` under the peer's stub."""
         return self._peers[name].stub.channel
 
-    def _rpc_lookup_task(
-        self,
-        object_ids: list[ObjectID],
-        resolved: dict[ObjectID, RemoteObjectRecord],
-        unreachable: list[str],
-        attr=None,
-    ):
-        """Scatter-gather replica resolution (task form of `_rpc_lookup`).
-
-        Same probe order (:meth:`_probe_order`), asked concurrently where
-        it can be: the ring homes first, one batched Lookup each, each
-        hedged to the next peer after the channel's ``hedge_stagger_ns``
-        (losers run out harmlessly — Lookup is idempotent). Whatever no
-        home claims goes on the ordered sweep over the rest of that order
-        — any peer might hold a replica, and the ring view might be stale
-        — never back to a home that already answered no (one that failed,
-        or lost its hedge race, is asked again like any other peer)."""
-        remaining = list(object_ids)
-        by_home, peers = self._probe_order(remaining)
-        if not peers:
-            return remaining
-        said_no: dict[str, list[ObjectID]] = {}
-        if by_home:
-            loop = self._aio_loop
-            homes = sorted(by_home)
-            probes = [
-                loop.spawn(
-                    self._probe_peer_task(
-                        home, by_home[home], resolved, unreachable, attr
-                    ),
-                    name=("lookup", home),
-                )
-                for home in homes
-            ]
-            results = yield loop.gather(probes)
-            for home, result in zip(homes, results):
-                if isinstance(result, BaseException):
-                    raise result
-                if result:
-                    said_no[home] = by_home[home]
-            remaining = [oid for oid in object_ids if oid not in resolved]
-        for name in peers:
-            if not remaining:
-                break
-            asked = said_no.get(name)
-            ids = (
-                remaining
-                if asked is None
-                else [oid for oid in remaining if oid not in asked]
-            )
-            if not ids:
-                continue
-            unclaimed = yield from self._lookup_peer_task(
-                name, ids, resolved, unreachable, attr
-            )
-            if len(unclaimed) != len(ids):
-                remaining = [oid for oid in remaining if oid not in resolved]
-        return remaining
-
-    def _probe_peer_task(
-        self,
-        name: str,
-        ids: list[ObjectID],
-        resolved: dict,
-        unreachable: list[str],
-        attr=None,
-    ):
-        """One targeted probe, hedged: race the home's Lookup against a
-        staggered backup probe at the next peer. Returns whether the home
-        itself answered."""
-        loop = self._aio_loop
-        stagger = self._peer_channel(name).hedge_stagger_ns
-        backup = None
-        if stagger > 0:
-            peers = self.peers()
-            candidate = peers[(peers.index(name) + 1) % len(peers)]
-            if candidate != name:
-                backup = candidate
-        primary = loop.spawn(
-            self._lookup_peer_task(name, ids, resolved, unreachable, attr),
-            name=("probe", name),
-        )
-        if backup is None:
-            yield primary
-            return name not in unreachable
-        hedge = loop.spawn(
-            self._hedge_probe_task(stagger, backup, ids, resolved, primary),
-            name=("hedge", backup),
-        )
-        race_start_ns = self.clock.now_ns
-        index, outcome = yield loop.race([primary, hedge])
-        if attr is not None:
-            # Only the wait *past* the stagger ran in hedged territory; a
-            # primary that answers inside the stagger is ordinary lookup
-            # time and charges nothing to the hedge bucket.
-            attr.hint(
-                "hedge",
-                max(0.0, self.clock.now_ns - race_start_ns - stagger),
-            )
-        if isinstance(outcome, BaseException):
-            raise outcome
-        if index == 1:
-            self.counters.lookup_hedge_wins += 1
-            return False
-        return name not in unreachable
-
-    def _hedge_probe_task(self, stagger_ns, name, ids, resolved, primary):
-        """The backup half of a hedged probe: wait out the stagger; if the
-        primary has not answered, fire the same Lookup at the next peer.
-        Never marks anyone unreachable — it is a latency hedge, not a
-        failure detector."""
-        yield Sleep(stagger_ns)
-        if primary.future.done():
-            return list(ids)
-        self._peer_channel(name).task_counters.hedges_fired += 1
-        self.counters.lookup_hedges_fired += 1
-        result = yield from self._lookup_peer_task(
-            name, ids, resolved, None, None
-        )
-        return result
-
-    def _lookup_peer_task(
-        self,
-        name: str,
-        remaining: list[ObjectID],
-        resolved: dict,
-        unreachable: list[str] | None,
-        attr=None,
-    ):
-        """Task form of `_lookup_peer`: the Lookup goes through the peer
-        channel's coalescing buffer (sharing a wire message with any other
-        lookup landing within the batch window); error mapping matches the
-        sync path."""
-        try:
-            response = yield self._peer_channel(name).batched_call(
-                self._peers[name].stub.service,
-                "Lookup",
-                [oid.binary() for oid in remaining],
-                attr=attr,
-            )
-        except ServerOverloadedError:
-            self.counters.lookups_shed += 1
-            if unreachable is not None and name not in unreachable:
-                unreachable.append(name)
-            return list(remaining)
-        except RpcStatusError as exc:
-            if self._peer_unavailable(name, exc):
-                if unreachable is not None and name not in unreachable:
-                    unreachable.append(name)
-                return list(remaining)
-            raise
-        claimed = self._claim_found(name, response, resolved)
-        return [oid for oid in remaining if oid not in claimed]
-
-    def _pin_at_home_task(self, by_home: dict[str, list[ObjectID]], attr=None):
-        """Gathered, batched AddRef pins (task form of `_pin_at_home`)."""
-        if not by_home:
-            return
-        homes = sorted(by_home)
-        results = yield self._aio_loop.gather(
-            [
-                self._peer_channel(home).batched_call(
-                    self._peers[home].stub.service,
-                    "AddRef",
-                    [oid.binary() for oid in by_home[home]],
-                    attr=attr,
-                )
-                for home in homes
-            ]
-        )
-        for home, result in zip(homes, results):
-            if isinstance(result, RpcStatusError):
-                if result.code is StatusCode.NOT_FOUND:
-                    raise ObjectNotFoundError(str(result)) from result
-                raise result
-            if isinstance(result, BaseException):
-                raise result
-            for oid in by_home[home]:
-                self._remote_records[oid].pinned_at_home = True
-            self.counters.addref_rpcs += 1
-
     def delete_object_task(
         self, object_id: ObjectID, attr=None, blocking: bool = False
     ):
@@ -1361,63 +1319,10 @@ class DisaggregatedStore(PlasmaStore):
         notify, drop = self._deletion_plan(
             [object_id], self._pop_replica_holders(object_id)
         )
-        if blocking:
-            self._announce_deleted([object_id], notify, drop)
-        else:
-            yield from self._announce_deleted_task([object_id], notify, drop, attr)
-        self._replicas_of.pop(object_id, None)
-
-    def _announce_deleted_task(
-        self,
-        object_ids: list[ObjectID],
-        notify: list[tuple[str, list[ObjectID]]],
-        drop: list[str],
-        attr=None,
-    ):
-        """Task form of `_announce_deleted`, same unavailable-peer
-        tolerance: the whole plan is ONE gather — a batched NotifyDeleted
-        per *notify* peer and (DropReplica is not batchable) one pipelined
-        unary per *drop* peer."""
-        loop = self._aio_loop
-        calls = [
-            self._peer_channel(name).batched_call(
-                self._peers[name].stub.service,
-                "NotifyDeleted",
-                [oid.binary() for oid in ids],
-                attr=attr,
-            )
-            for name, ids in notify
-        ]
-        wire_ids = [oid.binary() for oid in object_ids]
-        calls += [
-            loop.spawn(
-                self._peer_channel(name).unary_task(
-                    self._peers[name].stub.service,
-                    "DropReplica",
-                    {"object_ids": wire_ids},
-                    attr=attr,
-                ),
-                name=("drop-replica", name),
-            )
-            for name in drop
-        ]
-        results = yield loop.gather(calls)
-        self._raise_unless_unavailable(
-            [name for name, _ in notify] + drop, results
+        yield from self._announce_deleted_task(
+            [object_id], notify, drop, attr, blocking
         )
-        if self._notify_deletions:
-            self.counters.delete_notifications += len(object_ids)
-
-    def _raise_unless_unavailable(self, names: list[str], results: list) -> None:
-        """Gathered fan-out results, peer by peer: an unreachable peer is
-        tolerated (and counted), any other failure is raised."""
-        for name, result in zip(names, results):
-            if isinstance(result, RpcStatusError):
-                if self._peer_unavailable(name, result):
-                    continue
-                raise result
-            if isinstance(result, BaseException):
-                raise result
+        self._replicas_of.pop(object_id, None)
 
     # -- replication for failover reads (degraded-mode extension) ------------------------------
 
@@ -1516,7 +1421,7 @@ class DisaggregatedStore(PlasmaStore):
             self._sharers[oid] = set()  # everyone who knew has been told
         notify = [(name, ids) for name, ids in notify if name != caller]
         if notify:
-            self._send_deleted(notify, [], ())
+            drive(self._announce_deleted_task, (), notify, [])
             self.counters.replica_revocations += len(notify)
 
     def drop_replicas(self, object_ids: list[ObjectID]) -> int:
@@ -1575,8 +1480,10 @@ class DisaggregatedStore(PlasmaStore):
         """Quarantine locally and stop advertising the corrupt object to
         peers (Lookup no longer answers it; cache invalidation push)."""
         entry = super().quarantine_object(object_id)
-        self._announce_deleted(
-            [object_id], *self._deletion_plan([object_id], broadcast=True)
+        drive(
+            self._announce_deleted_task,
+            [object_id],
+            *self._deletion_plan([object_id], broadcast=True),
         )
         return entry
 
@@ -1630,8 +1537,9 @@ class DisaggregatedStore(PlasmaStore):
         self, object_ids: list[ObjectID], holders=(), *, broadcast: bool = False
     ) -> tuple[list[tuple[str, list[ObjectID]]], list[str]]:
         """Who is told that *object_ids* left this store, about which of
-        them, and with which message — the one plan both drivers send; it
-        consumes the ids' sharer sets. Recorded replica *holders* get
+        them, and with which message — the plan
+        :meth:`_announce_deleted_task` sends; it consumes the ids' sharer
+        sets. Recorded replica *holders* get
         ``DropReplica`` (its handler invalidates before it drops, so a
         holder never hears twice); every other peer that resolved one of
         the ids here gets one ``NotifyDeleted`` listing those it resolved.
@@ -1659,42 +1567,46 @@ class DisaggregatedStore(PlasmaStore):
                 notify.append((name, ids))
         return notify, drop
 
-    def _announce_deleted(
+    def _announce_deleted_task(
         self,
-        object_ids: list[ObjectID],
-        notify: list[tuple[str, list[ObjectID]]],
-        drop: list[str],
-    ) -> None:
-        """Send a :meth:`_deletion_plan` for *object_ids* peer by peer and
-        count the objects announced."""
-        self._send_deleted(notify, drop, object_ids)
-        if self._notify_deletions:
-            self.counters.delete_notifications += len(object_ids)
-
-    def _send_deleted(
-        self,
-        notify: list[tuple[str, list[ObjectID]]],
-        drop: list[str],
         object_ids,
-    ) -> None:
-        """One blocking message per peer: ``NotifyDeleted`` with its ids to
-        each *notify* peer, then ``DropReplica`` for *object_ids* to each
-        *drop* peer. An unreachable peer is tolerated (and counted): its
-        stale descriptors fail the generation check on their next fabric
-        read."""
-        sends = [
-            (name, "NotifyDeleted", [oid.binary() for oid in ids])
+        notify: list[tuple[str, list[ObjectID]]],
+        drop: list[str],
+        attr=None,
+        blocking: bool = False,
+    ):
+        """Send a :meth:`_deletion_plan` for *object_ids* and count the
+        objects announced: ``NotifyDeleted`` with its ids to each *notify*
+        peer, then ``DropReplica`` for *object_ids* to each *drop* peer —
+        peer by peer (*blocking*) or as one gather. An unreachable peer is
+        tolerated (and counted): its stale descriptors fail the generation
+        check on their next fabric read. Any other failure is raised."""
+        names = [name for name, _ in notify] + list(drop)
+        calls = [
+            (self._peers[name].stub, "NotifyDeleted", [oid.binary() for oid in ids])
             for name, ids in notify
         ]
         if drop:
             wire_ids = [oid.binary() for oid in object_ids]
-            sends += [(name, "DropReplica", wire_ids) for name in drop]
-        for name, method, wire_ids in sends:
-            try:
-                getattr(self._peers[name].stub, method)({"object_ids": wire_ids})
-            except RpcStatusError as exc:
-                if not self._peer_unavailable(name, exc):
-                    raise
+            calls += [
+                (self._peers[name].stub, "DropReplica", wire_ids) for name in drop
+            ]
+        outcomes = yield from fan_out(
+            calls,
+            blocking=blocking,
+            loop=self._aio_loop,
+            attr=attr,
+            tolerated=_UNREACHABLE,
+        )
+        for name, outcome in zip(names, outcomes):
+            if isinstance(outcome, RpcStatusError) and self._peer_unavailable(
+                name, outcome
+            ):
+                continue
+            if isinstance(outcome, BaseException):
+                raise outcome
+        if self._notify_deletions:
+            self.counters.delete_notifications += len(object_ids)
 
     def delete_object(self, object_id: ObjectID) -> None:
         drive(self.delete_object_task, object_id, loop=self._facade_loop())
@@ -1705,7 +1617,9 @@ class DisaggregatedStore(PlasmaStore):
         descriptors and tier-cache payloads before any victim's extent can
         be re-sealed."""
         object_ids = [victim.object_id for victim in victims]
-        self._announce_deleted(object_ids, *self._deletion_plan(object_ids))
+        drive(
+            self._announce_deleted_task, object_ids, *self._deletion_plan(object_ids)
+        )
 
     # -- restart recovery ------------------------------------------------------------
 

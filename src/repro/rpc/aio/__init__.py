@@ -12,12 +12,13 @@ deterministic**:
   seeded random rank (never wall-clock, never hash order), so two runs of
   the same seed interleave identically.
 * :class:`CoalescingBuffer` — transparent coalescing of id-list RPCs into
-  batched wire messages, and :func:`stream_pull` — the chunked bulk pull
-  async-mode transfers use.
+  batched wire messages.
 
 The task-based calls themselves live on :class:`~repro.rpc.channel.Channel`
 (``unary_task``, ``batched_call``), beside the blocking ones they share one
-body with. Sync callers never run anything in this package —
+body with; a store fan-out gathers them through
+:func:`repro.rpc.drive.fan_out`. Sync callers never run anything in this
+package —
 ``rpc_mode="sync"`` preserves the one-in-flight semantics (and every
 standing BENCH/TRACE artifact) exactly.
 """
@@ -31,7 +32,6 @@ from repro.rpc.aio.loop import (
     TaskAttribution,
 )
 from repro.rpc.aio.batch import CoalescingBuffer, BATCHABLE_METHODS
-from repro.rpc.aio.streaming import stream_pull
 
 __all__ = [
     "EventLoop",
@@ -42,5 +42,4 @@ __all__ = [
     "TaskAttribution",
     "CoalescingBuffer",
     "BATCHABLE_METHODS",
-    "stream_pull",
 ]

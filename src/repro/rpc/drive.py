@@ -9,9 +9,15 @@ ever suspending. :func:`drive` runs such a body to its result: spawned on
 *loop* and driven until it finishes when a loop is given, otherwise inline
 in the caller's frame. An inline run touches neither the loop nor its RNG
 stream, which is what keeps sync mode byte-identical to the unary baseline.
+
+:func:`fan_out` is the one per-peer fan-out such a body takes: the same
+calls, sent one after another inline or gathered on the loop.
 """
 
 from __future__ import annotations
+
+from repro.common.errors import RpcStatusError
+from repro.rpc.aio.batch import BATCHABLE_METHODS
 
 
 def drive(task_form, *args, loop=None, **kwargs):
@@ -35,3 +41,45 @@ def drive(task_form, *args, loop=None, **kwargs):
         f"{body.__name__} suspended on {awaited!r} while driven inline; "
         "a blocking=True body may only use blocking leaves"
     )
+
+
+def fan_out(calls, *, blocking, loop=None, attr=None, tolerated=()):
+    """Send one id-list call per peer; return the outcomes in call order.
+
+    *calls* lists ``(stub, method, wire_ids)``; an outcome is the response
+    dict or the exception the call ended with. With *blocking* the calls
+    run inline, one after another, and the sweep stops after the first
+    :class:`~repro.common.errors.RpcStatusError` whose code is not in
+    *tolerated* (it is the last outcome). Otherwise every call is issued at
+    once on *loop* — a batchable method through the channel's coalescing
+    buffer, any other as a pipelined unary task — and one gather waits for
+    them all.
+    """
+    if blocking:
+        outcomes = []
+        for stub, method, wire_ids in calls:
+            try:
+                response = yield from stub.channel.unary_task(
+                    stub.service, method, {"object_ids": wire_ids}, blocking=True
+                )
+            except RpcStatusError as exc:
+                outcomes.append(exc)
+                if exc.code not in tolerated:
+                    break
+            else:
+                outcomes.append(response)
+        return outcomes
+    if not calls:
+        return []
+    pending = [
+        stub.channel.batched_call(stub.service, method, wire_ids, attr=attr)
+        if method in BATCHABLE_METHODS
+        else loop.spawn(
+            stub.channel.unary_task(
+                stub.service, method, {"object_ids": wire_ids}, attr=attr
+            ),
+            name=(method, stub.channel.target),
+        )
+        for stub, method, wire_ids in calls
+    ]
+    return (yield loop.gather(pending))

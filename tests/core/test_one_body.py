@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.chaos import FaultPlan, LinkPartition
 from repro.common.config import PlacementConfig, TierConfig
 from repro.common.config import testing_config as make_config
 from repro.common.errors import ObjectStoreError
@@ -27,14 +28,20 @@ from tests.workload.conftest import MINI_OBJ, mini_obj
 
 
 def make_cluster(
-    mode: str = "sync", *, capacity: int = 32 * MiB, tier: TierConfig | None = None
+    mode: str = "sync",
+    *,
+    capacity: int = 32 * MiB,
+    tier: TierConfig | None = None,
+    fault_plan: FaultPlan | None = None,
 ) -> Cluster:
     cfg = make_config(capacity_bytes=capacity, seed=99)
     cfg = replace(
         cfg, rpc=replace(cfg.rpc, mode=mode), placement=PlacementConfig(), tier=tier
     )
     return Cluster(
-        cfg.with_store(check_remote_uniqueness=False, lookup_cache=True), 3
+        cfg.with_store(check_remote_uniqueness=False, lookup_cache=True),
+        3,
+        fault_plan=fault_plan,
     )
 
 
@@ -298,6 +305,35 @@ def test_unreachable_holder_is_tolerated(mode, rpc_log):
 
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
+def test_partitioned_peer_misses_the_push_and_is_counted(mode, rpc_log):
+    """The first peer of the plan is cut off: the peer after it still
+    hears (the blocking sweep goes past an unreachable peer), and the lost
+    push is counted, not raised."""
+    cluster = make_cluster(mode, fault_plan=FaultPlan())
+    oid = oid_homed_at(cluster, "node0")
+    cluster.client("node0").put_bytes(oid, PAYLOAD)
+    for peer in ("node1", "node2"):
+        assert cluster.client(peer).get_bytes(oid) == PAYLOAD
+    cluster.chaos.inject(
+        LinkPartition(at_ns=cluster.clock.now_ns, node_a="node0", node_b="node1")
+    )
+    cluster.chaos.poll()
+    home = cluster.store("node0")
+    unavailable = home.counters.peers_unavailable
+    del rpc_log[:]
+
+    home.delete_object(oid)
+
+    assert not home.contains(oid)
+    assert home.counters.peers_unavailable == unavailable + 1
+    assert home.counters.delete_notifications == 1
+    assert [(host, method) for host, method, _ in rpc_log] == [("node2", "NotifyDeleted")]
+    assert oid not in cluster.store("node2").lookup_cache
+    assert oid in cluster.store("node1").lookup_cache  # the lost push
+    assert cluster.loop.pending() == 0
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
 def test_delete_without_holders_is_the_plain_broadcast(mode, rpc_log):
     """A delete with no replica holder sends only NotifyDeleted — since
     directed invalidation, to the sharers rather than to every peer."""
@@ -347,6 +383,20 @@ def call_store_facade(cluster: Cluster) -> None:
     cluster.store("node0").delete_object(cluster.new_object_id())
 
 
+def get_remote_object(cluster: Cluster) -> None:
+    """A Get whose id lives at the peer: it looks the id up, then pins."""
+    oid = cluster.new_object_id()
+    cluster.client("node1").put_bytes(oid, b"r" * 64)
+    cluster.client("node0").get([oid])
+
+
+def quarantine_local_object(cluster: Cluster) -> None:
+    """A synchronous caller of the deletion fan-out in either mode."""
+    oid = cluster.new_object_id()
+    cluster.client("node0").put_bytes(oid, b"q" * 64)
+    cluster.store("node0").quarantine_object(oid)
+
+
 def run_scenario_op(cluster: Cluster) -> None:
     obj = mini_obj(traffic={**MINI_OBJ["traffic"], "mix": {"read": 100}})
     ScenarioRunner(Scenario.from_obj(obj)).run()
@@ -358,12 +408,16 @@ def run_scenario_op(cluster: Cluster) -> None:
         (Channel, "_call", call_channel),
         (DisaggregatedStore, "delete_object_task", call_store_facade),
         (ScenarioRunner, "_do_read", run_scenario_op),
+        (DisaggregatedStore, "_rpc_lookup_task", get_remote_object),
+        (DisaggregatedStore, "_pin_at_home_task", get_remote_object),
+        (DisaggregatedStore, "_announce_deleted_task", quarantine_local_object),
     ],
-    ids=["channel", "store", "runner"],
+    ids=["channel", "store", "runner", "lookup", "pin", "deletion"],
 )
 def test_inline_driver_raises_if_the_body_suspends(cluster, monkeypatch, owner, body, call):
     """``drive`` runs a sync-mode body inline; one that suspends anyway —
-    a channel call, a store facade, a runner op — is a bug, never a hang."""
+    a channel call, a store facade, a runner op, a store fan-out — is a
+    bug, never a hang."""
     monkeypatch.setattr(owner, body, suspends)
     with pytest.raises(RuntimeError, match="suspended on Sleep"):
         call(cluster)

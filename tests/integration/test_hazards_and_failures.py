@@ -18,6 +18,7 @@ from repro.common.config import testing_config as make_testing_config
 from repro.common.errors import ObjectNotFoundError, RpcStatusError
 from repro.common.units import MiB
 from repro.core import Cluster
+from repro.rpc.drive import drive
 from repro.rpc.service import Service, rpc_method
 from repro.rpc.status import StatusCode
 
@@ -115,8 +116,8 @@ class TestFailureInjection:
         # emulate the race by pre-resolving the record, deleting at home,
         # then getting (which pins from the stale record).
         store1 = cl.store("node1")
-        records = store1._rpc_lookup([oid], {})  # noqa: SLF001 — test taps the seam
-        assert records == []  # resolved
+        unresolved = drive(store1._rpc_lookup_task, [oid], {}, [])  # noqa: SLF001 — test taps the seam
+        assert unresolved == []  # resolved
         p.delete(oid)
         with pytest.raises(ObjectNotFoundError):
             c.get([oid])

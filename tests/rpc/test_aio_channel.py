@@ -297,25 +297,3 @@ class TestAttributionObservesOnly:
             # every backoff and every later dropped attempt is retry.
             expected = sum(round(cost) for kind, cost in waits[1:] if kind != "leg")
             assert attr.components.get("retry", 0) == expected
-
-
-class TestStreamingPull:
-    def test_pull_charges_each_chunk_and_reassembles_the_payload(self):
-        # A stub region: what matters is the slicing and the per-slice charge.
-        from repro.rpc.aio.streaming import stream_pull
-
-        charged = []
-
-        class Region:
-            def view(self, offset, size):
-                return memoryview(payload)[offset:offset + size]
-
-            def charge_read(self, size):
-                charged.append(size)
-
-        payload = bytes(range(256)) * 16  # 4096 B
-        assert stream_pull(Region(), 0, len(payload), chunk_bytes=1024) == payload
-        assert charged == [1024] * 4
-        charged.clear()
-        assert stream_pull(Region(), 100, 3000, chunk_bytes=1024) == payload[100:3100]
-        assert charged == [1024, 1024, 952]

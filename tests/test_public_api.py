@@ -164,7 +164,6 @@ class TestReachedSurface:
         assert sorted(repro.rpc.aio.__all__) == [
             "BATCHABLE_METHODS", "CoalescingBuffer", "EventLoop",
             "EventLoopError", "Future", "Sleep", "Task", "TaskAttribution",
-            "stream_pull",
         ]
 
     def test_tier_exports_are_exactly_these(self):
@@ -198,7 +197,8 @@ class TestReachedSurface:
         ("repro.common.stats", None, "RunningStats"),
         ("repro.core.client", None, "RemoteSubscription"),
         ("repro.tier.engine", None, "TierConvergenceReport"),
-        ("repro.rpc.aio.streaming", None, "stream_pull_task"),
+        ("repro.rpc.aio", None, "stream_pull_task"),
+        ("repro.rpc.aio", None, "stream_pull"),
         ("repro.core.client", "DisaggregatedClient", "put_bytes_task"),
         ("repro.thymesisflow.aperture", "RemoteRegion", "write"),
         ("repro.workload.runner", None, "payload_for"),
