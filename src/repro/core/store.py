@@ -1039,12 +1039,11 @@ class DisaggregatedStore(PlasmaStore):
         *hedge_ns* when given — a clamped probe that runs out is the hedge
         firing, and the peer goes on *hedged*, not on *unreachable*."""
         wire_ids = [oid.binary() for oid in remaining]
-        channel = self._peer_channel(name)
-        service = self._peers[name].stub.service
+        stub = self._peers[name].stub
         try:
             if not blocking:
-                response = yield channel.batched_call(
-                    service, "Lookup", wire_ids, attr=attr
+                response = yield stub.channel.batched_call(
+                    stub.service, "Lookup", wire_ids, attr=attr
                 )
             else:
                 # Time burned waiting on a hedge-clamped probe is the cost
@@ -1056,8 +1055,8 @@ class DisaggregatedStore(PlasmaStore):
                     else _UNOBSERVED
                 )
                 with scope:
-                    response = yield from channel.unary_task(
-                        service,
+                    response = yield from stub.channel.unary_task(
+                        stub.service,
                         "Lookup",
                         {"object_ids": wire_ids},
                         deadline_ns=hedge_ns,
@@ -1421,6 +1420,8 @@ class DisaggregatedStore(PlasmaStore):
             self._sharers[oid] = set()  # everyone who knew has been told
         notify = [(name, ids) for name, ids in notify if name != caller]
         if notify:
+            # No ids of its own: the home counts the announcement, and
+            # there is nothing to drop.
             drive(self._announce_deleted_task, (), notify, [])
             self.counters.replica_revocations += len(notify)
 

@@ -1,10 +1,12 @@
 """One body per store operation under both drivers.
 
 ``get_buffers``, ``forward_put`` and ``delete_object`` each have a single
-generator body; a synchronous facade hands it to ``repro.rpc.drive.drive``,
-which runs it on the event loop (async mode, loop idle) or inline with
-blocking leaves (sync mode, or a facade called from inside a running task).
-These tests pin the seams that arrangement relies on.
+generator body, and so do the lookup, pin and deletion fan-outs beneath
+them; a synchronous caller hands it to ``repro.rpc.drive.drive``, which
+runs it on the event loop (async mode, loop idle) or inline with blocking
+leaves (sync mode, a facade called from inside a running task, or a
+caller that cannot suspend). These tests pin the seams that arrangement
+relies on.
 """
 
 from dataclasses import replace
