@@ -53,7 +53,6 @@ from repro.plasma.buffer import (
     RemoteReadIntegrity,
 )
 from repro.plasma.entry import ObjectEntry
-from repro.plasma.notifications import SealNotification
 from repro.plasma.store import PlasmaStore
 from repro.rpc.aio.loop import Sleep
 from repro.rpc.drive import drive, fan_out
@@ -593,7 +592,7 @@ class DisaggregatedStore(PlasmaStore):
             [object_id],
             *self._deletion_plan([object_id], broadcast=True),
         )
-        self._notify(SealNotification(object_id, entry.data_size, deleted=True))
+        self._notify(object_id, entry.data_size, deleted=True)
         self.counters.objects_migrated_out += 1
         self.counters.bytes_migrated_out += entry.data_size
         return True
@@ -1443,7 +1442,7 @@ class DisaggregatedStore(PlasmaStore):
                 self._retire_and_free(entry)
             del self._replicas_of[oid]
             self._sharers.pop(oid, None)
-            self._notify(SealNotification(oid, entry.data_size, deleted=True))
+            self._notify(oid, entry.data_size, deleted=True)
             self.counters.replicas_dropped += 1
             dropped += 1
         return dropped

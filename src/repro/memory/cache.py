@@ -154,23 +154,25 @@ class CacheModel:
         if size == 0:
             raise ValueError("write size must be positive")
         self._mem.write(offset, mv)
-        start, stop = self._align(offset, size)
-        hit = self._resident.overlap(start, stop)
-        self._drop_stale(start, stop)
-        self._insert(start, stop)
-        return CacheAccess(hit_bytes=hit, miss_bytes=(stop - start) - hit)
+        return self.note_local_write(offset, size)
 
     def note_local_write(self, offset: int, size: int) -> CacheAccess:
-        """Account a local write without moving bytes (charge-only paths in
-        the benchmark harness): cache state is updated exactly as
-        :meth:`local_write` would, DRAM contents are left untouched."""
+        """Account a local write without moving bytes: cache state is
+        updated exactly as :meth:`local_write` would, DRAM contents are left
+        untouched, and the hit/miss split is returned."""
+        start, stop = self._align(offset, size)
+        hit = self._resident.overlap(start, stop)
+        self.touch_write(offset, size)
+        return CacheAccess(hit_bytes=hit, miss_bytes=(stop - start) - hit)
+
+    def touch_write(self, offset: int, size: int) -> None:
+        """:meth:`note_local_write` without the record: the charge-only
+        write path, whose timing reads no hit counts."""
         if size <= 0:
             raise ValueError("write size must be positive")
         start, stop = self._align(offset, size)
-        hit = self._resident.overlap(start, stop)
         self._drop_stale(start, stop)
         self._insert(start, stop)
-        return CacheAccess(hit_bytes=hit, miss_bytes=(stop - start) - hit)
 
     # -- fabric-side operations ----------------------------------------------------
 

@@ -38,6 +38,14 @@ Wire format (little-endian, 64 bytes)::
 A header is only *trusted* (by recovery scans and validated reads) when its
 magic, version and header CRC all check out — a payload byte pattern that
 happens to contain the magic is rejected with probability 1 - 2^-32.
+
+A store writes an object's header three times: unsealed at create, sealed
+at seal (after the payload CRC), retired at delete/evict (fresh generation,
+flags cleared) before the extent is freed. Each write is one
+:func:`pack_header` and one region write; the metadata CRC it carries is
+computed once, at create. A validated fabric read checks the bytes with
+:func:`unpack_header` and builds nothing; the decoded :class:`ObjectHeader`
+is for recovery, scrub and tests.
 """
 
 from __future__ import annotations
@@ -57,13 +65,66 @@ FLAG_QUARANTINED = 0x2
 
 MAX_METADATA_BYTES = 0xFFFF
 
-_PACK = struct.Struct("<4sHHQ20sQHHIII")  # bytes [0, 60); header crc follows
-assert _PACK.size == 60
+_HEADER = struct.Struct("<4sHHQ20sQHHIIII")  # all 64 bytes; header crc last
+_BODY = struct.Struct("<4sHHQ20sQHHIII")  # bytes [0, 60), what the crc covers
+_CRC = struct.Struct("<I")
+assert _HEADER.size == HEADER_SIZE and _BODY.size == 60
+
+
+def pack_header(
+    object_id: bytes,
+    generation: int,
+    data_size: int,
+    meta_size: int = 0,
+    flags: int = 0,
+    payload_crc: int = 0,
+    meta_crc: int = 0,
+    sealed_at_s: int = 0,
+    version: int = HEADER_VERSION,
+) -> bytes:
+    """The 64 header bytes for these fields: the one packer."""
+    if len(object_id) != ID_NBYTES:
+        raise ValueError(f"object id must be {ID_NBYTES} bytes")
+    if not 0 <= meta_size <= MAX_METADATA_BYTES:
+        raise ValueError(
+            f"metadata of {meta_size} bytes exceeds the "
+            f"{MAX_METADATA_BYTES}-byte header field"
+        )
+    body = _BODY.pack(
+        HEADER_MAGIC, version, flags, generation, object_id, data_size,
+        meta_size, 0, payload_crc, meta_crc, sealed_at_s,
+    )
+    return body + _CRC.pack(crc32c(body))
+
+
+def unpack_header(raw) -> tuple | None:
+    """The one checker: ``(object_id, generation, data_size, meta_size,
+    flags, payload_crc, meta_crc, sealed_at_s)`` read from the first 64
+    bytes of *raw* (any buffer), or None if they are not a trustworthy
+    header (short, wrong magic/version, or header-CRC mismatch)."""
+    if len(raw) < HEADER_SIZE:
+        return None
+    (
+        magic, version, flags, generation, object_id, data_size, meta_size,
+        _reserved, payload_crc, meta_crc, sealed_at_s, stored_crc,
+    ) = _HEADER.unpack_from(raw)
+    if (
+        magic != HEADER_MAGIC
+        or version != HEADER_VERSION
+        or crc32c(raw[:60]) != stored_crc
+    ):
+        return None
+    return (
+        object_id, generation, data_size, meta_size, flags, payload_crc,
+        meta_crc, sealed_at_s,
+    )
 
 
 @dataclass
 class ObjectHeader:
-    """The decoded form of one in-region header."""
+    """The decoded form of one in-region header (recovery, scrub, tests).
+    The write and validated-read paths never build one: they go through
+    :func:`pack_header` and :func:`unpack_header` directly."""
 
     object_id: bytes  # raw 20 bytes
     generation: int
@@ -88,62 +149,9 @@ class ObjectHeader:
         """Unpadded bytes the extent occupies (header + payload + meta)."""
         return HEADER_SIZE + self.data_size + self.meta_size
 
-    def pack(self) -> bytes:
-        if len(self.object_id) != ID_NBYTES:
-            raise ValueError(f"object id must be {ID_NBYTES} bytes")
-        if not 0 <= self.meta_size <= MAX_METADATA_BYTES:
-            raise ValueError(
-                f"metadata of {self.meta_size} bytes exceeds the "
-                f"{MAX_METADATA_BYTES}-byte header field"
-            )
-        body = _PACK.pack(
-            HEADER_MAGIC,
-            self.version,
-            self.flags,
-            self.generation,
-            self.object_id,
-            self.data_size,
-            self.meta_size,
-            0,
-            self.payload_crc,
-            self.meta_crc,
-            self.sealed_at_s,
-        )
-        return body + struct.pack("<I", crc32c(body))
-
     @classmethod
     def unpack(cls, raw) -> "ObjectHeader | None":
-        """Decode 64 header bytes; None if the bytes are not a trustworthy
-        header (wrong magic/version or header-CRC mismatch)."""
-        raw = bytes(raw[:HEADER_SIZE])
-        if len(raw) < HEADER_SIZE or raw[:4] != HEADER_MAGIC:
-            return None
-        body, (stored_crc,) = raw[:60], struct.unpack("<I", raw[60:64])
-        if crc32c(body) != stored_crc:
-            return None
-        (
-            _magic,
-            version,
-            flags,
-            generation,
-            object_id,
-            data_size,
-            meta_size,
-            _reserved,
-            payload_crc,
-            meta_crc,
-            sealed_at_s,
-        ) = _PACK.unpack(body)
-        if version != HEADER_VERSION:
-            return None
-        return cls(
-            object_id=object_id,
-            generation=generation,
-            data_size=data_size,
-            meta_size=meta_size,
-            flags=flags,
-            payload_crc=payload_crc,
-            meta_crc=meta_crc,
-            sealed_at_s=sealed_at_s,
-            version=version,
-        )
+        """Decode 64 header bytes; None if :func:`unpack_header` does not
+        trust them."""
+        fields = unpack_header(raw)
+        return None if fields is None else cls(*fields)

@@ -29,7 +29,7 @@ from repro.common.errors import (
     StaleDescriptorError,
 )
 from repro.common.ids import ObjectID
-from repro.memory.layout import ObjectHeader
+from repro.memory.layout import FLAG_QUARANTINED, FLAG_SEALED, unpack_header
 from repro.thymesisflow.aperture import RemoteRegion
 from repro.thymesisflow.endpoint import ThymesisEndpoint
 
@@ -151,29 +151,28 @@ class RemoteBufferSource:
             # Second failure surfaces to the caller.
             return self._validated_view(offset, size)
 
-    def _read_header(self) -> ObjectHeader | None:
-        ig = self._integrity
-        return ObjectHeader.unpack(
-            self._remote.view(self._off - ig.header_size, ig.header_size)
-        )
-
     def _validated_view(self, offset: int, size: int) -> memoryview:
         ig = self._integrity
-        oid = ObjectID(ig.object_id)
-        header = self._read_header()
+        header_at = self._off - ig.header_size
+        pre = bytes(self._remote.view(header_at, ig.header_size))
+        fields = unpack_header(pre)
+        if fields is not None:
+            object_id, generation, data_size, _, flags, payload_crc, _, _ = fields
         if (
-            header is None
-            or header.object_id != ig.object_id
-            or (ig.generation and header.generation != ig.generation)
-            or not header.sealed
+            fields is None
+            or object_id != ig.object_id
+            or (ig.generation and generation != ig.generation)
+            or not flags & FLAG_SEALED
         ):
             raise StaleDescriptorError(
-                f"in-region header for {oid!r} at {self.location} no longer "
-                f"matches the descriptor (retired, reallocated, or unsealed)"
+                f"in-region header for {ObjectID(ig.object_id)!r} at "
+                f"{self.location} no longer matches the descriptor (retired, "
+                f"reallocated, or unsealed)"
             )
-        if header.quarantined:
+        if flags & FLAG_QUARANTINED:
             raise ObjectCorruptedError(
-                f"{oid!r} is quarantined at its home store {self.location}"
+                f"{ObjectID(ig.object_id)!r} is quarantined at its home store "
+                f"{self.location}"
             )
         view = self._remote.view(self._off + offset, size)
         # One charged stream covers header + payload: the header rides the
@@ -181,23 +180,22 @@ class RemoteBufferSource:
         self._remote.charge_read(size + ig.header_size)
         # Post-stream re-check: a retire that raced the stream bumped the
         # generation, which means the bytes just streamed may be torn.
-        post = self._read_header()
-        if (
-            post is None
-            or post.generation != header.generation
-            or not post.sealed
-        ):
-            raise StaleDescriptorError(
-                f"{oid!r} was retired at {self.location} mid-stream; "
-                f"the streamed bytes cannot be trusted"
-            )
-        if ig.verify_checksum and offset == 0 and size == header.data_size:
+        # Unchanged header bytes already passed every test above.
+        post = bytes(self._remote.view(header_at, ig.header_size))
+        if post != pre:
+            fields = unpack_header(post)
+            if fields is None or fields[1] != generation or not fields[4] & FLAG_SEALED:
+                raise StaleDescriptorError(
+                    f"{ObjectID(ig.object_id)!r} was retired at {self.location} "
+                    f"mid-stream; the streamed bytes cannot be trusted"
+                )
+        if ig.verify_checksum and offset == 0 and size == data_size:
             if ig.checksum_ns_per_byte and ig.clock is not None:
                 ig.clock.advance(ig.checksum_ns_per_byte * size)
-            if crc32c(view) != header.payload_crc:
+            if crc32c(view) != payload_crc:
                 raise ObjectCorruptedError(
-                    f"{oid!r} failed its payload checksum after a fabric "
-                    f"read from {self.location}"
+                    f"{ObjectID(ig.object_id)!r} failed its payload checksum "
+                    f"after a fabric read from {self.location}"
                 )
         return view
 

@@ -49,6 +49,9 @@ class ObjectEntry:
     # Payload CRC32C recorded at seal time (0 until sealed / when headers
     # are disabled).
     payload_crc: int = 0
+    # Metadata CRC32C for the header, computed once at create (metadata is
+    # immutable after create; 0 when there is none).
+    meta_crc: int = 0
     # Set by the scrubber when the payload fails its checksum: every read
     # answers ObjectCorruptedError and lookups stop advertising the object.
     quarantined: bool = False

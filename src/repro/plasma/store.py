@@ -45,6 +45,7 @@ from repro.memory.layout import (
     HEADER_SIZE,
     MAX_METADATA_BYTES,
     ObjectHeader,
+    pack_header,
 )
 from repro.plasma.buffer import LocalBufferSource, PlasmaBuffer
 from repro.plasma.entry import ObjectEntry, ObjectState
@@ -290,6 +291,7 @@ class PlasmaStore:
                 created_at_ns=self._clock.now_ns,
                 generation=generation,
                 header_size=self._header_size,
+                meta_crc=crc32c(metadata) if metadata else 0,
             )
             self._table.insert(entry)
             if self._header_size:
@@ -305,17 +307,19 @@ class PlasmaStore:
     def _write_header(
         self, entry: ObjectEntry, flags: int, generation: int | None = None
     ) -> None:
-        header = ObjectHeader(
-            object_id=entry.object_id.binary(),
-            generation=entry.generation if generation is None else generation,
-            data_size=entry.data_size,
-            meta_size=len(entry.metadata),
-            flags=flags,
-            payload_crc=entry.payload_crc,
-            meta_crc=crc32c(entry.metadata) if entry.metadata else 0,
-            sealed_at_s=int(entry.sealed_at_ns // 1_000_000_000),
+        self._region.write(
+            entry.allocation.offset,
+            pack_header(
+                entry.object_id.binary(),
+                entry.generation if generation is None else generation,
+                entry.data_size,
+                len(entry.metadata),
+                flags,
+                entry.payload_crc,
+                entry.meta_crc,
+                int(entry.sealed_at_ns // 1_000_000_000),
+            ),
         )
-        self._region.write(entry.allocation.offset, header.pack())
 
     def _retire_header(self, entry: ObjectEntry) -> None:
         """Bump the in-region generation and clear the seal flag *before*
@@ -365,9 +369,7 @@ class PlasmaStore:
             self._retire_and_free(victim)
             self.counters.objects_evicted += 1
             self.counters.bytes_evicted += victim.allocation.padded_size
-            self._notify(
-                SealNotification(victim.object_id, victim.data_size, deleted=True)
-            )
+            self._notify(victim.object_id, victim.data_size, deleted=True)
         if victims:
             self._announce_evicted(victims)
 
@@ -402,7 +404,7 @@ class PlasmaStore:
                 )
                 self._write_header(entry, flags=FLAG_SEALED)
         self.counters.objects_sealed += 1
-        self._notify(SealNotification(entry.object_id, entry.data_size))
+        self._notify(entry.object_id, entry.data_size)
         return entry
 
     def delete_object(self, object_id: ObjectID) -> None:
@@ -415,7 +417,7 @@ class PlasmaStore:
                 )
             self._retire_and_free(entry)
         self.counters.objects_deleted += 1
-        self._notify(SealNotification(entry.object_id, entry.data_size, deleted=True))
+        self._notify(entry.object_id, entry.data_size, deleted=True)
 
     def evict(self, nbytes: int) -> int:
         """Force-evict at least *nbytes* if possible; returns freed bytes."""
@@ -505,7 +507,7 @@ class PlasmaStore:
             meta = self._region.read(
                 entry.payload_offset + entry.data_size, len(entry.metadata)
             )
-            if crc32c(meta) != crc32c(entry.metadata):
+            if crc32c(meta) != entry.meta_crc:
                 return "metadata checksum mismatch"
         return None
 
@@ -620,11 +622,8 @@ class PlasmaStore:
                 metadata = self._region.read(
                     offset + HEADER_SIZE + header.data_size, header.meta_size
                 )
-                meta_ok = (
-                    crc32c(metadata) == header.meta_crc
-                    if header.meta_size
-                    else True
-                )
+                meta_crc = crc32c(metadata) if header.meta_size else 0
+                meta_ok = not header.meta_size or meta_crc == header.meta_crc
                 payload_ok = (
                     crc32c(self._region.view(offset + HEADER_SIZE, header.data_size))
                     == header.payload_crc
@@ -641,6 +640,7 @@ class PlasmaStore:
                     generation=header.generation,
                     header_size=HEADER_SIZE,
                     payload_crc=header.payload_crc,
+                    meta_crc=meta_crc,
                     quarantined=corrupt,
                 )
                 try:
@@ -673,7 +673,13 @@ class PlasmaStore:
         self._subscribers.append(queue)
         return queue
 
-    def _notify(self, note: SealNotification) -> None:
+    def _notify(
+        self, object_id: ObjectID, data_size: int, deleted: bool = False
+    ) -> None:
+        """Announce to every subscriber; with none, nothing is built."""
+        if not self._subscribers:
+            return
+        note = SealNotification(object_id, data_size, deleted)
         for queue in self._subscribers:
             queue._push(note)  # noqa: SLF001 — store is the queue's producer
 

@@ -54,6 +54,7 @@ Resilience semantics (gRPC-shaped, used by repro.core.health / repro.chaos):
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import partial
 from types import MappingProxyType
 
 from repro.common.clock import SimClock
@@ -718,15 +719,10 @@ class ServiceStub:
         return self._channel
 
     def __getattr__(self, method: str):
+        """Bind ``method`` once: the call is cached on the stub, so later
+        lookups find it without coming here."""
         if method.startswith("_"):
             raise AttributeError(method)
-
-        def call(
-            request: dict | None = None, *, deadline_ns: float | None = None
-        ) -> dict:
-            return self._channel.unary_call(
-                self._service, method, request, deadline_ns=deadline_ns
-            )
-
-        call.__name__ = method
+        call = partial(self._channel.unary_call, self._service, method)
+        setattr(self, method, call)
         return call

@@ -58,6 +58,11 @@ class Admission:
     detail: str = ""
 
 
+#: The inactive model's one answer, shared: it is frozen and says nothing
+#: about the arrival.
+_ADMITTED = Admission(admitted=True)
+
+
 class OverloadModel:
     """Deterministic per-server admission/queue model on the sim clock.
 
@@ -152,7 +157,7 @@ class OverloadModel:
         backlog = max(0.0, self._busy_until_ns - now_ns)
         if service <= 0 and backlog <= 0:
             # Inactive: infinite capacity, nothing queued. Zero-cost path.
-            return Admission(admitted=True)
+            return _ADMITTED
         queue_len = int(backlog // service) if service > 0 else 0
         self.queue_samples.add(queue_len)
         if self.queue_depth > 0 and queue_len >= self.queue_depth:

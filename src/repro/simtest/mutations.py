@@ -41,7 +41,6 @@ def _skip_replica_retire() -> Iterator[None]:
     """Plant the replica variant: DropReplica frees without retiring."""
 
     from repro.core.store import DisaggregatedStore
-    from repro.plasma.notifications import SealNotification
 
     original = DisaggregatedStore.drop_replicas
 
@@ -60,7 +59,7 @@ def _skip_replica_retire() -> Iterator[None]:
                 self.table.remove(oid)
                 self._allocator.free(entry.allocation.offset)
             del self._replicas_of[oid]
-            self._notify(SealNotification(oid, entry.data_size, deleted=True))
+            self._notify(oid, entry.data_size, deleted=True)
             self.counters.replicas_dropped += 1
             dropped += 1
         return dropped

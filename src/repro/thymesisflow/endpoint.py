@@ -140,7 +140,7 @@ class ThymesisEndpoint:
         """Account a write's time and cache effects without copying bytes
         (benchmark charge-only mode; content-carrying paths use
         :meth:`local_write`)."""
-        self._cache.note_local_write(offset, size)
+        self._cache.touch_write(offset, size)
         base = self._config.access_latency_ns + size * self._write_ns_per_byte
         cost = base * self._rng.lognormal_jitter(self._config.jitter_sigma)
         self._clock.advance(cost)

@@ -15,7 +15,7 @@ range-read shape of analytics workloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from repro.workload.popularity import _unit_draws, access_sequence_for
 from repro.workload.scenario import Scenario
 
 
-@dataclass(frozen=True)
-class WorkloadOp:
+class WorkloadOp(NamedTuple):
     """One generated request.
 
     ``at_ns`` is the open-loop arrival timestamp; ``None`` in closed-loop

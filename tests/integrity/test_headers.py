@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.common.checksum import crc32c
@@ -14,6 +16,7 @@ from repro.memory.layout import (
     HEADER_SIZE,
     MAX_METADATA_BYTES,
     ObjectHeader,
+    pack_header,
 )
 
 from tests.integrity.conftest import put_sealed
@@ -31,15 +34,13 @@ class TestHeaderCodec:
             meta_crc=0x1234,
             sealed_at_s=1_700_000_000,
         )
-        raw = header.pack()
+        raw = pack_header(**asdict(header))
         assert len(raw) == HEADER_SIZE
         assert raw.startswith(HEADER_MAGIC)
         assert ObjectHeader.unpack(raw) == header
 
     def test_unpack_rejects_corruption(self):
-        raw = bytearray(
-            ObjectHeader(object_id=b"x" * 20, generation=1, data_size=64).pack()
-        )
+        raw = bytearray(pack_header(b"x" * 20, generation=1, data_size=64))
         assert ObjectHeader.unpack(bytes(raw)) is not None
         for corrupt_at in (0, 10, 30, HEADER_SIZE - 1):
             flipped = bytearray(raw)

@@ -189,3 +189,14 @@ class TestStub:
         stub = channel.stub("test.Echo")
         with pytest.raises(AttributeError):
             _ = stub._private
+
+    def test_bound_call_is_cached_and_reaches_the_channel(self, channel):
+        stub = channel.stub("test.Echo")
+        call = stub.Echo
+        assert stub.Echo is call  # bound once, not rebuilt per RPC
+        before = channel.counters.calls
+        assert call({"msg": "cached"}) == {"echo": "cached"}
+        assert stub.Echo({"msg": "again"}) == {"echo": "again"}
+        assert channel.counters.calls == before + 2
+        with pytest.raises(AttributeError):
+            _ = stub._Echo

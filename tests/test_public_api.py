@@ -202,6 +202,9 @@ class TestReachedSurface:
         ("repro.core.client", "DisaggregatedClient", "put_bytes_task"),
         ("repro.thymesisflow.aperture", "RemoteRegion", "write"),
         ("repro.workload.runner", None, "payload_for"),
+        # Headers are packed from fields (memory.layout.pack_header), never
+        # from a decoded ObjectHeader.
+        ("repro.memory.layout", "ObjectHeader", "pack"),
     ])
     def test_unreached_name_is_gone(self, module, owner, name):
         import importlib
