@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Streaming producer/consumer with notifications, eviction and pinning.
+"""Streaming producer/consumer with notifications, eviction and a held baseline.
 
 Plasma's consumer-supplier dynamic (paper §II-B): "A single source may have
 multiple consumers querying it." This example streams a window of sensor
@@ -9,8 +9,11 @@ behaviours the store guarantees:
 * consumers discover new objects via **seal notifications**;
 * under memory pressure the home store **evicts** the oldest consumed
   batches (LRU) and keeps running;
-* a batch a remote consumer still holds is **pinned** when distributed
-  usage sharing is on — the eviction-safety extension of §V-B.
+* a batch a client on the **home** node holds is in use, so Plasma never
+  evicts it. A remote consumer's hold is invisible to the home (§IV-A2): it
+  reads intact bytes until the home evicts or deletes the batch, and after
+  that its handle fails typed (``StaleDescriptorError``), never with
+  another object's bytes. A long-lived hold therefore lives on the home.
 
 Run:  python examples/producer_consumer_pipeline.py
 """
@@ -31,16 +34,17 @@ STORE_CAPACITY = 24 * MiB  # deliberately < N_BATCHES * BATCH_BYTES
 
 def main() -> None:
     cfg = ClusterConfig().with_store(
-        capacity_bytes=STORE_CAPACITY, share_usage=True, check_remote_uniqueness=False
+        capacity_bytes=STORE_CAPACITY, check_remote_uniqueness=False
     )
     cluster = Cluster(cfg)
     producer = cluster.client("node0", "sensor-gateway")
     analyst = cluster.client("node1", "stream-analyst")
+    archivist = cluster.client("node0", "baseline-archivist")
     feed = cluster.store("node0").subscribe()
     rng = DeterministicRng(123)
 
-    # The analyst keeps the very first batch open as a long-lived baseline —
-    # with usage sharing on, the home store must never evict it.
+    # The archivist, on the home node, keeps the very first batch open as a
+    # long-lived baseline: in use at its home, it is never evicted.
     baseline_buffer = None
     baseline_id = None
     running_mean = []
@@ -61,11 +65,10 @@ def main() -> None:
                 buf = analyst.get_one(note.object_id)
                 data = np.frombuffer(buf.view(), dtype=np.uint8)
                 running_mean.append(float(data.mean()))
+                analyst.release(note.object_id)
                 if baseline_buffer is None:
-                    baseline_buffer = buf  # hold it forever
                     baseline_id = note.object_id
-                else:
-                    analyst.release(note.object_id)
+                    baseline_buffer = archivist.get_one(baseline_id)  # hold it
             note = feed.pop()
 
     store0 = cluster.store("node0")
@@ -74,15 +77,14 @@ def main() -> None:
           f"global mean of means = {np.mean(running_mean):.2f}")
     print(f"home store evicted {evicted} cold batches under pressure")
 
-    # The pinned baseline batch survived all of it.
-    assert store0.contains(baseline_id), "pinned baseline was evicted!"
+    # The held baseline batch survived all of it.
+    assert store0.contains(baseline_id), "held baseline was evicted!"
     entry = store0.table.get(baseline_id)
     print(
-        f"baseline batch still resident (remote_ref_count="
-        f"{entry.remote_ref_count}); first bytes still valid: "
-        f"{bytes(baseline_buffer.view()[:8]).hex()}"
+        f"baseline batch still resident (ref_count={entry.ref_count}); "
+        f"first bytes still valid: {bytes(baseline_buffer.view()[:8]).hex()}"
     )
-    analyst.release(baseline_id)
+    archivist.release(baseline_id)
     print("released baseline; it is now evictable:",
           store0.table.get(baseline_id).evictable)
 

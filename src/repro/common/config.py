@@ -419,10 +419,6 @@ class StoreConfig:
     # is already in use. Off trusts the cluster's unique-id stream, which
     # is what every benchmark driving batches of fresh ids does.
     check_remote_uniqueness: bool = True
-    # Distributed usage sharing: AddRef/ReleaseRef RPCs pin remotely-used
-    # objects at their home store so eviction cannot corrupt a remote
-    # reader (closes the gap paper §IV-A2 leaves open).
-    share_usage: bool = False
     # Descriptor caching for repeated requests (paper §V-B). A cached
     # descriptor is only safe while its home tells the cacher about
     # deletions, so this one switch also turns on the NotifyDeleted pushes.

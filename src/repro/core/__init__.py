@@ -15,11 +15,10 @@ Public surface:
 * :class:`DisaggregatedStore` / :class:`DisaggregatedClient` — the store
   and client; clients are oblivious to object placement ("the distributed
   nature can largely remain hidden to Plasma clients").
-* :class:`StoreService` — the RPC service (Lookup/Contains/AddRef/
-  ReleaseRef/NotifyDeleted) stores expose to peers.
-* Extensions the paper lists as future work, all implemented and
-  benchmarked: :class:`LookupCache` (repeated-request caching),
-  distributed reference sharing (eviction safety for remote readers) and
+* :class:`StoreService` — the RPC service (Lookup/Contains/NotifyDeleted
+  and the health/replication/placement calls) stores expose to peers.
+* Extensions the paper lists as future work, both implemented and
+  benchmarked: :class:`LookupCache` (repeated-request caching) and
   multi-node (>2) operation. The metadata plane is RPC only, as in the
   paper: every peer link is one :class:`~repro.rpc.channel.Channel`.
 * Resilience layer (:mod:`repro.core.health`): heartbeat failure

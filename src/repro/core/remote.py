@@ -32,8 +32,8 @@ class RemoteObjectRecord:
     """A remote object this store's clients currently reference.
 
     ``local_refs`` counts handles held by *this node's* clients; when it
-    drops to zero the record is dropped (and, with reference sharing on,
-    a ReleaseRef RPC un-pins the object at its home store).
+    drops to zero the record is dropped. The home never sees it: a held
+    handle fails typed once the home retires the extent (header generation).
     """
 
     object_id: ObjectID
@@ -42,7 +42,6 @@ class RemoteObjectRecord:
     data_size: int
     metadata: bytes = b""
     local_refs: int = 0
-    pinned_at_home: bool = False
     # Integrity fields carried by the descriptor: the home store's
     # generation for this incarnation of the object (0 = unknown: the home
     # runs without headers), the in-region header size (0 = home runs

@@ -10,9 +10,6 @@ Methods:
 * ``Lookup``   — batched id -> sealed-object descriptors (offset within the
   exposed region, size, metadata), the heart of remote retrieval.
 * ``Contains`` — batched existence check for id-uniqueness at creation.
-* ``AddRef`` / ``ReleaseRef`` — the distributed object-usage-sharing
-  extension (paper future work): a peer declares that its clients are using
-  one of our objects, pinning it against eviction.
 * ``NotifyDeleted`` — home-store push used to invalidate peers' lookup
   caches (paper future work: caching "could result in corrupted object
   buffers if not handled carefully" — this is the careful handling). It
@@ -84,24 +81,6 @@ class StoreService(Service):
         with self._store.table.lock:
             present = [self._store.contains(oid) for oid in object_ids]
         return {"present": present}
-
-    @rpc_method
-    def AddRef(self, request: dict) -> dict:
-        """A peer's client started using one of our objects: pin it."""
-        object_ids = self._ids_from(request)
-        with self._store.table.lock:
-            for oid in object_ids:
-                self._store.add_ref(oid, remote=True)
-        return {}
-
-    @rpc_method
-    def ReleaseRef(self, request: dict) -> dict:
-        """A peer's client stopped using one of our objects."""
-        object_ids = self._ids_from(request)
-        with self._store.table.lock:
-            for oid in object_ids:
-                self._store.release_ref(oid, remote=True)
-        return {}
 
     @rpc_method
     def NotifyDeleted(self, request: dict) -> dict:

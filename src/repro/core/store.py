@@ -15,12 +15,8 @@ the paper describes:
    metadata path: because a home answers every Lookup itself, it knows
    which peers hold each descriptor and tells only them when it dies.
 
-Future-work extensions (each a :class:`~repro.common.config.StoreConfig`
-switch, all benchmarked):
+Future-work extensions:
 
-* ``share_usage`` — distributed object-usage sharing: AddRef/ReleaseRef
-  RPCs pin remotely-used objects at their home store so eviction cannot
-  corrupt a remote reader (closes the gap paper §IV-A2 leaves open).
 * ``lookup_cache`` — descriptor caching for repeated requests
   (paper §V-B), invalidated by NotifyDeleted pushes.
 * multi-node — peers are a list, not a single partner; nothing in the
@@ -29,7 +25,7 @@ switch, all benchmarked):
 
 from __future__ import annotations
 
-from contextlib import nullcontext, suppress
+from contextlib import nullcontext
 
 from repro.common.clock import SimClock
 from repro.common.config import StoreConfig
@@ -75,7 +71,7 @@ class DisaggregatedStore(PlasmaStore):
         gets_local = gets_remote = gets_cache_served = 0
         lookup_rpcs = lookup_cache_hits = lookups_shed = 0
         lookup_hedges_fired = lookup_hedge_wins = lookup_hedge_losses = 0
-        addref_rpcs = releaseref_rpcs = stale_descriptor_refreshes = 0
+        stale_descriptor_refreshes = 0
         peers_unavailable = peers_disconnected = 0
         topology_installs = topology_stale_updates = 0
         placed_creates_forwarded = placed_creates_fallback = 0
@@ -98,7 +94,6 @@ class DisaggregatedStore(PlasmaStore):
         self._peers: dict[str, PeerHandle] = {}
         self._remote_records: dict[ObjectID, RemoteObjectRecord] = {}
         self._check_remote_uniqueness = config.check_remote_uniqueness
-        self._share_usage = config.share_usage
         # A cached descriptor is only safe while its home says when it dies:
         # the lookup cache and the NotifyDeleted pushes are one switch.
         self._notify_deletions = config.lookup_cache
@@ -203,8 +198,8 @@ class DisaggregatedStore(PlasmaStore):
         """Remove *name* from the metadata plane (it left the cluster).
 
         Cached descriptors homed there are purged in one pass; remote
-        records without live references are dropped. Records still held by
-        readers release locally — there is no peer left to un-pin at."""
+        records without live references are dropped; held ones stay until
+        their readers release them."""
         self._peers.pop(name, None)
         if self._lookup_cache is not None:
             self._lookup_cache.invalidate_node(name)
@@ -229,10 +224,6 @@ class DisaggregatedStore(PlasmaStore):
             return self._peers[name]
         except KeyError:
             raise ObjectStoreError(f"{self._name} has no peer {name!r}") from None
-
-    @property
-    def share_usage(self) -> bool:
-        return self._share_usage
 
     @property
     def lookup_cache(self) -> LookupCache | None:
@@ -579,7 +570,7 @@ class DisaggregatedStore(PlasmaStore):
             if entry is None:
                 self._deferred_retires.discard(object_id)
                 return True
-            if entry.total_refs > 0:
+            if entry.ref_count > 0:
                 if object_id not in self._deferred_retires:
                     self._deferred_retires.add(object_id)
                     self.counters.migration_retires_deferred += 1
@@ -721,11 +712,10 @@ class DisaggregatedStore(PlasmaStore):
         blocking: bool = False,
     ):
         """The one body of :meth:`get_buffers`. The local table and
-        tier-cache scans are instant; unresolved ids are looked up and
-        pinned by the fan-outs *blocking* selects for this invocation: peer
-        by peer, or concurrent (scatter-gather, optionally hedged) batched
-        Lookups and a gathered AddRef pin. A Get that raises first gives
-        back every reference it took."""
+        tier-cache scans are instant; unresolved ids are looked up by the
+        fan-out *blocking* selects for this invocation: peer by peer, or
+        concurrent (scatter-gather, optionally hedged) batched Lookups. A
+        Get that raises first gives back every reference it took."""
         buffers: dict[ObjectID, PlasmaBuffer | None] = {}
         taken: list = []  # (release, id) per reference held so far
         missing: list[ObjectID] = []
@@ -753,15 +743,15 @@ class DisaggregatedStore(PlasmaStore):
             if missing and self._tier is not None and self._notify_deletions:
                 # Pre-resolution fast path: a cached incarnation can be
                 # served without touching the home at all — no Lookup, no
-                # AddRef/ReleaseRef round trips, no fabric stream. Sound only
-                # because deletes and evictions *push* NotifyDeleted to every
-                # peer that resolved the descriptor from the store that will
-                # push it (hence the gate), so anything still cached is live.
+                # fabric stream. Sound only because deletes and evictions
+                # *push* NotifyDeleted to every peer that resolved the
+                # descriptor from the store that will push it (hence the
+                # gate), so anything still cached is live.
                 unresolved: list[ObjectID] = []
                 for oid in missing:
                     if oid in self._remote_records:
-                        # A held handle pinned this incarnation at its home;
-                        # keep the resolving path's refcounts authoritative.
+                        # A handle on this incarnation is held; keep the
+                        # resolving path's record and refcount authoritative.
                         unresolved.append(oid)
                         continue
                     hit = self._tier.serve_cached(oid)
@@ -779,25 +769,20 @@ class DisaggregatedStore(PlasmaStore):
                 records = yield from self._resolve_remote_task(
                     missing, allow_missing, attr, blocking
                 )
-                newly_pinned: dict[str, list[ObjectID]] = {}
                 for oid in missing:
                     record = records.get(oid)
                     if record is None:
                         buffers[oid] = None  # allow_missing guaranteed by resolve
                         continue
-                    if record.local_refs == 0 and self._share_usage:
-                        newly_pinned.setdefault(record.home, []).append(oid)
                     record.local_refs += 1
                     taken.append((self.release_object, oid))
                     buffers[oid] = self._remote_buffer(record)
                     found_remote += 1
                     if self._tier is not None:
                         self._tier.note_remote_get(oid)
-                yield from self._pin_at_home_task(newly_pinned, attr, blocking)
         except Exception:
             for release, oid in reversed(taken):
-                with suppress(RpcStatusError):  # an unreachable home keeps its pin
-                    release(oid)
+                release(oid)
             for oid in missing:
                 record = self._remote_records.get(oid)
                 if record is not None and record.local_refs == 0:
@@ -1209,58 +1194,17 @@ class DisaggregatedStore(PlasmaStore):
             return None
         if old is not None:
             # The stale record's handles keep working against the fresh
-            # incarnation; re-pin at the (possibly different) home.
+            # incarnation.
             record.local_refs = old.local_refs
-            if old.local_refs and self._share_usage:
-                try:
-                    self._peers[record.home].stub.AddRef(
-                        {"object_ids": [object_id.binary()]}
-                    )
-                    record.pinned_at_home = True
-                except RpcStatusError:
-                    pass
         self._remote_records[object_id] = record
         handle = self.peer(record.home)
         return handle.remote_region, record.offset, self._integrity_for(record)
-
-    def _pin_at_home_task(
-        self, by_home: dict[str, list[ObjectID]], attr=None, blocking: bool = False
-    ):
-        """Pin newly referenced records at their homes: one AddRef per home
-        listing its ids, home by home (*blocking*, stopping at the first
-        error) or gathered. Every home that granted its pin is recorded
-        before the first failure is raised, so the caller's release gives
-        each one back; an id that vanished since its lookup surfaces as
-        not-found so the client can retry cleanly."""
-        if not by_home:
-            return
-        homes = sorted(by_home)
-        calls = [
-            (self._peers[home].stub, "AddRef", [oid.binary() for oid in by_home[home]])
-            for home in homes
-        ]
-        outcomes = yield from fan_out(
-            calls, blocking=blocking, loop=self._aio_loop, attr=attr
-        )
-        failure = None
-        for home, outcome in zip(homes, outcomes):
-            if isinstance(outcome, BaseException):
-                failure = failure or outcome
-                continue
-            for oid in by_home[home]:
-                self._remote_records[oid].pinned_at_home = True
-            self.counters.addref_rpcs += 1
-        if isinstance(failure, RpcStatusError) and failure.code is StatusCode.NOT_FOUND:
-            raise ObjectNotFoundError(str(failure)) from failure
-        if failure is not None:
-            raise failure
 
     # -- one body, two drivers (repro.rpc.aio) ----------------------------------------
     #
     # get_buffers, forward_put and delete_object each have ONE body, a
     # generator taking ``blocking`` (their ``*_task`` form), and so do the
-    # fan-outs beneath them: the lookup, the AddRef pin and the deletion
-    # push. Tasks ``yield from`` a body; a synchronous caller hands it to
+    # fan-outs beneath them: the lookup and the deletion push. Tasks ``yield from`` a body; a synchronous caller hands it to
     # repro.rpc.drive.drive(), which spawns it on the loop _facade_loop()
     # names (async-mode facades) and otherwise runs it inline, where every
     # per-peer call blocks in turn (repro.rpc.drive.fan_out). The blocking
@@ -1437,7 +1381,7 @@ class DisaggregatedStore(PlasmaStore):
                 if entry is None:
                     del self._replicas_of[oid]
                     continue
-                if entry.total_refs > 0:
+                if entry.ref_count > 0:
                     continue
                 self._retire_and_free(entry)
             del self._replicas_of[oid]
@@ -1503,15 +1447,6 @@ class DisaggregatedStore(PlasmaStore):
             )
         record.local_refs -= 1
         if record.local_refs == 0:
-            if record.pinned_at_home:
-                # The home may have been removed from the cluster while the
-                # reader held the buffer; the local release still completes.
-                if record.home in self._peers:
-                    self._peers[record.home].stub.ReleaseRef(
-                        {"object_ids": [object_id.binary()]}
-                    )
-                    self.counters.releaseref_rpcs += 1
-                record.pinned_at_home = False
             # Drop the live record; the descriptor may survive in the
             # lookup cache for future requests.
             del self._remote_records[object_id]

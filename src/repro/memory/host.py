@@ -75,8 +75,8 @@ class HostMemory:
 
     def write(self, offset: int, data) -> int:
         """Copy *data* (any buffer) into memory at *offset*; returns bytes
-        written."""
-        mv = memoryview(data)
+        written. A memoryview is used as given, not wrapped again."""
+        mv = data if type(data) is memoryview else memoryview(data)
         if mv.ndim != 1 or mv.itemsize != 1:
             mv = mv.cast("B")
         self._check(offset, len(mv))
@@ -176,10 +176,7 @@ class MemoryRegion:
 
     def write(self, offset: int, data) -> int:
         mv = memoryview(data)
-        if mv.ndim != 1 or mv.itemsize != 1:
-            mv = mv.cast("B")
-        abs_off = self._translate(offset, len(mv))
-        return self._mem.write(abs_off, mv)
+        return self._mem.write(self._translate(offset, mv.nbytes), mv)
 
     def read(self, offset: int, size: int) -> bytes:
         abs_off = self._translate(offset, size)

@@ -32,9 +32,6 @@ class ObjectEntry:
     metadata: bytes = b""
     state: ObjectState = ObjectState.CREATED
     ref_count: int = 0
-    # Reference counts attributed to remote stores' clients (the
-    # distributed-usage-sharing extension, StoreConfig.share_usage).
-    remote_ref_count: int = 0
     created_at_ns: int = 0
     sealed_at_ns: int = 0
     last_access_seq: int = 0
@@ -61,14 +58,10 @@ class ObjectEntry:
         return self.state is ObjectState.SEALED
 
     @property
-    def total_refs(self) -> int:
-        return self.ref_count + self.remote_ref_count
-
-    @property
     def evictable(self) -> bool:
         """Only sealed objects nobody references may be evicted — evicting
         an in-use object "would likely corrupt their data" (paper §IV-A2)."""
-        return self.is_sealed and self.total_refs == 0
+        return self.is_sealed and self.ref_count == 0
 
     @property
     def payload_offset(self) -> int:

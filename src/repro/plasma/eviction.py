@@ -4,9 +4,9 @@ Plasma evicts least-recently-used *sealed, unreferenced* objects when an
 allocation cannot be satisfied. The paper leans on exactly this behaviour —
 "In-use objects will not be evicted, because clients might still be reading
 from memory and evicting the objects would likely corrupt their data"
-(§IV-A2) — and identifies its distributed blind spot (remote clients' usage
-is invisible), which the ``StoreConfig.share_usage`` extension (AddRef/
-ReleaseRef pins at the home, :mod:`repro.core.store`) closes.
+(§IV-A2) — and identifies its distributed blind spot: remote clients' usage
+is invisible. A remote holder of an evicted object fails typed on its next
+read (``StaleDescriptorError``, :mod:`repro.core.store`), never corrupt.
 """
 
 from __future__ import annotations

@@ -461,11 +461,11 @@ class PlasmaStore:
 
     # -- references ---------------------------------------------------------------------
 
-    def add_ref(self, object_id: ObjectID, remote: bool = False) -> None:
-        self._table.add_ref(object_id, remote=remote)
+    def add_ref(self, object_id: ObjectID) -> None:
+        self._table.add_ref(object_id)
 
-    def release_ref(self, object_id: ObjectID, remote: bool = False) -> None:
-        self._table.release_ref(object_id, remote=remote)
+    def release_ref(self, object_id: ObjectID) -> None:
+        self._table.release_ref(object_id)
 
     # -- buffers ----------------------------------------------------------------------
 

@@ -53,9 +53,9 @@ class ObjectTable:
             entry = self._entries.get(object_id)
             if entry is None:
                 raise ObjectNotFoundError(f"{object_id!r} not in table")
-            if entry.total_refs > 0:
+            if entry.ref_count > 0:
                 raise ObjectInUseError(
-                    f"{object_id!r} has {entry.total_refs} live references"
+                    f"{object_id!r} has {entry.ref_count} live references"
                 )
             del self._entries[object_id]
             return entry
@@ -71,28 +71,21 @@ class ObjectTable:
             entry.sealed_at_ns = sealed_at_ns
             return entry
 
-    def add_ref(self, object_id: ObjectID, remote: bool = False) -> ObjectEntry:
+    def add_ref(self, object_id: ObjectID) -> ObjectEntry:
         with self._lock:
             entry = self.get(object_id)
-            if remote:
-                entry.remote_ref_count += 1
-            else:
-                entry.ref_count += 1
+            entry.ref_count += 1
             self._touch(entry)
             return entry
 
-    def release_ref(self, object_id: ObjectID, remote: bool = False) -> ObjectEntry:
+    def release_ref(self, object_id: ObjectID) -> ObjectEntry:
         with self._lock:
             entry = self.get(object_id)
-            count = entry.remote_ref_count if remote else entry.ref_count
-            if count <= 0:
+            if entry.ref_count <= 0:
                 raise ObjectInUseError(
                     f"release of {object_id!r} without a matching reference"
                 )
-            if remote:
-                entry.remote_ref_count -= 1
-            else:
-                entry.ref_count -= 1
+            entry.ref_count -= 1
             return entry
 
     def _touch(self, entry: ObjectEntry) -> None:

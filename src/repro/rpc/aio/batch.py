@@ -1,7 +1,6 @@
 """Transparent coalescing of id-list RPCs into batched wire messages.
 
-The store's chattiest RPCs (Lookup, AddRef, ReleaseRef, NotifyDeleted,
-Contains) all carry a single ``object_ids`` list and already have batched
+The store's chattiest RPCs (Lookup, NotifyDeleted, Contains) all carry a single ``object_ids`` list and already have batched
 server handlers. In async mode a :class:`CoalescingBuffer` sits between
 callers and the wire: submissions within ``batch_window_ns`` of the first
 (or until ``max_batch`` ids accumulate) merge into **one** wire message, so
@@ -28,7 +27,7 @@ if TYPE_CHECKING:
 #: Methods safe to coalesce: request is exactly ``{"object_ids": [...]}`` and
 #: the response is splittable per submitter (positionally for Contains, by
 #: descriptor object id for Lookup, empty for the notification-style calls).
-BATCHABLE_METHODS = ("AddRef", "Contains", "Lookup", "NotifyDeleted", "ReleaseRef")
+BATCHABLE_METHODS = ("Contains", "Lookup", "NotifyDeleted")
 
 
 class _Entry:

@@ -54,7 +54,7 @@ def _skip_replica_retire() -> Iterator[None]:
                 if entry is None:
                     del self._replicas_of[oid]
                     continue
-                if entry.total_refs > 0:
+                if entry.ref_count > 0:
                     continue
                 self.table.remove(oid)
                 self._allocator.free(entry.allocation.offset)

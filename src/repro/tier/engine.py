@@ -172,7 +172,7 @@ class TierEngine:
                     for entry in store.table
                     if entry.is_sealed
                     and not entry.quarantined
-                    and entry.total_refs == 0
+                    and entry.ref_count == 0
                 ]
             candidates = [
                 (oid, size)

@@ -317,7 +317,7 @@ class RpcSpec:
 
     Present, the runner drives the op stream through the event-loop task
     plane: many operations in flight per peer, id-list calls (Lookup,
-    AddRef, NotifyDeleted) transparently coalesced into batched wire
+    Contains, NotifyDeleted) transparently coalesced into batched wire
     messages within ``batch_window_ns`` (up to ``max_batch`` ids), scans
     issued as one batched multi-get, and — when ``hedge_stagger_ns`` > 0 —
     scatter-gather lookups hedged to the next replica holder after the

@@ -101,23 +101,6 @@ class TestStoreServiceRpc:
         )
         assert response["present"] == [False, True]
 
-    def test_addref_releaseref_roundtrip(self, cluster):
-        p = cluster.client("node0")
-        oid = cluster.new_object_id()
-        p.put_bytes(oid, b"ref-me")
-        stub = self._stub(cluster)
-        stub.AddRef({"object_ids": [oid.binary()]})
-        entry = cluster.store("node0").table.get(oid)
-        assert entry.remote_ref_count == 1
-        stub.ReleaseRef({"object_ids": [oid.binary()]})
-        assert entry.remote_ref_count == 0
-
-    def test_addref_unknown_object_is_not_found(self, cluster):
-        stub = self._stub(cluster)
-        with pytest.raises(RpcStatusError) as excinfo:
-            stub.AddRef({"object_ids": [cluster.new_object_id().binary()]})
-        assert excinfo.value.code is StatusCode.NOT_FOUND
-
     def test_empty_id_list_is_invalid_argument(self, cluster):
         stub = self._stub(cluster)
         with pytest.raises(RpcStatusError) as excinfo:

@@ -156,7 +156,7 @@ class TestCrossNodeReferences:
         p.put_bytes(oid, b"invisible")
         c.get_one(oid)
         entry = cluster.store("node0").table.get(oid)
-        assert entry.remote_ref_count == 0  # home store has no idea
+        assert entry.ref_count == 0  # home store has no idea
         assert entry.evictable  # ...so it could evict under pressure
 
 

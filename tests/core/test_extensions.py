@@ -1,18 +1,11 @@
-"""The paper's future-work extensions: usage sharing, lookup cache,
-multi-node."""
+"""The paper's future-work extensions: lookup cache, multi-node, and the
+remote-holder contract that stands in for usage sharing."""
 
 import pytest
 
-from repro.common.errors import ObjectNotFoundError
+from repro.common.errors import ObjectNotFoundError, StaleDescriptorError
 from repro.common.units import MiB
 from repro.core import Cluster
-
-
-@pytest.fixture
-def sharing_cluster(small_config):
-    return Cluster(
-        small_config.with_store(share_usage=True, check_remote_uniqueness=False),
-    )
 
 
 @pytest.fixture
@@ -23,71 +16,23 @@ def caching_cluster(small_config):
 
 
 class TestUsageSharing:
-    """AddRef/ReleaseRef RPCs close the eviction gap of §IV-A2."""
-
-    def test_remote_use_pins_at_home(self, sharing_cluster):
-        cl = sharing_cluster
-        p = cl.client("node0")
-        c = cl.client("node1")
-        oid = cl.new_object_id()
-        p.put_bytes(oid, b"pinned-remotely")
-        c.get_one(oid)
-        entry = cl.store("node0").table.get(oid)
-        assert entry.remote_ref_count == 1
-        assert not entry.evictable
-
-    def test_release_unpins(self, sharing_cluster):
-        cl = sharing_cluster
-        p = cl.client("node0")
-        c = cl.client("node1")
-        oid = cl.new_object_id()
-        p.put_bytes(oid, b"transient")
-        c.get_one(oid)
-        c.release(oid)
-        entry = cl.store("node0").table.get(oid)
-        assert entry.remote_ref_count == 0
-        assert entry.evictable
-
-    def test_double_hold_pins_once(self, sharing_cluster):
-        cl = sharing_cluster
-        p = cl.client("node0")
-        c = cl.client("node1")
-        oid = cl.new_object_id()
-        p.put_bytes(oid, b"dedup")
-        c.get_one(oid)
-        c.get_one(oid)
-        assert cl.store("node0").table.get(oid).remote_ref_count == 1
-        c.release(oid)
-        assert cl.store("node0").table.get(oid).remote_ref_count == 1
-        c.release(oid)
-        assert cl.store("node0").table.get(oid).remote_ref_count == 0
-
-    def test_pinned_object_survives_home_pressure(self, sharing_cluster):
-        cl = sharing_cluster
-        p = cl.client("node0")
-        c = cl.client("node1")
-        oid = cl.new_object_id()
-        payload = bytes(MiB)
-        p.put_bytes(oid, payload)
-        buf = c.get_one(oid)
-        # Hammer the home store far past capacity.
-        capacity = cl.store("node0").capacity_bytes
-        for extra in cl.new_object_ids(capacity // MiB + 4):
-            p.put_bytes(extra, bytes(MiB))
-        assert cl.store("node0").contains(oid)
-        assert buf.read_all() == payload  # no corruption
+    """The home cannot see remote readers (§IV-A2). A held remote handle
+    fails typed once its extent is retired; it never reads reused bytes."""
 
     def test_unpinned_object_evicted_under_same_pressure(self, cluster):
-        """Contrast case: without sharing, the home store evicts it."""
+        """The home store evicts an object a remote reader holds; the
+        reader's handle then fails typed instead of reading reused bytes."""
         p = cluster.client("node0")
         c = cluster.client("node1")
         oid = cluster.new_object_id()
         p.put_bytes(oid, bytes(MiB))
-        c.get_one(oid)  # remote reader holds it, home can't tell
+        buf = c.get_one(oid)  # remote reader holds it, home can't tell
         capacity = cluster.store("node0").capacity_bytes
         for extra in cluster.new_object_ids(capacity // MiB + 4):
             p.put_bytes(extra, bytes(MiB))
         assert not cluster.store("node0").contains(oid)  # the hazard
+        with pytest.raises(StaleDescriptorError):
+            buf.read_all()
 
 
 class TestLookupCache:

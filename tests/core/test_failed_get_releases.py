@@ -1,10 +1,9 @@
 """A Get that raises gives back every reference it took.
 
-A Get takes table references on local ids, a local reference on each remote
-record and, with ``share_usage``, an AddRef pin at each record's home. When
-it then fails (an id resolves nowhere, a pin is refused), the caller gets no
-buffers to release — so the store must release them itself, or the objects
-stay in use forever.
+A Get takes table references on local ids and a local reference on each
+remote record. When it then fails (an id resolves nowhere), the caller gets
+no buffers to release — so the store must release them itself, or the
+objects stay in use forever.
 """
 
 from dataclasses import replace
@@ -27,7 +26,7 @@ def make_cluster(mode: str, nodes: int = 2, **store) -> Cluster:
 
 
 def refs(cluster: Cluster, node: str, oid) -> int:
-    return cluster.store(node).table.lookup(oid).total_refs
+    return cluster.store(node).table.lookup(oid).ref_count
 
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
@@ -46,17 +45,15 @@ def test_missing_id_releases_the_local_reference(mode):
 
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
-def test_refused_pin_releases_the_pins_granted_elsewhere(mode):
-    """One home grants its AddRef, the other answers NOT_FOUND (the object
-    was deleted after the reader resolved it): the granted pin is released,
-    and the reader keeps no record of either object."""
-    cluster = make_cluster(mode, 3, share_usage=True)
+def test_deleted_after_resolve_leaves_nothing_held(mode):
+    """The reader resolved both ids, then one was deleted at its home (the
+    delete's NotifyDeleted drops the reader's descriptor): the Get over both
+    fails not-found, and the reader keeps no record of either object."""
+    cluster = make_cluster(mode, 3, lookup_cache=True)
     kept, gone = cluster.new_object_id(), cluster.new_object_id()
     cluster.client("node0").put_bytes(kept, PAYLOAD)
     cluster.client("node1").put_bytes(gone, PAYLOAD)
     reader = cluster.store("node2")
-    # Resolve both ahead of the Get, then delete one at its home, so the Get
-    # pins from a descriptor whose object is already gone.
     assert drive(reader._rpc_lookup_task, [kept, gone], {}, []) == []  # noqa: SLF001
     cluster.client("node1").delete(gone)
 

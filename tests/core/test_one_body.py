@@ -1,7 +1,7 @@
 """One body per store operation under both drivers.
 
 ``get_buffers``, ``forward_put`` and ``delete_object`` each have a single
-generator body, and so do the lookup, pin and deletion fan-outs beneath
+generator body, and so do the lookup and deletion fan-outs beneath
 them; a synchronous caller hands it to ``repro.rpc.drive.drive``, which
 runs it on the event loop (async mode, loop idle) or inline with blocking
 leaves (sync mode, a facade called from inside a running task, or a
@@ -386,7 +386,7 @@ def call_store_facade(cluster: Cluster) -> None:
 
 
 def get_remote_object(cluster: Cluster) -> None:
-    """A Get whose id lives at the peer: it looks the id up, then pins."""
+    """A Get whose id lives at the peer: it looks the id up."""
     oid = cluster.new_object_id()
     cluster.client("node1").put_bytes(oid, b"r" * 64)
     cluster.client("node0").get([oid])
@@ -411,10 +411,9 @@ def run_scenario_op(cluster: Cluster) -> None:
         (DisaggregatedStore, "delete_object_task", call_store_facade),
         (ScenarioRunner, "_do_read", run_scenario_op),
         (DisaggregatedStore, "_rpc_lookup_task", get_remote_object),
-        (DisaggregatedStore, "_pin_at_home_task", get_remote_object),
         (DisaggregatedStore, "_announce_deleted_task", quarantine_local_object),
     ],
-    ids=["channel", "store", "runner", "lookup", "pin", "deletion"],
+    ids=["channel", "store", "runner", "lookup", "deletion"],
 )
 def test_inline_driver_raises_if_the_body_suspends(cluster, monkeypatch, owner, body, call):
     """``drive`` runs a sync-mode body inline; one that suspends anyway —

@@ -102,19 +102,17 @@ class TestFailureInjection:
         assert "injected peer crash" in excinfo.value.detail
 
     def test_object_vanishing_between_lookup_and_pin(self, cluster):
-        """share_usage pins via AddRef after Lookup; if the object is
-        deleted in between, the client sees a clean not-found."""
+        """An object deleted after the reader resolved it but before its Get
+        takes the reference: the client sees a clean not-found."""
         cfg = make_testing_config(capacity_bytes=32 * MiB, seed=77)
-        cl = Cluster(cfg.with_store(share_usage=True, check_remote_uniqueness=False))
+        cl = Cluster(cfg.with_store(lookup_cache=True, check_remote_uniqueness=False))
         p = cl.client("node0")
         c = cl.client("node1")
         oid = cl.new_object_id()
         p.put_bytes(oid, b"now-you-see-me")
 
-        # Sabotage: intercept node1's AddRef path by deleting the object
-        # right after the descriptor is cached but before pinning. We
-        # emulate the race by pre-resolving the record, deleting at home,
-        # then getting (which pins from the stale record).
+        # Emulate the race: pre-resolve the record, then delete at home (its
+        # NotifyDeleted drops the reader's descriptor), then get.
         store1 = cl.store("node1")
         unresolved = drive(store1._rpc_lookup_task, [oid], {}, [])  # noqa: SLF001 — test taps the seam
         assert unresolved == []  # resolved

@@ -166,9 +166,8 @@ class StoreMachine(RuleBasedStateMachine):
             if entry["deleted"]:
                 continue
             table_entry = self.cluster.store(entry["home"]).table.get(oid)
+            # The home counts its own clients' holds; it NEVER sees remote ones.
             assert table_entry.ref_count == self._holds(entry["home"], oid)
-            # Without usage sharing the home NEVER sees remote holds.
-            assert table_entry.remote_ref_count == 0
 
     @invariant()
     def live_contents_always_intact(self):

@@ -92,36 +92,45 @@ def test_producer_vs_rpc_lookup_threads(cluster):
 
 
 def test_concurrent_refcount_churn_via_rpc(cluster):
-    """AddRef/ReleaseRef from many threads must balance exactly."""
+    """Local get/release from many threads, with peers' Lookups dispatched
+    concurrently against the same table mutex, must balance exactly."""
     p = cluster.client("node0")
     oid = cluster.new_object_id()
     p.put_bytes(oid, b"contended")
     server0 = cluster.node("node0").server
     errors: list[Exception] = []
 
-    def churn():
+    def churn(client):
         try:
             for _ in range(500):
-                status, _, detail = server0.dispatch(
-                    "plasma.StoreService", "AddRef", {"object_ids": [oid.binary()]}
-                )
-                assert status.name == "OK", detail
-                status, _, detail = server0.dispatch(
-                    "plasma.StoreService",
-                    "ReleaseRef",
-                    {"object_ids": [oid.binary()]},
-                )
-                assert status.name == "OK", detail
+                client.get_one(oid)
+                client.release(oid)
         except Exception as exc:  # noqa: BLE001
             errors.append(exc)
 
-    threads = [threading.Thread(target=churn) for _ in range(8)]
+    def lookups():
+        try:
+            for _ in range(500):
+                status, response, detail = server0.dispatch(
+                    "plasma.StoreService", "Lookup", {"object_ids": [oid.binary()]}
+                )
+                assert status.name == "OK", detail
+                assert len(response["found"]) == 1
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(
+            target=churn, args=(cluster.client("node0", client_name=f"churn{i}"),)
+        )
+        for i in range(8)
+    ] + [threading.Thread(target=lookups) for _ in range(2)]
     for t in threads:
         t.start()
     for t in threads:
         t.join(timeout=60)
     assert not errors
-    assert cluster.store("node0").table.get(oid).remote_ref_count == 0
+    assert cluster.store("node0").table.get(oid).ref_count == 0
 
 
 def test_concurrent_creates_from_two_nodes_with_uniqueness(cluster):

@@ -66,6 +66,18 @@ class TestMemoryRegion:
         with pytest.raises(FabricError):
             region.read(40, 20)
 
+    def test_non_flat_buffer_write_lands_byte_exact(self):
+        mem = HostMemory(1000)
+        region = mem.region(100, 20)
+        payload = bytes(range(1, 13))
+        grid = memoryview(payload).cast("B", (3, 4))  # 2-D, itemsize 1
+        assert region.write(4, grid) == 12
+        assert mem.read(104, 12) == payload
+        assert mem.read(100, 4) == b"\0" * 4 and mem.read(116, 4) == b"\0" * 4
+        with pytest.raises(FabricError):
+            region.write(9, grid)  # [9, 21) overruns the 20-byte region
+        assert mem.read(100, 20) == b"\0" * 4 + payload + b"\0" * 4
+
     def test_subregion_composes(self):
         mem = HostMemory(1000)
         outer = mem.region(100, 400)

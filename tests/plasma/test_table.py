@@ -76,26 +76,17 @@ class TestLifecycle:
 
 
 class TestReferences:
-    def test_local_and_remote_refs_tracked_separately(self):
-        t = ObjectTable()
-        e = entry(1)
-        t.insert(e)
-        t.add_ref(e.object_id)
-        t.add_ref(e.object_id, remote=True)
-        assert e.ref_count == 1
-        assert e.remote_ref_count == 1
-        assert e.total_refs == 2
-        t.release_ref(e.object_id, remote=True)
-        assert e.total_refs == 1
-
     def test_release_without_ref_rejected(self):
         t = ObjectTable()
         e = entry(1)
         t.insert(e)
         with pytest.raises(ObjectInUseError):
             t.release_ref(e.object_id)
+        t.add_ref(e.object_id)
+        t.release_ref(e.object_id)
+        assert e.ref_count == 0
         with pytest.raises(ObjectInUseError):
-            t.release_ref(e.object_id, remote=True)
+            t.release_ref(e.object_id)  # one release per reference
 
     def test_evictable_requires_sealed_and_unreferenced(self):
         t = ObjectTable()
@@ -105,10 +96,12 @@ class TestReferences:
         t.seal(e.object_id, 1)
         assert e.evictable
         t.add_ref(e.object_id)
+        t.add_ref(e.object_id)
         assert not e.evictable
         t.release_ref(e.object_id)
-        t.add_ref(e.object_id, remote=True)
-        assert not e.evictable  # remote use pins too
+        assert not e.evictable  # one reference left still pins
+        t.release_ref(e.object_id)
+        assert e.evictable
 
 
 class TestLruOrdering:

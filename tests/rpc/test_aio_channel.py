@@ -33,7 +33,7 @@ class DirService(Service):
         return {"present": [bytes(o) in self.known for o in request["object_ids"]]}
 
     @rpc_method
-    def AddRef(self, request: dict) -> dict:
+    def NotifyDeleted(self, request: dict) -> dict:
         return {}
 
     @rpc_method

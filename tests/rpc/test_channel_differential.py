@@ -83,7 +83,7 @@ class DiffService(Service):
         return {"present": [bytes(oid)[-1] % 3 == 0 for oid in request["object_ids"]]}
 
     @rpc_method
-    def AddRef(self, request: dict) -> dict:
+    def NotifyDeleted(self, request: dict) -> dict:
         return {}
 
 
@@ -175,7 +175,7 @@ def make_program(seed: int) -> tuple[dict, list[tuple]]:
                 if plan.integer(0, 2):
                     calls.append(("unary", delay, *make_request(plan), deadline))
                 else:
-                    method = plan.choice(["Lookup", "Contains", "AddRef"])
+                    method = plan.choice(["Lookup", "Contains", "NotifyDeleted"])
                     calls.append(("batch", delay, method, make_ids(plan), deadline))
             steps.append(("tasks", calls))
         elif kind == "advance":

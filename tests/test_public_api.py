@@ -205,6 +205,16 @@ class TestReachedSurface:
         # Headers are packed from fields (memory.layout.pack_header), never
         # from a decoded ObjectHeader.
         ("repro.memory.layout", "ObjectHeader", "pack"),
+        # One remote-holder contract: no usage sharing, no pin at the home,
+        # one reference count per object.
+        ("repro.common.config", "StoreConfig", "share_usage"),
+        ("repro.core.service", "StoreService", "AddRef"),
+        ("repro.core.service", "StoreService", "ReleaseRef"),
+        ("repro.core.store", "DisaggregatedStore", "share_usage"),
+        ("repro.core.store", "DisaggregatedStore", "_pin_at_home_task"),
+        ("repro.core.remote", "RemoteObjectRecord", "pinned_at_home"),
+        ("repro.plasma.entry", "ObjectEntry", "remote_ref_count"),
+        ("repro.plasma.entry", "ObjectEntry", "total_refs"),
     ])
     def test_unreached_name_is_gone(self, module, owner, name):
         import importlib
