@@ -26,7 +26,6 @@ from repro.core import Cluster
 NUM_OBJECTS = 1000
 OBJECT_SIZE = 8 * KiB
 BYTES_PER_TICK = 256 * KiB
-TICK_NS = 1_000_000.0  # 1 ms of simulated time per tick
 SEED = 1337
 
 PATTERN = b"rebalance/"
@@ -34,9 +33,7 @@ PAYLOAD = (PATTERN * (OBJECT_SIZE // len(PATTERN) + 1))[:OBJECT_SIZE]
 
 
 def build_cluster(seed: int) -> Cluster:
-    placement = PlacementConfig(
-        rebalance_bytes_per_tick=BYTES_PER_TICK, rebalance_tick_interval_ns=TICK_NS
-    )
+    placement = PlacementConfig(rebalance_bytes_per_tick=BYTES_PER_TICK)
     config = ClusterConfig(seed=seed, placement=placement).with_store(
         capacity_bytes=64 * MiB
     )

@@ -142,12 +142,6 @@ class RpcConfig:
     # 0 disables (unlimited retries up to max_retries — the legacy shape).
     retry_budget_per_s: float = 0.0
     retry_budget_burst: int = 10
-    # Hedged reads: after the per-channel latency quantile below, a replica
-    # read that has not completed is abandoned (cancelled) and re-issued at
-    # another holder. 0 disables hedging; no hedging happens until the
-    # channel has observed hedge_min_samples completed calls.
-    hedge_quantile: float = 0.0
-    hedge_min_samples: int = 20
     # --- async event-loop mode (repro.rpc.aio) ---
     # "sync" preserves the paper's blocking one-in-flight unary semantics
     # (and keeps every standing BENCH/TRACE artifact byte-identical);
@@ -254,10 +248,9 @@ class PlacementConfig:
     and rebalance pacing. A cluster places objects iff its config carries
     one."""
 
-    # Rebalancer throttle: payload bytes migrated per tick, and the
-    # simulated time one tick stands for.
+    # Rebalancer throttle: payload bytes migrated per tick (one tick
+    # stands for repro.placement.rebalance.TICK_INTERVAL_NS).
     rebalance_bytes_per_tick: int = 8 * MiB
-    rebalance_tick_interval_ns: float = 1_000_000.0
     # Seed members' ring weights (name -> weight; unnamed members weigh
     # 1.0). A weight-2 node owns twice the ring, the stand-in for a
     # memory-rich host in a heterogeneous cluster.
@@ -271,8 +264,6 @@ class PlacementConfig:
                 )
         if self.rebalance_bytes_per_tick <= 0:
             raise ValueError("rebalance_bytes_per_tick must be positive")
-        if self.rebalance_tick_interval_ns < 0:
-            raise ValueError("rebalance_tick_interval_ns must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -294,12 +285,7 @@ class TierConfig:
     # Tier-engine throttle, mirroring the rebalancer's tick shape.
     bytes_per_tick: int = 4 * MiB
     tick_interval_ns: float = 2_000_000.0
-    # A cache hit is a local DRAM copy: same shape (and default constants)
-    # as the calibrated local-memory model, with an independent jitter
-    # stream so enabling the cache never perturbs other subsystems' draws.
-    cache_hit_latency_ns: float = 15.0
-    cache_hit_bandwidth_bps: float = 6.5 * GiB
-    cache_hit_jitter_sigma: float = 0.01
+    # A cache hit is charged as a local DRAM read (LocalMemoryConfig).
 
     def validate(self) -> None:
         if self.cache_capacity_bytes < 0:
@@ -312,12 +298,6 @@ class TierConfig:
             raise ValueError("bytes_per_tick must be positive")
         if self.tick_interval_ns < 0:
             raise ValueError("tick_interval_ns must be non-negative")
-        if self.cache_hit_latency_ns < 0:
-            raise ValueError("cache_hit_latency_ns must be non-negative")
-        if self.cache_hit_bandwidth_bps <= 0:
-            raise ValueError("cache_hit_bandwidth_bps must be positive")
-        if self.cache_hit_jitter_sigma < 0:
-            raise ValueError("cache_hit_jitter_sigma must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -498,10 +478,6 @@ class ClusterConfig:
             raise ValueError("retry_budget_per_s must be non-negative")
         if self.rpc.retry_budget_burst < 1:
             raise ValueError("retry_budget_burst must be >= 1")
-        if not 0.0 <= self.rpc.hedge_quantile < 1.0:
-            raise ValueError("hedge_quantile must be in [0, 1)")
-        if self.rpc.hedge_min_samples < 1:
-            raise ValueError("hedge_min_samples must be >= 1")
         if self.rpc.mode not in ("sync", "async"):
             raise ValueError(f"unknown rpc mode {self.rpc.mode!r}")
         if self.rpc.batch_window_ns < 0:

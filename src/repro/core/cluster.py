@@ -158,7 +158,6 @@ class Cluster:
                 self,
                 self._engine,
                 bytes_per_tick=pcfg.rebalance_bytes_per_tick,
-                tick_interval_ns=pcfg.rebalance_tick_interval_ns,
             )
             for node in self._nodes.values():
                 node.store.enable_placement()
@@ -196,6 +195,7 @@ class Cluster:
             agent = TierAgent(
                 name,
                 self._config.tier,
+                self._config.local_memory,
                 self._clock,
                 self._rng.spawn("tier", name),
             )

@@ -9,10 +9,10 @@ corrupted object buffers if not handled carefully."
 The cache maps object id -> (home store, descriptor) so a repeated request
 skips the gRPC round trip entirely. The "careful handling": home stores
 push ``NotifyDeleted`` RPCs on delete/evict, which
-:meth:`LookupCache.invalidate` consumes; and entries are only trusted for
-*pinned* objects when reference sharing is enabled (otherwise a hit still
-revalidates nothing and eviction can invalidate it — the benchmark
-``test_lookup_cache`` shows both the win and the hazard).
+:meth:`LookupCache.invalidate` consumes. A hit revalidates nothing: when
+that push is lost, the reader's in-region header check catches the stale
+descriptor instead (the benchmark ``test_lookup_cache`` shows both the win
+and the hazard).
 
 With elastic placement (repro.placement) two more invalidation channels
 exist. Every entry is stamped with the topology *epoch* it was learned

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.ids import ObjectID
 from repro.rpc.channel import ServiceStub
@@ -17,14 +17,6 @@ class PeerHandle:
     name: str
     stub: ServiceStub
     remote_region: RemoteRegion
-
-    def __post_init__(self) -> None:
-        if self.remote_region.home_name != self.name and not self.name.startswith(
-            self.remote_region.home_name
-        ):
-            # The window must point at the peer's node; store names are
-            # derived from node names in the cluster builder.
-            pass
 
 
 @dataclass

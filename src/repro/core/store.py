@@ -70,7 +70,7 @@ class DisaggregatedStore(PlasmaStore):
     class Counters(PlasmaStore.Counters):
         gets_local = gets_remote = gets_cache_served = 0
         lookup_rpcs = lookup_cache_hits = lookups_shed = 0
-        lookup_hedges_fired = lookup_hedge_wins = lookup_hedge_losses = 0
+        lookup_hedges_fired = lookup_hedge_wins = 0
         stale_descriptor_refreshes = 0
         peers_unavailable = peers_disconnected = 0
         topology_installs = topology_stale_updates = 0
@@ -857,14 +857,8 @@ class DisaggregatedStore(PlasmaStore):
         harmlessly — Lookup is idempotent); the sweep then never goes back
         to a home that answered no (one that failed, or lost its hedge
         race, is asked again like any other peer) — any peer might hold a
-        replica, and the ring view might be stale.
-
-        A blocking sweep waits on a non-final peer only for the channel's
-        hedge delay (a configured quantile of its observed latency), if
-        hedging is configured: on expiry it moves straight to the next
-        holder, and ids still unresolved at the end are retried once at the
-        hedged (slow, not dead) peers with the full deadline — hedging
-        trades tail latency for duplicate work, never availability."""
+        replica, and the ring view might be stale. A blocking sweep asks
+        one peer at a time and waits for its answer."""
         remaining = list(object_ids)
         by_home, peers = self._probe_order(remaining)
         said_no: dict[str, list[ObjectID]] = {}
@@ -887,9 +881,7 @@ class DisaggregatedStore(PlasmaStore):
                 if result:
                     said_no[home] = by_home[home]
             remaining = [oid for oid in object_ids if oid not in resolved]
-        hedged: list[str] = []
-        last = len(peers) - 1
-        for index, name in enumerate(peers):
+        for name in peers:
             if not remaining:
                 break
             asked = said_no.get(name)
@@ -900,23 +892,11 @@ class DisaggregatedStore(PlasmaStore):
             )
             if not ids:
                 continue
-            hedge_ns = None
-            if blocking and index < last:
-                hedge_ns = self._peer_channel(name).hedge_delay_ns()
             unclaimed = yield from self._lookup_peer_task(
-                name, ids, resolved, unreachable, attr,
-                blocking=blocking, hedged=hedged, hedge_ns=hedge_ns,
+                name, ids, resolved, unreachable, attr, blocking=blocking
             )
             if len(unclaimed) != len(ids):
                 remaining = [oid for oid in remaining if oid not in resolved]
-        if remaining and hedged:
-            self.counters.lookup_hedge_losses += 1
-            for name in hedged:
-                if not remaining:
-                    break
-                remaining = yield from self._lookup_peer_task(
-                    name, remaining, resolved, unreachable, attr, blocking=blocking
-                )
         return remaining
 
     def _probe_order(
@@ -1013,15 +993,11 @@ class DisaggregatedStore(PlasmaStore):
         attr=None,
         *,
         blocking: bool = False,
-        hedged: list[str] | None = None,
-        hedge_ns: float | None = None,
     ):
         """Probe one peer with a batched Lookup; returns the ids it did not
         claim. A task's Lookup goes through the peer channel's coalescing
         buffer (sharing a wire message with any other lookup landing within
-        the batch window); a blocking one is a unary call, clamped to
-        *hedge_ns* when given — a clamped probe that runs out is the hedge
-        firing, and the peer goes on *hedged*, not on *unreachable*."""
+        the batch window); a blocking one is a plain unary call."""
         wire_ids = [oid.binary() for oid in remaining]
         stub = self._peers[name].stub
         try:
@@ -1030,31 +1006,13 @@ class DisaggregatedStore(PlasmaStore):
                     stub.service, "Lookup", wire_ids, attr=attr
                 )
             else:
-                # Time burned waiting on a hedge-clamped probe is the cost
-                # of the hedging policy, not ordinary service — attribute
-                # every ns of this attempt to "hedge".
-                scope = (
-                    self.spans.component("hedge")
-                    if hedge_ns is not None and self.spans is not None
-                    else _UNOBSERVED
+                response = yield from stub.channel.unary_task(
+                    stub.service,
+                    "Lookup",
+                    {"object_ids": wire_ids},
+                    blocking=True,
                 )
-                with scope:
-                    response = yield from stub.channel.unary_task(
-                        stub.service,
-                        "Lookup",
-                        {"object_ids": wire_ids},
-                        deadline_ns=hedge_ns,
-                        blocking=True,
-                    )
         except ServerOverloadedError:
-            if hedge_ns is not None:
-                # Shed *under the hedge clamp*: the server refused work it
-                # could not finish inside the hedge window. That is the
-                # hedge firing, not an outage — the peer stays eligible
-                # for the full-deadline retry after the sweep.
-                self.counters.lookup_hedges_fired += 1
-                hedged.append(name)
-                return remaining
             # The peer is alive but shedding load; back off rather than
             # fail over (the channel's breaker/retry budget already did
             # their part).
@@ -1063,13 +1021,6 @@ class DisaggregatedStore(PlasmaStore):
                 unreachable.append(name)
             return remaining
         except RpcStatusError as exc:
-            if hedge_ns is not None and exc.code is StatusCode.DEADLINE_EXCEEDED:
-                # The hedge fired: this peer is slow, not dead — it is NOT
-                # marked unreachable. The sweep hedges to the next holder;
-                # this abandoned attempt is the cancelled one.
-                self.counters.lookup_hedges_fired += 1
-                hedged.append(name)
-                return remaining
             # A down peer's objects are unreachable by lookup (their bytes
             # survive in exposed memory, but nobody can resolve ids to
             # offsets) — skip it and keep serving. An open circuit breaker
@@ -1081,10 +1032,6 @@ class DisaggregatedStore(PlasmaStore):
                 return remaining
             raise
         claimed = self._claim_found(name, response, resolved)
-        if hedged and claimed:
-            # An answer arrived from a holder reached only because an
-            # earlier hedge fired — the hedge won the race.
-            self.counters.lookup_hedge_wins += 1
         return [oid for oid in remaining if oid not in claimed]
 
     def _claim_found(
@@ -1163,16 +1110,19 @@ class DisaggregatedStore(PlasmaStore):
             verify_checksum=self.config.verify_checksum_on_read,
             checksum_ns_per_byte=self.config.checksum_ns_per_byte,
             clock=self.clock,
-            refresh=lambda oid=record.object_id: self._refresh_stale(oid),
+            refresh=lambda issued=record: self._refresh_stale(issued),
         )
 
-    def _refresh_stale(self, object_id: ObjectID) -> tuple | None:
-        """A validated fabric read hit a stale header: drop every cached
-        descriptor for *object_id* (satisfying the lost-NotifyDeleted case —
-        generation mismatch is the backstop invalidation signal), re-Lookup
-        once, and hand the reader a fresh read target. Returns
-        ``(remote_region, payload_offset, integrity)`` or None if nobody
-        claims the id anymore."""
+    def _refresh_stale(self, issued: RemoteObjectRecord) -> tuple | None:
+        """A validated fabric read of the handle *issued* describes hit a
+        stale header: drop every cached descriptor for its id (satisfying
+        the lost-NotifyDeleted case — generation mismatch is the backstop
+        invalidation signal), re-Lookup once, and hand the reader a fresh
+        read target. Returns ``(remote_region, payload_offset, integrity)``,
+        or None — the reader then fails typed — if nobody claims the id
+        anymore or the id now names different content: only a move that
+        keeps the bytes (migration, replica failover) is followed."""
+        object_id = issued.object_id
         self.counters.stale_descriptor_refreshes += 1
         # The stale record stays registered until the re-lookup succeeds, so
         # held buffers release cleanly even when the object is gone for
@@ -1193,10 +1143,14 @@ class DisaggregatedStore(PlasmaStore):
         if record is None:
             return None
         if old is not None:
-            # The stale record's handles keep working against the fresh
-            # incarnation.
+            # The stale record's references carry over to the fresh one.
             record.local_refs = old.local_refs
         self._remote_records[object_id] = record
+        if (
+            record.data_size != issued.data_size
+            or record.payload_crc != issued.payload_crc
+        ):
+            return None
         handle = self.peer(record.home)
         return handle.remote_region, record.offset, self._integrity_for(record)
 

@@ -487,8 +487,8 @@ class SpanSink:
 
     def component(self, name: str):
         """Context manager overriding attribution of enclosed clock
-        advances to *name* (``retry`` around backoff, ``hedge`` around a
-        hedged lookup) regardless of the spans that open inside it."""
+        advances to *name* (``retry`` around backoff) regardless of the
+        spans that open inside it."""
         if name not in COMPONENTS:
             raise ValueError(f"unknown component {name!r}; one of {COMPONENTS}")
         if not self.enabled:

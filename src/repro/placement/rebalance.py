@@ -3,9 +3,9 @@
 Each :meth:`Rebalancer.tick` retries deferred source retirements, computes
 the misplaced set (sealed primaries whose ring home is a different ACTIVE
 member), migrates objects in deterministic order until the configured
-bytes-per-tick budget is spent, and advances the simulated clock by the
-tick interval — the discrete-event stand-in for a background rebalance
-thread with a bandwidth cap.
+bytes-per-tick budget is spent, and advances the simulated clock by
+:data:`TICK_INTERVAL_NS` — the discrete-event stand-in for a background
+rebalance thread with a bandwidth cap.
 
 Sources must be ACTIVE or DRAINING: a DOWN member's store process cannot
 drive the pull protocol (its data either waits for ``recover_node`` or is
@@ -21,6 +21,9 @@ from dataclasses import dataclass, field
 
 from repro.common.ids import ObjectID
 from repro.placement.membership import NodeStatus
+
+#: Simulated time one rebalancer tick stands for.
+TICK_INTERVAL_NS = 1_000_000.0
 
 
 @dataclass(frozen=True)
@@ -61,16 +64,12 @@ class Rebalancer:
         engine,
         *,
         bytes_per_tick: int,
-        tick_interval_ns: float,
     ):
         if bytes_per_tick <= 0:
             raise ValueError("bytes_per_tick must be positive")
-        if tick_interval_ns < 0:
-            raise ValueError("tick_interval_ns must be non-negative")
         self._cluster = cluster
         self._engine = engine
         self._bytes_per_tick = int(bytes_per_tick)
-        self._tick_interval_ns = float(tick_interval_ns)
 
     def _source_names(self) -> list[str]:
         view = self._cluster.membership.view()
@@ -136,8 +135,7 @@ class Rebalancer:
                 moved_bytes += result.bytes_moved
             else:
                 aborted += 1
-        if self._tick_interval_ns:
-            self._cluster.clock.advance(self._tick_interval_ns)
+        self._cluster.clock.advance(TICK_INTERVAL_NS)
         return TickReport(
             moved_objects=moved_objects,
             moved_bytes=moved_bytes,

@@ -61,7 +61,6 @@ from repro.common.clock import SimClock
 from repro.common.config import RpcConfig
 from repro.common.errors import RpcError, RpcStatusError, ServerOverloadedError
 from repro.common.rng import DeterministicRng
-from repro.common.stats import Distribution
 from repro.obs.metrics import CounterGroup
 from repro.rpc.aio.batch import BATCHABLE_METHODS, CoalescingBuffer
 from repro.rpc.aio.loop import EventLoop, Future, Sleep, TaskAttribution
@@ -149,10 +148,6 @@ class Channel:
         self._retry_budget = RetryBudget(
             clock, config.retry_budget_per_s, config.retry_budget_burst
         )
-        # Client-observed latency samples feeding the hedged-read delay
-        # quantile. Only collected when hedging is configured, so the
-        # default path allocates nothing per call.
-        self._latency_samples = Distribution()
 
     def attach_metrics(self, registry) -> None:
         """Bind call counters, per-method latency, and breaker state."""
@@ -212,15 +207,6 @@ class Channel:
         more round trip on this channel: ``nbytes * per_byte_ns <
         round_trip_ns``, the crossover of the unary cost model."""
         return nbytes * self._config.per_byte_ns < self._config.round_trip_ns
-
-    def hedge_delay_ns(self) -> float | None:
-        """How long to wait on a read before hedging to another holder:
-        the configured quantile of this channel's observed call latency.
-        None until hedging is configured and enough samples exist."""
-        q = self._config.hedge_quantile
-        if q <= 0 or self._latency_samples.count < self._config.hedge_min_samples:
-            return None
-        return float(self._latency_samples.quantile(q))
 
     def close(self) -> None:
         self._closed = True
@@ -471,7 +457,7 @@ class Channel:
     ):
         """Every admitted call: its attempts (inside the ``rpc`` span of a
         blocking call, with a sink attached), then latency and breaker
-        recording. Successful unary latency feeds the hedge-delay quantile."""
+        recording."""
         start_ns = self._clock.now_ns
         ladder = self._attempts(
             service, method, request, start_ns, deadline_ns, blocking, attr, stream
@@ -487,8 +473,6 @@ class Channel:
             self._breaker_record(exc)
             raise
         self._observe_latency(method, start_ns)
-        if not stream and self._config.hedge_quantile > 0:
-            self._latency_samples.add(self._clock.now_ns - start_ns)
         self._breaker_record(None)
         return result
 

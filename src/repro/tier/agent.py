@@ -20,7 +20,9 @@ from repro.tier.heat import HeatTracker
 class TierAgent:
     """One node's view of the tiering plane."""
 
-    def __init__(self, node: str, config, clock: SimClock, rng: DeterministicRng):
+    def __init__(
+        self, node: str, config, local_memory, clock: SimClock, rng: DeterministicRng
+    ):
         self.node = node
         self.config = config
         self.cache: HotObjectCache | None = None
@@ -34,13 +36,13 @@ class TierAgent:
         self.local_heat = HeatTracker(
             clock, half_life_ns=config.heat_half_life_ns, rng=rng.spawn("local-heat")
         )
-        # A cache hit is a local DRAM copy: same shape as the endpoint's
-        # local-read model, with its own jitter stream so enabling the
-        # cache never perturbs fabric or endpoint draws.
+        # A cache hit is a local DRAM copy: the endpoint's local-read
+        # constants, with its own jitter stream so enabling the cache never
+        # perturbs fabric or endpoint draws.
         self.hit_cost = TransferModel(
-            config.cache_hit_latency_ns,
-            config.cache_hit_bandwidth_bps,
-            config.cache_hit_jitter_sigma,
+            local_memory.access_latency_ns,
+            local_memory.read_bandwidth_bps,
+            local_memory.jitter_sigma,
             rng.spawn("hit-jitter"),
         )
         # Outstanding references on cache-served buffers, by oid bytes.

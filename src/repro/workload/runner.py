@@ -175,8 +175,6 @@ def _config_for(scenario: Scenario, seed: int) -> ClusterConfig:
             default_deadline_ns=spec.op_deadline_ms * 1e6,
             retry_budget_per_s=spec.retry_budget_per_s,
             retry_budget_burst=spec.retry_budget_burst,
-            hedge_quantile=spec.hedge_quantile,
-            hedge_min_samples=spec.hedge_min_samples,
         )
     rspec = scenario.rpc
     if rspec is not None:

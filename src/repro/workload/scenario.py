@@ -234,9 +234,9 @@ class OverloadSpec:
     Present in a scenario, it gives every server a finite service rate and
     bounded request queue (shedding RESOURCE_EXHAUSTED beyond it), stamps
     every operation with a deadline (propagated hop to hop so servers can
-    shed expired work), caps client retry amplification with a token-bucket
-    retry budget, and optionally enables quantile-delay hedged reads.
-    Absent, everything stays at the legacy infinite-capacity behaviour.
+    shed expired work) and caps client retry amplification with a
+    token-bucket retry budget. Absent, everything stays at the legacy
+    infinite-capacity behaviour.
 
     ``burst_backlog_ms``/``burst_period_s`` model recurring stalls on one
     node (a GC pause, a compaction, a noisy neighbour): every period the
@@ -253,8 +253,6 @@ class OverloadSpec:
     op_deadline_ms: float = knob(0.0, lo=0.0)
     retry_budget_per_s: float = knob(0.0, lo=0.0)
     retry_budget_burst: int = knob(10, lo=1)
-    hedge_quantile: float = knob(0.0, lo=0.0, hi=0.999)
-    hedge_min_samples: int = knob(20, lo=1)
     burst_backlog_ms: float = knob(0.0, lo=0.0)
     burst_period_s: float = knob(0.0, lo=0.0)
     burst_node: int = knob(0, lo=0)

@@ -1,5 +1,6 @@
 """End-to-end overload control: deadline propagation across forwarded
-hops, expired-work shedding, and hedged reads — all on the sim clock."""
+hops, expired-work shedding, and reads past a slow holder — all on the
+sim clock."""
 
 from __future__ import annotations
 
@@ -108,68 +109,53 @@ class TestExpiredWorkShed:
         assert reader.get_bytes(oid) == b"stale-by-arrival"
 
 
-def warm_hedge_samples(cl, reader_node, holder_node, n=3):
-    """Seed the reader->holder channel's latency estimator with healthy
-    round trips so hedge_delay_ns() has enough samples."""
-    producer = cl.client(holder_node)
-    reader = cl.client(reader_node)
-    for i in range(n):
-        oid = cl.new_object_id()
-        producer.put_bytes(oid, b"warm%d" % i)
-        assert reader.get_bytes(oid) == b"warm%d" % i
+class TestSlowHolder:
+    """A blocking Lookup is a plain unary call: the sweep waits for a slow
+    peer's answer (up to the call's deadline) rather than hedging past it."""
 
+    def slow_node0_read(self, home):
+        """Put at *home*, stall node0 (probed first) behind a 20 ms backlog
+        at 10 ms per op, and read from node1: (cluster, payload, read
+        latency ns)."""
+        cl = make_cluster(3)
+        target = cl.new_object_id()
+        cl.client(home).put_bytes(target, b"payload-at-" + home.encode())
+        model = cl.node("node0").server.overload
+        model.set_service_rate(100.0)
+        model.add_backlog(20 * MS)
+        start_ns = cl.clock.now_ns
+        payload = cl.client("node1").get_bytes(target)
+        return cl, payload, cl.clock.now_ns - start_ns
 
-class TestHedgedReads:
-    def make(self):
-        return make_cluster(
-            3, rpc_overrides={"hedge_quantile": 0.95, "hedge_min_samples": 3}
-        )
-
-    def test_hedge_wins_against_a_slow_holder(self):
-        """The first probed peer is slow (sheds under the hedge clamp);
-        the sweep hedges to the next holder, which answers — a hedge win,
+    def test_slow_first_holder_exact_payload(self):
+        """node0 is slow and holds nothing: the sweep waits for its
+        answer, then node2 claims the id — the exact payload, no hedge,
         and the slow peer is never marked unreachable."""
-        cl = self.make()
-        warm_hedge_samples(cl, "node1", "node0")
-        target = cl.new_object_id()
-        cl.client("node2").put_bytes(target, b"hedged-payload")
-        # node0 (probed first, non-final) now takes 10 ms per op — far
-        # beyond the microsecond-scale hedge clamp learned while healthy.
-        cl.node("node0").server.overload.set_service_rate(100.0)
-        reader = cl.client("node1")
-        assert reader.get_bytes(target) == b"hedged-payload"
+        cl, payload, latency_ns = self.slow_node0_read("node2")
+        assert payload == b"payload-at-node2"
         counters = cl.store("node1").counters
-        assert counters.lookup_hedges_fired >= 1
-        assert counters.lookup_hedge_wins >= 1
-        assert counters.lookup_hedge_losses == 0
+        assert counters.lookup_hedges_fired == 0
+        assert counters.peers_unavailable == 0
+        # The Lookup at node0 was admitted and waited out its backlog.
+        assert cl.node("node0").server.overload.counters.admitted >= 1
+        assert latency_ns >= 20 * MS
 
-    def test_hedge_loses_and_retries_with_full_deadline(self):
-        """The hedged peer was the only holder: the clamped probe fails,
-        every other peer comes up empty, and the sweep retries the slow
-        peer with the full deadline — availability is preserved."""
-        cl = self.make()
-        warm_hedge_samples(cl, "node1", "node0")
-        target = cl.new_object_id()
-        cl.client("node0").put_bytes(target, b"only-copy")
-        cl.node("node0").server.overload.set_service_rate(100.0)
-        reader = cl.client("node1")
-        assert reader.get_bytes(target) == b"only-copy"
+    def test_slow_sole_holder_is_still_read(self):
+        """The slow peer is the only holder: the read still succeeds
+        (availability), without marking it unreachable."""
+        cl, payload, latency_ns = self.slow_node0_read("node0")
+        assert payload == b"payload-at-node0"
         counters = cl.store("node1").counters
-        assert counters.lookup_hedges_fired >= 1
-        assert counters.lookup_hedge_losses >= 1
-        assert counters.lookup_hedge_wins == 0
+        assert counters.lookup_hedges_fired == 0
+        assert counters.peers_unavailable == 0
+        assert latency_ns >= 20 * MS
 
-    def test_hedged_run_replays_byte_identical(self):
-        """The whole hedged-read schedule is deterministic: same seed,
+    def test_slow_holder_run_replays_identical(self):
+        """The whole slow-holder read schedule is deterministic: same seed,
         same counters, same final clock."""
 
         def run():
-            cl = self.make()
-            warm_hedge_samples(cl, "node1", "node0")
-            target = cl.new_object_id()
-            cl.client("node2").put_bytes(target, b"replay")
-            cl.node("node0").server.overload.set_service_rate(100.0)
-            payload = cl.client("node1").get_bytes(target)
+            cl, payload, _ = self.slow_node0_read("node2")
             return (
                 bytes(payload),
                 sorted(cl.store("node1").counters.snapshot().items()),

@@ -23,9 +23,9 @@ def make_cluster(**store_overrides) -> Cluster:
 
 @pytest.fixture
 def held():
-    """(cluster, oid, node1's handle on an object homed at node0). Usage
-    sharing is off, so the Get takes no home-side pin and the home can
-    retire the extent under the handle."""
+    """(cluster, oid, node1's handle on an object homed at node0). The Get
+    takes no home-side pin, so the home can retire the extent under the
+    handle."""
     cluster = make_cluster()
     oid = cluster.new_object_id()
     cluster.client("node0").put_bytes(oid, b"A" * 4096)
@@ -44,8 +44,17 @@ def test_retired_extent_refreshes_then_fails_typed(held):
 def test_recreated_object_is_retried_transparently(held):
     cluster, oid, buffer = held
     cluster.store("node0").delete_object(oid)
-    cluster.client("node0").put_bytes(oid, b"B" * 4096)  # same id, new generation
-    assert buffer.read_view() == b"B" * 4096
+    cluster.client("node0").put_bytes(oid, b"A" * 4096)  # same bytes, new generation
+    assert buffer.read_view() == b"A" * 4096
+    assert cluster.store("node1").counters.stale_descriptor_refreshes == 1
+
+
+def test_recreated_with_new_content_fails_typed(held):
+    cluster, oid, buffer = held
+    cluster.store("node0").delete_object(oid)
+    cluster.client("node0").put_bytes(oid, b"B" * 4096)  # same id, new bytes
+    with pytest.raises(StaleDescriptorError):
+        buffer.read_view()
     assert cluster.store("node1").counters.stale_descriptor_refreshes == 1
 
 

@@ -17,7 +17,6 @@ from repro.common.clock import SimClock
 from repro.common.config import RpcConfig
 from repro.common.errors import RpcError, RpcStatusError, ServerOverloadedError
 from repro.common.rng import DeterministicRng
-from repro.common.stats import Distribution
 from repro.obs.metrics import CounterGroup
 from repro.rpc.aio.batch import BATCHABLE_METHODS, CoalescingBuffer
 from repro.rpc.aio.loop import EventLoop, Future, Sleep, TaskAttribution
@@ -79,10 +78,6 @@ class Channel:
         self._retry_budget = RetryBudget(
             clock, config.retry_budget_per_s, config.retry_budget_burst
         )
-        # Client-observed latency samples feeding the hedged-read delay
-        # quantile. Only collected when hedging is configured, so the
-        # default path allocates nothing per call.
-        self._latency_samples = Distribution()
 
     def attach_metrics(self, registry) -> None:
         """Bind call counters, per-method latency, and breaker state."""
@@ -120,15 +115,6 @@ class Channel:
         """The configured per-call deadline (0 = none) — the budget a
         multi-hop operation starts from (see DeadlineBudget.for_stub)."""
         return self._config.default_deadline_ns
-
-    def hedge_delay_ns(self) -> float | None:
-        """How long to wait on a read before hedging to another holder:
-        the configured quantile of this channel's observed call latency.
-        None until hedging is configured and enough samples exist."""
-        q = self._config.hedge_quantile
-        if q <= 0 or self._latency_samples.count < self._config.hedge_min_samples:
-            return None
-        return float(self._latency_samples.quantile(q))
 
     def close(self) -> None:
         self._closed = True
@@ -230,7 +216,7 @@ class Channel:
             raise RpcError(f"channel to {self._server.host} is closed")
         self._breaker_admit()
         deadline = self._effective_deadline(deadline_ns)
-        track = self._latency is not None or self._config.hedge_quantile > 0
+        track = self._latency is not None
         start_ns = self._clock.now_ns if track else 0
         try:
             if self._spans is not None:
@@ -247,9 +233,6 @@ class Channel:
             self._breaker_record(exc)
             raise
         self._observe_latency(method, start_ns)
-        if self._config.hedge_quantile > 0:
-            # Successful-call latency feeds the hedge-delay quantile.
-            self._latency_samples.add(self._clock.now_ns - start_ns)
         self._breaker_record(None)
         return response
 
@@ -661,8 +644,6 @@ class AsyncChannel(Channel):
             self._in_flight -= 1
             self.task_counters.tasks_completed += 1
         self._observe_latency(method, start_ns)
-        if self._config.hedge_quantile > 0:
-            self._latency_samples.add(self._clock.now_ns - start_ns)
         self._breaker_record(None)
         return response
 

@@ -6,11 +6,11 @@ task unary, stream establishment). Seeded random programs — blocking unary
 and stream calls, and rounds of interleaved unary tasks and coalesced
 batched calls on an event loop — run against both under chaos blackholes
 and partitions, injected drops, a crashed server, overload sheds, deadlines
-(expiring mid-attempt and mid-backoff), a dry retry budget, a breaker that
-opens and half-opens, and hedge sampling. The two must agree on the clock
+(expiring mid-attempt and mid-backoff), a dry retry budget, and a breaker
+that opens and half-opens. The two must agree on the clock
 after every call, on every result and every error (type, code, message),
 and at the end on counters, aio counters, breaker state, RNG positions,
-latency histograms, the hedge delay and the span plane's attribution of
+latency histograms and the span plane's attribution of
 every blocking call. Task calls run without a ``TaskAttribution``: the
 reference's hint drew from the channel RNG, which ``test_aio_channel.py``
 pins as fixed.
@@ -104,7 +104,7 @@ def make_ids(plan: DeterministicRng) -> list[bytes]:
 def make_program(seed: int) -> tuple[dict, list[tuple]]:
     """A random channel configuration, fault plan and step list."""
     plan = DeterministicRng(seed).spawn("program")
-    rpc = RpcConfig(
+    drawn = dict(
         round_trip_ns=plan.choice([200_000.0, 2_300_000.0]),
         jitter_sigma=plan.choice([0.0, 0.18]),
         inject_failure_rate=plan.choice([0.0, 0.0, 0.25, 0.6]),
@@ -114,8 +114,13 @@ def make_program(seed: int) -> tuple[dict, list[tuple]]:
         default_deadline_ns=plan.choice([0.0, 0.0, 5 * MS, 12 * MS]),
         retry_budget_per_s=plan.choice([0.0, 0.0, 40.0]),
         retry_budget_burst=plan.integer(1, 3),
-        hedge_quantile=plan.choice([0.0, 0.9]),
-        hedge_min_samples=plan.integer(1, 4),
+    )
+    # The two draws that once configured a (since deleted) quantile hedge:
+    # kept so every seed still generates the same program.
+    plan.choice([0.0, 0.9])
+    plan.integer(1, 4)
+    rpc = RpcConfig(
+        **drawn,
         batch_window_ns=plan.choice([0.0, 150_000.0, 1 * MS]),
         max_batch=plan.integer(1, 6),
     )
@@ -344,7 +349,7 @@ def play(impl: str, seed: int) -> tuple[list, World]:
     seen = []
     for step in steps:
         result = world.step(step)
-        seen.append((result, world.clock.now_ns, world.channel.hedge_delay_ns()))
+        seen.append((result, world.clock.now_ns))
     seen.append(world.final_state())
     return seen, world
 
@@ -373,7 +378,7 @@ def test_random_programs_run_identically_on_both_channels(rng):
             v for k, v in shed.items() if k.startswith("shed_")
         )
         totals["unanswered"] = totals.get("unanswered", 0) + sum(
-            1 for step, _, _ in got[:-1] if "no response" in str(step)
+            1 for step, _ in got[:-1] if "no response" in str(step)
         )
         totals["server_down"] = totals.get("server_down", 0) + (
             world.server.counters.calls_unavailable

@@ -300,22 +300,3 @@ class TestChannelSheds:
         with pytest.raises(Exception):
             channel.unary_call("test.Echo", "Echo", {})
         assert channel.counters.breaker_rejections == 1
-
-    def test_hedge_delay_needs_samples(self):
-        clock = SimClock()
-        config = RpcConfig(
-            jitter_sigma=0.0, hedge_quantile=0.9, hedge_min_samples=3
-        )
-        server, channel = make_pair(clock, rpc=config)
-        assert channel.hedge_delay_ns() is None
-        for _ in range(3):
-            channel.unary_call("test.Echo", "Echo", {})
-        delay = channel.hedge_delay_ns()
-        assert delay is not None and delay > 0
-
-    def test_hedge_delay_disabled_by_default(self):
-        clock = SimClock()
-        server, channel = make_pair(clock)
-        for _ in range(50):
-            channel.unary_call("test.Echo", "Echo", {})
-        assert channel.hedge_delay_ns() is None

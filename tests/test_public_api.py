@@ -215,6 +215,20 @@ class TestReachedSurface:
         ("repro.core.remote", "RemoteObjectRecord", "pinned_at_home"),
         ("repro.plasma.entry", "ObjectEntry", "remote_ref_count"),
         ("repro.plasma.entry", "ObjectEntry", "total_refs"),
+        # One hedge per Lookup (the async stagger race): no quantile hedge
+        # on the blocking sweep, in the config, the channel or a scenario.
+        ("repro.common.config", "RpcConfig", "hedge_quantile"),
+        ("repro.common.config", "RpcConfig", "hedge_min_samples"),
+        ("repro.rpc.channel", "Channel", "hedge_delay_ns"),
+        ("repro.workload.scenario", "OverloadSpec", "hedge_quantile"),
+        ("repro.workload.scenario", "OverloadSpec", "hedge_min_samples"),
+        # Config, field by field: a cache hit is charged as a local DRAM
+        # read, and a rebalancer tick is a constant.
+        ("repro.common.config", "TierConfig", "cache_hit_latency_ns"),
+        ("repro.common.config", "TierConfig", "cache_hit_bandwidth_bps"),
+        ("repro.common.config", "TierConfig", "cache_hit_jitter_sigma"),
+        ("repro.common.config", "PlacementConfig", "rebalance_tick_interval_ns"),
+        ("repro.core.remote", "PeerHandle", "__post_init__"),
     ])
     def test_unreached_name_is_gone(self, module, owner, name):
         import importlib

@@ -491,9 +491,8 @@ class OverloadSpec:
     Present in a scenario, it gives every server a finite service rate and
     bounded request queue (shedding RESOURCE_EXHAUSTED beyond it), stamps
     every operation with a deadline (propagated hop to hop so servers can
-    shed expired work), caps client retry amplification with a token-bucket
-    retry budget, and optionally enables quantile-delay hedged reads.
-    Absent, everything stays at the legacy infinite-capacity behaviour.
+    shed expired work) and caps client retry amplification with a
+    token-bucket retry budget. Absent, everything stays at the legacy infinite-capacity behaviour.
 
     ``burst_backlog_ms``/``burst_period_s`` model recurring stalls on one
     node (a GC pause, a compaction, a noisy neighbour): every period the
@@ -509,8 +508,6 @@ class OverloadSpec:
     op_deadline_ms: float = 0.0
     retry_budget_per_s: float = 0.0
     retry_budget_burst: int = 10
-    hedge_quantile: float = 0.0
-    hedge_min_samples: int = 20
     burst_backlog_ms: float = 0.0
     burst_period_s: float = 0.0
     burst_node: int = 0
@@ -518,8 +515,7 @@ class OverloadSpec:
     FIELDS = (
         "service_rate_ops_per_s", "queue_depth", "queue_discipline",
         "shed_expired", "op_deadline_ms", "retry_budget_per_s",
-        "retry_budget_burst", "hedge_quantile", "hedge_min_samples",
-        "burst_backlog_ms", "burst_period_s", "burst_node",
+        "retry_budget_burst", "burst_backlog_ms", "burst_period_s", "burst_node",
     )
 
     @classmethod
@@ -549,12 +545,6 @@ class OverloadSpec:
             ),
             retry_budget_burst=_number(
                 data, "retry_budget_burst", path, 10, lo=1, integer=True
-            ),
-            hedge_quantile=_number(
-                data, "hedge_quantile", path, 0.0, lo=0.0, hi=0.999
-            ),
-            hedge_min_samples=_number(
-                data, "hedge_min_samples", path, 20, lo=1, integer=True
             ),
             burst_backlog_ms=_number(
                 data, "burst_backlog_ms", path, 0.0, lo=0.0

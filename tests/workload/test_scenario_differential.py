@@ -66,7 +66,6 @@ _OVERLOAD = {
     "service_rate_ops_per_s": 500, "queue_depth": 8,
     "queue_discipline": "lifo", "shed_expired": True, "op_deadline_ms": 50,
     "retry_budget_per_s": 20, "retry_budget_burst": 5,
-    "hedge_quantile": 0.9, "hedge_min_samples": 10,
     "burst_backlog_ms": 5, "burst_period_s": 0.01, "burst_node": 1,
 }
 
