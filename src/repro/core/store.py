@@ -55,7 +55,7 @@ from repro.rpc.drive import drive, fan_out
 from repro.rpc.status import StatusCode
 from repro.common.errors import RpcStatusError
 from repro.thymesisflow.endpoint import ThymesisEndpoint
-from repro.tier.source import CachedBufferSource, TierBufferSource
+from repro.tier.source import TierBufferSource
 
 #: What an unobserved call opens in place of a span.
 _UNOBSERVED = nullcontext()
@@ -68,7 +68,7 @@ class DisaggregatedStore(PlasmaStore):
     metadata plane spans every connected peer."""
 
     class Counters(PlasmaStore.Counters):
-        gets_local = gets_remote = gets_cache_served = 0
+        gets_local = gets_remote = 0
         lookup_rpcs = lookup_cache_hits = lookups_shed = 0
         lookup_hedges_fired = lookup_hedge_wins = 0
         stale_descriptor_refreshes = 0
@@ -96,7 +96,6 @@ class DisaggregatedStore(PlasmaStore):
         self._check_remote_uniqueness = config.check_remote_uniqueness
         # A cached descriptor is only safe while its home says when it dies:
         # the lookup cache and the NotifyDeleted pushes are one switch.
-        self._notify_deletions = config.lookup_cache
         self._lookup_cache: LookupCache | None = (
             LookupCache() if config.lookup_cache else None
         )
@@ -604,7 +603,7 @@ class DisaggregatedStore(PlasmaStore):
 
     def seal_object(self, object_id: ObjectID) -> ObjectEntry:
         entry = super().seal_object(object_id)
-        if self._notify_deletions:
+        if self._lookup_cache is not None:
             self._sharers[object_id] = set()
         return entry
 
@@ -711,15 +710,15 @@ class DisaggregatedStore(PlasmaStore):
         attr=None,
         blocking: bool = False,
     ):
-        """The one body of :meth:`get_buffers`. The local table and
-        tier-cache scans are instant; unresolved ids are looked up by the
-        fan-out *blocking* selects for this invocation: peer by peer, or
-        concurrent (scatter-gather, optionally hedged) batched Lookups. A
-        Get that raises first gives back every reference it took."""
+        """The one body of :meth:`get_buffers`. The local table scan is
+        instant; every other id resolves one way (:meth:`_resolve_remote_task`),
+        through the fan-out *blocking* selects for this invocation: peer by
+        peer, or concurrent (scatter-gather, optionally hedged) batched
+        Lookups. A Get that raises first gives back every reference it took."""
         buffers: dict[ObjectID, PlasmaBuffer | None] = {}
         taken: list = []  # (release, id) per reference held so far
         missing: list[ObjectID] = []
-        found_local = found_remote = served_cached = 0
+        found_local = found_remote = 0
         try:
             with self.table.lock:
                 for oid in object_ids:
@@ -740,31 +739,6 @@ class DisaggregatedStore(PlasmaStore):
                             self._tier.note_local_get(oid)
                     else:
                         missing.append(oid)
-            if missing and self._tier is not None and self._notify_deletions:
-                # Pre-resolution fast path: a cached incarnation can be
-                # served without touching the home at all — no Lookup, no
-                # fabric stream. Sound only because deletes and evictions
-                # *push* NotifyDeleted to every peer that resolved the
-                # descriptor from the store that will push it (hence the
-                # gate), so anything still cached is live.
-                unresolved: list[ObjectID] = []
-                for oid in missing:
-                    if oid in self._remote_records:
-                        # A handle on this incarnation is held; keep the
-                        # resolving path's record and refcount authoritative.
-                        unresolved.append(oid)
-                        continue
-                    hit = self._tier.serve_cached(oid)
-                    if hit is None:
-                        unresolved.append(oid)
-                        continue
-                    _, payload, home = hit
-                    buffers[oid] = self._cache_served_buffer(oid, payload, home)
-                    self._tier.note_served(oid)
-                    taken.append((self._tier.release_served, oid))
-                    self._tier.note_remote_get(oid)
-                    served_cached += 1
-                missing = unresolved
             if missing:
                 records = yield from self._resolve_remote_task(
                     missing, allow_missing, attr, blocking
@@ -790,8 +764,6 @@ class DisaggregatedStore(PlasmaStore):
             raise
         self.counters.gets_local += found_local
         self.counters.gets_remote += found_remote
-        if served_cached:
-            self.counters.gets_cache_served += served_cached
         return [buffers[oid] for oid in object_ids]
 
     def _resolve_remote_task(
@@ -1082,19 +1054,6 @@ class DisaggregatedStore(PlasmaStore):
             metadata=record.metadata,
         )
 
-    def _cache_served_buffer(
-        self, object_id: ObjectID, payload, home: str
-    ) -> PlasmaBuffer:
-        """A handle over a cache-resident payload (the pre-resolution fast
-        path); reads charge the local-copy model and credit the home
-        link with the fabric stream they replaced."""
-        handle = self._peers.get(home)
-        link = handle.remote_region.aperture.link if handle is not None else None
-        source = CachedBufferSource(payload, home, self._tier, self, link)
-        return PlasmaBuffer(
-            object_id, source, len(payload), sealed=True
-        )
-
     def _integrity_for(
         self, record: RemoteObjectRecord
     ) -> RemoteReadIntegrity | None:
@@ -1302,7 +1261,7 @@ class DisaggregatedStore(PlasmaStore):
         can be dropped (a pinned replica keeps its bytes, not its
         sharers). A blocking call from inside the handler, under either
         driver; an unreachable sharer is tolerated like any deletion push."""
-        if not self._notify_deletions:
+        if self._lookup_cache is None:
             return  # the home broadcasts: no sharer sets exist anywhere
         with self.table.lock:
             held = [
@@ -1391,8 +1350,6 @@ class DisaggregatedStore(PlasmaStore):
         """Release one reference, local or remote."""
         record = self._remote_records.get(object_id)
         if record is None:
-            if self._tier is not None and self._tier.release_served(object_id):
-                return  # a cache-served buffer: no table entry, no record
             self.release_ref(object_id)
             return
         if record.local_refs <= 0:
@@ -1438,7 +1395,7 @@ class DisaggregatedStore(PlasmaStore):
         drop = list(holders)
         sharers = self._sharers
         known = [sharers.pop(oid, None) for oid in object_ids]
-        if not self._notify_deletions:
+        if self._lookup_cache is None:
             return [], drop
         notify = []
         for name in self.peers():
@@ -1494,7 +1451,7 @@ class DisaggregatedStore(PlasmaStore):
                 continue
             if isinstance(outcome, BaseException):
                 raise outcome
-        if self._notify_deletions:
+        if self._lookup_cache is not None:
             self.counters.delete_notifications += len(object_ids)
 
     def delete_object(self, object_id: ObjectID) -> None:

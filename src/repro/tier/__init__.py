@@ -22,10 +22,9 @@ from repro.tier.agent import TierAgent
 from repro.tier.cache import FrequencySketch, HotObjectCache
 from repro.tier.engine import TierEngine, TierTickReport
 from repro.tier.heat import HeatTracker
-from repro.tier.source import CachedBufferSource, TierBufferSource
+from repro.tier.source import TierBufferSource
 
 __all__ = [
-    "CachedBufferSource",
     "FrequencySketch",
     "HeatTracker",
     "HotObjectCache",

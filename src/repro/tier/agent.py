@@ -45,11 +45,6 @@ class TierAgent:
             local_memory.jitter_sigma,
             rng.spawn("hit-jitter"),
         )
-        # Outstanding references on cache-served buffers, by oid bytes.
-        # Those buffers reference no table entry and no remote record, so
-        # the store routes their releases here. Deliberately NOT cleared
-        # by reset(): handles held across a restart must still release.
-        self._served_refs: dict[bytes, int] = {}
 
     # -- access notifications (store data path) ----------------------------------
 
@@ -60,33 +55,6 @@ class TierAgent:
         self.remote_heat.record(object_id)
         if self.cache is not None:
             self.cache.record_access(object_id)
-
-    # -- the pre-resolution fast path ---------------------------------------------
-
-    def serve_cached(self, object_id: ObjectID) -> tuple[int, bytes, str] | None:
-        """``(generation, payload, home)`` if the cache can answer this get
-        without resolving the object at all, else None. The store gates the
-        call on push invalidation being enabled (see HotObjectCache.lookup_any)."""
-        if self.cache is None:
-            return None
-        return self.cache.lookup_any(object_id)
-
-    def note_served(self, object_id: ObjectID) -> None:
-        oid = object_id.binary()
-        self._served_refs[oid] = self._served_refs.get(oid, 0) + 1
-
-    def release_served(self, object_id: ObjectID) -> bool:
-        """Consume one cache-served reference; False if none outstanding
-        (the release belongs to a table or remote-record reference)."""
-        oid = object_id.binary()
-        count = self._served_refs.get(oid)
-        if not count:
-            return False
-        if count == 1:
-            del self._served_refs[oid]
-        else:
-            self._served_refs[oid] = count - 1
-        return True
 
     # -- lifecycle ----------------------------------------------------------------
 

@@ -174,33 +174,6 @@ class HotObjectCache:
         self.last_served = (object_id, generation, home)
         return payload
 
-    def lookup_any(
-        self, object_id: ObjectID
-    ) -> tuple[int, bytes | memoryview, str] | None:
-        """The newest cached incarnation of *object_id* regardless of
-        generation: ``(generation, payload, home)`` or None.
-
-        This is the pre-resolution fast path — serving it skips the home's
-        Lookup round trip entirely, which is only sound while
-        delete/evict invalidations are *pushed* to every peer that resolved
-        the descriptor (the store gates the call on ``notify_deletions``). A hit counts and
-        refreshes recency exactly like :meth:`lookup`; an absent id is NOT
-        counted as a miss, because the caller falls through to the
-        resolving path whose generation-keyed probe counts it there.
-        """
-        oid = object_id.binary()
-        gens = self._by_oid.get(oid)
-        if not gens:
-            return None
-        generation = max(gens)
-        key = (oid, generation)
-        payload, home = self._entries[key]
-        self._entries.move_to_end(key)
-        self.hits += 1
-        self.bytes_avoided += len(payload)
-        self.last_served = (object_id, generation, home)
-        return generation, payload, home
-
     def offer(
         self,
         object_id: ObjectID,
@@ -228,11 +201,10 @@ class HotObjectCache:
         if key in self._entries:
             self._entries.move_to_end(key)
             return True
-        # A newer incarnation supersedes any cached older ones: they can
-        # never be the max lookup_any serves again, and an exact-generation
-        # probe always asks for the current descriptor's generation — so
-        # they are dead bytes. Dropping them first also keeps them from
-        # forcing innocent evictions in the victim contest below.
+        # A newer incarnation supersedes any cached older ones: their home
+        # has retired them, so they are dead bytes. Dropping them first
+        # also keeps them from forcing innocent evictions in the victim
+        # contest below.
         gens = self._by_oid.get(key[0])
         if gens:
             for old in sorted(g for g in gens if g < generation):

@@ -18,75 +18,17 @@ cached bytes are exactly the payload of that (id, generation) incarnation,
 and generations never repeat — so a cache entry can only ever be *stale*,
 never *wrong*, and staleness is handled by the invalidation channels plus
 generation keying at lookup time.
+
+It is the one read path for cached remote bytes: a handle probes the cache
+on every read, so a held handle either hits its own incarnation's entry
+(which copy-out keeps equal to the sealed payload) or does the validated
+fabric read, which fails typed once the home has retired the extent.
 """
 
 from __future__ import annotations
 
 from repro.plasma.buffer import RemoteBufferSource, RemoteReadIntegrity
 
-
-def _charge_hit(store, agent, link, size: int, header_size: int) -> None:
-    """Charge one cache-served read of *size* bytes: the agent's local-copy
-    cost under the ``cache`` span component, and the fabric stream it
-    replaced (payload plus validation header) credited to *link*."""
-    cost_ns = agent.hit_cost.cost_ns(size)
-    spans = store.spans
-    if spans is not None:
-        with spans.span("cache", "hit", store.node, {"nbytes": size}):
-            store.clock.advance(cost_ns)
-    else:
-        store.clock.advance(cost_ns)
-    if link is not None:
-        link.note_read_avoided(size + header_size)
-
-
-class CachedBufferSource:
-    """A buffer source over a cache-resident payload.
-
-    Backs the *pre-resolution* fast path: the store answered a get straight
-    from the hot-object cache, so there is no remote record, no home-side
-    pin, and no fabric mapping behind this source — just the cache's entry
-    (its view of the home extent, or the bytes copied out of it). Reads
-    are charged through the agent's local-copy cost model under the
-    ``cache`` span component and credited to the home link as avoided
-    fabric traffic; the payload is immutable (sealed), so writes are a
-    programming error.
-    """
-
-    def __init__(self, payload, home: str, agent, store, link):
-        self._payload = payload
-        self._home = home
-        self._agent = agent
-        self._store = store
-        self._link = link  # None when the home peer is no longer mapped
-
-    @property
-    def location(self) -> str:
-        return f"{self._home} (cached at {self._agent.node})"
-
-    @property
-    def is_remote(self) -> bool:
-        # The object lives remotely; only the cache's entry is local.
-        # True keeps client-side correlation stamping identical to the
-        # resolving path, so deferred reads attribute to their Get.
-        return True
-
-    @property
-    def integrity(self) -> RemoteReadIntegrity | None:
-        return None  # the payload was validated when it was cached
-
-    def view(self, offset: int, size: int):
-        return memoryview(self._payload)[offset : offset + size]
-
-    def charge_read(self, offset: int, size: int) -> float:
-        _charge_hit(
-            self._store, self._agent, self._link, size, self._store.header_size
-        )
-        return 0.0
-
-    def timed_view(self, offset: int, size: int) -> memoryview:
-        self.charge_read(offset, size)
-        return self.view(offset, size)
 
 class TierBufferSource:
     """A RemoteBufferSource with a hot-object byte cache in front."""
@@ -136,17 +78,21 @@ class TierBufferSource:
         return cache if cache is not None and self._generation() else None
 
     def _hit(self, cache, size: int):
-        """The cached payload of the live incarnation with the serve
-        charged, or None on a miss."""
+        """The cached payload of the live incarnation, or None on a miss.
+        A hit is charged the agent's local-copy cost under the ``cache``
+        span component and credits the fabric stream it replaced (payload
+        plus validation header) to the home link."""
         payload = cache.lookup(self._record.object_id, self._generation())
-        if payload is not None:
-            _charge_hit(
-                self._store,
-                self._agent,
-                self._region.aperture.link,
-                size,
-                self._header_size(),
-            )
+        if payload is None:
+            return None
+        store = self._store
+        cost_ns = self._agent.hit_cost.cost_ns(size)
+        if store.spans is not None:
+            with store.spans.span("cache", "hit", store.node, {"nbytes": size}):
+                store.clock.advance(cost_ns)
+        else:
+            store.clock.advance(cost_ns)
+        self._region.aperture.link.note_read_avoided(size + self._header_size())
         return payload
 
     def charge_read(self, offset: int, size: int) -> float:

@@ -39,12 +39,15 @@ def make_cluster(mode: str = "sync", *, capacity: int = 32 * MiB) -> Cluster:
     )
 
 
-def holds_cached(cluster: Cluster, node: str, oid: ObjectID) -> tuple[bool, bool]:
-    """(descriptor in the lookup cache, payload in the hot-object cache)."""
+def holds_cached(
+    cluster: Cluster, node: str, oid: ObjectID, generation: int
+) -> tuple[bool, bool]:
+    """(descriptor in the lookup cache, that incarnation's payload in the
+    hot-object cache)."""
     store = cluster.store(node)
     return (
         oid in store.lookup_cache,
-        store.tier_agent.cache.lookup_any(oid) is not None,
+        store.tier_agent.cache.lookup(oid, generation) is not None,
     )
 
 
@@ -67,7 +70,8 @@ def test_delete_tells_only_the_peer_that_resolved_it(mode, rpc_log):
     oid = oid_homed_at(cluster, "node0")
     cluster.client("node0").put_bytes(oid, PAYLOAD)
     assert cluster.client("node1").get_bytes(oid) == PAYLOAD
-    assert holds_cached(cluster, "node1", oid) == (True, True)
+    generation = cluster.store("node1").lookup_cache.get(oid).generation
+    assert holds_cached(cluster, "node1", oid, generation) == (True, True)
     del rpc_log[:]
 
     cluster.store("node0").delete_object(oid)
@@ -75,7 +79,7 @@ def test_delete_tells_only_the_peer_that_resolved_it(mode, rpc_log):
     # parent: node1 NotifyDeleted, node2 NotifyDeleted.
     assert told(rpc_log) == [("node1", "NotifyDeleted")]
     assert rpc_log[0][2] == [oid]
-    assert holds_cached(cluster, "node1", oid) == (False, False)
+    assert holds_cached(cluster, "node1", oid, generation) == (False, False)
     assert cluster.store("node0").counters.delete_notifications == 1
     assert_typed_miss(cluster, "node1", oid)
 
@@ -99,7 +103,7 @@ def test_restarted_home_tells_every_peer(mode, rpc_log):
 
     # parent: the same two.
     assert sorted(told(rpc_log)) == [("node1", "NotifyDeleted"), ("node2", "NotifyDeleted")]
-    assert holds_cached(cluster, "node1", oid)[0] is False
+    assert oid not in cluster.store("node1").lookup_cache
 
 
 # -- the holder revokes what it handed out -------------------------------------------------
@@ -117,14 +121,15 @@ def resolved_at_holder(mode: str):
     cluster.node("node0").server.shutdown()
     assert cluster.client(reader).get_bytes(oid) == PAYLOAD
     cluster.node("node0").server.restart()
-    assert cluster.store(reader).lookup_cache.get(oid).home == holder
-    assert holds_cached(cluster, reader, oid) == (True, True)
-    return cluster, oid, holder, reader
+    record = cluster.store(reader).lookup_cache.get(oid)
+    assert record.home == holder
+    assert holds_cached(cluster, reader, oid, record.generation) == (True, True)
+    return cluster, oid, holder, reader, record.generation
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_holder_revokes_the_replica_it_handed_out(mode, rpc_log):
-    cluster, oid, holder, reader = resolved_at_holder(mode)
+    cluster, oid, holder, reader, generation = resolved_at_holder(mode)
     del rpc_log[:]
 
     cluster.store("node0").delete_object(oid)
@@ -137,14 +142,14 @@ def test_holder_revokes_the_replica_it_handed_out(mode, rpc_log):
     assert cluster.store(holder).counters.replica_revocations == 1
     assert cluster.store(holder).counters.replicas_dropped == 1
     assert cluster.store("node0").counters.delete_notifications == 1
-    assert holds_cached(cluster, reader, oid) == (False, False)
+    assert holds_cached(cluster, reader, oid, generation) == (False, False)
     assert_typed_miss(cluster, reader, oid)
     assert cluster.loop.pending() == 0
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_pinned_replica_keeps_its_bytes_not_its_sharers(mode, rpc_log):
-    cluster, oid, holder, reader = resolved_at_holder(mode)
+    cluster, oid, holder, reader, generation = resolved_at_holder(mode)
     local = cluster.client(holder)
     [buffer] = local.get([oid])  # the local replica, pinned
     del rpc_log[:]
@@ -156,7 +161,7 @@ def test_pinned_replica_keeps_its_bytes_not_its_sharers(mode, rpc_log):
     store = cluster.store(holder)
     assert store.contains(oid) and store.is_replica(oid)
     assert store.counters.replicas_dropped == 0
-    assert holds_cached(cluster, reader, oid) == (False, False)
+    assert holds_cached(cluster, reader, oid, generation) == (False, False)
     assert bytes(buffer.read_all()) == PAYLOAD
     local.release(oid)
 
@@ -192,6 +197,4 @@ def test_eviction_round_reaches_only_its_victims_sharers(mode, rpc_log):
     # parent: one message to each peer, each carrying all 13 victims.
     assert notified == [("node1", [v for v in victims if v in read_by_node1])]
     assert store.counters.delete_notifications == 13
-    assert not any(
-        holds_cached(cluster, "node1", v)[0] for v in victims
-    )
+    assert not any(v in cluster.store("node1").lookup_cache for v in victims)

@@ -129,7 +129,7 @@ def test_a_victim_read_remotely_looks_up_again_and_misses(rpc_log):
     fill_node0(cluster)
     victims = evict_one_round(cluster)
     reader = cluster.client("node1")
-    served_from_cache = cluster.store("node1").counters.gets_cache_served
+    cache_hits = cluster.store("node1").counters.lookup_cache_hits
     del rpc_log[:]
 
     with pytest.raises(ObjectNotFoundError):
@@ -137,15 +137,14 @@ def test_a_victim_read_remotely_looks_up_again_and_misses(rpc_log):
     assert reader.multi_get(victims[:3]) == [None, None, None]
 
     assert ("node0", "Lookup", [victims[0]]) in rpc_log
-    assert (
-        cluster.store("node1").counters.gets_cache_served == served_from_cache
-    )
+    assert cluster.store("node1").counters.lookup_cache_hits == cache_hits
 
 
 def test_round_reaches_the_live_peer_when_the_other_is_down(rpc_log):
-    # No tier cache here: its pre-resolution fast path trusts the push and
-    # would serve node2 the payload it cached — the descriptor path is the
-    # one a lost push must fail typed on.
+    # No tier cache here: node2's cached descriptor still names each
+    # victim's incarnation, and its hot-cache entry (copied out before the
+    # reuse) would serve that sealed payload — the fabric read is the one a
+    # lost push must fail typed on.
     cluster = make_cluster(tiering=False)
     cached = fill_node0(cluster)
     cluster.node("node2").server.shutdown()

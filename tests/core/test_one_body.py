@@ -133,7 +133,7 @@ def test_sync_mode_never_schedules_on_the_loop(monkeypatch):
 PARITY_COUNTERS = (
     "gets_local",
     "gets_remote",
-    "gets_cache_served",
+    "lookup_cache_hits",
     "placed_creates_forwarded",
     "placed_creates_fallback",
     "placed_creates_received",
@@ -160,8 +160,9 @@ def test_mode_parity(mode):
     seen["get"] = [bytes(b.read_all()) for b in c1.get([local, remote])]
     c1.release(local)
     c1.release(remote)
-    # The first remote read admitted the payload to node1's hot cache; the
-    # second is served from it without a Lookup.
+    # The first remote read cached the descriptor and admitted the payload
+    # to node1's hot cache; the second resolves and reads from them without
+    # a Lookup.
     seen["again"] = c1.get_bytes(remote)
     ghost = cluster.new_object_id()
     seen["multi_get"] = c1.multi_get([remote, ghost, local])
@@ -192,15 +193,15 @@ def test_mode_parity(mode):
             "node0": {
                 "gets_local": 0,
                 "gets_remote": 0,  # its one Get failed before it was counted
-                "gets_cache_served": 0,
+                "lookup_cache_hits": 0,
                 "placed_creates_forwarded": 0,
                 "placed_creates_fallback": 0,
                 "placed_creates_received": 1,
             },
             "node1": {
                 "gets_local": 2,
-                "gets_remote": 1,
-                "gets_cache_served": 2,
+                "gets_remote": 3,
+                "lookup_cache_hits": 2,
                 "placed_creates_forwarded": 1,
                 "placed_creates_fallback": 0,
                 "placed_creates_received": 0,
@@ -227,19 +228,23 @@ def replicated_and_cached(mode: str):
     cluster = make_cluster(mode, tier=TierConfig())
     oid = oid_homed_at(cluster, "node0")
     cluster.client("node0").put_bytes(oid, PAYLOAD)
+    generation = cluster.store("node0").lookup_descriptor(oid)["generation"]
     for peer in ("node1", "node2"):
         assert cluster.client(peer).get_bytes(oid) == PAYLOAD
-        assert holds_cached(cluster, peer, oid) == (True, True)
+        assert holds_cached(cluster, peer, oid, generation) == (True, True)
     assert cluster.store("node0").replicate_object(oid, "node1") == "node1"
-    return cluster, oid
+    return cluster, oid, generation
 
 
-def holds_cached(cluster: Cluster, node: str, oid: ObjectID) -> tuple[bool, bool]:
-    """(descriptor in the lookup cache, payload in the hot-object cache)."""
+def holds_cached(
+    cluster: Cluster, node: str, oid: ObjectID, generation: int
+) -> tuple[bool, bool]:
+    """(descriptor in the lookup cache, that incarnation's payload in the
+    hot-object cache)."""
     store = cluster.store(node)
     return (
         oid in store.lookup_cache,
-        store.tier_agent.cache.lookup_any(oid) is not None,
+        store.tier_agent.cache.lookup(oid, generation) is not None,
     )
 
 
@@ -252,7 +257,7 @@ def calls(rpc_log, mode: str) -> list[tuple[str, str]]:
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
 def test_delete_sends_each_peer_one_message(mode, rpc_log):
-    cluster, oid = replicated_and_cached(mode)
+    cluster, oid, generation = replicated_and_cached(mode)
     holder = cluster.store("node1")
     used = holder.used_bytes
     del rpc_log[:]
@@ -263,8 +268,8 @@ def test_delete_sends_each_peer_one_message(mode, rpc_log):
     expected = [("node2", "NotifyDeleted"), ("node1", "DropReplica")]
     assert calls(rpc_log, mode) == (expected if mode == "sync" else sorted(expected))
     assert all(ids == [oid] for _, _, ids in rpc_log)
-    assert holds_cached(cluster, "node1", oid) == (False, False)
-    assert holds_cached(cluster, "node2", oid) == (False, False)
+    assert holds_cached(cluster, "node1", oid, generation) == (False, False)
+    assert holds_cached(cluster, "node2", oid, generation) == (False, False)
     assert not holder.contains(oid) and not holder.is_replica(oid)
     assert holder.used_bytes < used
     assert holder.counters.replicas_dropped == 1
@@ -275,7 +280,7 @@ def test_delete_sends_each_peer_one_message(mode, rpc_log):
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
 def test_pinned_replica_outlives_the_delete_its_cached_descriptor_does_not(mode):
-    cluster, oid = replicated_and_cached(mode)
+    cluster, oid, generation = replicated_and_cached(mode)
     reader = cluster.client("node1")
     [buffer] = reader.get([oid])  # the local replica, now pinned
 
@@ -284,14 +289,14 @@ def test_pinned_replica_outlives_the_delete_its_cached_descriptor_does_not(mode)
     holder = cluster.store("node1")
     assert holder.contains(oid) and holder.is_replica(oid)
     assert holder.counters.replicas_dropped == 0
-    assert holds_cached(cluster, "node1", oid) == (False, False)
+    assert holds_cached(cluster, "node1", oid, generation) == (False, False)
     assert bytes(buffer.read_all()) == PAYLOAD
     reader.release(oid)
 
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
 def test_unreachable_holder_is_tolerated(mode, rpc_log):
-    cluster, oid = replicated_and_cached(mode)
+    cluster, oid, generation = replicated_and_cached(mode)
     cluster.node("node1").server.shutdown()
     del rpc_log[:]
 
@@ -303,7 +308,7 @@ def test_unreachable_holder_is_tolerated(mode, rpc_log):
     assert home.counters.peers_unavailable == 1
     assert {method for host, method, _ in rpc_log if host == "node1"} == {"DropReplica"}
     assert [method for host, method, _ in rpc_log if host == "node2"] == ["NotifyDeleted"]
-    assert holds_cached(cluster, "node2", oid) == (False, False)
+    assert holds_cached(cluster, "node2", oid, generation) == (False, False)
 
 
 @pytest.mark.parametrize("mode", ["sync", "async"])

@@ -170,9 +170,8 @@ class TestReachedSurface:
         import repro.tier
 
         assert sorted(repro.tier.__all__) == [
-            "CachedBufferSource", "FrequencySketch", "HeatTracker",
-            "HotObjectCache", "TierAgent", "TierBufferSource", "TierEngine",
-            "TierTickReport",
+            "FrequencySketch", "HeatTracker", "HotObjectCache", "TierAgent",
+            "TierBufferSource", "TierEngine", "TierTickReport",
         ]
 
     @pytest.mark.parametrize("module,owner,name", [
@@ -229,6 +228,15 @@ class TestReachedSurface:
         ("repro.common.config", "TierConfig", "cache_hit_jitter_sigma"),
         ("repro.common.config", "PlacementConfig", "rebalance_tick_interval_ns"),
         ("repro.core.remote", "PeerHandle", "__post_init__"),
+        # One read path for cached remote objects: every remote Get
+        # resolves, and its TierBufferSource probes the hot cache per read.
+        ("repro.tier", None, "CachedBufferSource"),
+        ("repro.tier.source", None, "CachedBufferSource"),
+        ("repro.tier.agent", "TierAgent", "serve_cached"),
+        ("repro.tier.agent", "TierAgent", "note_served"),
+        ("repro.tier.agent", "TierAgent", "release_served"),
+        ("repro.tier.cache", "HotObjectCache", "lookup_any"),
+        ("repro.core.store", "DisaggregatedStore", "_cache_served_buffer"),
     ])
     def test_unreached_name_is_gone(self, module, owner, name):
         import importlib

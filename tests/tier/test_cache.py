@@ -62,29 +62,20 @@ class TestGenerationKeying:
         assert cache.lookup(oid(1), 4) is None
         assert cache.misses == 1
 
-    def test_lookup_any_serves_newest_generation(self):
-        cache = HotObjectCache(1024)
-        cache.offer(oid(1), 3, b"old", home="node1")
-        cache.offer(oid(1), 5, b"new", home="node2")
-        assert cache.lookup_any(oid(1)) == (5, b"new", "node2")
-
     def test_newer_offer_supersedes_older_generations(self):
         cache = HotObjectCache(1024)
         cache.offer(oid(1), 3, b"old", home="node1")
         cache.offer(oid(1), 5, b"new", home="node1")
         assert not cache.contains(oid(1), 3)
         assert cache.used_bytes == 3
-
-    def test_lookup_any_absent_is_not_a_miss(self):
-        cache = HotObjectCache(1024)
-        assert cache.lookup_any(oid(9)) is None
-        assert cache.misses == 0
+        assert cache.lookup(oid(1), 5) == b"new"
+        assert cache.lookup(oid(1), 3) is None
 
     def test_last_served_debug_hook(self):
         cache = HotObjectCache(1024)
         cache.offer(oid(1), 2, b"xy", home="node1")
         cache.last_served = None
-        cache.lookup_any(oid(1))
+        cache.lookup(oid(1), 2)
         served_oid, generation, home = cache.last_served
         assert (served_oid.binary(), generation, home) == (
             oid(1).binary(), 2, "node1",
@@ -152,16 +143,16 @@ class TestInvalidation:
         cache.offer(oid(1), 2, b"a", home="n1")
         cache.offer(oid(2), 1, b"b", home="n1")
         assert cache.invalidate(oid(1)) == 1
-        assert cache.lookup_any(oid(1)) is None
-        assert cache.lookup_any(oid(2)) is not None
+        assert cache.lookup(oid(1), 2) is None
+        assert cache.lookup(oid(2), 1) is not None
 
     def test_invalidate_home_drops_that_peers_entries(self):
         cache = HotObjectCache(1024)
         cache.offer(oid(1), 1, b"a", home="n1")
         cache.offer(oid(2), 1, b"b", home="n2")
         assert cache.invalidate_home("n1") == 1
-        assert cache.lookup_any(oid(1)) is None
-        assert cache.lookup_any(oid(2)) is not None
+        assert cache.lookup(oid(1), 1) is None
+        assert cache.lookup(oid(2), 1) is not None
 
     def test_clear_purges_everything(self):
         cache = HotObjectCache(1024)

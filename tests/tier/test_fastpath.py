@@ -1,6 +1,7 @@
-"""The pre-resolution fast path over a live cluster: a cached hot object
-is served without any RPC to its home, and push invalidation keeps that
-sound across deletes and re-puts."""
+"""Cached remote objects over a live cluster: a repeat read of a hot object
+resolves from the lookup cache and reads from the hot cache, with no RPC to
+its home and no fabric stream, and push invalidation keeps that sound
+across deletes and re-puts."""
 
 import pytest
 
@@ -24,6 +25,11 @@ def holder_of(cluster: Cluster, object_id: ObjectID) -> str | None:
             if entry is not None and entry.is_sealed:
                 return name
     return None
+
+
+def generation_of(cluster: Cluster, object_id: ObjectID) -> int:
+    home = cluster.store(holder_of(cluster, object_id))
+    return home.lookup_descriptor(object_id)["generation"]
 
 
 def rpc_calls_to(cluster: Cluster, node: str, peer: str) -> int:
@@ -62,10 +68,16 @@ def test_cache_hit_skips_home_rpcs_entirely(cluster):
     # First read resolves at the home and seeds the reader's cache.
     assert read_released(client, oid(1)) == payload
     cache = cluster.tier_agent(reader).cache
-    assert cache.lookup_any(oid(1)) is not None
-    before = rpc_calls_to(cluster, reader, home)
+    assert cache.contains(oid(1), generation_of(cluster, oid(1)))
+    store = cluster.store(reader)
+    link = store.peer(home).remote_region.aperture.link.counters
+    calls, lookups = rpc_calls_to(cluster, reader, home), store.counters.lookup_rpcs
+    streamed, avoided = link.read_bytes, link.read_bytes_avoided
     assert read_released(client, oid(1)) == payload
-    assert rpc_calls_to(cluster, reader, home) == before
+    assert rpc_calls_to(cluster, reader, home) == calls
+    assert store.counters.lookup_rpcs == lookups
+    assert link.read_bytes == streamed
+    assert link.read_bytes_avoided > avoided
     assert cache.hits >= 1
     assert cache.bytes_avoided >= len(payload)
 
@@ -95,10 +107,11 @@ def test_delete_pushes_invalidation_to_every_peer(cluster):
     client = cluster.client(reader)
     read_released(client, oid(1))
     cache = cluster.tier_agent(reader).cache
-    assert cache.lookup_any(oid(1)) is not None
+    generation = generation_of(cluster, oid(1))
+    assert cache.contains(oid(1), generation)
     cluster.store(home).delete_object(oid(1))
     # NotifyDeleted reached the reader: nothing cached, nothing servable.
-    assert cache.lookup_any(oid(1)) is None
+    assert not cache.contains(oid(1), generation)
     with pytest.raises(ReproError):
         client.get([oid(1)])
 
@@ -122,9 +135,9 @@ def test_cache_served_buffer_release_is_clean(cluster):
     client = cluster.client(reader)
     read_released(client, oid(1))  # seed
     read_released(client, oid(1))  # cache-served, then released
-    agent = cluster.tier_agent(reader)
-    assert agent._served_refs == {}
-    # With no cache-held pin outstanding the home can delete freely.
+    assert cluster.tier_agent(reader).cache.hits == 1
+    assert cluster.store(reader).remote_record(oid(1)) is None
+    # With no reference outstanding the home can delete freely.
     cluster.store(home).delete_object(oid(1))
 
 

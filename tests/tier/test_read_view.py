@@ -10,9 +10,9 @@ import pytest
 
 from repro.common.config import ClusterConfig, PlacementConfig, SpanConfig, TierConfig
 from repro.core.cluster import Cluster
-from repro.tier.source import CachedBufferSource, TierBufferSource
+from repro.tier.source import TierBufferSource
 from tests.conftest import cluster_fingerprint
-from tests.tier.test_fastpath import holder_of, oid, remote_reader
+from tests.tier.test_fastpath import generation_of, holder_of, oid, remote_reader
 
 PAYLOAD = bytes(range(256)) * 256
 
@@ -35,7 +35,7 @@ def read(client, buffer, how: str) -> bytes:
 
 def drive(cluster: Cluster, how: str) -> list[tuple[type, bytes]]:
     """Tier miss (fills the cache), tier hit on a handle resolved before
-    the fill, then the pre-resolution cache-served path."""
+    the fill, then a tier hit on a handle resolved after it."""
     cluster.client("node0").put_bytes(oid(1), PAYLOAD)
     client = cluster.client(remote_reader(cluster, oid(1)))
     missed, hit = client.get([oid(1)])[0], client.get([oid(1)])[0]
@@ -53,7 +53,7 @@ def test_copying_reads_cost_exactly_what_the_view_costs():
     assert [source for source, _ in viewed] == [
         TierBufferSource,
         TierBufferSource,
-        CachedBufferSource,
+        TierBufferSource,
     ]
     assert viewed == copied
     assert all(data == PAYLOAD for _, data in viewed)
@@ -81,18 +81,18 @@ def test_admitted_payload_does_not_alias_the_home_extent(seeded):
     home = cluster.store(holder_of(cluster, oid(1)))
     offset = home.lookup_descriptor(oid(1))["offset"]
     cluster.node(home.node).endpoint.exposed.write(offset, b"\xff" * len(PAYLOAD))
-    _, cached, _ = cache.lookup_any(oid(1))
+    cached = cache.lookup(oid(1), generation_of(cluster, oid(1)))
     assert cached == PAYLOAD
     assert cache.copy_outs == 1
     assert read(client, client.get([oid(1)])[0], "read_view") == PAYLOAD
 
 
 def test_cache_served_view_is_read_only_and_in_place(seeded):
-    _, client, cache = seeded
+    cluster, client, cache = seeded
     buffer = client.get([oid(1)])[0]
     view = buffer.read_view()
     assert view.readonly
-    entry = cache.lookup_any(oid(1))[1]
+    entry = cache.lookup(oid(1), generation_of(cluster, oid(1)))
     assert np.shares_memory(np.frombuffer(view, np.uint8), np.frombuffer(entry, np.uint8))
     assert bytes(view) == PAYLOAD
     client.release(oid(1))
