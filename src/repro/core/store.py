@@ -1043,9 +1043,7 @@ class DisaggregatedStore(PlasmaStore):
             handle.remote_region, record.offset, self._integrity_for(record)
         )
         if self._tier is not None and self._tier.cache is not None:
-            source = TierBufferSource(
-                source, record, handle.remote_region, self._tier, self
-            )
+            source = TierBufferSource(source, record, self._tier, self)
         return PlasmaBuffer(
             record.object_id,
             source,

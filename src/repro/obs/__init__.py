@@ -18,7 +18,7 @@ build, and the disabled hot path is a single ``is None`` check.
 """
 
 from repro.obs.correlation import CorrelationContext
-from repro.obs.export import Telemetry, group_by_label, render_prometheus
+from repro.obs.export import Telemetry, render_prometheus
 from repro.obs.metrics import (
     Counter,
     CounterGroup,
@@ -53,6 +53,5 @@ __all__ = [
     "SpanRecord",
     "SpanSink",
     "Telemetry",
-    "group_by_label",
     "render_prometheus",
 ]

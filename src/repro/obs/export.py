@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from repro.obs.metrics import QUANTILES, MetricsRegistry, _q_label
+from repro.obs.metrics import MetricsRegistry
 
 _EXPORT_PREFIX = "repro_"
 
@@ -152,59 +152,6 @@ def render_prometheus(registries: Iterable) -> str:
             lines.append(f"# TYPE {name}_max gauge")
             lines.extend(max_lines)
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def group_by_label(registries: Iterable, label: str) -> dict:
-    """Aggregate every family across *registries* by one label's values.
-
-    Series carrying *label* fold into per-value totals: counters and
-    gauges sum, histograms merge count/sum/max with exact quantiles from
-    raw samples. Series without the label are ignored. Returns
-    ``{label_value: {"counters": {family: total}, "gauges": {...},
-    "histograms": {family: {...}}}}`` — the slicing the workload plane
-    uses to report per-``tenant`` admission and latency.
-    """
-    counters: dict[tuple[str, str], float] = {}
-    gauges: dict[tuple[str, str], float] = {}
-    hist_samples: dict[tuple[str, str], list[float]] = {}
-    for registry in registries:
-        for family in registry.collect(include_samples=True):
-            name = family["name"]
-            for series in family["series"]:
-                value = series["labels"].get(label)
-                if value is None:
-                    continue
-                key = (str(value), name)
-                if family["type"] == "counter":
-                    counters[key] = counters.get(key, 0.0) + series["value"]
-                elif family["type"] == "gauge":
-                    gauges[key] = gauges.get(key, 0.0) + series["value"]
-                else:
-                    hist_samples.setdefault(key, []).extend(
-                        series["histogram"].get("samples", [])
-                    )
-    grouped: dict[str, dict] = {}
-
-    def _slot(value: str) -> dict:
-        return grouped.setdefault(
-            value, {"counters": {}, "gauges": {}, "histograms": {}}
-        )
-
-    for (value, name), total in sorted(counters.items()):
-        _slot(value)["counters"][name] = total
-    for (value, name), total in sorted(gauges.items()):
-        _slot(value)["gauges"][name] = total
-    for (value, name), samples in sorted(hist_samples.items()):
-        entry: dict = {"count": len(samples), "sum": float(sum(samples))}
-        if samples:
-            from repro.common.stats import Distribution
-
-            dist = Distribution()
-            dist.extend(samples)
-            entry["max"] = dist.max
-            entry["quantiles"] = {_q_label(q): dist.quantile(q) for q in QUANTILES}
-        _slot(value)["histograms"][name] = entry
-    return dict(sorted(grouped.items()))
 
 
 class Telemetry:

@@ -145,10 +145,6 @@ class Histogram:
     def max(self) -> float:
         return self._dist.max
 
-    @property
-    def samples(self) -> list[float]:
-        return self._dist.samples
-
     def quantile(self, q: float) -> float:
         return self._dist.quantile(q)
 
@@ -341,7 +337,7 @@ class MetricsRegistry:
 
         The structure doubles as the JSON snapshot; the Prometheus
         renderer consumes it too. ``include_samples`` additionally embeds
-        raw histogram samples so cross-node merges stay exact.
+        raw histogram samples, for comparisons that must be exact.
         """
         by_name: dict[str, dict] = {}
 
@@ -392,7 +388,7 @@ class MetricsRegistry:
         if child.count:
             payload["max"] = child.max
         if buckets is not None:
-            samples = child.samples
+            samples = child._dist.samples
             payload["buckets"] = [
                 [le, sum(1 for s in samples if s <= le)] for le in buckets
             ]
@@ -403,7 +399,7 @@ class MetricsRegistry:
             payload["exemplars"] = [[value, ref] for value, ref in exemplars]
             payload["max_exemplar"] = list(child.max_exemplar)
         if include_samples:
-            payload["samples"] = child.samples
+            payload["samples"] = child._dist.samples
         return payload
 
     # -- export -----------------------------------------------------------------------

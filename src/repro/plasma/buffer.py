@@ -120,6 +120,12 @@ class RemoteBufferSource:
     def integrity(self) -> RemoteReadIntegrity | None:
         return self._integrity
 
+    @property
+    def remote(self) -> RemoteRegion:
+        """The home region reads go to — after a stale-descriptor refresh
+        that followed a migration, the new home's."""
+        return self._remote
+
     def view(self, offset: int, size: int) -> memoryview:
         return self._remote.view(self._off + offset, size)
 

@@ -10,7 +10,9 @@ and, when that read covered the whole payload, offers the view it returned
 to the cache keyed by the generation the validation just proved, together
 with the home extent the view aliases. Admission copies nothing: cached
 entries are views copied out before the home changes them (see
-:mod:`repro.tier.cache`).
+:mod:`repro.tier.cache`). Home, generation and link are all read off the
+wrapped source, so after a stale-descriptor refresh that followed a
+migration they name the new home, never the captured record's.
 
 Filling only after a validated read is the coherence linchpin: the header
 check before the stream and the generation re-check after it guarantee the
@@ -33,10 +35,9 @@ from repro.plasma.buffer import RemoteBufferSource, RemoteReadIntegrity
 class TierBufferSource:
     """A RemoteBufferSource with a hot-object byte cache in front."""
 
-    def __init__(self, inner: RemoteBufferSource, record, remote_region, agent, store):
+    def __init__(self, inner: RemoteBufferSource, record, agent, store):
         self._inner = inner
         self._record = record
-        self._region = remote_region
         self._agent = agent
         self._store = store
 
@@ -92,7 +93,9 @@ class TierBufferSource:
                 store.clock.advance(cost_ns)
         else:
             store.clock.advance(cost_ns)
-        self._region.aperture.link.note_read_avoided(size + self._header_size())
+        self._inner.remote.aperture.link.note_read_avoided(
+            size + self._header_size()
+        )
         return payload
 
     def charge_read(self, offset: int, size: int) -> float:
@@ -116,7 +119,7 @@ class TierBufferSource:
                     self._record.object_id,
                     generation,
                     view,
-                    home=self._record.home,
+                    home=self._inner.remote.home_name,
                     extent=self._inner.home_extent(offset, size),
                 )
         return view

@@ -15,8 +15,8 @@ enforces, at the client entry point and *before* any cluster work happens:
 Rejections raise the typed
 :class:`~repro.common.errors.AdmissionRejectedError` carrying the tenant
 and a machine-readable reason (``ops_rate`` / ``write_rate`` /
-``byte_quota``), and are counted per tenant — optionally exported through
-a :class:`~repro.obs.metrics.MetricsRegistry` as labeled counter families.
+``byte_quota``), and are counted per tenant; the BENCH artifact reports
+the counts (:meth:`AdmissionController.snapshot`).
 
 Everything here is pure state driven by explicit ``now_ns`` arguments:
 no wall clock, no RNG, so admission decisions are a deterministic function
@@ -118,8 +118,6 @@ class AdmissionController:
 
     def __init__(self) -> None:
         self._tenants: dict[str, _TenantState] = {}
-        self._m_admitted = None
-        self._m_rejected = None
 
     # -- configuration -------------------------------------------------------
 
@@ -140,21 +138,6 @@ class AdmissionController:
             fresh.rejected_by_reason = state.rejected_by_reason
         self._tenants[tenant] = fresh
 
-    def attach_metrics(self, registry) -> None:
-        """Export admission counts on *registry*: each series appears at its
-        tenant's first admit (or rejection for that reason) and reads the
-        tenant's live state at collect time."""
-        self._m_admitted = registry.counter(
-            "workload_admission_admitted_total",
-            "Operations admitted per tenant",
-            labels=("tenant",),
-        )
-        self._m_rejected = registry.counter(
-            "workload_admission_rejected_total",
-            "Operations rejected per tenant and reason",
-            labels=("tenant", "reason"),
-        )
-
     # -- decisions -----------------------------------------------------------
 
     def _state(self, tenant: str) -> _TenantState | None:
@@ -165,11 +148,6 @@ class AdmissionController:
         state.rejected += 1
         by_reason = state.rejected_by_reason
         by_reason[reason] = by_reason.get(reason, 0) + 1
-        if by_reason[reason] == 1 and self._m_rejected is not None:
-            # set_quota replaces the state object: look it up at scrape.
-            self._m_rejected.labels(tenant=tenant, reason=reason).set_function(
-                lambda: self._tenants[tenant].rejected_by_reason[reason]
-            )
         raise AdmissionRejectedError(tenant, reason, detail)
 
     def admit(self, tenant: str, kind: str, nbytes: int, now_ns: int) -> None:
@@ -210,10 +188,6 @@ class AdmissionController:
                 f"{quota.max_stored_bytes} quota",
             )
         state.admitted += 1
-        if state.admitted == 1 and self._m_admitted is not None:
-            self._m_admitted.labels(tenant=tenant).set_function(
-                lambda: self._tenants[tenant].admitted
-            )
 
     def record_stored(self, tenant: str, delta_bytes: int) -> None:
         """Account a footprint change: positive on put, negative on delete."""

@@ -1,8 +1,10 @@
 """BENCH artifact emission: the standing perf-trajectory format.
 
 Every scenario run collapses into one ``BENCH_workload_<scenario>.json``
-file: ops/s, exact latency quantiles (overall and per op kind), per-tenant
-admission accounting, bytes moved, and outcome counts. The payload is a
+file: ops/s, exact latency quantiles (overall, per op kind and per
+tenant), per-tenant admission accounting, bytes moved, and outcome counts.
+Every latency and attribution table is a fold of the run's per-(kind,
+tenant) :class:`~repro.workload.runner.OpCell` records. The payload is a
 pure function of (scenario, seed) — values come from simulated time and
 deterministic draws, serialization is canonical (sorted keys, fixed
 indent, trailing newline) — so re-running a scenario must reproduce the
@@ -20,7 +22,7 @@ from pathlib import Path
 
 from repro.common.clock import NS_PER_S
 from repro.common.stats import Distribution
-from repro.obs.export import group_by_label
+from repro.obs.spans import BASE_COMPONENTS, LEGACY_COMPONENTS
 
 #: Version stamp inside every BENCH payload, bumped on field changes so
 #: trajectory tooling can discriminate.
@@ -72,31 +74,28 @@ def latency_block(dist: Distribution) -> dict:
     }
 
 
-def _tenant_latency_block(entry: dict | None) -> dict:
-    """Integer-ns summary from one merged histogram entry (group_by_label)."""
-    if not entry or not entry["count"]:
-        return {"count": 0}
-    return {
-        "count": entry["count"],
-        "mean_ns": int(round(entry["sum"] / entry["count"])),
-        "p50_ns": int(round(entry["quantiles"]["0.5"])),
-        "p95_ns": int(round(entry["quantiles"]["0.95"])),
-        "p99_ns": int(round(entry["quantiles"]["0.99"])),
-        "max_ns": int(round(entry["max"])),
-    }
+def _group(cells: dict, axis: int) -> dict[str, list]:
+    """The run's (kind, tenant) cells grouped by kind (*axis* 0) or by
+    tenant (*axis* 1), sorted by that key."""
+    groups: dict[str, list] = {}
+    for key, cell in cells.items():
+        groups.setdefault(key[axis], []).append(cell)
+    return dict(sorted(groups.items()))
+
+
+def _merged(cells) -> Distribution:
+    """One latency distribution over every op of *cells*."""
+    dist = Distribution()
+    for cell in cells:
+        dist.extend(cell.latency.samples)
+    return dist
 
 
 def build_workload_payload(result) -> dict:
     """The BENCH payload for one :class:`~repro.workload.runner.WorkloadResult`."""
     duration_s = result.duration_ns / NS_PER_S if result.duration_ns else 0.0
     executed = result.executed_ops
-    # Per-tenant latency comes out of the obs plane: the runner's labeled
-    # histogram families sliced by the tenant label.
-    by_tenant = (
-        group_by_label([result.registry], "tenant")
-        if result.registry is not None
-        else {}
-    )
+    by_tenant = _group(result.cells, 1)
     tenants = {}
     for tenant, acct in sorted(result.admission.items()):
         rejected = acct["rejected"]
@@ -107,11 +106,7 @@ def build_workload_payload(result) -> dict:
             "rejected_by_reason": acct["rejected_by_reason"],
             "rejection_rate": round(rejected / attempted, 6) if attempted else 0.0,
             "stored_bytes": acct["stored_bytes"],
-            "latency_ns": _tenant_latency_block(
-                by_tenant.get(tenant, {})
-                .get("histograms", {})
-                .get("workload_op_latency_ns")
-            ),
+            "latency_ns": latency_block(_merged(by_tenant.get(tenant, ()))),
         }
     payload = {
         "artifact": bench_artifact_name(result.scenario_name),
@@ -125,10 +120,10 @@ def build_workload_payload(result) -> dict:
             "ops_per_s": round(executed / duration_s, 3) if duration_s else 0.0,
         },
         "latency_ns": {
-            "overall": latency_block(result.latency_overall),
+            "overall": latency_block(_merged(result.cells.values())),
             "by_kind": {
-                kind: latency_block(dist)
-                for kind, dist in sorted(result.latency_by_kind.items())
+                kind: latency_block(_merged(cells))
+                for kind, cells in _group(result.cells, 0).items()
             },
         },
         "tenants": tenants,
@@ -150,20 +145,40 @@ def build_workload_payload(result) -> dict:
     return payload
 
 
-def _attribution_table(table: dict) -> dict:
+def _attribution_table(groups: dict[str, list], known: tuple) -> dict:
+    """Per key: the op count, the summed observed latency and the summed
+    critical-path components of its cells (every *known* component shown,
+    zero or not)."""
     out = {}
-    for key, slot in sorted(table.items()):
-        observed = int(round(slot["observed_ns"]))
-        components = {
-            name: int(round(value))
-            for name, value in sorted(slot["components_ns"].items())
-        }
+    for key, cells in groups.items():
+        observed = 0.0
+        components = dict.fromkeys(known, 0)
+        for cell in cells:
+            observed += sum(cell.latency.samples)
+            for name, value in cell.components_ns.items():
+                components[name] = components.get(name, 0) + value
         out[key] = {
-            "ops": slot["ops"],
-            "observed_ns": observed,
-            "components_ns": components,
+            "ops": sum(cell.latency.count for cell in cells),
+            "observed_ns": int(round(observed)),
+            "components_ns": {
+                name: int(round(value))
+                for name, value in sorted(components.items())
+            },
         }
     return out
+
+
+def _attribution_tables(result) -> dict:
+    """The per-kind and per-tenant attribution tables. Without a tiering
+    block the "cache" component cannot acquire time (no tier agent
+    exists), so only the legacy buckets are shown — pre-tiering artifacts
+    stay byte-identical. The "pipeline" bucket likewise only appears once
+    async mode charges it."""
+    known = BASE_COMPONENTS if result.tiering_enabled else LEGACY_COMPONENTS
+    return {
+        "by_kind": _attribution_table(_group(result.cells, 0), known),
+        "by_tenant": _attribution_table(_group(result.cells, 1), known),
+    }
 
 
 def attribution_block(result) -> dict:
@@ -177,8 +192,7 @@ def attribution_block(result) -> dict:
     byte-identical."""
     return {
         "exact": bool(result.attribution_exact),
-        "by_kind": _attribution_table(result.attribution_by_kind),
-        "by_tenant": _attribution_table(result.attribution_by_tenant),
+        **_attribution_tables(result),
         "sampling": dict(result.sampling),
     }
 
@@ -197,8 +211,7 @@ def rpc_block(result) -> dict:
     if result.rpc_mode == "async":
         out["attribution"] = {
             "exact": bool(result.attribution_exact),
-            "by_kind": _attribution_table(result.attribution_by_kind),
-            "by_tenant": _attribution_table(result.attribution_by_tenant),
+            **_attribution_tables(result),
         }
     return out
 

@@ -16,10 +16,10 @@ Every op passes multi-tenant admission first; rejected ops consume no
 cluster work and are tallied per tenant/reason. Writes replace the slot's
 current object (delete old version, put new — filled in place in its
 extent, no payload built), deletes empty the slot, and
-scans batch-read consecutive slots. Latencies and outcomes land both in a
-``workload`` :class:`~repro.obs.metrics.MetricsRegistry` (labeled by
-tenant and kind) and in plain distributions the BENCH payload is built
-from. Everything observable is a pure function of (scenario, seed).
+scans batch-read consecutive slots. Each measured op is recorded once,
+in its (kind, tenant) :class:`OpCell`; the BENCH payload folds the cells
+into every latency and attribution table. Everything observable is a
+pure function of (scenario, seed).
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ from repro.common.rng import DeterministicRng
 from repro.common.stats import Distribution
 from repro.common.units import MiB
 from repro.core.cluster import Cluster
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import BASE_COMPONENTS, LEGACY_COMPONENTS
 from repro.rpc.aio.loop import Sleep, TaskAttribution
 from repro.rpc.drive import drive
 from repro.workload.admission import AdmissionController, TenantQuota
@@ -99,6 +97,15 @@ class _Slot:
 
 
 @dataclass
+class OpCell:
+    """Every measured op of one (kind, tenant) pair: its latencies and,
+    when attribution runs, the sums of its critical-path components."""
+
+    latency: Distribution = field(default_factory=Distribution)
+    components_ns: dict[str, int] = field(default_factory=dict)
+
+
+@dataclass
 class WorkloadResult:
     """Everything a scenario run measured (feed to build_workload_payload)."""
 
@@ -107,14 +114,13 @@ class WorkloadResult:
     generated_ops: int
     executed_ops: int = 0
     duration_ns: int = 0
-    latency_overall: Distribution = field(default_factory=Distribution)
-    latency_by_kind: dict[str, Distribution] = field(default_factory=dict)
+    # (kind, tenant) -> the pair's measured ops, in first-op order.
+    cells: dict[tuple[str, str], OpCell] = field(default_factory=dict)
     outcomes: dict[str, int] = field(default_factory=dict)
     bytes_written: int = 0
     bytes_read: int = 0
     bytes_deleted: int = 0
     admission: dict = field(default_factory=dict)
-    registry: MetricsRegistry | None = None
     # Overload-control measurements (populated only when the scenario has
     # an ``overload`` block): goodput = "ok" ops whose latency fit the op
     # deadline, queue depth sampled per admitted request, and the merged
@@ -126,13 +132,11 @@ class WorkloadResult:
     overload_server: dict[str, int] = field(default_factory=dict)
     overload_client: dict[str, int] = field(default_factory=dict)
     # Span-tracing measurements (populated only when the scenario has an
-    # enabled ``tracing`` block): per-kind and per-tenant critical-path
-    # latency attribution — every measured op's observed latency decomposed
-    # ns-exact into queue/service/fabric/retry/hedge/client — plus the
-    # sink's sampling stats and the sink itself (for trace export).
+    # enabled ``tracing`` block): the cells' component sums — every
+    # measured op's observed latency decomposed ns-exact into
+    # queue/service/fabric/retry/hedge/client — plus the sink's sampling
+    # stats and the sink itself (for trace export).
     tracing_enabled: bool = False
-    attribution_by_kind: dict[str, dict] = field(default_factory=dict)
-    attribution_by_tenant: dict[str, dict] = field(default_factory=dict)
     attribution_exact: bool = True
     sampling: dict = field(default_factory=dict)
     spans: object | None = None
@@ -144,8 +148,8 @@ class WorkloadResult:
     # Async-RPC measurements (populated only when the scenario has an
     # ``rpc`` block): effective mode and the merged per-channel pipelining
     # counters (batches sent, ids coalesced, hedges fired, in-flight peak).
-    # In async mode the per-op attribution tables above are filled from
-    # task-local :class:`TaskAttribution` instead of the span plane.
+    # In async mode the cells' component sums are filled from task-local
+    # :class:`TaskAttribution` instead of the span plane.
     rpc_enabled: bool = False
     rpc_mode: str = "sync"
     rpc_counters: dict[str, int] = field(default_factory=dict)
@@ -230,11 +234,9 @@ class ScenarioRunner:
     def __init__(self, scenario: Scenario, seed: int | None = None):
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else int(seed)
-        self.registry = MetricsRegistry(node="workload")
         self._burst_model = None
         self._shed_expired_ingress = False
         self.admission = AdmissionController()
-        self.admission.attach_metrics(self.registry)
         for tenant in scenario.tenants:
             q = tenant.quota
             self.admission.set_quota(
@@ -247,16 +249,6 @@ class ScenarioRunner:
                     burst_bytes=q.burst_bytes,
                 ),
             )
-        self._m_latency = self.registry.histogram(
-            "workload_op_latency_ns",
-            "Per-op latency (arrival to completion, simulated ns)",
-            labels=("tenant", "kind"),
-        )
-        # (tenant, kind) -> the histogram child and per-kind distribution.
-        self._complete_cells: dict[tuple[str, str], tuple] = {}
-        # (kind, tenant) -> [ops, observed ns, component -> ns]: raw sums,
-        # folded into the result's two attribution tables when the run ends.
-        self._attribution: dict[tuple[str, str], list] = {}
         self.cluster: Cluster | None = None
         self._clock = None  # the cluster's SimClock, once run() built it
         self._spans = None
@@ -266,13 +258,13 @@ class ScenarioRunner:
         self._tier_engine = None
         self._tier_tick_every = 0
         self._ops_since_tier_tick = 0
-        # slot -> (reads, cache hits); armed only when tiering is on.
-        self._read_stats: dict[int, tuple[int, int]] | None = None
+        # slot -> (reads, remote reads, cache hits); armed only when
+        # tiering is on.
+        self._read_stats: dict[int, tuple[int, int, int]] | None = None
         self.result = WorkloadResult(
             scenario_name=scenario.name,
             seed=self.seed,
             generated_ops=scenario.traffic.ops,
-            registry=self.registry,
         )
 
     # ------------------------------------------------------------------ setup
@@ -473,7 +465,7 @@ class ScenarioRunner:
         latency = self._complete(op, issue_ns, outcome)
         if attr.total_ns() != latency:
             self.result.attribution_exact = False
-        self._accumulate_attribution(op, latency, attr.components)
+        self._attribute(op, attr.components)
         self._maybe_tier_tick()
 
     # ------------------------------------------------------------------ run
@@ -510,58 +502,19 @@ class ScenarioRunner:
         components = sp.components
         if sum(components.values()) != latency:
             self.result.attribution_exact = False
-        self._accumulate_attribution(op, latency, components)
+        self._attribute(op, components)
 
-    def _accumulate_attribution(
-        self, op: WorkloadOp, observed: int, components: dict
-    ) -> None:
-        """Add one measured op's latency decomposition to its (kind,
-        tenant) pair's running sums — integers, so the order they are
-        folded in (:meth:`_fold_attribution`) cannot matter."""
-        try:
-            acc = self._attribution[op.kind, op.tenant]
-        except KeyError:  # the pair's first op
-            acc = self._attribution[op.kind, op.tenant] = [0, 0, {}]
-        acc[0] += 1
-        acc[1] += observed
-        sums = acc[2]
+    def _attribute(self, op: WorkloadOp, components: dict) -> None:
+        """Add one measured op's latency decomposition to its (kind, tenant)
+        cell's component sums — integers, so the order the report folds
+        cells in cannot matter."""
+        sums = self.result.cells[op.kind, op.tenant].components_ns
         for component, value in components.items():
             if value:
                 try:
                     sums[component] += value
                 except KeyError:
                     sums[component] = value
-
-    def _fold_attribution(self) -> None:
-        """The per-kind and per-tenant attribution tables out of the
-        per-pair sums."""
-        result = self.result
-        # Without a tiering block the "cache" component cannot acquire time
-        # (no tier agent exists), so the report keeps emitting exactly the
-        # legacy buckets — pre-tiering artifacts stay byte-identical. The
-        # "pipeline" bucket likewise only appears once async mode charges it.
-        known = (
-            BASE_COMPONENTS
-            if self.scenario.tiering is not None
-            else LEGACY_COMPONENTS
-        )
-        for (kind, tenant), (ops, observed, sums) in self._attribution.items():
-            for key, table in (
-                (kind, result.attribution_by_kind),
-                (tenant, result.attribution_by_tenant),
-            ):
-                slot = table.get(key)
-                if slot is None:
-                    slot = table[key] = {
-                        "ops": 0,
-                        "observed_ns": 0,
-                        "components_ns": dict.fromkeys(known, 0),
-                    }
-                slot["ops"] += ops
-                slot["observed_ns"] += observed
-                bucket = slot["components_ns"]
-                for component, value in sums.items():
-                    bucket[component] = bucket.get(component, 0) + value
 
     def _ingress(self, op: WorkloadOp, issue_ns: int) -> bool:
         """The ingress every op passes first: due bursts, the expired-
@@ -608,20 +561,10 @@ class ScenarioRunner:
         ):
             result.in_deadline_ops += 1
         result.outcomes[outcome] = result.outcomes.get(outcome, 0) + 1
-        result.latency_overall.add(latency)
-        key = (op.tenant, op.kind)
-        cells = self._complete_cells.get(key)
-        if cells is None:
-            by_kind = result.latency_by_kind.get(op.kind)
-            if by_kind is None:
-                by_kind = result.latency_by_kind[op.kind] = Distribution()
-            cells = self._complete_cells[key] = (
-                self._m_latency.labels(tenant=op.tenant, kind=op.kind),
-                by_kind,
-            )
-        latency_ns, by_kind = cells
-        latency_ns.observe(latency)
-        by_kind.add(latency)
+        cell = result.cells.get((op.kind, op.tenant))
+        if cell is None:
+            cell = result.cells[op.kind, op.tenant] = OpCell()
+        cell.latency.add(latency)
         return latency
 
     def _execute_inner(self, op: WorkloadOp, issue_ns: int):
@@ -829,7 +772,6 @@ class ScenarioRunner:
                 )
 
         self.result.duration_ns = clock.now_ns - t0
-        self._fold_attribution()
         self.result.admission = self.admission.snapshot()
         if self.result.overload_enabled:
             self._collect_overload()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.clock import NS_PER_S
 from repro.common.errors import AdmissionRejectedError, ObjectStoreError
-from repro.obs import MetricsRegistry
 from repro.workload.admission import (
     REJECT_REASONS,
     AdmissionController,
@@ -122,75 +121,3 @@ class TestAdmissionController:
         snap = controller.snapshot()["t"]
         assert set(snap["rejected_by_reason"]) <= set(REJECT_REASONS)
         assert snap["rejected_by_reason"]["ops_rate"] == 1
-
-    def test_metrics_plumbing(self):
-        registry = MetricsRegistry(node="test")
-        controller = AdmissionController()
-        controller.attach_metrics(registry)
-        controller.set_quota("t", TenantQuota(ops_per_s=10.0, burst_ops=1))
-        controller.admit("t", "read", 0, now_ns=0)
-        with pytest.raises(AdmissionRejectedError):
-            controller.admit("t", "read", 0, now_ns=0)
-        families = {f["name"]: f for f in registry.collect()}
-        admitted = families["workload_admission_admitted_total"]["series"]
-        rejected = families["workload_admission_rejected_total"]["series"]
-        assert any(
-            s["labels"].get("tenant") == "t" and s["value"] == 1
-            for s in admitted
-        )
-        assert any(
-            s["labels"].get("tenant") == "t"
-            and s["labels"].get("reason") == "ops_rate"
-            and s["value"] == 1
-            for s in rejected
-        )
-
-    @staticmethod
-    def _scraped(registry) -> dict[str, dict[tuple, float]]:
-        """family name -> {sorted label items: value} of one scrape."""
-        return {
-            f["name"]: {
-                tuple(sorted(s["labels"].items())): s["value"]
-                for s in f["series"]
-            }
-            for f in registry.collect()
-        }
-
-    def test_scrape_reads_live_counts_after_set_quota(self):
-        registry = MetricsRegistry()
-        controller = AdmissionController()
-        controller.attach_metrics(registry)
-        controller.set_quota("t", TenantQuota(ops_per_s=10.0, burst_ops=1))
-        controller.admit("t", "read", 0, now_ns=0)
-        with pytest.raises(AdmissionRejectedError):
-            controller.admit("t", "read", 0, now_ns=0)
-        # Replacing the quota replaces the tenant's state object; the
-        # series bound before must follow the live counts, not the old one.
-        controller.set_quota("t", TenantQuota(ops_per_s=10.0, burst_ops=2))
-        controller.admit("t", "read", 0, now_ns=0)
-        controller.admit("t", "read", 0, now_ns=0)
-        with pytest.raises(AdmissionRejectedError):
-            controller.admit("t", "read", 0, now_ns=0)
-        scraped = self._scraped(registry)
-        assert scraped["workload_admission_admitted_total"] == {
-            (("tenant", "t"),): 3.0
-        }
-        assert scraped["workload_admission_rejected_total"] == {
-            (("reason", "ops_rate"), ("tenant", "t")): 2.0
-        }
-
-    def test_tenant_without_an_admitted_op_has_no_admitted_series(self):
-        registry = MetricsRegistry()
-        controller = AdmissionController()
-        controller.attach_metrics(registry)
-        controller.set_quota("starved", TenantQuota(max_stored_bytes=10))
-        controller.admit("ok", "read", 0, now_ns=0)
-        with pytest.raises(AdmissionRejectedError):
-            controller.admit("starved", "write", 100, now_ns=0)
-        scraped = self._scraped(registry)
-        assert scraped["workload_admission_admitted_total"] == {
-            (("tenant", "ok"),): 1.0
-        }
-        assert scraped["workload_admission_rejected_total"] == {
-            (("reason", "byte_quota"), ("tenant", "starved")): 1.0
-        }
