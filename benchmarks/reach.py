@@ -141,8 +141,8 @@ def system_set(out: Path) -> list[Command]:
             repro + ("simtest", "--self-check", "--mutation", "skip_replica_retire"),
         ),
         Command(
-            "simtest --self-check --mutation skip_alias_copy_out",
-            repro + ("simtest", "--self-check", "--mutation", "skip_alias_copy_out"),
+            "simtest --self-check --mutation skip_hit_validation",
+            repro + ("simtest", "--self-check", "--mutation", "skip_hit_validation"),
         ),
         Command("simtest smoke", repro + ("simtest", "--profile", "smoke")),
         Command("simtest concurrency", repro + ("simtest", "--profile", "concurrency")),

@@ -152,7 +152,6 @@ class ChaosRuntime:
         elif isinstance(event, BitFlip):
             region = self._regions.get(event.node)
             if region is not None:
-                region.copy_out(event.offset, 1)
                 view = region.view(event.offset, 1)
                 view[0] ^= 1 << event.bit
         elif isinstance(event, OverloadBurst):

@@ -18,7 +18,9 @@ the paper describes:
 Future-work extensions:
 
 * ``lookup_cache`` — descriptor caching for repeated requests
-  (paper §V-B), invalidated by NotifyDeleted pushes.
+  (paper §V-B). A fresh Get uses a cached descriptor only once the home's
+  in-region header vouches for it; NotifyDeleted pushes reclaim entries
+  early.
 * multi-node — peers are a list, not a single partner; nothing in the
   data path is 2-node specific.
 """
@@ -30,6 +32,8 @@ from contextlib import nullcontext
 from repro.common.clock import SimClock
 from repro.common.config import StoreConfig
 from repro.common.errors import (
+    FabricError,
+    IntegrityError,
     ObjectExistsError,
     ObjectNotFoundError,
     ObjectStoreError,
@@ -94,8 +98,9 @@ class DisaggregatedStore(PlasmaStore):
         self._peers: dict[str, PeerHandle] = {}
         self._remote_records: dict[ObjectID, RemoteObjectRecord] = {}
         self._check_remote_uniqueness = config.check_remote_uniqueness
-        # A cached descriptor is only safe while its home says when it dies:
-        # the lookup cache and the NotifyDeleted pushes are one switch.
+        # The lookup cache and the NotifyDeleted pushes are one switch; the
+        # home header, not the push, decides whether a cached descriptor is
+        # used (_resolve_remote_task).
         self._lookup_cache: LookupCache | None = (
             LookupCache() if config.lookup_cache else None
         )
@@ -740,17 +745,24 @@ class DisaggregatedStore(PlasmaStore):
                     else:
                         missing.append(oid)
             if missing:
-                records = yield from self._resolve_remote_task(
+                resolved = yield from self._resolve_remote_task(
                     missing, allow_missing, attr, blocking
                 )
                 for oid in missing:
-                    record = records.get(oid)
-                    if record is None:
+                    got = resolved.get(oid)
+                    if got is None:
                         buffers[oid] = None  # allow_missing guaranteed by resolve
                         continue
+                    record, source = got
                     record.local_refs += 1
                     taken.append((self.release_object, oid))
-                    buffers[oid] = self._remote_buffer(record)
+                    buffers[oid] = PlasmaBuffer(
+                        oid,
+                        source,
+                        record.data_size,
+                        sealed=True,
+                        metadata=record.metadata,
+                    )
                     found_remote += 1
                     if self._tier is not None:
                         self._tier.note_remote_get(oid)
@@ -773,26 +785,37 @@ class DisaggregatedStore(PlasmaStore):
         attr=None,
         blocking: bool = False,
     ):
-        """Ids to remote records: held records, then the lookup cache, then
-        the peers (:meth:`_rpc_lookup_task`)."""
-        resolved: dict[ObjectID, RemoteObjectRecord] = {}
+        """Ids to ``(record, read source)`` pairs: held records, then the
+        lookup cache, then the peers (:meth:`_rpc_lookup_task`). A record
+        no held handle backs is used only once the home header vouches for
+        it (:meth:`_vouched`); the peers are asked for one it does not."""
+        resolved: dict[ObjectID, tuple] = {}
         unresolved: list[ObjectID] = []
         for oid in object_ids:
+            if oid in resolved:
+                continue
             record = self._remote_records.get(oid)
             if record is None and self._lookup_cache is not None:
                 record = self._lookup_cache.get(oid)
                 if record is not None:
                     self._remote_records[oid] = record
                     self.counters.lookup_cache_hits += 1
-            if record is not None:
-                resolved[oid] = record
-            else:
+            if record is None:
                 unresolved.append(oid)
+                continue
+            source = self._remote_source(record)
+            if record.local_refs == 0 and not self._vouched(record, source):
+                unresolved.append(oid)
+                continue
+            resolved[oid] = record, source
         if unresolved:
             unreachable: list[str] = []
+            found: dict[ObjectID, RemoteObjectRecord] = {}
             still = yield from self._rpc_lookup_task(
-                unresolved, resolved, unreachable, attr, blocking
+                unresolved, found, unreachable, attr, blocking
             )
+            for oid, record in found.items():
+                resolved[oid] = record, self._remote_source(record)
             if still and not allow_missing:
                 detail = ", ".join(repr(oid) for oid in still[:5])
                 if unreachable:
@@ -1037,20 +1060,34 @@ class DisaggregatedStore(PlasmaStore):
         buffer.view()[:] = payload
         buffer.charge_sequential_write()
 
-    def _remote_buffer(self, record: RemoteObjectRecord) -> PlasmaBuffer:
+    def _remote_source(self, record: RemoteObjectRecord):
+        """The read source of a handle on *record*: its home's fabric
+        window, behind the hot cache when the tier plane has one."""
         handle = self.peer(record.home)
         source = RemoteBufferSource(
             handle.remote_region, record.offset, self._integrity_for(record)
         )
         if self._tier is not None and self._tier.cache is not None:
             source = TierBufferSource(source, record, self._tier, self)
-        return PlasmaBuffer(
-            record.object_id,
-            source,
-            record.data_size,
-            sealed=True,
-            metadata=record.metadata,
-        )
+        return source
+
+    def _vouched(self, record: RemoteObjectRecord, source) -> bool:
+        """Whether the home header still names *record*'s incarnation —
+        one header read through *source*, the handle's own. A record it
+        does not vouch for (or whose link fails the read) is forgotten
+        with every cached copy of it; a Lookup then finds any live
+        incarnation, exactly as an uncached Get would."""
+        if source.integrity is None:
+            return True
+        try:
+            source.check_header()
+            return True
+        except IntegrityError:
+            self.counters.stale_descriptor_refreshes += 1
+        except FabricError:
+            pass
+        self.invalidate_cached_lookups([record.object_id])
+        return False
 
     def _integrity_for(
         self, record: RemoteObjectRecord
@@ -1072,13 +1109,12 @@ class DisaggregatedStore(PlasmaStore):
 
     def _refresh_stale(self, issued: RemoteObjectRecord) -> tuple | None:
         """A validated fabric read of the handle *issued* describes hit a
-        stale header: drop every cached descriptor for its id (satisfying
-        the lost-NotifyDeleted case — generation mismatch is the backstop
-        invalidation signal), re-Lookup once, and hand the reader a fresh
-        read target. Returns ``(remote_region, payload_offset, integrity)``,
-        or None — the reader then fails typed — if nobody claims the id
-        anymore or the id now names different content: only a move that
-        keeps the bytes (migration, replica failover) is followed."""
+        stale header: drop every cached descriptor for its id, re-Lookup
+        once, and hand the reader a fresh read target. Returns
+        ``(remote_region, payload_offset, integrity)``, or None — the
+        reader then fails typed — if nobody claims the id anymore or the id
+        now names different content: only a move that keeps the bytes
+        (migration, replica failover) is followed."""
         object_id = issued.object_id
         self.counters.stale_descriptor_refreshes += 1
         # The stale record stays registered until the re-lookup succeeds, so
@@ -1484,8 +1520,9 @@ class DisaggregatedStore(PlasmaStore):
         return report
 
     def invalidate_cached_lookups(self, object_ids: list[ObjectID]) -> None:
-        """Handle a peer's NotifyDeleted: drop cached descriptors and any
-        unreferenced remote records."""
+        """Drop cached descriptors, hot-cache entries and any unreferenced
+        remote records of *object_ids* (a peer's NotifyDeleted, or a
+        header that no longer vouches for a record)."""
         for oid in object_ids:
             if self._lookup_cache is not None:
                 self._lookup_cache.invalidate(oid)

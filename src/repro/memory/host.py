@@ -7,10 +7,10 @@ disaggregated memory region" of paper §IV-A1) and to object buffers.
 
 All access is via ``memoryview`` so reads are zero-copy where the consumer
 allows it, mirroring how real Plasma hands clients read-only views of shared
-memory rather than copies. A consumer that keeps such a view past the
-object's lifetime (the tier plane's hot cache) registers it as an *alias*;
-:meth:`HostMemory.copy_out` hands each overlapping alias its own copy just
-before anything changes those bytes.
+memory rather than copies. A view shows the memory as it is now: a consumer
+that keeps one (the tier plane's hot cache) relies on the object's in-region
+header, not on the bytes staying put, to know whether it still holds the
+object it read.
 """
 
 from __future__ import annotations
@@ -30,13 +30,9 @@ class HostMemory:
 
     ``node`` is a purely informational label used in error messages and
     fabric bookkeeping.
-
-    The alias table maps ``(owner, key)`` to the absolute ``[start, end)``
-    a kept read-only view covers. ``owner.detach(key)`` must swap that view
-    for an owned copy; :meth:`copy_out` calls it, then forgets the alias.
     """
 
-    __slots__ = ("_arr", "_buf", "_node", "_capacity", "_aliases", "__weakref__")
+    __slots__ = ("_arr", "_buf", "_node", "_capacity", "__weakref__")
 
     def __init__(self, capacity: int, node: str = "?"):
         if capacity <= 0:
@@ -45,7 +41,6 @@ class HostMemory:
         self._arr = np.zeros(capacity, dtype=np.uint8)
         self._buf = memoryview(self._arr)  # format 'B', writable
         self._node = node
-        self._aliases: dict[tuple[object, object], tuple[int, int]] = {}
 
     @property
     def capacity(self) -> int:
@@ -80,35 +75,8 @@ class HostMemory:
         if mv.ndim != 1 or mv.itemsize != 1:
             mv = mv.cast("B")
         self._check(offset, len(mv))
-        if self._aliases:
-            self.copy_out(offset, len(mv))
         self._buf[offset : offset + len(mv)] = mv
         return len(mv)
-
-    # -- aliases ---------------------------------------------------------------
-
-    def alias(self, owner, key, start: int, end: int) -> None:
-        """Record that *owner* keeps a view of ``[start, end)`` under *key*."""
-        self._aliases[(owner, key)] = (start, end)
-
-    def unalias(self, owner, key) -> None:
-        self._aliases.pop((owner, key), None)
-
-    def copy_out(self, offset: int, size: int) -> None:
-        """``[offset, offset+size)`` is about to change: every alias that
-        overlaps it is detached (its owner copies the bytes it viewed) and
-        forgotten."""
-        if not self._aliases:
-            return
-        end = offset + size
-        hit = [
-            alias
-            for alias, (start, stop) in self._aliases.items()
-            if start < end and offset < stop
-        ]
-        for owner, key in hit:
-            del self._aliases[(owner, key)]
-            owner.detach(key)
 
     def read(self, offset: int, size: int) -> bytes:
         """Copy *size* bytes out of memory (use :meth:`view` to avoid the
@@ -181,10 +149,6 @@ class MemoryRegion:
     def read(self, offset: int, size: int) -> bytes:
         abs_off = self._translate(offset, size)
         return self._mem.read(abs_off, size)
-
-    def copy_out(self, offset: int, size: int) -> None:
-        """:meth:`HostMemory.copy_out` over a region-relative range."""
-        self._mem.copy_out(self._translate(offset, size), size)
 
     def subregion(self, offset: int, size: int) -> "MemoryRegion":
         abs_off = self._translate(offset, size)

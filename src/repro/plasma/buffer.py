@@ -13,7 +13,10 @@ Figure 7 measures.
 Every source answers the same three read calls: ``view`` (untimed window),
 ``timed_view`` (the timed, validated read — returns a read-only window over
 the bytes the reader observes, copying nothing) and ``charge_read`` (timing
-only: no bytes materialise, so there is nothing to validate).
+only: no bytes materialise, so there is nothing to validate). A remote
+source with an integrity context also answers ``check_header``: the
+in-region header read alone, the one coherence check a store applies before
+it uses a cached descriptor or cached bytes.
 """
 
 from __future__ import annotations
@@ -96,6 +99,7 @@ class RemoteBufferSource:
     so delete/evict/realloc races at the home store surface as typed
     :class:`StaleDescriptorError` instead of silently reused bytes, with
     one transparent re-lookup-and-retry before the error escapes.
+    :meth:`check_header` applies the pre-stream tests alone.
     """
 
     def __init__(
@@ -129,12 +133,6 @@ class RemoteBufferSource:
     def view(self, offset: int, size: int) -> memoryview:
         return self._remote.view(self._off + offset, size)
 
-    def home_extent(self, offset: int, size: int):
-        """``(memory, start, end)`` that :meth:`view` of this range aliases
-        in the home's DRAM — after any stale-descriptor refresh, the
-        incarnation the last read actually streamed."""
-        return self._remote.home_extent(self._off + offset, size)
-
     def charge_read(self, offset: int, size: int) -> float:
         # A validating reader still fetches the header with the stream.
         ig = self._integrity
@@ -157,29 +155,48 @@ class RemoteBufferSource:
             # Second failure surfaces to the caller.
             return self._validated_view(offset, size)
 
-    def _validated_view(self, offset: int, size: int) -> memoryview:
+    def check_header(self) -> None:
+        """Vouch for the descriptor without streaming the payload: one
+        ``header_size`` fabric read of the in-region header, then the same
+        tests :meth:`timed_view` applies before its stream. A partitioned
+        link raises its fabric error; no refresh is attempted."""
+        self._remote.charge_read(self._integrity.header_size)
+        self._checked_header(self._header_view())
+
+    def _header_view(self) -> memoryview:
+        size = self._integrity.header_size
+        return self._remote.view(self._off - size, size)
+
+    def _checked_header(self, raw) -> tuple:
+        """The fields of header bytes *raw* if they still name the sealed
+        incarnation the integrity context describes. Raises
+        :class:`StaleDescriptorError` when they do not (retired,
+        reallocated, unsealed) and :class:`ObjectCorruptedError` when the
+        home quarantined it."""
         ig = self._integrity
-        header_at = self._off - ig.header_size
-        pre = bytes(self._remote.view(header_at, ig.header_size))
-        fields = unpack_header(pre)
-        if fields is not None:
-            object_id, generation, data_size, _, flags, payload_crc, _, _ = fields
+        fields = unpack_header(raw)
         if (
             fields is None
-            or object_id != ig.object_id
-            or (ig.generation and generation != ig.generation)
-            or not flags & FLAG_SEALED
+            or fields[0] != ig.object_id
+            or (ig.generation and fields[1] != ig.generation)
+            or not fields[4] & FLAG_SEALED
         ):
             raise StaleDescriptorError(
                 f"in-region header for {ObjectID(ig.object_id)!r} at "
                 f"{self.location} no longer matches the descriptor (retired, "
                 f"reallocated, or unsealed)"
             )
-        if flags & FLAG_QUARANTINED:
+        if fields[4] & FLAG_QUARANTINED:
             raise ObjectCorruptedError(
                 f"{ObjectID(ig.object_id)!r} is quarantined at its home store "
                 f"{self.location}"
             )
+        return fields
+
+    def _validated_view(self, offset: int, size: int) -> memoryview:
+        ig = self._integrity
+        pre = bytes(self._header_view())
+        _, generation, data_size, _, _, payload_crc, _, _ = self._checked_header(pre)
         view = self._remote.view(self._off + offset, size)
         # One charged stream covers header + payload: the header rides the
         # same DMA burst, so validation costs bytes, not an extra round trip.
@@ -187,7 +204,7 @@ class RemoteBufferSource:
         # Post-stream re-check: a retire that raced the stream bumped the
         # generation, which means the bytes just streamed may be torn.
         # Unchanged header bytes already passed every test above.
-        post = bytes(self._remote.view(header_at, ig.header_size))
+        post = bytes(self._header_view())
         if post != pre:
             fields = unpack_header(post)
             if fields is None or fields[1] != generation or not fields[4] & FLAG_SEALED:
@@ -204,6 +221,7 @@ class RemoteBufferSource:
                     f"after a fabric read from {self.location}"
                 )
         return view
+
 
 class PlasmaBuffer:
     """A client's handle to one object's payload.

@@ -343,9 +343,7 @@ class PlasmaStore:
         self._allocator.free(entry.allocation.offset)
 
     def _allocate_with_eviction(self, data_size: int):
-        """Allocate an extent, evicting on pressure. Whatever the caller
-        does next writes into it, so any view a remote hot cache still
-        keeps of the extent's old bytes is copied out here first."""
+        """Allocate an extent, evicting on pressure."""
         try:
             allocation = self._allocator.allocate(data_size)
         except OutOfMemoryError:
@@ -358,7 +356,6 @@ class PlasmaStore:
             decision = self._eviction.plan(self._table, required_bytes=data_size)
             self._evict_round(decision.victims)
             allocation = self._allocator.allocate(data_size)
-        self._region.copy_out(allocation.offset, allocation.padded_size)
         return allocation
 
     def _evict_round(self, victims: list[ObjectEntry]) -> None:

@@ -72,38 +72,38 @@ def _skip_replica_retire() -> Iterator[None]:
 
 
 @contextlib.contextmanager
-def _skip_alias_copy_out() -> Iterator[None]:
-    """Plant the aliasing hot-cache bug: home memory changes without first
-    copying out the cache entries that still view it.
+def _skip_hit_validation() -> Iterator[None]:
+    """Plant the unvalidated-descriptor bug: the home header is never read
+    before a hot-cache hit or a cached descriptor is used.
 
-    A reader that missed a delete's invalidation then serves whatever a
-    later put wrote into the reused extent instead of the bytes it
-    admitted.
+    A reader that missed a delete's invalidation then serves the deleted
+    incarnation's cached bytes, or resolves a fresh Get to an extent the
+    home has since reused.
     """
 
-    from repro.memory.host import HostMemory
+    from repro.plasma.buffer import RemoteBufferSource
 
-    original = HostMemory.copy_out
+    original = RemoteBufferSource.check_header
 
-    def skip(self, offset, size):  # noqa: ANN001 - matches patched signature
+    def skip(self):  # noqa: ANN001 - matches patched signature
         return None
 
-    HostMemory.copy_out = skip
+    RemoteBufferSource.check_header = skip
     try:
         yield
     finally:
-        HostMemory.copy_out = original
+        RemoteBufferSource.check_header = original
 
 
 MUTATIONS = {
     "skip_retire": _skip_retire,
     "skip_replica_retire": _skip_replica_retire,
-    "skip_alias_copy_out": _skip_alias_copy_out,
+    "skip_hit_validation": _skip_hit_validation,
 }
 
 #: The workload profile a mutation's self-check sweeps when it is not the
 #: default one: the schedule that exposes it is too rare to draw there.
-SELF_CHECK_PROFILES = {"skip_alias_copy_out": "tier-hazards"}
+SELF_CHECK_PROFILES = {"skip_hit_validation": "tier-hazards"}
 
 
 @contextlib.contextmanager

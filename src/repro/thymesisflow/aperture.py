@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ApertureError
-from repro.memory.host import HostMemory
 from repro.obs.metrics import CounterGroup
 from repro.thymesisflow.endpoint import ThymesisEndpoint
 from repro.thymesisflow.link import OpenCapiLink
@@ -140,13 +139,6 @@ class RemoteRegion:
         actually stream it (see PlasmaBuffer.read_view)."""
         self._check(offset, size)
         return self._ap.home.serve_remote_read(offset, size)
-
-    def home_extent(self, offset: int, size: int) -> tuple[HostMemory, int, int]:
-        """The home's memory and the absolute ``[start, end)`` that
-        :meth:`view` of the same range aliases."""
-        home = self._ap.home
-        start = home.exposed.absolute(offset)
-        return home.memory, start, start + size
 
     def charge_read(self, size: int) -> float:
         """Charge link time for streaming *size* bytes (used with view())."""

@@ -3,22 +3,17 @@
 A bounded budget of this node's own DRAM holding the payloads of remote
 objects, so a repeat read of a hot key costs a local-memory copy instead of
 a ThymesisFlow stream. An admitted entry is the validated fabric read's
-read-only view of the sealed home extent — *views copied out before the
-home changes them*: the entry is registered as an alias on the home's
-:class:`~repro.memory.host.HostMemory`, and whatever is about to overwrite
-those bytes (a reallocation of the extent, a raw write, a repair, a chaos
-bit flip) first calls its ``copy_out``, which has
-:meth:`HotObjectCache.detach` swap the view for an owned copy. Until then
-admission moves no bytes at all. Two mechanisms keep the entries honest:
+read-only view of the sealed home extent, so admission moves no bytes. Two
+mechanisms keep the entries honest:
 
-* **Coherence by generation keying** — entries are keyed by
+* **Coherence by the home header** — entries are keyed by
   ``(object id, generation)``, the same generation the in-region integrity
-  header carries (PR 2). Any event that retires an incarnation — delete,
-  eviction, migration, quarantine — bumps the generation, so a refreshed
-  descriptor simply misses the cache. Explicit invalidation (NotifyDeleted
-  pushes, topology-epoch installs, peer disconnects) reclaims the bytes
-  eagerly; generation keying is the backstop that makes a *missed*
-  invalidation a stale-miss rather than a stale-hit.
+  header carries, and the reader serves a hit only after that header has
+  vouched for the incarnation (:mod:`repro.tier.source`): any event that
+  retires one — delete, eviction, migration, quarantine — changes the
+  header, so a missed invalidation push costs a miss, never a stale hit.
+  Explicit invalidation (NotifyDeleted pushes, topology-epoch installs,
+  peer disconnects) only reclaims the budget eagerly.
 * **Admission by frequency** — a TinyLFU-style count-min sketch estimates
   each object's access frequency; under capacity pressure a candidate only
   displaces the LRU victim if the sketch says it is accessed more often.
@@ -104,14 +99,11 @@ class HotObjectCache:
         self._capacity = int(capacity_bytes)
         self._sketch = FrequencySketch(sketch_width, sketch_depth, seed)
         # (oid bytes, generation) -> (payload, home store name), ordered
-        # least- to most-recently used. A payload is a read-only view of the
-        # home extent while its key is in _aliased, owned bytes otherwise.
+        # least- to most-recently used.
         self._entries: OrderedDict[
             tuple[bytes, int], tuple[bytes | memoryview, str]
         ] = OrderedDict()
         self._by_oid: dict[bytes, set[int]] = {}
-        # key -> the HostMemory the entry's view is registered on.
-        self._aliased: dict[tuple[bytes, int], object] = {}
         self._used = 0
         # Counters surfaced through the metrics plane and BENCH artifacts.
         self.hits = 0
@@ -121,9 +113,6 @@ class HotObjectCache:
         self.evictions = 0
         self.invalidations = 0
         self.bytes_avoided = 0
-        # Entries copied out because their home was about to change the
-        # bytes they viewed; exact, and deliberately not in BENCH artifacts.
-        self.copy_outs = 0
         # Debug hook for the simtest coherence oracle: the (oid, generation,
         # home) of the most recent hit, cleared by the harness after judging.
         self.last_served: tuple[ObjectID, int, str] | None = None
@@ -180,17 +169,10 @@ class HotObjectCache:
         generation: int,
         payload,
         home: str,
-        extent: tuple | None = None,
     ) -> bool:
-        """Consider caching *payload* (a full validated fabric read).
-
-        With *extent* — ``(memory, start, end)``, the home
-        :class:`~repro.memory.host.HostMemory` and the absolute range the
-        read-only view *payload* covers — admission keeps the view and
-        registers it there, so it is copied out only if the home is about
-        to change those bytes. Without one (any other bytes-like payload)
-        admission copies it into an owned ``bytes``. Either way a rejected
-        offer moves no bytes.
+        """Consider caching *payload* (a full validated fabric read). The
+        entry keeps *payload* as given — the read's view of the home
+        extent — so admission moves no bytes.
 
         Admission: an oversized payload is refused outright; otherwise LRU
         victims are displaced only while the sketch estimates the candidate
@@ -222,12 +204,6 @@ class HotObjectCache:
                 return False
             self._drop(victim_key)
             self.evictions += 1
-        if extent is None:
-            payload = bytes(payload)
-        else:
-            memory, start, end = extent
-            memory.alias(self, key, start, end)
-            self._aliased[key] = memory
         self._entries[key] = (payload, home)
         self._by_oid.setdefault(key[0], set()).add(generation)
         self._used += size
@@ -236,21 +212,8 @@ class HotObjectCache:
 
     # -- invalidation channels ----------------------------------------------------
 
-    def detach(self, key: tuple[bytes, int]) -> None:
-        """The home is about to change the bytes entry *key* views: swap the
-        view for an owned copy, keeping the entry's LRU position. Called by
-        :meth:`~repro.memory.host.HostMemory.copy_out`, which has already
-        forgotten the alias."""
-        payload, home = self._entries[key]
-        self._entries[key] = (bytes(payload), home)
-        del self._aliased[key]
-        self.copy_outs += 1
-
     def _drop(self, key: tuple[bytes, int]) -> None:
         payload, _ = self._entries.pop(key)
-        memory = self._aliased.pop(key, None)
-        if memory is not None:
-            memory.unalias(self, key)
         self._used -= len(payload)
         gens = self._by_oid.get(key[0])
         if gens is not None:
@@ -260,7 +223,7 @@ class HotObjectCache:
 
     def invalidate(self, object_id: ObjectID) -> int:
         """Drop every cached incarnation of *object_id* (NotifyDeleted
-        push, or a read that proved the descriptor stale)."""
+        push, or a header that no longer vouches for it)."""
         oid = object_id.binary()
         gens = self._by_oid.get(oid)
         if not gens:
@@ -284,9 +247,6 @@ class HotObjectCache:
     def clear(self) -> int:
         """Full purge (topology-epoch install or local restart recovery)."""
         dropped = len(self._entries)
-        for key, memory in self._aliased.items():
-            memory.unalias(self, key)
-        self._aliased.clear()
         self._entries.clear()
         self._by_oid.clear()
         self._used = 0

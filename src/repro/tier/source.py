@@ -2,33 +2,35 @@
 
 Wraps a :class:`~repro.plasma.buffer.RemoteBufferSource`: a read first
 probes the node's :class:`~repro.tier.cache.HotObjectCache` by
-``(object id, generation)``. A hit serves the cached payload in place —
-charged through the agent's local-copy cost model, attributed to the
-``cache`` span component, and counted on the fabric link as avoided read
-bytes. A miss delegates to the wrapped source's *validated* fabric read
-and, when that read covered the whole payload, offers the view it returned
-to the cache keyed by the generation the validation just proved, together
-with the home extent the view aliases. Admission copies nothing: cached
-entries are views copied out before the home changes them (see
-:mod:`repro.tier.cache`). Home, generation and link are all read off the
-wrapped source, so after a stale-descriptor refresh that followed a
-migration they name the new home, never the captured record's.
+``(object id, generation)``. A cached entry is served only after the home
+header has vouched for that incarnation — one header-sized fabric read
+(:meth:`~repro.plasma.buffer.RemoteBufferSource.check_header`); the hit is
+then charged through the agent's local-copy cost model, attributed to the
+``cache`` span component, and counted on the fabric link as avoided
+payload bytes. An entry the header no longer backs is dropped and the read
+misses; a fabric failure raises exactly as the uncached read would. A miss
+delegates to the wrapped source's *validated* fabric read and, when that
+read covered the whole payload, offers the view it returned to the cache
+keyed by the generation the validation just proved. Admission copies
+nothing. Home, generation and link are all read off the wrapped source, so
+after a stale-descriptor refresh that followed a migration they name the
+new home, never the captured record's.
 
-Filling only after a validated read is the coherence linchpin: the header
-check before the stream and the generation re-check after it guarantee the
-cached bytes are exactly the payload of that (id, generation) incarnation,
-and generations never repeat — so a cache entry can only ever be *stale*,
-never *wrong*, and staleness is handled by the invalidation channels plus
-generation keying at lookup time.
+Entries are views of the home extent, so they show its bytes as they are
+now; the header check is what makes serving them sound. Every event that
+retires an incarnation rewrites the header before the bytes change, and
+generations never repeat — so a hit returns exactly what the validated
+fabric read would have, and a missed invalidation push costs a miss, never
+a stale hit.
 
 It is the one read path for cached remote bytes: a handle probes the cache
-on every read, so a held handle either hits its own incarnation's entry
-(which copy-out keeps equal to the sealed payload) or does the validated
-fabric read, which fails typed once the home has retired the extent.
+on every read, so a held handle reads the same bytes whether it hits or
+not, and fails typed once the home has retired its incarnation.
 """
 
 from __future__ import annotations
 
+from repro.common.errors import IntegrityError
 from repro.plasma.buffer import RemoteBufferSource, RemoteReadIntegrity
 
 
@@ -58,32 +60,40 @@ class TierBufferSource:
     def view(self, offset: int, size: int):
         return self._inner.view(offset, size)
 
+    def check_header(self) -> None:
+        self._inner.check_header()
+
     # -- the cached read path -----------------------------------------------------
 
     def _generation(self) -> int:
         # The integrity context is live — a stale-descriptor refresh swaps
-        # it for the fresh incarnation's — so it, not the captured record,
-        # is the authority on which generation the bytes belong to.
-        ig = self._inner.integrity
-        return ig.generation if ig is not None else self._record.generation
-
-    def _header_size(self) -> int:
-        ig = self._inner.integrity
-        return ig.header_size if ig is not None else 0
+        # it for the fresh incarnation's — so it is the authority on which
+        # generation the bytes belong to.
+        return self._inner.integrity.generation
 
     def _read_cache(self):
-        """The hot cache, or None when this read is uncacheable: generation
-        0 means "unknown incarnation" (a home that writes no headers), and
-        a hit on it could never be proven coherent. Straight to the fabric."""
-        cache = self._agent.cache
-        return cache if cache is not None and self._generation() else None
+        """The hot cache, or None when this read is uncacheable: without an
+        integrity context no header can vouch for a hit. Straight to the
+        fabric."""
+        if self._inner.integrity is None:
+            return None
+        return self._agent.cache
 
     def _hit(self, cache, size: int):
         """The cached payload of the live incarnation, or None on a miss.
-        A hit is charged the agent's local-copy cost under the ``cache``
-        span component and credits the fabric stream it replaced (payload
-        plus validation header) to the home link."""
-        payload = cache.lookup(self._record.object_id, self._generation())
+        The home header vouches first (one header-sized fabric read): an
+        entry it no longer backs is dropped and the read misses, and a
+        fabric failure raises as it would untiered. A hit is charged the
+        agent's local-copy cost under the ``cache`` span component and
+        credits the payload stream it replaced to the home link."""
+        object_id = self._record.object_id
+        generation = self._generation()
+        if cache.contains(object_id, generation):
+            try:
+                self._inner.check_header()
+            except IntegrityError:
+                cache.invalidate(object_id)
+        payload = cache.lookup(object_id, generation)
         if payload is None:
             return None
         store = self._store
@@ -93,9 +103,7 @@ class TierBufferSource:
                 store.clock.advance(cost_ns)
         else:
             store.clock.advance(cost_ns)
-        self._inner.remote.aperture.link.note_read_avoided(
-            size + self._header_size()
-        )
+        self._inner.remote.aperture.link.note_read_avoided(size)
         return payload
 
     def charge_read(self, offset: int, size: int) -> float:
@@ -113,13 +121,10 @@ class TierBufferSource:
             return memoryview(payload)[offset : offset + size]
         view = self._inner.timed_view(offset, size)
         if offset == 0 and size == self._record.data_size:
-            generation = self._generation()  # may have refreshed mid-read
-            if generation:
-                cache.offer(
-                    self._record.object_id,
-                    generation,
-                    view,
-                    home=self._inner.remote.home_name,
-                    extent=self._inner.home_extent(offset, size),
-                )
+            cache.offer(
+                self._record.object_id,
+                self._generation(),  # may have refreshed mid-read
+                view,
+                home=self._inner.remote.home_name,
+            )
         return view

@@ -533,7 +533,7 @@ class ScenarioRunner:
             # at the ingress, the client-side twin of the server's
             # expired-work shedding. This is what lets goodput survive
             # past the knee: stale work exits for free, fresh work runs.
-            result.executed_ops += 1
+            # It never reaches the cluster, so it is not an executed op.
             result.outcomes["shed:expired"] = (
                 result.outcomes.get("shed:expired", 0) + 1
             )

@@ -14,7 +14,7 @@ import pytest
 
 from repro.common.config import PlacementConfig, TierConfig
 from repro.common.config import testing_config as make_config
-from repro.common.errors import ObjectNotFoundError, StaleDescriptorError
+from repro.common.errors import ObjectNotFoundError
 from repro.common.ids import ObjectID
 from repro.common.units import KiB, MiB
 from repro.core import Cluster
@@ -141,11 +141,15 @@ def test_a_victim_read_remotely_looks_up_again_and_misses(rpc_log):
 
 
 def test_round_reaches_the_live_peer_when_the_other_is_down(rpc_log):
-    # No tier cache here: node2's cached descriptor still names each
-    # victim's incarnation, and its hot-cache entry (copied out before the
-    # reuse) would serve that sealed payload — the fabric read is the one a
-    # lost push must fail typed on.
-    cluster = make_cluster(tiering=False)
+    round_with_one_peer_down(rpc_log, tiering=True)
+
+
+def test_round_reaches_the_live_peer_when_the_other_is_down_untiered(rpc_log):
+    round_with_one_peer_down(rpc_log, tiering=False)
+
+
+def round_with_one_peer_down(rpc_log, *, tiering: bool) -> None:
+    cluster = make_cluster(tiering=tiering)
     cached = fill_node0(cluster)
     cluster.node("node2").server.shutdown()
     del rpc_log[:]
@@ -163,15 +167,16 @@ def test_round_reaches_the_live_peer_when_the_other_is_down(rpc_log):
     assert attempts and all(ids == victims for ids in attempts)
     assert store.object_count() == len(cached) - VICTIMS + 1
 
-    # node2 missed the push and still holds every victim's descriptor. The
-    # generation check on the fabric read is what keeps that safe: each
+    # node2 missed the push and still holds every victim's descriptor (and,
+    # tiered, its payload). The home header is what keeps that safe: each
     # extent was retired (and the first re-sealed under the new object), so
-    # the read fails typed and never returns old bytes.
+    # a fresh Get's probe finds no incarnation to vouch for, looks the id
+    # up again and reports it missing — with or without the hot cache.
     cluster.node("node2").server.restart()
     assert cached_at(cluster, "node2", cached, victims) == victims
     late = cluster.client("node2")
     for victim in victims:
-        with pytest.raises((ObjectNotFoundError, StaleDescriptorError)):
+        with pytest.raises(ObjectNotFoundError):
             late.get_bytes(victim)
     assert cached_at(cluster, "node2", cached, victims) == []
 

@@ -1,14 +1,20 @@
-"""Stale cached descriptors: generation mismatch as the backstop
-invalidation signal (satellite regression for lost NotifyDeleted).
+"""Stale cached descriptors: the home header as the one coherence check
+(regressions for a lost NotifyDeleted).
 
 The lookup cache is normally kept honest by NotifyDeleted pushes. When
 that push is lost — blackholed RPC window, crashed notifier — the cached
-descriptor silently outlives the object. These tests pin the backstop:
-the validated fabric read detects the generation/seal mismatch in the
-in-region header, evicts the cache entry, re-looks-up once, and either
-retries transparently (object re-created with the same bytes) or surfaces
-a typed error (object gone for good, or re-created with other bytes). No
-garbage bytes in any case.
+descriptor silently outlives the object. These tests pin what keeps that
+safe without the push:
+
+* a fresh Get probes the home header before it uses a descriptor no held
+  handle backs; one the header no longer vouches for is dropped and the id
+  looked up again, which finds the live incarnation (whatever its bytes)
+  or reports the id missing;
+* a *held* handle never follows its id to other bytes: its validated read
+  re-looks-up once and follows only a move that kept size and checksum,
+  and otherwise fails typed.
+
+No garbage bytes in any case.
 """
 
 from __future__ import annotations
@@ -68,16 +74,17 @@ class TestStaleDescriptors:
         cluster.clock.advance(window + 1)
         cluster.chaos.poll()
 
-        with pytest.raises(StaleDescriptorError):
-            consumer.get_bytes(oid)
-        # Generation mismatch evicted the lying entry (satellite b)...
-        assert store1.lookup_cache.get(oid) is None
-        assert store1.counters.stale_descriptor_refreshes >= 1
-        # ...so the next request resolves cleanly to not-found.
+        # The header no longer vouches for the cached descriptor: the Get
+        # drops it, looks the id up again and finds nobody holding it.
         with pytest.raises(ObjectNotFoundError):
             consumer.get_bytes(oid)
+        assert store1.lookup_cache.get(oid) is None
+        assert store1.counters.stale_descriptor_refreshes == 1
+        assert store1.remote_record(oid) is None
 
-    def test_recreated_object_is_retried_transparently(self, cached_cluster):
+    def test_recreated_object_is_retried_transparently(
+        self, cached_cluster, monkeypatch
+    ):
         cluster = cached_cluster
         producer = cluster.client("node0")
         consumer = cluster.client("node1")
@@ -91,13 +98,51 @@ class TestStaleDescriptors:
         cluster.clock.advance(window + 1)
         cluster.chaos.poll()
 
-        # The cached descriptor points at the old incarnation; the validated
-        # read detects the mismatch, re-looks-up and, finding the same
-        # content, retries — one call, the bytes, no error.
+        # The cached descriptor names the old incarnation; the Get's header
+        # probe catches that and resolves the new one, so the read itself
+        # never needs a refresh.
+        store1 = cluster.store("node1")
+
+        def no_read_time_refresh(issued):
+            raise AssertionError("a fresh Get must not refresh at read time")
+
+        monkeypatch.setattr(store1, "_refresh_stale", no_read_time_refresh)
         assert consumer.get_bytes(oid) == b"A" * 4096
-        assert cluster.store("node1").counters.stale_descriptor_refreshes == 1
+        assert store1.counters.stale_descriptor_refreshes == 1
+        assert store1.lookup_cache.get(oid).generation == (
+            cluster.store("node0").table.lookup(oid).generation
+        )
 
     def test_recreated_with_new_content_fails_typed_once(self, cached_cluster):
+        cluster = cached_cluster
+        producer = cluster.client("node0")
+        consumer = cluster.client("node1")
+        oid = cluster.new_object_id()
+        producer.put_bytes(oid, b"A" * 4096)
+        held = consumer.get_one(oid)
+
+        window = _blackhole_notifications(cluster)
+        producer.delete(oid)
+        producer.put_bytes(oid, b"B" * 4096)  # same id and size, new bytes
+        cluster.clock.advance(window + 1)
+        cluster.chaos.poll()
+
+        # A held handle never follows its id to different bytes: its read
+        # refreshes once and fails typed...
+        with pytest.raises(StaleDescriptorError):
+            held.read_all()
+        store1 = cluster.store("node1")
+        assert store1.counters.stale_descriptor_refreshes == 1
+        # ...and the refresh left the fresh descriptor, so a fresh Get
+        # reads the new incarnation without another refresh.
+        assert consumer.get_bytes(oid) == b"B" * 4096
+        assert store1.counters.stale_descriptor_refreshes == 1
+        consumer.release(oid)
+        assert store1.remote_record(oid) is None  # released cleanly
+
+    def test_recreated_with_new_content_serves_a_fresh_get_the_new_bytes(
+        self, cached_cluster
+    ):
         cluster = cached_cluster
         producer = cluster.client("node0")
         consumer = cluster.client("node1")
@@ -107,19 +152,16 @@ class TestStaleDescriptors:
 
         window = _blackhole_notifications(cluster)
         producer.delete(oid)
-        producer.put_bytes(oid, b"B" * 4096)  # same id and size, new bytes
+        producer.put_bytes(oid, b"B" * 4096)
         cluster.clock.advance(window + 1)
         cluster.chaos.poll()
 
-        # A handle issued from the old descriptor never follows the id to
-        # different bytes: the read fails typed...
-        with pytest.raises(StaleDescriptorError):
-            consumer.get_bytes(oid)
+        # Nothing holds the old incarnation, so a fresh Get accepts any live
+        # one: the new bytes, after one refresh at resolution.
         store1 = cluster.store("node1")
+        assert consumer.get_bytes(oid) == b"B" * 4096
         assert store1.counters.stale_descriptor_refreshes == 1
-        assert store1.remote_record(oid) is None  # released cleanly
-        # ...and the refresh left the fresh descriptor, so the next Get
-        # reads the new incarnation without another refresh.
+        assert store1.remote_record(oid) is None
         assert consumer.get_bytes(oid) == b"B" * 4096
         assert store1.counters.stale_descriptor_refreshes == 1
 
@@ -166,3 +208,27 @@ def test_held_handle_never_reads_another_objects_bytes(lookup_cache):
         buf.read_all()  # the held handle stays on its own incarnation
     reader.release(oid)
     assert cluster.store("node1").remote_record(oid) is None
+
+
+def test_held_handle_follows_a_same_bytes_recreation(cached_cluster):
+    """A handle held across a lost delete and a re-put of its id with the
+    same size and checksum follows the new incarnation after one refresh
+    (a move that keeps the bytes, like a migration)."""
+    cluster = cached_cluster
+    producer = cluster.client("node0")
+    consumer = cluster.client("node1")
+    oid = cluster.new_object_id()
+    producer.put_bytes(oid, b"A" * 4096)
+    held = consumer.get_one(oid)
+
+    window = _blackhole_notifications(cluster)
+    producer.delete(oid)
+    producer.put_bytes(oid, b"A" * 4096)
+    cluster.clock.advance(window + 1)
+    cluster.chaos.poll()
+
+    assert held.read_all() == b"A" * 4096
+    store1 = cluster.store("node1")
+    assert store1.counters.stale_descriptor_refreshes == 1
+    consumer.release(oid)
+    assert store1.remote_record(oid) is None

@@ -58,8 +58,10 @@ def test_corpus_traces_stripped_of_mutation_are_clean(path):
 def test_eviction_round_trace_takes_the_lost_push_path():
     """``eviction_round_lost_push`` is only worth replaying while it still
     drives what its note says: one multi-victim round whose single message
-    to the partitioned peer is lost, and that peer's later reads failing
-    the generation check instead of being answered from a cache."""
+    to the partitioned peer is lost, and that peer's later reads finding
+    the home header no longer vouches for its cached descriptors — each
+    Get looks the victim up again and reports it missing instead of being
+    answered from a cache."""
     trace = _load(Path(__file__).parent / "corpus" / "eviction_round_lost_push.json")
     runner = SimulationRunner(trace["seed"])
     result = runner.run([Op.from_obj(item) for item in trace["ops"]])
@@ -70,7 +72,7 @@ def test_eviction_round_trace_takes_the_lost_push_path():
     assert evictor.counters.peers_unavailable == 1  # one round, one loss
     assert cut_off.counters.stale_descriptor_refreshes == 4
     outcomes = [step.rsplit(" -> ", 1)[1] for step in result.steps if " get(" in step]
-    assert outcomes[-7:] == ["stale"] * 4 + ["notfound", "notfound", "ok"]
+    assert outcomes[-7:] == ["notfound"] * 6 + ["ok"]
 
 
 def test_replica_revocation_trace_takes_the_lost_revocation_path():
@@ -78,7 +80,8 @@ def test_replica_revocation_trace_takes_the_lost_revocation_path():
     reader really resolved through the replica holder and the holder's
     revocation — not the home's delete — is the message the partition ate:
     the home tells nobody, the holder's one revocation goes unanswered, and
-    the reader's next reads fail the generation check. Replaying it twice
+    the reader's next Get finds the header no longer vouches for the
+    replica's descriptor and reports the object missing. Replaying it twice
     leaves every node's flight recorder byte-identical."""
     trace = _load(Path(__file__).parent / "corpus" / "replica_revocation_lost_push.json")
     dumps = []
@@ -94,6 +97,6 @@ def test_replica_revocation_trace_takes_the_lost_revocation_path():
         assert holder.counters.replicas_dropped == 1
         assert reader.counters.stale_descriptor_refreshes == 1
         outcomes = [s.rsplit(" -> ", 1)[1] for s in result.steps if " get(node=node2, obj=1)" in s]
-        assert outcomes == ["ok", "stale", "notfound"]
+        assert outcomes == ["ok", "notfound", "notfound"]
         dumps.append(json.dumps(runner.cluster.spans.flight_dump(), sort_keys=True))
     assert dumps[0] == dumps[1]

@@ -1,7 +1,10 @@
 """Simulation harness: clean runs, byte-identical replay, oracle teeth."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.simtest import harness
 from repro.simtest.harness import SimulationRunner, replay_trace, run_seed, run_seeds
 from repro.simtest.model import ObjState, payload_for
 from repro.simtest.ops import make
@@ -132,8 +135,8 @@ def test_handcrafted_async_multi_get_mixes_hits_and_misses():
 #: towards node0, opened during the partition, drops the delete's
 #: NotifyDeleted. A copy of obj 12 later lands in obj 3's old extent on
 #: node2 while node0's cache still views it, and the final sweep reads obj 3
-#: through that cache. (The shrunk self-check trace of skip_alias_copy_out.)
-ALIAS_HAZARD = [
+#: through that cache. (The shrunk self-check trace of skip_hit_validation.)
+REUSE_HAZARD = [
     make("partition", a="node1", b="node2"),
     make("partition", a="node2", b="node0"),
     make("health"),
@@ -145,16 +148,53 @@ ALIAS_HAZARD = [
 ]
 
 
-def test_hot_cache_entry_is_copied_out_before_its_extent_is_reused():
+def test_reused_extent_is_never_served_from_the_hot_cache():
+    """The header no longer vouches for obj 3's cached descriptor, so the
+    sweep's Get drops it with the cached payload instead of hitting."""
     runner = SimulationRunner(0)
-    result = runner.run(ALIAS_HAZARD)
+    result = runner.run(REUSE_HAZARD)
     assert result.ok, result.report()
-    assert runner.cluster.tier_agent("node0").cache.copy_outs == 1
+    cache = runner.cluster.tier_agent("node0").cache
+    assert (cache.admissions, cache.hits, cache.invalidations) == (1, 0, 1)
 
 
-def test_skipped_copy_out_serves_the_reused_extent():
-    result = SimulationRunner(0, mutation="skip_alias_copy_out").run(ALIAS_HAZARD)
+def test_skipped_hit_validation_serves_the_reused_extent():
+    result = SimulationRunner(0, mutation="skip_hit_validation").run(REUSE_HAZARD)
     assert [v.kind for v in result.violations] == ["wrong-bytes"]
+
+
+#: Shrunk from ``concurrency`` seed 92: node0 reads obj 7 (so it keeps the
+#: descriptor) and misses the delete's NotifyDeleted, because node1's
+#: breaker towards node0 is still open from the crash. The last read must
+#: resolve obj 7 missing through the stale descriptor, with the tier plane
+#: on (no cached payload served) and off (no stale read).
+LOST_DELETE_MULTI_GET = [
+    make("crash", node="node0"),
+    make("put", node="node2", obj=0, replicas=3, size=4096),
+    make("put", node="node2", obj=3, replicas=2, size=64),
+    make("recover", node="node0"),
+    make("put", node="node2", obj=6, replicas=1, size=1024),
+    make("put", node="node1", obj=7, replicas=3, size=4096),
+    make("get", node="node0", obj=7),
+    make("delete", obj=7),
+    make("multi_get", node="node0", objs="7,6,2,24,13,23"),
+]
+
+
+@pytest.mark.parametrize("tiering", [True, False], ids=["tiered", "untiered"])
+def test_lost_delete_reads_the_same_with_the_tier_plane_on_and_off(
+    tiering, monkeypatch
+):
+    if not tiering:
+        monkeypatch.setattr(
+            harness, "CLUSTER_CONFIG", replace(harness.CLUSTER_CONFIG, tier=None)
+        )
+    result = SimulationRunner(92).run(LOST_DELETE_MULTI_GET)
+    assert result.ok, result.report()
+    assert result.steps[7].endswith("delete(obj=7) -> ok:dirty")
+    assert result.steps[8].endswith(
+        "-> notfound,ok,notfound,notfound,notfound,notfound"
+    )
 
 
 @pytest.mark.slow

@@ -89,7 +89,7 @@ def test_selfcheck_catches_and_shrinks_mutation(tmp_path):
 @pytest.mark.slow
 @pytest.mark.simtest
 def test_selfcheck_sweeps_the_profile_that_exposes_the_mutation():
-    report = run_selfcheck(mutation="skip_alias_copy_out", max_seeds=10)
+    report = run_selfcheck(mutation="skip_hit_validation", max_seeds=10)
     assert report.caught, report.summary()
     assert len(report.shrink.minimal) <= 25
 

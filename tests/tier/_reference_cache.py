@@ -96,14 +96,13 @@ class ReferenceHotObjectCache:
         return payload
 
     def offer(
-        self, object_id: ObjectID, generation: int, payload, home: str, extent=None
+        self, object_id: ObjectID, generation: int, payload, home: str
     ) -> bool:
         """Consider caching *payload* (a full validated fabric read — any
         bytes-like object, typically the read's zero-copy view of home
         memory). It is copied into an owned ``bytes`` only on admission, so
         a rejected offer moves no bytes and a cached entry never aliases
-        memory its home can reuse. *extent* is accepted for signature
-        compatibility and ignored: this cache always owns its bytes.
+        memory its home can reuse.
 
         Admission: an oversized payload is refused outright; otherwise LRU
         victims are displaced only while the sketch estimates the candidate

@@ -107,15 +107,18 @@ class TestAdmission:
         assert not cache.contains(oid(1), 1)
         assert cache.evictions == 1
 
-    def test_admission_copies_the_offered_view(self):
-        """Offers arrive as zero-copy views of home memory; an admitted
-        entry must own its bytes, never alias an extent the home can reuse."""
+    def test_admission_keeps_the_offered_view(self):
+        """Offers arrive as zero-copy views of home memory and the entry is
+        that view, not a copy: it shows the home bytes as they are now (the
+        reader's header check, not the cache, decides whether they may be
+        served)."""
         home_extent = bytearray(b"v" * 8)
+        view = memoryview(home_extent).toreadonly()
         cache = HotObjectCache(8)
-        assert cache.offer(oid(1), 1, memoryview(home_extent), home="n")
+        assert cache.offer(oid(1), 1, view, home="n")
         home_extent[:] = b"!" * 8
         cached = cache.lookup(oid(1), 1)
-        assert type(cached) is bytes and cached == b"v" * 8
+        assert cached is view and cached == b"!" * 8
         assert cache.used_bytes == 8
 
     @pytest.mark.parametrize("size", [8, 9], ids=["colder", "oversized"])

@@ -1,7 +1,8 @@
 """Cached remote objects over a live cluster: a repeat read of a hot object
 resolves from the lookup cache and reads from the hot cache, with no RPC to
-its home and no fabric stream, and push invalidation keeps that sound
-across deletes and re-puts."""
+its home and no payload stream — only the home header crosses the fabric,
+to vouch for the descriptor and the cached bytes — and push invalidation
+reclaims both caches eagerly across deletes and re-puts."""
 
 import pytest
 
@@ -76,8 +77,10 @@ def test_cache_hit_skips_home_rpcs_entirely(cluster):
     assert read_released(client, oid(1)) == payload
     assert rpc_calls_to(cluster, reader, home) == calls
     assert store.counters.lookup_rpcs == lookups
-    assert link.read_bytes == streamed
-    assert link.read_bytes_avoided > avoided
+    # Two header reads: one vouches for the cached descriptor at resolution,
+    # one for the cached payload at the hit. The payload is not streamed.
+    assert link.read_bytes == streamed + 2 * cluster.store(home).header_size
+    assert link.read_bytes_avoided == avoided + len(payload)
     assert cache.hits >= 1
     assert cache.bytes_avoided >= len(payload)
 

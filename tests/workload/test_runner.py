@@ -59,11 +59,11 @@ class TestRun:
 
     def test_outcome_totals_match(self, mini_run):
         result, payload = mini_run
-        rejected = sum(
+        unexecuted = sum(
             n for key, n in payload["outcomes"].items()
-            if key.startswith("rejected:")
+            if key.startswith(("rejected:", "shed:"))
         )
-        assert result.executed_ops + rejected == result.generated_ops
+        assert result.executed_ops + unexecuted == result.generated_ops
 
 
 class TestDeterminism:
