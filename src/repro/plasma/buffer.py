@@ -111,6 +111,7 @@ class RemoteBufferSource:
         self._remote = remote
         self._off = region_offset
         self._integrity = integrity
+        self._header_read_at = None  # sim ns of the last charged header read
 
     @property
     def location(self) -> str:
@@ -152,6 +153,7 @@ class RemoteBufferSource:
             if refreshed is None:
                 raise
             self._remote, self._off, self._integrity = refreshed
+            self._header_read_at = None
             # Second failure surfaces to the caller.
             return self._validated_view(offset, size)
 
@@ -159,9 +161,28 @@ class RemoteBufferSource:
         """Vouch for the descriptor without streaming the payload: one
         ``header_size`` fabric read of the in-region header, then the same
         tests :meth:`timed_view` applies before its stream. A partitioned
-        link raises its fabric error; no refresh is attempted."""
-        self._remote.charge_read(self._integrity.header_size)
+        link raises its fabric error; no refresh is attempted. A check at
+        the instant of the last charged one gates the link but moves no
+        second byte: the reader already holds this instant's header."""
+        ig = self._integrity
+        if ig.clock is not None and ig.clock.now_ns == self._header_read_at:
+            self._remote.aperture.link.gate()
+        else:
+            self._remote.charge_read(ig.header_size)
+            self._header_read_at = None if ig.clock is None else ig.clock.now_ns
         self._checked_header(self._header_view())
+
+    def check_payload(self, payload, payload_crc: int) -> None:
+        """Charge the per-byte CRC cost; raise :class:`ObjectCorruptedError`
+        unless *payload* matches *payload_crc*."""
+        ig = self._integrity
+        if ig.checksum_ns_per_byte and ig.clock is not None:
+            ig.clock.advance(ig.checksum_ns_per_byte * len(payload))
+        if crc32c(payload) != payload_crc:
+            raise ObjectCorruptedError(
+                f"{ObjectID(ig.object_id)!r} failed its payload checksum "
+                f"after a fabric read from {self.location}"
+            )
 
     def _header_view(self) -> memoryview:
         size = self._integrity.header_size
@@ -213,13 +234,7 @@ class RemoteBufferSource:
                     f"mid-stream; the streamed bytes cannot be trusted"
                 )
         if ig.verify_checksum and offset == 0 and size == data_size:
-            if ig.checksum_ns_per_byte and ig.clock is not None:
-                ig.clock.advance(ig.checksum_ns_per_byte * size)
-            if crc32c(view) != payload_crc:
-                raise ObjectCorruptedError(
-                    f"{ObjectID(ig.object_id)!r} failed its payload checksum "
-                    f"after a fabric read from {self.location}"
-                )
+            self.check_payload(view, payload_crc)
         return view
 
 

@@ -121,7 +121,8 @@ class OpenCapiLink:
         self._bandwidth_factor = bandwidth_factor
         self._latency_factor = latency_factor
 
-    def _gate(self) -> None:
+    def gate(self) -> None:
+        """Apply any fault due now; raise if the link is partitioned."""
         if self.chaos is not None:
             self.chaos.poll()
         if self._partitioned:
@@ -152,7 +153,7 @@ class OpenCapiLink:
             return inner(nbytes)
 
     def _charge_stream_read(self, nbytes: int) -> float:
-        self._gate()
+        self.gate()
         cost = 0.0
         remaining = nbytes
         burst = self._config.max_burst_bytes
@@ -176,7 +177,7 @@ class OpenCapiLink:
         return cost
 
     def _charge_stream_write(self, nbytes: int) -> float:
-        self._gate()
+        self.gate()
         cost = 0.0
         remaining = nbytes
         burst = self._config.max_burst_bytes
@@ -200,7 +201,7 @@ class OpenCapiLink:
 
     def charge_single_access(self) -> float:
         """One unpipelined load/store (≤ a cache line) round trip."""
-        self._gate()
+        self.gate()
         cost = (
             self._config.added_latency_ns
             * self._latency_factor

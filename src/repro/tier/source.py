@@ -4,11 +4,12 @@ Wraps a :class:`~repro.plasma.buffer.RemoteBufferSource`: a read first
 probes the node's :class:`~repro.tier.cache.HotObjectCache` by
 ``(object id, generation)``. A cached entry is served only after the home
 header has vouched for that incarnation — one header-sized fabric read
-(:meth:`~repro.plasma.buffer.RemoteBufferSource.check_header`); the hit is
-then charged through the agent's local-copy cost model, attributed to the
-``cache`` span component, and counted on the fabric link as avoided
-payload bytes. An entry the header no longer backs is dropped and the read
-misses; a fabric failure raises exactly as the uncached read would. A miss
+(:meth:`~repro.plasma.buffer.RemoteBufferSource.check_header`) and, if
+the read verifies checksums, the payload CRC; the hit is then charged
+through the agent's local-copy cost model under the ``cache`` span
+component and counted on the fabric link as avoided payload bytes. An
+entry either check no longer backs is dropped and the read misses; a
+fabric failure raises exactly as the uncached read would. A miss
 delegates to the wrapped source's *validated* fabric read and, when that
 read covered the whole payload, offers the view it returned to the cache
 keyed by the generation the validation just proved. Admission copies
@@ -16,16 +17,11 @@ nothing. Home, generation and link are all read off the wrapped source, so
 after a stale-descriptor refresh that followed a migration they name the
 new home, never the captured record's.
 
-Entries are views of the home extent, so they show its bytes as they are
-now; the header check is what makes serving them sound. Every event that
-retires an incarnation rewrites the header before the bytes change, and
-generations never repeat — so a hit returns exactly what the validated
-fabric read would have, and a missed invalidation push costs a miss, never
-a stale hit.
-
-It is the one read path for cached remote bytes: a handle probes the cache
-on every read, so a held handle reads the same bytes whether it hits or
-not, and fails typed once the home has retired its incarnation.
+Entries are live views of the home extent; the checks make serving them
+sound. Every event that retires an incarnation rewrites the header before
+the bytes change, and generations never repeat — so a held or fresh handle
+reads the same bytes hit or miss, and a missed invalidation push costs a
+miss, never a stale hit.
 """
 
 from __future__ import annotations
@@ -66,31 +62,30 @@ class TierBufferSource:
     # -- the cached read path -----------------------------------------------------
 
     def _generation(self) -> int:
-        # The integrity context is live — a stale-descriptor refresh swaps
-        # it for the fresh incarnation's — so it is the authority on which
-        # generation the bytes belong to.
+        # The live integrity context (a refresh swaps it) names the bytes.
         return self._inner.integrity.generation
 
     def _read_cache(self):
-        """The hot cache, or None when this read is uncacheable: without an
-        integrity context no header can vouch for a hit. Straight to the
-        fabric."""
-        if self._inner.integrity is None:
-            return None
-        return self._agent.cache
+        """The hot cache, or None: without an integrity context no header
+        can vouch for a hit."""
+        return None if self._inner.integrity is None else self._agent.cache
 
-    def _hit(self, cache, size: int):
+    def _hit(self, cache, size: int, from_start: bool):
         """The cached payload of the live incarnation, or None on a miss.
-        The home header vouches first (one header-sized fabric read): an
-        entry it no longer backs is dropped and the read misses, and a
-        fabric failure raises as it would untiered. A hit is charged the
-        agent's local-copy cost under the ``cache`` span component and
-        credits the payload stream it replaced to the home link."""
+        The home header vouches first, and a whole-payload read
+        *from_start* re-runs the checksum the validated read would; an
+        entry failing either is dropped, so the read it falls to fails as
+        an untiered one. A hit is charged the local-copy cost under the
+        ``cache`` span component and credits the stream it replaced."""
         object_id = self._record.object_id
         generation = self._generation()
-        if cache.contains(object_id, generation):
+        payload = cache.peek(object_id, generation)
+        if payload is not None:
             try:
                 self._inner.check_header()
+                ig = self._inner.integrity
+                if from_start and ig.verify_checksum and size == len(payload):
+                    self._inner.check_payload(payload, ig.payload_crc)
             except IntegrityError:
                 cache.invalidate(object_id)
         payload = cache.lookup(object_id, generation)
@@ -108,7 +103,7 @@ class TierBufferSource:
 
     def charge_read(self, offset: int, size: int) -> float:
         cache = self._read_cache()
-        if cache is not None and self._hit(cache, size) is not None:
+        if cache is not None and self._hit(cache, size, False) is not None:
             return 0.0
         return self._inner.charge_read(offset, size)
 
@@ -116,7 +111,7 @@ class TierBufferSource:
         cache = self._read_cache()
         if cache is None:
             return self._inner.timed_view(offset, size)
-        payload = self._hit(cache, size)
+        payload = self._hit(cache, size, offset == 0)
         if payload is not None:
             return memoryview(payload)[offset : offset + size]
         view = self._inner.timed_view(offset, size)

@@ -64,7 +64,7 @@ def cached_at(cluster: Cluster, node: str, generations: dict, oids=None) -> list
         oid
         for oid in (generations if oids is None else oids)
         if oid in store.lookup_cache
-        or (cache is not None and cache.contains(oid, generations[oid]))
+        or (cache is not None and cache.peek(oid, generations[oid]) is not None)
     ]
 
 

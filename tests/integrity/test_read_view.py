@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.config import ClusterConfig, PlacementConfig, TierConfig
 from repro.common.config import testing_config as make_testing_config
 from repro.common.errors import ObjectCorruptedError, StaleDescriptorError
 from repro.common.units import MiB
 from repro.core import Cluster
+from tests.tier.test_fastpath import holder_of, remote_reader
 
 
 def make_cluster(**store_overrides) -> Cluster:
@@ -78,3 +80,33 @@ def test_checksum_is_verified_over_the_view():
     with pytest.raises(ObjectCorruptedError, match="checksum"):
         buffer.read_view()
     client.release(oid)
+
+
+def test_checksum_is_verified_over_a_cached_view():
+    """The tier plane's hot cache serves an entry only after the checksum
+    the uncached read runs: rot under an unchanged header drops the entry,
+    and the fabric read the Get falls back to fails typed."""
+    cluster = Cluster(
+        ClusterConfig(placement=PlacementConfig(), tier=TierConfig()).with_store(
+            lookup_cache=True, verify_checksum_on_read=True, checksum_ns_per_byte=0.05
+        ),
+        3,
+    )
+    oid = cluster.new_object_id()
+    cluster.client("node0").put_bytes(oid, b"C" * 4096)
+    reader = remote_reader(cluster, oid)
+    client = cluster.client(reader)
+    cache = cluster.tier_agent(reader).cache
+    for _ in range(2):  # a miss that admits, then a hit
+        buffer = client.get([oid])[0]
+        assert buffer.read_view() == b"C" * 4096
+        client.release(oid)
+    assert (cache.admissions, cache.hits) == (1, 1)
+    home = holder_of(cluster, oid)
+    offset = cluster.store(home).lookup_descriptor(oid)["offset"]
+    cluster.node(home).endpoint.exposed.write(offset + 9, b"c")  # bit rot
+    buffer = client.get([oid])[0]
+    with pytest.raises(ObjectCorruptedError, match="checksum"):
+        buffer.read_view()
+    client.release(oid)
+    assert (cache.hits, cache.invalidations, len(cache)) == (1, 1, 0)

@@ -69,8 +69,9 @@ class ReferenceHotObjectCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def contains(self, object_id: ObjectID, generation: int) -> bool:
-        return (object_id.binary(), generation) in self._entries
+    def peek(self, object_id: ObjectID, generation: int) -> bytes | None:
+        entry = self._entries.get((object_id.binary(), generation))
+        return None if entry is None else entry[0]
 
     # -- the data path ------------------------------------------------------------
 

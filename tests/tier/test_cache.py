@@ -66,7 +66,7 @@ class TestGenerationKeying:
         cache = HotObjectCache(1024)
         cache.offer(oid(1), 3, b"old", home="node1")
         cache.offer(oid(1), 5, b"new", home="node1")
-        assert not cache.contains(oid(1), 3)
+        assert cache.peek(oid(1), 3) is None
         assert cache.used_bytes == 3
         assert cache.lookup(oid(1), 5) == b"new"
         assert cache.lookup(oid(1), 3) is None
@@ -95,7 +95,7 @@ class TestAdmission:
         cache.offer(oid(1), 1, b"x" * 8, home="n")
         # A never-accessed candidate loses the victim contest.
         assert not cache.offer(oid(2), 1, b"y" * 8, home="n")
-        assert cache.contains(oid(1), 1)
+        assert cache.peek(oid(1), 1) is not None
 
     def test_hotter_candidate_displaces_colder_victim(self):
         cache = HotObjectCache(8)
@@ -104,7 +104,7 @@ class TestAdmission:
         for _ in range(6):
             cache.record_access(oid(2))
         assert cache.offer(oid(2), 1, b"y" * 8, home="n")
-        assert not cache.contains(oid(1), 1)
+        assert cache.peek(oid(1), 1) is None
         assert cache.evictions == 1
 
     def test_admission_keeps_the_offered_view(self):

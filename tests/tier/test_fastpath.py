@@ -69,7 +69,7 @@ def test_cache_hit_skips_home_rpcs_entirely(cluster):
     # First read resolves at the home and seeds the reader's cache.
     assert read_released(client, oid(1)) == payload
     cache = cluster.tier_agent(reader).cache
-    assert cache.contains(oid(1), generation_of(cluster, oid(1)))
+    assert cache.peek(oid(1), generation_of(cluster, oid(1))) is not None
     store = cluster.store(reader)
     link = store.peer(home).remote_region.aperture.link.counters
     calls, lookups = rpc_calls_to(cluster, reader, home), store.counters.lookup_rpcs
@@ -77,9 +77,10 @@ def test_cache_hit_skips_home_rpcs_entirely(cluster):
     assert read_released(client, oid(1)) == payload
     assert rpc_calls_to(cluster, reader, home) == calls
     assert store.counters.lookup_rpcs == lookups
-    # Two header reads: one vouches for the cached descriptor at resolution,
-    # one for the cached payload at the hit. The payload is not streamed.
-    assert link.read_bytes == streamed + 2 * cluster.store(home).header_size
+    # One header read vouches for the cached descriptor at resolution and,
+    # at the same instant, for the cached payload at the hit. The payload
+    # is not streamed.
+    assert link.read_bytes == streamed + cluster.store(home).header_size
     assert link.read_bytes_avoided == avoided + len(payload)
     assert cache.hits >= 1
     assert cache.bytes_avoided >= len(payload)
@@ -111,10 +112,10 @@ def test_delete_pushes_invalidation_to_every_peer(cluster):
     read_released(client, oid(1))
     cache = cluster.tier_agent(reader).cache
     generation = generation_of(cluster, oid(1))
-    assert cache.contains(oid(1), generation)
+    assert cache.peek(oid(1), generation) is not None
     cluster.store(home).delete_object(oid(1))
     # NotifyDeleted reached the reader: nothing cached, nothing servable.
-    assert not cache.contains(oid(1), generation)
+    assert cache.peek(oid(1), generation) is None
     with pytest.raises(ReproError):
         client.get([oid(1)])
 
