@@ -147,6 +147,10 @@ def system_set(out: Path) -> list[Command]:
         Command("simtest smoke", repro + ("simtest", "--profile", "smoke")),
         Command("simtest concurrency", repro + ("simtest", "--profile", "concurrency")),
         Command("simtest tier-hazards", repro + ("simtest", "--profile", "tier-hazards")),
+        Command(
+            "simtest nightly --base-seed 200 --seeds 8",
+            repro + ("simtest", "--profile", "nightly", "--base-seed", "200", "--seeds", "8"),
+        ),
         Command("metrics", repro + ("metrics", "--nodes", "3", "--objects", "10")),
         Command(
             "trace",

@@ -116,11 +116,11 @@ def test_zipf_hit_rates_with_bounded_cache(benchmark):
         cluster = Cluster(
             cfg().with_store(lookup_cache=True, check_remote_uniqueness=False),
         )
-        # Shrink the cache to force replacement.
+        # Bound the node's descriptor table to force replacement.
         store = cluster.store("node1")
-        from repro.core.lookup_cache import LookupCache
+        from repro.core.remote import DescriptorTable
 
-        store._lookup_cache = LookupCache(CACHE_ENTRIES)  # noqa: SLF001
+        store._remote_records = DescriptorTable(CACHE_ENTRIES)  # noqa: SLF001
         producer = cluster.client("node0")
         consumer = cluster.client("node1")
         ids = cluster.new_object_ids(N_OBJECTS)

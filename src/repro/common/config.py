@@ -399,9 +399,9 @@ class StoreConfig:
     # is already in use. Off trusts the cluster's unique-id stream, which
     # is what every benchmark driving batches of fresh ids does.
     check_remote_uniqueness: bool = True
-    # Descriptor caching for repeated requests (paper §V-B). A cached
-    # descriptor is only safe while its home tells the cacher about
-    # deletions, so this one switch also turns on the NotifyDeleted pushes.
+    # Descriptor caching for repeated requests (paper §V-B): a node keeps
+    # a descriptor past its last release, and the home header vouches for
+    # each reuse. The same switch turns on the NotifyDeleted pushes.
     lookup_cache: bool = False
 
 

@@ -18,7 +18,8 @@ Public surface:
 * :class:`StoreService` — the RPC service (Lookup/Contains/NotifyDeleted
   and the health/replication/placement calls) stores expose to peers.
 * Extensions the paper lists as future work, both implemented and
-  benchmarked: :class:`LookupCache` (repeated-request caching) and
+  benchmarked: repeated-request caching (the store's ``lookup_cache``
+  switch keeps each node's descriptor table past the last release) and
   multi-node (>2) operation. The metadata plane is RPC only, as in the
   paper: every peer link is one :class:`~repro.rpc.channel.Channel`.
 * Resilience layer (:mod:`repro.core.health`): heartbeat failure
@@ -30,7 +31,6 @@ Public surface:
 
 from repro.core.service import StoreService
 from repro.core.remote import PeerHandle, RemoteObjectRecord
-from repro.core.lookup_cache import LookupCache
 from repro.core.health import BreakerState, CircuitBreaker, HealthMonitor
 from repro.core.store import DisaggregatedStore
 from repro.core.client import DisaggregatedClient
@@ -40,7 +40,6 @@ __all__ = [
     "StoreService",
     "PeerHandle",
     "RemoteObjectRecord",
-    "LookupCache",
     "BreakerState",
     "CircuitBreaker",
     "HealthMonitor",

@@ -18,9 +18,9 @@ the paper describes:
 Future-work extensions:
 
 * ``lookup_cache`` — descriptor caching for repeated requests
-  (paper §V-B). A fresh Get uses a cached descriptor only once the home's
-  in-region header vouches for it; NotifyDeleted pushes reclaim entries
-  early.
+  (paper §V-B): a descriptor outlives its last release. A fresh Get uses
+  it only once the home's in-region header vouches for it; NotifyDeleted
+  pushes reclaim entries early.
 * multi-node — peers are a list, not a single partner; nothing in the
   data path is 2-node specific.
 """
@@ -41,8 +41,7 @@ from repro.common.errors import (
     ServerOverloadedError,
 )
 from repro.common.ids import ObjectID
-from repro.core.lookup_cache import LookupCache
-from repro.core.remote import PeerHandle, RemoteObjectRecord
+from repro.core.remote import DescriptorTable, PeerHandle, RemoteObjectRecord
 from repro.rpc.overload import DeadlineBudget
 from repro.placement.membership import TopologyView
 from repro.placement.ring import HashRing
@@ -96,14 +95,11 @@ class DisaggregatedStore(PlasmaStore):
     ):
         super().__init__(name, endpoint, region, config, clock)
         self._peers: dict[str, PeerHandle] = {}
-        self._remote_records: dict[ObjectID, RemoteObjectRecord] = {}
         self._check_remote_uniqueness = config.check_remote_uniqueness
         # The lookup cache and the NotifyDeleted pushes are one switch; the
         # home header, not the push, decides whether a cached descriptor is
         # used (_resolve_remote_task).
-        self._lookup_cache: LookupCache | None = (
-            LookupCache() if config.lookup_cache else None
-        )
+        self._remote_records = DescriptorTable(retain=config.lookup_cache)
         # Replication book-keeping: which peers hold copies of our objects
         # (home side) and which of our objects are copies of a peer's
         # (replica side).
@@ -146,7 +142,8 @@ class DisaggregatedStore(PlasmaStore):
             "(lookup + pin + buffer construction).",
             labels=("store",),
         ).labels(store=self._name)
-        if self._lookup_cache is not None:
+        cache = self.lookup_cache
+        if cache is not None:
             entries = registry.gauge(
                 "cache_entries",
                 "Live lookup-cache descriptors.",
@@ -157,7 +154,6 @@ class DisaggregatedStore(PlasmaStore):
                 "Lookup-cache hit rate since start.",
                 labels=("store",),
             )
-            cache = self._lookup_cache
             entries.labels(store=self._name).set_function(lambda: len(cache))
             hit_rate.labels(store=self._name).set_function(lambda: cache.hit_rate)
             events = registry.gauge(
@@ -201,23 +197,13 @@ class DisaggregatedStore(PlasmaStore):
     def disconnect_peer(self, name: str) -> None:
         """Remove *name* from the metadata plane (it left the cluster).
 
-        Cached descriptors homed there are purged in one pass; remote
-        records without live references are dropped; held ones stay until
-        their readers release them."""
+        A descriptor homed there goes when a Get next meets it
+        (:meth:`_vouched_source`), a held one at its last release."""
         self._peers.pop(name, None)
-        if self._lookup_cache is not None:
-            self._lookup_cache.invalidate_node(name)
         if self._tier is not None and self._tier.cache is not None:
             # Payload bytes cached from the departed home may outlive any
             # NotifyDeleted it could no longer send — drop them wholesale.
             self._tier.cache.invalidate_home(name)
-        stale = [
-            oid
-            for oid, record in self._remote_records.items()
-            if record.home == name and record.local_refs == 0
-        ]
-        for oid in stale:
-            del self._remote_records[oid]
         self.counters.peers_disconnected += 1
 
     def peers(self) -> list[str]:
@@ -230,8 +216,10 @@ class DisaggregatedStore(PlasmaStore):
             raise ObjectStoreError(f"{self._name} has no peer {name!r}") from None
 
     @property
-    def lookup_cache(self) -> LookupCache | None:
-        return self._lookup_cache
+    def lookup_cache(self) -> DescriptorTable | None:
+        """The descriptor table when it caches past the last release."""
+        records = self._remote_records
+        return records if records.retain else None
 
     # -- tiering (repro.tier) -----------------------------------------------------
 
@@ -268,9 +256,9 @@ class DisaggregatedStore(PlasmaStore):
 
     def install_topology(self, view: TopologyView) -> bool:
         """Adopt *view* iff its epoch is newer than what we hold (replayed
-        or re-ordered pushes are no-ops), rebuild the placement ring, and
-        epoch-stamp the lookup cache so descriptors learned under the old
-        topology are re-looked-up instead of trusted."""
+        or re-ordered pushes are no-ops) and rebuild the placement ring.
+        Cached descriptors stay: the home header vouches for each one a Get
+        reuses, whatever topology it was learned under."""
         if not self._placement:
             raise ObjectStoreError(
                 f"{self._name} was not built with placement enabled"
@@ -280,8 +268,6 @@ class DisaggregatedStore(PlasmaStore):
             return False
         self._topology = view
         self._ring = HashRing.from_view(view)
-        if self._lookup_cache is not None:
-            self._lookup_cache.set_epoch(view.epoch)
         if self._tier is not None and self._tier.cache is not None:
             # A topology change moves objects (drain migrations, crash
             # failovers) faster than per-object notifications can keep up;
@@ -608,7 +594,7 @@ class DisaggregatedStore(PlasmaStore):
 
     def seal_object(self, object_id: ObjectID) -> ObjectEntry:
         entry = super().seal_object(object_id)
-        if self._lookup_cache is not None:
+        if self._remote_records.retain:
             self._sharers[object_id] = set()
         return entry
 
@@ -677,7 +663,7 @@ class DisaggregatedStore(PlasmaStore):
         """Resolve ids to buffers, local or remote, adding references.
 
         Local ids resolve against the table; unknown ids go through the
-        lookup cache (if enabled), then batched per-peer Lookup RPCs, then
+        descriptor table, then batched per-peer Lookup RPCs, then
         ThymesisFlow-backed buffers. Raises
         :class:`~repro.common.errors.ObjectNotFoundError` if any id resolves
         nowhere — unless ``allow_missing`` is set, in which case unresolved
@@ -770,9 +756,7 @@ class DisaggregatedStore(PlasmaStore):
             for release, oid in reversed(taken):
                 release(oid)
             for oid in missing:
-                record = self._remote_records.get(oid)
-                if record is not None and record.local_refs == 0:
-                    del self._remote_records[oid]  # claimed, never referenced
+                self._remote_records.settle(oid)  # claimed, never referenced
             raise
         self.counters.gets_local += found_local
         self.counters.gets_remote += found_remote
@@ -785,26 +769,16 @@ class DisaggregatedStore(PlasmaStore):
         attr=None,
         blocking: bool = False,
     ):
-        """Ids to ``(record, read source)`` pairs: held records, then the
-        lookup cache, then the peers (:meth:`_rpc_lookup_task`). A record
-        no held handle backs is used only once the home header vouches for
-        it (:meth:`_vouched`); the peers are asked for one it does not."""
+        """Ids to ``(record, read source)`` pairs: the descriptor table
+        (:meth:`_vouched_source`), then the peers (:meth:`_rpc_lookup_task`)."""
         resolved: dict[ObjectID, tuple] = {}
         unresolved: list[ObjectID] = []
         for oid in object_ids:
             if oid in resolved:
                 continue
             record = self._remote_records.get(oid)
-            if record is None and self._lookup_cache is not None:
-                record = self._lookup_cache.get(oid)
-                if record is not None:
-                    self._remote_records[oid] = record
-                    self.counters.lookup_cache_hits += 1
-            if record is None:
-                unresolved.append(oid)
-                continue
-            source = self._remote_source(record)
-            if record.local_refs == 0 and not self._vouched(record, source):
+            source = None if record is None else self._vouched_source(record)
+            if source is None:
                 unresolved.append(oid)
                 continue
             resolved[oid] = record, source
@@ -1035,15 +1009,13 @@ class DisaggregatedStore(PlasmaStore):
         response: dict,
         resolved: dict[ObjectID, RemoteObjectRecord],
     ) -> set[ObjectID]:
-        """Register every descriptor *name* answered a Lookup with (live
-        record, lookup cache, *resolved*); returns the ids it claimed."""
+        """Register every descriptor *name* answered a Lookup with (the
+        descriptor table, *resolved*); returns the ids it claimed."""
         self.counters.lookup_rpcs += 1
         claimed: set[ObjectID] = set()
         for descriptor in response.get("found", []):
             record = RemoteObjectRecord.from_descriptor(name, descriptor)
-            self._remote_records[record.object_id] = record
-            if self._lookup_cache is not None:
-                self._lookup_cache.put(record)
+            self._remote_records.put(record)
             resolved[record.object_id] = record
             claimed.add(record.object_id)
         return claimed
@@ -1071,23 +1043,29 @@ class DisaggregatedStore(PlasmaStore):
             source = TierBufferSource(source, record, self._tier, self)
         return source
 
-    def _vouched(self, record: RemoteObjectRecord, source) -> bool:
-        """Whether the home header still names *record*'s incarnation —
-        one header read through *source*, the handle's own. A record it
-        does not vouch for (or whose link fails the read) is forgotten
-        with every cached copy of it; a Lookup then finds any live
-        incarnation, exactly as an uncached Get would."""
-        if source.integrity is None:
-            return True
-        try:
-            source.check_header()
-            return True
-        except IntegrityError:
-            self.counters.stale_descriptor_refreshes += 1
-        except FabricError:
-            pass
+    def _vouched_source(self, record: RemoteObjectRecord):
+        """The read source of a Get's handle on *record*, or None when the
+        peers must be asked: its home has left the cluster, or it is an
+        unheld record (a cache hit) whose home header no longer names its
+        incarnation — one header read through the handle's own source. A
+        record it refuses (or whose link fails the read) is forgotten with
+        every cached copy of it; a Lookup then finds any live incarnation,
+        exactly as an uncached Get would."""
+        if not record.local_refs:
+            self.counters.lookup_cache_hits += 1
+        if record.home in self._peers:
+            source = self._remote_source(record)
+            if record.local_refs or source.integrity is None:
+                return source
+            try:
+                source.check_header()
+                return source
+            except IntegrityError:
+                self.counters.stale_descriptor_refreshes += 1
+            except FabricError:
+                pass
         self.invalidate_cached_lookups([record.object_id])
-        return False
+        return None
 
     def _integrity_for(
         self, record: RemoteObjectRecord
@@ -1117,12 +1095,10 @@ class DisaggregatedStore(PlasmaStore):
         (migration, replica failover) is followed."""
         object_id = issued.object_id
         self.counters.stale_descriptor_refreshes += 1
-        # The stale record stays registered until the re-lookup succeeds, so
-        # held buffers release cleanly even when the object is gone for
-        # good; the *cache* entry goes immediately — it is proven wrong.
-        old = self._remote_records.get(object_id)
-        if self._lookup_cache is not None:
-            self._lookup_cache.invalidate(object_id)
+        # The stale record stays registered until a fresh one takes over its
+        # references, so held buffers release cleanly even when the object
+        # is gone for good; it leaves the cache view now — it is wrong.
+        self._remote_records.invalidate(object_id)
         if self._tier is not None and self._tier.cache is not None:
             # The generation moved on; entries keyed by the old one can
             # never hit again — reclaim their bytes now.
@@ -1135,10 +1111,6 @@ class DisaggregatedStore(PlasmaStore):
         record = resolved.get(object_id)
         if record is None:
             return None
-        if old is not None:
-            # The stale record's references carry over to the fresh one.
-            record.local_refs = old.local_refs
-        self._remote_records[object_id] = record
         if (
             record.data_size != issued.data_size
             or record.payload_crc != issued.payload_crc
@@ -1295,7 +1267,7 @@ class DisaggregatedStore(PlasmaStore):
         can be dropped (a pinned replica keeps its bytes, not its
         sharers). A blocking call from inside the handler, under either
         driver; an unreachable sharer is tolerated like any deletion push."""
-        if self._lookup_cache is None:
+        if not self._remote_records.retain:
             return  # the home broadcasts: no sharer sets exist anywhere
         with self.table.lock:
             held = [
@@ -1382,22 +1354,16 @@ class DisaggregatedStore(PlasmaStore):
 
     def release_object(self, object_id: ObjectID) -> None:
         """Release one reference, local or remote."""
-        record = self._remote_records.get(object_id)
+        record = self._remote_records.held(object_id)
         if record is None:
             self.release_ref(object_id)
             return
-        if record.local_refs <= 0:
-            raise ObjectStoreError(
-                f"release of remote {object_id!r} without a matching reference"
-            )
         record.local_refs -= 1
-        if record.local_refs == 0:
-            # Drop the live record; the descriptor may survive in the
-            # lookup cache for future requests.
-            del self._remote_records[object_id]
+        self._remote_records.settle(object_id)
 
     def remote_record(self, object_id: ObjectID) -> RemoteObjectRecord | None:
-        return self._remote_records.get(object_id)
+        """The record of *object_id* iff this node's clients hold it."""
+        return self._remote_records.held(object_id)
 
     # -- deletion/eviction notifications (cache invalidation) ------------------------------------
 
@@ -1429,7 +1395,7 @@ class DisaggregatedStore(PlasmaStore):
         drop = list(holders)
         sharers = self._sharers
         known = [sharers.pop(oid, None) for oid in object_ids]
-        if self._lookup_cache is None:
+        if not self._remote_records.retain:
             return [], drop
         notify = []
         for name in self.peers():
@@ -1485,7 +1451,7 @@ class DisaggregatedStore(PlasmaStore):
                 continue
             if isinstance(outcome, BaseException):
                 raise outcome
-        if self._lookup_cache is not None:
+        if self._remote_records.retain:
             self.counters.delete_notifications += len(object_ids)
 
     def delete_object(self, object_id: ObjectID) -> None:
@@ -1520,14 +1486,10 @@ class DisaggregatedStore(PlasmaStore):
         return report
 
     def invalidate_cached_lookups(self, object_ids: list[ObjectID]) -> None:
-        """Drop cached descriptors, hot-cache entries and any unreferenced
-        remote records of *object_ids* (a peer's NotifyDeleted, or a
-        header that no longer vouches for a record)."""
+        """Drop the descriptors (held ones at their last release) and
+        hot-cache entries of *object_ids* (a peer's NotifyDeleted, a header
+        that no longer vouches for a record, or a home that left)."""
         for oid in object_ids:
-            if self._lookup_cache is not None:
-                self._lookup_cache.invalidate(oid)
+            self._remote_records.invalidate(oid)
             if self._tier is not None and self._tier.cache is not None:
                 self._tier.cache.invalidate(oid)
-            record = self._remote_records.get(oid)
-            if record is not None and record.local_refs == 0:
-                del self._remote_records[oid]

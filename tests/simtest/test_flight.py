@@ -14,8 +14,8 @@ import pytest
 from repro.simtest.harness import replay_trace, run_seed
 
 # Known-failing configuration: the planted skip_retire mutation trips the
-# dup-primary oracle at this seed (the same search the self-check runs).
-FAILING_SEED = 16
+# resurrection oracle at this seed, the first the self-check finds.
+FAILING_SEED = 6
 FAILING_OPS = 150
 MUTATION = "skip_retire"
 

@@ -112,7 +112,7 @@ class TestSharingSurface:
         assert sorted(repro.core.__all__) == [
             "BreakerState", "CircuitBreaker", "Cluster", "ClusterNode",
             "DisaggregatedClient", "DisaggregatedStore", "HealthMonitor",
-            "LookupCache", "PeerHandle", "RemoteObjectRecord", "StoreService",
+            "PeerHandle", "RemoteObjectRecord", "StoreService",
         ]
 
     @pytest.mark.parametrize("module", ["repro.core.ring", "repro.core.dmsg"])
@@ -127,6 +127,12 @@ class TestSharingSurface:
 
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.core.sharing")
+
+    def test_lookup_cache_module_is_gone(self):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.lookup_cache")
 
     @pytest.mark.parametrize("owner,name", [
         ("DisaggregatedStore", "sharing"),
@@ -245,6 +251,13 @@ class TestReachedSurface:
         ("repro.workload.admission", "AdmissionController", "attach_metrics"),
         ("repro.workload.runner", "WorkloadResult", "registry"),
         ("repro.workload.report", None, "_tenant_latency_block"),
+        # One descriptor table per node: the home header vouches for a
+        # cached record, and a record whose home left is looked up again.
+        ("repro.core", None, "LookupCache"),
+        ("repro.core.remote", "DescriptorTable", "set_epoch"),
+        ("repro.core.remote", "DescriptorTable", "invalidate_node"),
+        ("repro.core.remote", "DescriptorTable", "epoch"),
+        ("repro.core.remote", "DescriptorTable", "clear"),
     ])
     def test_unreached_name_is_gone(self, module, owner, name):
         import importlib
