@@ -5,8 +5,8 @@ scenario — the byte-level perf trajectory. A run is a pure function of
 (scenario, seed), so any diff here is either an intentional perf change
 (update the golden in the same commit, explain why) or a determinism
 regression (fix it). In particular this pins the sync-path artifacts
-across async-RPC-core changes: ``rpc_mode="sync"`` must stay
-byte-identical to the unary baseline.
+across async-RPC-core changes: a scenario whose ops run inline (no
+``rpc.mode: "async"``) must stay byte-identical to the unary baseline.
 """
 
 from __future__ import annotations

@@ -142,13 +142,12 @@ class RpcConfig:
     # 0 disables (unlimited retries up to max_retries — the legacy shape).
     retry_budget_per_s: float = 0.0
     retry_budget_burst: int = 10
-    # --- async event-loop mode (repro.rpc.aio) ---
-    # "sync" preserves the paper's blocking one-in-flight unary semantics
-    # (and keeps every standing BENCH/TRACE artifact byte-identical);
-    # "async" runs calls as event-loop tasks: many in flight per peer,
-    # id-list RPCs coalesced into batched wire messages, hedged lookups as
-    # racing tasks.
-    mode: str = "sync"
+    # --- the event-loop task form (repro.rpc.aio) ---
+    # The caller picks how an op runs: inline, one blocking unary call in
+    # flight at a time (the paper's configuration), or as an event-loop
+    # task, where many calls per peer are in flight, id-list RPCs coalesce
+    # into batched wire messages and lookups hedge as racing tasks. The
+    # knobs below shape only the task form.
     # Coalescing policy: submissions within batch_window_ns of the first
     # buffered entry (or until max_batch ids accumulate) merge into one
     # wire message. window 0 = flush immediately (no added latency).
@@ -478,8 +477,6 @@ class ClusterConfig:
             raise ValueError("retry_budget_per_s must be non-negative")
         if self.rpc.retry_budget_burst < 1:
             raise ValueError("retry_budget_burst must be >= 1")
-        if self.rpc.mode not in ("sync", "async"):
-            raise ValueError(f"unknown rpc mode {self.rpc.mode!r}")
         if self.rpc.batch_window_ns < 0:
             raise ValueError("batch_window_ns must be non-negative")
         if self.rpc.max_batch < 1:

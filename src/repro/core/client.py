@@ -66,13 +66,12 @@ class DisaggregatedClient(PlasmaClient):
         attr=None,
         blocking: bool = False,
     ):
-        """The one body of :meth:`get` (the caller releases). A blocking
-        run is a synchronous Get: its store leaf is the store's
-        :meth:`~DisaggregatedStore.get_buffers` facade, and it is observed
-        as one correlation id for everything beneath it — stamped on the
-        remote handles, so their deferred reads attribute to it too —
-        inside a ``client/get`` span. A task yields from the store's body
-        and records only its *attr*."""
+        """The one body of :meth:`get` (the caller releases); it yields
+        from the store's :meth:`~DisaggregatedStore.get_buffers_task`. A
+        blocking run is a synchronous Get, observed as one correlation id
+        for everything beneath it — stamped on the remote handles, so their
+        deferred reads attribute to it too — inside a ``client/get`` span.
+        A task records only its *attr*."""
         object_ids = list(object_ids)
         if not object_ids:
             return []
@@ -90,12 +89,9 @@ class DisaggregatedClient(PlasmaClient):
                 self._ipc.charge_request(nobjects=len(object_ids))
                 if attr is not None:
                     attr.settle("client")
-                if blocking:
-                    buffers = self.store.get_buffers(object_ids, allow_missing)
-                else:
-                    buffers = yield from self.store.get_buffers_task(
-                        object_ids, allow_missing, attr
-                    )
+                buffers = yield from self.store.get_buffers_task(
+                    object_ids, allow_missing, attr, blocking
+                )
         finally:
             if correlation is not None:
                 correlation.end()
@@ -118,7 +114,7 @@ class DisaggregatedClient(PlasmaClient):
         """Fetch many payloads in one batched operation.
 
         One IPC request covers every id; the store resolves all of them
-        together (in async mode: one coalesced Lookup per peer instead of N
+        together (run as a task: one coalesced Lookup per peer instead of N
         unary calls, hedged scatter-gather across homes). Returns payload
         *copies* in input order — references are taken and released
         internally, every one of them even when a read fails — with
@@ -244,11 +240,10 @@ class DisaggregatedClient(PlasmaClient):
         blocking: bool = False,
     ):
         """The one body of :meth:`put_into`: forwarded to the ring home
-        when it is a reachable peer, else the local create + replicate. A
-        blocking run is a synchronous Put — the store's
-        :meth:`~DisaggregatedStore.forward_put` facade is its leaf, and it
-        is observed as one correlation id inside a ``client/put`` span; a
-        task yields from the store's body and records only its *attr*."""
+        (the store's :meth:`~DisaggregatedStore.forward_put_task`) when it
+        is a reachable peer, else the local create + replicate. A blocking
+        run is a synchronous Put, observed as one correlation id inside a
+        ``client/put`` span; a task records only its *attr*."""
         self._check_replicas(replicas)
         correlation = self._correlation if blocking else None
         scope = _UNOBSERVED
@@ -265,16 +260,10 @@ class DisaggregatedClient(PlasmaClient):
                     self._ipc.charge_request(nobjects=1, nbytes=len(metadata))
                     if attr is not None:
                         attr.settle("client")
-                    if blocking:
-                        forwarded = self.store.forward_put(
-                            object_id, size, write, metadata, home,
-                            replicas=replicas,
-                        )
-                    else:
-                        forwarded = yield from self.store.forward_put_task(
-                            object_id, size, write, metadata, home,
-                            replicas=replicas, attr=attr,
-                        )
+                    forwarded = yield from self.store.forward_put_task(
+                        object_id, size, write, metadata, home,
+                        replicas=replicas, attr=attr, blocking=blocking,
+                    )
                     if forwarded:
                         self.counters.puts_forwarded += 1
                         return object_id

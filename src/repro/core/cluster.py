@@ -11,7 +11,7 @@ this [multi-node] modification" — here it is.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.chaos import ChaosRuntime, FaultPlan
 from repro.common.clock import SimClock
@@ -83,9 +83,10 @@ class Cluster:
         self._clock = SimClock()
         self._rng = DeterministicRng(config.seed)
         # One event loop serves the whole mesh (repro.rpc.aio). Building it
-        # draws nothing from the RNG — rng.spawn() is hash-derived — and in
-        # sync mode nothing ever schedules on it, so every sync-mode stream
-        # (and artifact) is bit-identical to a pre-loop build.
+        # draws nothing from the RNG — rng.spawn() is hash-derived — and
+        # nothing schedules on it until a caller runs an op as a task, so
+        # every inline run (and artifact) is bit-identical to a pre-loop
+        # build.
         self._loop = EventLoop(self._clock, self._rng)
         # The span sink draws its head-sampling decisions from a dedicated
         # child of the RNG tree, so enabling tracing never perturbs any
@@ -233,7 +234,7 @@ class Cluster:
             name, endpoint, endpoint.exposed, self._config.store, self._clock
         )
         self._observe(store)
-        store.attach_aio(self._loop, async_mode=self.rpc_mode == "async")
+        store.attach_aio(self._loop)
         return store
 
     def _observe(self, component) -> None:
@@ -322,28 +323,6 @@ class Cluster:
     def loop(self) -> EventLoop:
         """The cluster-wide deterministic event loop (repro.rpc.aio)."""
         return self._loop
-
-    @property
-    def rpc_mode(self) -> str:
-        """Current RPC execution mode: ``"sync"`` or ``"async"``."""
-        return self._config.rpc.mode
-
-    def set_rpc_mode(self, mode: str) -> None:
-        """Flip the mesh between sync (one-in-flight, artifact-stable) and
-        async (pipelined event-loop) RPC execution at runtime.
-
-        Sync mode is the compatibility plane: with it active no task ever
-        schedules on the loop and every draw sequence matches a pre-async
-        build byte for byte. Async mode routes the store facades through
-        their task forms (pipelining, coalesced batches, hedged
-        scatter-gather lookups). A mode the config
-        would refuse at construction is refused here too.
-        """
-        config = replace(self._config, rpc=replace(self._config.rpc, mode=mode))
-        config.validate()
-        self._config = config
-        for node in self._nodes.values():
-            node.store.set_rpc_async(mode == "async")
 
     @property
     def spans(self) -> SpanSink | None:
@@ -744,6 +723,20 @@ class Cluster:
 
     def store(self, name: str) -> DisaggregatedStore:
         return self.node(name).store
+
+    def primary_holder(self, object_id, candidates: Sequence[str]) -> str | None:
+        """The first of *candidates* (node names, in order) holding the
+        object's live sealed primary extent — not a replica, not awaiting
+        a deferred retire, not quarantined — or None."""
+        for name in candidates:
+            store = self.store(name)
+            if object_id in store.deferred_retires() or store.is_replica(object_id):
+                continue
+            with store.table.lock:
+                entry = store.table.lookup(object_id)
+                if entry is not None and entry.is_sealed and not entry.quarantined:
+                    return name
+        return None
 
     def client(self, node_name: str, client_name: str | None = None) -> DisaggregatedClient:
         """A new client attached to *node_name*'s store."""

@@ -125,11 +125,9 @@ class DisaggregatedStore(PlasmaStore):
         # every tier branch below is branch-on-None so the disabled path is
         # byte-identical to a build without the subsystem.
         self._tier = None
-        # Async RPC plane (repro.rpc.aio): the cluster-wide event loop and
-        # the mode flag. In sync mode nothing ever schedules on the loop and
-        # the flag check is the only new cost on the baseline path.
+        # Async RPC plane (repro.rpc.aio): the cluster-wide event loop a
+        # task form's fan-out gathers on. Inline callers never touch it.
         self._aio_loop = None
-        self._rpc_async = False
 
     # -- observability -----------------------------------------------------------
 
@@ -312,7 +310,7 @@ class DisaggregatedStore(PlasmaStore):
         object later."""
         return drive(
             self.forward_put_task, object_id, size, write, metadata, home,
-            replicas=replicas, loop=self._facade_loop(),
+            replicas=replicas,
         )
 
     def forward_put_task(
@@ -667,32 +665,9 @@ class DisaggregatedStore(PlasmaStore):
         ThymesisFlow-backed buffers. Raises
         :class:`~repro.common.errors.ObjectNotFoundError` if any id resolves
         nowhere — unless ``allow_missing`` is set, in which case unresolved
-        positions come back as ``None``. Observed as a Get: a
-        ``plasma_get_latency_ns`` sample and, unless the event loop drives
-        the body, a ``store/get_buffers`` span (the sink's single open-root
-        stack cannot follow a task across suspensions).
+        positions come back as ``None``.
         """
-        if not object_ids:
-            return []
-        loop = self._facade_loop()
-        m_get = self._m_get
-        start_ns = self.clock.now_ns if m_get is not None else 0
-        scope = _UNOBSERVED
-        spans = self.spans
-        if spans is not None and loop is None:
-            args = {"n": len(object_ids)}
-            rid = self.correlation.current if self.correlation else None
-            if rid is not None:
-                args["rid"] = rid
-            scope = spans.span("store", "get_buffers", self.node, args)
-        try:
-            with scope:
-                return drive(
-                    self.get_buffers_task, object_ids, allow_missing, loop=loop
-                )
-        finally:
-            if m_get is not None:
-                m_get.observe(self.clock.now_ns - start_ns)
+        return drive(self.get_buffers_task, object_ids, allow_missing)
 
     def get_buffers_task(
         self,
@@ -705,62 +680,82 @@ class DisaggregatedStore(PlasmaStore):
         instant; every other id resolves one way (:meth:`_resolve_remote_task`),
         through the fan-out *blocking* selects for this invocation: peer by
         peer, or concurrent (scatter-gather, optionally hedged) batched
-        Lookups. A Get that raises first gives back every reference it took."""
-        buffers: dict[ObjectID, PlasmaBuffer | None] = {}
-        taken: list = []  # (release, id) per reference held so far
-        missing: list[ObjectID] = []
-        found_local = found_remote = 0
+        Lookups. A Get that raises first gives back every reference it took.
+        A blocking run is observed as a Get: a ``plasma_get_latency_ns``
+        sample and a ``store/get_buffers`` span (a task is not: the sink's
+        single open-root stack cannot follow it across suspensions)."""
+        if not object_ids:
+            return []
+        m_get = self._m_get if blocking else None
+        start_ns = self.clock.now_ns if m_get is not None else 0
+        scope = _UNOBSERVED
+        spans = self.spans
+        if spans is not None and blocking:
+            args = {"n": len(object_ids)}
+            rid = self.correlation.current if self.correlation else None
+            if rid is not None:
+                args["rid"] = rid
+            scope = spans.span("store", "get_buffers", self.node, args)
         try:
-            with self.table.lock:
-                for oid in object_ids:
-                    entry = self.table.lookup(oid)
-                    if entry is not None:
-                        found_local += 1
-                        if not entry.is_sealed:
-                            if allow_missing:
-                                buffers[oid] = None
+            with scope:
+                buffers: dict[ObjectID, PlasmaBuffer | None] = {}
+                taken: list = []  # (release, id) per reference held so far
+                missing: list[ObjectID] = []
+                found_local = found_remote = 0
+                try:
+                    with self.table.lock:
+                        for oid in object_ids:
+                            entry = self.table.lookup(oid)
+                            if entry is not None:
+                                found_local += 1
+                                if not entry.is_sealed:
+                                    if allow_missing:
+                                        buffers[oid] = None
+                                        continue
+                                    raise ObjectNotFoundError(
+                                        f"{oid!r} exists locally but is not sealed"
+                                    )
+                                self.table.add_ref(oid)
+                                taken.append((self.release_ref, oid))
+                                buffers[oid] = self.local_buffer(entry)
+                                if self._tier is not None:
+                                    self._tier.note_local_get(oid)
+                            else:
+                                missing.append(oid)
+                    if missing:
+                        resolved = yield from self._resolve_remote_task(
+                            missing, allow_missing, attr, blocking
+                        )
+                        for oid in missing:
+                            got = resolved.get(oid)
+                            if got is None:
+                                buffers[oid] = None  # allow_missing guaranteed by resolve
                                 continue
-                            raise ObjectNotFoundError(
-                                f"{oid!r} exists locally but is not sealed"
+                            record, source = got
+                            record.local_refs += 1
+                            taken.append((self.release_object, oid))
+                            buffers[oid] = PlasmaBuffer(
+                                oid,
+                                source,
+                                record.data_size,
+                                sealed=True,
+                                metadata=record.metadata,
                             )
-                        self.table.add_ref(oid)
-                        taken.append((self.release_ref, oid))
-                        buffers[oid] = self.local_buffer(entry)
-                        if self._tier is not None:
-                            self._tier.note_local_get(oid)
-                    else:
-                        missing.append(oid)
-            if missing:
-                resolved = yield from self._resolve_remote_task(
-                    missing, allow_missing, attr, blocking
-                )
-                for oid in missing:
-                    got = resolved.get(oid)
-                    if got is None:
-                        buffers[oid] = None  # allow_missing guaranteed by resolve
-                        continue
-                    record, source = got
-                    record.local_refs += 1
-                    taken.append((self.release_object, oid))
-                    buffers[oid] = PlasmaBuffer(
-                        oid,
-                        source,
-                        record.data_size,
-                        sealed=True,
-                        metadata=record.metadata,
-                    )
-                    found_remote += 1
-                    if self._tier is not None:
-                        self._tier.note_remote_get(oid)
-        except Exception:
-            for release, oid in reversed(taken):
-                release(oid)
-            for oid in missing:
-                self._remote_records.settle(oid)  # claimed, never referenced
-            raise
-        self.counters.gets_local += found_local
-        self.counters.gets_remote += found_remote
-        return [buffers[oid] for oid in object_ids]
+                            found_remote += 1
+                            if self._tier is not None:
+                                self._tier.note_remote_get(oid)
+                except Exception:
+                    for release, oid in reversed(taken):
+                        release(oid)
+                    for oid in missing:
+                        self._remote_records.settle(oid)  # claimed, never referenced
+                    raise
+                self.counters.gets_local += found_local
+                self.counters.gets_remote += found_remote
+                return [buffers[oid] for oid in object_ids]
+        finally:
+            if m_get is not None:
+                m_get.observe(self.clock.now_ns - start_ns)
 
     def _resolve_remote_task(
         self,
@@ -1123,46 +1118,22 @@ class DisaggregatedStore(PlasmaStore):
     #
     # get_buffers, forward_put and delete_object each have ONE body, a
     # generator taking ``blocking`` (their ``*_task`` form), and so do the
-    # fan-outs beneath them: the lookup and the deletion push. Tasks ``yield from`` a body; a synchronous caller hands it to
-    # repro.rpc.drive.drive(), which spawns it on the loop _facade_loop()
-    # names (async-mode facades) and otherwise runs it inline, where every
-    # per-peer call blocks in turn (repro.rpc.drive.fan_out). The blocking
-    # form serves both modes: the eviction round (_announce_evicted, inside
-    # an allocation), retire_migrated, quarantine_object, revoke_replicas
-    # (inside a handler) and _refresh_stale (inside a buffer read) cannot
-    # suspend, so they drive the deletion push or the lookup inline whatever
-    # the mode (docs/architecture.md, "Async RPC core").
+    # fan-outs beneath them: the lookup and the deletion push. The caller
+    # picks the driver: the facade hands the body to repro.rpc.drive.drive()
+    # inline, where every per-peer call blocks in turn
+    # (repro.rpc.drive.fan_out); a task ``yield from``s the body, or a
+    # caller spawns it with drive(..., loop=...). Callers that cannot
+    # suspend — the eviction round (_announce_evicted, inside an
+    # allocation), retire_migrated, quarantine_object, revoke_replicas
+    # (inside a handler) and _refresh_stale (inside a buffer read) — drive
+    # the deletion push or the lookup inline (docs/architecture.md, "Async
+    # RPC core").
 
-    def attach_aio(self, loop, *, async_mode: bool = False) -> None:
-        """Wire the cluster-wide event loop; *async_mode* makes the sync
-        facades drive their bodies on it (``rpc_mode="async"``). Attaching
-        draws nothing and changes nothing observable in sync mode."""
+    def attach_aio(self, loop) -> None:
+        """Wire the cluster-wide event loop the task forms' fan-outs
+        gather on. Attaching draws nothing and changes nothing an inline
+        caller observes."""
         self._aio_loop = loop
-        self._rpc_async = bool(async_mode)
-
-    def set_rpc_async(self, enabled: bool) -> None:
-        """Flip this store between sync facades and event-loop task forms."""
-        if enabled and self._aio_loop is None:
-            raise ObjectStoreError(
-                f"{self._name} has no event loop attached (attach_aio first)"
-            )
-        self._rpc_async = bool(enabled)
-
-    @property
-    def rpc_async(self) -> bool:
-        return self._rpc_async
-
-    def _facade_loop(self):
-        """The one loop-vs-inline decision, made per invocation: the event
-        loop a synchronous facade should run its body on, or None to run
-        it inline. A loop only in async mode, and only while we are *not*
-        already inside a task (a facade called from task code blocks inline
-        instead; re-entering the loop driver from one of its own handlers
-        is not safe)."""
-        loop = self._aio_loop
-        if self._rpc_async and loop is not None and not loop.driving:
-            return loop
-        return None
 
     def _peer_channel(self, name: str):
         """The :class:`~repro.rpc.channel.Channel` under the peer's stub."""
@@ -1455,7 +1426,7 @@ class DisaggregatedStore(PlasmaStore):
             self.counters.delete_notifications += len(object_ids)
 
     def delete_object(self, object_id: ObjectID) -> None:
-        drive(self.delete_object_task, object_id, loop=self._facade_loop())
+        drive(self.delete_object_task, object_id)
 
     def _announce_evicted(self, victims: list[ObjectEntry]) -> None:
         """One NotifyDeleted per peer that resolved a victim here, listing

@@ -1,7 +1,7 @@
 """repro.obs — unified observability: metrics, exporters, correlation.
 
 One metrics surface for the whole simulator: per-node
-:class:`MetricsRegistry` instances read labeled Counter/Gauge families at
+:class:`MetricsRegistry` instances read labeled Gauge families at
 collect time and hold Histogram families (exact p50/p95/p99/max quantiles
 in simulated nanoseconds, built on ``repro.common.stats``). Components own
 their counters as plain ints on a :class:`CounterGroup` subclass, which the
@@ -20,7 +20,6 @@ build, and the disabled hot path is a single ``is None`` check.
 from repro.obs.correlation import CorrelationContext
 from repro.obs.export import Telemetry, render_prometheus
 from repro.obs.metrics import (
-    Counter,
     CounterGroup,
     Gauge,
     Histogram,
@@ -41,7 +40,6 @@ __all__ = [
     "BASE_COMPONENTS",
     "COMPONENTS",
     "CorrelationContext",
-    "Counter",
     "CounterGroup",
     "FlightRecorder",
     "Gauge",

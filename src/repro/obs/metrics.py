@@ -3,12 +3,11 @@
 Every node of a cluster owns one :class:`MetricsRegistry`, which stores no
 counter or gauge value: it reads them at collect time. Counters are plain
 ``int`` attributes their component increments in place
-(:class:`CounterGroup`), or a :class:`Counter` child sampling a count the
-component already keeps; :class:`Gauge` children sample a callback
-(allocator utilisation, breaker state, cache sizes). Only
-:class:`Histogram` accumulates inside the registry: exact quantiles in
-simulated nanoseconds over raw samples, so per-node histograms merge
-losslessly into cluster-wide views.
+(:class:`CounterGroup`, bound with :meth:`MetricsRegistry.register_group`);
+:class:`Gauge` children sample a callback (allocator utilisation, breaker
+state, cache sizes). Only :class:`Histogram` accumulates inside the
+registry: exact quantiles in simulated nanoseconds over raw samples, so
+per-node histograms merge losslessly into cluster-wide views.
 
 With ``ClusterConfig.metrics`` off no registry is built: components still
 count but export nowhere, and the ``_m_*`` histogram handles stay ``None``.
@@ -28,7 +27,7 @@ QUANTILES = (0.5, 0.95, 0.99)
 
 _NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-_KINDS = ("counter", "gauge", "histogram")
+_KINDS = ("gauge", "histogram")
 
 
 def _check_name(name: str, what: str = "metric") -> str:
@@ -68,12 +67,6 @@ class Gauge:
     @property
     def value(self) -> float:
         return 0.0 if self._fn is None else float(self._fn())
-
-
-class Counter(Gauge):
-    """One counter child: a count its component keeps, sampled at collect."""
-
-    __slots__ = ()
 
 
 def _rendered(pair: tuple) -> tuple[float, str]:
@@ -159,7 +152,7 @@ def _q_label(q: float) -> str:
     return f"{q:g}"
 
 
-_CHILD_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+_CHILD_TYPES = {"gauge": Gauge, "histogram": Histogram}
 #: Resolved ``labels(...)`` calls one family remembers; past it, calls still
 #: work, they just take the checked path again.
 _RESOLVED_LIMIT = 1024
@@ -273,11 +266,6 @@ class MetricsRegistry:
         family = MetricFamily(name, kind, help, tuple(labels), buckets)
         self._families[name] = family
         return family
-
-    def counter(
-        self, name: str, help: str = "", labels: tuple[str, ...] = ()
-    ) -> MetricFamily:
-        return self._family(name, "counter", help, labels)
 
     def gauge(
         self, name: str, help: str = "", labels: tuple[str, ...] = ()

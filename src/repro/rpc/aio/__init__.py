@@ -17,10 +17,11 @@ deterministic**:
 The task-based calls themselves live on :class:`~repro.rpc.channel.Channel`
 (``unary_task``, ``batched_call``), beside the blocking ones they share one
 body with; a store fan-out gathers them through
-:func:`repro.rpc.drive.fan_out`. Sync callers never run anything in this
-package —
-``rpc_mode="sync"`` preserves the one-in-flight semantics (and every
-standing BENCH/TRACE artifact) exactly.
+:func:`repro.rpc.drive.fan_out`. Nothing in the cluster selects this
+package: a caller runs an op here by handing its body to
+:func:`repro.rpc.drive.drive` with ``loop=cluster.loop``. Every facade runs
+its body inline and never touches it, which preserves the one-in-flight
+semantics (and every standing BENCH/TRACE artifact) exactly.
 """
 
 from repro.rpc.aio.loop import (

@@ -1,8 +1,8 @@
 """Transparent coalescing of id-list RPCs into batched wire messages.
 
 The store's chattiest RPCs (Lookup, NotifyDeleted, Contains) all carry a single ``object_ids`` list and already have batched
-server handlers. In async mode a :class:`CoalescingBuffer` sits between
-callers and the wire: submissions within ``batch_window_ns`` of the first
+server handlers. For calls run as tasks a :class:`CoalescingBuffer` sits
+between callers and the wire: submissions within ``batch_window_ns`` of the first
 (or until ``max_batch`` ids accumulate) merge into **one** wire message, so
 N concurrent cache misses to the same peer cost one round trip instead of N.
 

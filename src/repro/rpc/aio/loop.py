@@ -182,17 +182,6 @@ class EventLoop:
         self.events_inline = 0
 
     @property
-    def driving(self) -> bool:
-        """True while an event handler (i.e. task code) is on the stack.
-
-        Synchronous facades check this to decide between *driving* the loop
-        (top-level call: spawn the task form and run it to completion) and
-        *executing inline* (already inside a task: blocking semantics are
-        safe, and driving the loop from one of its own handlers is an error).
-        """
-        return self._driving
-
-    @property
     def clock(self) -> SimClock:
         return self._clock
 

@@ -6,9 +6,10 @@ client facade, a workload op — is written once, as a generator that takes
 event loop of :mod:`repro.rpc.aio`; with ``blocking=True`` it takes only
 blocking leaves, which advance the clock in place, and finishes without
 ever suspending. :func:`drive` runs such a body to its result: spawned on
-*loop* and driven until it finishes when a loop is given, otherwise inline
-in the caller's frame. An inline run touches neither the loop nor its RNG
-stream, which is what keeps sync mode byte-identical to the unary baseline.
+*loop* and driven until it finishes when the caller gives a loop, otherwise
+inline in the caller's frame (every facade does that). An inline run
+touches neither the loop nor its RNG stream, which is what keeps it
+byte-identical to the unary baseline.
 
 :func:`fan_out` is the one per-peer fan-out such a body takes: the same
 calls, sent one after another inline or gathered on the loop.

@@ -61,6 +61,8 @@ from repro.common.units import MiB
 from repro.core import Cluster
 from repro.core.health import BreakerState
 from repro.placement.membership import NodeStatus
+from repro.plasma.client import copy_writer
+from repro.rpc.drive import drive
 from repro.scrub import Scrubber
 from repro.simtest import mutations
 from repro.simtest.model import Model, ObjState, metadata_for, payload_for
@@ -191,6 +193,9 @@ class SimulationRunner:
         # Cache-coherence oracle state: set by _read when the hot-object
         # cache (not the fabric) produced the bytes of the last get.
         self._last_cached: tuple[int, str] | None = None
+        # The event loop the data-path ops run on as tasks, or None to run
+        # them inline; set_rpc_mode picks.
+        self._loop = None
         self.cluster: Cluster | None = None
 
     # ------------------------------------------------------------------ run
@@ -205,13 +210,13 @@ class SimulationRunner:
             for index, op in enumerate(ops):
                 self._op_index = index
                 outcome = self._execute(op)
-                if self.cluster.rpc_mode == "async":
+                if self._loop is not None:
                     # Run stragglers out (hedge losers, coalesced flushes):
-                    # the facade drive returns when *its* task resolves, and
+                    # the drive returns when the op's own task resolves, and
                     # a pending admitted call would otherwise pin breaker
                     # probe slots across ops — in a real deployment the
                     # loop never stops between requests.
-                    self.cluster.loop.drain()
+                    self._loop.drain()
                 self.steps.append(f"{index:04d} {op.format()} -> {outcome}")
                 self._note_evictions()
                 self._check_epochs()
@@ -309,19 +314,9 @@ class SimulationRunner:
         self.model.mark_crash_exposure(objs)
 
     def _find_holder(self, object_id: ObjectID) -> str | None:
-        """Node holding the live sealed primary extent, if any."""
+        """Up node holding the live sealed primary extent, if any."""
 
-        for name in sorted(self._up()):
-            store = self.cluster.store(name)
-            if object_id in store.deferred_retires():
-                continue
-            if store.is_replica(object_id):
-                continue
-            with store.table.lock:
-                entry = store.table.lookup(object_id)
-                if entry is not None and entry.is_sealed and not entry.quarantined:
-                    return name
-        return None
+        return self.cluster.primary_holder(object_id, sorted(self._up()))
 
     # ------------------------------------------------------------------ ops
 
@@ -345,13 +340,20 @@ class SimulationRunner:
             return "skip:node-down"
         if self.model.state(obj) is not None:
             return "skip:obj-reused"
-        size = int(op["size"])
-        oid = ObjectID.from_int(obj)
+        return self._put(node, obj, int(op["size"]), int(op["replicas"]))
+
+    def _put(self, node: str, obj: int, size: int, replicas: int) -> str:
+        """One put of *obj*'s generated payload from *node*, recorded in
+        the model either way."""
         store = self.cluster.store(node)
-        replicas = min(int(op["replicas"]), 1 + len(store.peers()))
         try:
-            self._client(node).put_bytes(
-                oid, payload_for(obj, size), metadata_for(obj), replicas=replicas
+            drive(
+                self._client(node).put_into_task,
+                ObjectID.from_int(obj),
+                *copy_writer(payload_for(obj, size)),
+                metadata=metadata_for(obj),
+                replicas=min(replicas, 1 + len(store.peers())),
+                loop=self._loop,
             )
         except ReproError as exc:
             self.model.record_put_failed(obj, size)
@@ -382,17 +384,9 @@ class SimulationRunner:
             # Refused at the entry point: no cluster work happened, the
             # model must keep treating the object as never-created.
             return f"rejected:{exc.reason}"
-        oid = ObjectID.from_int(obj)
-        store = self.cluster.store(node)
-        replicas = min(int(op["replicas"]), 1 + len(store.peers()))
-        try:
-            self._client(node).put_bytes(
-                oid, payload_for(obj, size), metadata_for(obj), replicas=replicas
-            )
-        except ReproError as exc:
-            self.model.record_put_failed(obj, size)
-            return f"fail:{type(exc).__name__}"
-        self.model.record_put_ok(obj, size)
+        outcome = self._put(node, obj, size, int(op["replicas"]))
+        if outcome != "ok":
+            return outcome
         self.admission.record_stored(tenant, size)
         self._tenant_of[obj] = (tenant, size)
         return "ok"
@@ -418,7 +412,7 @@ class SimulationRunner:
         if cache is not None:
             cache.last_served = None
         try:
-            buffers = client.get([oid], allow_missing=True)
+            buffers = drive(client.get_task, [oid], True, loop=self._loop)
         except ObjectUnavailableError:
             return "unavailable", None
         except ObjectCorruptedError:
@@ -503,7 +497,10 @@ class SimulationRunner:
                               "on a quiet cluster for a live object")
 
     def _do_set_rpc_mode(self, op: Op) -> str:
-        self.cluster.set_rpc_mode(str(op["mode"]))
+        mode = str(op["mode"])
+        if mode not in ("sync", "async"):
+            raise ValueError(f"unknown rpc mode {mode!r}")
+        self._loop = self.cluster.loop if mode == "async" else None
         return "ok"
 
     def _do_multi_get(self, op: Op) -> str:
@@ -520,7 +517,7 @@ class SimulationRunner:
     def _multi_read(
         self, node: str, objs: list[int]
     ) -> tuple[list[str], list[bytes | None]]:
-        """One id-list read; in async mode this is a coalesced batched
+        """One id-list read; run as a task this is a coalesced batched
         lookup (hedged under faults). A whole-call failure stamps every
         slot with the same outcome — the judge excuses it exactly like a
         failed single get. The coherence oracle stays disarmed: a batch
@@ -530,7 +527,9 @@ class SimulationRunner:
         self._last_cached = None
         oids = [ObjectID.from_int(obj) for obj in objs]
         try:
-            payloads = client.multi_get(oids, allow_missing=True)
+            payloads = drive(
+                client.multi_get_task, oids, allow_missing=True, loop=self._loop
+            )
         except ObjectUnavailableError:
             return ["unavailable"] * len(objs), [None] * len(objs)
         except ObjectCorruptedError:
@@ -565,7 +564,9 @@ class SimulationRunner:
             and self._breakers_closed(holder)
         )
         try:
-            self.cluster.store(holder).delete_object(oid)
+            drive(
+                self.cluster.store(holder).delete_object_task, oid, loop=self._loop
+            )
         except ReproError as exc:
             self.model.record_deleted(obj, clean=False)
             return f"fail:{type(exc).__name__}"

@@ -43,9 +43,9 @@ OP_SCHEMA: Mapping[str, tuple[str, ...]] = {
     # then drains (and sheds) at that rate.
     "set_service_rate": ("node", "rate"),
     "overload_burst": ("node", "ms"),
-    # Async RPC core (repro.rpc.aio): flip the mesh between sync and
-    # async execution mid-trace, and issue an id-list read the async
-    # plane resolves as one coalesced per-peer batched lookup (hedged
+    # Async RPC core (repro.rpc.aio): switch the harness between running
+    # its data-path ops inline and as event-loop tasks mid-trace, and issue
+    # an id-list read the async plane resolves as one coalesced per-peer batched lookup (hedged
     # under faults). ``objs`` is a comma-joined list of small ints —
     # op args are scalars only, so the list rides as a string.
     "set_rpc_mode": ("mode",),

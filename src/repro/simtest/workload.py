@@ -66,10 +66,10 @@ WEIGHTS: tuple[tuple[str, int], ...] = (
 #: Concurrency-stress weighting: the data-path ops that exercise the
 #: async task plane (gets, puts, deletes, batched multi-gets) dominate,
 #: with crashes and blackholes kept so batches land mid-fault and hedges
-#: actually fire; occasional set_rpc_mode flips stress the sync/async
-#: boundary itself. The drain/remove/overload machinery is left out —
-#: it is covered by the default profile and only dilutes the schedule
-#: space this profile explores.
+#: actually fire; occasional set_rpc_mode switches stress the boundary
+#: between inline and task-driven ops itself. The drain/remove/overload
+#: machinery is left out — it is covered by the default profile and only
+#: dilutes the schedule space this profile explores.
 CONCURRENCY_WEIGHTS: tuple[tuple[str, int], ...] = (
     ("put", 24),
     ("get", 20),

@@ -155,6 +155,12 @@ class WorkloadResult:
     rpc_counters: dict[str, int] = field(default_factory=dict)
 
 
+def _runs_as_tasks(scenario: Scenario) -> bool:
+    """True when the scenario's ``rpc.mode`` asks for its ops to run as
+    event-loop tasks; otherwise each op runs inline, one at a time."""
+    return scenario.rpc is not None and scenario.rpc.mode == "async"
+
+
 def _config_for(scenario: Scenario, seed: int) -> ClusterConfig:
     """The one description of the cluster a scenario runs against (built
     over ``scenario.cluster.node_weights()``'s names)."""
@@ -184,7 +190,6 @@ def _config_for(scenario: Scenario, seed: int) -> ClusterConfig:
     if rspec is not None:
         rpc = replace(
             rpc,
-            mode=rspec.mode,
             batch_window_ns=rspec.batch_window_ns,
             max_batch=rspec.max_batch,
             hedge_stagger_ns=rspec.hedge_stagger_ns,
@@ -209,7 +214,7 @@ def _config_for(scenario: Scenario, seed: int) -> ClusterConfig:
         )
     tracing = None
     trspec = scenario.tracing
-    if trspec is not None and trspec.enabled and rpc.mode != "async":
+    if trspec is not None and trspec.enabled and not _runs_as_tasks(scenario):
         # The span sink attributes clock advances through a single
         # open-root stack — sound only while one op is on the clock at
         # a time. Under the event loop attribution is carried per task
@@ -287,11 +292,17 @@ class ScenarioRunner:
         )
         size_rng = rng.spawn("preload-sizes")
         replicas = scenario.cluster.replicas
+        loop = self.cluster.loop if _runs_as_tasks(scenario) else None
         for slot in range(scenario.population.objects):
             size = scenario.population.size.draw(size_rng)
             oid = self._fresh_oid()
-            self._client(slot).put_into(
-                oid, size, fill_writer(slot, self._next_oid), replicas=replicas
+            drive(
+                self._client(slot).put_into_task,
+                oid,
+                size,
+                fill_writer(slot, self._next_oid),
+                replicas=replicas,
+                loop=loop,
             )
             tenant = owners[slot]
             self._slots[slot] = _Slot(self._next_oid, size, tenant)
@@ -299,24 +310,13 @@ class ScenarioRunner:
 
     # ------------------------------------------------------------------ ops
 
-    def _find_holder(self, oid: ObjectID) -> str | None:
-        """Node holding the live sealed primary extent, if any."""
-        for name in self.cluster.node_names():
-            store = self.cluster.store(name)
-            if oid in store.deferred_retires() or store.is_replica(oid):
-                continue
-            with store.table.lock:
-                entry = store.table.lookup(oid)
-                if entry is not None and entry.is_sealed and not entry.quarantined:
-                    return name
-        return None
-
     # Each op kind has ONE body, a generator taking the op's TaskAttribution
     # (None when blocking) and ``blocking``: _execute_inner runs it inline
-    # through repro.rpc.drive.drive() in sync mode, _op_task yields from it
-    # as an event-loop task. The client and store bodies below it take the
-    # same two arguments, so the op observes exactly as its driver does —
-    # root spans when blocking, per-task attribution otherwise.
+    # through repro.rpc.drive.drive(), _op_task yields from it as an
+    # event-loop task when the scenario's rpc.mode is async. The client and
+    # store bodies below it take the same two arguments, so the op observes
+    # exactly as its driver does — root spans when blocking, per-task
+    # attribution otherwise.
 
     def _delete_slot(self, slot: int, attr, blocking: bool):
         """Empty *slot*, deleting its object at the holder; False if it
@@ -325,7 +325,7 @@ class ScenarioRunner:
         if state is None:
             return False
         oid = ObjectID.from_int(state.oid_int)
-        holder = self._find_holder(oid)
+        holder = self.cluster.primary_holder(oid, self.cluster.node_names())
         if holder is not None:
             yield from self.cluster.store(holder).delete_object_task(
                 oid, attr, blocking
@@ -744,7 +744,7 @@ class ScenarioRunner:
             self._next_burst_ns = t0 + self._burst_period_ns
 
         arrival = scenario.traffic.arrival
-        if self.cluster.rpc_mode == "async":
+        if _runs_as_tasks(scenario):
             self._run_async(ops, t0, arrival)
         elif arrival.mode == "open":
             for op in ops:

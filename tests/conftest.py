@@ -10,6 +10,8 @@ from repro.common.ids import ObjectID, UniqueIDGenerator
 from repro.common.rng import DeterministicRng
 from repro.common.units import MiB
 from repro.core import Cluster
+from repro.plasma.client import copy_writer
+from repro.rpc.drive import drive
 from repro.rpc.server import RpcServer
 
 
@@ -58,6 +60,64 @@ def oid_homed_at(cluster: Cluster, home: str) -> ObjectID:
         oid = cluster.new_object_id()
         if ring.home(oid) == home:
             return oid
+
+
+class Driver:
+    """The client and store operations run one way, picked by the caller:
+    ``"sync"`` runs each body inline, exactly as the facades do;
+    ``"async"`` spawns it as an event-loop task and drives the loop until
+    that task finishes. Every method takes the client or store it acts on
+    first, then that facade's own arguments."""
+
+    def __init__(self, cluster: Cluster, mode: str):
+        assert mode in ("sync", "async"), mode
+        self.loop = cluster.loop if mode == "async" else None
+
+    def get(self, client, object_ids, allow_missing: bool = False):
+        return drive(client.get_task, list(object_ids), allow_missing, loop=self.loop)
+
+    def get_bytes(self, client, object_id: ObjectID) -> bytes:
+        [buffer] = self.get(client, [object_id])
+        try:
+            return buffer.read_all()
+        finally:
+            client.release(object_id)
+
+    def multi_get(self, client, object_ids, *, allow_missing: bool = True):
+        return drive(
+            client.multi_get_task,
+            list(object_ids),
+            allow_missing=allow_missing,
+            loop=self.loop,
+        )
+
+    def put_into(self, client, object_id: ObjectID, size: int, write,
+                 *, metadata: bytes = b"", replicas: int = 1) -> ObjectID:
+        return drive(
+            client.put_into_task,
+            object_id,
+            size,
+            write,
+            metadata=metadata,
+            replicas=replicas,
+            loop=self.loop,
+        )
+
+    def put_bytes(self, client, object_id: ObjectID, data, metadata: bytes = b"",
+                  *, replicas: int = 1) -> ObjectID:
+        return self.put_into(
+            client, object_id, *copy_writer(data), metadata=metadata, replicas=replicas
+        )
+
+    def forward_put(self, store, object_id, size, write, metadata, home,
+                    *, replicas: int = 1) -> bool:
+        return drive(
+            store.forward_put_task, object_id, size, write, metadata, home,
+            replicas=replicas, loop=self.loop,
+        )
+
+    def delete(self, store, object_id: ObjectID) -> None:
+        drive(store.delete_object_task, object_id, loop=self.loop)
 
 
 @pytest.fixture

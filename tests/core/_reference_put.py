@@ -124,7 +124,7 @@ def put_bytes(client, object_id, data, metadata=b"", *, replicas=1):
         client._ipc.charge_request(nobjects=1, nbytes=len(metadata))
         if drive(
             partial(_forward_put_task, store), object_id, data, metadata, home,
-            replicas=replicas, loop=store._facade_loop(),
+            replicas=replicas,
         ):
             client.counters.puts_forwarded += 1
             return object_id

@@ -4,7 +4,9 @@ Every switch lives on :class:`ClusterConfig`; a feature plane is on iff its
 sub-config is present. These tests pin (a) that the old constructor
 keywords are gone, (b) that every inconsistent combination is refused by
 ``ClusterConfig.validate`` naming the field, and (c) that each committed
-scenario's ``_config_for`` builds exactly the planes its blocks ask for.
+scenario's ``_config_for`` builds exactly the planes its blocks ask for
+(the scenario's ``rpc.mode`` picks how the runner drives ops, not a
+cluster mode).
 """
 
 from dataclasses import replace
@@ -13,12 +15,12 @@ from pathlib import Path
 import pytest
 
 from repro.baseline import ScaleOutCluster
-from repro.common.config import ClusterConfig, PlacementConfig
+from repro.common.config import ClusterConfig, PlacementConfig, RpcConfig
 from repro.common.config import testing_config as make_config
 from repro.core import Cluster
 from repro.core.store import DisaggregatedStore
 from repro.workload import load_scenario
-from repro.workload.runner import _config_for
+from repro.workload.runner import _config_for, _runs_as_tasks
 
 ROOT = Path(__file__).resolve().parents[2]
 SCENARIOS = sorted(
@@ -105,6 +107,12 @@ def test_directory_fields_are_gone(field):
         ClusterConfig(**{field: None})
 
 
+def test_rpc_config_has_no_mode():
+    """The caller picks inline or task; the cluster has no RPC mode."""
+    with pytest.raises(TypeError, match="mode"):
+        RpcConfig(mode="async")
+
+
 def test_scale_out_cluster_shares_the_node_checks(small_config):
     with pytest.raises(ValueError, match="nodes: a cluster needs >= 2"):
         ScaleOutCluster(small_config, 1)
@@ -126,7 +134,12 @@ def test_scenario_planes_match_its_blocks(path):
     assert all((cluster.tier_agent(n) is not None) is tiering for n in weights)
     assert (cluster.tier_engine is not None) is (tiering and shape.placement)
     assert (cluster.spans is not None) is (traced and not is_async)
-    assert cluster.rpc_mode == ("async" if is_async else "sync")
+    assert _runs_as_tasks(scenario) is is_async
+    if scenario.rpc is not None:
+        rpc, spec = cluster.config.rpc, scenario.rpc
+        assert (rpc.batch_window_ns, rpc.max_batch, rpc.hedge_stagger_ns) == (
+            spec.batch_window_ns, spec.max_batch, spec.hedge_stagger_ns
+        )
     for name in weights:
         store = cluster.store(name)
         assert store.lookup_cache is not None

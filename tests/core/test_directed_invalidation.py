@@ -20,23 +20,21 @@ from repro.common.errors import ObjectNotFoundError
 from repro.common.ids import ObjectID
 from repro.common.units import KiB, MiB
 from repro.core import Cluster
-from tests.conftest import oid_homed_at
+from tests.conftest import Driver, oid_homed_at
 
+#: How each test runs its operations: inline or as loop tasks (Driver).
 MODES = ["sync", "async"]
 PAYLOAD = b"d" * 900
 
 
-def make_cluster(mode: str = "sync", *, capacity: int = 32 * MiB) -> Cluster:
+def make_cluster(mode: str = "sync", *, capacity: int = 32 * MiB):
+    """A placed, tiered three-node cluster and the driver *mode* names."""
     cfg = make_config(capacity_bytes=capacity, seed=99)
-    cfg = replace(
-        cfg,
-        rpc=replace(cfg.rpc, mode=mode),
-        placement=PlacementConfig(),
-        tier=TierConfig(),
-    )
-    return Cluster(
+    cfg = replace(cfg, placement=PlacementConfig(), tier=TierConfig())
+    cluster = Cluster(
         cfg.with_store(check_remote_uniqueness=False, lookup_cache=True), 3
     )
+    return cluster, Driver(cluster, mode)
 
 
 def holds_cached(
@@ -55,10 +53,10 @@ def told(rpc_log) -> list[tuple[str, str]]:
     return [(host, method) for host, method, _ in rpc_log]
 
 
-def assert_typed_miss(cluster: Cluster, node: str, oid: ObjectID) -> None:
+def assert_typed_miss(cluster: Cluster, run: Driver, node: str, oid: ObjectID) -> None:
     with pytest.raises(ObjectNotFoundError):
-        cluster.client(node).get([oid])
-    assert cluster.client(node).multi_get([oid]) == [None]
+        run.get(cluster.client(node), [oid])
+    assert run.multi_get(cluster.client(node), [oid]) == [None]
 
 
 # -- a delete -------------------------------------------------------------------------
@@ -66,40 +64,40 @@ def assert_typed_miss(cluster: Cluster, node: str, oid: ObjectID) -> None:
 
 @pytest.mark.parametrize("mode", MODES)
 def test_delete_tells_only_the_peer_that_resolved_it(mode, rpc_log):
-    cluster = make_cluster(mode)
+    cluster, run = make_cluster(mode)
     oid = oid_homed_at(cluster, "node0")
-    cluster.client("node0").put_bytes(oid, PAYLOAD)
-    assert cluster.client("node1").get_bytes(oid) == PAYLOAD
+    run.put_bytes(cluster.client("node0"), oid, PAYLOAD)
+    assert run.get_bytes(cluster.client("node1"), oid) == PAYLOAD
     generation = cluster.store("node1").lookup_cache.get(oid).generation
     assert holds_cached(cluster, "node1", oid, generation) == (True, True)
     del rpc_log[:]
 
-    cluster.store("node0").delete_object(oid)
+    run.delete(cluster.store("node0"), oid)
 
     # parent: node1 NotifyDeleted, node2 NotifyDeleted.
     assert told(rpc_log) == [("node1", "NotifyDeleted")]
     assert rpc_log[0][2] == [oid]
     assert holds_cached(cluster, "node1", oid, generation) == (False, False)
     assert cluster.store("node0").counters.delete_notifications == 1
-    assert_typed_miss(cluster, "node1", oid)
+    assert_typed_miss(cluster, run, "node1", oid)
 
     # A re-put under the same id is a new object: node1 reads the new
     # bytes, never the ones it cached before the delete.
-    cluster.client("node0").put_bytes(oid, b"n" * 900)
-    assert cluster.client("node1").get_bytes(oid) == b"n" * 900
+    run.put_bytes(cluster.client("node0"), oid, b"n" * 900)
+    assert run.get_bytes(cluster.client("node1"), oid) == b"n" * 900
     assert cluster.loop.pending() == 0
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_restarted_home_tells_every_peer(mode, rpc_log):
-    cluster = make_cluster(mode)
+    cluster, run = make_cluster(mode)
     oid = oid_homed_at(cluster, "node0")
-    cluster.client("node0").put_bytes(oid, PAYLOAD)
-    assert cluster.client("node1").get_bytes(oid) == PAYLOAD
+    run.put_bytes(cluster.client("node0"), oid, PAYLOAD)
+    assert run.get_bytes(cluster.client("node1"), oid) == PAYLOAD
     cluster.recover_node("node0")  # the sharer sets died with the process
     del rpc_log[:]
 
-    cluster.store("node0").delete_object(oid)
+    run.delete(cluster.store("node0"), oid)
 
     # parent: the same two.
     assert sorted(told(rpc_log)) == [("node1", "NotifyDeleted"), ("node2", "NotifyDeleted")]
@@ -113,26 +111,26 @@ def resolved_at_holder(mode: str):
     """An object homed at node0 with a replica on *holder*, read by the
     third node while node0's store process was unreachable: the reader's
     descriptor names the holder, and only the holder knows it."""
-    cluster = make_cluster(mode)
+    cluster, run = make_cluster(mode)
     oid = oid_homed_at(cluster, "node0")
-    cluster.client("node0").put_bytes(oid, PAYLOAD, replicas=2)
+    run.put_bytes(cluster.client("node0"), oid, PAYLOAD, replicas=2)
     [holder] = cluster.store("node0").replica_locations(oid)
     [reader] = [n for n in ("node1", "node2") if n != holder]
     cluster.node("node0").server.shutdown()
-    assert cluster.client(reader).get_bytes(oid) == PAYLOAD
+    assert run.get_bytes(cluster.client(reader), oid) == PAYLOAD
     cluster.node("node0").server.restart()
     record = cluster.store(reader).lookup_cache.get(oid)
     assert record.home == holder
     assert holds_cached(cluster, reader, oid, record.generation) == (True, True)
-    return cluster, oid, holder, reader, record.generation
+    return cluster, run, oid, holder, reader, record.generation
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_holder_revokes_the_replica_it_handed_out(mode, rpc_log):
-    cluster, oid, holder, reader, generation = resolved_at_holder(mode)
+    cluster, run, oid, holder, reader, generation = resolved_at_holder(mode)
     del rpc_log[:]
 
-    cluster.store("node0").delete_object(oid)
+    run.delete(cluster.store("node0"), oid)
 
     # The home tells nobody but the holder: nobody resolved the object at
     # node0. The holder's handler then revokes, inside the same call.
@@ -143,18 +141,18 @@ def test_holder_revokes_the_replica_it_handed_out(mode, rpc_log):
     assert cluster.store(holder).counters.replicas_dropped == 1
     assert cluster.store("node0").counters.delete_notifications == 1
     assert holds_cached(cluster, reader, oid, generation) == (False, False)
-    assert_typed_miss(cluster, reader, oid)
+    assert_typed_miss(cluster, run, reader, oid)
     assert cluster.loop.pending() == 0
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_pinned_replica_keeps_its_bytes_not_its_sharers(mode, rpc_log):
-    cluster, oid, holder, reader, generation = resolved_at_holder(mode)
+    cluster, run, oid, holder, reader, generation = resolved_at_holder(mode)
     local = cluster.client(holder)
-    [buffer] = local.get([oid])  # the local replica, pinned
+    [buffer] = run.get(local, [oid])  # the local replica, pinned
     del rpc_log[:]
 
-    cluster.store("node0").delete_object(oid)
+    run.delete(cluster.store("node0"), oid)
 
     # parent: the same two messages, the NotifyDeleted sent by the home.
     assert told(rpc_log) == [(holder, "DropReplica"), (reader, "NotifyDeleted")]
@@ -173,21 +171,21 @@ SIZE = 16 * KiB
 
 @pytest.mark.parametrize("mode", MODES)
 def test_eviction_round_reaches_only_its_victims_sharers(mode, rpc_log):
-    cluster = make_cluster(mode, capacity=1 * MiB)
+    cluster, run = make_cluster(mode, capacity=1 * MiB)
     store, client = cluster.store("node0"), cluster.client("node0")
     oids = []
     while store.capacity_bytes - store.used_bytes > SIZE + 2 * store.header_size:
         oid = oid_homed_at(cluster, "node0")
-        client.put_bytes(oid, bytes([len(oids)]) * SIZE)
+        run.put_bytes(client, oid, bytes([len(oids)]) * SIZE)
         oids.append(oid)
     read_by_node1 = oids[::2]
     for oid in read_by_node1:
-        cluster.client("node1").get_bytes(oid)
-    cluster.client("node2").get_bytes(oids[-1])  # the newest: never a victim
+        run.get_bytes(cluster.client("node1"), oid)
+    run.get_bytes(cluster.client("node2"), oids[-1])  # the newest: never a victim
     feed = store.subscribe()
     del rpc_log[:]
 
-    client.put_bytes(oid_homed_at(cluster, "node0"), b"n" * SIZE)
+    run.put_bytes(client, oid_homed_at(cluster, "node0"), b"n" * SIZE)
 
     victims = [note.object_id for note in list(iter(feed.pop, None)) if note.deleted]
     assert len(victims) == 13 and oids[-1] not in victims

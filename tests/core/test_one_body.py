@@ -2,11 +2,12 @@
 
 ``get_buffers``, ``forward_put`` and ``delete_object`` each have a single
 generator body, and so do the lookup and deletion fan-outs beneath
-them; a synchronous caller hands it to ``repro.rpc.drive.drive``, which
-runs it on the event loop (async mode, loop idle) or inline with blocking
-leaves (sync mode, a facade called from inside a running task, or a
-caller that cannot suspend). These tests pin the seams that arrangement
-relies on.
+them. The caller picks the driver: ``repro.rpc.drive.drive`` runs a body
+inline with blocking leaves (every facade, including one called from
+inside a running task or by a caller that cannot suspend), or spawns it on
+the event loop when handed the loop. The ``mode`` parameter below names
+the driver (``tests.conftest.Driver``). These tests pin the seams that
+arrangement relies on.
 """
 
 from dataclasses import replace
@@ -25,21 +26,18 @@ from repro.plasma.client import copy_writer
 from repro.rpc.aio.loop import EventLoop, Sleep
 from repro.rpc.channel import Channel
 from repro.workload import Scenario, ScenarioRunner
-from tests.conftest import oid_homed_at
+from tests.conftest import Driver, oid_homed_at
 from tests.workload.conftest import MINI_OBJ, mini_obj
 
 
 def make_cluster(
-    mode: str = "sync",
     *,
     capacity: int = 32 * MiB,
     tier: TierConfig | None = None,
     fault_plan: FaultPlan | None = None,
 ) -> Cluster:
     cfg = make_config(capacity_bytes=capacity, seed=99)
-    cfg = replace(
-        cfg, rpc=replace(cfg.rpc, mode=mode), placement=PlacementConfig(), tier=tier
-    )
+    cfg = replace(cfg, placement=PlacementConfig(), tier=tier)
     return Cluster(
         cfg.with_store(check_remote_uniqueness=False, lookup_cache=True),
         3,
@@ -51,7 +49,7 @@ def make_cluster(
 
 
 def test_nested_facades_block_inline(monkeypatch):
-    cluster = make_cluster("async")
+    cluster = make_cluster()
     loop = cluster.loop
     producer, consumer = cluster.client("node0"), cluster.client("node1")
     read_oid = oid_homed_at(cluster, "node0")
@@ -69,7 +67,6 @@ def test_nested_facades_block_inline(monkeypatch):
 
     def script():
         # Every call below is a *synchronous* facade, issued by task code.
-        assert loop.driving
         [buffer] = consumer.get([read_oid])
         data = bytes(buffer.read_all())
         consumer.release(read_oid)
@@ -89,17 +86,17 @@ def test_nested_facades_block_inline(monkeypatch):
     assert not cluster.store("node0").contains(read_oid)
 
 
-# -- (b) sync mode never touches the event loop ----------------------------------------
+# -- (b) the facades never touch the event loop ----------------------------------------
 
 
 def test_sync_mode_never_schedules_on_the_loop(monkeypatch):
     def forbidden(self, *args, **kwargs):
-        raise AssertionError("sync mode scheduled work on the event loop")
+        raise AssertionError("a facade scheduled work on the event loop")
 
     monkeypatch.setattr(EventLoop, "spawn", forbidden)
     monkeypatch.setattr(EventLoop, "call_later", forbidden)
 
-    cluster = make_cluster("sync", capacity=1 * MiB)
+    cluster = make_cluster(capacity=1 * MiB)
     writer, reader = cluster.client("node1"), cluster.client("node2")
     oids = [oid_homed_at(cluster, "node0") for _ in range(3)]
     for i, oid in enumerate(oids):
@@ -149,31 +146,32 @@ def error_of(fn) -> tuple:
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
 def test_mode_parity(mode):
-    cluster = make_cluster(mode, tier=TierConfig())
+    cluster = make_cluster(tier=TierConfig())
+    run = Driver(cluster, mode)
     c0, c1 = cluster.client("node0"), cluster.client("node1")
     local = oid_homed_at(cluster, "node1")
     remote = oid_homed_at(cluster, "node0")
-    c1.put_bytes(local, b"L" * 300)
-    c1.put_bytes(remote, b"R" * 700)  # forwarded to node0
+    run.put_bytes(c1, local, b"L" * 300)
+    run.put_bytes(c1, remote, b"R" * 700)  # forwarded to node0
 
     seen = {}
-    seen["get"] = [bytes(b.read_all()) for b in c1.get([local, remote])]
+    seen["get"] = [bytes(b.read_all()) for b in run.get(c1, [local, remote])]
     c1.release(local)
     c1.release(remote)
     # The first remote read cached the descriptor and admitted the payload
     # to node1's hot cache; the second resolves and reads from them without
     # a Lookup.
-    seen["again"] = c1.get_bytes(remote)
+    seen["again"] = run.get_bytes(c1, remote)
     ghost = cluster.new_object_id()
-    seen["multi_get"] = c1.multi_get([remote, ghost, local])
+    seen["multi_get"] = run.multi_get(c1, [remote, ghost, local])
 
-    seen["missing"] = error_of(lambda: c1.get([ghost]))
+    seen["missing"] = error_of(lambda: run.get(c1, [ghost]))
     unsealed = oid_homed_at(cluster, "node1")
     c1.create(unsealed, 64)
-    seen["unsealed_local"] = error_of(lambda: c1.get([unsealed]))
-    seen["unsealed_remote"] = error_of(lambda: c0.get([unsealed]))
+    seen["unsealed_local"] = error_of(lambda: run.get(c1, [unsealed]))
+    seen["unsealed_remote"] = error_of(lambda: run.get(c0, [unsealed]))
     cluster.node("node2").server.shutdown()
-    seen["unreachable"] = error_of(lambda: c1.get([ghost]))
+    seen["unreachable"] = error_of(lambda: run.get(c1, [ghost]))
 
     seen["counters"] = {
         name: {
@@ -225,15 +223,16 @@ def replicated_and_cached(mode: str):
     """An object at node0, read (so cached) by node1 and node2, and only
     then replicated to node1: a holder that also holds a cached descriptor
     and hot-cache payload, which only an invalidation can remove."""
-    cluster = make_cluster(mode, tier=TierConfig())
+    cluster = make_cluster(tier=TierConfig())
+    run = Driver(cluster, mode)
     oid = oid_homed_at(cluster, "node0")
-    cluster.client("node0").put_bytes(oid, PAYLOAD)
+    run.put_bytes(cluster.client("node0"), oid, PAYLOAD)
     generation = cluster.store("node0").lookup_descriptor(oid)["generation"]
     for peer in ("node1", "node2"):
-        assert cluster.client(peer).get_bytes(oid) == PAYLOAD
+        assert run.get_bytes(cluster.client(peer), oid) == PAYLOAD
         assert holds_cached(cluster, peer, oid, generation) == (True, True)
     assert cluster.store("node0").replicate_object(oid, "node1") == "node1"
-    return cluster, oid, generation
+    return cluster, run, oid, generation
 
 
 def holds_cached(
@@ -257,12 +256,12 @@ def calls(rpc_log, mode: str) -> list[tuple[str, str]]:
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
 def test_delete_sends_each_peer_one_message(mode, rpc_log):
-    cluster, oid, generation = replicated_and_cached(mode)
+    cluster, run, oid, generation = replicated_and_cached(mode)
     holder = cluster.store("node1")
     used = holder.used_bytes
     del rpc_log[:]
 
-    cluster.store("node0").delete_object(oid)
+    run.delete(cluster.store("node0"), oid)
 
     # parent: node1 NotifyDeleted, node2 NotifyDeleted, node1 DropReplica.
     expected = [("node2", "NotifyDeleted"), ("node1", "DropReplica")]
@@ -274,17 +273,17 @@ def test_delete_sends_each_peer_one_message(mode, rpc_log):
     assert holder.used_bytes < used
     assert holder.counters.replicas_dropped == 1
     assert cluster.store("node0").counters.delete_notifications == 1
-    assert cluster.client("node2").multi_get([oid]) == [None]
+    assert run.multi_get(cluster.client("node2"), [oid]) == [None]
     assert cluster.loop.pending() == 0
 
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
 def test_pinned_replica_outlives_the_delete_its_cached_descriptor_does_not(mode):
-    cluster, oid, generation = replicated_and_cached(mode)
+    cluster, run, oid, generation = replicated_and_cached(mode)
     reader = cluster.client("node1")
-    [buffer] = reader.get([oid])  # the local replica, now pinned
+    [buffer] = run.get(reader, [oid])  # the local replica, now pinned
 
-    cluster.store("node0").delete_object(oid)
+    run.delete(cluster.store("node0"), oid)
 
     holder = cluster.store("node1")
     assert holder.contains(oid) and holder.is_replica(oid)
@@ -296,11 +295,11 @@ def test_pinned_replica_outlives_the_delete_its_cached_descriptor_does_not(mode)
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
 def test_unreachable_holder_is_tolerated(mode, rpc_log):
-    cluster, oid, generation = replicated_and_cached(mode)
+    cluster, run, oid, generation = replicated_and_cached(mode)
     cluster.node("node1").server.shutdown()
     del rpc_log[:]
 
-    cluster.store("node0").delete_object(oid)
+    run.delete(cluster.store("node0"), oid)
 
     home = cluster.store("node0")
     assert not home.contains(oid) and home.replica_locations(oid) == ()
@@ -316,11 +315,12 @@ def test_partitioned_peer_misses_the_push_and_is_counted(mode, rpc_log):
     """The first peer of the plan is cut off: the peer after it still
     hears (the blocking sweep goes past an unreachable peer), and the lost
     push is counted, not raised."""
-    cluster = make_cluster(mode, fault_plan=FaultPlan())
+    cluster = make_cluster(fault_plan=FaultPlan())
+    run = Driver(cluster, mode)
     oid = oid_homed_at(cluster, "node0")
-    cluster.client("node0").put_bytes(oid, PAYLOAD)
+    run.put_bytes(cluster.client("node0"), oid, PAYLOAD)
     for peer in ("node1", "node2"):
-        assert cluster.client(peer).get_bytes(oid) == PAYLOAD
+        assert run.get_bytes(cluster.client(peer), oid) == PAYLOAD
     cluster.chaos.inject(
         LinkPartition(at_ns=cluster.clock.now_ns, node_a="node0", node_b="node1")
     )
@@ -329,7 +329,7 @@ def test_partitioned_peer_misses_the_push_and_is_counted(mode, rpc_log):
     unavailable = home.counters.peers_unavailable
     del rpc_log[:]
 
-    home.delete_object(oid)
+    run.delete(home, oid)
 
     assert not home.contains(oid)
     assert home.counters.peers_unavailable == unavailable + 1
@@ -344,13 +344,14 @@ def test_partitioned_peer_misses_the_push_and_is_counted(mode, rpc_log):
 def test_delete_without_holders_is_the_plain_broadcast(mode, rpc_log):
     """A delete with no replica holder sends only NotifyDeleted — since
     directed invalidation, to the sharers rather than to every peer."""
-    cluster = make_cluster(mode)
+    cluster = make_cluster()
+    run = Driver(cluster, mode)
     oid = oid_homed_at(cluster, "node0")
-    cluster.client("node0").put_bytes(oid, PAYLOAD)
-    assert cluster.client("node1").get_bytes(oid) == PAYLOAD
+    run.put_bytes(cluster.client("node0"), oid, PAYLOAD)
+    assert run.get_bytes(cluster.client("node1"), oid) == PAYLOAD
     del rpc_log[:]
 
-    cluster.store("node0").delete_object(oid)
+    run.delete(cluster.store("node0"), oid)
 
     # The directed plan, the same call for call in both modes: node1
     # resolved the object at node0, node2 never did (parent: both told).
@@ -361,15 +362,16 @@ def test_delete_without_holders_is_the_plain_broadcast(mode, rpc_log):
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
 def test_restarted_home_falls_back_to_notifying_every_peer(mode, rpc_log):
-    cluster = make_cluster(mode)
+    cluster = make_cluster()
+    run = Driver(cluster, mode)
     oid = oid_homed_at(cluster, "node0")
-    cluster.client("node0").put_bytes(oid, PAYLOAD, replicas=2)
+    run.put_bytes(cluster.client("node0"), oid, PAYLOAD, replicas=2)
     [holder] = cluster.store("node0").replica_locations(oid)
     cluster.recover_node("node0")  # the replica map died with the process
     assert cluster.store("node0").replica_locations(oid) == ()
     del rpc_log[:]
 
-    cluster.store("node0").delete_object(oid)
+    run.delete(cluster.store("node0"), oid)
 
     assert calls(rpc_log, mode) == [("node1", "NotifyDeleted"), ("node2", "NotifyDeleted")]
     assert cluster.store(holder).is_replica(oid)  # stray until the scrubber finds it
@@ -398,7 +400,7 @@ def get_remote_object(cluster: Cluster) -> None:
 
 
 def quarantine_local_object(cluster: Cluster) -> None:
-    """A synchronous caller of the deletion fan-out in either mode."""
+    """A synchronous caller of the deletion fan-out."""
     oid = cluster.new_object_id()
     cluster.client("node0").put_bytes(oid, b"q" * 64)
     cluster.store("node0").quarantine_object(oid)
@@ -421,7 +423,7 @@ def run_scenario_op(cluster: Cluster) -> None:
     ids=["channel", "store", "runner", "lookup", "deletion"],
 )
 def test_inline_driver_raises_if_the_body_suspends(cluster, monkeypatch, owner, body, call):
-    """``drive`` runs a sync-mode body inline; one that suspends anyway —
+    """``drive`` runs a body inline; one that suspends anyway —
     a channel call, a store facade, a runner op, a store fan-out — is a
     bug, never a hang."""
     monkeypatch.setattr(owner, body, suspends)

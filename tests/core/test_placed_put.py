@@ -4,7 +4,7 @@ The writer fills a buffer on its own node and the create carries it; the
 home creates, writes locally, seals and replicates in that one call. From
 the crossover (``size * per_byte_ns >= round_trip_ns``) up the put keeps
 the fabric write window between ``PlacedCreate`` and ``PlacedSeal``. Every
-test runs under both RPC drivers.
+test runs under both drivers, inline and as an event-loop task.
 """
 
 from __future__ import annotations
@@ -20,18 +20,18 @@ from repro.common.units import KiB, MiB
 from repro.core import Cluster
 from repro.memory.layout import ObjectHeader
 from repro.rpc.channel import Channel
-from tests.conftest import WINDOW_PUT_MIN_BYTES, oid_homed_at
+from tests.conftest import WINDOW_PUT_MIN_BYTES, Driver, oid_homed_at
 
 MODES = ["sync", "async"]
 MS = 1_000_000
 
 
-def make_cluster(mode: str, **rpc) -> Cluster:
+def make_cluster(mode: str, **rpc):
+    """A placed three-node cluster and the driver *mode* names."""
     cfg = make_config(capacity_bytes=32 * MiB, seed=99)
-    cfg = replace(
-        cfg, rpc=replace(cfg.rpc, mode=mode, **rpc), placement=PlacementConfig()
-    )
-    return Cluster(cfg.with_store(check_remote_uniqueness=False), 3)
+    cfg = replace(cfg, rpc=replace(cfg.rpc, **rpc), placement=PlacementConfig())
+    cluster = Cluster(cfg.with_store(check_remote_uniqueness=False), 3)
+    return cluster, Driver(cluster, mode)
 
 
 def payload(size: int) -> bytes:
@@ -73,24 +73,24 @@ def sealed_copies(cluster: Cluster, oid) -> list[str]:
 
 @pytest.mark.parametrize("mode", MODES)
 def test_a_small_put_is_one_call_and_no_window(mode, rpc_log):
-    cluster = make_cluster(mode)
+    cluster, run = make_cluster(mode)
     rpc_log.clear()  # the topology pushes of the build
     oid = oid_homed_at(cluster, "node0")
-    cluster.client("node1").put_bytes(oid, payload(4 * KiB))
+    run.put_bytes(cluster.client("node1"), oid, payload(4 * KiB))
     assert methods(rpc_log) == ["PlacedPut"]
     assert window_bytes(cluster, "node1", "node0") == 0
-    assert cluster.client("node2").get_bytes(oid) == payload(4 * KiB)
+    assert run.get_bytes(cluster.client("node2"), oid) == payload(4 * KiB)
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_a_put_from_the_crossover_up_keeps_the_window(mode, rpc_log):
-    cluster = make_cluster(mode)
+    cluster, run = make_cluster(mode)
     rpc_log.clear()  # the topology pushes of the build
     channel = cluster.store("node1").peer("node0").stub.channel
     assert channel.inline_is_cheaper(WINDOW_PUT_MIN_BYTES - 1)
     assert not channel.inline_is_cheaper(WINDOW_PUT_MIN_BYTES)
     oid = oid_homed_at(cluster, "node0")
-    cluster.client("node1").put_bytes(oid, payload(WINDOW_PUT_MIN_BYTES))
+    run.put_bytes(cluster.client("node1"), oid, payload(WINDOW_PUT_MIN_BYTES))
     assert methods(rpc_log) == ["PlacedCreate", "PlacedSeal"]
     assert window_bytes(cluster, "node1", "node0") == WINDOW_PUT_MIN_BYTES
 
@@ -98,12 +98,12 @@ def test_a_put_from_the_crossover_up_keeps_the_window(mode, rpc_log):
 @pytest.mark.parametrize("mode", MODES)
 def test_the_home_holds_what_the_window_path_leaves(mode, monkeypatch):
     def put(inline: bool) -> tuple:
-        cluster = make_cluster(mode)
+        cluster, run = make_cluster(mode)
         oid = oid_homed_at(cluster, "node0")
         with monkeypatch.context() as patch:
             if not inline:
                 patch.setattr(Channel, "inline_is_cheaper", lambda self, n: False)
-            cluster.client("node1").put_bytes(oid, payload(3000), b"meta")
+            run.put_bytes(cluster.client("node1"), oid, payload(3000), b"meta")
         return at_rest(cluster, "node0", oid)
 
     assert put(inline=True) == put(inline=False)
@@ -111,10 +111,10 @@ def test_the_home_holds_what_the_window_path_leaves(mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_replicas_ride_the_one_call(mode, rpc_log):
-    cluster = make_cluster(mode)
+    cluster, run = make_cluster(mode)
     rpc_log.clear()  # the topology pushes of the build
     oid = oid_homed_at(cluster, "node0")
-    cluster.client("node1").put_bytes(oid, payload(2 * KiB), replicas=2)
+    run.put_bytes(cluster.client("node1"), oid, payload(2 * KiB), replicas=2)
     assert methods(rpc_log) == ["PlacedPut", "Replicate"]
     [holder] = cluster.store("node0").replica_locations(oid)
     assert cluster.store(holder).is_replica(oid)
@@ -123,25 +123,25 @@ def test_replicas_ride_the_one_call(mode, rpc_log):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_an_existing_id_at_the_home_is_refused(mode):
-    cluster = make_cluster(mode)
+    cluster, run = make_cluster(mode)
     oid = oid_homed_at(cluster, "node0")
-    cluster.client("node2").put_bytes(oid, payload(100))
+    run.put_bytes(cluster.client("node2"), oid, payload(100))
     with pytest.raises(ObjectExistsError):
-        cluster.client("node1").put_bytes(oid, payload(100))
+        run.put_bytes(cluster.client("node1"), oid, payload(100))
     assert cluster.store("node1").table.lookup(oid) is None
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_an_unavailable_home_falls_back_to_a_local_create(mode):
-    cluster = make_cluster(mode)
+    cluster, run = make_cluster(mode)
     oid = oid_homed_at(cluster, "node0")
     cluster.node("node0").server.shutdown()
     writer = cluster.client("node1")
-    writer.put_bytes(oid, payload(1 * KiB))
+    run.put_bytes(writer, oid, payload(1 * KiB))
     assert writer.counters.puts_forward_fallback == 1
     assert cluster.store("node1").counters.placed_creates_fallback == 1
     assert sealed_copies(cluster, oid) == ["node1"]
-    assert writer.get_bytes(oid) == payload(1 * KiB)
+    assert run.get_bytes(writer, oid) == payload(1 * KiB)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -149,11 +149,11 @@ def test_a_deadline_after_dispatch_leaves_one_copy(mode, rpc_log):
     """2 ms covers the request leg (1.15 ms without jitter) but not the
     round trip (2.3 ms): the home sealed the object, the writer cannot
     know, so it raises instead of creating a second copy."""
-    cluster = make_cluster(mode, jitter_sigma=0.0, default_deadline_ns=2 * MS)
+    cluster, run = make_cluster(mode, jitter_sigma=0.0, default_deadline_ns=2 * MS)
     rpc_log.clear()  # the topology pushes of the build
     oid = oid_homed_at(cluster, "node0")
     with pytest.raises(ObjectUnavailableError) as caught:
-        cluster.client("node1").put_bytes(oid, payload(1 * KiB))
+        run.put_bytes(cluster.client("node1"), oid, payload(1 * KiB))
     assert caught.value.unreachable_peers == ("node0",)
     assert methods(rpc_log) == ["PlacedPut"]
     assert sealed_copies(cluster, oid) == ["node0"]
@@ -162,7 +162,7 @@ def test_a_deadline_after_dispatch_leaves_one_copy(mode, rpc_log):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_a_raising_writer_sends_nothing_and_allocates_nothing(mode, rpc_log):
-    cluster = make_cluster(mode)
+    cluster, run = make_cluster(mode)
     rpc_log.clear()  # the topology pushes of the build
     home = cluster.store("node0")
     used = home.allocator.used_bytes
@@ -172,7 +172,7 @@ def test_a_raising_writer_sends_nothing_and_allocates_nothing(mode, rpc_log):
         view[:] = b"short"
 
     with pytest.raises(ValueError):
-        cluster.client("node1").put_into(oid, 4 * KiB, wrong_length)
+        run.put_into(cluster.client("node1"), oid, 4 * KiB, wrong_length)
     assert rpc_log == []
     assert home.table.lookup(oid) is None
     assert home.allocator.used_bytes == used

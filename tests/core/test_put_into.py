@@ -34,9 +34,8 @@ SIZES = (3000, 64 * KiB + 5, 200_000, 4096)
 FORWARDED_SIZES = tuple(WINDOW_PUT_MIN_BYTES + size for size in SIZES)
 
 
-def make_cluster(*, placement: bool, mode: str = "sync") -> Cluster:
+def make_cluster(*, placement: bool) -> Cluster:
     cfg = make_config(capacity_bytes=32 * MiB, seed=99)
-    cfg = replace(cfg, rpc=replace(cfg.rpc, mode=mode))
     if placement:
         cfg = replace(cfg, placement=PlacementConfig())
     nodes = 3 if placement else 2
@@ -131,9 +130,9 @@ def test_blocking_put_matches_the_copying_body(driver):
 
 
 def drive_tasks(form) -> Cluster:
-    """The task form on an async cluster: forwarded and local creates,
+    """The task form, spawned on the loop: forwarded and local creates,
     replicas pulled in 64 KiB chunks."""
-    cluster = make_cluster(placement=True, mode="async")
+    cluster = make_cluster(placement=True)
     loop = cluster.loop
     producer = cluster.client("node1")
     homes = ["node0", "node1", "node2", "node0"]

@@ -4,9 +4,13 @@ edge cases and the cross-node Telemetry views."""
 from pathlib import Path
 
 from repro.obs.export import Telemetry, render_prometheus
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import CounterGroup, MetricsRegistry
 
 GOLDEN = Path(__file__).with_name("golden_scrape.txt")
+
+
+class _RpcCounters(CounterGroup):
+    calls = 0
 
 
 def _build_registries() -> list[MetricsRegistry]:
@@ -16,12 +20,13 @@ def _build_registries() -> list[MetricsRegistry]:
     n0 = MetricsRegistry(node="node0")
     n1 = MetricsRegistry(node="node1")
 
-    calls = n0.counter("rpc_calls", "Completed RPC calls.", labels=("peer",))
-    calls.labels(peer="node1").set_function(lambda: 5)
-    # One family spanning both registries: exactly one HELP/TYPE header.
-    n1.counter("rpc_calls", "Completed RPC calls.", labels=("peer",)).labels(
-        peer="node0"
-    ).set_function(lambda: 2)
+    # One counter family spanning both registries: exactly one HELP/TYPE
+    # header.
+    to_node1, to_node0 = _RpcCounters(), _RpcCounters()
+    to_node1.calls += 5
+    to_node0.calls += 2
+    n0.register_group(to_node1, "rpc", peer="node1")
+    n1.register_group(to_node0, "rpc", peer="node0")
 
     weird = n0.gauge("escape_check", 'Help with \\ and a "quote".', labels=("path",))
     weird.labels(path='C:\\data\n"x"').set_function(lambda: 1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.metrics import CounterGroup, MetricsRegistry
+from repro.obs.metrics import CounterGroup, MetricFamily, MetricsRegistry
 
 
 class _Counters(CounterGroup):
@@ -66,16 +66,28 @@ class TestCounterGroup:
 
 
 class TestFamilies:
-    def test_counter_child_samples_its_count(self):
+    def test_labeled_counts_are_groups_read_at_collect(self):
+        """A labeled count is one group per label value, read at collect."""
         registry = MetricsRegistry()
-        family = registry.counter("rpc_calls", "calls", labels=("peer",))
-        counts = {"n1": 3, "n2": 1}
-        for peer in counts:
-            family.labels(peer=peer).set_function(lambda p=peer: counts[p])
-        assert family.labels(peer="n1").value == 3
-        assert family.labels(peer="n2").value == 1
-        counts["n1"] += 1
-        assert family.labels(peer="n1").value == 4
+        groups = {"n1": _Counters(), "n2": _Counters()}
+        groups["n1"].requests += 3
+        groups["n2"].requests += 1
+        for peer, group in groups.items():
+            registry.register_group(group, "rpc", peer=peer)
+
+        def calls() -> dict[str, float]:
+            [family] = [f for f in registry.collect() if f["name"] == "rpc_requests"]
+            return {s["labels"]["peer"]: s["value"] for s in family["series"]}
+
+        assert calls() == {"n1": 3.0, "n2": 1.0}
+        groups["n1"].requests += 1
+        assert calls()["n1"] == 4.0
+
+    def test_no_counter_family(self):
+        """CounterGroup is the one way to export a count."""
+        assert not hasattr(MetricsRegistry, "counter")
+        with pytest.raises(ValueError, match="unknown metric kind"):
+            MetricFamily("c", "counter", "")
 
     def test_gauge_callback_is_read_at_collect(self):
         registry = MetricsRegistry()
@@ -89,7 +101,7 @@ class TestFamilies:
 
     def test_children_store_no_value(self):
         registry = MetricsRegistry()
-        for child in (registry.counter("c").labels(), registry.gauge("g").labels()):
+        for child in (registry.gauge("g").labels(),):
             for gone in ("inc", "set"):
                 assert not hasattr(child, gone), gone
 
@@ -106,7 +118,7 @@ class TestFamilies:
         assert q["0.99"] == pytest.approx(99.01)
 
     def test_label_names_validated(self):
-        family = MetricsRegistry().counter("c", labels=("peer",))
+        family = MetricsRegistry().gauge("c", labels=("peer",))
         with pytest.raises(ValueError):
             family.labels(host="x")
         with pytest.raises(ValueError):
@@ -114,24 +126,24 @@ class TestFamilies:
 
     def test_same_name_same_family(self):
         registry = MetricsRegistry()
-        a = registry.counter("c", "help", labels=("x",))
-        b = registry.counter("c", "ignored", labels=("x",))
+        a = registry.gauge("c", "help", labels=("x",))
+        b = registry.gauge("c", "ignored", labels=("x",))
         assert a is b
 
     def test_same_name_conflicting_kind_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("c")
+        registry.gauge("c")
         with pytest.raises(ValueError):
-            registry.gauge("c")
+            registry.histogram("c")
         with pytest.raises(ValueError):
-            registry.counter("c", labels=("other",))
+            registry.gauge("c", labels=("other",))
 
     def test_invalid_names_rejected(self):
         registry = MetricsRegistry()
         with pytest.raises(ValueError):
-            registry.counter("bad name")
+            registry.gauge("bad name")
         with pytest.raises(ValueError):
-            registry.counter("ok", labels=("bad-label",))
+            registry.gauge("ok", labels=("bad-label",))
 
 
 class TestGroupBinding:
@@ -194,7 +206,7 @@ class TestGroupBinding:
 class TestCollect:
     def test_node_label_injected(self):
         registry = MetricsRegistry(node="node3")
-        registry.counter("c", labels=("peer",)).labels(peer="x")
+        registry.gauge("c", labels=("peer",)).labels(peer="x")
         [family] = registry.collect()
         assert family["series"][0]["labels"] == {"node": "node3", "peer": "x"}
 
@@ -222,7 +234,7 @@ class TestCollect:
 
     def test_snapshot_shape(self):
         registry = MetricsRegistry(node="n0")
-        registry.counter("c").labels()
+        registry.gauge("c").labels()
         snap = registry.snapshot()
         assert snap["node"] == "n0"
         assert snap["families"][0]["name"] == "c"

@@ -60,14 +60,12 @@ def _build_cluster() -> Cluster:
             hedge_stagger_ns=2_000_000.0,
         ),
     )
-    cluster = Cluster(
+    return Cluster(
         replace(cfg, placement=PlacementConfig()).with_store(
             check_remote_uniqueness=False, lookup_cache=True
         ),
         3,
     )
-    cluster.set_rpc_mode("async")
-    return cluster
 
 
 def run_schedule(seed: int) -> list[tuple[int, str, str]]:

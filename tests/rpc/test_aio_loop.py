@@ -137,7 +137,6 @@ class TestScheduling:
         loop.call_later(20, timer)
         with pytest.raises(EventLoopError, match="already running an event"):
             loop.run_until_complete(task)
-        assert not loop.driving
         loop.drain()  # ... and the loop is still usable from the top level
         assert "already running an event" in log[0]
         assert log[1:] == [("bystander", 1_000)]

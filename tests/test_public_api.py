@@ -34,7 +34,7 @@ class TestObsSurface:
         assert sorted(repro.obs.__all__) == sorted(
             [
                 "BASE_COMPONENTS", "COMPONENTS", "CorrelationContext",
-                "Counter", "CounterGroup", "FlightRecorder", "Gauge",
+                "CounterGroup", "FlightRecorder", "Gauge",
                 "Histogram", "MetricFamily", "MetricsRegistry", "QUANTILES",
                 "SpanConfig", "SpanRecord", "SpanSink", "Telemetry",
                 "render_prometheus",
@@ -43,7 +43,7 @@ class TestObsSurface:
 
     @pytest.mark.parametrize("owner,name", [
         ("CounterGroup", "inc"), ("CounterGroup", "get"),
-        ("CounterGroup", "values"), ("Counter", "inc"), ("Gauge", "set"),
+        ("CounterGroup", "values"), ("Gauge", "set"),
         ("Gauge", "inc"),
     ])
     def test_registry_stores_no_counter_or_gauge_value(self, owner, name):
@@ -258,6 +258,19 @@ class TestReachedSurface:
         ("repro.core.remote", "DescriptorTable", "invalidate_node"),
         ("repro.core.remote", "DescriptorTable", "epoch"),
         ("repro.core.remote", "DescriptorTable", "clear"),
+        # The caller picks inline or task: no RPC mode in the config, the
+        # cluster or a store, and every store facade runs its body inline.
+        ("repro.common.config", "RpcConfig", "mode"),
+        ("repro.core.cluster", "Cluster", "rpc_mode"),
+        ("repro.core.cluster", "Cluster", "set_rpc_mode"),
+        ("repro.core.store", "DisaggregatedStore", "set_rpc_async"),
+        ("repro.core.store", "DisaggregatedStore", "rpc_async"),
+        ("repro.core.store", "DisaggregatedStore", "_facade_loop"),
+        ("repro.rpc.aio.loop", "EventLoop", "driving"),
+        # One way to export a count: a CounterGroup bound to the registry.
+        ("repro.obs", None, "Counter"),
+        ("repro.obs.metrics", None, "Counter"),
+        ("repro.obs.metrics", "MetricsRegistry", "counter"),
     ])
     def test_unreached_name_is_gone(self, module, owner, name):
         import importlib
@@ -266,6 +279,17 @@ class TestReachedSurface:
         if owner is not None:
             target = getattr(target, owner)
         assert not hasattr(target, name), f"{module}.{owner or ''}.{name}"
+
+    def test_store_keeps_no_rpc_mode(self):
+        """A store holds the loop its task forms gather on, and no flag."""
+        import inspect
+
+        from repro.core.store import DisaggregatedStore
+
+        params = inspect.signature(DisaggregatedStore.attach_aio).parameters
+        assert list(params) == ["self", "loop"]
+        store = repro.Cluster().store("node0")
+        assert not hasattr(store, "_rpc_async")
 
 
 class TestReadmeQuickstart:

@@ -103,8 +103,18 @@ class TestOneBodyPerOp:
     def test_sync_run_never_runs_the_event_loop(self):
         sim = runner.ScenarioRunner(Scenario.from_obj(mini_obj()))
         sim.run()
-        assert sim.cluster.rpc_mode == "sync"
+        assert not runner._runs_as_tasks(sim.scenario)
         assert sim.cluster.loop.events_run == 0
+
+    def test_async_run_drives_every_op_on_the_loop(self):
+        """The scenario's rpc.mode picks the driver: preload and ops run as
+        loop tasks, and the loop is idle when the run returns."""
+        sim = runner.ScenarioRunner(Scenario.from_obj(mini_obj(rpc={"mode": "async"})))
+        result = sim.run()
+        assert runner._runs_as_tasks(sim.scenario)
+        assert result.rpc_mode == "async"
+        assert sim.cluster.loop.events_run > 0
+        assert sim.cluster.loop.pending() == 0
 
     @pytest.mark.parametrize("mode", ["sync", "async"])
     def test_a_failed_scan_read_releases_every_reference(self, monkeypatch, mode):
